@@ -17,7 +17,9 @@ Verdict semantics:
 * ``refuted`` - the statistics meet the Bell premises but the claimed
   product structure fails: side statistics off target, non-projective or
   non-anticommuting certified observables, state residual, a broken block
-  proportionality, or a non-unitary recovered auxiliary block.
+  proportionality, a non-unitary recovered auxiliary block, or an
+  interaction residual ``max|W - U ox V0|`` beyond the certification
+  tolerance.
 * ``certified`` - everything passes and the recovered auxiliary state is
   comfortably full-rank.
 """
@@ -46,7 +48,6 @@ from .scenario import (
     Strategy,
     bell_branch_settings,
     canonical_reordering,
-    conditional_post_interaction_state,
     run_scenario,
 )
 
@@ -265,7 +266,8 @@ def certify_interaction(
     ``|in_a>`` to ``|phi_a>`` up to one common auxiliary block: every block
     ``(<out| ox I) W (|in_a> ox I)`` has to equal ``<out|phi_a>`` times a
     matrix independent of both ``out`` and ``a``.  Block failures beyond
-    ``tol_prop`` are reported with the offending pair named.
+    ``tol_prop`` are reported with the offending pair named, and the
+    residual ``max|W - U ox V0|`` must not exceed ``tol_cert``.
     """
     c1, aux_in_dims = _canonical_transform(frames_t1)
     c2, aux_out_dims = _canonical_transform(frames_t2)
@@ -321,6 +323,11 @@ def certify_interaction(
     if unit_defect > tol_cert:
         failures.append(f"recovered auxiliary block is not unitary (defect {unit_defect:.3e})")
     residual = max_abs(w - kron(entangling_unitary(parties), v0))
+    if residual > tol_cert:
+        failures.append(
+            f"rotated interaction differs from U ox V0 by {residual:.3e} (max-norm), "
+            f"beyond {tol_cert:g}"
+        )
     fact = factorize_tensor_product(w, (d_q, aux_out), (d_q, aux_in), tol=tol_cert)
     if not fact.is_product:
         failures.append(
@@ -384,10 +391,11 @@ def check_projectivity(strategy: Strategy, supports) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-def _compute_supports(strategy: Strategy) -> dict:
+def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     """Support isometries per (party, time_slice): the source marginals at
     the first round, the union of conditional post-interaction marginals
-    (realized as the support of their average) at the second."""
+    (realized as the support of their average) at the second.  The
+    Bell-branch states are the ones ``run_scenario`` kept in the record."""
     n = strategy.parties
     supports = {}
     for party in range(n):
@@ -395,30 +403,20 @@ def _compute_supports(strategy: Strategy) -> dict:
             strategy.source_state.marginal(party).density
         )
     x_bell = bell_branch_settings(n)
-    averages = [np.zeros((d, d), dtype=complex) for d in strategy.interaction.dims_out]
-    count = 0
-    for outcomes in itertools.product((0, 1), repeat=n):
-        try:
-            sigma = conditional_post_interaction_state(strategy, x_bell, outcomes)
-        except ValueError:
-            continue
-        count += 1
-        for party in range(n):
-            averages[party] += sigma.marginal(party).density
-    if count == 0:
-        raise FramePremiseError("no Bell-branch conditioning event has nonzero probability")
+    sigmas = [s for (x, _), s in record.conditional_states.items() if x == x_bell]
     for party in range(n):
-        supports[(party, 2)] = support_isometry(averages[party] / count)
+        average = sum(sigma.marginal(party).density for sigma in sigmas) / len(sigmas)
+        supports[(party, 2)] = support_isometry(average)
     return supports
 
 
 def run_full_certification(
     strategy: Strategy,
-    record: CorrelationRecord | None = None,
     max_violation_tol: float = MAX_VIOLATION_TOL,
 ) -> CertificationReport:
-    """Run the whole chain and return a structured report; failures are
-    encoded in the report, never raised."""
+    """Simulate the scenario, run the whole chain on its statistics and
+    return a structured report; failures are encoded in the report, never
+    raised."""
     n = strategy.parties
     tolerances = {
         "max_violation": max_violation_tol,
@@ -449,12 +447,11 @@ def run_full_certification(
         base.update(kw)
         return CertificationReport(**base)
 
-    if record is None:
-        try:
-            record = run_scenario(strategy)
-        except ValueError as exc:
-            premise_failures.append(str(exc))
-            return report("inconclusive")
+    try:
+        record = run_scenario(strategy)
+    except ValueError as exc:
+        premise_failures.append(str(exc))
+        return report("inconclusive")
 
     beta_q = BellExpression(n, (0,) * n).quantum_bound
     bell_checks = [
@@ -495,7 +492,7 @@ def run_full_certification(
         )
 
     try:
-        supports = _compute_supports(strategy)
+        supports = _compute_supports(strategy, record)
     except (FramePremiseError, ValueError) as exc:
         refutation_failures.append(str(exc))
         return report(

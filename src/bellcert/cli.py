@@ -220,7 +220,7 @@ def cmd_noise_sweep(args) -> int:
             interaction=strategy.interaction,
         )
         record = run_scenario(mixed)
-        report = run_full_certification(mixed, record=record, max_violation_tol=args.tolerance)
+        report = run_full_certification(mixed, max_violation_tol=args.tolerance)
         min_t2 = min(record.t2_bell_values.values()) if record.t2_bell_values else float("nan")
         rows.append(
             {

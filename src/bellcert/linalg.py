@@ -284,7 +284,7 @@ def factorize_tensor_product(
         )
     # Realign so rows index factor-1 (out, in) pairs and columns factor-2 pairs.
     t = w.reshape(d1o, d2o, d1i, d2i).transpose(0, 2, 1, 3).reshape(d1o * d1i, d2o * d2i)
-    u, s, vh = np.linalg.svd(t)
+    u, s, vh = np.linalg.svd(t, full_matrices=False)
     total = float(np.sqrt(np.sum(s**2)))
     leading = float(s[0]) if s.size else 0.0
     is_product = total > 0 and leading >= (1.0 - tol) * total

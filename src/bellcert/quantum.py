@@ -20,7 +20,6 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     dagger,
-    kron,
     max_abs,
     partial_trace,
 )
@@ -33,6 +32,8 @@ __all__ = [
     "DichotomicObservable",
     "Interaction",
     "pure_state",
+    "local_contraction",
+    "born_table",
     "born_probability",
     "expectation",
     "post_measurement_state",
@@ -170,17 +171,42 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def _joint(state: QuantumState, ops, what: str) -> np.ndarray:
-    """Kronecker-join per-party operators, substituting identities for None."""
-    if len(ops) != len(state.dims):
-        raise DimensionMismatchError(f"{what}: got {len(ops)} operators for {len(state.dims)} parties")
-    mats = []
-    for d, op in zip(state.dims, ops):
-        m = np.eye(d, dtype=complex) if op is None else as_matrix(op)
-        if m.shape != (d, d):
-            raise DimensionMismatchError(f"{what}: operator shape {m.shape} does not match local dim {d}")
-        mats.append(m)
-    return kron(*mats)
+def local_contraction(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
+    """Table ``T[i_1, ..., i_N] = Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
+
+    ``stacks[k]`` holds party ``k``'s operators, shape ``(m_k, d_k, d_k)``; a
+    single ``(d_k, d_k)`` matrix counts as ``m_k = 1`` and ``None`` traces the
+    party out.  ``rho.reshape(dims + dims)`` is contracted with one
+    ``tensordot`` per party, the idiom of ``linalg.partial_trace``, so no
+    Kronecker-product operator is ever formed.  The result has shape
+    ``(m_1, ..., m_N)``.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    if len(stacks) != n:
+        raise DimensionMismatchError(f"got {len(stacks)} operator stacks for {n} parties")
+    t = np.asarray(rho, dtype=complex).reshape(dims + dims)
+    for k, (d, stack) in enumerate(zip(dims, stacks)):
+        s = np.eye(d, dtype=complex) if stack is None else as_matrix(stack)
+        if s.ndim == 2:
+            s = s[np.newaxis]
+        if s.ndim != 3 or s.shape[1:] != (d, d):
+            raise DimensionMismatchError(
+                f"party {k}: operator shape {s.shape[-2:]} does not match local dim {d}"
+            )
+        # Party k's row and column axes sit at 0 and n - k; sum A_ij rho_ji.
+        t = np.tensordot(t, s, axes=([0, n - k], [2, 1]))
+    return t
+
+
+def born_table(state: QuantumState, stacks) -> np.ndarray:
+    """Outcome probabilities ``Tr[(E^1_{i_1} ox ... ox E^N_{i_N}) rho]`` for
+    every combination of per-party effects (see ``local_contraction``).
+    Values within ``ZERO_PROB`` of the [0, 1] boundary are clamped onto it.
+    """
+    p = np.real(local_contraction(state.density, state.dims, stacks))
+    p = np.where((-ZERO_PROB <= p) & (p < 0.0), 0.0, p)
+    return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
 
 
 def born_probability(state: QuantumState, effects) -> float:
@@ -189,20 +215,13 @@ def born_probability(state: QuantumState, effects) -> float:
     ``effects`` holds one positive measurement element per party.  Values
     within ``ZERO_PROB`` of the [0, 1] boundary are clamped onto it.
     """
-    e = _joint(state, effects, "born_probability")
-    p = float(np.real(np.trace(e @ state.density)))
-    if -ZERO_PROB <= p < 0.0:
-        p = 0.0
-    if 1.0 < p <= 1.0 + ZERO_PROB:
-        p = 1.0
-    return p
+    return float(born_table(state, effects).item())
 
 
 def expectation(state: QuantumState, observables) -> float:
     """Expectation value of a product of local observables (``None`` entries
     mean identity on that party)."""
-    o = _joint(state, observables, "expectation")
-    return float(np.real(np.trace(o @ state.density)))
+    return float(np.real(local_contraction(state.density, state.dims, observables).item()))
 
 
 def post_measurement_state(state: QuantumState, projectors) -> QuantumState:
@@ -210,11 +229,23 @@ def post_measurement_state(state: QuantumState, projectors) -> QuantumState:
     renormalization).  Raises ``ZeroProbabilityError`` for outcomes with
     probability at most ``ZERO_PROB``.
     """
-    pi = _joint(state, projectors, "post_measurement_state")
-    p = float(np.real(np.trace(pi @ state.density @ dagger(pi))))
+    # Entry (a, b) of Pi rho Pi^dag is Tr[(ox_k Pi_k^dag |b_k><a_k| Pi_k) rho],
+    # so party k contributes the d_k^2 operators Pi_k^dag |b><a| Pi_k.
+    n = len(state.dims)
+    if len(projectors) != n:
+        raise DimensionMismatchError(f"got {len(projectors)} projectors for {n} parties")
+    stacks = []
+    for d, op in zip(state.dims, projectors):
+        pi = np.eye(d, dtype=complex) if op is None else as_matrix(op)
+        stacks.append(np.einsum("bi,aj->abij", np.conj(pi), pi).reshape(-1, *pi.shape))
+    t = local_contraction(state.density, state.dims, stacks)
+    t = t.reshape(tuple(d for d in state.dims for _ in (0, 1)))  # (a_1, b_1, a_2, b_2, ...)
+    t = t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    rho = t.reshape(state.dim, state.dim)
+    p = float(np.real(np.trace(rho)))
     if p <= ZERO_PROB:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} too small to condition on")
-    rho = pi @ state.density @ dagger(pi) / p
+    rho = rho / p
     return QuantumState((rho + dagger(rho)) / 2.0, state.dims)
 
 

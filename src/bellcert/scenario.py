@@ -30,7 +30,7 @@ from .quantum import (
     DichotomicObservable,
     Interaction,
     QuantumState,
-    born_probability,
+    born_table,
     evolve,
     post_measurement_state,
     random_density,
@@ -114,6 +114,10 @@ class CorrelationRecord:
     ``x``; ``p2[(x1, a1)][x2]`` the conditional distribution at the second
     round.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
     value of the matching Bell functional on the conditional state.
+
+    ``conditional_states[(x1, a1)]`` is the post-interaction state behind
+    ``p2[(x1, a1)]``, kept so the certification chain reuses it.  It is in
+    memory only: it is not serialized, so a loaded record has none.
     """
 
     parties: int
@@ -123,6 +127,7 @@ class CorrelationRecord:
     t2_bell_values: dict
     extra_stats: ExtraStatistics | None
     event_probabilities: dict = field(default_factory=dict)
+    conditional_states: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for x, probs in self.p1.items():
@@ -139,13 +144,17 @@ class CorrelationRecord:
                     )
 
 
-def _outcome_distribution(state: QuantumState, observables, settings: Bits) -> np.ndarray:
-    n = len(settings)
-    probs = np.zeros((2,) * n)
-    for outcomes in itertools.product((0, 1), repeat=n):
-        effects = [observables[k][settings[k]].effect(outcomes[k]) for k in range(n)]
-        probs[outcomes] = born_probability(state, effects)
-    return probs
+def _outcome_tables(state: QuantumState, observables) -> dict:
+    """Outcome distribution, shape ``(2,) * N``, for every setting vector.
+
+    Party ``k`` contributes the stack of its four effects ordered by
+    (setting, outcome), so one contraction gives all 2^N x 2^N probabilities.
+    """
+    n = len(observables)
+    stacks = [np.stack([o.effect(a) for o in pair for a in (0, 1)]) for pair in observables]
+    table = born_table(state, stacks).reshape((2, 2) * n)  # (x_1, a_1, x_2, a_2, ...)
+    table = table.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    return {x: table[x] for x in itertools.product((0, 1), repeat=n)}
 
 
 def _check_projective(observables, tol: float, where: str) -> None:
@@ -182,9 +191,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     n = strategy.parties
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
 
-    p1 = {}
-    for x in itertools.product((0, 1), repeat=n):
-        p1[x] = _outcome_distribution(strategy.source_state, strategy.observables_t1, x)
+    p1 = _outcome_tables(strategy.source_state, strategy.observables_t1)
 
     expr0 = BellExpression(n, (0,) * n)
     t1_value = quantum_value(strategy.source_state, strategy.observables_t1, expr0)
@@ -192,6 +199,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     p2 = {}
     t2_values = {}
     event_probs = {}
+    states = {}
     x_bell = bell_branch_settings(n)
     for outcomes in itertools.product((0, 1), repeat=n):
         p_event = float(p1[x_bell][outcomes])
@@ -200,10 +208,8 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
         sigma = conditional_post_interaction_state(strategy, x_bell, outcomes)
         event = (x_bell, outcomes)
         event_probs[event] = p_event
-        p2[event] = {
-            x2: _outcome_distribution(sigma, strategy.observables_t2, x2)
-            for x2 in itertools.product((0, 1), repeat=n)
-        }
+        states[event] = sigma
+        p2[event] = _outcome_tables(sigma, strategy.observables_t2)
         t2_values[outcomes] = quantum_value(sigma, strategy.observables_t2, BellExpression(n, outcomes))
 
     extra = None
@@ -214,10 +220,8 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
         sigma = conditional_post_interaction_state(strategy, x_extra, zero)
         event = (x_extra, zero)
         event_probs[event] = p_event
-        p2[event] = {
-            x2: _outcome_distribution(sigma, strategy.observables_t2, x2)
-            for x2 in itertools.product((0, 1), repeat=n)
-        }
+        states[event] = sigma
+        p2[event] = _outcome_tables(sigma, strategy.observables_t2)
         extra = extra_statistics_check(sigma, strategy.observables_t2, n)
 
     return CorrelationRecord(
@@ -228,6 +232,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
         t2_bell_values=t2_values,
         extra_stats=extra,
         event_probabilities=event_probs,
+        conditional_states=states,
     )
 
 
@@ -252,9 +257,10 @@ def repeatability_spotcheck(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     mismatches = 0
     outcome_list = list(itertools.product((0, 1), repeat=n))
+    tables = _outcome_tables(strategy.source_state, strategy.observables_t1)
     for _ in range(int(rounds)):
         settings = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        probs = _outcome_distribution(strategy.source_state, strategy.observables_t1, settings)
+        probs = tables[settings]
         flat = np.clip(probs.reshape(-1), 0.0, None)
         flat = flat / flat.sum()
         outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
@@ -264,7 +270,7 @@ def repeatability_spotcheck(
         rho_prime = post_measurement_state(strategy.source_state, projectors)
         if tamper is not None:
             rho_prime = tamper(rho_prime)
-        probs2 = _outcome_distribution(rho_prime, strategy.observables_t1, settings)
+        probs2 = _outcome_tables(rho_prime, strategy.observables_t1)[settings]
         flat2 = np.clip(probs2.reshape(-1), 0.0, None)
         flat2 = flat2 / flat2.sum()
         repeat = outcome_list[rng.choice(len(outcome_list), p=flat2)]

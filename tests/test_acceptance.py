@@ -188,7 +188,7 @@ def test_criterion_7_refutation_power(tmp_path):
     record = run_scenario(identity)
     max_t2 = max(record.t2_bell_values.values())
     assert max_t2 <= SQRT2 + 1e-9
-    report = run_full_certification(identity, record=record)
+    report = run_full_certification(identity)
     assert report.verdict != "certified"
     _report(
         f"criterion 7: swap deviation exit {swap_exit}, diagonal-phase deviation exit "
@@ -232,7 +232,7 @@ def test_criterion_9_noise_behavior():
         )
         record = run_scenario(mixed)
         assert abs(record.t1_bell_value - 2.0 * v) < 1e-10
-        report = run_full_certification(mixed, record=record)
+        report = run_full_certification(mixed)
         verdicts.append((v, report.verdict))
     assert all(verdict == "certified" for v, verdict in verdicts if v == 1.0)
     assert all(verdict != "certified" for v, verdict in verdicts if v < 1.0)

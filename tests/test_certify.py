@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bellcert.bell import BellExpression, quantum_value
+from bellcert import certify, scenario
 from bellcert.certify import (
     FramePremiseError,
     certify_source_state,
@@ -23,8 +25,19 @@ from bellcert.quantum import (
     random_unitary,
     white_noise_mix,
 )
-from bellcert.reference import alice_targets, other_targets, target_observables
-from bellcert.scenario import Strategy, canonical_reordering, scramble_strategy
+from bellcert.reference import (
+    alice_targets,
+    other_targets,
+    reference_strategy,
+    target_observables,
+)
+from bellcert.scenario import (
+    Strategy,
+    bell_branch_settings,
+    canonical_reordering,
+    conditional_post_interaction_state,
+    scramble_strategy,
+)
 
 from conftest import (
     PSI_MINUS,
@@ -270,6 +283,87 @@ class TestFullCertification:
         report = run_full_certification(phased)
         assert report.verdict == "certified"
         assert abs(report.interaction.aux_unitary[0, 0] - np.exp(0.7j)) < 1e-10
+
+
+class TestInteractionResidualGate:
+    """The N=2 reference interaction times ``exp(i eps H)``: every Bell value
+    and side statistic stays maximal to second order in eps, so only the
+    interaction residual ``max|W - U ox V0|`` (about 0.75 eps for this H)
+    separates the two verdicts."""
+
+    @staticmethod
+    def perturbed(ref2, eps):
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = (g + dagger(g)) / 2.0
+        vals, vecs = np.linalg.eigh(h / np.linalg.norm(h, 2))
+        kick = vecs @ np.diag(np.exp(1j * eps * vals)) @ dagger(vecs)
+        return Strategy(
+            source_state=ref2.source_state,
+            observables_t1=ref2.observables_t1,
+            observables_t2=ref2.observables_t2,
+            interaction=Interaction(ref2.interaction.matrix @ kick, (2, 2), (2, 2)),
+        )
+
+    def test_residual_below_tolerance_is_certified(self, ref2):
+        report = run_full_certification(self.perturbed(ref2, 5e-9))
+        assert 1e-9 < report.interaction.residual < 1e-8
+        assert report.verdict == "certified"
+
+    def test_residual_beyond_tolerance_is_refuted(self, ref2):
+        report = run_full_certification(self.perturbed(ref2, 5.4e-8))
+        assert 3.5e-8 < report.interaction.residual < 4.5e-8
+        assert report.interaction.proportionality_error < 1e-7
+        assert report.verdict == "refuted"
+        assert len(report.failures) == 1 and "differs from U ox V0" in report.failures[0]
+
+
+class TestBranchStatesBuiltOnce:
+    """``run_scenario`` builds each conditional state once and the chain
+    reuses it; rank-deficient auxiliary states make the supports proper
+    isometries."""
+
+    @staticmethod
+    def fresh_supports(strategy, _record):
+        """Supports from conditional states computed anew, as the chain did
+        before it reused the record's states."""
+        n = strategy.parties
+        supports = {(p, 1): support_isometry(strategy.source_state.marginal(p).density) for p in range(n)}
+        sigmas = [
+            conditional_post_interaction_state(strategy, bell_branch_settings(n), a)
+            for a in itertools.product((0, 1), repeat=n)
+        ]
+        for p in range(n):
+            average = sum(s.marginal(p).density for s in sigmas) / len(sigmas)
+            supports[(p, 2)] = support_isometry(average)
+        return supports
+
+    @pytest.mark.parametrize("parties, aux", [(3, (2, 1, 1)), (4, (1, 2, 1, 1))])
+    def test_one_state_per_event(self, parties, aux, monkeypatch):
+        strategy = scramble_strategy(reference_strategy(parties), aux, seed=5, xi_rank=1).strategy
+        built = []
+        original = scenario.conditional_post_interaction_state
+
+        def counting(*args):
+            built.append(args[1:])
+            return original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "conditional_post_interaction_state", counting)
+            report = run_full_certification(strategy)
+        assert len(built) == len(set(built)) == 2**parties + 1
+
+        record = scenario.run_scenario(strategy)
+        supports = certify._compute_supports(strategy, record)
+        fresh = self.fresh_supports(strategy, record)
+        assert supports.keys() == fresh.keys()
+        assert any(s.shape[0] != s.shape[1] for s in supports.values())
+        assert all(np.array_equal(supports[k], fresh[k]) for k in supports)
+
+        monkeypatch.setattr(certify, "_compute_supports", self.fresh_supports)
+        rebuilt = run_full_certification(strategy)
+        assert report.verdict == rebuilt.verdict == "certified"
+        assert np.array_equal(report.interaction.aux_unitary, rebuilt.interaction.aux_unitary)
 
 
 class TestIndependentHaarEmbedding:
