@@ -23,7 +23,6 @@ from .certify import (
 )
 from .linalg import (
     EigenDecomposition,
-    factorize_tensor_product,
     herm_eig,
     kron,
     operator_block,

@@ -14,7 +14,9 @@ variable is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from .scenario import Strategy, run_scenario, scramble_strategy
 from .seesaw import seesaw_restarts
 from .serialize import (
     SerializationError,
+    _bits,
     file_digest,
     load_strategy,
     matrix_payload,
@@ -49,10 +52,6 @@ def _out_path(name: str | os.PathLike) -> Path:
     if base and not p.is_absolute():
         return Path(base) / p
     return p
-
-
-def _bits(t) -> str:
-    return "".join(str(int(b)) for b in t)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -124,11 +123,8 @@ def cmd_make_strategy(args) -> int:
     if args.visibility != 1.0:
         if not 0.0 <= args.visibility <= 1.0:
             return _usage_error("make-strategy: --visibility must lie in [0, 1]")
-        strategy = Strategy(
-            source_state=white_noise_mix(strategy.source_state, args.visibility),
-            observables_t1=strategy.observables_t1,
-            observables_t2=strategy.observables_t2,
-            interaction=strategy.interaction,
+        strategy = dataclasses.replace(
+            strategy, source_state=white_noise_mix(strategy.source_state, args.visibility)
         )
         meta["visibility"] = args.visibility
     out = _out_path(args.out)
@@ -191,7 +187,7 @@ def cmd_certify(args) -> int:
         if report.interaction is not None:
             ic = report.interaction
             print(
-                f"  interaction: product={ic.is_product} residual={ic.residual:.3e} "
+                f"  interaction: residual={ic.residual:.3e} "
                 f"proportionality={ic.proportionality_error:.3e}"
             )
         for failure in report.failures:
@@ -213,20 +209,17 @@ def cmd_noise_sweep(args) -> int:
         return _usage_error("--visibilities: every value must lie in [0, 1]")
     rows = []
     for v in visibilities:
-        mixed = Strategy(
-            source_state=white_noise_mix(strategy.source_state, v),
-            observables_t1=strategy.observables_t1,
-            observables_t2=strategy.observables_t2,
-            interaction=strategy.interaction,
-        )
-        record = run_scenario(mixed)
+        mixed = dataclasses.replace(strategy, source_state=white_noise_mix(strategy.source_state, v))
         report = run_full_certification(mixed, max_violation_tol=args.tolerance)
-        min_t2 = min(record.t2_bell_values.values()) if record.t2_bell_values else float("nan")
+        if not report.bell_checks:  # the scenario could not be simulated
+            return _usage_error(f"noise-sweep: {report.failures[0]}")
+        t1, *t2 = (c.value for c in report.bell_checks)
+        t2 = [value for value in t2 if not math.isnan(value)]  # NaN: vanishing event
         rows.append(
             {
                 "visibility": v,
-                "t1_bell_value": record.t1_bell_value,
-                "min_t2_bell_value": min_t2,
+                "t1_bell_value": t1,
+                "min_t2_bell_value": min(t2) if t2 else float("nan"),
                 "verdict": report.verdict,
             }
         )

@@ -23,7 +23,6 @@ __all__ = [
     "NonHermitianError",
     "SingularOperatorError",
     "EigenDecomposition",
-    "TensorFactorization",
     "dagger",
     "kron",
     "max_abs",
@@ -34,13 +33,12 @@ __all__ = [
     "partial_trace",
     "permute_subsystems",
     "operator_block",
-    "factorize_tensor_product",
 ]
 
 # Tolerance regime for double precision at the dimensions handled here
 # (total dimension at most a few hundred):
 ALGEBRA_TOL = 1e-9  # algebraic identities (hermiticity, unitarity, eigen residuals)
-CERT_TOL = 1e-8  # factorization / certification acceptance
+CERT_TOL = 1e-8  # certification acceptance
 SINGULAR_FLOOR = 1e-12  # below this an eigenvalue counts as singular
 
 
@@ -115,6 +113,13 @@ class EigenDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dagger(v)
 
+    def sign(self) -> np.ndarray:
+        """Return ``sum_k sign(lambda_k) |v_k><v_k|``, exactly Hermitian,
+        with zero eigenvalues counted as +1."""
+        v = self.eigenvectors
+        out = (v * np.where(self.eigenvalues >= 0.0, 1.0, -1.0)) @ dagger(v)
+        return (out + dagger(out)) / 2.0
+
 
 def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with a deterministic
@@ -145,10 +150,7 @@ def sign_operator(h: np.ndarray, floor: float = SINGULAR_FLOOR) -> np.ndarray:
         raise SingularOperatorError(
             f"eigenvalue {bad:.3e} is within {floor:g} of zero; sign undefined"
         )
-    signs = np.where(eig.eigenvalues > 0, 1.0, -1.0)
-    v = eig.eigenvectors
-    out = (v * signs) @ dagger(v)
-    return (out + dagger(out)) / 2.0
+    return eig.sign()
 
 
 def _check_dims(m: np.ndarray, dims: tuple[int, ...], what: str) -> None:
@@ -245,65 +247,3 @@ def operator_block(
         )
     t = w.reshape(d_po, d_ao, d_pi, d_ai)
     return np.einsum("i,ijkl,k->jl", np.conj(out_vec), t, in_vec)
-
-
-@dataclass(frozen=True, eq=False)
-class TensorFactorization:
-    """Outcome of an operator-Schmidt factorization test across a fixed
-    bipartite split.
-
-    ``coefficients`` are the operator-Schmidt coefficients in descending
-    order; ``is_product`` is true when the leading coefficient carries
-    essentially all of the Frobenius weight.  ``factor1`` is normalized to
-    unit largest singular value with its first nonzero entry real positive;
-    ``residual`` is the Frobenius norm of ``w - factor1 ox factor2``.
-    """
-
-    is_product: bool
-    factor1: np.ndarray
-    factor2: np.ndarray
-    residual: float
-    coefficients: np.ndarray
-
-
-def factorize_tensor_product(
-    w: np.ndarray,
-    dims_out: tuple[int, int],
-    dims_in: tuple[int, int],
-    tol: float = CERT_TOL,
-) -> TensorFactorization:
-    """Decide whether ``w`` is a tensor product across the given split and
-    return the best rank-one factors either way.
-    """
-    w = np.asarray(w, dtype=complex)
-    d1o, d2o = int(dims_out[0]), int(dims_out[1])
-    d1i, d2i = int(dims_in[0]), int(dims_in[1])
-    if w.shape != (d1o * d2o, d1i * d2i):
-        raise DimensionMismatchError(
-            f"factorize_tensor_product: shape {w.shape} does not match {dims_out}x{dims_in}"
-        )
-    # Realign so rows index factor-1 (out, in) pairs and columns factor-2 pairs.
-    t = w.reshape(d1o, d2o, d1i, d2i).transpose(0, 2, 1, 3).reshape(d1o * d1i, d2o * d2i)
-    u, s, vh = np.linalg.svd(t, full_matrices=False)
-    total = float(np.sqrt(np.sum(s**2)))
-    leading = float(s[0]) if s.size else 0.0
-    is_product = total > 0 and leading >= (1.0 - tol) * total
-
-    a = u[:, 0].reshape(d1o, d1i)
-    b = vh[0, :].reshape(d2o, d2i)
-    # Normalize: factor1 gets unit largest singular value and a fixed phase;
-    # factor2 absorbs the Schmidt coefficient and the compensating scale/phase.
-    sigma = float(np.linalg.norm(a, ord=2))
-    flat = a.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > SINGULAR_FLOOR)
-    phase = flat[idx[0]] / np.abs(flat[idx[0]]) if idx.size else 1.0
-    factor1 = a / (sigma * phase)
-    factor2 = leading * sigma * phase * b
-    residual = float(np.linalg.norm(w - kron(factor1, factor2)))
-    return TensorFactorization(
-        is_product=bool(is_product),
-        factor1=factor1,
-        factor2=factor2,
-        residual=residual,
-        coefficients=s,
-    )

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import BellExpression, ExtraStatistics, extra_statistics_check, quantum_value
-from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron
+from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron, permute_subsystems
 from .quantum import (
     ZERO_PROB,
     DichotomicObservable,
     Interaction,
     QuantumState,
+    _rng,
     born_table,
     evolve,
     post_measurement_state,
@@ -49,7 +50,6 @@ __all__ = [
     "conditional_post_interaction_state",
     "repeatability_spotcheck",
     "scramble_strategy",
-    "permutation_matrix",
     "canonical_reordering",
 ]
 
@@ -254,7 +254,7 @@ def repeatability_spotcheck(
     """
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
     n = strategy.parties
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     mismatches = 0
     outcome_list = list(itertools.product((0, 1), repeat=n))
     tables = _outcome_tables(strategy.source_state, strategy.observables_t1)
@@ -279,30 +279,15 @@ def repeatability_spotcheck(
     return SpotcheckResult(consistent=mismatches == 0, mismatches=mismatches, rounds=int(rounds))
 
 
-def permutation_matrix(dims: Bits, perm: Bits) -> np.ndarray:
-    """Unitary that reorders tensor factors: new factor ``i`` is old factor
-    ``perm[i]``."""
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    d = int(np.prod(dims))
-    new_dims = tuple(dims[p] for p in perm)
-    p_mat = np.zeros((d, d))
-    for multi in itertools.product(*[range(x) for x in dims]):
-        old = int(np.ravel_multi_index(multi, dims))
-        new = int(np.ravel_multi_index(tuple(multi[p] for p in perm), new_dims))
-        p_mat[new, old] = 1.0
-    return p_mat
-
-
 def canonical_reordering(aux_dims: Bits) -> np.ndarray:
     """Permutation from the party-local order (qubit_1, aux_1, qubit_2,
     aux_2, ...) to the canonical order (all qubits, then all aux spaces)."""
     n = len(aux_dims)
-    interleaved = []
-    for k in aux_dims:
-        interleaved.extend((2, int(k)))
+    interleaved = tuple(d for k in aux_dims for d in (2, int(k)))
     perm = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return permutation_matrix(tuple(interleaved), perm)
+    total = int(np.prod(interleaved))
+    # Permute the row factors only: the columns form one factor of full size.
+    return permute_subsystems(np.eye(total), perm, interleaved, (1,) * (2 * n - 1) + (total,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +326,7 @@ def scramble_strategy(
     if reference.source_state.dims != (2,) * n:
         raise ValueError("scramble_strategy expects the qubit reference strategy")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     targets = target_observables(n)
     local_dims = tuple(2 * k for k in aux_dims)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellExpression, build_bell_operator
-from .linalg import SINGULAR_FLOOR, dagger, herm_eig, kron, partial_trace, sign_operator
+from .linalg import dagger, herm_eig, kron, partial_trace
 from .quantum import QuantumState, pure_state, random_projective_observable
 
 __all__ = [
@@ -58,17 +58,10 @@ def optimal_observable_update(effective: np.ndarray) -> np.ndarray:
     """Maximizer of ``Tr(O H)`` over Hermitian ``O`` with ``O^2 = I``: the
     matrix sign of ``H``.
 
-    Eigenvalues within the singular floor of zero contribute nothing to the
-    objective; they are assigned +1, which changes the value by at most the
-    floor times the dimension.
+    An eigenvalue ``lambda`` near zero moves the objective by at most
+    ``2 |lambda|`` whichever sign it gets; exact zeros are assigned +1.
     """
-    eig = herm_eig(effective)
-    if np.min(np.abs(eig.eigenvalues)) > SINGULAR_FLOOR:
-        return sign_operator(effective)
-    signs = np.where(eig.eigenvalues >= 0.0, 1.0, -1.0)
-    v = eig.eigenvectors
-    out = (v * signs) @ dagger(v)
-    return (out + dagger(out)) / 2.0
+    return herm_eig(effective).sign()
 
 
 def optimal_state_update(bell_operator: np.ndarray, dims: tuple[int, ...]) -> tuple[QuantumState, float]:

@@ -231,17 +231,12 @@ def report_to_dict(report: CertificationReport, provenance: dict | None = None) 
     if report.interaction is not None:
         ic = report.interaction
         inter = {
-            "is_product": ic.is_product,
             "residual": ic.residual,
             "proportionality_error": ic.proportionality_error,
             "unitarity_defect": ic.unitarity_defect,
-            "schmidt_coefficients": [float(s) for s in ic.schmidt_coefficients],
-            "aux_unitary": None if ic.aux_unitary is None else matrix_payload(ic.aux_unitary),
+            "aux_unitary": matrix_payload(ic.aux_unitary),
             "failures": list(ic.failures),
-            "tolerances": {
-                "proportionality": report.tolerances.get("proportionality"),
-                "certification": report.tolerances.get("certification"),
-            },
+            "tolerances": {"certification": report.tolerances.get("certification")},
         }
     state = None
     if report.state is not None:

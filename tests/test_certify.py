@@ -8,6 +8,8 @@ from bellcert.bell import BellExpression, quantum_value
 from bellcert import certify, scenario
 from bellcert.certify import (
     FramePremiseError,
+    LocalFrame,
+    certify_interaction,
     certify_source_state,
     check_anticommutation,
     check_projectivity,
@@ -27,7 +29,10 @@ from bellcert.quantum import (
 )
 from bellcert.reference import (
     alice_targets,
+    entangling_unitary,
+    ghz_like_vector,
     other_targets,
+    pre_interaction_vector,
     reference_strategy,
     target_observables,
 )
@@ -178,7 +183,7 @@ class TestCertifyInteraction:
     def test_reference_interaction(self, ref2):
         report = run_full_certification(ref2)
         cert = report.interaction
-        assert cert.passed and cert.is_product
+        assert cert.passed
         assert cert.residual < 1e-12
         assert cert.aux_unitary.shape == (1, 1)
         assert abs(cert.aux_unitary[0, 0] - 1.0) < 1e-12
@@ -316,6 +321,134 @@ class TestInteractionResidualGate:
         assert report.interaction.proportionality_error < 1e-7
         assert report.verdict == "refuted"
         assert len(report.failures) == 1 and "differs from U ox V0" in report.failures[0]
+
+
+class TestDirectInteractionGate:
+    """``certify_interaction`` on interactions given directly in the canonical
+    frame.  With auxiliary dims (1, 3) the party-local factor order
+    (q1, a1, q2, a2) is already (qubits, then aux), so identity frames leave
+    ``W`` as it is."""
+
+    FRAMES = tuple(
+        LocalFrame(party=p, time_slice=1, matrix=np.eye(d, dtype=complex), aux_dim=d // 2, support_dim=d)
+        for p, d in enumerate((2, 6))
+    )
+
+    def certify(self, w):
+        return certify_interaction(w, self.FRAMES, self.FRAMES, 2)
+
+    def test_product_is_certified_and_v0_recovered(self):
+        v0 = random_unitary(3, 5)
+        cert = self.certify(kron(entangling_unitary(2), v0))
+        assert cert.passed
+        assert max_abs(cert.aux_unitary - v0) < 1e-12
+        assert cert.residual < 1e-12 and cert.unitarity_defect < 1e-12
+
+    def test_controlled_v0_fails_with_one_residual_line(self):
+        v0 = random_unitary(3, 6)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        controlled = kron(np.eye(2) - p1, np.eye(6)) + kron(p1, np.eye(2), v0)
+        cert = self.certify(kron(entangling_unitary(2), np.eye(3)) @ controlled)
+        # the least-squares block (I + v0) / 2 is not unitary: one line each
+        assert len(cert.failures) == 2
+        assert cert.failures[0].startswith("recovered auxiliary block is not unitary")
+        assert "differs from U ox V0" in cert.failures[1]
+        assert "block out=" in cert.failures[1] and "disagrees by" in cert.failures[1]
+        assert cert.proportionality_error > 0.1
+
+
+class TestBlockGateRemoved:
+    """VERDICT CHANGE, pinned: at N=6 an interaction within ``CERT_TOL`` of
+    ``U ox V0`` can still have two blocks ``<out|W|in_a> / <out|phi_a>`` of
+    one input that differ by more than 1e-7.  The removed 1e-7
+    block-proportionality gate refuted such an interaction; the residual
+    gate certifies it."""
+
+    def test_six_party_interaction_within_tolerance_is_certified(self):
+        n = 6
+        ref = reference_strategy(n)
+        u = entangling_unitary(n)
+        in_a, phi_a = pre_interaction_vector((0,) * n), ghz_like_vector((0,) * n)
+        o1, o2 = np.flatnonzero(np.abs(phi_a) > 0.1)
+        # W = U exp(-i eps G) with G = i(|U^dag chi><omega| - h.c.), so to
+        # first order W - U = eps (|chi><omega| - |U omega><U^dag chi|), with
+        # omega the phase pattern of in_a.  The first term parts the two
+        # blocks of input a by 2 sqrt(2) ||in_a||_1 eps (about 15 eps), the
+        # second adds nothing to them (<chi|phi_a> = 0), and no entry of
+        # W - U exceeds about 1.2 eps.
+        chi = np.zeros(2**n, dtype=complex)
+        chi[o1], chi[o2] = np.sign(phi_a[o1].real), -np.sign(phi_a[o2].real)
+        omega = np.where(np.abs(in_a) > 1e-12, np.exp(1j * np.angle(in_a)), 0.0)
+        psi = dagger(u) @ chi
+        g = 1j * (np.outer(psi, np.conj(omega)) - np.outer(omega, np.conj(psi)))
+        eps = 0.95e-8 / max_abs(u @ g)
+        vals, vecs = np.linalg.eigh(g)
+        kick = vecs @ np.diag(np.exp(-1j * eps * vals)) @ dagger(vecs)
+        strategy = Strategy(
+            source_state=ref.source_state,
+            observables_t1=ref.observables_t1,
+            observables_t2=ref.observables_t2,
+            interaction=Interaction(ref.interaction.matrix @ kick, (2,) * n, (2,) * n),
+        )
+        report = run_full_certification(strategy)
+        assert report.verdict == "certified", report.failures
+        assert 9e-9 < report.interaction.residual < 1e-8
+
+        # the quantity the removed gate bounded, in the certified frames
+        frames_t1, frames_t2 = _frames_of(report)
+        reorder = canonical_reordering((1,) * n)
+        c1 = reorder @ kron(*[f.matrix for f in frames_t1])
+        c2 = reorder @ kron(*[f.matrix for f in frames_t2])
+        w = c2 @ strategy.interaction.matrix @ dagger(c1)
+        ratios = (w @ in_a)[[o1, o2]] / phi_a[[o1, o2]].real
+        assert abs(ratios[0] - ratios[1]) > 1.1e-7
+
+
+class TestOneLinePerPremise:
+    """Each failing premise gives one failure line, and each frame's
+    residual is computed once."""
+
+    @staticmethod
+    def rotated_t2(reference, delta):
+        """Rotate party 2's second-round setting-1 observable by ``delta``:
+        the pair stops anticommuting at about 4 delta, while every Bell value
+        stays within 1e-9 of maximal for delta = 1e-5."""
+        c, s = math.cos(delta), math.sin(delta)
+        r = np.array([[c, -s], [s, c]], dtype=complex)
+        pairs = [list(pair) for pair in reference.observables_t2]
+        pairs[1][1] = DichotomicObservable(
+            r @ pairs[1][1].matrix @ dagger(r), party=1, setting=1, time_slice=2
+        )
+        return Strategy(
+            source_state=reference.source_state,
+            observables_t1=reference.observables_t1,
+            observables_t2=tuple(tuple(pair) for pair in pairs),
+            interaction=reference.interaction,
+        )
+
+    @pytest.mark.parametrize("parties", [2, 3])
+    def test_rotated_observable_refuted_once(self, parties):
+        report = run_full_certification(self.rotated_t2(reference_strategy(parties), 1e-5))
+        assert all(c.passed for c in report.bell_checks)
+        assert report.verdict == "refuted"
+        assert report.failures == ("anticommutator party 2 t2: 4.000e-05 exceeds 1e-08",)
+
+    def test_frame_residual_computed_once_per_frame(self, ref3, monkeypatch):
+        built = []
+        original = certify._paired_frame
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extract_local_frame re-checks premises the chain holds")
+
+        monkeypatch.setattr(certify, "_paired_frame", counting)
+        monkeypatch.setattr(certify, "extract_local_frame", forbidden)
+        report = run_full_certification(ref3)
+        assert report.verdict == "certified"
+        assert len(built) == len(report.frame_checks) == len(report.frames) == 6
 
 
 class TestBranchStatesBuiltOnce:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import math
 
+from bellcert import certify, cli
 from bellcert.cli import main
+from bellcert.quantum import DichotomicObservable
 from bellcert.serialize import save_strategy
 
 from conftest import diag_phase_deviation, swap_deviation
@@ -122,6 +125,52 @@ class TestNoiseSweep:
         path = tmp_path / "ref.json"
         main(["make-strategy", str(path), "--parties", "2"])
         assert main(["noise-sweep", str(path), "--visibilities", "0.5,1.5"]) == 2
+
+    def test_one_simulation_per_row(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ref.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        runs = []
+        original = certify.run_scenario
+
+        def counting(strategy):
+            runs.append(strategy)
+            return original(strategy)
+
+        monkeypatch.setattr(certify, "run_scenario", counting)
+        monkeypatch.setattr(cli, "run_scenario", counting)
+        assert main(["noise-sweep", str(path), "--visibilities", "0,0.5,1"]) == 0
+        assert len(runs) == 3
+
+    def test_rows_pinned(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        capsys.readouterr()
+        assert main(["--format", "machine", "noise-sweep", str(path), "--visibilities", "0,0.5,0.99,1"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        expected = [
+            (0.0, 0.0, "inconclusive"),
+            (0.5, 1.0, "inconclusive"),
+            (0.99, 1.98, "inconclusive"),
+            (1.0, 2.0, "certified"),
+        ]
+        assert [r["visibility"] for r in rows] == [v for v, _, _ in expected]
+        assert [r["verdict"] for r in rows] == [verdict for _, _, verdict in expected]
+        for row, (_, t1, _) in zip(rows, expected):
+            assert abs(row["t1_bell_value"] - t1) < 1e-12
+            assert abs(row["min_t2_bell_value"] - 2.0) < 1e-12
+
+    def test_non_projective_first_round_is_a_usage_error(self, tmp_path, capsys, ref2):
+        pair = ref2.observables_t1[0]
+        scaled = DichotomicObservable(0.95 * pair[0].matrix, party=0, setting=0, time_slice=1)
+        strategy = dataclasses.replace(
+            ref2, observables_t1=((scaled, pair[1]),) + ref2.observables_t1[1:]
+        )
+        path = tmp_path / "scaled.json"
+        save_strategy(strategy, path)
+        capsys.readouterr()
+        assert main(["noise-sweep", str(path), "--visibilities", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise-sweep:") and "not projective" in err
 
 
 class TestSeesawCommand:

@@ -8,7 +8,6 @@ from bellcert.linalg import (
     NonHermitianError,
     SingularOperatorError,
     dagger,
-    factorize_tensor_product,
     fix_global_phase,
     herm_eig,
     kron,
@@ -21,7 +20,7 @@ from bellcert.linalg import (
 from bellcert.quantum import random_unitary
 from bellcert.reference import HBAR_BASIS, entangling_unitary, ghz_like_vector
 
-from conftest import I2, PHI_PLUS, X, Z, phase_distance
+from conftest import I2, PHI_PLUS, X, Z
 
 
 class TestKron:
@@ -200,54 +199,6 @@ class TestPermuteSubsystems:
         once = permute_subsystems(m, perm, (2, 2, 3))
         back = permute_subsystems(once, inverse, tuple((2, 2, 3)[p] for p in perm))
         assert max_abs(back - m) < 1e-12
-
-
-class TestFactorizeTensorProduct:
-    def test_exact_product(self):
-        w = kron(entangling_unitary(2), I2)
-        fact = factorize_tensor_product(w, (4, 2), (4, 2))
-        assert fact.is_product
-        assert fact.residual < 1e-10
-        assert phase_distance(fact.factor1, entangling_unitary(2)) < 1e-10
-
-    def test_cnot_is_not_a_product(self):
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        fact = factorize_tensor_product(cnot, (2, 2), (2, 2))
-        assert not fact.is_product
-        # operator-Schmidt coefficients of CNOT across control/target
-        assert np.allclose(fact.coefficients[:2], [math.sqrt(2.0)] * 2, atol=1e-12)
-        assert np.allclose(fact.coefficients[2:], 0.0, atol=1e-12)
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(9)
-        for da, db in ((2, 3), (4, 2), (3, 3)):
-            a = random_unitary(da, rng)
-            b = random_unitary(db, rng)
-            fact = factorize_tensor_product(kron(a, b), (da, db), (da, db))
-            assert fact.is_product
-            assert fact.residual < 1e-9
-            assert phase_distance(fact.factor1, a) < 1e-9
-
-    def test_entangler_with_three_dim_auxiliary(self):
-        u = entangling_unitary(2)
-        v0 = random_unitary(3, 17)
-        fact = factorize_tensor_product(kron(u, v0), (4, 3), (4, 3))
-        assert fact.is_product
-        assert fact.residual < 1e-9
-        assert phase_distance(fact.factor1, u) < 1e-9
-        assert phase_distance(fact.factor2, v0) < 1e-9
-
-    def test_factor_normalization_deterministic(self):
-        w = kron(1.7j * entangling_unitary(2), I2)
-        fact = factorize_tensor_product(w, (4, 2), (4, 2))
-        # unit largest singular value, first nonzero entry real positive
-        assert abs(np.linalg.norm(fact.factor1, ord=2) - 1.0) < 1e-12
-        flat = fact.factor1.reshape(-1)
-        first = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
-        assert first.real > 0 and abs(first.imag) < 1e-12
-        assert max_abs(kron(fact.factor1, fact.factor2) - w) < 1e-10
 
 
 def test_fix_global_phase_matrix():
