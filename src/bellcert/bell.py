@@ -13,6 +13,10 @@ and the functional reads
 with identity padding on the parties absent from each second-group term.
 Local deterministic models satisfy ``B_a <= sqrt(2) (N-1)``; quantum
 strategies reach ``2 (N-1)`` and no more.
+
+Expanding T0 and T1 writes the functional once, as a real coefficient tensor
+``C`` over each party's ``(I, A_0, A_1)`` (``bell_coefficients``): the Bell
+operator and every contraction of it against a state are sums against ``C``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "SOSRelationCheck",
     "ExtraStatistics",
     "tilde_observables",
+    "bell_coefficients",
+    "setting_stacks",
     "build_bell_operator",
     "classical_bound",
     "quantum_value",
@@ -88,31 +94,60 @@ def _padded(parties: int, dims, factors: dict[int, np.ndarray]) -> np.ndarray:
     return kron(*mats)
 
 
+def bell_coefficients(expr: BellExpression) -> np.ndarray:
+    """Real tensor ``C`` of shape ``(3,) * N`` with
+
+        B_a = sum_i C[i_1, ..., i_N] S^1_{i_1} ox ... ox S^N_{i_N},
+
+    where party n's ``S^n = (I, A_{n,0}, A_{n,1})`` (``setting_stacks``) and
+    party 1's T0 and T1 are expanded into its two settings.
+    """
+    n = expr.parties
+    a = expr.target_outcomes
+    s1 = -1.0 if a[0] else 1.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    c = np.zeros((3,) * n)
+    # (N-1) T1 ox A_{2,1} ox ... ox A_{N,1}, with T1 = (A_{1,0} + A_{1,1}) / sqrt(2)
+    c[(1,) + (2,) * (n - 1)] = c[(2,) + (2,) * (n - 1)] = s1 * (n - 1) * inv_sqrt2
+    for m in range(1, n):
+        # (-1)^{a_n} T0 ox A_{n,0}, with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
+        sm = -1.0 if (a[0] + a[m]) % 2 else 1.0
+        rest = tuple(1 if k == m else 0 for k in range(1, n))
+        c[(1,) + rest] = sm * inv_sqrt2
+        c[(2,) + rest] = -sm * inv_sqrt2
+    return c
+
+
+def setting_stacks(observables) -> list[np.ndarray]:
+    """Per-party ``(3, d, d)`` stacks ``(I, A_0, A_1)``, the operators that
+    the indices of ``bell_coefficients`` name."""
+    stacks = []
+    for n, (m0, m1) in enumerate(_observable_pairs(observables)):
+        d = m0.shape[0]
+        if m0.shape != (d, d) or m1.shape != (d, d):
+            raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
+        stacks.append(np.stack([np.eye(d, dtype=complex), m0, m1]))
+    return stacks
+
+
 def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
     """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
     observable pairs."""
     n_parties = expr.parties
-    pairs = _observable_pairs(observables)
-    if len(pairs) != n_parties:
+    stacks = setting_stacks(observables)
+    if len(stacks) != n_parties:
         raise DimensionMismatchError(
-            f"need observables for {n_parties} parties, got {len(pairs)}"
+            f"need observables for {n_parties} parties, got {len(stacks)}"
         )
-    dims = [p[0].shape[0] for p in pairs]
-    for n, (m0, m1) in enumerate(pairs):
-        if m0.shape != m1.shape or m0.shape != (dims[n], dims[n]):
-            raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
 
-    a = expr.target_outcomes
-    t0, t1 = tilde_observables(pairs[0][0], pairs[0][1])
-    lead = {0: t1}
-    for n in range(1, n_parties):
-        lead[n] = pairs[n][1]
-    op = (n_parties - 1) * _padded(n_parties, dims, lead)
-    for n in range(1, n_parties):
-        sign = -1.0 if a[n] else 1.0
-        op = op + sign * _padded(n_parties, dims, {0: t0, n: pairs[n][0]})
-    if a[0]:
-        op = -op
+    # Contract C with one party's stack at a time: each step consumes the
+    # leading operator-choice axis and appends that party's (row, column).
+    t = bell_coefficients(expr)
+    for stack in stacks:
+        t = np.tensordot(t, stack, axes=(0, 0))
+    rows_then_cols = tuple(range(0, 2 * n_parties, 2)) + tuple(range(1, 2 * n_parties, 2))
+    d = int(np.prod([s.shape[1] for s in stacks]))
+    op = t.transpose(rows_then_cols).reshape(d, d)
     return (op + dagger(op)) / 2.0
 
 

@@ -241,6 +241,8 @@ def cmd_noise_sweep(args) -> int:
 def cmd_seesaw(args) -> int:
     if args.parties < 2:
         return _usage_error("seesaw: need at least 2 parties")
+    if args.restarts < 1:
+        return _usage_error("seesaw: --restarts must be at least 1")
     dims = (
         [2] * args.parties if args.dims is None else _parse_int_list(args.dims, "--dims")
     )

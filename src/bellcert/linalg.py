@@ -135,7 +135,11 @@ def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:
             f"(defect {max_abs(h - dagger(h)):.3e})"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    vecs = np.column_stack([fix_global_phase(vecs[:, k]) for k in range(vecs.shape[1])])
+    # fix_global_phase on every column at once, with the same arithmetic.
+    big = np.abs(vecs) > SINGULAR_FLOOR
+    pivot = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
+    pivot = np.where(big.any(axis=0), pivot, 1.0)
+    vecs = np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 

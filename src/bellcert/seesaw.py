@@ -6,6 +6,11 @@ replace the state by the Bell operator's top eigenvector and each observable
 by the matrix sign of its effective operator.  Both sub-updates solve their
 restricted problem exactly, so the value sequence never decreases, and for
 this Bell family it can never pass ``2 (N - 1)`` at any local dimension.
+
+Only the state update forms the D x D Bell operator.  Effective operators
+and iteration values contract the state with local operators
+(``quantum.local_contraction``) and weight the table by the coefficient
+tensor ``bell.bell_coefficients``.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, build_bell_operator
-from .linalg import dagger, herm_eig, kron, partial_trace
-from .quantum import QuantumState, pure_state, random_projective_observable
+from .bell import BellExpression, bell_coefficients, build_bell_operator, setting_stacks
+from .linalg import dagger, herm_eig
+from .quantum import QuantumState, local_contraction, pure_state, random_projective_observable
 
 __all__ = [
     "SeesawConfig",
@@ -72,38 +77,26 @@ def optimal_state_update(bell_operator: np.ndarray, dims: tuple[int, ...]) -> tu
 
 def _effective_operator(expr, observables, state, party, setting):
     """Partial contraction of the Bell operator against everything except
-    one observable: value = Tr(O_{party,setting} E) + independent terms."""
-    n = expr.parties
-    dims = state.dims
-    a = expr.target_outcomes
-    s1 = -1.0 if a[0] else 1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    one observable: value = Tr(O_{party,setting} E) + independent terms.
 
-    # Primitive terms (coeff, {party: (setting)}) of the functional, with
-    # party 1 expanded out of its rotated combinations.
-    terms = []
-    for j in (0, 1):
-        terms.append((s1 * (n - 1) * inv_sqrt2, {0: j, **{m: 1 for m in range(1, n)}}))
-    for m in range(1, n):
-        sm = -1.0 if (a[0] + a[m]) % 2 else 1.0
-        terms.append((sm * inv_sqrt2, {0: 0, m: 0}))
-        terms.append((-sm * inv_sqrt2, {0: 1, m: 0}))
-
-    d = dims[party]
-    eff = np.zeros((d, d), dtype=complex)
-    for coeff, slots in terms:
-        if slots.get(party) != setting:
-            continue
-        mats = []
-        for p in range(n):
-            if p == party:
-                mats.append(np.eye(dims[p], dtype=complex))
-            elif p in slots:
-                mats.append(observables[p][slots[p]])
-            else:
-                mats.append(np.eye(dims[p], dtype=complex))
-        eff += coeff * partial_trace(kron(*mats) @ state.density, dims, party)
+    One ``local_contraction``: the other parties get their ``(I, A_0, A_1)``
+    stacks and ``party`` the matrix units ``|a><b|``, so the table holds
+    ``Tr[(|a><b| ox ...) rho] = E_ba`` against every operator choice of the
+    others, weighted by ``C[..., 1 + setting, ...]``.
+    """
+    d = state.dims[party]
+    stacks = setting_stacks(observables)
+    stacks[party] = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    table = np.moveaxis(local_contraction(state.density, state.dims, stacks), party, -1)
+    weights = np.take(bell_coefficients(expr), 1 + setting, axis=party)
+    eff = np.tensordot(weights, table, axes=weights.ndim).reshape(d, d).T
     return (eff + dagger(eff)) / 2.0
+
+
+def _contracted_value(coefficients, observables, state) -> float:
+    """``Tr(B rho)`` as ``C`` summed against one contraction of the stacks."""
+    table = local_contraction(state.density, state.dims, setting_stacks(observables))
+    return float(np.real(np.tensordot(coefficients, table, axes=table.ndim)))
 
 
 def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
@@ -116,21 +109,19 @@ def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
     observables = [
         [random_projective_observable(dims[p], rng) for _ in range(2)] for p in range(n)
     ]
+    coefficients = bell_coefficients(expr)
 
     value = -np.inf
     iterations = 0
     converged = False
     state = None
     for iterations in range(1, config.max_iters + 1):
-        op = build_bell_operator(expr, observables)
-        state, value_state = optimal_state_update(op, dims)
+        state, _ = optimal_state_update(build_bell_operator(expr, observables), dims)
         for party in range(n):
             for setting in (0, 1):
                 eff = _effective_operator(expr, observables, state, party, setting)
                 observables[party][setting] = optimal_observable_update(eff)
-        new_value = float(
-            np.real(np.trace(build_bell_operator(expr, observables) @ state.density))
-        )
+        new_value = _contracted_value(coefficients, observables, state)
         if new_value - value < config.convergence_tol and iterations > 1:
             value = max(value, new_value)
             converged = True

@@ -64,6 +64,9 @@ def matrix_from_payload(obj, path: str) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"{path}.entries: entries must be [re, im] pairs") from exc
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise SerializationError(f"{path}.entries[{bad[0]}]: non-finite entry {flat[bad[0]]}")
     return flat.reshape(rows, cols)
 
 

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 
+import pytest
+
 from bellcert import certify, cli
 from bellcert.cli import main
 from bellcert.quantum import DichotomicObservable
-from bellcert.serialize import save_strategy
+from bellcert.serialize import save_strategy, strategy_to_dict
 
 from conftest import diag_phase_deviation, swap_deviation
 
@@ -76,6 +78,24 @@ class TestMakeSimulate:
         monkeypatch.setenv("BELLCERT_OUTPUT_DIR", str(tmp_path))
         assert main(["make-strategy", "ref.json", "--parties", "2"]) == 0
         assert (tmp_path / "ref.json").exists()
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("literal", ["NaN", "1e400"])
+    def test_certify_and_simulate_exit_2(self, tmp_path, capsys, ref2, literal):
+        data = strategy_to_dict(ref2)
+        entry = next(
+            m for m in data["matrices"] if m["role"] == "observable" and m["time_slice"] == 2
+        )
+        entry["entries"][1] = [1234.5678, 0.0]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data).replace("1234.5678", literal))
+        capsys.readouterr()
+        assert main(["certify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: matrices[")
+        assert main(["--format", "machine", "simulate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "non-finite entry" in out.err
 
 
 class TestCertifyExitCodes:
@@ -214,3 +234,8 @@ class TestSeesawCommand:
 
     def test_bad_dims(self, capsys):
         assert main(["seesaw", "--parties", "2", "--dims", "2"]) == 2
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_no_restarts_is_a_usage_error(self, capsys, restarts):
+        assert main(["seesaw", "--parties", "2", "--restarts", restarts]) == 2
+        assert capsys.readouterr().err.startswith("error: seesaw: --restarts must be at least 1")

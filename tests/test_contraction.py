@@ -1,12 +1,14 @@
 """The local-operator contraction against the dense Kronecker formulas it
-replaced, which are kept here as the oracle."""
+replaced, which are kept here as the oracle: Born probabilities, branch
+states, and the seesaw's effective operators and Bell values."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
+from bellcert.bell import BellExpression, bell_coefficients, build_bell_operator, tilde_observables
+from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
     DichotomicObservable,
     born_probability,
@@ -18,6 +20,7 @@ from bellcert.quantum import (
 )
 from bellcert.reference import reference_strategy
 from bellcert.scenario import run_scenario, scramble_strategy
+from bellcert.seesaw import _contracted_value, _effective_operator
 
 EXACT = 1e-14
 
@@ -131,3 +134,82 @@ def test_run_scenario_matches_dense_formula(parties, aux):
         assert max_abs(record.conditional_states[(x1, a1)].density - sigma) <= EXACT
         for x2, probs in dense_distributions(sigma, strategy.observables_t2).items():
             assert max_abs(tables[x2] - probs) <= EXACT
+
+
+def dense_bell_operator(expr, observables):
+    """Oracle: the functional as padded Kronecker products of T0 and T1."""
+    n = expr.parties
+    dims = [o[0].shape[0] for o in observables]
+    a = expr.target_outcomes
+    t0, t1 = tilde_observables(*observables[0])
+
+    def padded(factors):
+        return kron(*[factors.get(k, np.eye(dims[k])) for k in range(n)])
+
+    op = (n - 1) * padded({0: t1, **{k: observables[k][1] for k in range(1, n)}})
+    for k in range(1, n):
+        op = op + (-1.0) ** a[k] * padded({0: t0, k: observables[k][0]})
+    return (-1.0) ** a[0] * op
+
+
+def dense_effective_operator(expr, observables, rho, party, setting):
+    """Oracle: ``Tr_{not party}[(B's terms holding A_{party,setting}, with that
+    factor replaced by I) rho]``, one Kronecker product and partial trace per term."""
+    n = expr.parties
+    dims = [o[0].shape[0] for o in observables]
+    a = expr.target_outcomes
+    s1 = (-1.0) ** a[0]
+    terms = [(s1 * (n - 1) / np.sqrt(2.0), {0: j, **{m: 1 for m in range(1, n)}}) for j in (0, 1)]
+    for m in range(1, n):
+        sm = s1 * (-1.0) ** a[m] / np.sqrt(2.0)
+        terms += [(sm, {0: 0, m: 0}), (-sm, {0: 1, m: 0})]
+    eff = np.zeros((dims[party],) * 2, dtype=complex)
+    for coeff, slots in terms:
+        if slots.get(party) != setting:
+            continue
+        mats = [
+            observables[p][slots[p]] if p in slots and p != party else np.eye(dims[p])
+            for p in range(n)
+        ]
+        eff += coeff * partial_trace(kron(*mats) @ rho, dims, party)
+    return (eff + dagger(eff)) / 2.0
+
+
+SEESAW_CASES = [
+    (dims, target)
+    for dims in [(2, 3, 2), (3, 3, 3, 3)]
+    for target in [(0,) * len(dims), tuple((k + 1) % 2 for k in range(len(dims)))]
+]
+
+
+def seesaw_inputs(dims, seed):
+    rng = np.random.default_rng(seed)
+    observables = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+    return observables, random_density(dims, rng)
+
+
+@pytest.mark.parametrize("dims, target", SEESAW_CASES)
+def test_effective_operator_matches_dense_formula(dims, target):
+    expr = BellExpression(len(dims), target)
+    observables, state = seesaw_inputs(dims, 44)
+    for party in range(len(dims)):
+        for setting in (0, 1):
+            dense = dense_effective_operator(expr, observables, state.density, party, setting)
+            eff = _effective_operator(expr, observables, state, party, setting)
+            assert max_abs(eff - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("dims, target", SEESAW_CASES)
+def test_contracted_value_matches_dense_trace(dims, target):
+    expr = BellExpression(len(dims), target)
+    observables, state = seesaw_inputs(dims, 45)
+    dense = np.real(np.trace(build_bell_operator(expr, observables) @ state.density))
+    assert abs(_contracted_value(bell_coefficients(expr), observables, state) - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("dims, target", SEESAW_CASES)
+def test_bell_operator_matches_padded_sum(dims, target):
+    expr = BellExpression(len(dims), target)
+    observables, _ = seesaw_inputs(dims, 46)
+    dense = dense_bell_operator(expr, observables)
+    assert max_abs(build_bell_operator(expr, observables) - dense) <= EXACT

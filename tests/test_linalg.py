@@ -120,6 +120,18 @@ class TestHermEig:
         with pytest.raises(NonHermitianError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 81, 144])
+    def test_phase_fix_bit_identical_to_per_column_loop(self, d):
+        rng = np.random.default_rng(5 + d)
+        mats = [np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex)]
+        for _ in range(3):
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mats.append(h + dagger(h))
+        for h in mats:
+            _, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
+            loop = np.column_stack([fix_global_phase(vecs[:, k]) for k in range(vecs.shape[1])])
+            assert np.array_equal(herm_eig(h).eigenvectors, loop)
+
 
 class TestSignOperator:
     def test_pauli_z_fixed_point(self):

@@ -31,6 +31,12 @@ class TestMatrixPayload:
         with pytest.raises(SerializationError, match="entries"):
             matrix_from_payload({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}, "m")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_named(self, value):
+        entries = [[1.0, 0.0], [0.0, 0.0], [0.0, value], [1.0, 0.0]]
+        with pytest.raises(SerializationError, match=r"m\.entries\[2\]: non-finite"):
+            matrix_from_payload({"rows": 2, "cols": 2, "entries": entries}, "m")
+
 
 class TestStrategyFile:
     def test_roundtrip_bit_exact(self, tmp_path, ref2):
