@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatchError, dagger, kron, max_abs
-from .quantum import QuantumState, as_matrix, expectation
+from .quantum import QuantumState, as_matrix, expectation, local_contraction
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -180,13 +180,16 @@ def classical_bound(expr: BellExpression) -> float:
 
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
-    """Value ``Tr(B rho)`` of the Bell operator on a state."""
-    op = build_bell_operator(expr, observables)
-    if op.shape != (state.dim, state.dim):
+    """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
+    against one ``local_contraction`` of the ``setting_stacks``, so no D x D
+    operator is formed."""
+    stacks = setting_stacks(observables)
+    if len(stacks) != expr.parties:
         raise DimensionMismatchError(
-            f"Bell operator dim {op.shape[0]} does not match state dim {state.dim}"
+            f"need observables for {expr.parties} parties, got {len(stacks)}"
         )
-    return float(np.real(np.trace(op @ state.density)))
+    table = local_contraction(state.density, state.dims, stacks)
+    return float(np.real(np.tensordot(bell_coefficients(expr), table, axes=table.ndim)))
 
 
 def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.ndarray]]:

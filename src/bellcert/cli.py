@@ -66,6 +66,14 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_tolerance(value: float, command: str) -> None:
+    # NaN fails every Bell check and inf passes every one, so neither is a tolerance.
+    if not (math.isfinite(value) and value > 0.0):
+        raise SystemExit(
+            _usage_error(f"{command}: --tolerance must be finite and positive, got {value:g}")
+        )
+
+
 def _load(path: str) -> Strategy:
     try:
         return load_strategy(path)
@@ -113,8 +121,8 @@ def cmd_make_strategy(args) -> int:
             if args.aux_dims is None
             else _parse_int_list(args.aux_dims, "--aux-dims")
         )
-        if len(aux) != args.parties:
-            return _usage_error("make-strategy: --aux-dims needs one entry per party")
+        if len(aux) != args.parties or any(k < 1 for k in aux):
+            return _usage_error("make-strategy: --aux-dims needs one entry >= 1 per party")
         scrambled = scramble_strategy(strategy, aux, seed=args.seed)
         strategy = scrambled.strategy
         meta = {"parties": args.parties, "kind": "scrambled", "seed": args.seed, "aux_dims": aux}
@@ -161,6 +169,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_tolerance(args.tolerance, "certify")
     strategy = _load(args.strategy)
     report = run_full_certification(strategy, max_violation_tol=args.tolerance)
     provenance = {
@@ -200,6 +209,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    _check_tolerance(args.tolerance, "noise-sweep")
     strategy = _load(args.strategy)
     try:
         visibilities = [float(v) for v in args.visibilities.split(",") if v.strip() != ""]

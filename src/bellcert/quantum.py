@@ -5,6 +5,20 @@ the certification chain has to assume purity.  Dichotomic (two-outcome)
 measurements are described by their +/-1-valued observable; the measurement
 element for outcome ``a`` is ``(I + (-1)^a O) / 2``.
 
+Validation runs at the boundary.  The public constructors of
+``QuantumState``, ``DichotomicObservable`` and ``Interaction`` reject
+non-finite entries and check what they promise: a state is Hermitian, has
+unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigvalsh``).  A
+state the package derives from valid states by a positivity-preserving map
+(``post_measurement_state``, ``evolve``, ``QuantumState.marginal``,
+``pure_state``, ``white_noise_mix``, ``random_density`` and the scrambled
+source of ``scenario.scramble_strategy``) is positive by construction, so
+it goes through the private ``QuantumState._derived``, which checks the
+shape, symmetrizes and freezes but runs no eigensolver.
+
+The post-measurement update applies each party's operator to its own axes
+of ``rho.reshape(dims + dims)``, so no Kronecker-product operator is formed.
+
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
 """
@@ -62,6 +76,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite entry: every
+    ``x > tol`` test passes NaN, so the later checks cannot catch it."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} entry {idx} is not finite: {a[idx]}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Density matrix on a composite system with fixed subsystem dims."""
@@ -70,13 +93,8 @@ class QuantumState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "density", _freeze(self.density))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = int(np.prod(self.dims))
-        if self.density.shape != (d, d):
-            raise DimensionMismatchError(
-                f"density shape {self.density.shape} does not match dims {self.dims}"
-            )
+        self._set(_freeze(self.density), self.dims)
+        _check_finite(self.density, "density")
         if max_abs(self.density - dagger(self.density)) > ALGEBRA_TOL:
             raise NonHermitianError("density matrix is not Hermitian")
         if abs(np.trace(self.density) - 1.0) > ALGEBRA_TOL:
@@ -84,6 +102,26 @@ class QuantumState:
         lo = float(np.min(np.linalg.eigvalsh(self.density)))
         if lo < -ALGEBRA_TOL:
             raise ValueError(f"density has negative eigenvalue {lo:.3e}")
+
+    def _set(self, density: np.ndarray, dims) -> None:
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        d = int(np.prod(self.dims))
+        if density.shape != (d, d):
+            raise DimensionMismatchError(
+                f"density shape {density.shape} does not match dims {self.dims}"
+            )
+
+    @classmethod
+    def _derived(cls, density: np.ndarray, dims) -> QuantumState:
+        """State from a positivity-preserving map of valid states: the shape
+        check, symmetrization and read-only freeze, but no ``eigvalsh``."""
+        rho = np.asarray(density, dtype=complex)
+        rho = (rho + dagger(rho)) / 2.0
+        rho.setflags(write=False)
+        state = object.__new__(cls)
+        state._set(rho, dims)
+        return state
 
     @property
     def dim(self) -> int:
@@ -93,7 +131,7 @@ class QuantumState:
         """Reduced state on the kept subsystems."""
         keep_t = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
         red = partial_trace(self.density, self.dims, keep_t)
-        return QuantumState(red, tuple(self.dims[k] for k in sorted(keep_t)))
+        return QuantumState._derived(red, tuple(self.dims[k] for k in sorted(keep_t)))
 
 
 def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:
@@ -103,7 +141,7 @@ def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:
     if n < ZERO_PROB:
         raise ValueError("cannot normalize a zero vector")
     v = v / n
-    return QuantumState(np.outer(v, np.conj(v)), dims)
+    return QuantumState._derived(np.outer(v, np.conj(v)), dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +156,7 @@ class DichotomicObservable:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
+        _check_finite(self.matrix, f"observable {self._label()}")
         if max_abs(self.matrix - dagger(self.matrix)) > ALGEBRA_TOL:
             raise NonHermitianError(f"observable {self._label()} is not Hermitian")
 
@@ -161,6 +200,7 @@ class Interaction:
                 f"interaction shape {self.matrix.shape} does not match dims "
                 f"{self.dims_in} -> {self.dims_out}"
             )
+        _check_finite(self.matrix, "interaction")
         defect = max_abs(dagger(self.matrix) @ self.matrix - np.eye(d_in))
         if defect > ALGEBRA_TOL:
             raise NonUnitaryError(f"interaction is not unitary (defect {defect:.3e})")
@@ -228,25 +268,33 @@ def post_measurement_state(state: QuantumState, projectors) -> QuantumState:
     """State after projecting each party on its observed outcome (Born rule
     renormalization).  Raises ``ZeroProbabilityError`` for outcomes with
     probability at most ``ZERO_PROB``.
+
+    Party k's ``Pi_k`` acts on its row axis and ``Pi_k^dag`` on its column
+    axis of ``rho.reshape(dims + dims)``, one ``tensordot`` each.
     """
-    # Entry (a, b) of Pi rho Pi^dag is Tr[(ox_k Pi_k^dag |b_k><a_k| Pi_k) rho],
-    # so party k contributes the d_k^2 operators Pi_k^dag |b><a| Pi_k.
     n = len(state.dims)
     if len(projectors) != n:
         raise DimensionMismatchError(f"got {len(projectors)} projectors for {n} parties")
-    stacks = []
-    for d, op in zip(state.dims, projectors):
+    pis = []
+    for k, (d, op) in enumerate(zip(state.dims, projectors)):
         pi = np.eye(d, dtype=complex) if op is None else as_matrix(op)
-        stacks.append(np.einsum("bi,aj->abij", np.conj(pi), pi).reshape(-1, *pi.shape))
-    t = local_contraction(state.density, state.dims, stacks)
-    t = t.reshape(tuple(d for d in state.dims for _ in (0, 1)))  # (a_1, b_1, a_2, b_2, ...)
-    t = t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+        if pi.shape != (d, d):
+            raise DimensionMismatchError(
+                f"party {k}: projector shape {pi.shape} does not match local dim {d}"
+            )
+        pis.append(pi)
+    # Each step consumes the leading axis and appends its image, so after
+    # the N row steps and the N column steps the axes are back in order.
+    t = state.density.reshape(state.dims + state.dims)
+    for pi in pis:
+        t = np.tensordot(t, pi, axes=(0, 1))  # row axis: sum_j Pi[a, j] rho[j, ...]
+    for pi in pis:
+        t = np.tensordot(t, np.conj(pi), axes=(0, 1))  # column axis: ... conj(Pi[b, j])
     rho = t.reshape(state.dim, state.dim)
     p = float(np.real(np.trace(rho)))
     if p <= ZERO_PROB:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} too small to condition on")
-    rho = rho / p
-    return QuantumState((rho + dagger(rho)) / 2.0, state.dims)
+    return QuantumState._derived(rho / p, state.dims)
 
 
 def evolve(state: QuantumState, interaction: Interaction) -> QuantumState:
@@ -256,8 +304,7 @@ def evolve(state: QuantumState, interaction: Interaction) -> QuantumState:
             f"evolve: state dims {state.dims} do not match interaction input {interaction.dims_in}"
         )
     v = interaction.matrix
-    rho = v @ state.density @ dagger(v)
-    return QuantumState((rho + dagger(rho)) / 2.0, interaction.dims_out)
+    return QuantumState._derived(v @ state.density @ dagger(v), interaction.dims_out)
 
 
 def white_noise_mix(state: QuantumState, visibility: float) -> QuantumState:
@@ -266,8 +313,7 @@ def white_noise_mix(state: QuantumState, visibility: float) -> QuantumState:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v} outside [0, 1]")
     d = state.dim
-    rho = v * state.density + (1.0 - v) * np.eye(d) / d
-    return QuantumState(rho, state.dims)
+    return QuantumState._derived(v * state.density + (1.0 - v) * np.eye(d) / d, state.dims)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -309,4 +355,4 @@ def random_density(dims: tuple[int, ...], seed, rank: int | None = None) -> Quan
         raise ValueError(f"rank {r} outside [1, {d}]")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     rho = g @ dagger(g)
-    return QuantumState(rho / np.trace(rho), tuple(dims))
+    return QuantumState._derived(rho / np.trace(rho), tuple(dims))

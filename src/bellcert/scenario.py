@@ -357,8 +357,7 @@ def scramble_strategy(
     v0 = random_unitary(aux_total, rng)
 
     canonical_state = kron(reference.source_state.density, xi.density)
-    rho = dagger(c1) @ canonical_state @ c1
-    source = QuantumState((rho + dagger(rho)) / 2.0, local_dims)
+    source = QuantumState._derived(dagger(c1) @ canonical_state @ c1, local_dims)
 
     v = dagger(c2) @ kron(reference.interaction.matrix, v0) @ c1
     interaction = Interaction(v, local_dims, local_dims)

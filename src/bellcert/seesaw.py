@@ -8,9 +8,9 @@ restricted problem exactly, so the value sequence never decreases, and for
 this Bell family it can never pass ``2 (N - 1)`` at any local dimension.
 
 Only the state update forms the D x D Bell operator.  Effective operators
-and iteration values contract the state with local operators
-(``quantum.local_contraction``) and weight the table by the coefficient
-tensor ``bell.bell_coefficients``.
+and iteration values (``bell.quantum_value``) contract the state with local
+operators (``quantum.local_contraction``) and weight the table by the
+coefficient tensor ``bell.bell_coefficients``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, bell_coefficients, build_bell_operator, setting_stacks
+from .bell import (
+    BellExpression,
+    bell_coefficients,
+    build_bell_operator,
+    quantum_value,
+    setting_stacks,
+)
 from .linalg import dagger, herm_eig
 from .quantum import QuantumState, local_contraction, pure_state, random_projective_observable
 
@@ -93,12 +99,6 @@ def _effective_operator(expr, observables, state, party, setting):
     return (eff + dagger(eff)) / 2.0
 
 
-def _contracted_value(coefficients, observables, state) -> float:
-    """``Tr(B rho)`` as ``C`` summed against one contraction of the stacks."""
-    table = local_contraction(state.density, state.dims, setting_stacks(observables))
-    return float(np.real(np.tensordot(coefficients, table, axes=table.ndim)))
-
-
 def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
     """One seesaw run from a seeded random start."""
     n = expr.parties
@@ -109,7 +109,6 @@ def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
     observables = [
         [random_projective_observable(dims[p], rng) for _ in range(2)] for p in range(n)
     ]
-    coefficients = bell_coefficients(expr)
 
     value = -np.inf
     iterations = 0
@@ -121,7 +120,7 @@ def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
             for setting in (0, 1):
                 eff = _effective_operator(expr, observables, state, party, setting)
                 observables[party][setting] = optimal_observable_update(eff)
-        new_value = _contracted_value(coefficients, observables, state)
+        new_value = quantum_value(state, observables, expr)
         if new_value - value < config.convergence_tol and iterations > 1:
             value = max(value, new_value)
             converged = True

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bellcert import certify, cli
@@ -74,6 +75,14 @@ class TestMakeSimulate:
         path.write_text('{"schema_version": "1"')
         assert main(["simulate", str(path)]) == 2
 
+    def test_aux_dims_below_one_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        argv = ["make-strategy", str(path), "--parties", "2", "--scramble", "--aux-dims", "0,1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: make-strategy: --aux-dims needs one entry >= 1 per party"]
+        assert not path.exists()
+
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BELLCERT_OUTPUT_DIR", str(tmp_path))
         assert main(["make-strategy", "ref.json", "--parties", "2"]) == 0
@@ -122,6 +131,46 @@ class TestCertifyExitCodes:
         path = tmp_path / "noisy.json"
         main(["make-strategy", str(path), "--parties", "2", "--visibility", "0.99"])
         assert main(["certify", str(path)]) == 3
+
+
+class TestToleranceIsFinitePositive:
+    @pytest.fixture
+    def noisy(self, tmp_path):
+        path = tmp_path / "noisy.json"
+        assert main(["make-strategy", str(path), "--parties", "2", "--visibility", "0.5"]) == 0
+        return path
+
+    def test_default_tolerance_is_inconclusive(self, noisy, capsys):
+        assert main(["certify", str(noisy)]) == 3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", [["certify"], ["noise-sweep", "--visibilities", "0.5,1"]])
+    def test_usage_error(self, noisy, capsys, command, tolerance):
+        capsys.readouterr()
+        assert main([command[0], str(noisy), *command[1:], "--tolerance", tolerance]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"error: {command[0]}: --tolerance must be finite and positive, got {float(tolerance):g}"
+        ]
+
+
+class TestValidationAtTheBoundary:
+    def test_certify_runs_two_eigensolves(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        argv = ["make-strategy", str(path), "--parties", "3", "--scramble", "--aux-dims", "1,2,1"]
+        assert main(argv + ["--seed", "7"]) == 0
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main(["certify", str(path)]) == 0
+        # The source when the file is loaded, then the recovered auxiliary state xi.
+        assert shapes == [(16, 16), (2, 2)]
 
 
 class TestNoiseSweep:

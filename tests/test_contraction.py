@@ -1,13 +1,13 @@
 """The local-operator contraction against the dense Kronecker formulas it
 replaced, which are kept here as the oracle: Born probabilities, branch
-states, and the seesaw's effective operators and Bell values."""
+states, Bell values, and the seesaw's effective operators."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from bellcert.bell import BellExpression, bell_coefficients, build_bell_operator, tilde_observables
+from bellcert.bell import BellExpression, build_bell_operator, quantum_value, tilde_observables
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
     DichotomicObservable,
@@ -20,7 +20,7 @@ from bellcert.quantum import (
 )
 from bellcert.reference import reference_strategy
 from bellcert.scenario import run_scenario, scramble_strategy
-from bellcert.seesaw import _contracted_value, _effective_operator
+from bellcert.seesaw import _effective_operator
 
 EXACT = 1e-14
 
@@ -106,6 +106,16 @@ def test_post_measurement_state_matches_dense_formula(dims):
             projectors = [observables[k][x[k]].effect(a[k]) for k in range(len(dims))]
             out = post_measurement_state(state, projectors)
             assert max_abs(out.density - dense_post_measurement(state.density, projectors)) <= EXACT
+    # The kernel applies Pi and Pi^dag separately, so it must also hold for
+    # operators that are neither Hermitian nor projective.
+    for _ in range(4):
+        ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+        out = post_measurement_state(state, ops)
+        assert max_abs(out.density - dense_post_measurement(state.density, ops)) <= EXACT
+        ops[1] = None
+        dense_ops = [np.eye(d) if op is None else op for d, op in zip(dims, ops)]
+        out = post_measurement_state(state, ops)
+        assert max_abs(out.density - dense_post_measurement(state.density, dense_ops)) <= EXACT
 
 
 def test_contraction_rejects_mismatched_operators():
@@ -117,6 +127,8 @@ def test_contraction_rejects_mismatched_operators():
     state = random_density((2, 3), 0)
     with pytest.raises(DimensionMismatchError):
         post_measurement_state(state, [np.eye(2), np.eye(3), np.eye(1)])
+    with pytest.raises(DimensionMismatchError):
+        post_measurement_state(state, [np.eye(3), np.eye(2)])
 
 
 @pytest.mark.parametrize("parties, aux", [(3, (1, 2, 1)), (4, (1, 1, 1, 1))])
@@ -203,8 +215,9 @@ def test_effective_operator_matches_dense_formula(dims, target):
 def test_contracted_value_matches_dense_trace(dims, target):
     expr = BellExpression(len(dims), target)
     observables, state = seesaw_inputs(dims, 45)
-    dense = np.real(np.trace(build_bell_operator(expr, observables) @ state.density))
-    assert abs(_contracted_value(bell_coefficients(expr), observables, state) - dense) <= 1e-13
+    for op in (build_bell_operator(expr, observables), dense_bell_operator(expr, observables)):
+        dense = np.real(np.trace(op @ state.density))
+        assert abs(quantum_value(state, observables, expr) - dense) <= 1e-13
 
 
 @pytest.mark.parametrize("dims, target", SEESAW_CASES)

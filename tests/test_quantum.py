@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
+from bellcert.linalg import DimensionMismatchError, NonHermitianError, dagger, kron, max_abs
 from bellcert.quantum import (
     DichotomicObservable,
     Interaction,
@@ -50,12 +50,52 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(np.diag([1.5, -0.5]).astype(complex), (2,))
 
+    def test_public_constructor_checks_every_premise(self):
+        with pytest.raises(NonHermitianError, match="not Hermitian"):
+            QuantumState(np.array([[0.5, 0.1], [0.0, 0.5]]), (2,))
+        with pytest.raises(ValueError, match="trace"):
+            QuantumState(np.diag([0.5, 0.6]), (2,))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            QuantumState(np.array([[0.5, 0.9], [0.9, 0.5]]), (2,))
+
+    def test_non_finite_density_rejected(self):
+        with pytest.raises(ValueError, match=r"density entry \(0, 0\) is not finite"):
+            QuantumState(np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,))
+        with pytest.raises(ValueError, match=r"density entry \(1, 0\) is not finite"):
+            QuantumState(np.array([[0.5, 0.0], [np.inf, 0.5]]), (2,))
+
+    def test_derived_states_run_no_eigensolver(self, phi_plus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a derived state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        zo = _obs(Z)
+        derived = [
+            pure_state(PHI_PLUS, (2, 2)),
+            phi_plus.marginal(0),
+            post_measurement_state(phi_plus, [zo.effect(0), None]),
+            evolve(phi_plus, Interaction(entangling_unitary(2), (2, 2), (2, 2))),
+            white_noise_mix(phi_plus, 0.3),
+            random_density((2, 3), 5),
+        ]
+        for state in derived:
+            assert not state.density.flags.writeable
+            assert np.array_equal(state.density, dagger(state.density))
+        with pytest.raises(DimensionMismatchError):
+            pure_state(PHI_PLUS, (2, 3))
+
     def test_marginal(self, phi_plus):
         assert max_abs(phi_plus.marginal(0).density - I2 / 2) < 1e-12
 
     def test_immutable(self, phi_plus):
         with pytest.raises(ValueError):
             phi_plus.density[0, 0] = 9.0
+
+
+class TestDichotomicObservable:
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"observable \(party=1, .*entry \(0, 0\) is not finite"):
+            DichotomicObservable(np.array([[np.nan, 0.0], [0.0, 1.0]]), party=1)
 
 
 class TestBornProbability:
@@ -183,6 +223,10 @@ class TestEvolve:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             Interaction(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex), (2, 2), (2, 2))
+
+    def test_non_finite_interaction_rejected(self):
+        with pytest.raises(ValueError, match=r"interaction entry \(0, 0\) is not finite"):
+            Interaction(np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,), (2,))
 
 
 class TestWhiteNoise:
