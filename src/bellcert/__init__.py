@@ -34,7 +34,6 @@ from .quantum import (
     DichotomicObservable,
     Interaction,
     QuantumState,
-    born_probability,
     evolve,
     expectation,
     post_measurement_state,

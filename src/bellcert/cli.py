@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
 * 0 - success (for ``certify``: verdict certified)
 * 1 - ``certify`` refuted the product-form claim
-* 2 - usage, parse or validation error
+* 2 - usage, parse or validation error, or any other failure, reported as
+  one ``error:`` line on stderr
 * 3 - ``certify`` was inconclusive
 
 Relative output paths are resolved against ``$BELLCERT_OUTPUT_DIR`` when that
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import logging
 import math
 import os
 import sys
@@ -30,6 +31,7 @@ from .seesaw import seesaw_restarts
 from .serialize import (
     SerializationError,
     _bits,
+    dumps,
     file_digest,
     load_strategy,
     matrix_payload,
@@ -38,7 +40,10 @@ from .serialize import (
     save_record,
     save_report,
     save_strategy,
+    write_json,
 )
+
+_log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -74,6 +79,10 @@ def _check_tolerance(value: float, command: str) -> None:
         )
 
 
+def _print_json(data) -> None:
+    print(dumps(data).decode())
+
+
 def _load(path: str) -> Strategy:
     try:
         return load_strategy(path)
@@ -90,16 +99,14 @@ def cmd_bounds(args) -> int:
     ref = reference_strategy(n)
     achieved = quantum_value(ref.source_state, ref.observables_t1, expr)
     if args.format == "machine":
-        print(
-            json.dumps(
-                {
-                    "parties": n,
-                    "classical_bound": beta_c,
-                    "classical_bound_analytic": expr.classical_bound_analytic,
-                    "quantum_bound": expr.quantum_bound,
-                    "reference_value": achieved,
-                }
-            )
+        _print_json(
+            {
+                "parties": n,
+                "classical_bound": beta_c,
+                "classical_bound_analytic": expr.classical_bound_analytic,
+                "quantum_bound": expr.quantum_bound,
+                "reference_value": achieved,
+            }
         )
     else:
         print(f"parties                 : {n}")
@@ -151,7 +158,7 @@ def cmd_simulate(args) -> int:
         out = _out_path(args.out)
         save_record(record, out)
     if args.format == "machine":
-        print(json.dumps(record_to_dict(record)))
+        _print_json(record_to_dict(record))
         return EXIT_OK
     beta_q = BellExpression(record.parties, (0,) * record.parties).quantum_bound
     print(f"parties: {record.parties}   quantum bound: {beta_q:g}")
@@ -181,7 +188,7 @@ def cmd_certify(args) -> int:
         out = _out_path(args.report)
         save_report(report, out, provenance=provenance)
     if args.format == "machine":
-        print(json.dumps(report_to_dict(report, provenance)))
+        _print_json(report_to_dict(report, provenance))
     else:
         print(f"verdict: {report.verdict}")
         for c in report.bell_checks:
@@ -235,9 +242,9 @@ def cmd_noise_sweep(args) -> int:
         )
     if args.out:
         out = _out_path(args.out)
-        Path(out).write_text(json.dumps({"kind": "noise_sweep", "rows": rows}, indent=1))
+        write_json({"kind": "noise_sweep", "rows": rows}, out)
     if args.format == "machine":
-        print(json.dumps(rows))
+        _print_json(rows)
     else:
         print(f"{'v':>6}  {'t1 value':>12}  {'min t2 value':>12}  verdict")
         for r in rows:
@@ -263,16 +270,14 @@ def cmd_seesaw(args) -> int:
     results = seesaw_restarts(expr, tuple(dims), seeds)
     best = max(results, key=lambda r: r.value)
     if args.format == "machine":
-        print(
-            json.dumps(
-                {
-                    "parties": args.parties,
-                    "dims": dims,
-                    "quantum_bound": expr.quantum_bound,
-                    "best_value": best.value,
-                    "restart_values": [r.value for r in results],
-                }
-            )
+        _print_json(
+            {
+                "parties": args.parties,
+                "dims": dims,
+                "quantum_bound": expr.quantum_bound,
+                "best_value": best.value,
+                "restart_values": [r.value for r in results],
+            }
         )
     else:
         print(f"quantum bound: {expr.quantum_bound:g}")
@@ -292,7 +297,7 @@ def cmd_seesaw(args) -> int:
                 [matrix_payload(pair[0]), matrix_payload(pair[1])] for pair in best.observables
             ],
         }
-        Path(out).write_text(json.dumps(payload, indent=1))
+        write_json(payload, out)
         print(f"wrote {out}")
     return EXIT_OK
 
@@ -359,6 +364,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    except Exception as exc:  # exit 1 means "refuted", so a crash must not fall through to it
+        _log.debug("%s failed", args.command, exc_info=True)
+        return _usage_error(" ".join([f"{args.command}: {type(exc).__name__}:", *str(exc).split()]))
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ __all__ = [
     "pure_state",
     "local_contraction",
     "born_table",
-    "born_probability",
     "expectation",
     "post_measurement_state",
     "evolve",
@@ -247,15 +246,6 @@ def born_table(state: QuantumState, stacks) -> np.ndarray:
     p = np.real(local_contraction(state.density, state.dims, stacks))
     p = np.where((-ZERO_PROB <= p) & (p < 0.0), 0.0, p)
     return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
-
-
-def born_probability(state: QuantumState, effects) -> float:
-    """Outcome probability ``Tr[(E_1 ox ... ox E_N) rho]``.
-
-    ``effects`` holds one positive measurement element per party.  Values
-    within ``ZERO_PROB`` of the [0, 1] boundary are clamped onto it.
-    """
-    return float(born_table(state, effects).item())
 
 
 def expectation(state: QuantumState, observables) -> float:

@@ -1,9 +1,15 @@
 """File formats: strategies, correlation records, certification reports.
 
 Everything is JSON with an explicit ``schema_version``.  Complex entries are
-stored as ``[re, im]`` pairs in row-major order; Python's float repr round
-trips through JSON bit-exactly, so numeric payloads survive
-serialize/deserialize unchanged.
+stored as ``[re, im]`` pairs in row-major order; floats are written as their
+shortest round-trip repr and parsed correctly rounded, so numeric payloads
+survive serialize/deserialize bit-exactly.
+
+orjson is the one JSON codec: ``dumps`` writes strict JSON (NaN and the
+infinities become ``null``) and ``load_strategy`` parses with it.  A file
+that orjson rejects is parsed again with the stdlib ``json`` module, which
+accepts the ``NaN``/``Infinity`` literals and integers beyond 64 bits, so the
+set of accepted files and the error messages stay those of the stdlib parser.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .certify import CertificationReport, CheckResult
 from .quantum import DichotomicObservable, Interaction, QuantumState
@@ -21,6 +28,8 @@ from .scenario import CorrelationRecord, Strategy
 __all__ = [
     "SCHEMA_VERSION",
     "SerializationError",
+    "dumps",
+    "write_json",
     "matrix_payload",
     "matrix_from_payload",
     "strategy_to_dict",
@@ -41,12 +50,31 @@ class SerializationError(ValueError):
     """Malformed or inconsistent file content; the message names the field."""
 
 
+def dumps(data, indent: bool = False) -> bytes:
+    """Strict JSON as UTF-8 bytes: one line, or indented by two spaces.
+
+    numpy scalars are written as numbers.  orjson refuses integers beyond 64
+    bits and non-string keys (a huge ``--seed`` in ``meta``, a caller's
+    ``meta``); those documents go through the stdlib encoder instead.
+    """
+    try:
+        return orjson.dumps(
+            data, option=orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+        )
+    except orjson.JSONEncodeError:
+        return json.dumps(data, indent=2 if indent else None, allow_nan=False).encode()
+
+
+def write_json(data, path) -> None:
+    Path(path).write_bytes(dumps(data, indent=True))
+
+
 def matrix_payload(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": m.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -123,8 +151,13 @@ def strategy_from_dict(data: dict) -> Strategy:
     source = None
     interaction = None
     observables: dict[tuple[int, int, int], np.ndarray] = {}
-    for i, entry in enumerate(data.get("matrices", [])):
+    matrices = data.get("matrices", [])
+    if not isinstance(matrices, list):
+        raise SerializationError("matrices: expected a list")
+    for i, entry in enumerate(matrices):
         path = f"matrices[{i}]"
+        if not isinstance(entry, dict):
+            raise SerializationError(f"{path}: expected an object, got {type(entry).__name__}")
         role = entry.get("role")
         if role == "source_state":
             source = matrix_from_payload(entry, path)
@@ -175,16 +208,23 @@ def strategy_from_dict(data: dict) -> Strategy:
 
 def save_strategy(strategy: Strategy, path, meta: dict | None = None) -> dict:
     data = strategy_to_dict(strategy, meta)
-    Path(path).write_text(json.dumps(data, indent=1))
+    write_json(data, path)
     return data
 
 
 def load_strategy(path) -> Strategy:
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = p.read_bytes()
+    except OSError as exc:
         raise SerializationError(f"{p}: {exc}") from exc
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SerializationError(f"{p}: {exc}") from exc
     return strategy_from_dict(data)
 
 
@@ -206,11 +246,9 @@ def record_to_dict(record: CorrelationRecord) -> dict:
         "t1_bell_value": record.t1_bell_value,
         "t2_bell_values": {_bits(a): v for a, v in record.t2_bell_values.items()},
         "extra_stats": extra,
-        "p1": {_bits(x): [float(p) for p in probs.reshape(-1)] for x, probs in record.p1.items()},
+        "p1": {_bits(x): probs.ravel().tolist() for x, probs in record.p1.items()},
         "p2": {
-            event_key(event): {
-                _bits(x2): [float(p) for p in probs.reshape(-1)] for x2, probs in settings.items()
-            }
+            event_key(event): {_bits(x2): probs.ravel().tolist() for x2, probs in settings.items()}
             for event, settings in record.p2.items()
         },
         "event_probabilities": {
@@ -221,7 +259,7 @@ def record_to_dict(record: CorrelationRecord) -> dict:
 
 def save_record(record: CorrelationRecord, path) -> dict:
     data = record_to_dict(record)
-    Path(path).write_text(json.dumps(data, indent=1))
+    write_json(data, path)
     return data
 
 
@@ -284,7 +322,7 @@ def report_to_dict(report: CertificationReport, provenance: dict | None = None) 
 
 def save_report(report: CertificationReport, path, provenance: dict | None = None) -> dict:
     data = report_to_dict(report, provenance)
-    Path(path).write_text(json.dumps(data, indent=1))
+    write_json(data, path)
     return data
 
 

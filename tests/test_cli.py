@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from bellcert import certify, cli
 from bellcert.cli import main
-from bellcert.quantum import DichotomicObservable
+from bellcert.certify import run_full_certification
+from bellcert.quantum import DichotomicObservable, QuantumState
 from bellcert.serialize import save_strategy, strategy_to_dict
 
 from conftest import diag_phase_deviation, swap_deviation
@@ -105,6 +107,88 @@ class TestNonFiniteEntries:
         assert main(["--format", "machine", "simulate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "non-finite entry" in out.err
+
+
+class TestHostileInput:
+    """Every failure exits 2 with one ``error:`` line; exit 1 means refuted."""
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b'{"schema_version": "1", "kind": "strategy", "parties": 2, '
+             b'"dims": {"t1": [2, 2], "t2": [2, 2]}, "matrices": [1]}',
+             "matrices[0]: expected an object, got int"),
+        ],
+        ids=["non-utf8", "matrix-not-an-object"],
+    )
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_unreadable_strategy_exits_2(self, tmp_path, capsys, raw, message, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    def test_unexpected_exception_exits_2(self, capsys, monkeypatch, caplog):
+        def crash(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_bounds", crash)
+        caplog.set_level(logging.DEBUG, logger="bellcert")
+        assert main(["bounds", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: bounds: RuntimeError: boom second line"]
+        # The traceback goes to the (silent by default) ``bellcert`` logger.
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
+
+
+class TestStrictJson:
+    """A vanishing conditioning event gives NaN Bell values; every JSON the
+    CLI writes is strict and carries ``null`` in their place."""
+
+    @staticmethod
+    def strict(text):
+        def refuse(literal):
+            raise ValueError(f"non-standard literal {literal}")
+
+        return json.loads(text, parse_constant=refuse)
+
+    @pytest.fixture
+    def vanishing(self, tmp_path, ref2):
+        # The product eigenstate of both setting-0 observables: three of the
+        # four Bell-branch outcomes have probability zero.
+        e = [pair[0].effect(0) for pair in ref2.observables_t1]
+        rho = np.kron(e[0], e[1])
+        strategy = dataclasses.replace(ref2, source_state=QuantumState(rho / np.trace(rho), (2, 2)))
+        path = tmp_path / "vanishing.json"
+        save_strategy(strategy, path)
+        return strategy, path
+
+    def test_simulate_and_record(self, tmp_path, capsys, vanishing):
+        _, path = vanishing
+        record = tmp_path / "record.json"
+        capsys.readouterr()
+        assert main(["--format", "machine", "simulate", str(path), "--out", str(record)]) == 0
+        printed = self.strict(capsys.readouterr().out)
+        assert printed == self.strict(record.read_text())
+        assert list(printed["t2_bell_values"]) == ["00"]
+
+    def test_certify_and_report(self, tmp_path, capsys, vanishing):
+        strategy, path = vanishing
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["--format", "machine", "certify", str(path), "--report", str(report)]) == 3
+        printed = self.strict(capsys.readouterr().out)
+        assert printed == self.strict(report.read_text())
+        expected = [c.value for c in run_full_certification(strategy).bell_checks]
+        values = [c["value"] for c in printed["checks"]["bell"]]
+        assert [v is None for v in values] == [math.isnan(v) for v in expected]
+        assert values.count(None) == 3
+        assert [v for v in values if v is not None] == [v for v in expected if not math.isnan(v)]
 
 
 class TestCertifyExitCodes:

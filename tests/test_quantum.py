@@ -11,7 +11,7 @@ from bellcert.quantum import (
     NonUnitaryError,
     QuantumState,
     ZeroProbabilityError,
-    born_probability,
+    born_table,
     evolve,
     expectation,
     post_measurement_state,
@@ -99,23 +99,38 @@ class TestDichotomicObservable:
 
 
 class TestBornProbability:
+    """``born_table``: one probability per combination of per-party effects."""
+
+    @staticmethod
+    def _effects(o):
+        return np.stack([o.effect(0), o.effect(1)])
+
     def test_perfect_correlation(self, phi_plus):
-        zo = _obs(Z)
-        assert abs(born_probability(phi_plus, [zo.effect(0), zo.effect(0)]) - 0.5) < 1e-12
+        zs = self._effects(_obs(Z))
+        table = born_table(phi_plus, [zs, zs])
+        assert table.shape == (2, 2)
+        assert abs(table[0, 0] - 0.5) < 1e-12 and abs(table[1, 1] - 0.5) < 1e-12
 
     def test_forbidden_outcome(self, phi_plus):
-        zo = _obs(Z)
-        assert born_probability(phi_plus, [zo.effect(0), zo.effect(1)]) == 0.0
+        zs = self._effects(_obs(Z))
+        table = born_table(phi_plus, [zs, zs])
+        assert table[0, 1] == 0.0 and table[1, 0] == 0.0
+
+    def test_clamps_within_zero_prob_onto_unit_interval(self):
+        # A valid state up to rounding: eigenvalues 1 + 1e-13 and -1e-13.
+        state = QuantumState(np.diag([1.0 + 1e-13, -1e-13]), (2,))
+        table = born_table(state, [self._effects(_obs(Z))])
+        assert table.tolist() == [1.0, 0.0]
 
     def test_tilted_setting(self, phi_plus):
         a0 = _obs((X + Z) / math.sqrt(2.0))
         b0 = _obs(Z)
-        p = born_probability(phi_plus, [a0.effect(0), b0.effect(0)])
+        p = born_table(phi_plus, [a0.effect(0), b0.effect(0)]).item()
         assert abs(p - (1.0 + 1.0 / math.sqrt(2.0)) / 4.0) < 1e-12
 
     def test_dimension_mismatch(self, phi_plus):
         with pytest.raises(DimensionMismatchError):
-            born_probability(phi_plus, [np.eye(3), np.eye(2)])
+            born_table(phi_plus, [np.eye(3), np.eye(2)])
 
     def test_normalization_property(self):
         rng = np.random.default_rng(10)
@@ -125,13 +140,9 @@ class TestBornProbability:
             observables = [
                 DichotomicObservable(random_projective_observable(d, rng)) for d in dims
             ]
-            effects = [[o.effect(a) for a in (0, 1)] for o in observables]
-            total = sum(
-                born_probability(state, [effects[0][a], effects[1][b]])
-                for a in (0, 1)
-                for b in (0, 1)
-            )
-            assert abs(total - 1.0) < 1e-10
+            table = born_table(state, [self._effects(o) for o in observables])
+            assert np.all(table >= 0.0)
+            assert abs(table.sum() - 1.0) < 1e-10
 
 
 class TestExpectation:
@@ -153,12 +164,8 @@ class TestExpectation:
             obs = [
                 DichotomicObservable(random_projective_observable(d, rng)) for d in dims
             ]
-            signed = sum(
-                (-1.0) ** (a + b)
-                * born_probability(state, [obs[0].effect(a), obs[1].effect(b)])
-                for a in (0, 1)
-                for b in (0, 1)
-            )
+            table = born_table(state, [[o.effect(0), o.effect(1)] for o in obs])
+            signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
             assert abs(expectation(state, obs) - signed) < 1e-12
 
 
@@ -190,7 +197,7 @@ class TestPostMeasurement:
     def test_repeat_measurement_is_deterministic(self, phi_plus):
         zo = _obs(Z)
         out = post_measurement_state(phi_plus, [zo.effect(0), zo.effect(0)])
-        assert abs(born_probability(out, [zo.effect(0), zo.effect(0)]) - 1.0) < 1e-10
+        assert abs(born_table(out, [zo.effect(0), zo.effect(0)]).item() - 1.0) < 1e-10
 
 
 class TestEvolve:

@@ -1,12 +1,16 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellcert.certify import run_full_certification
+from bellcert.quantum import QuantumState
 from bellcert.scenario import run_scenario, scramble_strategy
 from bellcert.serialize import (
     SerializationError,
+    dumps,
     load_strategy,
     matrix_from_payload,
     matrix_payload,
@@ -119,3 +123,106 @@ class TestRecordAndReport:
         a = report_to_dict(run_full_certification(ref2))
         b = report_to_dict(run_full_certification(ref2))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _matrices(strategy):
+    """Every matrix of a strategy, in file order."""
+    obs = [o.matrix for t in (strategy.observables_t1, strategy.observables_t2) for p in t for o in p]
+    return [strategy.source_state.density, *obs, strategy.interaction.matrix]
+
+
+def _same_bits(a, b):
+    """Bit-exact equality; ``-0.0`` differs from ``0.0``."""
+    return all(
+        x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        for x, y in zip(_matrices(a), _matrices(b), strict=True)
+    )
+
+
+def _stdlib_load(path):
+    """The stdlib-only loader the orjson path must agree with."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc
+    return strategy_from_dict(data)
+
+
+class TestCodec:
+    @pytest.fixture
+    def edgy(self, ref2):
+        """The reference with -0.0, the smallest subnormal and 1e-300 in its source."""
+        rho = np.array(ref2.source_state.density)
+        rho[0, 1], rho[1, 0] = complex(1e-300, 5e-324), complex(1e-300, -5e-324)
+        rho[1, 1], rho[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        return dataclasses.replace(ref2, source_state=QuantumState(rho, (2, 2)))
+
+    def test_save_then_load_is_bit_exact(self, tmp_path, edgy):
+        path = tmp_path / "edgy.json"
+        save_strategy(edgy, path)
+        loaded = load_strategy(path)
+        assert _same_bits(loaded, edgy)
+        assert np.signbit(loaded.source_state.density[1, 1].real)
+        assert loaded.source_state.density[0, 1] == complex(1e-300, 5e-324)
+
+    def test_indent_one_file_loads_bit_identically(self, tmp_path, edgy):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(strategy_to_dict(edgy), indent=1))
+        assert _same_bits(load_strategy(path), edgy)
+        assert _same_bits(load_strategy(path), _stdlib_load(path))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literal_message_matches_stdlib(self, tmp_path, ref2, literal):
+        text = json.dumps(strategy_to_dict(ref2))
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("[0.0, 0.0]", f"[0.0, {literal}]", 1))
+        with pytest.raises(SerializationError) as expected:
+            _stdlib_load(path)
+        with pytest.raises(SerializationError) as got:
+            load_strategy(path)
+        assert str(got.value) == str(expected.value)
+        assert "non-finite entry" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"schema_version": "1", "kind": "strategy"', b'\xef\xbb\xbf{"schema_version": "1"}'],
+        ids=["truncated", "utf8-bom"],
+    )
+    def test_parse_error_message_matches_stdlib(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(SerializationError) as expected:
+            _stdlib_load(path)
+        with pytest.raises(SerializationError) as got:
+            load_strategy(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_non_utf8_file_is_a_serialization_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SerializationError, match="utf-8"):
+            load_strategy(path)
+
+    def test_meta_duplicate_keys_and_huge_integer_load_as_stdlib(self, tmp_path, ref2):
+        text = json.dumps(strategy_to_dict(ref2, meta={"seed": 1}))
+        path = tmp_path / "meta.json"
+        path.write_text(text.replace('"seed": 1', '"seed": 1, "seed": 2, "big": 18446744073709551617'))
+        assert json.loads(path.read_text())["meta"] == {"seed": 2, "big": 2**64 + 1}
+        assert _same_bits(load_strategy(path), _stdlib_load(path))
+
+    def test_meta_beyond_orjson_is_written_by_the_stdlib_encoder(self, tmp_path, ref2):
+        path = tmp_path / "s.json"
+        save_strategy(ref2, path, meta={"seed": 2**70, 3: "int key"})
+        assert json.loads(path.read_text())["meta"] == {"seed": 2**70, "3": "int key"}
+        assert _same_bits(load_strategy(path), ref2)
+
+    def test_dumps_is_strict_json(self):
+        data = {"nan": float("nan"), "inf": np.float64("inf"), "x": np.float64(0.1), "ok": np.bool_(True)}
+
+        def refuse(literal):
+            raise ValueError(f"non-standard literal {literal}")
+
+        for indent in (False, True):
+            text = dumps(data, indent=indent).decode()
+            assert json.loads(text, parse_constant=refuse) == {"nan": None, "inf": None, "x": 0.1, "ok": True}
+        assert b"\n" not in dumps(data)
