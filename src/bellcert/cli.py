@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import logging
 import math
 import os
@@ -32,9 +33,9 @@ from .serialize import (
     SerializationError,
     _bits,
     dumps,
-    file_digest,
     load_strategy,
     matrix_payload,
+    read_input,
     record_to_dict,
     report_to_dict,
     save_record,
@@ -49,6 +50,11 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+# Largest total dimension D = prod(dims) that ``seesaw`` accepts: every
+# iteration forms and diagonalizes the D x D Bell operator (O(D^3) time), and
+# the coefficient tensor holds 3^N floats.
+MAX_SEESAW_DIM = 1024
 
 
 def _out_path(name: str | os.PathLike) -> Path:
@@ -177,11 +183,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_certify(args) -> int:
     _check_tolerance(args.tolerance, "certify")
-    strategy = _load(args.strategy)
+    # One read: the digest describes exactly the bytes that were certified.
+    try:
+        raw = read_input(args.strategy)
+        strategy = load_strategy(args.strategy, raw)
+    except SerializationError as exc:
+        return _usage_error(str(exc))
     report = run_full_certification(strategy, max_violation_tol=args.tolerance)
     provenance = {
         "input": str(args.strategy),
-        "input_sha256": file_digest(args.strategy),
+        "input_sha256": hashlib.sha256(raw).hexdigest(),
         "max_violation_tol": args.tolerance,
     }
     if args.report:
@@ -260,11 +271,23 @@ def cmd_seesaw(args) -> int:
         return _usage_error("seesaw: need at least 2 parties")
     if args.restarts < 1:
         return _usage_error("seesaw: --restarts must be at least 1")
+    # Every local dimension is at least 2, so D >= 2^N: refuse a party count
+    # over the bound before a per-party list is built.
+    if args.parties > math.log2(MAX_SEESAW_DIM):
+        return _usage_error(
+            f"seesaw: {args.parties} parties give total dimension at least "
+            f"2^{args.parties}, over the limit of {MAX_SEESAW_DIM}"
+        )
     dims = (
         [2] * args.parties if args.dims is None else _parse_int_list(args.dims, "--dims")
     )
     if len(dims) != args.parties or any(d < 2 for d in dims):
         return _usage_error("seesaw: --dims needs one entry >= 2 per party")
+    if math.prod(dims) > MAX_SEESAW_DIM:
+        return _usage_error(
+            f"seesaw: total dimension {math.prod(dims)} = prod(--dims) is over the limit "
+            f"of {MAX_SEESAW_DIM}"
+        )
     expr = BellExpression(args.parties, (0,) * args.parties)
     seeds = range(args.seed, args.seed + args.restarts)
     results = seesaw_restarts(expr, tuple(dims), seeds)

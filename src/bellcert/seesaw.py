@@ -7,10 +7,12 @@ by the matrix sign of its effective operator.  Both sub-updates solve their
 restricted problem exactly, so the value sequence never decreases, and for
 this Bell family it can never pass ``2 (N - 1)`` at any local dimension.
 
-Only the state update forms the D x D Bell operator.  Effective operators
-and iteration values (``bell.quantum_value``) contract the state with local
-operators (``quantum.local_contraction``) and weight the table by the
-coefficient tensor ``bell.bell_coefficients``.
+Only the state update forms the D x D Bell operator.  The sweep over the
+parties costs one ``quantum.local_contraction`` of the state per party:
+weighted by the coefficient tensor ``bell.bell_coefficients``, the table
+gives the effective operators of that party's identity and both settings
+at once.  The last party's table, summed against its updated observables,
+is the iteration value, so no separate ``bell.quantum_value`` is needed.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .bell import (
     BellExpression,
     bell_coefficients,
     build_bell_operator,
-    quantum_value,
     setting_stacks,
 )
-from .linalg import dagger, herm_eig
+from .linalg import herm_eig
 from .quantum import QuantumState, local_contraction, pure_state, random_projective_observable
 
 __all__ = [
@@ -81,22 +82,31 @@ def optimal_state_update(bell_operator: np.ndarray, dims: tuple[int, ...]) -> tu
     return pure_state(eig.eigenvectors[:, -1], dims), float(eig.eigenvalues[-1])
 
 
-def _effective_operator(expr, observables, state, party, setting):
-    """Partial contraction of the Bell operator against everything except
-    one observable: value = Tr(O_{party,setting} E) + independent terms.
+def _effective_operators(state, stacks, coefficients, party):
+    """Effective operators ``K[i]`` of ``party``'s ``(I, A_0, A_1)``: with
+    the other parties' ``stacks`` fixed, the Bell value is
+    ``sum_i Tr(S_i K[i])`` for any stack ``S`` of ``party``, so ``K[1 + s]``
+    is the effective operator of setting ``s``.
 
-    One ``local_contraction``: the other parties get their ``(I, A_0, A_1)``
-    stacks and ``party`` the matrix units ``|a><b|``, so the table holds
-    ``Tr[(|a><b| ox ...) rho] = E_ba`` against every operator choice of the
-    others, weighted by ``C[..., 1 + setting, ...]``.
+    One ``local_contraction``: the other parties get their stacks and
+    ``party`` the matrix units ``|a><b|``, so the table holds
+    ``Tr[(|a><b| ox ...) rho] = K_ba`` against every operator choice of the
+    others, weighted by ``C`` with ``party``'s axis left open.  ``party``'s
+    own stack does not enter, so its updated settings leave ``K`` valid.
     """
     d = state.dims[party]
-    stacks = setting_stacks(observables)
+    stacks = list(stacks)
     stacks[party] = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     table = np.moveaxis(local_contraction(state.density, state.dims, stacks), party, -1)
-    weights = np.take(bell_coefficients(expr), 1 + setting, axis=party)
-    eff = np.tensordot(weights, table, axes=weights.ndim).reshape(d, d).T
-    return (eff + dagger(eff)) / 2.0
+    weights = np.moveaxis(coefficients, party, 0)
+    kt = np.tensordot(weights, table, axes=weights.ndim - 1).reshape(3, d, d)  # K transposed
+    return (kt.transpose(0, 2, 1) + np.conj(kt)) / 2.0
+
+
+def _strategy_value(stack, effective) -> float:
+    """Bell value ``sum_i Tr(S_i K[i])`` of the strategy in which the party
+    whose ``_effective_operators`` are ``effective`` holds the stack ``S``."""
+    return float(np.real(np.einsum("iab,iba->", stack, effective)))
 
 
 def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
@@ -110,17 +120,21 @@ def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
         [random_projective_observable(dims[p], rng) for _ in range(2)] for p in range(n)
     ]
 
+    coefficients = bell_coefficients(expr)
     value = -np.inf
     iterations = 0
     converged = False
     state = None
     for iterations in range(1, config.max_iters + 1):
         state, _ = optimal_state_update(build_bell_operator(expr, observables), dims)
+        stacks = setting_stacks(observables)
         for party in range(n):
-            for setting in (0, 1):
-                eff = _effective_operator(expr, observables, state, party, setting)
-                observables[party][setting] = optimal_observable_update(eff)
-        new_value = quantum_value(state, observables, expr)
+            effective = _effective_operators(state, stacks, coefficients, party)
+            observables[party] = [optimal_observable_update(effective[1 + s]) for s in (0, 1)]
+            stacks[party] = np.stack([stacks[party][0], *observables[party]])
+        # The last table was taken after every other party's update, so
+        # against the last party's new stack it gives the updated value.
+        new_value = _strategy_value(stacks[-1], effective)
         if new_value - value < config.convergence_tol and iterations > 1:
             value = max(value, new_value)
             converged = True

@@ -14,7 +14,6 @@ set of accepted files and the error messages stay those of the stdlib parser.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -35,12 +34,12 @@ __all__ = [
     "strategy_to_dict",
     "strategy_from_dict",
     "save_strategy",
+    "read_input",
     "load_strategy",
     "record_to_dict",
     "save_record",
     "report_to_dict",
     "save_report",
-    "file_digest",
 ]
 
 SCHEMA_VERSION = "1"
@@ -212,12 +211,22 @@ def save_strategy(strategy: Strategy, path, meta: dict | None = None) -> dict:
     return data
 
 
-def load_strategy(path) -> Strategy:
+def read_input(path) -> bytes:
+    """The bytes of an input file; an unreadable file is a ``SerializationError``."""
     p = Path(path)
     try:
-        raw = p.read_bytes()
+        return p.read_bytes()
     except OSError as exc:
         raise SerializationError(f"{p}: {exc}") from exc
+
+
+def load_strategy(path, raw: bytes | None = None) -> Strategy:
+    """Strategy from a JSON file.  ``raw`` is the file's bytes when the
+    caller has read them already, to hash the bytes it parses; ``path`` then
+    only names the file in error messages."""
+    p = Path(path)
+    if raw is None:
+        raw = read_input(p)
     try:
         data = orjson.loads(raw)
     except orjson.JSONDecodeError:
@@ -324,7 +333,3 @@ def save_report(report: CertificationReport, path, provenance: dict | None = Non
     data = report_to_dict(report, provenance)
     write_json(data, path)
     return data
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

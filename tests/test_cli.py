@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +203,23 @@ class TestCertifyExitCodes:
         assert data["verdict"] == "certified"
         assert data["provenance"]["input_sha256"]
 
+    def test_certify_reads_the_file_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ref.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        capsys.readouterr()
+        reads = []
+        original = Path.read_bytes
+
+        def counting(self):
+            reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert main(["--format", "machine", "certify", str(path)]) == 0
+        assert reads == [path]
+        data = json.loads(capsys.readouterr().out)
+        assert data["provenance"]["input_sha256"] == hashlib.sha256(original(path)).hexdigest()
+
     def test_swap_deviation_refuted(self, tmp_path, capsys, ref2):
         path = tmp_path / "swap.json"
         save_strategy(swap_deviation(ref2), path)
@@ -367,6 +386,22 @@ class TestSeesawCommand:
 
     def test_bad_dims(self, capsys):
         assert main(["seesaw", "--parties", "2", "--dims", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "size, dimension",
+        [(["--parties", "11"], "2^11"), (["--parties", "5", "--dims", "5,5,5,5,5"], "3125")],
+    )
+    def test_dimension_over_the_limit_is_refused(self, capsys, monkeypatch, size, dimension):
+        started = []
+        monkeypatch.setattr(cli, "BellExpression", lambda *a: started.append(a))
+        monkeypatch.setattr(cli, "seesaw_restarts", lambda *a, **k: started.append(a))
+        assert main(["seesaw", *size, "--restarts", "1"]) == 2
+        assert started == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seesaw: ")
+        assert dimension in lines[0] and "1024" in lines[0]
 
     @pytest.mark.parametrize("restarts", ["0", "-3"])
     def test_no_restarts_is_a_usage_error(self, capsys, restarts):

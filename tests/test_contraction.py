@@ -7,7 +7,14 @@ import itertools
 import numpy as np
 import pytest
 
-from bellcert.bell import BellExpression, build_bell_operator, quantum_value, tilde_observables
+from bellcert.bell import (
+    BellExpression,
+    bell_coefficients,
+    build_bell_operator,
+    quantum_value,
+    setting_stacks,
+    tilde_observables,
+)
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
     DichotomicObservable,
@@ -20,7 +27,7 @@ from bellcert.quantum import (
 )
 from bellcert.reference import reference_strategy
 from bellcert.scenario import run_scenario, scramble_strategy
-from bellcert.seesaw import _effective_operator
+from bellcert.seesaw import _effective_operators, _strategy_value
 
 EXACT = 1e-14
 
@@ -203,11 +210,28 @@ def seesaw_inputs(dims, seed):
 def test_effective_operator_matches_dense_formula(dims, target):
     expr = BellExpression(len(dims), target)
     observables, state = seesaw_inputs(dims, 44)
+    stacks, coefficients = setting_stacks(observables), bell_coefficients(expr)
     for party in range(len(dims)):
+        effective = _effective_operators(state, stacks, coefficients, party)
         for setting in (0, 1):
             dense = dense_effective_operator(expr, observables, state.density, party, setting)
-            eff = _effective_operator(expr, observables, state, party, setting)
-            assert max_abs(eff - dense) <= 1e-13
+            assert max_abs(effective[1 + setting] - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("dims, target", SEESAW_CASES)
+def test_table_value_matches_quantum_value(dims, target):
+    # One party's table, against that party's old or replaced observables,
+    # gives the value of the whole strategy.
+    expr = BellExpression(len(dims), target)
+    observables, state = seesaw_inputs(dims, 47)
+    replacements, _ = seesaw_inputs(dims, 48)
+    stacks, coefficients = setting_stacks(observables), bell_coefficients(expr)
+    for party in range(len(dims)):
+        effective = _effective_operators(state, stacks, coefficients, party)
+        for pair in (observables[party], replacements[party]):
+            updated = observables[:party] + [pair] + observables[party + 1 :]
+            value = _strategy_value(setting_stacks(updated)[party], effective)
+            assert abs(value - quantum_value(state, updated, expr)) <= 1e-13
 
 
 @pytest.mark.parametrize("dims, target", SEESAW_CASES)

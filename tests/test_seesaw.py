@@ -1,11 +1,19 @@
 import numpy as np
+import pytest
 
-from bellcert.bell import BellExpression, build_bell_operator
+from bellcert.bell import (
+    BellExpression,
+    bell_coefficients,
+    build_bell_operator,
+    quantum_value,
+    setting_stacks,
+)
 from bellcert.linalg import max_abs
 from bellcert.quantum import random_projective_observable
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.seesaw import (
     SeesawConfig,
+    _effective_operators,
     optimal_observable_update,
     optimal_state_update,
     seesaw_maximize,
@@ -13,6 +21,7 @@ from bellcert.seesaw import (
 )
 
 from conftest import X, Z, phase_distance
+from test_contraction import dense_effective_operator
 
 
 class TestObservableUpdate:
@@ -95,8 +104,7 @@ class TestSeesaw:
         observables = [
             [random_projective_observable(2, rng) for _ in range(2)] for _ in range(2)
         ]
-        from bellcert.seesaw import _effective_operator
-
+        coefficients = bell_coefficients(expr)
         last = -np.inf
         state = None
         for _ in range(10):
@@ -105,9 +113,11 @@ class TestSeesaw:
             assert value >= last - 1e-12
             last = value
             for party in range(2):
+                effective = _effective_operators(
+                    state, setting_stacks(observables), coefficients, party
+                )
                 for setting in (0, 1):
-                    eff = _effective_operator(expr, observables, state, party, setting)
-                    observables[party][setting] = optimal_observable_update(eff)
+                    observables[party][setting] = optimal_observable_update(effective[1 + setting])
                     value = float(
                         np.real(
                             np.trace(build_bell_operator(expr, observables) @ state.density)
@@ -115,3 +125,37 @@ class TestSeesaw:
                     )
                     assert value >= last - 1e-12
                     last = value
+
+
+def reference_seesaw(expr, config):
+    """The per-setting sweep: one dense effective operator per setting, and
+    ``quantum_value`` for every iteration value."""
+    dims = config.local_dims
+    rng = np.random.default_rng(config.seed)
+    observables = [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
+    value = -np.inf
+    for iterations in range(1, config.max_iters + 1):
+        state, _ = optimal_state_update(build_bell_operator(expr, observables), dims)
+        for party in range(expr.parties):
+            for setting in (0, 1):
+                eff = dense_effective_operator(expr, observables, state.density, party, setting)
+                observables[party][setting] = optimal_observable_update(eff)
+        new_value = quantum_value(state, observables, expr)
+        if new_value - value < config.convergence_tol and iterations > 1:
+            return max(value, new_value), iterations, True
+        value = new_value
+    return value, iterations, False
+
+
+@pytest.mark.parametrize(
+    "dims, target",
+    [((2, 2), (0, 0)), ((2, 3, 2), (0, 0, 0)), ((3, 3, 3, 3), (0, 0, 0, 0)), ((2, 3, 2), (1, 0, 1))],
+)
+def test_sweep_matches_per_setting_reference(dims, target):
+    expr = BellExpression(len(dims), target)
+    for seed in range(10):
+        config = SeesawConfig(local_dims=dims, seed=seed)
+        value, iterations, converged = reference_seesaw(expr, config)
+        result = seesaw_maximize(expr, config)
+        assert abs(result.value - value) <= 1e-12
+        assert (result.iterations, result.converged) == (iterations, converged)

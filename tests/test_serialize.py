@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -226,3 +227,11 @@ class TestCodec:
             text = dumps(data, indent=indent).decode()
             assert json.loads(text, parse_constant=refuse) == {"nan": None, "inf": None, "x": 0.1, "ok": True}
         assert b"\n" not in dumps(data)
+
+
+@pytest.mark.parametrize(
+    "module", ["bell", "certify", "linalg", "quantum", "reference", "scenario", "seesaw", "serialize"]
+)
+def test_every_exported_name_is_defined(module):
+    mod = importlib.import_module(f"bellcert.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
