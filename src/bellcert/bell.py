@@ -17,6 +17,11 @@ strategies reach ``2 (N-1)`` and no more.
 Expanding T0 and T1 writes the functional once, as a real coefficient tensor
 ``C`` over each party's ``(I, A_0, A_1)`` (``bell_coefficients``): the Bell
 operator and every contraction of it against a state are sums against ``C``.
+A state's values come from its unclamped table over each party's four
+effects ``E_{x,a}`` (``effect_stacks``), the table the outcome
+probabilities are read from: the fixed map
+``(I, A_0, A_1) = (E_00 + E_01, E_00 - E_01, E_10 - E_11)`` turns it into
+the correlators that ``C`` and the side statistics are summed against.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatchError, dagger, kron, max_abs
-from .quantum import QuantumState, as_matrix, expectation, local_contraction
+from .quantum import QuantumState, as_matrix, effect, local_contraction
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -38,12 +43,15 @@ __all__ = [
     "tilde_observables",
     "bell_coefficients",
     "setting_stacks",
+    "effect_stacks",
+    "correlator_table",
     "build_bell_operator",
     "classical_bound",
     "quantum_value",
     "sos_terms",
     "sos_residual",
     "check_sos_relations",
+    "extra_statistics",
     "extra_statistics_check",
 ]
 
@@ -130,6 +138,43 @@ def setting_stacks(observables) -> list[np.ndarray]:
     return stacks
 
 
+def effect_stacks(observables) -> list[np.ndarray]:
+    """Per-party ``(4, d, d)`` stacks of the effects ``E_{x,a}``, ordered
+    ``(x, a) = (0, 0), (0, 1), (1, 0), (1, 1)``: one contraction of a state
+    against them gives every outcome probability of every setting vector."""
+    stacks = []
+    for n, (m0, m1) in enumerate(_observable_pairs(observables)):
+        if m0.shape != m1.shape:
+            raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
+        stacks.append(np.stack([effect(m, a) for m in (m0, m1) for a in (0, 1)]))
+    return stacks
+
+
+# Rows (I, A_0, A_1) in terms of the effects (E_00, E_01, E_10, E_11).
+_SETTINGS_FROM_EFFECTS = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+)
+
+
+def correlator_table(effect_table: np.ndarray, parties: int) -> np.ndarray:
+    """Correlators ``<S^1_{i_1} ox ... ox S^N_{i_N}>`` over each party's
+    ``(I, A_0, A_1)``, shape ``(..., 3, ..., 3)``, from an unclamped table
+    over the ``effect_stacks``, shape ``(..., 4, ..., 4)`` (any leading axes
+    index branches)."""
+    t = np.asarray(effect_table)
+    for _ in range(parties):
+        # Consume the leading effect axis and append its (I, A_0, A_1) axis.
+        t = np.tensordot(t, _SETTINGS_FROM_EFFECTS, axes=(t.ndim - parties, 1))
+    return t
+
+
+def _correlators(state: QuantumState, observables, parties: int) -> np.ndarray:
+    stacks = effect_stacks(observables)
+    if len(stacks) != parties:
+        raise DimensionMismatchError(f"need observables for {parties} parties, got {len(stacks)}")
+    return correlator_table(np.real(local_contraction(state.density, state.dims, stacks)), parties)
+
+
 def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
     """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
     observable pairs."""
@@ -181,15 +226,9 @@ def classical_bound(expr: BellExpression) -> float:
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
     """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
-    against one ``local_contraction`` of the ``setting_stacks``, so no D x D
-    operator is formed."""
-    stacks = setting_stacks(observables)
-    if len(stacks) != expr.parties:
-        raise DimensionMismatchError(
-            f"need observables for {expr.parties} parties, got {len(stacks)}"
-        )
-    table = local_contraction(state.density, state.dims, stacks)
-    return float(np.real(np.tensordot(bell_coefficients(expr), table, axes=table.ndim)))
+    against the state's correlators, so no D x D operator is formed."""
+    table = _correlators(state, observables, expr.parties)
+    return float(np.tensordot(bell_coefficients(expr), table, axes=expr.parties))
 
 
 def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -280,10 +319,10 @@ class ExtraStatistics:
 
     ``entries`` holds (label, value, target) triples: for every party
     n = 2..N the pair ``<T0 ox I> = -1`` (party-1 rotated observable) and
-    ``<I ox A_{n,1}> = +1``.
+    ``<I ox A_{n,1}> = +1``.  Whether a value is on target is decided once,
+    by the certification chain at its maximal-violation tolerance.
     """
 
-    passes: bool
     entries: tuple[tuple[str, float, float], ...]
 
     @property
@@ -291,21 +330,24 @@ class ExtraStatistics:
         return tuple(v for _, v, _ in self.entries)
 
 
-def extra_statistics_check(
-    state: QuantumState, observables, parties: int, tol: float = 1e-9
-) -> ExtraStatistics:
-    """Evaluate the side conditions on a conditional post-interaction state
-    using the second-round observables."""
-    pairs = _observable_pairs(observables)
-    if len(pairs) != parties or len(state.dims) != parties:
-        raise DimensionMismatchError("extra_statistics_check: party count mismatch")
-    t0, _ = tilde_observables(pairs[0][0], pairs[0][1])
-    tilde_val = expectation(state, [t0] + [None] * (parties - 1))
+def extra_statistics(correlators: np.ndarray) -> ExtraStatistics:
+    """The side statistics read off one state's ``correlator_table``."""
+    parties = correlators.ndim
+    origin = (0,) * parties
+    # <T0 ox I> with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
+    difference = correlators[(1,) + origin[1:]] - correlators[(2,) + origin[1:]]
+    tilde_val = float(difference) / math.sqrt(2.0)
     entries = []
     for n in range(1, parties):
-        ops = [None] * parties
-        ops[n] = pairs[n][1]
         entries.append((f"tilde0(party 1) with party {n + 1}", tilde_val, -1.0))
-        entries.append((f"setting-1 observable, party {n + 1}", expectation(state, ops), 1.0))
-    passes = all(abs(v - t) < tol for _, v, t in entries)
-    return ExtraStatistics(passes=passes, entries=tuple(entries))
+        value = float(correlators[origin[:n] + (2,) + origin[n + 1 :]])
+        entries.append((f"setting-1 observable, party {n + 1}", value, 1.0))
+    return ExtraStatistics(entries=tuple(entries))
+
+
+def extra_statistics_check(state: QuantumState, observables, parties: int) -> ExtraStatistics:
+    """Evaluate the side conditions on a conditional post-interaction state
+    using the second-round observables."""
+    if len(state.dims) != parties:
+        raise DimensionMismatchError("extra_statistics_check: party count mismatch")
+    return extra_statistics(_correlators(state, observables, parties))

@@ -353,8 +353,10 @@ def check_projectivity(strategy: Strategy, supports) -> tuple[CheckResult, ...]:
 def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     """Support isometries per (party, time_slice): the source marginals at
     the first round, the union of conditional post-interaction marginals
-    (realized as the support of their average) at the second.  The
-    Bell-branch states are the ones ``run_scenario`` kept in the record."""
+    (realized as the support of their average) at the second.  The average
+    of the marginals is the marginal of the average state, so the
+    Bell-branch states that ``run_scenario`` kept in the record are summed
+    once and traced N times."""
     n = strategy.parties
     supports = {}
     for party in range(n):
@@ -362,10 +364,10 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
             strategy.source_state.marginal(party).density
         )
     x_bell = bell_branch_settings(n)
-    sigmas = [s for (x, _), s in record.conditional_states.items() if x == x_bell]
+    sigmas = [s.density for (x, _), s in record.conditional_states.items() if x == x_bell]
+    average = QuantumState._derived(sum(sigmas) / len(sigmas), strategy.interaction.dims_out)
     for party in range(n):
-        average = sum(sigma.marginal(party).density for sigma in sigmas) / len(sigmas)
-        supports[(party, 2)] = support_isometry(average)
+        supports[(party, 2)] = support_isometry(average.marginal(party).density)
     return supports
 
 

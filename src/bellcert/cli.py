@@ -57,6 +57,35 @@ EXIT_INCONCLUSIVE = 3
 MAX_SEESAW_DIM = 1024
 
 
+# Largest branch stack that ``simulate``, ``certify`` and ``noise-sweep`` will
+# build: ``run_scenario`` holds the 2^N + 1 conditional states as one
+# (2^N + 1) x D x D complex array, plus one scratch array of the same size
+# while it builds them.  N = 5 with auxiliary dimension 2 (D = 1024) needs
+# 0.55 GB; N = 6 with auxiliary dimension 2 would need 17 GB.
+MAX_BRANCH_STACK_BYTES = 1 << 30
+
+
+def _check_branch_stack(command: str, parties: int, local_dims=None) -> None:
+    """Refuse a strategy whose branch stack would exceed the bound."""
+    # Every local dimension is at least 2, so the stack holds at least
+    # 2^N * 4^N entries: over 8 parties the count alone is over the bound.
+    if parties > 8:
+        need = f"{parties} parties need at least 2^{3 * parties + 4} bytes"
+    elif local_dims is None:
+        return
+    else:
+        size = (2**parties + 1) * math.prod(local_dims) ** 2 * 16
+        if size <= MAX_BRANCH_STACK_BYTES:
+            return
+        need = f"local dims {tuple(local_dims)} need {size / 2**30:.2f} GiB"
+    raise SystemExit(
+        _usage_error(
+            f"{command}: the branch stack of (2^N + 1) D^2 complex entries is over the "
+            f"limit of {MAX_BRANCH_STACK_BYTES / 2**30:g} GiB: {need}"
+        )
+    )
+
+
 def _out_path(name: str | os.PathLike) -> Path:
     p = Path(name)
     base = os.environ.get("BELLCERT_OUTPUT_DIR")
@@ -89,11 +118,13 @@ def _print_json(data) -> None:
     print(dumps(data).decode())
 
 
-def _load(path: str) -> Strategy:
+def _load(path: str, command: str) -> Strategy:
     try:
-        return load_strategy(path)
+        strategy = load_strategy(path)
     except SerializationError as exc:
         raise SystemExit(_usage_error(str(exc)))
+    _check_branch_stack(command, strategy.parties, strategy.source_state.dims)
+    return strategy
 
 
 def cmd_bounds(args) -> int:
@@ -126,16 +157,16 @@ def cmd_bounds(args) -> int:
 def cmd_make_strategy(args) -> int:
     if args.parties < 2:
         return _usage_error("make-strategy: need at least 2 parties")
+    _check_branch_stack("make-strategy", args.parties)
+    aux = [1] * args.parties
+    if args.scramble and args.aux_dims is not None:
+        aux = _parse_int_list(args.aux_dims, "--aux-dims")
+        if len(aux) != args.parties or any(k < 1 for k in aux):
+            return _usage_error("make-strategy: --aux-dims needs one entry >= 1 per party")
+    _check_branch_stack("make-strategy", args.parties, [2 * k for k in aux])
     strategy = reference_strategy(args.parties)
     meta = {"parties": args.parties, "kind": "reference"}
     if args.scramble:
-        aux = (
-            [1] * args.parties
-            if args.aux_dims is None
-            else _parse_int_list(args.aux_dims, "--aux-dims")
-        )
-        if len(aux) != args.parties or any(k < 1 for k in aux):
-            return _usage_error("make-strategy: --aux-dims needs one entry >= 1 per party")
         scrambled = scramble_strategy(strategy, aux, seed=args.seed)
         strategy = scrambled.strategy
         meta = {"parties": args.parties, "kind": "scrambled", "seed": args.seed, "aux_dims": aux}
@@ -155,7 +186,7 @@ def cmd_make_strategy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    strategy = _load(args.strategy)
+    strategy = _load(args.strategy, "simulate")
     try:
         record = run_scenario(strategy)
     except ValueError as exc:
@@ -175,7 +206,7 @@ def cmd_simulate(args) -> int:
     if record.extra_stats is None:
         print("side statistics: conditioning event has vanishing probability")
     else:
-        print(f"side statistics ({'pass' if record.extra_stats.passes else 'FAIL'}):")
+        print("side statistics:")
         for label, value, target in record.extra_stats.entries:
             print(f"  {label}: {value:+.9f} (target {target:+g})")
     return EXIT_OK
@@ -189,6 +220,7 @@ def cmd_certify(args) -> int:
         strategy = load_strategy(args.strategy, raw)
     except SerializationError as exc:
         return _usage_error(str(exc))
+    _check_branch_stack("certify", strategy.parties, strategy.source_state.dims)
     report = run_full_certification(strategy, max_violation_tol=args.tolerance)
     provenance = {
         "input": str(args.strategy),
@@ -228,7 +260,7 @@ def cmd_certify(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     _check_tolerance(args.tolerance, "noise-sweep")
-    strategy = _load(args.strategy)
+    strategy = _load(args.strategy, "noise-sweep")
     try:
         visibilities = [float(v) for v in args.visibilities.split(",") if v.strip() != ""]
     except ValueError:

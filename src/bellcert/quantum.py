@@ -14,10 +14,14 @@ state the package derives from valid states by a positivity-preserving map
 ``pure_state``, ``white_noise_mix``, ``random_density`` and the scrambled
 source of ``scenario.scramble_strategy``) is positive by construction, so
 it goes through the private ``QuantumState._derived``, which checks the
-shape, symmetrizes and freezes but runs no eigensolver.
+shape, symmetrizes and freezes but runs no eigensolver (``_wrap`` when the
+map has already taken the Hermitian part in place).
 
 The post-measurement update applies each party's operator to its own axes
-of ``rho.reshape(dims + dims)``, so no Kronecker-product operator is formed.
+of ``rho``, so no Kronecker-product operator is formed.
+``post_measurement_states`` does this for a whole stack of branches at
+once: every conditional state of a run is one slice of a ``(B, D, D)``
+array, built party by party with one stacked ``matmul`` per party and side.
 
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
@@ -50,12 +54,14 @@ __all__ = [
     "born_table",
     "expectation",
     "post_measurement_state",
+    "post_measurement_states",
     "evolve",
     "white_noise_mix",
     "random_unitary",
     "random_projective_observable",
     "random_density",
     "as_matrix",
+    "effect",
 ]
 
 ZERO_PROB = 1e-12  # probabilities below this are not trusted for conditioning
@@ -116,7 +122,12 @@ class QuantumState:
         """State from a positivity-preserving map of valid states: the shape
         check, symmetrization and read-only freeze, but no ``eigvalsh``."""
         rho = np.asarray(density, dtype=complex)
-        rho = (rho + dagger(rho)) / 2.0
+        return cls._wrap((rho + dagger(rho)) / 2.0, dims)
+
+    @classmethod
+    def _wrap(cls, rho: np.ndarray, dims) -> QuantumState:
+        """``_derived`` for a matrix that is already exactly Hermitian, such as
+        a slice of ``post_measurement_states``: frozen in place, not copied."""
         rho.setflags(write=False)
         state = object.__new__(cls)
         state._set(rho, dims)
@@ -168,8 +179,7 @@ class DichotomicObservable:
 
     def effect(self, outcome: int) -> np.ndarray:
         """Measurement element ``(I + (-1)^outcome O) / 2``."""
-        sign = 1.0 if outcome == 0 else -1.0
-        return (np.eye(self.dim) + sign * self.matrix) / 2.0
+        return effect(self.matrix, outcome)
 
     def projectivity_defect(self) -> float:
         """Max-norm distance of ``O^2`` from the identity."""
@@ -205,6 +215,12 @@ class Interaction:
             raise NonUnitaryError(f"interaction is not unitary (defect {defect:.3e})")
 
 
+def effect(observable: np.ndarray, outcome: int) -> np.ndarray:
+    """Measurement element ``(I + (-1)^outcome O) / 2`` of a +/-1 observable."""
+    sign = 1.0 if outcome == 0 else -1.0
+    return (np.eye(observable.shape[0]) + sign * observable) / 2.0
+
+
 def as_matrix(op) -> np.ndarray:
     """Accept a raw matrix or anything exposing ``.matrix``."""
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
@@ -218,13 +234,14 @@ def local_contraction(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndar
     party out.  ``rho.reshape(dims + dims)`` is contracted with one
     ``tensordot`` per party, the idiom of ``linalg.partial_trace``, so no
     Kronecker-product operator is ever formed.  The result has shape
-    ``(m_1, ..., m_N)``.
+    ``(m_1, ..., m_N)``; a ``(B, D, D)`` stack of matrices gives all B tables
+    from the same N contractions, shape ``(B, m_1, ..., m_N)``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     if len(stacks) != n:
         raise DimensionMismatchError(f"got {len(stacks)} operator stacks for {n} parties")
-    t = np.asarray(rho, dtype=complex).reshape(dims + dims)
+    ops = []
     for k, (d, stack) in enumerate(zip(dims, stacks)):
         s = np.eye(d, dtype=complex) if stack is None else as_matrix(stack)
         if s.ndim == 2:
@@ -233,9 +250,29 @@ def local_contraction(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndar
             raise DimensionMismatchError(
                 f"party {k}: operator shape {s.shape[-2:]} does not match local dim {d}"
             )
-        # Party k's row and column axes sit at 0 and n - k; sum A_ij rho_ji.
-        t = np.tensordot(t, s, axes=([0, n - k], [2, 1]))
+        ops.append(s)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 2:
+        return _contract(rho[np.newaxis], dims, ops)[0]
+    # The first tensordot copies its input, so a large stack goes in chunks.
+    chunks = _chunks(len(rho), rho.shape[-1])
+    return np.concatenate([_contract(rho[c], dims, ops) for c in chunks])
+
+
+def _contract(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
+    n = len(dims)
+    t = rho.reshape((-1,) + dims + dims)
+    for k, s in enumerate(ops):
+        # Behind the batch axis, party k's row and column axes sit at 1 and
+        # 1 + n - k; sum A_ij rho_ji.
+        t = np.tensordot(t, s, axes=([1, 1 + n - k], [2, 1]))
     return t
+
+
+def clamp_probabilities(p: np.ndarray) -> np.ndarray:
+    """Move values within ``ZERO_PROB`` of the [0, 1] boundary onto it."""
+    p = np.where((-ZERO_PROB <= p) & (p < 0.0), 0.0, p)
+    return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
 
 
 def born_table(state: QuantumState, stacks) -> np.ndarray:
@@ -243,9 +280,7 @@ def born_table(state: QuantumState, stacks) -> np.ndarray:
     every combination of per-party effects (see ``local_contraction``).
     Values within ``ZERO_PROB`` of the [0, 1] boundary are clamped onto it.
     """
-    p = np.real(local_contraction(state.density, state.dims, stacks))
-    p = np.where((-ZERO_PROB <= p) & (p < 0.0), 0.0, p)
-    return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
+    return clamp_probabilities(np.real(local_contraction(state.density, state.dims, stacks)))
 
 
 def expectation(state: QuantumState, observables) -> float:
@@ -256,35 +291,119 @@ def expectation(state: QuantumState, observables) -> float:
 
 def post_measurement_state(state: QuantumState, projectors) -> QuantumState:
     """State after projecting each party on its observed outcome (Born rule
-    renormalization).  Raises ``ZeroProbabilityError`` for outcomes with
+    renormalization): the one-branch case of ``post_measurement_states``.
+    Raises ``ZeroProbabilityError`` for outcomes with probability at most
+    ``ZERO_PROB``."""
+    return QuantumState._wrap(post_measurement_states(state, projectors)[0], state.dims)
+
+
+def post_measurement_states(
+    state: QuantumState, projectors, interaction: Interaction | None = None
+) -> np.ndarray:
+    """Read-only ``(B, D, D)`` stack of the branch states
+    ``Pi_b rho Pi_b^dag / p_b``, each conjugated by the interaction when one
+    is given, with ``Pi_b = Pi^1_b ox ... ox Pi^N_b`` and ``p_b`` its trace.
+
+    ``projectors[k]`` is party k's ``(B, d_k, d_k)`` stack, one operator per
+    branch, or one ``(d_k, d_k)`` operator (or ``None``, the identity) that
+    every branch shares.  Raises ``ZeroProbabilityError`` if a branch has
     probability at most ``ZERO_PROB``.
 
-    Party k's ``Pi_k`` acts on its row axis and ``Pi_k^dag`` on its column
-    axis of ``rho.reshape(dims + dims)``, one ``tensordot`` each.
+    The work is done by party, not by branch: ``Pi^k`` left-multiplies the
+    view ``(B, pre, d_k, post * D)`` of the stack, ``pre`` and ``post`` being
+    the dimensions of the parties before and after k, one stacked ``matmul``
+    per party.  The column side reuses the row steps: ``Pi (Pi rho)^dag =
+    Pi rho^dag Pi^dag`` has the same trace and the same Hermitian part as
+    ``Pi rho Pi^dag``, and the Hermitian part is what is returned.  Each
+    step writes into the other of two buffers, the stack itself and one
+    scratch array of at most ``CHUNK_BYTES``; a larger stack is built in
+    chunks of branches.
     """
-    n = len(state.dims)
+    dims = state.dims
+    n, dim = len(dims), state.dim
     if len(projectors) != n:
         raise DimensionMismatchError(f"got {len(projectors)} projectors for {n} parties")
-    pis = []
-    for k, (d, op) in enumerate(zip(state.dims, projectors)):
-        pi = np.eye(d, dtype=complex) if op is None else as_matrix(op)
-        if pi.shape != (d, d):
-            raise DimensionMismatchError(
-                f"party {k}: projector shape {pi.shape} does not match local dim {d}"
+    if interaction is not None and dims != interaction.dims_in:
+        raise DimensionMismatchError(
+            f"state dims {dims} do not match interaction input {interaction.dims_in}"
+        )
+    steps = []
+    pre = 1
+    for k, (d, op) in enumerate(zip(dims, projectors)):
+        if op is not None:
+            pi = as_matrix(op)
+            pi = pi[np.newaxis] if pi.ndim == 2 else pi
+            if pi.ndim != 3 or pi.shape[1:] != (d, d):
+                raise DimensionMismatchError(
+                    f"party {k}: projector shape {pi.shape[-2:]} does not match local dim {d}"
+                )
+            steps.append((pi[:, np.newaxis], (pre, d, dim * dim // (pre * d))))
+        pre *= d
+    lengths = {len(pi) for pi, _ in steps} - {1}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"projector stacks of different lengths {sorted(lengths)}")
+    b = lengths.pop() if lengths else 1
+
+    stack = np.empty((b, dim, dim), dtype=complex)
+    chunks = _chunks(b, dim)
+    scratch = np.empty((chunks[0].stop, dim, dim), dtype=complex)
+    for chunk in chunks:
+        size = chunk.stop - chunk.start
+        # 2 len(steps) + 1 writes alternate between the two buffers, so the
+        # first and the last land in the stack.
+        buffers = [stack[chunk], scratch[:size]]
+        rho = state.density[np.newaxis]  # every branch starts from the same state
+        for side in ("rows", "columns"):
+            for op, shape in steps:
+                op = op[chunk] if len(op) > 1 else op
+                out = buffers[0].reshape((size,) + shape)
+                np.matmul(op, rho.reshape((len(rho),) + shape), out=out)
+                rho = buffers[0]
+                buffers.reverse()
+            if side == "rows":  # Pi rho -> (Pi rho)^dag
+                np.conjugate(rho.swapaxes(1, 2), out=buffers[0])
+                rho = buffers[0]
+                buffers.reverse()
+
+        p = np.real(np.trace(rho, axis1=1, axis2=2))
+        small = np.flatnonzero(p <= ZERO_PROB)
+        if small.size:
+            raise ZeroProbabilityError(
+                f"outcome probability {p[small[0]]:.3e} too small to condition on"
             )
-        pis.append(pi)
-    # Each step consumes the leading axis and appends its image, so after
-    # the N row steps and the N column steps the axes are back in order.
-    t = state.density.reshape(state.dims + state.dims)
-    for pi in pis:
-        t = np.tensordot(t, pi, axes=(0, 1))  # row axis: sum_j Pi[a, j] rho[j, ...]
-    for pi in pis:
-        t = np.tensordot(t, np.conj(pi), axes=(0, 1))  # column axis: ... conj(Pi[b, j])
-    rho = t.reshape(state.dim, state.dim)
-    p = float(np.real(np.trace(rho)))
-    if p <= ZERO_PROB:
-        raise ZeroProbabilityError(f"outcome probability {p:.3e} too small to condition on")
-    return QuantumState._derived(rho / p, state.dims)
+        rho /= p[:, np.newaxis, np.newaxis]
+        if interaction is not None:
+            _conjugate(rho, interaction.matrix, buffers[0])
+        _hermitian_part(rho, buffers[0])
+    stack.setflags(write=False)
+    return stack
+
+
+# Scratch bound of the stacked kernels: a stack larger than this is processed
+# in chunks of branches, so its temporaries stay within this size.
+CHUNK_BYTES = 1 << 26
+
+
+def _chunks(branches: int, dim: int) -> list[slice]:
+    """Consecutive slices of at most ``CHUNK_BYTES`` worth of D x D complex
+    matrices (at least one matrix each) covering ``branches``."""
+    step = max(1, min(branches, CHUNK_BYTES // (16 * dim * dim)))
+    return [slice(i, min(i + step, branches)) for i in range(0, branches, step)]
+
+
+def _conjugate(stack: np.ndarray, v: np.ndarray, spare: np.ndarray) -> None:
+    """``V sigma V^dag`` for every matrix of the stack, in place; ``spare``
+    is a scratch buffer of the stack's shape."""
+    np.matmul(v, stack, out=spare)
+    np.matmul(spare, dagger(v), out=stack)
+
+
+def _hermitian_part(stack: np.ndarray, spare: np.ndarray) -> None:
+    """``(sigma + sigma^dag) / 2`` for every matrix of the stack, in place,
+    so that each one is exactly Hermitian."""
+    np.conjugate(stack.swapaxes(1, 2), out=spare)
+    stack += spare
+    stack *= 0.5
 
 
 def evolve(state: QuantumState, interaction: Interaction) -> QuantumState:
@@ -293,8 +412,11 @@ def evolve(state: QuantumState, interaction: Interaction) -> QuantumState:
         raise DimensionMismatchError(
             f"evolve: state dims {state.dims} do not match interaction input {interaction.dims_in}"
         )
-    v = interaction.matrix
-    return QuantumState._derived(v @ state.density @ dagger(v), interaction.dims_out)
+    rho = np.array(state.density[np.newaxis])
+    spare = np.empty_like(rho)
+    _conjugate(rho, interaction.matrix, spare)
+    _hermitian_part(rho, spare)
+    return QuantumState._wrap(rho[0], interaction.dims_out)
 
 
 def white_noise_mix(state: QuantumState, visibility: float) -> QuantumState:

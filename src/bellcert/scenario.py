@@ -14,6 +14,12 @@ follow the two designated first-round input branches:
 
 For every stored conditioning event the record keeps the conditional
 distribution for all 2^N second-round setting combinations.
+
+The 2^N Bell-branch states and the side-statistics state all condition on
+fixed first-round settings, so ``run_scenario`` builds them as one
+``(B, D, D)`` stack (``quantum.post_measurement_states``) and reads every
+outcome table, Bell value and side statistic from one contraction of that
+stack against each party's four second-round effects.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import BellExpression, ExtraStatistics, extra_statistics_check, quantum_value
+from .bell import (
+    BellExpression,
+    ExtraStatistics,
+    bell_coefficients,
+    correlator_table,
+    effect_stacks,
+    extra_statistics,
+)
 from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron, permute_subsystems
 from .quantum import (
     ZERO_PROB,
@@ -31,9 +44,10 @@ from .quantum import (
     Interaction,
     QuantumState,
     _rng,
-    born_table,
-    evolve,
+    clamp_probabilities,
+    local_contraction,
     post_measurement_state,
+    post_measurement_states,
     random_density,
     random_unitary,
 )
@@ -130,31 +144,40 @@ class CorrelationRecord:
     conditional_states: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for x, probs in self.p1.items():
-            s = float(np.sum(probs))
-            if abs(s - 1.0) > 1e-10:
-                raise ValueError(f"first-round distribution for inputs {x} sums to {s:.12g}")
+        tables = [*self.p1.values(), *(p for t in self.p2.values() for p in t.values())]
+        if not tables:
+            return
+        sums = np.sum(np.reshape(tables, (len(tables), -1)), axis=1)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+        if not bad.size:
+            return
+        i, s = int(bad[0]), float(sums[bad[0]])
+        if i < len(self.p1):
+            x = list(self.p1)[i]
+            raise ValueError(f"first-round distribution for inputs {x} sums to {s:.12g}")
+        i -= len(self.p1)
         for event, settings in self.p2.items():
-            for x2, probs in settings.items():
-                s = float(np.sum(probs))
-                if abs(s - 1.0) > 1e-10:
-                    raise ValueError(
-                        f"conditional distribution for event {event}, inputs {x2} "
-                        f"sums to {s:.12g}"
-                    )
+            if i < len(settings):
+                x2 = list(settings)[i]
+                raise ValueError(
+                    f"conditional distribution for event {event}, inputs {x2} "
+                    f"sums to {s:.12g}"
+                )
+            i -= len(settings)
 
 
-def _outcome_tables(state: QuantumState, observables) -> dict:
-    """Outcome distribution, shape ``(2,) * N``, for every setting vector.
+def _outcome_tables(effect_table: np.ndarray, parties: int) -> np.ndarray:
+    """Clamped outcome probabilities indexed ``[..., x_1..x_N, a_1..a_N]``
+    from an unclamped table over the ``effect_stacks``, whose per-party axis
+    runs over (setting, outcome); any leading axes index branches."""
+    lead = effect_table.ndim - parties
+    p = clamp_probabilities(effect_table).reshape(effect_table.shape[:lead] + (2, 2) * parties)
+    settings = tuple(range(lead, lead + 2 * parties, 2))
+    return p.transpose(tuple(range(lead)) + settings + tuple(k + 1 for k in settings))
 
-    Party ``k`` contributes the stack of its four effects ordered by
-    (setting, outcome), so one contraction gives all 2^N x 2^N probabilities.
-    """
-    n = len(observables)
-    stacks = [np.stack([o.effect(a) for o in pair for a in (0, 1)]) for pair in observables]
-    table = born_table(state, stacks).reshape((2, 2) * n)  # (x_1, a_1, x_2, a_2, ...)
-    table = table.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
-    return {x: table[x] for x in itertools.product((0, 1), repeat=n)}
+
+def _by_setting(tables: np.ndarray, parties: int) -> dict:
+    return {x: tables[x] for x in itertools.product((0, 1), repeat=parties)}
 
 
 def _check_projective(observables, tol: float, where: str) -> None:
@@ -173,13 +196,14 @@ def conditional_post_interaction_state(
     strategy: Strategy, settings: Bits, outcomes: Bits
 ) -> QuantumState:
     """Post-measurement state for the given first-round event, evolved
-    through the interaction."""
+    through the interaction: the one-branch case of the stack that
+    ``run_scenario`` builds."""
     projectors = [
         strategy.observables_t1[k][settings[k]].effect(outcomes[k])
         for k in range(strategy.parties)
     ]
-    rho_prime = post_measurement_state(strategy.source_state, projectors)
-    return evolve(rho_prime, strategy.interaction)
+    stack = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
+    return QuantumState._wrap(stack[0], strategy.interaction.dims_out)
 
 
 def run_scenario(strategy: Strategy) -> CorrelationRecord:
@@ -190,49 +214,43 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     """
     n = strategy.parties
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
+    source, dims_out = strategy.source_state, strategy.interaction.dims_out
 
-    p1 = _outcome_tables(strategy.source_state, strategy.observables_t1)
+    effects_t1 = effect_stacks(strategy.observables_t1)
+    table_t1 = np.real(local_contraction(source.density, source.dims, effects_t1))
+    p1 = _by_setting(_outcome_tables(table_t1, n), n)
+    expr = BellExpression(n, (0,) * n)
+    t1_value = float(np.tensordot(bell_coefficients(expr), correlator_table(table_t1, n), axes=n))
 
-    expr0 = BellExpression(n, (0,) * n)
-    t1_value = quantum_value(strategy.source_state, strategy.observables_t1, expr0)
+    # The conditioning events with non-vanishing probability: the Bell
+    # branch's outcome vectors in order, then the side-statistics event.
+    x_bell, x_extra = bell_branch_settings(n), extra_branch_settings(n)
+    events = [(x_bell, a) for a in itertools.product((0, 1), repeat=n)]
+    events = [(x, a) for x, a in events + [(x_extra, (0,) * n)] if p1[x][a] > ZERO_PROB]
+    projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
+    stack = post_measurement_states(source, projectors, strategy.interaction)
 
-    p2 = {}
-    t2_values = {}
-    event_probs = {}
-    states = {}
-    x_bell = bell_branch_settings(n)
-    for outcomes in itertools.product((0, 1), repeat=n):
-        p_event = float(p1[x_bell][outcomes])
-        if p_event <= ZERO_PROB:
-            continue
-        sigma = conditional_post_interaction_state(strategy, x_bell, outcomes)
-        event = (x_bell, outcomes)
-        event_probs[event] = p_event
-        states[event] = sigma
-        p2[event] = _outcome_tables(sigma, strategy.observables_t2)
-        t2_values[outcomes] = quantum_value(sigma, strategy.observables_t2, BellExpression(n, outcomes))
+    table_t2 = np.real(local_contraction(stack, dims_out, effect_stacks(strategy.observables_t2)))
+    p2_tables = _outcome_tables(table_t2, n)
+    correlators = correlator_table(table_t2, n)
+    bell = [b for b, (x, _) in enumerate(events) if x == x_bell]
+    coefficients = np.stack([bell_coefficients(BellExpression(n, events[b][1])) for b in bell])
+    t2_values = np.sum(coefficients * correlators[bell], axis=tuple(range(1, n + 1)))
 
     extra = None
-    x_extra = extra_branch_settings(n)
-    zero = (0,) * n
-    p_event = float(p1[x_extra][zero])
-    if p_event > ZERO_PROB:
-        sigma = conditional_post_interaction_state(strategy, x_extra, zero)
-        event = (x_extra, zero)
-        event_probs[event] = p_event
-        states[event] = sigma
-        p2[event] = _outcome_tables(sigma, strategy.observables_t2)
-        extra = extra_statistics_check(sigma, strategy.observables_t2, n)
-
+    if events[-1][0] == x_extra:
+        extra = extra_statistics(correlators[-1])
     return CorrelationRecord(
         parties=n,
         p1=p1,
-        p2=p2,
+        p2={event: _by_setting(p2_tables[b], n) for b, event in enumerate(events)},
         t1_bell_value=t1_value,
-        t2_bell_values=t2_values,
+        t2_bell_values={events[b][1]: float(v) for b, v in zip(bell, t2_values)},
         extra_stats=extra,
-        event_probabilities=event_probs,
-        conditional_states=states,
+        event_probabilities={(x, a): float(p1[x][a]) for x, a in events},
+        conditional_states={
+            event: QuantumState._wrap(stack[b], dims_out) for b, event in enumerate(events)
+        },
     )
 
 
@@ -257,20 +275,23 @@ def repeatability_spotcheck(
     rng = _rng(seed)
     mismatches = 0
     outcome_list = list(itertools.product((0, 1), repeat=n))
-    tables = _outcome_tables(strategy.source_state, strategy.observables_t1)
+    effects = effect_stacks(strategy.observables_t1)
+
+    def tables(state):
+        return _outcome_tables(np.real(local_contraction(state.density, state.dims, effects)), n)
+
+    source_tables = tables(strategy.source_state)
     for _ in range(int(rounds)):
         settings = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        probs = tables[settings]
+        probs = source_tables[settings]
         flat = np.clip(probs.reshape(-1), 0.0, None)
         flat = flat / flat.sum()
         outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
-        projectors = [
-            strategy.observables_t1[k][settings[k]].effect(outcomes[k]) for k in range(n)
-        ]
+        projectors = [effects[k][2 * settings[k] + outcomes[k]] for k in range(n)]
         rho_prime = post_measurement_state(strategy.source_state, projectors)
         if tamper is not None:
             rho_prime = tamper(rho_prime)
-        probs2 = _outcome_tables(rho_prime, strategy.observables_t1)[settings]
+        probs2 = tables(rho_prime)[settings]
         flat2 = np.clip(probs2.reshape(-1), 0.0, None)
         flat2 = flat2 / flat2.sum()
         repeat = outcome_list[rng.choice(len(outcome_list), p=flat2)]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .certify import CertificationReport, CheckResult
+from .certify import MAX_VIOLATION_TOL, CertificationReport, CheckResult
 from .quantum import DichotomicObservable, Interaction, QuantumState
 from .scenario import CorrelationRecord, Strategy
 
@@ -245,7 +245,11 @@ def record_to_dict(record: CorrelationRecord) -> dict:
     extra = None
     if record.extra_stats is not None:
         extra = {
-            "passes": record.extra_stats.passes,
+            # The chain's side-statistics gate at its default tolerance.
+            "passes": all(
+                CheckResult.close_to(label, value, target, MAX_VIOLATION_TOL).passed
+                for label, value, target in record.extra_stats.entries
+            ),
             "entries": [[label, value, target] for label, value, target in record.extra_stats.entries],
         }
     return {

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
 from bellcert.quantum import Interaction
 from bellcert.reference import pre_interaction_basis, reference_strategy
 from bellcert.scenario import Strategy
@@ -25,6 +26,15 @@ def phase_distance(a, b):
     inner = np.trace(dag(b) @ a)
     phase = inner / abs(inner) if abs(inner) > 1e-12 else 1.0
     return float(np.max(np.abs(a - phase * b)))
+
+
+def on_target(stats):
+    """Whether every side statistic passes the certification chain's gate
+    (``CheckResult.close_to`` at the default maximal-violation tolerance)."""
+    return all(
+        CheckResult.close_to(label, value, target, MAX_VIOLATION_TOL).passed
+        for label, value, target in stats.entries
+    )
 
 
 def brute_force_classical_bound(parties, target_outcomes):

@@ -17,7 +17,7 @@ from bellcert.certify import (
     run_full_certification,
     support_isometry,
 )
-from bellcert.linalg import dagger, kron, max_abs, operator_block
+from bellcert.linalg import dagger, kron, max_abs, operator_block, partial_trace
 from bellcert.quantum import (
     DichotomicObservable,
     Interaction,
@@ -40,7 +40,6 @@ from bellcert.scenario import (
     Strategy,
     bell_branch_settings,
     canonical_reordering,
-    conditional_post_interaction_state,
     scramble_strategy,
 )
 
@@ -452,51 +451,98 @@ class TestOneLinePerPremise:
 
 
 class TestBranchStatesBuiltOnce:
-    """``run_scenario`` builds each conditional state once and the chain
-    reuses it; rank-deficient auxiliary states make the supports proper
-    isometries."""
+    """``run_scenario`` builds every conditional state once, as one stack,
+    and the chain takes the second-round supports from those states;
+    rank-deficient auxiliary states make the supports proper isometries."""
 
     @staticmethod
-    def fresh_supports(strategy, _record):
-        """Supports from conditional states computed anew, as the chain did
-        before it reused the record's states."""
+    def dense_supports(strategy, _record=None):
+        """Oracle: the supports of the average of the per-event marginals,
+        each event's state built densely as ``V Pi rho Pi^dag V^dag / p``."""
         n = strategy.parties
-        supports = {(p, 1): support_isometry(strategy.source_state.marginal(p).density) for p in range(n)}
-        sigmas = [
-            conditional_post_interaction_state(strategy, bell_branch_settings(n), a)
-            for a in itertools.product((0, 1), repeat=n)
-        ]
+        rho, v = strategy.source_state.density, strategy.interaction.matrix
+        dims = strategy.interaction.dims_out
+        supports = {
+            (p, 1): support_isometry(strategy.source_state.marginal(p).density) for p in range(n)
+        }
+        marginals = [[] for _ in range(n)]
+        for a in itertools.product((0, 1), repeat=n):
+            x = bell_branch_settings(n)
+            pi = kron(*[strategy.observables_t1[k][x[k]].effect(a[k]) for k in range(n)])
+            projected = pi @ rho @ dagger(pi)
+            sigma = v @ (projected / np.real(np.trace(projected))) @ dagger(v)
+            for p in range(n):
+                marginals[p].append(partial_trace(sigma, dims, p))
         for p in range(n):
-            average = sum(s.marginal(p).density for s in sigmas) / len(sigmas)
-            supports[(p, 2)] = support_isometry(average)
+            average = sum(marginals[p]) / len(marginals[p])
+            supports[(p, 2)] = support_isometry((average + dagger(average)) / 2.0)
         return supports
+
+    def certify_and_compare(self, strategy, monkeypatch):
+        """Certify, check that the chain builds one stack and takes the
+        supports from the record's own states, and compare those supports
+        with the dense oracle's.  Returns the report, the report with the
+        oracle's supports substituted, and the record's supports."""
+        parties = strategy.parties
+        seen = {"stacks": 0}
+        run, supports_of, stack_of = (
+            certify.run_scenario,
+            certify._compute_supports,
+            scenario.post_measurement_states,
+        )
+
+        def recording_run(s):
+            seen["record"] = run(s)
+            return seen["record"]
+
+        def recording_supports(s, record):
+            seen["read"] = record
+            return supports_of(s, record)
+
+        def counting_stack(*args):
+            seen["stacks"] += 1
+            return stack_of(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(certify, "run_scenario", recording_run)
+            m.setattr(certify, "_compute_supports", recording_supports)
+            m.setattr(scenario, "post_measurement_states", counting_stack)
+            report = run_full_certification(strategy)
+        # One stack for the whole chain, and the supports read the record's
+        # own states: read-only views into that stack.
+        record = seen["record"]
+        assert seen["stacks"] == 1 and seen["read"] is record
+        states = [s.density for s in record.conditional_states.values()]
+        assert len(states) == 2**parties + 1
+        assert all(s.base is states[0].base and not s.flags.writeable for s in states)
+
+        supports = certify._compute_supports(strategy, record)
+        dense = self.dense_supports(strategy)
+        assert supports.keys() == dense.keys()
+        for key, s in supports.items():
+            # Inside a degenerate eigenvalue an isometry is fixed only up to a
+            # unitary, so the supports are compared as projectors.
+            assert s.shape == dense[key].shape
+            assert max_abs(s @ dagger(s) - dense[key] @ dagger(dense[key])) <= 1e-12
+
+        monkeypatch.setattr(certify, "_compute_supports", self.dense_supports)
+        return report, run_full_certification(strategy), supports
 
     @pytest.mark.parametrize("parties, aux", [(3, (2, 1, 1)), (4, (1, 2, 1, 1))])
     def test_one_state_per_event(self, parties, aux, monkeypatch):
         strategy = scramble_strategy(reference_strategy(parties), aux, seed=5, xi_rank=1).strategy
-        built = []
-        original = scenario.conditional_post_interaction_state
-
-        def counting(*args):
-            built.append(args[1:])
-            return original(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(scenario, "conditional_post_interaction_state", counting)
-            report = run_full_certification(strategy)
-        assert len(built) == len(set(built)) == 2**parties + 1
-
-        record = scenario.run_scenario(strategy)
-        supports = certify._compute_supports(strategy, record)
-        fresh = self.fresh_supports(strategy, record)
-        assert supports.keys() == fresh.keys()
+        report, rebuilt, supports = self.certify_and_compare(strategy, monkeypatch)
         assert any(s.shape[0] != s.shape[1] for s in supports.values())
-        assert all(np.array_equal(supports[k], fresh[k]) for k in supports)
-
-        monkeypatch.setattr(certify, "_compute_supports", self.fresh_supports)
-        rebuilt = run_full_certification(strategy)
         assert report.verdict == rebuilt.verdict == "certified"
-        assert np.array_equal(report.interaction.aux_unitary, rebuilt.interaction.aux_unitary)
+
+    def test_full_rank_aux_unitary_unchanged(self, monkeypatch):
+        # Identity supports give the same frames, so the same V0; with the
+        # rank-one xi above, V0 depends on the basis chosen in the support.
+        strategy = scramble_strategy(reference_strategy(3), (2, 1, 1), seed=5).strategy
+        report, rebuilt, supports = self.certify_and_compare(strategy, monkeypatch)
+        assert all(s.shape[0] == s.shape[1] for s in supports.values())
+        assert report.verdict == rebuilt.verdict == "certified"
+        assert max_abs(report.interaction.aux_unitary - rebuilt.interaction.aux_unitary) <= 1e-12
 
 
 class TestIndependentHaarEmbedding:

@@ -148,6 +148,72 @@ class TestHostileInput:
         assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
 
 
+class TestBranchStackGuard:
+    """A strategy whose (2^N + 1) x D x D complex branch stack is over 1 GiB
+    is refused with exit 2 and one error line, before anything is built."""
+
+    @staticmethod
+    def refusal(capsys, command, limit="1 GiB"):
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert out.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"error: {command}: the branch stack ")
+        assert f"over the limit of {limit}" in lines[0]
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, need",
+        [
+            (["--parties", "9"], "9 parties"),
+            (["--parties", "1000000000"], "1000000000 parties"),
+            (["--parties", "6", "--scramble", "--aux-dims", "2,2,2,2,2,2"], "16.25 GiB"),
+            (["--parties", "2", "--scramble", "--aux-dims", "1,1832"], "4.00 GiB"),
+            (["--parties", "2", "--scramble", "--aux-dims", "1,916"], "1.00 GiB"),
+        ],
+    )
+    def test_make_strategy_refused(self, tmp_path, capsys, monkeypatch, argv, need):
+        built = []
+        monkeypatch.setattr(cli, "reference_strategy", built.append)
+        out = tmp_path / "s.json"
+        assert main(["make-strategy", str(out), *argv]) == 2
+        assert built == [] and not out.exists()
+        assert need in self.refusal(capsys, "make-strategy")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--parties", "8"],
+            ["--parties", "5", "--scramble", "--aux-dims", "2,2,2,2,2"],
+            ["--parties", "2", "--scramble", "--aux-dims", "1,915"],
+        ],
+    )
+    def test_make_strategy_within_the_bound(self, tmp_path, capsys, monkeypatch, argv):
+        def past_the_guard(parties):
+            raise SystemExit(0)  # stop before the strategy is built
+
+        monkeypatch.setattr(cli, "reference_strategy", past_the_guard)
+        assert main(["make-strategy", str(tmp_path / "s.json"), *argv]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "certify", "noise-sweep"])
+    def test_loaded_strategy_refused(self, tmp_path, capsys, monkeypatch, command):
+        # The N = 2 reference needs 5 * 4^2 * 16 = 1280 bytes.
+        path = tmp_path / "ref.json"
+        assert main(["make-strategy", str(path), "--parties", "2"]) == 0
+        argv = [command, str(path)] + (["--visibilities", "1"] if command == "noise-sweep" else [])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_BRANCH_STACK_BYTES", 1280)
+        assert main(argv) == 0
+        capsys.readouterr()
+        started = []
+        monkeypatch.setattr(cli, "run_scenario", started.append)
+        monkeypatch.setattr(cli, "run_full_certification", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(cli, "MAX_BRANCH_STACK_BYTES", 1279)
+        assert main(argv) == 2
+        assert started == []
+        assert "local dims (2, 2)" in self.refusal(capsys, command, f"{1279 / 2**30:g} GiB")
+
+
 class TestStrictJson:
     """A vanishing conditioning event gives NaN Bell values; every JSON the
     CLI writes is strict and carries ``null`` in their place."""

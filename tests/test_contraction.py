@@ -2,11 +2,13 @@
 replaced, which are kept here as the oracle: Born probabilities, branch
 states, Bell values, and the seesaw's effective operators."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from bellcert import quantum
 from bellcert.bell import (
     BellExpression,
     bell_coefficients,
@@ -17,24 +19,27 @@ from bellcert.bell import (
 )
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
+    ZERO_PROB,
     DichotomicObservable,
+    as_matrix,
     born_table,
     expectation,
     local_contraction,
     post_measurement_state,
+    pure_state,
     random_density,
     random_projective_observable,
 )
 from bellcert.reference import reference_strategy
-from bellcert.scenario import run_scenario, scramble_strategy
+from bellcert.scenario import (
+    bell_branch_settings,
+    extra_branch_settings,
+    run_scenario,
+    scramble_strategy,
+)
 from bellcert.seesaw import _effective_operators, _strategy_value
 
 EXACT = 1e-14
-
-
-def dense_probability(rho, effects):
-    """Oracle: ``Tr[(E_1 ox ... ox E_N) rho]`` with the Kronecker effect."""
-    return float(np.real(np.trace(kron(*effects) @ rho)))
 
 
 def dense_post_measurement(rho, projectors):
@@ -44,15 +49,22 @@ def dense_post_measurement(rho, projectors):
     return out / np.real(np.trace(out))
 
 
-def dense_distributions(rho, observables):
-    """Oracle outcome table ``{x: probs}`` of one state, one probability at a time."""
+def dense_effects(observables):
+    """The Kronecker effect of every (settings, outcomes) pair, stacked."""
     n = len(observables)
+    pairs = list(itertools.product(itertools.product((0, 1), repeat=n), repeat=2))
+    effects = [kron(*[observables[k][x[k]].effect(a[k]) for k in range(n)]) for x, a in pairs]
+    return pairs, np.stack(effects)
+
+
+def dense_distributions(rho, observables, effects=None):
+    """Oracle outcome table ``{x: probs}`` of one state: ``Tr[E rho]`` for
+    the Kronecker effect ``E`` of every outcome vector (``dense_effects``)."""
+    pairs, stack = dense_effects(observables) if effects is None else effects
+    probs = np.real(np.einsum("kij,ji->k", stack, rho))
     tables = {}
-    for x in itertools.product((0, 1), repeat=n):
-        probs = np.zeros((2,) * n)
-        for a in itertools.product((0, 1), repeat=n):
-            probs[a] = dense_probability(rho, [observables[k][x[k]].effect(a[k]) for k in range(n)])
-        tables[x] = probs
+    for (x, a), p in zip(pairs, probs):
+        tables.setdefault(x, np.zeros((2,) * len(observables)))[a] = p
     return tables
 
 
@@ -137,21 +149,84 @@ def test_contraction_rejects_mismatched_operators():
         post_measurement_state(state, [np.eye(3), np.eye(2)])
 
 
-@pytest.mark.parametrize("parties, aux", [(3, (1, 2, 1)), (4, (1, 1, 1, 1))])
+def product_source_strategy(parties):
+    """The reference with the source |0...0>: Bell-branch events vanish."""
+    reference = reference_strategy(parties)
+    zero = np.zeros(2**parties)
+    zero[0] = 1.0
+    return dataclasses.replace(reference, source_state=pure_state(zero, (2,) * parties))
+
+
+@pytest.mark.parametrize(
+    "parties, aux", [(3, (1, 2, 1)), (4, (1, 1, 1, 1)), (2, (3, 2)), (5, (1,) * 5), (3, None)]
+)
 def test_run_scenario_matches_dense_formula(parties, aux):
-    strategy = scramble_strategy(reference_strategy(parties), aux, seed=9).strategy
+    # aux None: the product source, whose vanishing events are left out
+    if aux is None:
+        strategy = product_source_strategy(parties)
+    else:
+        strategy = scramble_strategy(reference_strategy(parties), aux, seed=9).strategy
+    parties = strategy.parties
     record = run_scenario(strategy)
     rho = strategy.source_state.density
-    for x, probs in dense_distributions(rho, strategy.observables_t1).items():
+    p1 = dense_distributions(rho, strategy.observables_t1)
+    for x, probs in p1.items():
         assert max_abs(record.p1[x] - probs) <= EXACT
+    obs_t1, obs_t2 = (
+        [[as_matrix(o) for o in pair] for pair in obs]
+        for obs in (strategy.observables_t1, strategy.observables_t2)
+    )
+    expr = BellExpression(parties, (0,) * parties)
+    t1 = np.real(np.trace(dense_bell_operator(expr, obs_t1) @ rho))
+    assert abs(record.t1_bell_value - t1) <= 1e-13
+
     v = strategy.interaction.matrix
-    assert len(record.p2) == 2**parties + 1
+    effects_t2 = dense_effects(strategy.observables_t2)
+    events = [(bell_branch_settings(parties), a) for a in itertools.product((0, 1), repeat=parties)]
+    events.append((extra_branch_settings(parties), (0,) * parties))
+    kept = [(x1, a1) for x1, a1 in events if p1[x1][a1] > ZERO_PROB]
+    assert list(record.p2) == list(record.conditional_states) == kept
+    if aux is None:
+        assert len(kept) < len(events)
+    else:
+        assert len(kept) == 2**parties + 1
     for (x1, a1), tables in record.p2.items():
         projectors = [strategy.observables_t1[k][x1[k]].effect(a1[k]) for k in range(parties)]
         sigma = v @ dense_post_measurement(rho, projectors) @ dagger(v)
         assert max_abs(record.conditional_states[(x1, a1)].density - sigma) <= EXACT
-        for x2, probs in dense_distributions(sigma, strategy.observables_t2).items():
+        for x2, probs in dense_distributions(sigma, strategy.observables_t2, effects_t2).items():
             assert max_abs(tables[x2] - probs) <= EXACT
+        if x1 == bell_branch_settings(parties):
+            op = dense_bell_operator(BellExpression(parties, a1), obs_t2)
+            assert abs(record.t2_bell_values[a1] - np.real(np.trace(op @ sigma))) <= 1e-13
+        else:
+            t0 = tilde_observables(*obs_t2[0])[0]
+            for label, value, target in record.extra_stats.entries:
+                party = int(label.split()[-1]) - 1
+                ops = [np.eye(d) for d in strategy.interaction.dims_out]
+                if label.startswith("tilde0"):
+                    ops[0] = t0
+                else:
+                    ops[party] = obs_t2[party][1]
+                assert abs(value - np.real(np.trace(kron(*ops) @ sigma))) <= 1e-13
+    assert set(record.t2_bell_values) == {a for x, a in kept if x == bell_branch_settings(parties)}
+
+
+def test_chunked_stack_matches_one_chunk(monkeypatch):
+    # Two branches per chunk: nine branches go in five chunks, the last of one.
+    strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), seed=9).strategy
+    whole = run_scenario(strategy)
+    monkeypatch.setattr(quantum, "CHUNK_BYTES", 2 * 16 * strategy.source_state.dim**2)
+    chunked = run_scenario(strategy)
+    assert list(chunked.conditional_states) == list(whole.conditional_states)
+    for event, state in whole.conditional_states.items():
+        assert max_abs(chunked.conditional_states[event].density - state.density) <= EXACT
+        for x2, probs in whole.p2[event].items():
+            assert max_abs(chunked.p2[event][x2] - probs) <= EXACT
+    for outcomes, value in whole.t2_bell_values.items():
+        assert abs(chunked.t2_bell_values[outcomes] - value) <= 1e-13
+    extra = np.array(chunked.extra_stats.values) - np.array(whole.extra_stats.values)
+    assert max_abs(extra) <= 1e-13
 
 
 def dense_bell_operator(expr, observables):
