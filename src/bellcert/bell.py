@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatchError, dagger, kron, max_abs
-from .quantum import QuantumState, as_matrix, effect, local_contraction
+from .quantum import QuantumState, as_matrix, effect, effect_table
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -45,6 +45,7 @@ __all__ = [
     "setting_stacks",
     "effect_stacks",
     "correlator_table",
+    "bell_values",
     "build_bell_operator",
     "classical_bound",
     "quantum_value",
@@ -168,11 +169,17 @@ def correlator_table(effect_table: np.ndarray, parties: int) -> np.ndarray:
     return t
 
 
+def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int) -> np.ndarray:
+    """``bell_coefficients`` summed against a ``correlator_table`` over the
+    last ``parties`` axes; leading axes of either index branches."""
+    return np.sum(coefficients * correlators, axis=tuple(range(-parties, 0)))
+
+
 def _correlators(state: QuantumState, observables, parties: int) -> np.ndarray:
     stacks = effect_stacks(observables)
     if len(stacks) != parties:
         raise DimensionMismatchError(f"need observables for {parties} parties, got {len(stacks)}")
-    return correlator_table(np.real(local_contraction(state.density, state.dims, stacks)), parties)
+    return correlator_table(effect_table(state.density, state.dims, stacks), parties)
 
 
 def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
@@ -228,7 +235,7 @@ def quantum_value(state: QuantumState, observables, expr: BellExpression) -> flo
     """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
     against the state's correlators, so no D x D operator is formed."""
     table = _correlators(state, observables, expr.parties)
-    return float(np.tensordot(bell_coefficients(expr), table, axes=expr.parties))
+    return float(bell_values(bell_coefficients(expr), table, expr.parties))
 
 
 def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.ndarray]]:

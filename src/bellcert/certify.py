@@ -35,6 +35,7 @@ from .bell import BellExpression
 from .linalg import (
     CERT_TOL,
     dagger,
+    fix_column_phases,
     herm_eig,
     kron,
     max_abs,
@@ -113,22 +114,30 @@ class LocalFrame:
 
 
 def support_isometry(density: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Columns spanning the support of a positive matrix.
+    """Orthonormal columns spanning the support of a positive matrix.
 
     Full-rank inputs return the identity, so strategies without dark
-    subspaces are handled in their native basis; otherwise the eigenvectors
-    with eigenvalue above ``cutoff`` are returned (descending eigenvalue,
-    deterministic phase).
+    subspaces are handled in their native basis.  Otherwise the support is
+    spanned by the eigenvectors with eigenvalue above ``cutoff``, but inside
+    a degenerate eigenvalue (the qubit factor ``I/2`` of a rank-deficient
+    support makes one) ``eigh`` picks a basis by roundoff, and the frames
+    and the recovered auxiliary unitary would inherit it.  So the columns
+    returned are the eigenvectors of the position operator
+    ``diag(0, 1, ..., d-1)`` compressed to the support (ascending, with the
+    phase convention of ``herm_eig``): they depend on the support alone,
+    and are unique whenever that compression has a simple spectrum.
     """
     density = np.asarray(density, dtype=complex)
     eig = herm_eig(density)
     mask = eig.eigenvalues > cutoff
     if np.all(mask):
         return np.eye(density.shape[0], dtype=complex)
-    cols = np.flatnonzero(mask)[::-1]  # descending eigenvalue
-    if cols.size == 0:
+    if not mask.any():
         raise FramePremiseError("state support is empty")
-    return eig.eigenvectors[:, cols]
+    span = eig.eigenvectors[:, mask]
+    position = np.arange(density.shape[0], dtype=float)
+    compressed = dagger(span) @ (position[:, None] * span)
+    return fix_column_phases(span @ herm_eig(compressed).eigenvectors)
 
 
 def check_anticommutation(a0, a1) -> float:

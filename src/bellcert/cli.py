@@ -66,13 +66,17 @@ MAX_BRANCH_STACK_BYTES = 1 << 30
 
 
 def _check_branch_stack(command: str, parties: int, local_dims=None) -> None:
-    """Refuse a strategy whose branch stack would exceed the bound."""
-    # Every local dimension is at least 2, so the stack holds at least
-    # 2^N * 4^N entries: over 8 parties the count alone is over the bound.
-    if parties > 8:
+    """Refuse a strategy whose branch stack would exceed the bound.
+
+    Without ``local_dims`` (``make-strategy`` before ``--aux-dims`` is read)
+    every local dimension is at least 2, so the stack holds at least
+    2^N * 4^N entries: over 8 parties the count alone is over the bound.
+    A loaded strategy may have dimension-1 parties, so its size is exact.
+    """
+    if local_dims is None:
+        if parties <= 8:
+            return
         need = f"{parties} parties need at least 2^{3 * parties + 4} bytes"
-    elif local_dims is None:
-        return
     else:
         size = (2**parties + 1) * math.prod(local_dims) ** 2 * 16
         if size <= MAX_BRANCH_STACK_BYTES:

@@ -28,6 +28,7 @@ __all__ = [
     "max_abs",
     "is_hermitian",
     "fix_global_phase",
+    "fix_column_phases",
     "herm_eig",
     "sign_operator",
     "partial_trace",
@@ -135,12 +136,16 @@ def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:
             f"(defect {max_abs(h - dagger(h)):.3e})"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    # fix_global_phase on every column at once, with the same arithmetic.
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=fix_column_phases(vecs))
+
+
+def fix_column_phases(vecs: np.ndarray) -> np.ndarray:
+    """``fix_global_phase`` on every column of a matrix at once, with the
+    same arithmetic."""
     big = np.abs(vecs) > SINGULAR_FLOOR
     pivot = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
     pivot = np.where(big.any(axis=0), pivot, 1.0)
-    vecs = np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
 
 
 def sign_operator(h: np.ndarray, floor: float = SINGULAR_FLOOR) -> np.ndarray:

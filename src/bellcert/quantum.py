@@ -51,6 +51,7 @@ __all__ = [
     "Interaction",
     "pure_state",
     "local_contraction",
+    "effect_table",
     "born_table",
     "expectation",
     "post_measurement_state",
@@ -275,12 +276,17 @@ def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
 
 
+def effect_table(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
+    """Unclamped outcome probabilities ``Tr[(E^1_{i_1} ox ... ox E^N_{i_N}) rho]``
+    for every combination of per-party effects, of one state or a ``(B, D, D)``
+    stack (see ``local_contraction``)."""
+    return np.real(local_contraction(rho, dims, stacks))
+
+
 def born_table(state: QuantumState, stacks) -> np.ndarray:
-    """Outcome probabilities ``Tr[(E^1_{i_1} ox ... ox E^N_{i_N}) rho]`` for
-    every combination of per-party effects (see ``local_contraction``).
-    Values within ``ZERO_PROB`` of the [0, 1] boundary are clamped onto it.
-    """
-    return clamp_probabilities(np.real(local_contraction(state.density, state.dims, stacks)))
+    """``effect_table`` of a state with the values within ``ZERO_PROB`` of
+    the [0, 1] boundary clamped onto it."""
+    return clamp_probabilities(effect_table(state.density, state.dims, stacks))
 
 
 def expectation(state: QuantumState, observables) -> float:

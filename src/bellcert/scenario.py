@@ -33,6 +33,7 @@ from .bell import (
     BellExpression,
     ExtraStatistics,
     bell_coefficients,
+    bell_values,
     correlator_table,
     effect_stacks,
     extra_statistics,
@@ -45,7 +46,7 @@ from .quantum import (
     QuantumState,
     _rng,
     clamp_probabilities,
-    local_contraction,
+    effect_table,
     post_measurement_state,
     post_measurement_states,
     random_density,
@@ -217,10 +218,10 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     source, dims_out = strategy.source_state, strategy.interaction.dims_out
 
     effects_t1 = effect_stacks(strategy.observables_t1)
-    table_t1 = np.real(local_contraction(source.density, source.dims, effects_t1))
+    table_t1 = effect_table(source.density, source.dims, effects_t1)
     p1 = _by_setting(_outcome_tables(table_t1, n), n)
-    expr = BellExpression(n, (0,) * n)
-    t1_value = float(np.tensordot(bell_coefficients(expr), correlator_table(table_t1, n), axes=n))
+    coefficients_t1 = bell_coefficients(BellExpression(n, (0,) * n))
+    t1_value = float(bell_values(coefficients_t1, correlator_table(table_t1, n), n))
 
     # The conditioning events with non-vanishing probability: the Bell
     # branch's outcome vectors in order, then the side-statistics event.
@@ -230,12 +231,12 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
     stack = post_measurement_states(source, projectors, strategy.interaction)
 
-    table_t2 = np.real(local_contraction(stack, dims_out, effect_stacks(strategy.observables_t2)))
+    table_t2 = effect_table(stack, dims_out, effect_stacks(strategy.observables_t2))
     p2_tables = _outcome_tables(table_t2, n)
     correlators = correlator_table(table_t2, n)
     bell = [b for b, (x, _) in enumerate(events) if x == x_bell]
     coefficients = np.stack([bell_coefficients(BellExpression(n, events[b][1])) for b in bell])
-    t2_values = np.sum(coefficients * correlators[bell], axis=tuple(range(1, n + 1)))
+    t2_values = bell_values(coefficients, correlators[bell], n)
 
     extra = None
     if events[-1][0] == x_extra:
@@ -278,7 +279,7 @@ def repeatability_spotcheck(
     effects = effect_stacks(strategy.observables_t1)
 
     def tables(state):
-        return _outcome_tables(np.real(local_contraction(state.density, state.dims, effects)), n)
+        return _outcome_tables(effect_table(state.density, state.dims, effects), n)
 
     source_tables = tables(strategy.source_state)
     for _ in range(int(rounds)):

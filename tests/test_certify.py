@@ -105,6 +105,19 @@ class TestSupportIsometry:
         assert max_abs(dagger(s) @ s - np.eye(2)) < 1e-12
         assert max_abs(s @ dagger(s) - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
 
+    def test_basis_depends_on_support_alone(self):
+        # Two states with the same support whose eigenbases inside it differ
+        # by a rotation: the isometry is the same, and for a coordinate
+        # subspace it is the coordinate basis.
+        w = random_unitary(4, np.random.default_rng(3))
+        q = w[:, :2]
+        r = random_unitary(2, np.random.default_rng(4))
+        rho = q @ np.diag([0.5 + 1e-13, 0.5 - 1e-13]) @ dagger(q)
+        rotated = (q @ r) @ np.diag([0.7, 0.3]) @ dagger(q @ r)
+        assert max_abs(support_isometry(rho) - support_isometry(rotated)) < 1e-12
+        coordinate = np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)
+        assert max_abs(support_isometry(coordinate) - np.eye(4)[:, [1, 3]]) < 1e-15
+
 
 class TestExtractLocalFrame:
     def test_identity_case(self):
@@ -520,24 +533,24 @@ class TestBranchStatesBuiltOnce:
         dense = self.dense_supports(strategy)
         assert supports.keys() == dense.keys()
         for key, s in supports.items():
-            # Inside a degenerate eigenvalue an isometry is fixed only up to a
-            # unitary, so the supports are compared as projectors.
             assert s.shape == dense[key].shape
-            assert max_abs(s @ dagger(s) - dense[key] @ dagger(dense[key])) <= 1e-12
+            assert max_abs(s - dense[key]) <= 1e-12
 
         monkeypatch.setattr(certify, "_compute_supports", self.dense_supports)
         return report, run_full_certification(strategy), supports
 
     @pytest.mark.parametrize("parties, aux", [(3, (2, 1, 1)), (4, (1, 2, 1, 1))])
     def test_one_state_per_event(self, parties, aux, monkeypatch):
+        # The rank-one xi makes the second-round supports rank-deficient with
+        # a degenerate eigenvalue, so this also checks that the isometry, and
+        # hence V0, does not depend on the basis eigh picks inside it.
         strategy = scramble_strategy(reference_strategy(parties), aux, seed=5, xi_rank=1).strategy
         report, rebuilt, supports = self.certify_and_compare(strategy, monkeypatch)
         assert any(s.shape[0] != s.shape[1] for s in supports.values())
         assert report.verdict == rebuilt.verdict == "certified"
+        assert max_abs(report.interaction.aux_unitary - rebuilt.interaction.aux_unitary) <= 1e-12
 
     def test_full_rank_aux_unitary_unchanged(self, monkeypatch):
-        # Identity supports give the same frames, so the same V0; with the
-        # rank-one xi above, V0 depends on the basis chosen in the support.
         strategy = scramble_strategy(reference_strategy(3), (2, 1, 1), seed=5).strategy
         report, rebuilt, supports = self.certify_and_compare(strategy, monkeypatch)
         assert all(s.shape[0] == s.shape[1] for s in supports.values())

@@ -11,7 +11,8 @@ import pytest
 from bellcert import certify, cli
 from bellcert.cli import main
 from bellcert.certify import run_full_certification
-from bellcert.quantum import DichotomicObservable, QuantumState
+from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
+from bellcert.scenario import Strategy
 from bellcert.serialize import save_strategy, strategy_to_dict
 
 from conftest import diag_phase_deviation, swap_deviation
@@ -212,6 +213,39 @@ class TestBranchStackGuard:
         assert main(argv) == 2
         assert started == []
         assert "local dims (2, 2)" in self.refusal(capsys, command, f"{1279 / 2**30:g} GiB")
+
+    def test_loaded_dimension_one_parties_sized_exactly(self, tmp_path, capsys, monkeypatch):
+        # Nine parties with dims (2, 1, ..., 1): a 513 x 2 x 2 stack of 32 KiB,
+        # not the 2^31 bytes nine parties of dimension 2 or more would need.
+        n = 9
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        ones = (np.eye(1), np.eye(1))
+
+        def pairs(t):
+            return tuple(
+                tuple(
+                    DichotomicObservable(m, party=p, setting=j, time_slice=t)
+                    for j, m in enumerate((z, x) if p == 0 else ones)
+                )
+                for p in range(n)
+            )
+
+        dims = (2,) + (1,) * (n - 1)
+        strategy = Strategy(
+            source_state=QuantumState(np.diag([0.5, 0.5]), dims),
+            observables_t1=pairs(1),
+            observables_t2=pairs(2),
+            interaction=Interaction(np.eye(2), dims, dims),
+        )
+        path = tmp_path / "thin.json"
+        save_strategy(strategy, path)
+
+        def past_the_guard(*args):
+            raise SystemExit(0)  # stop before the scenario runs
+
+        monkeypatch.setattr(cli, "run_scenario", past_the_guard)
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestStrictJson:
