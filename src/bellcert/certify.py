@@ -42,12 +42,11 @@ from .linalg import (
     operator_block,
 )
 from .quantum import QuantumState, as_matrix
-from .reference import entangling_unitary, ghz_like_vector, pre_interaction_basis, target_observables
+from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
 from .scenario import (
     CorrelationRecord,
     Strategy,
     bell_branch_settings,
-    canonical_reordering,
     run_scenario,
 )
 
@@ -212,10 +211,27 @@ def _paired_frame(m0, m1, targets, tol: float) -> tuple[np.ndarray, float]:
     return u, resid
 
 
-def _canonical_transform(frames: tuple[LocalFrame, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Compose per-party frames and reorder to (all qubits, then all aux)."""
-    aux_dims = tuple(f.aux_dim for f in frames)
-    return canonical_reordering(aux_dims) @ kron(*[f.matrix for f in frames]), aux_dims
+def _to_canonical(
+    m: np.ndarray, frames_out: tuple[LocalFrame, ...], frames_in: tuple[LocalFrame, ...]
+) -> np.ndarray:
+    """``C_out m C_in^dag`` for the canonical transforms ``C = R (F_1 ox ...
+    ox F_N)``: every frame ``F_n`` acts on its own party's axis (one
+    ``tensordot`` per party and side), and the reorder ``R`` from (qubit_1,
+    aux_1, qubit_2, aux_2, ...) to (all qubits, then all aux) is an axis
+    transpose, so no D x D transform is formed."""
+    n = len(frames_out)
+    t = m.reshape(tuple(f.matrix.shape[1] for f in (*frames_out, *frames_in)))
+    # Each step contracts the leading axis and appends the frame's output
+    # axis, so after 2N steps the axes are back in party order.
+    for f in frames_out:
+        t = np.tensordot(t, f.matrix, axes=(0, 1))
+    for f in frames_in:
+        t = np.tensordot(t, np.conj(f.matrix), axes=(0, 1))
+    t = t.reshape(tuple(d for f in (*frames_out, *frames_in) for d in (2, f.aux_dim)))
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]  # all qubits, then all aux
+    order += [2 * n + k for k in order]  # the same on the column side
+    rows = 2**n * int(np.prod([f.aux_dim for f in frames_out]))
+    return t.transpose(order).reshape(rows, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,11 +244,12 @@ class StateCertificate:
 
 
 def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -> StateCertificate:
-    """Rotate the source by the first-round frames and split off the
-    auxiliary state: residual of ``rho' - |phi_0><phi_0| ox xi``."""
-    c1, aux_dims = _canonical_transform(frames_t1)
+    """Rotate the source by the first-round frames, each acting on its own
+    party, and split off the auxiliary state: residual of
+    ``rho' - |phi_0><phi_0| ox xi``."""
     n = len(frames_t1)
-    rho_can = c1 @ rho.density @ dagger(c1)
+    aux_dims = tuple(f.aux_dim for f in frames_t1)
+    rho_can = _to_canonical(rho.density, frames_t1, frames_t1)
     phi = ghz_like_vector((0,) * n)
     aux_total = int(np.prod(aux_dims))
     xi = operator_block(rho_can, phi, phi, (2**n, aux_total), (2**n, aux_total))
@@ -269,29 +286,28 @@ def certify_interaction(
 ) -> InteractionCertificate:
     """Recover the auxiliary unitary and gate the claim ``W = U ox V0``.
 
-    In the certified frames, with all qubit factors first, the interaction
-    ``W`` must be the reference entangling unitary ``U`` times one auxiliary
-    block.  ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` is the least-squares estimate
+    In the certified frames (applied party by party), with all qubit
+    factors first, the interaction ``W`` must be the reference entangling
+    unitary ``U`` times one auxiliary block.  ``U = G B^dag`` is built from
+    the Kronecker product ``B`` of the per-party pre-interaction bases,
+    whose columns are also the inputs ``|in_a>`` below.  ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` is the least-squares estimate
     of that block, and the claim holds when the residual ``max|W - U ox V0|``
     and the unitarity defect of ``V0`` are both within ``tol_cert``.
     ``proportionality_error`` is the largest block
     ``(<out| ox I)(W - U ox V0)(|in_a> ox I)`` over computational outputs
     and pre-interaction inputs; a failing residual names that block.
     """
-    c1, aux_in_dims = _canonical_transform(frames_t1)
-    c2, aux_out_dims = _canonical_transform(frames_t2)
-    w = c2 @ as_matrix(interaction) @ dagger(c1)
+    w = _to_canonical(as_matrix(interaction), frames_t2, frames_t1)
     d_q = 2**parties
-    shape = (d_q, int(np.prod(aux_out_dims)), d_q, int(np.prod(aux_in_dims)))
-    u = entangling_unitary(parties)
+    shape = (d_q, w.shape[0] // d_q, d_q, w.shape[1] // d_q)
+    basis = pre_interaction_matrix(parties)
+    u = ghz_matrix(parties) @ dagger(basis)
     v0 = np.einsum("ik,ijkl->jl", np.conj(u), w.reshape(shape)) / d_q
     deviation = w - kron(u, v0)
     residual = max_abs(deviation)
     unit_defect = max_abs(dagger(v0) @ v0 - np.eye(shape[3]))
 
-    basis = pre_interaction_basis(parties)
-    inputs = np.column_stack([vec for _, vec in basis])
-    blocks = np.einsum("ijkl,ka->iajl", deviation.reshape(shape), inputs)
+    blocks = np.einsum("ijkl,ka->iajl", deviation.reshape(shape), basis)
     norms = np.max(np.abs(blocks), axis=(2, 3))
     out, a = np.unravel_index(np.argmax(norms), norms.shape)
     worst = float(norms[out, a])
@@ -303,7 +319,7 @@ def certify_interaction(
         failures.append(
             f"rotated interaction differs from U ox V0 by {residual:.3e} (max-norm), "
             f"beyond {tol_cert:g}: block out={out:0{parties}b} of input "
-            f"{''.join(map(str, basis[a][0]))} disagrees by {worst:.3e}"
+            f"{a:0{parties}b} disagrees by {worst:.3e}"
         )
     return InteractionCertificate(
         aux_unitary=v0,

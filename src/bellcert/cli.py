@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import logging
 import math
@@ -361,7 +362,10 @@ def cmd_seesaw(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no handler:
+    ``main`` looks up ``cmd_<command>`` when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="bellcert",
         description="Simulate the two-round Bell scenario and certify the entangling interaction",
@@ -373,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="classical and quantum bounds of the Bell family")
     p.add_argument("parties", type=int)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("make-strategy", help="write a built-in reference (or scrambled) strategy")
     p.add_argument("out")
@@ -382,25 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux-dims", default=None, help="comma-separated auxiliary dims per party")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--visibility", type=float, default=1.0)
-    p.set_defaults(func=cmd_make_strategy)
 
     p = sub.add_parser("simulate", help="run the scenario and emit the correlation record")
     p.add_argument("strategy")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("certify", help="run the full certification chain")
     p.add_argument("strategy")
     p.add_argument("--report", default=None)
     p.add_argument("--tolerance", type=float, default=1e-9, help="maximal-violation tolerance")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("noise-sweep", help="Bell values and verdicts under source white noise")
     p.add_argument("strategy")
     p.add_argument("--visibilities", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("seesaw", help="alternating maximization of the Bell value")
     p.add_argument("--parties", type=int, required=True)
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_seesaw)
     return parser
 
 
@@ -419,8 +417,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches our contract
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     except Exception as exc:  # exit 1 means "refuted", so a crash must not fall through to it

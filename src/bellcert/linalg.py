@@ -61,12 +61,22 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, big-endian factor order."""
+    """Kronecker product of one or more matrices, big-endian factor order.
+
+    Each step is one broadcast product and a reshape, one multiplication per
+    entry as in ``numpy.kron``, so the result is the same to the bit.
+    """
     if not ops:
         raise ValueError("kron needs at least one operand")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+    mats = [np.asarray(op, dtype=complex) for op in ops]
+    if any(m.ndim != 2 for m in mats):
+        raise DimensionMismatchError(
+            f"kron: operands must be matrices, got shapes {[m.shape for m in mats]}"
+        )
+    out = mats[0]
+    for b in mats[1:]:
+        rows, cols = out.shape[0] * b.shape[0], out.shape[1] * b.shape[1]
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
     return out
 
 

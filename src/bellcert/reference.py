@@ -12,6 +12,10 @@ comparison, so they are fixed here once):
 The entangling unitary maps the product basis
 ``|b_{a_1}> ox |a_2> ox |x_{a_3}> ox ... ox |x_{a_N}>`` onto the maximally
 entangled family ``|phi_a> = (|a> + (-1)^{a_1} |a_complement>) / sqrt(2)``.
+Both sets are built whole from their factors: the product basis is the
+columns of one Kronecker product ``B`` of the per-party 2 x 2 basis
+matrices, the family is the columns of the fixed matrix ``G``, and the
+unitary is ``U = G B^dag``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import dagger, kron
 from .quantum import DichotomicObservable, Interaction, QuantumState, pure_state
 
 __all__ = [
@@ -35,7 +39,9 @@ __all__ = [
     "target_observables",
     "ghz_like_vector",
     "reference_observables",
+    "ghz_matrix",
     "entangling_unitary",
+    "pre_interaction_matrix",
     "pre_interaction_basis",
     "pre_interaction_vector",
     "measured_eigenvector",
@@ -107,21 +113,35 @@ def pre_interaction_vector(outcomes: tuple[int, ...]) -> np.ndarray:
     return kron(*[bases[n][bits[n]].reshape(-1, 1) for n in range(len(bits))]).reshape(-1)
 
 
+def pre_interaction_matrix(parties: int) -> np.ndarray:
+    """``B``: the 2^N pre-interaction product states as columns, column
+    ``a`` for outcome bits ``a`` (big-endian), built as one Kronecker
+    product of the per-party 2 x 2 first-round basis matrices."""
+    return kron(*[np.column_stack(basis) for basis in _first_round_basis(parties)])
+
+
+def ghz_matrix(parties: int) -> np.ndarray:
+    """``G``: the 2^N vectors ``|phi_a>`` of ``ghz_like_vector`` as columns,
+    column ``a`` for outcome bits ``a`` (big-endian)."""
+    d = 2**parties
+    a = np.arange(d)
+    g = np.zeros((d, d), dtype=complex)
+    g[a, a] = 1.0
+    g[d - 1 - a, a] += np.where(a < d // 2, 1.0, -1.0)  # (-1)^{a_1} on |a_complement>
+    return g / math.sqrt(2.0)
+
+
 def pre_interaction_basis(parties: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All 2^N pre-interaction product states, keyed by outcome bits."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=parties):
-        out.append((bits, pre_interaction_vector(bits)))
-    return out
+    """All 2^N pre-interaction product states, keyed by outcome bits: the
+    columns of ``pre_interaction_matrix``."""
+    columns = pre_interaction_matrix(parties).T
+    return list(zip(itertools.product((0, 1), repeat=parties), columns))
 
 
 def entangling_unitary(parties: int) -> np.ndarray:
-    """The reference interaction ``sum_a |phi_a><basis_a|`` on N qubits."""
-    d = 2**parties
-    u = np.zeros((d, d), dtype=complex)
-    for bits, vec in pre_interaction_basis(parties):
-        u += np.outer(ghz_like_vector(bits), np.conj(vec))
-    return u
+    """The reference interaction ``U = sum_a |phi_a><basis_a| = G B^dag`` on
+    N qubits (``G = ghz_matrix``, ``B = pre_interaction_matrix``)."""
+    return ghz_matrix(parties) @ dagger(pre_interaction_matrix(parties))
 
 
 def measured_eigenvector(party: int, setting: int, outcome: int) -> np.ndarray:

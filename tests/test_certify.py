@@ -165,6 +165,75 @@ def _frames_of(report):
     return t1, t2
 
 
+class TestFramesActPerParty:
+    """The frames applied party by party, with the qubits-first reorder as an
+    axis transpose, agree with the dense transform
+    ``canonical_reordering(aux) @ kron(F_1, ..., F_N)`` built from the
+    chain's own frames."""
+
+    @staticmethod
+    def dense_transform(frames):
+        aux = tuple(f.aux_dim for f in frames)
+        return canonical_reordering(aux) @ kron(*[f.matrix for f in frames])
+
+    @pytest.fixture(
+        params=[
+            ((2, 3), (3, 2), {}),
+            ((3, 5), (2, 1, 1), {"xi_rank": 1}),
+        ],
+        ids=["unequal-aux", "rank-deficient"],
+    )
+    def certified(self, request):
+        (parties, seed), aux, kw = request.param
+        strategy = scramble_strategy(reference_strategy(parties), aux, seed=seed, **kw).strategy
+        report = run_full_certification(strategy)
+        assert report.verdict == "certified", report.failures
+        if kw:
+            # the rank-one xi leaves party 1 a rank-deficient support in both
+            # rounds, so its frames are 2k x d rectangles with 2k < d
+            assert [f.matrix.shape for f in report.frames if f.party == 0] == [(2, 4), (2, 4)]
+        return strategy, report
+
+    def test_source_state(self, certified):
+        strategy, report = certified
+        frames_t1, _ = _frames_of(report)
+        n = strategy.parties
+        c1 = self.dense_transform(frames_t1)
+        rho = c1 @ strategy.source_state.density @ dagger(c1)
+        phi = ghz_like_vector((0,) * n)
+        k = rho.shape[0] // 2**n
+        xi = operator_block(rho, phi, phi, (2**n, k), (2**n, k))
+        xi = (xi + dagger(xi)) / 2.0
+        residual = max_abs(rho - kron(np.outer(phi, np.conj(phi)), xi))
+
+        cert = certify_source_state(strategy.source_state, frames_t1)
+        assert abs(cert.residual - residual) <= 1e-14
+        assert max_abs(cert.aux_state - xi) <= 1e-14
+
+    def test_interaction(self, certified):
+        strategy, report = certified
+        frames_t1, frames_t2 = _frames_of(report)
+        n = strategy.parties
+        c1, c2 = self.dense_transform(frames_t1), self.dense_transform(frames_t2)
+        w = c2 @ strategy.interaction.matrix @ dagger(c1)
+        d_q = 2**n
+        k_out, k_in = w.shape[0] // d_q, w.shape[1] // d_q
+        u = entangling_unitary(n)
+        v0 = np.einsum("ik,ijkl->jl", np.conj(u), w.reshape(d_q, k_out, d_q, k_in)) / d_q
+        deviation = w - kron(u, v0)
+        dims_out, dims_in = (d_q, k_out), (d_q, k_in)
+        proportionality = max(
+            max_abs(operator_block(deviation, e_out, pre_interaction_vector(bits), dims_out, dims_in))
+            for e_out in np.eye(d_q)
+            for bits in itertools.product((0, 1), repeat=n)
+        )
+
+        cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, n)
+        assert max_abs(cert.aux_unitary - v0) <= 1e-14
+        assert abs(cert.residual - max_abs(deviation)) <= 1e-14
+        assert abs(cert.proportionality_error - proportionality) <= 1e-14
+
+
 class TestCertifySourceState:
     def test_reference_state(self, ref2):
         report = run_full_certification(ref2)

@@ -149,6 +149,24 @@ class TestHostileInput:
         assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
 
 
+class TestSharedParser:
+    """The parser is built once per process and carries no state between
+    calls; handlers are looked up when ``main`` dispatches."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        assert main(["make-strategy", str(path), "--parties", "2"]) == 0
+        capsys.readouterr()
+        tolerances = []
+        for extra in (["--tolerance", "1e-3"], []):
+            assert main(["--format", "machine", "certify", str(path), *extra]) == 0
+            tolerances.append(json.loads(capsys.readouterr().out)["provenance"]["max_violation_tol"])
+        assert tolerances == [1e-3, 1e-9]
+
+
 class TestBranchStackGuard:
     """A strategy whose (2^N + 1) x D x D complex branch stack is over 1 GiB
     is refused with exit 2 and one error line, before anything is built."""

@@ -45,6 +45,52 @@ class TestKron:
     def test_dimensions_multiply(self):
         assert kron(np.ones((2, 3)), np.ones((4, 5))).shape == (8, 15)
 
+    @staticmethod
+    def _numpy_chain(*ops):
+        out = np.asarray(ops[0], dtype=complex)
+        for op in ops[1:]:
+            out = np.kron(out, np.asarray(op, dtype=complex))
+        return out
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2, 2), (3, 3)],
+            [(2, 3), (4, 1)],
+            [(1, 1), (3, 2)],
+            [(3, 2), (1, 1)],
+            [(1, 1), (1, 1)],
+            [(2, 2), (3, 1), (1, 4)],
+            [(2, 3), (2, 2), (3, 2), (2, 1)],
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bit_identical_to_numpy(self, shapes, kind):
+        rng = np.random.default_rng(len(shapes))
+        ops = [rng.normal(size=s) for s in shapes]
+        if kind == "complex":
+            ops = [op + 1j * rng.normal(size=op.shape) for op in ops]
+        got = kron(*ops)
+        assert got.dtype == complex
+        assert np.array_equal(got, self._numpy_chain(*ops))
+
+    def test_columns(self):
+        # pre_interaction_vector passes (d, 1) columns
+        a, b = HBAR_BASIS[1].reshape(-1, 1), np.array([[0.0], [1.0]])
+        c = ghz_like_vector((1, 0)).reshape(-1, 1)
+        got = kron(a, b, c)
+        assert got.shape == (16, 1)
+        assert np.array_equal(got, self._numpy_chain(a, b, c))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [(np.ones(2), I2), (I2, np.ones(2)), (np.ones((2, 2, 2)), I2), (np.ones(3),)],
+        ids=["1-D first", "1-D second", "3-D", "lone 1-D"],
+    )
+    def test_non_matrix_operand_raises(self, ops):
+        with pytest.raises(DimensionMismatchError):
+            kron(*ops)
+
 
 class TestPartialTrace:
     def test_maximally_entangled_reduction(self):

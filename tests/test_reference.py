@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from bellcert.linalg import dagger, max_abs
 from bellcert.quantum import evolve, pure_state
@@ -9,7 +10,9 @@ from bellcert.reference import (
     HBAR_BASIS,
     entangling_unitary,
     ghz_like_vector,
+    ghz_matrix,
     pre_interaction_basis,
+    pre_interaction_matrix,
     pre_interaction_vector,
     reference_strategy,
     target_observables,
@@ -69,3 +72,35 @@ def test_pre_interaction_vectors_are_orthonormal():
 def test_reference_source_is_maximally_entangled():
     ref = reference_strategy(2)
     assert max_abs(ref.source_state.density - np.outer(PHI_PLUS, PHI_PLUS.conj())) < 1e-15
+
+
+def _entangling_unitary_by_outer_products(n):
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    for bits in itertools.product((0, 1), repeat=n):
+        u += np.outer(ghz_like_vector(bits), np.conj(pre_interaction_vector(bits)))
+    return u
+
+
+class TestClosedForms:
+    """``B``, ``G`` and ``U = G B^dag`` equal their loop definitions to the bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_entangling_unitary_is_the_sum_of_outer_products(self, n):
+        # Every entry of U is one product: the computational second party
+        # makes one of the two terms of each row vanish, so no rounding of a
+        # sum can differ.
+        assert np.array_equal(entangling_unitary(n), _entangling_unitary_by_outer_products(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_basis_columns_are_the_per_vector_products(self, n):
+        b = pre_interaction_matrix(n)
+        for a, bits in enumerate(itertools.product((0, 1), repeat=n)):
+            assert np.array_equal(b[:, a], pre_interaction_vector(bits))
+        for bits, vec in pre_interaction_basis(n):
+            assert np.array_equal(vec, pre_interaction_vector(bits))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_ghz_matrix_columns(self, n):
+        g = ghz_matrix(n)
+        for a, bits in enumerate(itertools.product((0, 1), repeat=n)):
+            assert np.array_equal(g[:, a], ghz_like_vector(bits))
