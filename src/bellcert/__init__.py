@@ -6,7 +6,6 @@ from .bell import (
     build_bell_operator,
     classical_bound,
     check_sos_relations,
-    extra_statistics_check,
     quantum_value,
     sos_residual,
     tilde_observables,
@@ -27,16 +26,11 @@ from .linalg import (
     kron,
     operator_block,
     partial_trace,
-    permute_subsystems,
-    sign_operator,
 )
 from .quantum import (
     DichotomicObservable,
     Interaction,
     QuantumState,
-    evolve,
-    expectation,
-    post_measurement_state,
     pure_state,
     random_unitary,
     white_noise_mix,
@@ -45,7 +39,6 @@ from .reference import entangling_unitary, ghz_like_vector, reference_strategy
 from .scenario import (
     CorrelationRecord,
     Strategy,
-    repeatability_spotcheck,
     run_scenario,
     scramble_strategy,
 )

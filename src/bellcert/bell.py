@@ -53,7 +53,6 @@ __all__ = [
     "sos_residual",
     "check_sos_relations",
     "extra_statistics",
-    "extra_statistics_check",
 ]
 
 MAX_ENUMERATION_PARTIES = 10  # enumeration walks 4^N deterministic assignments
@@ -175,13 +174,6 @@ def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int)
     return np.sum(coefficients * correlators, axis=tuple(range(-parties, 0)))
 
 
-def _correlators(state: QuantumState, observables, parties: int) -> np.ndarray:
-    stacks = effect_stacks(observables)
-    if len(stacks) != parties:
-        raise DimensionMismatchError(f"need observables for {parties} parties, got {len(stacks)}")
-    return correlator_table(effect_table(state.density, state.dims, stacks), parties)
-
-
 def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
     """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
     observable pairs."""
@@ -234,8 +226,12 @@ def classical_bound(expr: BellExpression) -> float:
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
     """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
     against the state's correlators, so no D x D operator is formed."""
-    table = _correlators(state, observables, expr.parties)
-    return float(bell_values(bell_coefficients(expr), table, expr.parties))
+    n = expr.parties
+    stacks = effect_stacks(observables)
+    if len(stacks) != n:
+        raise DimensionMismatchError(f"need observables for {n} parties, got {len(stacks)}")
+    table = correlator_table(effect_table(state.density, state.dims, stacks), n)
+    return float(bell_values(bell_coefficients(expr), table, n))
 
 
 def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -350,11 +346,3 @@ def extra_statistics(correlators: np.ndarray) -> ExtraStatistics:
         value = float(correlators[origin[:n] + (2,) + origin[n + 1 :]])
         entries.append((f"setting-1 observable, party {n + 1}", value, 1.0))
     return ExtraStatistics(entries=tuple(entries))
-
-
-def extra_statistics_check(state: QuantumState, observables, parties: int) -> ExtraStatistics:
-    """Evaluate the side conditions on a conditional post-interaction state
-    using the second-round observables."""
-    if len(state.dims) != parties:
-        raise DimensionMismatchError("extra_statistics_check: party count mismatch")
-    return extra_statistics(_correlators(state, observables, parties))

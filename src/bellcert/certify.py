@@ -117,14 +117,8 @@ def support_isometry(density: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.
 
     Full-rank inputs return the identity, so strategies without dark
     subspaces are handled in their native basis.  Otherwise the support is
-    spanned by the eigenvectors with eigenvalue above ``cutoff``, but inside
-    a degenerate eigenvalue (the qubit factor ``I/2`` of a rank-deficient
-    support makes one) ``eigh`` picks a basis by roundoff, and the frames
-    and the recovered auxiliary unitary would inherit it.  So the columns
-    returned are the eigenvectors of the position operator
-    ``diag(0, 1, ..., d-1)`` compressed to the support (ascending, with the
-    phase convention of ``herm_eig``): they depend on the support alone,
-    and are unique whenever that compression has a simple spectrum.
+    spanned by the eigenvectors with eigenvalue above ``cutoff``, in the
+    basis ``_position_basis`` fixes.
     """
     density = np.asarray(density, dtype=complex)
     eig = herm_eig(density)
@@ -133,8 +127,23 @@ def support_isometry(density: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.
         return np.eye(density.shape[0], dtype=complex)
     if not mask.any():
         raise FramePremiseError("state support is empty")
-    span = eig.eigenvectors[:, mask]
-    position = np.arange(density.shape[0], dtype=float)
+    return _position_basis(eig.eigenvectors[:, mask])
+
+
+def _position_basis(span: np.ndarray) -> np.ndarray:
+    """The basis of the column space of ``span`` (orthonormal columns) that
+    depends on the subspace alone, not on the basis ``eigh`` picks by
+    roundoff inside a degenerate eigenvalue: the eigenvectors of the
+    position operator ``diag(0, 1, ..., d-1)`` compressed to the subspace
+    (ascending, with the phase convention of ``herm_eig``).  They are unique
+    when that compression has a simple spectrum; where it is degenerate (on
+    the span of ``(e_0 + e_2) / sqrt(2)`` and ``e_1`` it is the identity),
+    roundoff picks again.  One column (or none) is returned as it is,
+    already unique up to the phase ``herm_eig`` fixed.
+    """
+    if span.shape[1] <= 1:
+        return span
+    position = np.arange(span.shape[0], dtype=float)
     compressed = dagger(span) @ (position[:, None] * span)
     return fix_column_phases(span @ herm_eig(compressed).eigenvectors)
 
@@ -159,9 +168,9 @@ def extract_local_frame(
 
     The inputs must already be restricted to their support: Hermitian, with
     ``O^2 = I`` within ``tol`` on an even-dimensional space, and
-    anticommuting within ``tol``.  The +1 eigenbasis of ``a0`` is ordered
-    deterministically and its -1 partners are defined as ``a1 v`` so the
-    construction (and hence every downstream report) is reproducible.
+    anticommuting within ``tol``.  The +1 eigenbasis of ``a0`` is fixed by
+    ``_position_basis`` and its -1 partners are defined as ``a1 v``, so the
+    frame (and every downstream report) depends on the pair alone.
     """
     m0, m1 = as_matrix(a0), as_matrix(a1)
     d = m0.shape[0]
@@ -190,7 +199,7 @@ def _paired_frame(m0, m1, targets, tol: float) -> tuple[np.ndarray, float]:
     ``max_j |u m_j u^dag - target_j ox I|``."""
     d = m0.shape[0]
     eig = herm_eig(m0)
-    plus = eig.eigenvectors[:, eig.eigenvalues > 0]
+    plus = _position_basis(eig.eigenvectors[:, eig.eigenvalues > 0])
     if 2 * plus.shape[1] != d:
         raise FramePremiseError(
             f"eigenspace dimensions {plus.shape[1]} / {d - plus.shape[1]} are unequal"
@@ -228,10 +237,34 @@ def _to_canonical(
     for f in frames_in:
         t = np.tensordot(t, np.conj(f.matrix), axes=(0, 1))
     t = t.reshape(tuple(d for f in (*frames_out, *frames_in) for d in (2, f.aux_dim)))
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]  # all qubits, then all aux
-    order += [2 * n + k for k in order]  # the same on the column side
     rows = 2**n * int(np.prod([f.aux_dim for f in frames_out]))
-    return t.transpose(order).reshape(rows, -1)
+    return t.transpose(_qubits_first(n)).reshape(rows, -1)
+
+
+def _from_canonical(
+    m: np.ndarray, frames_out: tuple[LocalFrame, ...], frames_in: tuple[LocalFrame, ...]
+) -> np.ndarray:
+    """``C_out^dag m C_in``, the way back of ``_to_canonical``: the axes of
+    ``m`` are transposed from (all qubits, then all aux) back to party order,
+    then every frame acts on its own party's axis, one ``tensordot`` per
+    party and side."""
+    order = _qubits_first(len(frames_out))
+    dims = [d for f in (*frames_out, *frames_in) for d in (2, f.aux_dim)]
+    t = m.reshape(tuple(dims[k] for k in order)).transpose(np.argsort(order))
+    t = t.reshape(tuple(f.matrix.shape[0] for f in (*frames_out, *frames_in)))
+    for f in frames_out:
+        t = np.tensordot(t, np.conj(f.matrix), axes=(0, 0))
+    for f in frames_in:
+        t = np.tensordot(t, f.matrix, axes=(0, 0))
+    rows = int(np.prod([f.matrix.shape[1] for f in frames_out]))
+    return t.reshape(rows, -1)
+
+
+def _qubits_first(n: int) -> list[int]:
+    """Axis order from party order (qubit_1, aux_1, qubit_2, aux_2, ...) to
+    all qubits, then all aux, on the row and the column side."""
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return order + [2 * n + k for k in order]
 
 
 @dataclass(frozen=True, eq=False)

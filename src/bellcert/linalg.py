@@ -21,18 +21,14 @@ __all__ = [
     "SINGULAR_FLOOR",
     "DimensionMismatchError",
     "NonHermitianError",
-    "SingularOperatorError",
     "EigenDecomposition",
     "dagger",
     "kron",
     "max_abs",
     "is_hermitian",
-    "fix_global_phase",
     "fix_column_phases",
     "herm_eig",
-    "sign_operator",
     "partial_trace",
-    "permute_subsystems",
     "operator_block",
 ]
 
@@ -40,7 +36,7 @@ __all__ = [
 # (total dimension at most a few hundred):
 ALGEBRA_TOL = 1e-9  # algebraic identities (hermiticity, unitarity, eigen residuals)
 CERT_TOL = 1e-8  # certification acceptance
-SINGULAR_FLOOR = 1e-12  # below this an eigenvalue counts as singular
+SINGULAR_FLOOR = 1e-12  # entries below this in magnitude count as zero (phase pivot)
 
 
 class DimensionMismatchError(ValueError):
@@ -49,10 +45,6 @@ class DimensionMismatchError(ValueError):
 
 class NonHermitianError(ValueError):
     """An operator required to be Hermitian is not, within tolerance."""
-
-
-class SingularOperatorError(ValueError):
-    """An operator has an eigenvalue too close to zero for the operation."""
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -89,22 +81,6 @@ def max_abs(m: np.ndarray) -> float:
 def is_hermitian(m: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and max_abs(m - dagger(m)) <= tol
-
-
-def fix_global_phase(v: np.ndarray, cutoff: float = SINGULAR_FLOOR) -> np.ndarray:
-    """Rescale by a unit-modulus phase so the first entry with magnitude above
-    ``cutoff`` is real and positive.
-
-    Works on vectors and matrices (matrices are scanned in row-major order).
-    A numerically zero array is returned unchanged.
-    """
-    v = np.asarray(v, dtype=complex)
-    flat = v.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > cutoff)
-    if idx.size == 0:
-        return v.copy()
-    pivot = flat[idx[0]]
-    return v * (np.conj(pivot) / np.abs(pivot))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +126,13 @@ def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:
 
 
 def fix_column_phases(vecs: np.ndarray) -> np.ndarray:
-    """``fix_global_phase`` on every column of a matrix at once, with the
-    same arithmetic."""
+    """Rescale every column by a unit-modulus phase so that its first entry
+    of magnitude above ``SINGULAR_FLOOR`` is real and positive; a
+    numerically zero column is left as it is."""
     big = np.abs(vecs) > SINGULAR_FLOOR
     pivot = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
     pivot = np.where(big.any(axis=0), pivot, 1.0)
     return np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
-
-
-def sign_operator(h: np.ndarray, floor: float = SINGULAR_FLOOR) -> np.ndarray:
-    """Matrix sign function ``sum_k sign(lambda_k) |v_k><v_k|`` of a
-    Hermitian matrix with no eigenvalue within ``floor`` of zero.
-    """
-    eig = herm_eig(h)
-    small = np.abs(eig.eigenvalues) <= floor
-    if np.any(small):
-        bad = eig.eigenvalues[small][0]
-        raise SingularOperatorError(
-            f"eigenvalue {bad:.3e} is within {floor:g} of zero; sign undefined"
-        )
-    return eig.sign()
 
 
 def _check_dims(m: np.ndarray, dims: tuple[int, ...], what: str) -> None:
@@ -206,35 +169,6 @@ def partial_trace(
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
     d_keep = int(np.prod([dims[k] for k in keep]))
     return reduced.reshape(d_keep, d_keep)
-
-
-def permute_subsystems(
-    m: np.ndarray,
-    perm: list[int] | tuple[int, ...],
-    dims_row: list[int] | tuple[int, ...],
-    dims_col: list[int] | tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Reorder tensor factors of an operator.
-
-    ``perm[i]`` names the old factor that moves to position ``i``.  Rows and
-    columns are permuted with the same ``perm``; ``dims_col`` defaults to
-    ``dims_row`` (square operators on one composite space).
-    """
-    m = np.asarray(m, dtype=complex)
-    dims_row = tuple(int(d) for d in dims_row)
-    dims_col = dims_row if dims_col is None else tuple(int(d) for d in dims_col)
-    perm = tuple(int(p) for p in perm)
-    n = len(dims_row)
-    if sorted(perm) != list(range(n)) or len(dims_col) != n:
-        raise DimensionMismatchError(f"permute_subsystems: bad perm {perm} for {n} factors")
-    if m.shape != (int(np.prod(dims_row)), int(np.prod(dims_col))):
-        raise DimensionMismatchError(
-            f"permute_subsystems: shape {m.shape} does not match dims {dims_row}x{dims_col}"
-        )
-    t = m.reshape(dims_row + dims_col)
-    t = t.transpose(perm + tuple(n + p for p in perm))
-    new_rows = int(np.prod([dims_row[p] for p in perm]))
-    return t.reshape(new_rows, m.size // new_rows)
 
 
 def operator_block(

@@ -1,4 +1,4 @@
-"""States, measurements, unitary evolution and noise.
+"""States, measurements, branch states and noise.
 
 States are always stored as density matrices, even when pure, so nothing in
 the certification chain has to assume purity.  Dichotomic (two-outcome)
@@ -10,18 +10,19 @@ Validation runs at the boundary.  The public constructors of
 non-finite entries and check what they promise: a state is Hermitian, has
 unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigvalsh``).  A
 state the package derives from valid states by a positivity-preserving map
-(``post_measurement_state``, ``evolve``, ``QuantumState.marginal``,
+(``post_measurement_states``, ``QuantumState.marginal``,
 ``pure_state``, ``white_noise_mix``, ``random_density`` and the scrambled
 source of ``scenario.scramble_strategy``) is positive by construction, so
 it goes through the private ``QuantumState._derived``, which checks the
 shape, symmetrizes and freezes but runs no eigensolver (``_wrap`` when the
 map has already taken the Hermitian part in place).
 
-The post-measurement update applies each party's operator to its own axes
-of ``rho``, so no Kronecker-product operator is formed.
-``post_measurement_states`` does this for a whole stack of branches at
-once: every conditional state of a run is one slice of a ``(B, D, D)``
-array, built party by party with one stacked ``matmul`` per party and side.
+Outcome probabilities come from ``effect_table`` and the branch states
+``Pi rho Pi^dag / p`` (conjugated by the interaction when one is given)
+from ``post_measurement_states``, for one state or a stack, with no
+Kronecker-product operator formed: every conditional state of a run is one
+slice of a ``(B, D, D)`` array, built party by party with one stacked
+``matmul`` per party and side.
 
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
@@ -51,12 +52,9 @@ __all__ = [
     "Interaction",
     "pure_state",
     "local_contraction",
+    "clamp_probabilities",
     "effect_table",
-    "born_table",
-    "expectation",
-    "post_measurement_state",
     "post_measurement_states",
-    "evolve",
     "white_noise_mix",
     "random_unitary",
     "random_projective_observable",
@@ -283,26 +281,6 @@ def effect_table(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
     return np.real(local_contraction(rho, dims, stacks))
 
 
-def born_table(state: QuantumState, stacks) -> np.ndarray:
-    """``effect_table`` of a state with the values within ``ZERO_PROB`` of
-    the [0, 1] boundary clamped onto it."""
-    return clamp_probabilities(effect_table(state.density, state.dims, stacks))
-
-
-def expectation(state: QuantumState, observables) -> float:
-    """Expectation value of a product of local observables (``None`` entries
-    mean identity on that party)."""
-    return float(np.real(local_contraction(state.density, state.dims, observables).item()))
-
-
-def post_measurement_state(state: QuantumState, projectors) -> QuantumState:
-    """State after projecting each party on its observed outcome (Born rule
-    renormalization): the one-branch case of ``post_measurement_states``.
-    Raises ``ZeroProbabilityError`` for outcomes with probability at most
-    ``ZERO_PROB``."""
-    return QuantumState._wrap(post_measurement_states(state, projectors)[0], state.dims)
-
-
 def post_measurement_states(
     state: QuantumState, projectors, interaction: Interaction | None = None
 ) -> np.ndarray:
@@ -410,19 +388,6 @@ def _hermitian_part(stack: np.ndarray, spare: np.ndarray) -> None:
     np.conjugate(stack.swapaxes(1, 2), out=spare)
     stack += spare
     stack *= 0.5
-
-
-def evolve(state: QuantumState, interaction: Interaction) -> QuantumState:
-    """Conjugate the state by the interaction unitary, ``V rho V^dag``."""
-    if state.dims != interaction.dims_in:
-        raise DimensionMismatchError(
-            f"evolve: state dims {state.dims} do not match interaction input {interaction.dims_in}"
-        )
-    rho = np.array(state.density[np.newaxis])
-    spare = np.empty_like(rho)
-    _conjugate(rho, interaction.matrix, spare)
-    _hermitian_part(rho, spare)
-    return QuantumState._wrap(rho[0], interaction.dims_out)
 
 
 def white_noise_mix(state: QuantumState, visibility: float) -> QuantumState:

@@ -2,9 +2,8 @@
 interaction, second-round measurements, and the correlation tables the
 certifier consumes.
 
-All certification inputs are exact Born-rule probabilities (no sampling);
-only the repeatability spot-check draws random rounds.  Conditioning events
-follow the two designated first-round input branches:
+All certification inputs are exact Born-rule probabilities (no sampling).
+Conditioning events follow the two designated first-round input branches:
 
 * Bell branch: settings ``(0, 0, 1, ..., 1)``; every outcome vector is kept
   and its conditional second-round state must maximally violate the matching
@@ -38,7 +37,7 @@ from .bell import (
     effect_stacks,
     extra_statistics,
 )
-from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron, permute_subsystems
+from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron
 from .quantum import (
     ZERO_PROB,
     DichotomicObservable,
@@ -47,7 +46,6 @@ from .quantum import (
     _rng,
     clamp_probabilities,
     effect_table,
-    post_measurement_state,
     post_measurement_states,
     random_density,
     random_unitary,
@@ -57,15 +55,11 @@ from .reference import target_observables
 __all__ = [
     "Strategy",
     "CorrelationRecord",
-    "SpotcheckResult",
     "ScrambledStrategy",
     "bell_branch_settings",
     "extra_branch_settings",
     "run_scenario",
-    "conditional_post_interaction_state",
-    "repeatability_spotcheck",
     "scramble_strategy",
-    "canonical_reordering",
 ]
 
 Bits = tuple[int, ...]
@@ -193,20 +187,6 @@ def _check_projective(observables, tol: float, where: str) -> None:
                 )
 
 
-def conditional_post_interaction_state(
-    strategy: Strategy, settings: Bits, outcomes: Bits
-) -> QuantumState:
-    """Post-measurement state for the given first-round event, evolved
-    through the interaction: the one-branch case of the stack that
-    ``run_scenario`` builds."""
-    projectors = [
-        strategy.observables_t1[k][settings[k]].effect(outcomes[k])
-        for k in range(strategy.parties)
-    ]
-    stack = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
-    return QuantumState._wrap(stack[0], strategy.interaction.dims_out)
-
-
 def run_scenario(strategy: Strategy) -> CorrelationRecord:
     """Propagate exact probabilities through both rounds.
 
@@ -255,63 +235,6 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     )
 
 
-@dataclass(frozen=True)
-class SpotcheckResult:
-    consistent: bool
-    mismatches: int
-    rounds: int
-
-
-def repeatability_spotcheck(
-    strategy: Strategy, rounds: int, seed, tamper=None
-) -> SpotcheckResult:
-    """Sample rounds, re-measure each post-measurement state with the same
-    inputs, and count outcome mismatches.
-
-    ``tamper`` (test hook) may replace the post-measurement state before the
-    re-measurement, modelling a device that forwards something else.
-    """
-    _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
-    n = strategy.parties
-    rng = _rng(seed)
-    mismatches = 0
-    outcome_list = list(itertools.product((0, 1), repeat=n))
-    effects = effect_stacks(strategy.observables_t1)
-
-    def tables(state):
-        return _outcome_tables(effect_table(state.density, state.dims, effects), n)
-
-    source_tables = tables(strategy.source_state)
-    for _ in range(int(rounds)):
-        settings = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        probs = source_tables[settings]
-        flat = np.clip(probs.reshape(-1), 0.0, None)
-        flat = flat / flat.sum()
-        outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
-        projectors = [effects[k][2 * settings[k] + outcomes[k]] for k in range(n)]
-        rho_prime = post_measurement_state(strategy.source_state, projectors)
-        if tamper is not None:
-            rho_prime = tamper(rho_prime)
-        probs2 = tables(rho_prime)[settings]
-        flat2 = np.clip(probs2.reshape(-1), 0.0, None)
-        flat2 = flat2 / flat2.sum()
-        repeat = outcome_list[rng.choice(len(outcome_list), p=flat2)]
-        if repeat != outcomes:
-            mismatches += 1
-    return SpotcheckResult(consistent=mismatches == 0, mismatches=mismatches, rounds=int(rounds))
-
-
-def canonical_reordering(aux_dims: Bits) -> np.ndarray:
-    """Permutation from the party-local order (qubit_1, aux_1, qubit_2,
-    aux_2, ...) to the canonical order (all qubits, then all aux spaces)."""
-    n = len(aux_dims)
-    interleaved = tuple(d for k in aux_dims for d in (2, int(k)))
-    perm = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    total = int(np.prod(interleaved))
-    # Permute the row factors only: the columns form one factor of full size.
-    return permute_subsystems(np.eye(total), perm, interleaved, (1,) * (2 * n - 1) + (total,))
-
-
 @dataclass(frozen=True, eq=False)
 class ScrambledStrategy:
     """A reference strategy hidden behind local unitaries and auxiliary
@@ -337,9 +260,12 @@ def scramble_strategy(
     carries a random auxiliary state (rank ``xi_rank``, full by default) and
     the interaction a random auxiliary unitary, both expressed in the same
     local gauges, so the scrambled scenario reproduces the reference
-    statistics exactly.  Deterministic for a fixed seed.
+    statistics exactly.  Both are planted by ``certify._from_canonical``,
+    the inverse of the rotation the certification chain applies, so no
+    D x D transform is formed.  Deterministic for a fixed seed.
     """
-    from .certify import extract_local_frame  # deferred: certify imports this module
+    # deferred: certify imports this module
+    from .certify import _from_canonical, extract_local_frame
 
     n = reference.parties
     aux_dims = tuple(int(k) for k in aux_dims)
@@ -360,7 +286,7 @@ def scramble_strategy(
         a1 = w @ kron(t1, np.eye(k)) @ dagger(w)
         a0 = (a0 + dagger(a0)) / 2.0
         a1 = (a1 + dagger(a1)) / 2.0
-        frame = extract_local_frame(a0, a1, (t0, t1)).matrix
+        frame = extract_local_frame(a0, a1, (t0, t1))
         pair = (
             DichotomicObservable(a0, party=party, setting=0, time_slice=time_slice),
             DichotomicObservable(a1, party=party, setting=1, time_slice=time_slice),
@@ -370,18 +296,14 @@ def scramble_strategy(
     obs_t1, frames_t1 = zip(*[scrambled_party(p, 1) for p in range(n)])
     obs_t2, frames_t2 = zip(*[scrambled_party(p, 2) for p in range(n)])
 
-    reorder = canonical_reordering(aux_dims)
-    c1 = reorder @ kron(*frames_t1)
-    c2 = reorder @ kron(*frames_t2)
-
-    aux_total = int(np.prod(aux_dims))
     xi = random_density(aux_dims, rng, rank=xi_rank)
-    v0 = random_unitary(aux_total, rng)
+    v0 = random_unitary(int(np.prod(aux_dims)), rng)
 
     canonical_state = kron(reference.source_state.density, xi.density)
-    source = QuantumState._derived(dagger(c1) @ canonical_state @ c1, local_dims)
-
-    v = dagger(c2) @ kron(reference.interaction.matrix, v0) @ c1
+    source = QuantumState._derived(
+        _from_canonical(canonical_state, frames_t1, frames_t1), local_dims
+    )
+    v = _from_canonical(kron(reference.interaction.matrix, v0), frames_t2, frames_t1)
     interaction = Interaction(v, local_dims, local_dims)
 
     strategy = Strategy(
@@ -395,6 +317,6 @@ def scramble_strategy(
         aux_dims=aux_dims,
         aux_state=xi,
         aux_unitary=v0,
-        frames_t1=tuple(frames_t1),
-        frames_t2=tuple(frames_t2),
+        frames_t1=tuple(f.matrix for f in frames_t1),
+        frames_t2=tuple(f.matrix for f in frames_t2),
     )

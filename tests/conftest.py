@@ -1,13 +1,21 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from bellcert.bell import effect_stacks
 from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
-from bellcert.quantum import Interaction
+from bellcert.linalg import CERT_TOL, DimensionMismatchError
+from bellcert.quantum import (
+    Interaction,
+    QuantumState,
+    effect_table,
+    post_measurement_states,
+)
 from bellcert.reference import pre_interaction_basis, reference_strategy
-from bellcert.scenario import Strategy
+from bellcert.scenario import Strategy, _check_projective, _outcome_tables
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -26,6 +34,103 @@ def phase_distance(a, b):
     inner = np.trace(dag(b) @ a)
     phase = inner / abs(inner) if abs(inner) > 1e-12 else 1.0
     return float(np.max(np.abs(a - phase * b)))
+
+
+def fix_global_phase(v, cutoff=1e-12):
+    """Oracle of ``linalg.fix_column_phases``: rescale by a unit-modulus phase
+    so the first entry with magnitude above ``cutoff`` is real and positive.
+
+    Works on vectors and matrices (matrices are scanned in row-major order).
+    A numerically zero array is returned unchanged.
+    """
+    v = np.asarray(v, dtype=complex)
+    flat = v.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > cutoff)
+    if idx.size == 0:
+        return v.copy()
+    pivot = flat[idx[0]]
+    return v * (np.conj(pivot) / np.abs(pivot))
+
+
+def permute_subsystems(m, perm, dims_row, dims_col=None):
+    """Oracle: reorder the tensor factors of an operator.
+
+    ``perm[i]`` names the old factor that moves to position ``i``.  Rows and
+    columns are permuted with the same ``perm``; ``dims_col`` defaults to
+    ``dims_row`` (square operators on one composite space).
+    """
+    m = np.asarray(m, dtype=complex)
+    dims_row = tuple(int(d) for d in dims_row)
+    dims_col = dims_row if dims_col is None else tuple(int(d) for d in dims_col)
+    perm = tuple(int(p) for p in perm)
+    n = len(dims_row)
+    if sorted(perm) != list(range(n)) or len(dims_col) != n:
+        raise DimensionMismatchError(f"permute_subsystems: bad perm {perm} for {n} factors")
+    if m.shape != (int(np.prod(dims_row)), int(np.prod(dims_col))):
+        raise DimensionMismatchError(
+            f"permute_subsystems: shape {m.shape} does not match dims {dims_row}x{dims_col}"
+        )
+    t = m.reshape(dims_row + dims_col)
+    t = t.transpose(perm + tuple(n + p for p in perm))
+    new_rows = int(np.prod([dims_row[p] for p in perm]))
+    return t.reshape(new_rows, m.size // new_rows)
+
+
+def canonical_reordering(aux_dims):
+    """Oracle: the permutation matrix from the party-local order (qubit_1,
+    aux_1, qubit_2, aux_2, ...) to the canonical order (all qubits, then all
+    aux spaces)."""
+    n = len(aux_dims)
+    interleaved = tuple(d for k in aux_dims for d in (2, int(k)))
+    perm = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    total = int(np.prod(interleaved))
+    # Permute the row factors only: the columns form one factor of full size.
+    return permute_subsystems(np.eye(total), perm, interleaved, (1,) * (2 * n - 1) + (total,))
+
+
+@dataclass(frozen=True)
+class SpotcheckResult:
+    consistent: bool
+    mismatches: int
+    rounds: int
+
+
+def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
+    """Sample rounds, re-measure each post-measurement state with the same
+    inputs, and count outcome mismatches.
+
+    ``tamper`` may replace the post-measurement state before the
+    re-measurement, modelling a device that forwards something else.
+    """
+    _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
+    n = strategy.parties
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    outcome_list = list(itertools.product((0, 1), repeat=n))
+    effects = effect_stacks(strategy.observables_t1)
+
+    def tables(state):
+        return _outcome_tables(effect_table(state.density, state.dims, effects), n)
+
+    source_tables = tables(strategy.source_state)
+    for _ in range(int(rounds)):
+        settings = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        probs = source_tables[settings]
+        flat = np.clip(probs.reshape(-1), 0.0, None)
+        flat = flat / flat.sum()
+        outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
+        projectors = [effects[k][2 * settings[k] + outcomes[k]] for k in range(n)]
+        branch = post_measurement_states(strategy.source_state, projectors)[0]
+        rho_prime = QuantumState(branch, strategy.source_state.dims)
+        if tamper is not None:
+            rho_prime = tamper(rho_prime)
+        probs2 = tables(rho_prime)[settings]
+        flat2 = np.clip(probs2.reshape(-1), 0.0, None)
+        flat2 = flat2 / flat2.sum()
+        repeat = outcome_list[rng.choice(len(outcome_list), p=flat2)]
+        if repeat != outcomes:
+            mismatches += 1
+    return SpotcheckResult(consistent=mismatches == 0, mismatches=mismatches, rounds=int(rounds))
 
 
 def on_target(stats):

@@ -9,15 +9,23 @@ from bellcert.bell import (
     build_bell_operator,
     check_sos_relations,
     classical_bound,
-    extra_statistics_check,
+    correlator_table,
+    effect_stacks,
+    extra_statistics,
     quantum_value,
     sos_residual,
     tilde_observables,
 )
 from bellcert.linalg import kron, max_abs
-from bellcert.quantum import pure_state, random_projective_observable, white_noise_mix
+from bellcert.quantum import (
+    effect_table,
+    post_measurement_states,
+    pure_state,
+    random_projective_observable,
+    white_noise_mix,
+)
 from bellcert.reference import ghz_like_vector, target_observables
-from bellcert.scenario import conditional_post_interaction_state, extra_branch_settings
+from bellcert.scenario import extra_branch_settings
 
 from conftest import PHI_PLUS, X, Z, brute_force_classical_bound, on_target
 
@@ -180,20 +188,30 @@ class TestSOSRelations:
 
 
 class TestExtraStatistics:
+    @staticmethod
+    def stats(strategy, settings, outcomes):
+        """The side statistics on the post-interaction state of one
+        first-round event, read off the branch-state and contraction
+        kernels."""
+        n = strategy.parties
+        t1 = strategy.observables_t1
+        projectors = [t1[k][settings[k]].effect(outcomes[k]) for k in range(n)]
+        (sigma,) = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
+        stacks = effect_stacks(strategy.observables_t2)
+        table = effect_table(sigma, strategy.interaction.dims_out, stacks)
+        return extra_statistics(correlator_table(table, n))
+
     def test_reference_conditional_state_passes(self, ref2):
-        sigma = conditional_post_interaction_state(ref2, extra_branch_settings(2), (0, 0))
-        stats = extra_statistics_check(sigma, ref2.observables_t2, 2)
+        stats = self.stats(ref2, extra_branch_settings(2), (0, 0))
         assert on_target(stats)
         assert len(stats.entries) == 2
 
     def test_wrong_conditioning_event_fails(self, ref2):
-        sigma = conditional_post_interaction_state(ref2, (0, 0), (0, 0))
-        stats = extra_statistics_check(sigma, ref2.observables_t2, 2)
+        stats = self.stats(ref2, (0, 0), (0, 0))
         assert not on_target(stats)
 
     def test_three_party_reference_passes_all_entries(self, ref3):
-        sigma = conditional_post_interaction_state(ref3, extra_branch_settings(3), (0, 0, 0))
-        stats = extra_statistics_check(sigma, ref3.observables_t2, 3)
+        stats = self.stats(ref3, extra_branch_settings(3), (0, 0, 0))
         assert on_target(stats)
         assert len(stats.entries) == 2 * (3 - 1)
         for _, value, target in stats.entries:

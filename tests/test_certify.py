@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -39,7 +40,6 @@ from bellcert.reference import (
 from bellcert.scenario import (
     Strategy,
     bell_branch_settings,
-    canonical_reordering,
     scramble_strategy,
 )
 
@@ -47,6 +47,7 @@ from conftest import (
     PSI_MINUS,
     X,
     Z,
+    canonical_reordering,
     diag_phase_deviation,
     phase_distance,
     swap_deviation,
@@ -232,6 +233,109 @@ class TestFramesActPerParty:
         assert max_abs(cert.aux_unitary - v0) <= 1e-14
         assert abs(cert.residual - max_abs(deviation)) <= 1e-14
         assert abs(cert.proportionality_error - proportionality) <= 1e-14
+
+
+class TestPlantingPath:
+    """``scramble_strategy`` plants the source and interaction with
+    ``_from_canonical``, the way back of the chain's ``_to_canonical``."""
+
+    CASES = [((3, 2), 4, {}), ((2, 1, 2), 5, {}), ((6, 5), 9, {}), ((3, 2), 2, {"xi_rank": 1})]
+
+    @pytest.mark.parametrize("aux, seed, kw", CASES)
+    def test_planted_objects_match_dense_oracle(self, aux, seed, kw):
+        reference = reference_strategy(len(aux))
+        scrambled = scramble_strategy(reference, aux, seed=seed, **kw)
+        c1 = canonical_reordering(aux) @ kron(*scrambled.frames_t1)
+        c2 = canonical_reordering(aux) @ kron(*scrambled.frames_t2)
+        rho = dagger(c1) @ kron(reference.source_state.density, scrambled.aux_state.density) @ c1
+        v = dagger(c2) @ kron(reference.interaction.matrix, scrambled.aux_unitary) @ c1
+        assert max_abs(scrambled.strategy.source_state.density - rho) <= 1e-14
+        assert max_abs(scrambled.strategy.interaction.matrix - v) <= 1e-14
+
+    @pytest.mark.parametrize("aux, seed, kw", CASES + [((2, 1, 1), 5, {"xi_rank": 1})])
+    def test_round_trip_through_the_chain_frames(self, aux, seed, kw):
+        # xi_rank=1 leaves rank-deficient supports, so some frames are
+        # 2k x d rectangles, isometries only from the right
+        strategy = scramble_strategy(reference_strategy(len(aux)), aux, seed=seed, **kw).strategy
+        frames_t1, frames_t2 = _frames_of(run_full_certification(strategy))
+        assert len(frames_t1) == len(frames_t2) == len(aux)
+        rng = np.random.default_rng(seed)
+        for out, inp in ((frames_t1, frames_t1), (frames_t2, frames_t1)):
+            rows = 2 ** len(aux) * int(np.prod([f.aux_dim for f in out]))
+            cols = 2 ** len(aux) * int(np.prod([f.aux_dim for f in inp]))
+            m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            m /= max_abs(m)  # max-norm 1, as the planted state and unitary
+            planted = certify._from_canonical(m, out, inp)
+            assert planted.shape == (
+                int(np.prod([f.matrix.shape[1] for f in out])),
+                int(np.prod([f.matrix.shape[1] for f in inp])),
+            )
+            assert max_abs(certify._to_canonical(planted, out, inp) - m) <= 1e-14
+
+
+class TestFramesIgnoreRoundoff:
+    """The frames, and the recovered auxiliary state and unitary, depend on
+    the observables, not on the basis ``eigh`` picks inside a degenerate
+    eigenvalue."""
+
+    @staticmethod
+    def perturbed(strategy, which, seed):
+        """The strategy with a Hermitian perturbation of max-norm 1e-16
+        added to one observable, ``which = (time_slice, party, setting)``."""
+        rng = np.random.default_rng(seed)
+        time_slice, party, setting = which
+        field = f"observables_t{time_slice}"
+        obs = [list(pair) for pair in getattr(strategy, field)]
+        o = obs[party][setting].matrix
+        h = rng.standard_normal(o.shape) + 1j * rng.standard_normal(o.shape)
+        h = (h + dagger(h)) / 2.0
+        moved = o + 1e-16 * h / max_abs(h)
+        assert not np.array_equal(moved, o)
+        obs[party][setting] = DichotomicObservable(
+            moved, party=party, setting=setting, time_slice=time_slice
+        )
+        return dataclasses.replace(strategy, **{field: tuple(tuple(p) for p in obs)})
+
+    @pytest.mark.parametrize(
+        "aux, seed", [((3, 2), 4), ((2, 2), 1), ((2, 1, 2), 5), ((6, 5), 9), ((6, 5), 3)]
+    )
+    def test_tiny_perturbation_moves_nothing(self, aux, seed):
+        strategy = scramble_strategy(reference_strategy(len(aux)), aux, seed=seed).strategy
+        report = run_full_certification(strategy)
+        assert report.verdict == "certified", report.failures
+        for which in itertools.product((1, 2), range(len(aux)), (0, 1)):
+            other = run_full_certification(self.perturbed(strategy, which, seed))
+            assert other.verdict == "certified", other.failures
+            for f, g in zip(report.frames, other.frames):
+                assert max_abs(f.matrix - g.matrix) < 1e-12, which
+            assert max_abs(report.state.aux_state - other.state.aux_state) < 1e-12, which
+            assert max_abs(report.interaction.aux_unitary - other.interaction.aux_unitary) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_rotated_plus_eigenbasis_gives_the_same_frame(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        t0, t1 = alice_targets()
+        w = random_unitary(2 * k, rng)
+        a0, a1 = (w @ kron(t, np.eye(k)) @ dagger(w) for t in (t0, t1))
+        a0, a1 = (a0 + dagger(a0)) / 2.0, (a1 + dagger(a1)) / 2.0
+        frame = extract_local_frame(a0, a1, (t0, t1)).matrix
+
+        # The same pair, with eigh's +1 eigenvectors of a0 turned by a
+        # random unitary inside their eigenspace.
+        r = random_unitary(k, rng)
+        herm_eig = certify.herm_eig
+
+        def rotated(h, *args, **kwargs):
+            eig = herm_eig(h, *args, **kwargs)
+            if h is not a0:
+                return eig
+            vecs = eig.eigenvectors.copy()
+            plus = eig.eigenvalues > 0
+            vecs[:, plus] = vecs[:, plus] @ r
+            return dataclasses.replace(eig, eigenvectors=vecs)
+
+        monkeypatch.setattr(certify, "herm_eig", rotated)
+        assert max_abs(extract_local_frame(a0, a1, (t0, t1)).matrix - frame) < 1e-12
 
 
 class TestCertifySourceState:

@@ -6,21 +6,21 @@ import pytest
 from bellcert.linalg import (
     DimensionMismatchError,
     NonHermitianError,
-    SingularOperatorError,
     dagger,
-    fix_global_phase,
     herm_eig,
     kron,
     max_abs,
     operator_block,
     partial_trace,
-    permute_subsystems,
-    sign_operator,
 )
 from bellcert.quantum import random_unitary
 from bellcert.reference import HBAR_BASIS, entangling_unitary, ghz_like_vector
 
-from conftest import I2, PHI_PLUS, X, Z
+from conftest import I2, PHI_PLUS, X, Z, fix_global_phase, permute_subsystems
+
+
+def sign(h):
+    return herm_eig(h).sign()
 
 
 class TestKron:
@@ -180,14 +180,16 @@ class TestHermEig:
 
 
 class TestSignOperator:
+    """``EigenDecomposition.sign``, the package's one matrix sign."""
+
     def test_pauli_z_fixed_point(self):
-        assert max_abs(sign_operator(Z) - Z) < 1e-12
+        assert max_abs(sign(Z) - Z) < 1e-12
 
     def test_diagonal(self):
-        assert max_abs(sign_operator(np.diag([3.0, -2.0])) - np.diag([1.0, -1.0])) < 1e-12
+        assert max_abs(sign(np.diag([3.0, -2.0])) - np.diag([1.0, -1.0])) < 1e-12
 
     def test_scale_invariance(self):
-        assert max_abs(sign_operator(2.0 * X) - X) < 1e-12
+        assert max_abs(sign(2.0 * X) - X) < 1e-12
 
     def test_idempotent_on_unitary_observables(self):
         rng = np.random.default_rng(5)
@@ -195,13 +197,15 @@ class TestSignOperator:
             u = random_unitary(d, rng)
             o = u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)).astype(complex) @ dagger(u)
             o = (o + dagger(o)) / 2
-            assert max_abs(sign_operator(o) - o) < 1e-9
-            assert max_abs(sign_operator(o) @ sign_operator(o) - np.eye(d)) < 1e-9
+            assert max_abs(sign(o) - o) < 1e-9
+            assert max_abs(sign(o) @ sign(o) - np.eye(d)) < 1e-9
 
     def test_near_singular_rejected(self):
-        with pytest.raises(SingularOperatorError) as err:
-            sign_operator(np.diag([1.0, 1e-13]))
-        assert "e-13" in str(err.value) or "e-14" in str(err.value)
+        # No eigenvalue is rejected as too close to zero: a tiny positive one
+        # counts as +1, a tiny negative one as -1, and zero as +1.
+        assert np.array_equal(sign(np.diag([1.0, 1e-13])), np.eye(2))
+        assert np.array_equal(sign(np.diag([1e-13, -1e-13])), np.diag([1.0, -1.0]))
+        assert np.array_equal(sign(np.diag([0.0, -1.0])), np.diag([1.0, -1.0]))
 
 
 class TestOperatorBlock:

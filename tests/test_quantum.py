@@ -11,10 +11,10 @@ from bellcert.quantum import (
     NonUnitaryError,
     QuantumState,
     ZeroProbabilityError,
-    born_table,
-    evolve,
-    expectation,
-    post_measurement_state,
+    clamp_probabilities,
+    effect_table,
+    local_contraction,
+    post_measurement_states,
     pure_state,
     random_density,
     random_projective_observable,
@@ -70,17 +70,18 @@ class TestQuantumState:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         zo = _obs(Z)
+        u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         derived = [
-            pure_state(PHI_PLUS, (2, 2)),
-            phi_plus.marginal(0),
-            post_measurement_state(phi_plus, [zo.effect(0), None]),
-            evolve(phi_plus, Interaction(entangling_unitary(2), (2, 2), (2, 2))),
-            white_noise_mix(phi_plus, 0.3),
-            random_density((2, 3), 5),
+            pure_state(PHI_PLUS, (2, 2)).density,
+            phi_plus.marginal(0).density,
+            *post_measurement_states(phi_plus, [zo.effect(0), None]),
+            *post_measurement_states(phi_plus, [None, None], u),
+            white_noise_mix(phi_plus, 0.3).density,
+            random_density((2, 3), 5).density,
         ]
-        for state in derived:
-            assert not state.density.flags.writeable
-            assert np.array_equal(state.density, dagger(state.density))
+        for density in derived:
+            assert not density.flags.writeable
+            assert np.array_equal(density, dagger(density))
         with pytest.raises(DimensionMismatchError):
             pure_state(PHI_PLUS, (2, 3))
 
@@ -99,7 +100,8 @@ class TestDichotomicObservable:
 
 
 class TestBornProbability:
-    """``born_table``: one probability per combination of per-party effects."""
+    """``effect_table``: one probability per combination of per-party
+    effects, settled onto [0, 1] by ``clamp_probabilities``."""
 
     @staticmethod
     def _effects(o):
@@ -107,30 +109,31 @@ class TestBornProbability:
 
     def test_perfect_correlation(self, phi_plus):
         zs = self._effects(_obs(Z))
-        table = born_table(phi_plus, [zs, zs])
+        table = effect_table(phi_plus.density, phi_plus.dims, [zs, zs])
         assert table.shape == (2, 2)
         assert abs(table[0, 0] - 0.5) < 1e-12 and abs(table[1, 1] - 0.5) < 1e-12
 
     def test_forbidden_outcome(self, phi_plus):
         zs = self._effects(_obs(Z))
-        table = born_table(phi_plus, [zs, zs])
+        table = clamp_probabilities(effect_table(phi_plus.density, phi_plus.dims, [zs, zs]))
         assert table[0, 1] == 0.0 and table[1, 0] == 0.0
 
     def test_clamps_within_zero_prob_onto_unit_interval(self):
         # A valid state up to rounding: eigenvalues 1 + 1e-13 and -1e-13.
         state = QuantumState(np.diag([1.0 + 1e-13, -1e-13]), (2,))
-        table = born_table(state, [self._effects(_obs(Z))])
-        assert table.tolist() == [1.0, 0.0]
+        table = effect_table(state.density, state.dims, [self._effects(_obs(Z))])
+        assert table.tolist() == [1.0 + 1e-13, -1e-13]
+        assert clamp_probabilities(table).tolist() == [1.0, 0.0]
 
     def test_tilted_setting(self, phi_plus):
         a0 = _obs((X + Z) / math.sqrt(2.0))
         b0 = _obs(Z)
-        p = born_table(phi_plus, [a0.effect(0), b0.effect(0)]).item()
+        p = effect_table(phi_plus.density, phi_plus.dims, [a0.effect(0), b0.effect(0)]).item()
         assert abs(p - (1.0 + 1.0 / math.sqrt(2.0)) / 4.0) < 1e-12
 
     def test_dimension_mismatch(self, phi_plus):
         with pytest.raises(DimensionMismatchError):
-            born_table(phi_plus, [np.eye(3), np.eye(2)])
+            effect_table(phi_plus.density, phi_plus.dims, [np.eye(3), np.eye(2)])
 
     def test_normalization_property(self):
         rng = np.random.default_rng(10)
@@ -140,21 +143,26 @@ class TestBornProbability:
             observables = [
                 DichotomicObservable(random_projective_observable(d, rng)) for d in dims
             ]
-            table = born_table(state, [self._effects(o) for o in observables])
+            stacks = [self._effects(o) for o in observables]
+            table = clamp_probabilities(effect_table(state.density, state.dims, stacks))
             assert np.all(table >= 0.0)
             assert abs(table.sum() - 1.0) < 1e-10
 
 
 class TestExpectation:
+    """``local_contraction`` with one operator per party: the expectation
+    value of their product."""
+
     def test_xx_on_phi_plus(self, phi_plus):
-        assert abs(expectation(phi_plus, [X, X]) - 1.0) < 1e-12
+        assert abs(local_contraction(phi_plus.density, (2, 2), [X, X]).item() - 1.0) < 1e-12
 
     def test_zx_on_phi_plus(self, phi_plus):
-        assert abs(expectation(phi_plus, [Z, X])) < 1e-12
+        assert abs(local_contraction(phi_plus.density, (2, 2), [Z, X]).item()) < 1e-12
 
     def test_reference_pair(self, phi_plus):
         a0 = (X + Z) / math.sqrt(2.0)
-        assert abs(expectation(phi_plus, [a0, Z]) - 1.0 / math.sqrt(2.0)) < 1e-12
+        value = local_contraction(phi_plus.density, (2, 2), [a0, Z]).item()
+        assert abs(value - 1.0 / math.sqrt(2.0)) < 1e-12
 
     def test_consistency_with_probabilities(self):
         rng = np.random.default_rng(11)
@@ -164,67 +172,76 @@ class TestExpectation:
             obs = [
                 DichotomicObservable(random_projective_observable(d, rng)) for d in dims
             ]
-            table = born_table(state, [[o.effect(0), o.effect(1)] for o in obs])
+            stacks = [[o.effect(0), o.effect(1)] for o in obs]
+            table = clamp_probabilities(effect_table(state.density, dims, stacks))
             signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
-            assert abs(expectation(state, obs) - signed) < 1e-12
+            assert abs(local_contraction(state.density, dims, obs).item() - signed) < 1e-12
 
 
 class TestPostMeasurement:
+    """``post_measurement_states`` on one branch."""
+
     def test_projects_onto_outcome(self, phi_plus):
         zo = _obs(Z)
-        out = post_measurement_state(phi_plus, [zo.effect(0), zo.effect(0)])
+        (out,) = post_measurement_states(phi_plus, [zo.effect(0), zo.effect(0)])
         target = np.zeros((4, 4), dtype=complex)
         target[0, 0] = 1.0
-        assert max_abs(out.density - target) < 1e-12
+        assert max_abs(out - target) < 1e-12
 
     def test_reference_first_round_leaves_product_state(self, phi_plus):
         obs = reference_observables(2, time_slice=1)
         for a, b in itertools.product((0, 1), repeat=2):
-            out = post_measurement_state(
+            (out,) = post_measurement_states(
                 phi_plus, [obs[0][0].effect(a), obs[1][0].effect(b)]
             )
             vec = kron(
                 HBAR_BASIS[a].reshape(-1, 1), np.eye(2)[:, b].reshape(-1, 1)
             ).reshape(-1)
-            assert max_abs(out.density - np.outer(vec, vec.conj())) < 1e-12
+            assert max_abs(out - np.outer(vec, vec.conj())) < 1e-12
 
     def test_impossible_outcome(self):
         zo = _obs(Z)
         state = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
         with pytest.raises(ZeroProbabilityError):
-            post_measurement_state(state, [zo.effect(1), zo.effect(1)])
+            post_measurement_states(state, [zo.effect(1), zo.effect(1)])
 
     def test_repeat_measurement_is_deterministic(self, phi_plus):
         zo = _obs(Z)
-        out = post_measurement_state(phi_plus, [zo.effect(0), zo.effect(0)])
-        assert abs(born_table(out, [zo.effect(0), zo.effect(0)]).item() - 1.0) < 1e-10
+        (out,) = post_measurement_states(phi_plus, [zo.effect(0), zo.effect(0)])
+        assert abs(effect_table(out, (2, 2), [zo.effect(0), zo.effect(0)]).item() - 1.0) < 1e-10
 
 
 class TestEvolve:
+    """``post_measurement_states`` with no projector and an interaction:
+    the one branch ``V rho V^dag``."""
+
     def test_identity(self, phi_plus):
-        out = evolve(phi_plus, Interaction(np.eye(4), (2, 2), (2, 2)))
-        assert max_abs(out.density - phi_plus.density) < 1e-12
+        (out,) = post_measurement_states(
+            phi_plus, [None, None], Interaction(np.eye(4), (2, 2), (2, 2))
+        )
+        assert max_abs(out - phi_plus.density) < 1e-12
 
     def test_reference_interaction_creates_entanglement(self):
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         vec = kron(HBAR_BASIS[0].reshape(-1, 1), np.array([[1.0], [0.0]])).reshape(-1)
-        out = evolve(pure_state(vec, (2, 2)), u)
+        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [None, None], u)
         phi = ghz_like_vector((0, 0))
-        assert max_abs(out.density - np.outer(phi, phi.conj())) < 1e-12
+        assert max_abs(out - np.outer(phi, phi.conj())) < 1e-12
 
     def test_branch_11_gives_phi_minus(self):
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         vec = kron(HBAR_BASIS[1].reshape(-1, 1), np.array([[0.0], [1.0]])).reshape(-1)
-        out = evolve(pure_state(vec, (2, 2)), u)
+        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [None, None], u)
         phi_minus = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0)
-        assert max_abs(out.density - np.outer(phi_minus, phi_minus.conj())) < 1e-12
+        assert max_abs(out - np.outer(phi_minus, phi_minus.conj())) < 1e-12
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(12)
         state = random_density((2, 3), rng)
         u = Interaction(random_unitary(6, rng), (2, 3), (2, 3))
         before = np.sort(np.linalg.eigvalsh(state.density))
-        after = np.sort(np.linalg.eigvalsh(evolve(state, u).density))
+        (out,) = post_measurement_states(state, [None, None], u)
+        after = np.sort(np.linalg.eigvalsh(out))
         assert max_abs(before - after) < 1e-9
 
     def test_non_unitary_rejected(self):

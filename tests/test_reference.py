@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellcert.linalg import dagger, max_abs
-from bellcert.quantum import evolve, pure_state
+from bellcert.quantum import post_measurement_states, pure_state
 from bellcert.reference import (
     HBAR_BASIS,
     entangling_unitary,
@@ -49,9 +49,9 @@ def test_entangling_unitary_action_all_branches():
     for n in (2, 3):
         interaction = reference_strategy(n).interaction
         for bits, vec in pre_interaction_basis(n):
-            out = evolve(pure_state(vec, (2,) * n), interaction)
+            (out,) = post_measurement_states(pure_state(vec, (2,) * n), [None] * n, interaction)
             phi = ghz_like_vector(bits)
-            fidelity = float(np.real(np.conj(phi) @ out.density @ phi))
+            fidelity = float(np.real(np.conj(phi) @ out @ phi))
             assert abs(fidelity - 1.0) < 1e-12
 
 

@@ -19,12 +19,11 @@ from bellcert.scenario import (
     Strategy,
     bell_branch_settings,
     extra_branch_settings,
-    repeatability_spotcheck,
     run_scenario,
     scramble_strategy,
 )
 
-from conftest import X, Z, on_target
+from conftest import X, Z, on_target, repeatability_spotcheck
 
 SQRT2 = math.sqrt(2.0)
 
