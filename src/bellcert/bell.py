@@ -46,6 +46,7 @@ __all__ = [
     "effect_stacks",
     "correlator_table",
     "bell_values",
+    "bell_operators",
     "build_bell_operator",
     "classical_bound",
     "quantum_value",
@@ -174,24 +175,39 @@ def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int)
     return np.sum(coefficients * correlators, axis=tuple(range(-parties, 0)))
 
 
-def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
-    """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
-    observable pairs."""
-    n_parties = expr.parties
-    stacks = setting_stacks(observables)
+def bell_operators(coefficients: np.ndarray, stacks) -> np.ndarray:
+    """Operators ``sum_i C[i_1, ..., i_N] S^1_{i_1} ox ... ox S^N_{i_N}`` of a
+    coefficient tensor ``C`` and per-party stacks ``S^n`` of shape
+    ``(..., 3, d_n, d_n)``.  Leading axes of the stacks index strategies, so
+    the result has shape ``(..., D, D)``.
+
+    One matmul per party consumes the leading operator-choice axis of ``C``
+    and appends that party's (row, column) pair, so no Kronecker product is
+    formed.  The result is Hermitian up to roundoff when every stack is.
+    """
+    n_parties = coefficients.ndim
     if len(stacks) != n_parties:
         raise DimensionMismatchError(
             f"need observables for {n_parties} parties, got {len(stacks)}"
         )
-
-    # Contract C with one party's stack at a time: each step consumes the
-    # leading operator-choice axis and appends that party's (row, column).
-    t = bell_coefficients(expr)
+    t = coefficients.reshape(3, -1)
     for stack in stacks:
-        t = np.tensordot(t, stack, axes=(0, 0))
-    rows_then_cols = tuple(range(0, 2 * n_parties, 2)) + tuple(range(1, 2 * n_parties, 2))
-    d = int(np.prod([s.shape[1] for s in stacks]))
-    op = t.transpose(rows_then_cols).reshape(d, d)
+        d = stack.shape[-1]
+        t = t.reshape(t.shape[:-2] + (3, -1))
+        t = np.swapaxes(t, -1, -2) @ stack.reshape(stack.shape[:-2] + (d * d,))
+    dims = [s.shape[-1] for s in stacks]
+    batch = t.shape[:-2]
+    t = t.reshape(batch + tuple(d for d in dims for _ in (0, 1)))
+    k = len(batch)
+    rows_then_cols = [*range(k), *range(k, t.ndim, 2), *range(k + 1, t.ndim, 2)]
+    d = math.prod(dims)
+    return t.transpose(rows_then_cols).reshape(batch + (d, d))
+
+
+def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
+    """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
+    observable pairs."""
+    op = bell_operators(bell_coefficients(expr), setting_stacks(observables))
     return (op + dagger(op)) / 2.0
 
 

@@ -88,8 +88,11 @@ class EigenDecomposition:
     """Spectral data of a Hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, each with its first
-    nonzero component made real positive.
+    matching orthonormal eigenvectors as columns.  ``herm_eig`` makes the
+    first nonzero component of each column real positive.  ``sign`` does
+    not depend on the column phases, and it also takes a stack of
+    decompositions along leading axes, such as raw ``numpy.linalg.eigh``
+    output of a stack.
     """
 
     eigenvalues: np.ndarray
@@ -104,8 +107,9 @@ class EigenDecomposition:
         """Return ``sum_k sign(lambda_k) |v_k><v_k|``, exactly Hermitian,
         with zero eigenvalues counted as +1."""
         v = self.eigenvectors
-        out = (v * np.where(self.eigenvalues >= 0.0, 1.0, -1.0)) @ dagger(v)
-        return (out + dagger(out)) / 2.0
+        signs = np.where(self.eigenvalues >= 0.0, 1.0, -1.0)[..., np.newaxis, :]
+        out = (v * signs) @ np.conj(np.swapaxes(v, -1, -2))
+        return (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
 
 
 def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:

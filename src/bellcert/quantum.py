@@ -364,7 +364,8 @@ def post_measurement_states(
 
 
 # Scratch bound of the stacked kernels: a stack larger than this is processed
-# in chunks of branches, so its temporaries stay within this size.
+# in chunks of branches (or of seesaw restarts), so its temporaries stay
+# within this size.
 CHUNK_BYTES = 1 << 26
 
 

@@ -7,28 +7,30 @@ by the matrix sign of its effective operator.  Both sub-updates solve their
 restricted problem exactly, so the value sequence never decreases, and for
 this Bell family it can never pass ``2 (N - 1)`` at any local dimension.
 
-Only the state update forms the D x D Bell operator.  The sweep over the
-parties costs one ``quantum.local_contraction`` of the state per party:
-weighted by the coefficient tensor ``bell.bell_coefficients``, the table
-gives the effective operators of that party's identity and both settings
-at once.  The last party's table, summed against its updated observables,
-is the iteration value, so no separate ``bell.quantum_value`` is needed.
+The restarts of a run advance in lockstep.  Each iteration builds the
+``(R, D, D)`` Bell operators of the R active restarts in one
+``bell.bell_operators`` pass and diagonalizes them with one stacked
+``eigh``; the state stays a vector, a row of ``psi`` of shape ``(R, D)``.
+Each party's effective operators are contracted from ``psi`` and the other
+parties' ``(I, A_0, A_1)`` stacks, term by term over the nonzero entries of
+``bell.bell_coefficients``, so no D x D density is formed, and one stacked
+``eigh`` gives the new settings of every restart.  The last party's
+effective operators, summed against its updated settings, are the
+iteration value.  A restart that meets the convergence rule leaves the
+batch, and the restarts go in chunks so that the Bell operators stay within
+``quantum.CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    BellExpression,
-    bell_coefficients,
-    build_bell_operator,
-    setting_stacks,
-)
-from .linalg import herm_eig
-from .quantum import QuantumState, local_contraction, pure_state, random_projective_observable
+from .bell import BellExpression, bell_coefficients, bell_operators, setting_stacks
+from .linalg import EigenDecomposition
+from .quantum import QuantumState, _chunks, pure_state, random_projective_observable
 
 __all__ = [
     "SeesawConfig",
@@ -59,94 +61,126 @@ class SeesawConfig:
 
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
+    """One restart's outcome; ``vector`` is the top eigenvector of the last
+    state update."""
+
     value: float
-    state: QuantumState
+    vector: np.ndarray
     observables: tuple[tuple[np.ndarray, np.ndarray], ...]
     iterations: int
     converged: bool
 
+    @property
+    def state(self) -> QuantumState:
+        """The pure state of ``vector``, built each time it is read."""
+        return pure_state(self.vector, tuple(pair[0].shape[0] for pair in self.observables))
+
 
 def optimal_observable_update(effective: np.ndarray) -> np.ndarray:
     """Maximizer of ``Tr(O H)`` over Hermitian ``O`` with ``O^2 = I``: the
-    matrix sign of ``H``.
+    matrix sign of ``H``, for one matrix or a stack ``(..., d, d)``.
 
     An eigenvalue ``lambda`` near zero moves the objective by at most
     ``2 |lambda|`` whichever sign it gets; exact zeros are assigned +1.
     """
-    return herm_eig(effective).sign()
+    return EigenDecomposition(*np.linalg.eigh(effective)).sign()
 
 
-def optimal_state_update(bell_operator: np.ndarray, dims: tuple[int, ...]) -> tuple[QuantumState, float]:
-    """Top eigenvector of the Bell operator as a pure state, with its value."""
-    eig = herm_eig(bell_operator)
-    return pure_state(eig.eigenvectors[:, -1], dims), float(eig.eigenvalues[-1])
+def optimal_state_update(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvectors and eigenvalues of a Bell operator or a stack of
+    them, shapes ``(..., D)`` and ``(...)``.  ``eigh`` reads one triangle,
+    so an operator Hermitian only up to roundoff needs no symmetrizing, and
+    no eigenvector phase is fixed: neither the state nor a matrix sign
+    depends on it."""
+    values, vectors = np.linalg.eigh(operators)
+    return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
 
 
-def _effective_operators(state, stacks, coefficients, party):
-    """Effective operators ``K[i]`` of ``party``'s ``(I, A_0, A_1)``: with
-    the other parties' ``stacks`` fixed, the Bell value is
-    ``sum_i Tr(S_i K[i])`` for any stack ``S`` of ``party``, so ``K[1 + s]``
-    is the effective operator of setting ``s``.
+def _apply(op: np.ndarray, psi: np.ndarray, dims, party: int) -> np.ndarray:
+    """``op_r`` acting on ``party``'s factor of ``psi[r]``, for ``(R, d, d)``
+    operators and ``(R, D)`` vectors."""
+    pre = math.prod(dims[:party])
+    out = np.matmul(op[:, np.newaxis], psi.reshape(len(psi), pre, dims[party], -1))
+    return out.reshape(psi.shape)
 
-    One ``local_contraction``: the other parties get their stacks and
-    ``party`` the matrix units ``|a><b|``, so the table holds
-    ``Tr[(|a><b| ox ...) rho] = K_ba`` against every operator choice of the
-    others, weighted by ``C`` with ``party``'s axis left open.  ``party``'s
-    own stack does not enter, so its updated settings leave ``K`` valid.
+
+def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
+    """``(..., D)`` vectors as ``(..., d, D / d)`` matrices whose row index
+    is ``party``'s."""
+    pre = math.prod(dims[:party])
+    t = np.swapaxes(x.reshape(x.shape[:-1] + (pre, dims[party], -1)), -3, -2)
+    return t.reshape(x.shape[:-1] + (dims[party], -1))
+
+
+def _effective_operators(psi, dims, stacks, coefficients, party):
+    """Effective operators ``K[r, i]`` of ``party``'s ``(I, A_0, A_1)`` in
+    restart ``r``: with the other parties' ``stacks`` (``(R, 3, d, d)``
+    each) fixed, the Bell value of ``psi[r]`` is ``sum_i Tr(S_i K[r, i])``
+    for any stack ``S`` of ``party``, so ``K[:, 1 + s]`` is the effective
+    operator of setting ``s``.
+
+    Each nonzero entry ``C[j]`` of ``bell_coefficients`` adds
+    ``C[j] O_j psi`` to ``phi[:, j_party]``, ``O_j`` being the other
+    parties' ``S_{j_q}``: ``(R, D)`` of scratch per entry.  Then
+    ``K_i = phi_i psi^dag`` with ``party``'s axis as the row index of both,
+    since ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b . conj(psi_a)``.
+    ``party``'s own stack does not enter, so its updated settings leave
+    ``K`` valid.
     """
-    d = state.dims[party]
-    stacks = list(stacks)
-    stacks[party] = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    table = np.moveaxis(local_contraction(state.density, state.dims, stacks), party, -1)
-    weights = np.moveaxis(coefficients, party, 0)
-    kt = np.tensordot(weights, table, axes=weights.ndim - 1).reshape(3, d, d)  # K transposed
-    return (kt.transpose(0, 2, 1) + np.conj(kt)) / 2.0
+    phi = np.zeros((len(psi), 3, psi.shape[1]), dtype=complex)
+    for j in zip(*np.nonzero(coefficients)):
+        v = psi
+        for q, i in enumerate(j):
+            if i and q != party:
+                v = _apply(stacks[q][:, i], v, dims, q)
+        phi[:, j[party]] += coefficients[j] * v
+    bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
+    k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
+    return (k + np.conj(np.swapaxes(k, -1, -2))) / 2.0
 
 
-def _strategy_value(stack, effective) -> float:
-    """Bell value ``sum_i Tr(S_i K[i])`` of the strategy in which the party
-    whose ``_effective_operators`` are ``effective`` holds the stack ``S``."""
-    return float(np.real(np.einsum("iab,iba->", stack, effective)))
+def _strategy_value(stack, effective) -> np.ndarray:
+    """Bell values ``sum_i Tr(S_i K[r, i])`` of the strategies in which the
+    party whose ``_effective_operators`` are ``effective`` holds the stacks
+    ``S``."""
+    return np.real(np.einsum("...iab,...iba->...", stack, effective))
 
 
-def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
-    """One seesaw run from a seeded random start."""
-    n = expr.parties
-    dims = config.local_dims
-    if len(dims) != n:
-        raise ValueError(f"need {n} local dimensions, got {len(dims)}")
-    rng = np.random.default_rng(config.seed)
-    observables = [
-        [random_projective_observable(dims[p], rng) for _ in range(2)] for p in range(n)
-    ]
+def _random_observables(dims, seed: int) -> list[list[np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    return [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
 
-    coefficients = bell_coefficients(expr)
-    value = -np.inf
-    iterations = 0
-    converged = False
-    state = None
+
+def _lockstep(coefficients, dims, stacks, config: SeesawConfig) -> list[SeesawResult]:
+    """Seesaw runs from the starting ``(R, 3, d, d)`` setting stacks, all
+    advanced together until each converges or runs out of iterations."""
+    results: list[SeesawResult | None] = [None] * len(stacks[0])
+    active = np.arange(len(results))
+    value = np.full(len(results), -np.inf)
     for iterations in range(1, config.max_iters + 1):
-        state, _ = optimal_state_update(build_bell_operator(expr, observables), dims)
-        stacks = setting_stacks(observables)
-        for party in range(n):
-            effective = _effective_operators(state, stacks, coefficients, party)
-            observables[party] = [optimal_observable_update(effective[1 + s]) for s in (0, 1)]
-            stacks[party] = np.stack([stacks[party][0], *observables[party]])
-        # The last table was taken after every other party's update, so
-        # against the last party's new stack it gives the updated value.
+        psi, _ = optimal_state_update(bell_operators(coefficients, stacks))
+        for party in range(len(dims)):
+            effective = _effective_operators(psi, dims, stacks, coefficients, party)
+            stacks[party][:, 1:] = optimal_observable_update(effective[:, 1:])
+        # The last party's operators were taken after every other party's
+        # update, so against its new stack they give the updated value.
         new_value = _strategy_value(stacks[-1], effective)
-        if new_value - value < config.convergence_tol and iterations > 1:
-            value = max(value, new_value)
-            converged = True
+        converged = (new_value - value < config.convergence_tol) & (iterations > 1)
+        value = np.where(converged, np.maximum(value, new_value), new_value)
+        done = converged | (iterations == config.max_iters)
+        for j in np.flatnonzero(done):
+            results[active[j]] = SeesawResult(
+                value=float(value[j]),
+                vector=psi[j].copy(),
+                observables=tuple((s[j, 1].copy(), s[j, 2].copy()) for s in stacks),
+                iterations=iterations,
+                converged=bool(converged[j]),
+            )
+        keep = ~done
+        active, value, stacks = active[keep], value[keep], [s[keep] for s in stacks]
+        if not active.size:
             break
-        value = new_value
-    return SeesawResult(
-        value=value,
-        state=state,
-        observables=tuple((o[0], o[1]) for o in observables),
-        iterations=iterations,
-        converged=converged,
-    )
+    return results
 
 
 def seesaw_restarts(
@@ -156,16 +190,28 @@ def seesaw_restarts(
     max_iters: int = 200,
     convergence_tol: float = 1e-12,
 ) -> list[SeesawResult]:
-    """Independent seeded restarts (the landscape has local optima)."""
-    return [
-        seesaw_maximize(
-            expr,
-            SeesawConfig(
-                local_dims=tuple(local_dims),
-                max_iters=max_iters,
-                convergence_tol=convergence_tol,
-                seed=int(s),
-            ),
-        )
-        for s in seeds
-    ]
+    """Independent seeded restarts (the landscape has local optima), each
+    from random projective observables drawn from its seed, advanced in
+    lockstep."""
+    config = SeesawConfig(
+        local_dims=tuple(local_dims), max_iters=max_iters, convergence_tol=convergence_tol
+    )
+    dims = config.local_dims
+    if len(dims) != expr.parties:
+        raise ValueError(f"need {expr.parties} local dimensions, got {len(dims)}")
+    seeds = [int(s) for s in seeds]
+    coefficients = bell_coefficients(expr)
+    results = []
+    for chunk in _chunks(len(seeds), math.prod(dims)):
+        starts = [setting_stacks(_random_observables(dims, s)) for s in seeds[chunk]]
+        results += _lockstep(coefficients, dims, [np.stack(p) for p in zip(*starts)], config)
+    return results
+
+
+def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
+    """One seesaw run from a seeded random start: ``seesaw_restarts`` with
+    the one seed ``config.seed``."""
+    (result,) = seesaw_restarts(
+        expr, config.local_dims, [config.seed], config.max_iters, config.convergence_tol
+    )
+    return result

@@ -482,7 +482,8 @@ class TestSeesawCommand:
             )
             == 0
         )
-        data = json.loads(capsys.readouterr().out.splitlines()[0])
+        # The whole of stdout is one JSON document, with --out as without.
+        data = json.loads(capsys.readouterr().out)
         assert data["best_value"] >= 2.0 - 1e-6
         saved = json.loads(out.read_text())
         assert saved["kind"] == "bell_strategy"

@@ -282,32 +282,51 @@ def seesaw_inputs(dims, seed):
     return observables, random_density(dims, rng)
 
 
+def seesaw_batch(dims, seed, restarts=3):
+    """Random observables and pure states of ``restarts`` strategies, with
+    the kernel's ``(R, 3, d, d)`` setting stacks and ``(R, D)`` vectors."""
+    rng = np.random.default_rng(seed)
+    observables = [
+        [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+        for _ in range(restarts)
+    ]
+    size = (restarts, int(np.prod(dims)))
+    psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    stacks = [np.stack(p) for p in zip(*(setting_stacks(o) for o in observables))]
+    return observables, psi, stacks
+
+
 @pytest.mark.parametrize("dims, target", SEESAW_CASES)
 def test_effective_operator_matches_dense_formula(dims, target):
     expr = BellExpression(len(dims), target)
-    observables, state = seesaw_inputs(dims, 44)
-    stacks, coefficients = setting_stacks(observables), bell_coefficients(expr)
+    observables, psi, stacks = seesaw_batch(dims, 44)
+    coefficients = bell_coefficients(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(state, stacks, coefficients, party)
-        for setting in (0, 1):
-            dense = dense_effective_operator(expr, observables, state.density, party, setting)
-            assert max_abs(effective[1 + setting] - dense) <= 1e-13
+        effective = _effective_operators(psi, dims, stacks, coefficients, party)
+        for r, v in enumerate(psi):
+            rho = np.outer(v, v.conj())
+            for setting in (0, 1):
+                dense = dense_effective_operator(expr, observables[r], rho, party, setting)
+                assert max_abs(effective[r, 1 + setting] - dense) <= 1e-13
 
 
 @pytest.mark.parametrize("dims, target", SEESAW_CASES)
 def test_table_value_matches_quantum_value(dims, target):
-    # One party's table, against that party's old or replaced observables,
-    # gives the value of the whole strategy.
+    # One party's effective operators, against that party's old or replaced
+    # observables, give the value of the whole strategy.
     expr = BellExpression(len(dims), target)
-    observables, state = seesaw_inputs(dims, 47)
-    replacements, _ = seesaw_inputs(dims, 48)
-    stacks, coefficients = setting_stacks(observables), bell_coefficients(expr)
+    observables, psi, stacks = seesaw_batch(dims, 47)
+    replacements, _, _ = seesaw_batch(dims, 48)
+    coefficients = bell_coefficients(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(state, stacks, coefficients, party)
-        for pair in (observables[party], replacements[party]):
-            updated = observables[:party] + [pair] + observables[party + 1 :]
-            value = _strategy_value(setting_stacks(updated)[party], effective)
-            assert abs(value - quantum_value(state, updated, expr)) <= 1e-13
+        effective = _effective_operators(psi, dims, stacks, coefficients, party)
+        for pairs in (observables, replacements):
+            updated = [o[:party] + [p[party]] + o[party + 1 :] for o, p in zip(observables, pairs)]
+            stack = np.stack([setting_stacks(u)[party] for u in updated])
+            values = _strategy_value(stack, effective)
+            for value, u, v in zip(values, updated, psi):
+                assert abs(value - quantum_value(pure_state(v, dims), u, expr)) <= 1e-13
 
 
 @pytest.mark.parametrize("dims, target", SEESAW_CASES)

@@ -8,8 +8,9 @@ from bellcert.bell import (
     quantum_value,
     setting_stacks,
 )
-from bellcert.linalg import max_abs
-from bellcert.quantum import random_projective_observable
+from bellcert import quantum
+from bellcert.linalg import herm_eig, max_abs
+from bellcert.quantum import pure_state, random_projective_observable
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.seesaw import (
     SeesawConfig,
@@ -44,28 +45,42 @@ class TestObservableUpdate:
             o_new = optimal_observable_update(h)
             assert np.real(np.trace(o_new @ h)) >= np.real(np.trace(o_old @ h)) - 1e-10
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(42)
+        h = rng.standard_normal((3, 2, 3, 3)) + 1j * rng.standard_normal((3, 2, 3, 3))
+        h = h + np.conj(np.swapaxes(h, -1, -2))
+        out = optimal_observable_update(h)
+        for idx in np.ndindex(3, 2):
+            assert max_abs(out[idx] - herm_eig(h[idx]).sign()) < 1e-12
+
 
 class TestStateUpdate:
     def test_reference_operator_two_parties(self):
         expr = BellExpression(2, (0, 0))
         op = build_bell_operator(expr, target_observables(2))
-        state, value = optimal_state_update(op, (2, 2))
+        vector, value = optimal_state_update(op)
         assert abs(value - 2.0) < 1e-10
         phi = ghz_like_vector((0, 0))
-        assert phase_distance(state.density, np.outer(phi, phi.conj())) < 1e-10
+        assert phase_distance(np.outer(vector, vector.conj()), np.outer(phi, phi.conj())) < 1e-10
 
     def test_reference_operator_three_parties(self):
         expr = BellExpression(3, (0, 0, 0))
         op = build_bell_operator(expr, target_observables(3))
-        _, value = optimal_state_update(op, (2, 2, 2))
+        _, value = optimal_state_update(op)
         assert abs(value - 4.0) < 1e-10
 
     def test_value_is_top_eigenvalue(self):
         rng = np.random.default_rng(41)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = (h + np.conj(h).T) / 2
-        _, value = optimal_state_update(h, (2, 2))
+        vector, value = optimal_state_update(h)
         assert abs(value - np.max(np.linalg.eigvalsh(h))) < 1e-10
+        assert max_abs(h @ vector - value * vector) < 1e-10
+        # A stack gives each operator's top eigenpair.
+        vectors, values = optimal_state_update(np.stack([h, -h]))
+        assert abs(values[0] - value) < 1e-12
+        assert abs(values[1] + np.min(np.linalg.eigvalsh(h))) < 1e-10
+        assert max_abs(h @ vectors[1] + values[1] * vectors[1]) < 1e-10
 
 
 class TestSeesaw:
@@ -106,23 +121,20 @@ class TestSeesaw:
         ]
         coefficients = bell_coefficients(expr)
         last = -np.inf
-        state = None
         for _ in range(10):
             op = build_bell_operator(expr, observables)
-            state, value = optimal_state_update(op, (2, 2))
+            vector, value = optimal_state_update(op)
             assert value >= last - 1e-12
             last = value
             for party in range(2):
-                effective = _effective_operators(
-                    state, setting_stacks(observables), coefficients, party
+                stacks = [s[np.newaxis] for s in setting_stacks(observables)]
+                (effective,) = _effective_operators(
+                    vector[np.newaxis], (2, 2), stacks, coefficients, party
                 )
                 for setting in (0, 1):
                     observables[party][setting] = optimal_observable_update(effective[1 + setting])
-                    value = float(
-                        np.real(
-                            np.trace(build_bell_operator(expr, observables) @ state.density)
-                        )
-                    )
+                    op = build_bell_operator(expr, observables)
+                    value = float(np.real(np.vdot(vector, op @ vector)))
                     assert value >= last - 1e-12
                     last = value
 
@@ -135,7 +147,8 @@ def reference_seesaw(expr, config):
     observables = [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
     value = -np.inf
     for iterations in range(1, config.max_iters + 1):
-        state, _ = optimal_state_update(build_bell_operator(expr, observables), dims)
+        top = herm_eig(build_bell_operator(expr, observables)).eigenvectors[:, -1]
+        state = pure_state(top, dims)
         for party in range(expr.parties):
             for setting in (0, 1):
                 eff = dense_effective_operator(expr, observables, state.density, party, setting)
@@ -159,3 +172,62 @@ def test_sweep_matches_per_setting_reference(dims, target):
         result = seesaw_maximize(expr, config)
         assert abs(result.value - value) <= 1e-12
         assert (result.iterations, result.converged) == (iterations, converged)
+
+
+LOCKSTEP_CASES = [
+    ((2, 2), (1, 0)),
+    ((2, 3, 2), (0, 0, 0)),
+    ((2, 3, 2), (1, 0, 1)),
+    ((3, 3, 3, 3), (1, 0, 1, 0)),
+]
+
+
+def assert_same_runs(batch, singles):
+    assert len(batch) == len(singles)
+    for b, s in zip(batch, singles):
+        assert abs(b.value - s.value) <= 1e-12
+        assert (b.iterations, b.converged) == (s.iterations, s.converged)
+
+
+@pytest.mark.parametrize("dims, target", LOCKSTEP_CASES)
+def test_lockstep_matches_single_restarts(dims, target):
+    expr = BellExpression(len(dims), target)
+    batch = seesaw_restarts(expr, dims, range(10))
+    singles = [seesaw_maximize(expr, SeesawConfig(dims, seed=s)) for s in range(10)]
+    assert_same_runs(batch, singles)
+    for r in batch:
+        assert r.vector.shape == (int(np.prod(dims)),)
+        assert np.array_equal(r.state.density, pure_state(r.vector, dims).density)
+        assert r.state.dims == dims
+
+
+@pytest.mark.parametrize(
+    "dims, target, exits",
+    [
+        # Qubit restarts all converge at iteration 2, so the cut at 3 leaves them be.
+        ((2, 2), (1, 0), {200: {(2, True)}, 3: {(2, True)}}),
+        ((2, 3, 2), (1, 0, 1), {200: {(3, True), (4, True)}, 3: {(3, True), (3, False)}}),
+        ((3, 3, 3, 3), (0, 0, 0, 0), {200: {(3, True), (4, True)}, 3: {(3, True), (3, False)}}),
+    ],
+)
+def test_restarts_leave_the_batch_at_their_own_iteration(dims, target, exits):
+    # Restarts that converge at different iterations, or run out of them
+    # beside restarts that converge, keep their seeds' results.
+    expr = BellExpression(len(dims), target)
+    seeds = [7, 0, 5, 2, 9, 4]
+    for max_iters, pinned in exits.items():
+        batch = seesaw_restarts(expr, dims, seeds, max_iters=max_iters)
+        assert {(r.iterations, r.converged) for r in batch} == pinned
+        configs = [SeesawConfig(dims, max_iters=max_iters, seed=s) for s in seeds]
+        assert_same_runs(batch, [seesaw_maximize(expr, c) for c in configs])
+
+
+@pytest.mark.parametrize("dims, target", LOCKSTEP_CASES)
+def test_chunked_restarts_match_one_chunk(dims, target, monkeypatch):
+    expr = BellExpression(len(dims), target)
+    whole = seesaw_restarts(expr, dims, range(7))
+    # Three Bell operators per chunk: seven restarts go in chunks of 3, 3 and 1.
+    dim = int(np.prod(dims))
+    monkeypatch.setattr(quantum, "CHUNK_BYTES", 3 * 16 * dim**2)
+    assert [len(range(7)[c]) for c in quantum._chunks(7, dim)] == [3, 3, 1]
+    assert_same_runs(seesaw_restarts(expr, dims, range(7)), whole)
