@@ -42,6 +42,6 @@ from .scenario import (
     run_scenario,
     scramble_strategy,
 )
-from .seesaw import SeesawConfig, seesaw_maximize, seesaw_restarts
+from .seesaw import seesaw_restarts
 
 __version__ = "0.1.0"

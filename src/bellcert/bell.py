@@ -213,30 +213,22 @@ def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
 
 def classical_bound(expr: BellExpression) -> float:
     """Maximum of the functional over all deterministic +/-1 assignments to
-    every observable symbol (exhaustive, exact up to floating arithmetic)."""
+    every observable symbol (exhaustive, exact up to floating arithmetic):
+    ``bell_coefficients`` contracted, one party at a time, with the values
+    ``(1, a_0, a_1)`` that party's ``(I, A_0, A_1)`` take in its four
+    assignments, which leaves the 4^N values of the functional."""
     n = expr.parties
     if n > MAX_ENUMERATION_PARTIES:
         raise ValueError(
             f"enumeration over 4^{n} assignments refused for N > "
             f"{MAX_ENUMERATION_PARTIES}; the closed form is sqrt(2)*(N-1)"
         )
-    a = expr.target_outcomes
-    # Bit b of the assignment index: value (-1)^b of one observable symbol.
-    # Bits 2n, 2n+1 hold party n's setting-0 and setting-1 values.
-    idx = np.arange(4**n, dtype=np.int64)
-    val = [(1.0 - 2.0 * ((idx >> k) & 1)).astype(np.float64) for k in range(2 * n)]
-    t0 = (val[0] - val[1]) / math.sqrt(2.0)
-    t1 = (val[0] + val[1]) / math.sqrt(2.0)
-    prod1 = np.ones_like(t1)
-    for m in range(1, n):
-        prod1 *= val[2 * m + 1]
-    total = (n - 1) * t1 * prod1
-    for m in range(1, n):
-        sign = -1.0 if a[m] else 1.0
-        total += sign * t0 * val[2 * m]
-    if a[0]:
-        total = -total
-    return float(np.max(total))
+    rows = np.array([(1.0, a0, a1) for a0 in (1.0, -1.0) for a1 in (1.0, -1.0)])
+    values = bell_coefficients(expr)
+    for _ in range(n):
+        # Consume the leading party axis and append its assignment axis.
+        values = np.tensordot(values, rows, axes=(0, 1))
+    return float(np.max(values))
 
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:

@@ -2,10 +2,13 @@
 
 Given a strategy, verify that its statistics meet the premises (maximal Bell
 violations at both rounds on the designated branches, plus the side
-statistics), extract per-party local frames from the anticommuting
-observable pairs, certify the source state as the maximally entangled state
-times an auxiliary state, and certify the interaction as the reference
-entangling unitary times an auxiliary unitary.
+statistics), check each observable pair once on its certified support
+(``_pair_checks``: both settings sharp, the pair anticommuting), extract
+per-party local frames from the pairs that pass, certify the source state
+as the maximally entangled state times an auxiliary state, and certify the
+interaction as the reference entangling unitary times an auxiliary unitary.
+Only the maximal-violation tolerance is a parameter; the later gates use
+the module's constants.
 
 Verdict semantics:
 
@@ -19,7 +22,9 @@ Verdict semantics:
   non-anticommuting certified observables, a frame or state residual, a
   non-unitary recovered auxiliary block, or an interaction residual
   ``max|W - U ox V0|`` beyond the certification tolerance.  Each premise
-  is checked once and a failing one gives one failure line.
+  is checked once and a failing one gives one failure line, in chain order:
+  projectivity, frame construction, anticommutation, frame residuals, the
+  source state, the interaction.
 * ``certified`` - everything passes and the recovered auxiliary state is
   comfortably full-rank.
 """
@@ -112,17 +117,17 @@ class LocalFrame:
     support_dim: int
 
 
-def support_isometry(density: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def support_isometry(density: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the support of a positive matrix.
 
     Full-rank inputs return the identity, so strategies without dark
     subspaces are handled in their native basis.  Otherwise the support is
-    spanned by the eigenvectors with eigenvalue above ``cutoff``, in the
-    basis ``_position_basis`` fixes.
+    spanned by the eigenvectors with eigenvalue above ``SUPPORT_CUTOFF``, in
+    the basis ``_position_basis`` fixes.
     """
     density = np.asarray(density, dtype=complex)
     eig = herm_eig(density)
-    mask = eig.eigenvalues > cutoff
+    mask = eig.eigenvalues > SUPPORT_CUTOFF
     if np.all(mask):
         return np.eye(density.shape[0], dtype=complex)
     if not mask.any():
@@ -155,22 +160,31 @@ def check_anticommutation(a0, a1) -> float:
     return max_abs(m0 @ m1 + m1 @ m0)
 
 
+def _pair_checks(a0, a1, label: str) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """The premises of a pair of observables compressed to its support, each
+    at ``CERT_TOL``: the sharpness defect ``max|A_s^2 - I|`` of setting 0
+    and of setting 1, then the anticommutator norm."""
+    eye = np.eye(a0.shape[0])
+    sharp = (
+        CheckResult.below(f"projectivity {label} setting {s}", max_abs(m @ m - eye), CERT_TOL)
+        for s, m in enumerate((a0, a1))
+    )
+    anti = CheckResult.below(f"anticommutator {label}", check_anticommutation(a0, a1), CERT_TOL)
+    return (*sharp, anti)
+
+
 def extract_local_frame(
-    a0,
-    a1,
-    targets: tuple[np.ndarray, np.ndarray],
-    party: int = 0,
-    time_slice: int = 0,
-    tol: float = CERT_TOL,
+    a0, a1, targets: tuple[np.ndarray, np.ndarray], party: int = 0, time_slice: int = 0
 ) -> LocalFrame:
     """Build the local unitary carrying an anticommuting pair of sharp
     observables onto ``target ox identity`` form.
 
-    The inputs must already be restricted to their support: Hermitian, with
-    ``O^2 = I`` within ``tol`` on an even-dimensional space, and
-    anticommuting within ``tol``.  The +1 eigenbasis of ``a0`` is fixed by
-    ``_position_basis`` and its -1 partners are defined as ``a1 v``, so the
-    frame (and every downstream report) depends on the pair alone.
+    The inputs must already be restricted to their support: Hermitian, on an
+    even-dimensional space, and passing ``_pair_checks`` (sharp and
+    anticommuting within ``CERT_TOL``).  The +1 eigenbasis of ``a0`` is
+    fixed by ``_position_basis`` and its -1 partners are defined as
+    ``a1 v``, so the frame (and every downstream report) depends on the pair
+    alone.
     """
     m0, m1 = as_matrix(a0), as_matrix(a1)
     d = m0.shape[0]
@@ -178,22 +192,21 @@ def extract_local_frame(
         raise FramePremiseError("observables must be square matrices of equal dimension")
     if d % 2:
         raise FramePremiseError(f"support dimension {d} is odd; no qubit factor exists")
-    for j, m in enumerate((m0, m1)):
-        defect = max_abs(m @ m - np.eye(d))
-        if defect > tol:
+    *sharp, anti = _pair_checks(m0, m1, f"party {party + 1} t{time_slice}")
+    for j, c in enumerate(sharp):
+        if not c.passed:
             raise FramePremiseError(
-                f"observable {j} is not sharp on its support (unitarity defect {defect:.3e})"
+                f"observable {j} is not sharp on its support (unitarity defect {c.value:.3e})"
             )
-    anti = check_anticommutation(m0, m1)
-    if anti > tol:
-        raise FramePremiseError(f"observables do not anticommute (norm {anti:.3e})")
-    u, resid = _paired_frame(m0, m1, targets, tol)
-    if resid > tol:
-        raise FramePremiseError(f"frame postcondition residual {resid:.3e} exceeds {tol:g}")
+    if not anti.passed:
+        raise FramePremiseError(f"observables do not anticommute (norm {anti.value:.3e})")
+    u, resid = _paired_frame(m0, m1, targets)
+    if resid > CERT_TOL:
+        raise FramePremiseError(f"frame postcondition residual {resid:.3e} exceeds {CERT_TOL:g}")
     return LocalFrame(party=party, time_slice=time_slice, matrix=u, aux_dim=d // 2, support_dim=d)
 
 
-def _paired_frame(m0, m1, targets, tol: float) -> tuple[np.ndarray, float]:
+def _paired_frame(m0, m1, targets) -> tuple[np.ndarray, float]:
     """The frame of ``extract_local_frame`` for a pair already known to be
     sharp and anticommuting, with its postcondition residual
     ``max_j |u m_j u^dag - target_j ox I|``."""
@@ -207,7 +220,7 @@ def _paired_frame(m0, m1, targets, tol: float) -> tuple[np.ndarray, float]:
     minus = m1 @ plus  # anticommutation maps the +1 eigenspace onto the -1 one
     u0 = np.vstack([dagger(plus), dagger(minus)])
     unit_defect = max_abs(u0 @ dagger(u0) - np.eye(d))
-    if unit_defect > tol:
+    if unit_defect > CERT_TOL:
         raise FramePremiseError(f"paired eigenbasis is not orthonormal (defect {unit_defect:.3e})")
 
     k = d // 2
@@ -315,7 +328,6 @@ def certify_interaction(
     frames_t1: tuple[LocalFrame, ...],
     frames_t2: tuple[LocalFrame, ...],
     parties: int,
-    tol_cert: float = CERT_TOL,
 ) -> InteractionCertificate:
     """Recover the auxiliary unitary and gate the claim ``W = U ox V0``.
 
@@ -323,9 +335,10 @@ def certify_interaction(
     factors first, the interaction ``W`` must be the reference entangling
     unitary ``U`` times one auxiliary block.  ``U = G B^dag`` is built from
     the Kronecker product ``B`` of the per-party pre-interaction bases,
-    whose columns are also the inputs ``|in_a>`` below.  ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` is the least-squares estimate
-    of that block, and the claim holds when the residual ``max|W - U ox V0|``
-    and the unitarity defect of ``V0`` are both within ``tol_cert``.
+    whose columns are also the inputs ``|in_a>`` below.
+    ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` is the least-squares estimate of that
+    block, and the claim holds when the residual ``max|W - U ox V0|`` and the
+    unitarity defect of ``V0`` are both within ``CERT_TOL``.
     ``proportionality_error`` is the largest block
     ``(<out| ox I)(W - U ox V0)(|in_a> ox I)`` over computational outputs
     and pre-interaction inputs; a failing residual names that block.
@@ -346,12 +359,12 @@ def certify_interaction(
     worst = float(norms[out, a])
 
     failures = []
-    if unit_defect > tol_cert:
+    if unit_defect > CERT_TOL:
         failures.append(f"recovered auxiliary block is not unitary (defect {unit_defect:.3e})")
-    if residual > tol_cert:
+    if residual > CERT_TOL:
         failures.append(
             f"rotated interaction differs from U ox V0 by {residual:.3e} (max-norm), "
-            f"beyond {tol_cert:g}: block out={out:0{parties}b} of input "
+            f"beyond {CERT_TOL:g}: block out={out:0{parties}b} of input "
             f"{a:0{parties}b} disagrees by {worst:.3e}"
         )
     return InteractionCertificate(
@@ -365,47 +378,56 @@ def certify_interaction(
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
-    """Structured outcome of the full certification pipeline."""
+    """Structured outcome of the full certification pipeline.  A stage the
+    chain did not reach keeps its empty default."""
 
     verdict: str  # "certified" | "refuted" | "inconclusive"
     parties: int
-    bell_checks: tuple[CheckResult, ...]
-    extra_stat_checks: tuple[CheckResult, ...]
-    projectivity_checks: tuple[CheckResult, ...]
-    anticommutation_checks: tuple[CheckResult, ...]
-    frame_checks: tuple[CheckResult, ...]
-    frames: tuple[LocalFrame, ...]
-    state_residual: CheckResult | None
-    xi_min_eigenvalue: float | None
-    state: StateCertificate | None
-    interaction: InteractionCertificate | None
-    failures: tuple[str, ...]
+    bell_checks: tuple[CheckResult, ...] = ()
+    extra_stat_checks: tuple[CheckResult, ...] = ()
+    projectivity_checks: tuple[CheckResult, ...] = ()
+    anticommutation_checks: tuple[CheckResult, ...] = ()
+    frame_checks: tuple[CheckResult, ...] = ()
+    frames: tuple[LocalFrame, ...] = ()
+    state: StateCertificate | None = None
+    interaction: InteractionCertificate | None = None
+    failures: tuple[str, ...] = ()
     tolerances: dict = field(default_factory=dict)
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
 
+    @property
+    def state_residual(self) -> CheckResult | None:
+        """The source-state residual of ``state``, gated at ``CERT_TOL``."""
+        if self.state is None:
+            return None
+        return CheckResult.below("source-state residual", self.state.residual, CERT_TOL)
+
+    @property
+    def xi_min_eigenvalue(self) -> float | None:
+        """The minimum eigenvalue of the auxiliary state of ``state``."""
+        return None if self.state is None else self.state.min_eigenvalue
+
+
+def _compressed_pairs(strategy: Strategy, supports):
+    """Each round's observable pairs compressed to their certified supports,
+    ``A_bar = S^dag A S``, once each, in chain order (first round, then
+    second, parties in order): ``(party, time_slice, S, A_bar_0, A_bar_1,
+    _pair_checks)``."""
+    for time_slice, obs in ((1, strategy.observables_t1), (2, strategy.observables_t2)):
+        for party, pair in enumerate(obs):
+            s = supports[(party, time_slice)]
+            a0, a1 = (dagger(s) @ o.matrix @ s for o in pair)
+            label = f"party {party + 1} t{time_slice}"
+            yield party, time_slice, s, a0, a1, _pair_checks(a0, a1, label)
+
 
 def check_projectivity(strategy: Strategy, supports) -> tuple[CheckResult, ...]:
     """Unitarity defect of every observable compressed to its certified
     support: max-norm of ``A_bar^2 - Pi`` expressed on the support."""
-    checks = []
-    for time_slice, obs in ((1, strategy.observables_t1), (2, strategy.observables_t2)):
-        for party, pair in enumerate(obs):
-            s = supports[(party, time_slice)]
-            r = s.shape[1]
-            for setting, o in enumerate(pair):
-                compressed = dagger(s) @ o.matrix @ s
-                defect = max_abs(compressed @ compressed - np.eye(r))
-                checks.append(
-                    CheckResult.below(
-                        f"projectivity party {party + 1} t{time_slice} setting {setting}",
-                        defect,
-                        CERT_TOL,
-                    )
-                )
-    return tuple(checks)
+    return tuple(c for *_, checks in _compressed_pairs(strategy, supports) for c in checks[:2])
 
 
 def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
@@ -416,22 +438,17 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     Bell-branch states that ``run_scenario`` kept in the record are summed
     once and traced N times."""
     n = strategy.parties
-    supports = {}
-    for party in range(n):
-        supports[(party, 1)] = support_isometry(
-            strategy.source_state.marginal(party).density
-        )
+    source = strategy.source_state
+    supports = {(p, 1): support_isometry(source.marginal(p).density) for p in range(n)}
     x_bell = bell_branch_settings(n)
     sigmas = [s.density for (x, _), s in record.conditional_states.items() if x == x_bell]
     average = QuantumState._derived(sum(sigmas) / len(sigmas), strategy.interaction.dims_out)
-    for party in range(n):
-        supports[(party, 2)] = support_isometry(average.marginal(party).density)
+    supports.update({(p, 2): support_isometry(average.marginal(p).density) for p in range(n)})
     return supports
 
 
 def run_full_certification(
-    strategy: Strategy,
-    max_violation_tol: float = MAX_VIOLATION_TOL,
+    strategy: Strategy, max_violation_tol: float = MAX_VIOLATION_TOL
 ) -> CertificationReport:
     """Simulate the scenario, run the whole chain on its statistics and
     return a structured report; failures are encoded in the report, never
@@ -445,25 +462,9 @@ def run_full_certification(
     premise_failures: list[str] = []
     refutation_failures: list[str] = []
 
-    def report(verdict, **kw):
-        base = dict(
-            verdict=verdict,
-            parties=n,
-            bell_checks=(),
-            extra_stat_checks=(),
-            projectivity_checks=(),
-            anticommutation_checks=(),
-            frame_checks=(),
-            frames=(),
-            state_residual=None,
-            xi_min_eigenvalue=None,
-            state=None,
-            interaction=None,
-            failures=tuple(premise_failures + refutation_failures),
-            tolerances=tolerances,
-        )
-        base.update(kw)
-        return CertificationReport(**base)
+    def report(verdict, **stages):
+        failures = tuple(premise_failures + refutation_failures)
+        return CertificationReport(verdict, n, failures=failures, tolerances=tolerances, **stages)
 
     try:
         record = run_scenario(strategy)
@@ -503,82 +504,64 @@ def run_full_certification(
             for c in extra_checks
             if not c.passed
         )
+    stages = {"bell_checks": tuple(bell_checks), "extra_stat_checks": tuple(extra_checks)}
 
     if premise_failures:
-        return report(
-            "inconclusive", bell_checks=tuple(bell_checks), extra_stat_checks=tuple(extra_checks)
-        )
+        return report("inconclusive", **stages)
 
     try:
         supports = _compute_supports(strategy, record)
-    except (FramePremiseError, ValueError) as exc:
+    except ValueError as exc:
         refutation_failures.append(str(exc))
-        return report(
-            "refuted", bell_checks=tuple(bell_checks), extra_stat_checks=tuple(extra_checks)
-        )
+        return report("refuted", **stages)
 
-    projectivity = check_projectivity(strategy, supports)
+    # One set of premise checks, and one frame residual, per party and round.
+    # A pair whose projectivity or anticommutation check failed gets no frame;
+    # its failing check is the one line that reports it.
+    targets = target_observables(n)
+    projectivity, anticomm_checks, frame_checks, frame_errors, frames = [], [], [], [], {}
+    for party, time_slice, s, a0, a1, (*sharp, anti) in _compressed_pairs(strategy, supports):
+        projectivity += sharp
+        anticomm_checks.append(anti)
+        if not all(c.passed for c in (*sharp, anti)):
+            continue
+        label = f"party {party + 1} t{time_slice}"
+        try:
+            u, resid = _paired_frame(a0, a1, targets[party])
+        except FramePremiseError as exc:
+            frame_errors.append(f"{label}: {exc}")
+            continue
+        check = CheckResult.below(f"frame residual {label}", resid, CERT_TOL)
+        frame_checks.append(check)
+        if check.passed:
+            frames[(party, time_slice)] = LocalFrame(
+                party, time_slice, u @ dagger(s), aux_dim=u.shape[0] // 2, support_dim=s.shape[1]
+            )
     refutation_failures.extend(
         f"{c.name}: defect {c.value:.3e} exceeds {c.tolerance:g}"
         for c in projectivity
         if not c.passed
     )
-
-    # One anticommutation check, and one frame residual, per party and round.
-    # A pair whose projectivity or anticommutation check failed gets no frame;
-    # its failing check is the one line that reports it.
-    targets = target_observables(n)
-    sharp_pairs = zip(*[iter(projectivity)] * 2)  # check_projectivity's order
-    anticomm_checks: list[CheckResult] = []
-    frames: dict[tuple[int, int], LocalFrame] = {}
-    frame_checks: list[CheckResult] = []
-    for time_slice, obs in ((1, strategy.observables_t1), (2, strategy.observables_t2)):
-        for party, pair in enumerate(obs):
-            label = f"party {party + 1} t{time_slice}"
-            sharp = all(c.passed for c in next(sharp_pairs))
-            s = supports[(party, time_slice)]
-            a0, a1 = (dagger(s) @ o.matrix @ s for o in pair)
-            anti = CheckResult.below(f"anticommutator {label}", check_anticommutation(a0, a1), CERT_TOL)
-            anticomm_checks.append(anti)
-            if not (sharp and anti.passed):
-                continue
-            try:
-                u, resid = _paired_frame(a0, a1, targets[party], CERT_TOL)
-            except FramePremiseError as exc:
-                refutation_failures.append(f"{label}: {exc}")
-                continue
-            check = CheckResult.below(f"frame residual {label}", resid, CERT_TOL)
-            frame_checks.append(check)
-            if check.passed:
-                frames[(party, time_slice)] = LocalFrame(
-                    party=party,
-                    time_slice=time_slice,
-                    matrix=u @ dagger(s),
-                    aux_dim=u.shape[0] // 2,
-                    support_dim=s.shape[1],
-                )
+    refutation_failures.extend(frame_errors)
     refutation_failures.extend(
         f"{c.name}: {c.value:.3e} exceeds {c.tolerance:g}"
         for c in (*anticomm_checks, *frame_checks)
         if not c.passed
     )
+    stages.update(
+        projectivity_checks=tuple(projectivity),
+        anticommutation_checks=tuple(anticomm_checks),
+        frame_checks=tuple(frame_checks),
+        frames=tuple(frames.values()),
+    )
 
     if len(frames) != 2 * n:
-        return report(
-            "refuted",
-            bell_checks=tuple(bell_checks),
-            extra_stat_checks=tuple(extra_checks),
-            projectivity_checks=projectivity,
-            anticommutation_checks=tuple(anticomm_checks),
-            frame_checks=tuple(frame_checks),
-            frames=tuple(frames.values()),
-        )
+        return report("refuted", **stages)
 
     frames_t1 = tuple(frames[(p, 1)] for p in range(n))
     frames_t2 = tuple(frames[(p, 2)] for p in range(n))
     state_cert = certify_source_state(strategy.source_state, frames_t1)
-    state_check = CheckResult.below("source-state residual", state_cert.residual, CERT_TOL)
-    if not state_check.passed:
+    if not state_cert.residual <= CERT_TOL:  # a NaN residual fails too
         refutation_failures.append(
             f"source-state residual {state_cert.residual:.3e} exceeds {CERT_TOL:g}"
         )
@@ -597,17 +580,4 @@ def run_full_certification(
         verdict = "inconclusive"
     else:
         verdict = "certified"
-
-    return report(
-        verdict,
-        bell_checks=tuple(bell_checks),
-        extra_stat_checks=tuple(extra_checks),
-        projectivity_checks=projectivity,
-        anticommutation_checks=tuple(anticomm_checks),
-        frame_checks=tuple(frame_checks),
-        frames=tuple(frames.values()),
-        state_residual=state_check,
-        xi_min_eigenvalue=state_cert.min_eigenvalue,
-        state=state_cert,
-        interaction=inter_cert,
-    )
+    return report(verdict, state=state_cert, interaction=inter_cert, **stages)

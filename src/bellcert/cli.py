@@ -188,7 +188,8 @@ def cmd_make_strategy(args) -> int:
         meta["visibility"] = args.visibility
     out = _out_path(args.out)
     save_strategy(strategy, out, meta=meta)
-    print(f"wrote {out}")
+    if args.format != "machine":  # machine output is JSON or nothing
+        print(f"wrote {out}")
     return EXIT_OK
 
 

@@ -416,13 +416,13 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_projective_observable(dim: int, seed, split: int | None = None) -> np.ndarray:
-    """Random +/-1 observable with ``O^2 = I``: a balanced (or ``split``
-    positive dimensions) signature matrix conjugated by a Haar unitary."""
+def random_projective_observable(dim: int, seed) -> np.ndarray:
+    """Random +/-1 observable with ``O^2 = I``: a balanced signature matrix
+    (``dim // 2`` positive entries) conjugated by a Haar unitary."""
     rng = _rng(seed)
-    k = dim // 2 if split is None else int(split)
-    if not 1 <= k <= dim - 1:
-        raise ValueError(f"split {k} must leave both eigenspaces nonempty for dim {dim}")
+    k = dim // 2
+    if k < 1:
+        raise ValueError(f"dimension {dim} leaves an eigenspace empty")
     signs = np.diag(np.array([1.0] * k + [-1.0] * (dim - k), dtype=complex))
     u = random_unitary(dim, rng)
     o = u @ signs @ dagger(u)

@@ -33,30 +33,11 @@ from .linalg import EigenDecomposition
 from .quantum import QuantumState, _chunks, pure_state, random_projective_observable
 
 __all__ = [
-    "SeesawConfig",
     "SeesawResult",
     "optimal_observable_update",
     "optimal_state_update",
-    "seesaw_maximize",
     "seesaw_restarts",
 ]
-
-
-@dataclass(frozen=True)
-class SeesawConfig:
-    local_dims: tuple[int, ...]
-    max_iters: int = 200
-    convergence_tol: float = 1e-12
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if any(d < 2 for d in self.local_dims):
-            raise ValueError("local dimensions must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +132,13 @@ def _random_observables(dims, seed: int) -> list[list[np.ndarray]]:
     return [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
 
 
-def _lockstep(coefficients, dims, stacks, config: SeesawConfig) -> list[SeesawResult]:
+def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[SeesawResult]:
     """Seesaw runs from the starting ``(R, 3, d, d)`` setting stacks, all
     advanced together until each converges or runs out of iterations."""
     results: list[SeesawResult | None] = [None] * len(stacks[0])
     active = np.arange(len(results))
     value = np.full(len(results), -np.inf)
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         psi, _ = optimal_state_update(bell_operators(coefficients, stacks))
         for party in range(len(dims)):
             effective = _effective_operators(psi, dims, stacks, coefficients, party)
@@ -165,9 +146,9 @@ def _lockstep(coefficients, dims, stacks, config: SeesawConfig) -> list[SeesawRe
         # The last party's operators were taken after every other party's
         # update, so against its new stack they give the updated value.
         new_value = _strategy_value(stacks[-1], effective)
-        converged = (new_value - value < config.convergence_tol) & (iterations > 1)
+        converged = (new_value - value < convergence_tol) & (iterations > 1)
         value = np.where(converged, np.maximum(value, new_value), new_value)
-        done = converged | (iterations == config.max_iters)
+        done = converged | (iterations == max_iters)
         for j in np.flatnonzero(done):
             results[active[j]] = SeesawResult(
                 value=float(value[j]),
@@ -193,10 +174,13 @@ def seesaw_restarts(
     """Independent seeded restarts (the landscape has local optima), each
     from random projective observables drawn from its seed, advanced in
     lockstep."""
-    config = SeesawConfig(
-        local_dims=tuple(local_dims), max_iters=max_iters, convergence_tol=convergence_tol
-    )
-    dims = config.local_dims
+    dims = tuple(int(d) for d in local_dims)
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if convergence_tol <= 0:
+        raise ValueError("convergence_tol must be positive")
+    if any(d < 2 for d in dims):
+        raise ValueError("local dimensions must be at least 2")
     if len(dims) != expr.parties:
         raise ValueError(f"need {expr.parties} local dimensions, got {len(dims)}")
     seeds = [int(s) for s in seeds]
@@ -204,14 +188,6 @@ def seesaw_restarts(
     results = []
     for chunk in _chunks(len(seeds), math.prod(dims)):
         starts = [setting_stacks(_random_observables(dims, s)) for s in seeds[chunk]]
-        results += _lockstep(coefficients, dims, [np.stack(p) for p in zip(*starts)], config)
+        stacks = [np.stack(p) for p in zip(*starts)]
+        results += _lockstep(coefficients, dims, stacks, max_iters, convergence_tol)
     return results
-
-
-def seesaw_maximize(expr: BellExpression, config: SeesawConfig) -> SeesawResult:
-    """One seesaw run from a seeded random start: ``seesaw_restarts`` with
-    the one seed ``config.seed``."""
-    (result,) = seesaw_restarts(
-        expr, config.local_dims, [config.seed], config.max_iters, config.convergence_tol
-    )
-    return result

@@ -162,6 +162,28 @@ def brute_force_classical_bound(parties, target_outcomes):
     return best
 
 
+def bitmask_classical_bound(parties, target_outcomes):
+    """Independent oracle, vectorized: the functional written out by hand
+    over bit masks of all 4^N deterministic assignments."""
+    a = target_outcomes
+    # Bit b of the assignment index: value (-1)^b of one observable symbol.
+    # Bits 2n, 2n+1 hold party n's setting-0 and setting-1 values.
+    idx = np.arange(4**parties, dtype=np.int64)
+    val = [(1.0 - 2.0 * ((idx >> k) & 1)).astype(np.float64) for k in range(2 * parties)]
+    t0 = (val[0] - val[1]) / math.sqrt(2.0)
+    t1 = (val[0] + val[1]) / math.sqrt(2.0)
+    prod1 = np.ones_like(t1)
+    for m in range(1, parties):
+        prod1 *= val[2 * m + 1]
+    total = (parties - 1) * t1 * prod1
+    for m in range(1, parties):
+        sign = -1.0 if a[m] else 1.0
+        total += sign * t0 * val[2 * m]
+    if a[0]:
+        total = -total
+    return float(np.max(total))
+
+
 def swap_deviation(reference: Strategy) -> Strategy:
     """Compose the reference interaction with a swap of the two qubits."""
     swap = np.array(

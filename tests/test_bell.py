@@ -27,7 +27,14 @@ from bellcert.quantum import (
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.scenario import extra_branch_settings
 
-from conftest import PHI_PLUS, X, Z, brute_force_classical_bound, on_target
+from conftest import (
+    PHI_PLUS,
+    X,
+    Z,
+    bitmask_classical_bound,
+    brute_force_classical_bound,
+    on_target,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -96,6 +103,12 @@ class TestClassicalBound:
             for bits in itertools.product((0, 1), repeat=n):
                 expr = BellExpression(n, bits)
                 assert abs(classical_bound(expr) - brute_force_classical_bound(n, bits)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_contraction_matches_bitmask_enumeration(self, n):
+        for bits in itertools.product((0, 1), repeat=n):
+            expr = BellExpression(n, bits)
+            assert abs(classical_bound(expr) - bitmask_classical_bound(n, bits)) < 1e-12
 
     def test_relabeling_invariance(self):
         values = {

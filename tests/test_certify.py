@@ -635,6 +635,90 @@ class TestOneLinePerPremise:
         assert report.verdict == "certified"
         assert len(built) == len(report.frame_checks) == len(report.frames) == 6
 
+    def test_pair_premises_checked_once_per_pair(self, ref3, monkeypatch):
+        """The chain, ``check_projectivity`` and ``extract_local_frame`` all
+        take the pair premises from ``_pair_checks``; the chain calls it once
+        per party and round."""
+        labels = []
+        original = certify._pair_checks
+
+        def counting(a0, a1, label):
+            labels.append(label)
+            return original(a0, a1, label)
+
+        monkeypatch.setattr(certify, "_pair_checks", counting)
+        report = run_full_certification(ref3)
+        assert report.verdict == "certified"
+        assert sorted(labels) == sorted(f"party {p} t{t}" for p in (1, 2, 3) for t in (1, 2))
+        names = [c.name for c in (*report.projectivity_checks, *report.anticommutation_checks)]
+        assert len(names) == 3 * len(labels) == 18
+
+        labels.clear()
+        supports = {(p, t): np.eye(2, dtype=complex) for p in range(3) for t in (1, 2)}
+        assert check_projectivity(ref3, supports) == report.projectivity_checks
+        assert len(labels) == 6
+
+        labels.clear()
+        extract_local_frame(Z, X, (Z, X), party=1, time_slice=2)
+        assert labels == ["party 2 t2"]
+
+
+class TestFailureLinesPinned:
+    """The exact failure lines, in the chain's order (projectivity, frame
+    construction, anticommutation, frame residuals, then the source state),
+    at a maximal-violation tolerance loose enough for every Bell premise to
+    hold; the report's state fields restate its state certificate."""
+
+    @staticmethod
+    def with_t2(reference, party, setting, change):
+        """Replace one second-round observable ``O`` by ``change(O)``."""
+        pairs = [list(pair) for pair in reference.observables_t2]
+        pairs[party][setting] = DichotomicObservable(
+            change(pairs[party][setting].matrix), party=party, setting=setting, time_slice=2
+        )
+        return dataclasses.replace(reference, observables_t2=tuple(tuple(p) for p in pairs))
+
+    @staticmethod
+    def rotated(delta):
+        r = np.array([[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]])
+        return lambda m: r @ m @ r.T
+
+    def certify(self, strategy, failures):
+        report = run_full_certification(strategy, max_violation_tol=1e-2)
+        assert report.verdict == "refuted"
+        assert report.failures == failures
+        if report.state is None:
+            assert report.state_residual is None and report.xi_min_eigenvalue is None
+        else:
+            assert report.state_residual.value == report.state.residual
+            assert report.state_residual.passed == (report.state.residual <= 1e-8)
+            assert report.xi_min_eigenvalue == report.state.min_eigenvalue
+        return report
+
+    def test_projectivity_on_support(self, ref2):
+        strategy = self.with_t2(ref2, 1, 0, lambda m: (1 - 1e-6) * m)
+        self.certify(
+            strategy, ("projectivity party 2 t2 setting 0: defect 2.000e-06 exceeds 1e-08",)
+        )
+
+    def test_projectivity_before_anticommutation(self, ref3):
+        strategy = self.with_t2(ref3, 1, 0, lambda m: (1 - 1e-6) * m)
+        strategy = self.with_t2(strategy, 2, 1, self.rotated(1e-5))
+        self.certify(
+            strategy,
+            (
+                "projectivity party 2 t2 setting 0: defect 2.000e-06 exceeds 1e-08",
+                "anticommutator party 3 t2: 4.000e-05 exceeds 1e-08",
+            ),
+        )
+
+    def test_source_state_residual(self, ref2):
+        strategy = dataclasses.replace(
+            ref2, source_state=white_noise_mix(ref2.source_state, 0.999999)
+        )
+        report = self.certify(strategy, ("source-state residual 2.500e-07 exceeds 1e-08",))
+        assert not report.state_residual.passed
+
 
 class TestBranchStatesBuiltOnce:
     """``run_scenario`` builds every conditional state once, as one stack,

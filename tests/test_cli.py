@@ -88,6 +88,14 @@ class TestMakeSimulate:
         assert err.splitlines() == ["error: make-strategy: --aux-dims needs one entry >= 1 per party"]
         assert not path.exists()
 
+    def test_machine_make_strategy_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert main(["--format", "machine", "make-strategy", str(path), "--parties", "2"]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(path.read_text())["kind"] == "strategy"
+        assert main(["make-strategy", str(path), "--parties", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BELLCERT_OUTPUT_DIR", str(tmp_path))
         assert main(["make-strategy", "ref.json", "--parties", "2"]) == 0

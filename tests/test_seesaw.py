@@ -13,11 +13,9 @@ from bellcert.linalg import herm_eig, max_abs
 from bellcert.quantum import pure_state, random_projective_observable
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.seesaw import (
-    SeesawConfig,
     _effective_operators,
     optimal_observable_update,
     optimal_state_update,
-    seesaw_maximize,
     seesaw_restarts,
 )
 
@@ -88,8 +86,7 @@ class TestSeesaw:
         expr = BellExpression(2, (0, 0))
         values = []
         for seed in range(5):
-            cfg = SeesawConfig(local_dims=(2, 2), max_iters=50, seed=seed)
-            result = seesaw_maximize(expr, cfg)
+            (result,) = seesaw_restarts(expr, (2, 2), [seed], max_iters=50)
             values.append(result.value)
             assert result.value <= expr.quantum_bound + 1e-9
         assert max(values) >= expr.quantum_bound - 1e-6
@@ -114,8 +111,7 @@ class TestSeesaw:
     def test_per_iteration_monotonicity(self):
         # re-run one seed manually, tracking the value after every update
         expr = BellExpression(2, (0, 1))
-        cfg = SeesawConfig(local_dims=(2, 2), max_iters=30, seed=7)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(7)
         observables = [
             [random_projective_observable(2, rng) for _ in range(2)] for _ in range(2)
         ]
@@ -139,14 +135,14 @@ class TestSeesaw:
                     last = value
 
 
-def reference_seesaw(expr, config):
+def reference_seesaw(expr, dims, seed):
     """The per-setting sweep: one dense effective operator per setting, and
-    ``quantum_value`` for every iteration value."""
-    dims = config.local_dims
-    rng = np.random.default_rng(config.seed)
+    ``quantum_value`` for every iteration value, with the default rule of
+    ``seesaw_restarts`` (at most 200 iterations, a gain below 1e-12 ends)."""
+    rng = np.random.default_rng(seed)
     observables = [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
     value = -np.inf
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, 201):
         top = herm_eig(build_bell_operator(expr, observables)).eigenvectors[:, -1]
         state = pure_state(top, dims)
         for party in range(expr.parties):
@@ -154,7 +150,7 @@ def reference_seesaw(expr, config):
                 eff = dense_effective_operator(expr, observables, state.density, party, setting)
                 observables[party][setting] = optimal_observable_update(eff)
         new_value = quantum_value(state, observables, expr)
-        if new_value - value < config.convergence_tol and iterations > 1:
+        if new_value - value < 1e-12 and iterations > 1:
             return max(value, new_value), iterations, True
         value = new_value
     return value, iterations, False
@@ -167,9 +163,8 @@ def reference_seesaw(expr, config):
 def test_sweep_matches_per_setting_reference(dims, target):
     expr = BellExpression(len(dims), target)
     for seed in range(10):
-        config = SeesawConfig(local_dims=dims, seed=seed)
-        value, iterations, converged = reference_seesaw(expr, config)
-        result = seesaw_maximize(expr, config)
+        value, iterations, converged = reference_seesaw(expr, dims, seed)
+        (result,) = seesaw_restarts(expr, dims, [seed])
         assert abs(result.value - value) <= 1e-12
         assert (result.iterations, result.converged) == (iterations, converged)
 
@@ -193,7 +188,7 @@ def assert_same_runs(batch, singles):
 def test_lockstep_matches_single_restarts(dims, target):
     expr = BellExpression(len(dims), target)
     batch = seesaw_restarts(expr, dims, range(10))
-    singles = [seesaw_maximize(expr, SeesawConfig(dims, seed=s)) for s in range(10)]
+    singles = [seesaw_restarts(expr, dims, [s])[0] for s in range(10)]
     assert_same_runs(batch, singles)
     for r in batch:
         assert r.vector.shape == (int(np.prod(dims)),)
@@ -218,8 +213,8 @@ def test_restarts_leave_the_batch_at_their_own_iteration(dims, target, exits):
     for max_iters, pinned in exits.items():
         batch = seesaw_restarts(expr, dims, seeds, max_iters=max_iters)
         assert {(r.iterations, r.converged) for r in batch} == pinned
-        configs = [SeesawConfig(dims, max_iters=max_iters, seed=s) for s in seeds]
-        assert_same_runs(batch, [seesaw_maximize(expr, c) for c in configs])
+        singles = [seesaw_restarts(expr, dims, [s], max_iters=max_iters)[0] for s in seeds]
+        assert_same_runs(batch, singles)
 
 
 @pytest.mark.parametrize("dims, target", LOCKSTEP_CASES)
@@ -231,3 +226,17 @@ def test_chunked_restarts_match_one_chunk(dims, target, monkeypatch):
     monkeypatch.setattr(quantum, "CHUNK_BYTES", 3 * 16 * dim**2)
     assert [len(range(7)[c]) for c in quantum._chunks(7, dim)] == [3, 3, 1]
     assert_same_runs(seesaw_restarts(expr, dims, range(7)), whole)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"convergence_tol": 0.0}, "convergence_tol must be positive"),
+        ({"local_dims": (2, 1)}, "local dimensions must be at least 2"),
+    ],
+)
+def test_invalid_run_parameters_rejected(kwargs, message):
+    arguments = {"local_dims": (2, 2), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        seesaw_restarts(BellExpression(2, (0, 0)), seeds=[0], **arguments)
