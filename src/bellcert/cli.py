@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .bell import BellExpression, classical_bound, quantum_value
-from .certify import run_full_certification
+from .certify import MAX_VIOLATION_TOL, run_full_certification
 from .quantum import white_noise_mix
 from .reference import reference_strategy
 from .scenario import Strategy, run_scenario, scramble_strategy
@@ -53,10 +53,10 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 # Largest total dimension D = prod(dims) that ``seesaw`` accepts: every
-# iteration forms and diagonalizes each running restart's D x D Bell operator
-# (O(D^3) time per restart, about 1.6 s on one core at D = 1024), the
-# restarts of a chunk holding up to ``quantum.CHUNK_BYTES`` of them at once,
-# and the coefficient tensor holds 3^N floats.
+# iteration forms each running restart's D x D Bell operator and factors it
+# (O(D^3) time per restart; one restart takes 1.1-1.9 s on one core at
+# D = 1024), the restarts of a chunk holding up to ``quantum.CHUNK_BYTES``
+# of them at once, and the coefficient tensor holds 3^N floats.
 MAX_SEESAW_DIM = 1024
 
 
@@ -397,13 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full certification chain")
     p.add_argument("strategy")
     p.add_argument("--report", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9, help="maximal-violation tolerance")
+    p.add_argument(
+        "--tolerance", type=float, default=MAX_VIOLATION_TOL, help="maximal-violation tolerance"
+    )
 
     p = sub.add_parser("noise-sweep", help="Bell values and verdicts under source white noise")
     p.add_argument("strategy")
     p.add_argument("--visibilities", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=MAX_VIOLATION_TOL)
 
     p = sub.add_parser("seesaw", help="alternating maximization of the Bell value")
     p.add_argument("--parties", type=int, required=True)

@@ -4,13 +4,20 @@ An optimization oracle independent of the sum-of-squares argument: starting
 from random projective observables at a fixed local dimension, alternately
 replace the state by the Bell operator's top eigenvector and each observable
 by the matrix sign of its effective operator.  Both sub-updates solve their
-restricted problem exactly, so the value sequence never decreases, and for
-this Bell family it can never pass ``2 (N - 1)`` at any local dimension.
+restricted problem exactly, the state update to within
+``TOP_MARGIN * max(1, |value|)`` and roundoff, so the value sequence never
+decreases by more than that, and for this Bell family it can never pass
+``2 (N - 1)`` at any local dimension.
 
 The restarts of a run advance in lockstep.  Each iteration builds the
 ``(R, D, D)`` Bell operators of the R active restarts in one
-``bell.bell_operators`` pass and diagonalizes them with one stacked
-``eigh``; the state stays a vector, a row of ``psi`` of shape ``(R, D)``.
+``bell.bell_operators`` pass; the state stays a vector, a row of ``psi``
+of shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
+diagonalizes the operators.  From there on ``optimal_state_update`` finds
+each operator's top eigenvector by Rayleigh-quotient iteration from the
+previous iteration's row of ``psi``; a Cholesky factorization checks the
+value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
+restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
 parties' ``(I, A_0, A_1)`` stacks, term by term over the nonzero entries of
 ``bell.bell_coefficients``, so no D x D density is formed, and one stacked
@@ -30,7 +37,7 @@ import numpy as np
 
 from .bell import BellExpression, bell_coefficients, bell_operators, setting_stacks
 from .linalg import EigenDecomposition
-from .quantum import QuantumState, _chunks, pure_state, random_projective_observable
+from .quantum import QuantumState, _chunks, _rng, pure_state, random_projective_observable
 
 __all__ = [
     "SeesawResult",
@@ -67,14 +74,95 @@ def optimal_observable_update(effective: np.ndarray) -> np.ndarray:
     return EigenDecomposition(*np.linalg.eigh(effective)).sign()
 
 
-def optimal_state_update(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# From ITERATIVE_MIN_DIM rows on, a state update runs Rayleigh-quotient
+# iteration per operator, which stops once ``|B x - rho x| <= RESIDUAL_TOL``
+# and accepts ``rho`` once the Cholesky check puts it within
+# ``TOP_MARGIN * max(1, |rho|)`` of the top eigenvalue (to within the
+# factorization's roundoff, about ``D * u * |B|`` with u = 2^-53: 2e-12 at
+# D = 1024 and |B| = 18, against a margin of 1.8e-11 there); after
+# MAX_STEPS solves it falls back to a dense ``eigh``.  Below
+# ITERATIVE_MIN_DIM one stacked ``eigh`` of all operators is faster than a
+# Python loop over them: per restart the loop costs about 8x the eigh at
+# D = 4, 1.3x at D = 16, and 0.8x at D = 32 (one BLAS thread, x86_64).
+RESIDUAL_TOL = 1e-12
+TOP_MARGIN = 1e-12
+MAX_STEPS = 8
+ITERATIVE_MIN_DIM = 32
+
+
+def optimal_state_update(
+    operators: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvectors and eigenvalues of a Bell operator or a stack of
-    them, shapes ``(..., D)`` and ``(...)``.  ``eigh`` reads one triangle,
-    so an operator Hermitian only up to roundoff needs no symmetrizing, and
-    no eigenvector phase is fixed: neither the state nor a matrix sign
-    depends on it."""
-    values, vectors = np.linalg.eigh(operators)
-    return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
+    them, shapes ``(..., D)`` and ``(...)``.  No eigenvector phase is fixed:
+    neither the state nor a matrix sign depends on it.
+
+    Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh`` gives them; it reads
+    one triangle, so an operator Hermitian only up to roundoff needs no
+    symmetrizing.  From there on each operator ``B`` gets a Rayleigh-quotient
+    iteration, ``x <- solve(B - rho I, x) / |.|`` with ``rho`` the Rayleigh
+    quotient of ``x``, until ``|B x - rho x| <= RESIDUAL_TOL``.  It starts
+    from the matching unit row of ``start`` (shape ``(..., D)``), such as
+    the previous seesaw iteration's vectors.  Without one, the first vector
+    is drawn from seed 0 and the first shift is the top value of one
+    stacked ``eigvalsh``, half the cost of ``eigh``.  A result counts only
+    if ``(rho + delta) I - B`` has a Cholesky factor,
+    ``delta = TOP_MARGIN * max(1, |rho|)``, which checks that ``rho`` is
+    within ``delta`` of the top eigenvalue up to roundoff.  An operator
+    whose iteration fails that check, meets a singular solve or runs out of
+    steps gets a dense ``eigh`` of its own.
+    """
+    dim = operators.shape[-1]
+    if dim < ITERATIVE_MIN_DIM:
+        values, vectors = np.linalg.eigh(operators)
+        return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
+    stack = operators.reshape(-1, dim, dim)
+    if start is None:
+        shifts = np.linalg.eigvalsh(stack)[:, -1]
+        seeded = _rng(0).standard_normal(dim) / math.sqrt(dim)
+        starts = np.broadcast_to(seeded, (len(stack), dim))
+    else:
+        shifts = [None] * len(stack)
+        starts = start.reshape(-1, dim)
+    vectors = np.empty((len(stack), dim), dtype=complex)
+    values = np.empty(len(stack))
+    scratch = np.empty((dim, dim), dtype=complex)
+    for r, b in enumerate(stack):
+        top = _rayleigh_top(b, starts[r], shifts[r], scratch)
+        if top is None:
+            eigenvalues, eigenvectors = np.linalg.eigh(b)
+            top = eigenvectors[:, -1], eigenvalues[-1]
+        vectors[r], values[r] = top
+    return vectors.reshape(operators.shape[:-1]), values.reshape(operators.shape[:-2])[()]
+
+
+def _rayleigh_top(b, x, shift, scratch):
+    """Top eigenpair of the Hermitian ``b`` by Rayleigh-quotient iteration
+    from the unit vector ``x``, checked by a Cholesky factorization, or
+    None.  ``shift``, when given, replaces the first solve's Rayleigh
+    quotient; ``scratch`` is a spare array shaped like ``b``."""
+    diagonal = scratch.reshape(-1)[:: len(b) + 1]
+    for step in range(MAX_STEPS + 1):
+        bx = b @ x
+        value = np.vdot(x, bx).real
+        if np.linalg.norm(bx - value * x) <= RESIDUAL_TOL:
+            np.negative(b, out=scratch)
+            diagonal += value + TOP_MARGIN * max(1.0, abs(value))
+            try:
+                np.linalg.cholesky(scratch)
+            except np.linalg.LinAlgError:
+                return None
+            return x, value
+        if step == MAX_STEPS:
+            return None
+        np.copyto(scratch, b)
+        diagonal -= value if shift is None else shift
+        shift = None
+        try:
+            y = np.linalg.solve(scratch, x)
+        except np.linalg.LinAlgError:
+            return None
+        x = y / np.linalg.norm(y)
 
 
 def _apply(op: np.ndarray, psi: np.ndarray, dims, party: int) -> np.ndarray:
@@ -138,8 +226,9 @@ def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[Se
     results: list[SeesawResult | None] = [None] * len(stacks[0])
     active = np.arange(len(results))
     value = np.full(len(results), -np.inf)
+    psi = None
     for iterations in range(1, max_iters + 1):
-        psi, _ = optimal_state_update(bell_operators(coefficients, stacks))
+        psi, _ = optimal_state_update(bell_operators(coefficients, stacks), psi)
         for party in range(len(dims)):
             effective = _effective_operators(psi, dims, stacks, coefficients, party)
             stacks[party][:, 1:] = optimal_observable_update(effective[:, 1:])
@@ -158,7 +247,8 @@ def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[Se
                 converged=bool(converged[j]),
             )
         keep = ~done
-        active, value, stacks = active[keep], value[keep], [s[keep] for s in stacks]
+        active, value, psi = active[keep], value[keep], psi[keep]
+        stacks = [s[keep] for s in stacks]
         if not active.size:
             break
     return results
@@ -177,8 +267,8 @@ def seesaw_restarts(
     dims = tuple(int(d) for d in local_dims)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if convergence_tol <= 0:
-        raise ValueError("convergence_tol must be positive")
+    if not 0 < convergence_tol < math.inf:
+        raise ValueError("convergence_tol must be positive and finite")
     if any(d < 2 for d in dims):
         raise ValueError("local dimensions must be at least 2")
     if len(dims) != expr.parties:

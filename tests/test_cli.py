@@ -372,6 +372,12 @@ class TestToleranceIsFinitePositive:
     def test_default_tolerance_is_inconclusive(self, noisy, capsys):
         assert main(["certify", str(noisy)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv", [["certify", "s.json"], ["noise-sweep", "s.json", "--visibilities", "1"]]
+    )
+    def test_default_is_the_documented_tolerance(self, argv):
+        assert cli.build_parser().parse_args(argv).tolerance == certify.MAX_VIOLATION_TOL
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("command", [["certify"], ["noise-sweep", "--visibilities", "0.5,1"]])
     def test_usage_error(self, noisy, capsys, command, tolerance):

@@ -8,7 +8,7 @@ from bellcert.bell import (
     quantum_value,
     setting_stacks,
 )
-from bellcert import quantum
+from bellcert import quantum, seesaw
 from bellcert.linalg import herm_eig, max_abs
 from bellcert.quantum import pure_state, random_projective_observable
 from bellcert.reference import ghz_like_vector, target_observables
@@ -79,6 +79,114 @@ class TestStateUpdate:
         assert abs(values[0] - value) < 1e-12
         assert abs(values[1] + np.min(np.linalg.eigvalsh(h))) < 1e-10
         assert max_abs(h @ vectors[1] + values[1] * vectors[1]) < 1e-10
+
+
+def random_hermitian(top_values, seed, dim=32):
+    """``U diag(lambda) U^dag`` for a seeded Haar ``U``, and ``U``, at a
+    dimension that takes the iterative state update: ``lambda`` starts with
+    ``top_values`` and fills up with values below them."""
+    assert dim >= seesaw.ITERATIVE_MIN_DIM
+    low = min(top_values)
+    eigenvalues = [*top_values, *np.linspace(low - 2.0, low - 1.0, dim - len(top_values))]
+    u = quantum.random_unitary(dim, seed)
+    return (u * np.asarray(eigenvalues)) @ u.conj().T, u
+
+
+def random_unit(dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return x / np.linalg.norm(x)
+
+
+def dense_top(b):
+    values, vectors = np.linalg.eigh(b)
+    return vectors[:, -1], values[-1]
+
+
+class TestStateUpdateFallback:
+    """The iterative state update against ``np.linalg.eigh`` as the oracle."""
+
+    def test_start_orthogonal_to_top_falls_back(self):
+        b, u = random_hermitian([3.0, 1.0, 0.5, -1.0, -2.0], 43)
+        start = u[:, 1]  # the second eigenvector: converged, but not the top
+        assert seesaw._rayleigh_top(b, start, None, np.empty_like(b)) is None
+        vector, value = optimal_state_update(b, start)
+        top, top_value = dense_top(b)
+        assert abs(value - top_value) <= 1e-12
+        assert abs(abs(np.vdot(top, vector)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_degenerate_top_lies_in_the_top_eigenspace(self, with_start):
+        b, u = random_hermitian([3.0, 3.0, 1.0, 0.0, -2.0], 44)
+        start = random_unit(len(b), 45) if with_start else None
+        vector, value = optimal_state_update(b, start)
+        assert abs(value - 3.0) <= 1e-12
+        assert np.linalg.norm(b @ vector - 3.0 * vector) <= 1e-12
+        assert abs(np.linalg.norm(u[:, :2].conj().T @ vector) - 1.0) <= 1e-12
+
+    def test_singular_solve_falls_back_alone(self):
+        # The start's Rayleigh quotient is exactly the eigenvalue 1, so
+        # B - rho I has an exact zero pivot.
+        dim = 32
+        singular = np.diag([3.0, 1.0] + [0.0] * (dim - 2)).astype(complex)
+        start = np.full(dim, np.sqrt(0.5 / (dim - 2)), dtype=complex)
+        start[:2] = 0.5
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular - np.eye(dim), start)
+        assert seesaw._rayleigh_top(singular, start, None, np.empty_like(singular)) is None
+        neighbour, u = random_hermitian([2.0, 1.5, 0.0, -1.0], 46)
+        near = u[:, 0] + 0.1 * u[:, 1]
+        near /= np.linalg.norm(near)
+        vectors, values = optimal_state_update(
+            np.stack([singular, neighbour]), np.stack([start, near])
+        )
+        assert abs(values[0] - 3.0) <= 1e-12
+        assert abs(abs(vectors[0, 0]) - 1.0) <= 1e-12
+        alone_vector, alone_value = optimal_state_update(neighbour, near)
+        assert np.array_equal(vectors[1], alone_vector) and values[1] == alone_value
+        assert abs(alone_value - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_single_operator_keeps_its_shape(self, with_start):
+        b, u = random_hermitian([1.0, 4.0, -2.0], 47)
+        start = None
+        if with_start:
+            start = u[:, 0] + 0.2 * u[:, 1]
+            start /= np.linalg.norm(start)
+        vector, value = optimal_state_update(b, start)
+        assert vector.shape == (len(b),) and np.ndim(value) == 0
+        top, top_value = dense_top(b)
+        assert abs(value - top_value) <= 1e-12
+        assert abs(abs(np.vdot(top, vector)) - 1.0) <= 1e-12
+
+    def test_small_operators_take_the_stacked_eigh(self):
+        dim = 8
+        assert dim < seesaw.ITERATIVE_MIN_DIM
+        u = quantum.random_unitary(dim, 48)
+        b = (u * np.arange(dim)) @ u.conj().T
+        vector, value = optimal_state_update(b, random_unit(dim, 49))
+        top, top_value = dense_top(b)
+        assert np.array_equal(vector, top) and value == top_value
+
+    def test_lockstep_run_needs_no_dense_eigh(self, monkeypatch):
+        # On the benchmark's shape every state update is checked and
+        # accepted: one eigvalsh of the first iteration's stack, and no
+        # D x D eigh.
+        calls = []
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
+
+            return counting
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        seesaw_restarts(BellExpression(4, (0, 0, 0, 0)), (3, 3, 3, 3), range(10))
+        assert [c for c in calls if c[1][-1] == 81] == [("eigvalsh", (10, 81, 81))]
 
 
 class TestSeesaw:
@@ -177,6 +285,23 @@ LOCKSTEP_CASES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "dims, target, count",
+    [((3, 3, 3, 3), (0, 0, 0, 0), 100), ((2,) * 5, (0,) * 5, 25), ((4, 4, 4), (1, 0, 1), 25)]
+    + [(dims, target, 25) for dims, target in LOCKSTEP_CASES],
+)
+def test_seeded_sweep_matches_dense_reference(dims, target, count):
+    # From D = seesaw.ITERATIVE_MIN_DIM on, every state update after the
+    # first starts from the previous iteration's vector; the reference
+    # diagonalizes each Bell operator densely.
+    expr = BellExpression(len(dims), target)
+    seeds = range(1000, 1000 + count)
+    for seed, result in zip(seeds, seesaw_restarts(expr, dims, seeds)):
+        value, iterations, converged = reference_seesaw(expr, dims, seed)
+        assert abs(result.value - value) <= 1e-12
+        assert (result.iterations, result.converged) == (iterations, converged)
+
+
 def assert_same_runs(batch, singles):
     assert len(batch) == len(singles)
     for b, s in zip(batch, singles):
@@ -234,6 +359,9 @@ def test_chunked_restarts_match_one_chunk(dims, target, monkeypatch):
         ({"max_iters": 0}, "max_iters must be at least 1"),
         ({"convergence_tol": 0.0}, "convergence_tol must be positive"),
         ({"local_dims": (2, 1)}, "local dimensions must be at least 2"),
+        # nan <= 0 is false, and a nan tolerance would stop no run.
+        ({"convergence_tol": float("nan")}, "convergence_tol must be positive and finite"),
+        ({"convergence_tol": float("inf")}, "convergence_tol must be positive and finite"),
     ],
 )
 def test_invalid_run_parameters_rejected(kwargs, message):
