@@ -15,8 +15,6 @@ from .certify import (
     LocalFrame,
     certify_interaction,
     certify_source_state,
-    check_anticommutation,
-    check_projectivity,
     extract_local_frame,
     run_full_certification,
 )
@@ -24,7 +22,6 @@ from .linalg import (
     EigenDecomposition,
     herm_eig,
     kron,
-    operator_block,
     partial_trace,
 )
 from .quantum import (

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, dagger, kron, max_abs
+from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, kron, max_abs
 from .quantum import QuantumState, as_matrix, effect, effect_table
 
 __all__ = [
@@ -284,8 +284,9 @@ class SOSWitness:
     is_exact_identity: bool
 
 
-def sos_residual(expr: BellExpression, observables, tol: float = 1e-9) -> SOSWitness:
-    """Evaluate the SOS identity residual for the given observables."""
+def sos_residual(expr: BellExpression, observables) -> SOSWitness:
+    """Evaluate the SOS identity residual for the given observables; the
+    identity counts as exact when the residual is below ``ALGEBRA_TOL``."""
     op = build_bell_operator(expr, observables)
     p_term, q_terms = sos_terms(expr, observables)
     d = op.shape[0]
@@ -296,7 +297,7 @@ def sos_residual(expr: BellExpression, observables, tol: float = 1e-9) -> SOSWit
     norm = max_abs(r)
     min_eig = float(np.min(np.linalg.eigvalsh((r + dagger(r)) / 2.0)))
     return SOSWitness(
-        residual_norm=norm, min_eigenvalue=min_eig, is_exact_identity=bool(norm < tol)
+        residual_norm=norm, min_eigenvalue=min_eig, is_exact_identity=bool(norm < ALGEBRA_TOL)
     )
 
 
@@ -307,10 +308,6 @@ class SOSRelationCheck:
 
     p_violation: float
     q_violations: tuple[float, ...]
-
-    @property
-    def maximal(self) -> bool:
-        return max(self.p_violation, *self.q_violations) < 1e-9
 
 
 def check_sos_relations(state: QuantumState, observables, expr: BellExpression) -> SOSRelationCheck:

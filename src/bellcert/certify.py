@@ -44,7 +44,7 @@ from .linalg import (
     herm_eig,
     kron,
     max_abs,
-    operator_block,
+    partial_trace,
 )
 from .quantum import QuantumState, as_matrix
 from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
@@ -66,8 +66,6 @@ __all__ = [
     "InteractionCertificate",
     "CertificationReport",
     "support_isometry",
-    "check_anticommutation",
-    "check_projectivity",
     "extract_local_frame",
     "certify_source_state",
     "certify_interaction",
@@ -153,13 +151,6 @@ def _position_basis(span: np.ndarray) -> np.ndarray:
     return fix_column_phases(span @ herm_eig(compressed).eigenvectors)
 
 
-def check_anticommutation(a0, a1) -> float:
-    """Max-norm of the anticommutator of two observables (already projected
-    onto their common support)."""
-    m0, m1 = as_matrix(a0), as_matrix(a1)
-    return max_abs(m0 @ m1 + m1 @ m0)
-
-
 def _pair_checks(a0, a1, label: str) -> tuple[CheckResult, CheckResult, CheckResult]:
     """The premises of a pair of observables compressed to its support, each
     at ``CERT_TOL``: the sharpness defect ``max|A_s^2 - I|`` of setting 0
@@ -169,7 +160,7 @@ def _pair_checks(a0, a1, label: str) -> tuple[CheckResult, CheckResult, CheckRes
         CheckResult.below(f"projectivity {label} setting {s}", max_abs(m @ m - eye), CERT_TOL)
         for s, m in enumerate((a0, a1))
     )
-    anti = CheckResult.below(f"anticommutator {label}", check_anticommutation(a0, a1), CERT_TOL)
+    anti = CheckResult.below(f"anticommutator {label}", max_abs(a0 @ a1 + a1 @ a0), CERT_TOL)
     return (*sharp, anti)
 
 
@@ -280,6 +271,16 @@ def _qubits_first(n: int) -> list[int]:
     return order + [2 * n + k for k in order]
 
 
+def _aux_block(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The least-squares ``X`` in ``m ~ q ox X``, ``Tr_q[(q^dag ox I) m] /
+    Tr(q^dag q)``, for ``m`` on (qubits, then aux) with ``q`` on the qubit
+    factors; the source certificate splits with ``q = |phi_0><phi_0|``, the
+    interaction certificate with ``q = U``."""
+    (a, b), (rows, cols) = q.shape, m.shape
+    x = np.einsum("ik,ijkl->jl", np.conj(q), m.reshape(a, rows // a, b, cols // b))
+    return x / np.real(np.vdot(q, q))
+
+
 @dataclass(frozen=True, eq=False)
 class StateCertificate:
     residual: float
@@ -291,16 +292,16 @@ class StateCertificate:
 
 def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -> StateCertificate:
     """Rotate the source by the first-round frames, each acting on its own
-    party, and split off the auxiliary state: residual of
-    ``rho' - |phi_0><phi_0| ox xi``."""
+    party, and split off the auxiliary state ``xi`` (``_aux_block`` with
+    ``q = |phi_0><phi_0|``): residual of ``rho' - |phi_0><phi_0| ox xi``."""
     n = len(frames_t1)
     aux_dims = tuple(f.aux_dim for f in frames_t1)
     rho_can = _to_canonical(rho.density, frames_t1, frames_t1)
     phi = ghz_like_vector((0,) * n)
-    aux_total = int(np.prod(aux_dims))
-    xi = operator_block(rho_can, phi, phi, (2**n, aux_total), (2**n, aux_total))
+    target = np.outer(phi, np.conj(phi))
+    xi = _aux_block(rho_can, target)
     xi = (xi + dagger(xi)) / 2.0
-    residual = max_abs(rho_can - kron(np.outer(phi, np.conj(phi)), xi))
+    residual = max_abs(rho_can - kron(target, xi))
     return StateCertificate(
         residual=float(residual),
         aux_state=xi,
@@ -336,9 +337,10 @@ def certify_interaction(
     unitary ``U`` times one auxiliary block.  ``U = G B^dag`` is built from
     the Kronecker product ``B`` of the per-party pre-interaction bases,
     whose columns are also the inputs ``|in_a>`` below.
-    ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` is the least-squares estimate of that
-    block, and the claim holds when the residual ``max|W - U ox V0|`` and the
-    unitarity defect of ``V0`` are both within ``CERT_TOL``.
+    ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` (``_aux_block`` with ``q = U``) is
+    the least-squares estimate of that block, and the claim holds when the
+    residual ``max|W - U ox V0|`` and the unitarity defect of ``V0`` are
+    both within ``CERT_TOL``.
     ``proportionality_error`` is the largest block
     ``(<out| ox I)(W - U ox V0)(|in_a> ox I)`` over computational outputs
     and pre-interaction inputs; a failing residual names that block.
@@ -348,7 +350,7 @@ def certify_interaction(
     shape = (d_q, w.shape[0] // d_q, d_q, w.shape[1] // d_q)
     basis = pre_interaction_matrix(parties)
     u = ghz_matrix(parties) @ dagger(basis)
-    v0 = np.einsum("ik,ijkl->jl", np.conj(u), w.reshape(shape)) / d_q
+    v0 = _aux_block(w, u)
     deviation = w - kron(u, v0)
     residual = max_abs(deviation)
     unit_defect = max_abs(dagger(v0) @ v0 - np.eye(shape[3]))
@@ -424,12 +426,6 @@ def _compressed_pairs(strategy: Strategy, supports):
             yield party, time_slice, s, a0, a1, _pair_checks(a0, a1, label)
 
 
-def check_projectivity(strategy: Strategy, supports) -> tuple[CheckResult, ...]:
-    """Unitarity defect of every observable compressed to its certified
-    support: max-norm of ``A_bar^2 - Pi`` expressed on the support."""
-    return tuple(c for *_, checks in _compressed_pairs(strategy, supports) for c in checks[:2])
-
-
 def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     """Support isometries per (party, time_slice): the source marginals at
     the first round, the union of conditional post-interaction marginals
@@ -438,12 +434,12 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     Bell-branch states that ``run_scenario`` kept in the record are summed
     once and traced N times."""
     n = strategy.parties
-    source = strategy.source_state
-    supports = {(p, 1): support_isometry(source.marginal(p).density) for p in range(n)}
+    rho = strategy.source_state
+    supports = {(p, 1): support_isometry(partial_trace(rho.density, rho.dims, p)) for p in range(n)}
     x_bell = bell_branch_settings(n)
     sigmas = [s.density for (x, _), s in record.conditional_states.items() if x == x_bell]
-    average = QuantumState._derived(sum(sigmas) / len(sigmas), strategy.interaction.dims_out)
-    supports.update({(p, 2): support_isometry(average.marginal(p).density) for p in range(n)})
+    average, dims = sum(sigmas) / len(sigmas), strategy.interaction.dims_out
+    supports.update({(p, 2): support_isometry(partial_trace(average, dims, p)) for p in range(n)})
     return supports
 
 

@@ -31,6 +31,7 @@ from .reference import reference_strategy
 from .scenario import Strategy, run_scenario, scramble_strategy
 from .seesaw import seesaw_restarts
 from .serialize import (
+    SCHEMA_VERSION,
     SerializationError,
     _bits,
     dumps,
@@ -125,13 +126,16 @@ def _print_json(data) -> None:
     print(dumps(data).decode())
 
 
-def _load(path: str, command: str) -> Strategy:
+def _load(path: str, command: str) -> tuple[Strategy, bytes]:
+    """The strategy in ``path`` and the bytes it was parsed from, read once,
+    so a digest describes exactly what was loaded."""
     try:
-        strategy = load_strategy(path)
+        raw = read_input(path)
+        strategy = load_strategy(path, raw)
     except SerializationError as exc:
         raise SystemExit(_usage_error(str(exc)))
     _check_branch_stack(command, strategy.parties, strategy.source_state.dims)
-    return strategy
+    return strategy, raw
 
 
 def cmd_bounds(args) -> int:
@@ -194,7 +198,7 @@ def cmd_make_strategy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    strategy = _load(args.strategy, "simulate")
+    strategy, _ = _load(args.strategy, "simulate")
     try:
         record = run_scenario(strategy)
     except ValueError as exc:
@@ -222,13 +226,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_certify(args) -> int:
     _check_tolerance(args.tolerance, "certify")
-    # One read: the digest describes exactly the bytes that were certified.
-    try:
-        raw = read_input(args.strategy)
-        strategy = load_strategy(args.strategy, raw)
-    except SerializationError as exc:
-        return _usage_error(str(exc))
-    _check_branch_stack("certify", strategy.parties, strategy.source_state.dims)
+    strategy, raw = _load(args.strategy, "certify")
     report = run_full_certification(strategy, max_violation_tol=args.tolerance)
     provenance = {
         "input": str(args.strategy),
@@ -268,7 +266,7 @@ def cmd_certify(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     _check_tolerance(args.tolerance, "noise-sweep")
-    strategy = _load(args.strategy, "noise-sweep")
+    strategy, _ = _load(args.strategy, "noise-sweep")
     try:
         visibilities = [float(v) for v in args.visibilities.split(",") if v.strip() != ""]
     except ValueError:
@@ -350,7 +348,7 @@ def cmd_seesaw(args) -> int:
     if args.out:
         out = _out_path(args.out)
         payload = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "bell_strategy",
             "parties": args.parties,
             "dims": dims,

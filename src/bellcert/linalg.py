@@ -25,11 +25,9 @@ __all__ = [
     "dagger",
     "kron",
     "max_abs",
-    "is_hermitian",
     "fix_column_phases",
     "herm_eig",
     "partial_trace",
-    "operator_block",
 ]
 
 # Tolerance regime for double precision at the dimensions handled here
@@ -78,11 +76,6 @@ def max_abs(m: np.ndarray) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and max_abs(m - dagger(m)) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral data of a Hermitian matrix.
@@ -98,11 +91,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``sum_k lambda_k |v_k><v_k|``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
     def sign(self) -> np.ndarray:
         """Return ``sum_k sign(lambda_k) |v_k><v_k|``, exactly Hermitian,
         with zero eigenvalues counted as +1."""
@@ -112,18 +100,19 @@ class EigenDecomposition:
         return (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
 
 
-def herm_eig(h: np.ndarray, tol: float = ALGEBRA_TOL) -> EigenDecomposition:
+def herm_eig(h: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with a deterministic
     phase convention.
 
-    Raises ``NonHermitianError`` if ``h`` deviates from its adjoint by more
-    than ``tol`` in max-norm.
+    Raises ``NonHermitianError`` if ``h`` is not a square matrix or deviates
+    from its adjoint by more than ``ALGEBRA_TOL`` in max-norm (a NaN defect
+    included).
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    defect = max_abs(h - dagger(h))
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not defect <= ALGEBRA_TOL:
         raise NonHermitianError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(defect {max_abs(h - dagger(h)):.3e})"
+            f"matrix is not Hermitian within {ALGEBRA_TOL:g} (defect {defect:.3e})"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
     return EigenDecomposition(eigenvalues=vals, eigenvectors=fix_column_phases(vecs))
@@ -173,34 +162,3 @@ def partial_trace(
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
     d_keep = int(np.prod([dims[k] for k in keep]))
     return reduced.reshape(d_keep, d_keep)
-
-
-def operator_block(
-    w: np.ndarray,
-    out_vec: np.ndarray,
-    in_vec: np.ndarray,
-    dims_out: tuple[int, int],
-    dims_in: tuple[int, int],
-) -> np.ndarray:
-    """Contract the primary factor of ``w`` with fixed vectors, returning the
-    auxiliary-space block ``(<out| ox I) w (|in> ox I)``.
-
-    ``w`` maps ``C^{dims_in[0]} ox C^{dims_in[1]}`` to
-    ``C^{dims_out[0]} ox C^{dims_out[1]}``; the result maps the input
-    auxiliary space to the output auxiliary space.
-    """
-    w = np.asarray(w, dtype=complex)
-    d_po, d_ao = int(dims_out[0]), int(dims_out[1])
-    d_pi, d_ai = int(dims_in[0]), int(dims_in[1])
-    out_vec = np.asarray(out_vec, dtype=complex).reshape(-1)
-    in_vec = np.asarray(in_vec, dtype=complex).reshape(-1)
-    if w.shape != (d_po * d_ao, d_pi * d_ai):
-        raise DimensionMismatchError(
-            f"operator_block: shape {w.shape} does not match dims {dims_out}x{dims_in}"
-        )
-    if out_vec.size != d_po or in_vec.size != d_pi:
-        raise DimensionMismatchError(
-            "operator_block: vector lengths do not match primary dimensions"
-        )
-    t = w.reshape(d_po, d_ao, d_pi, d_ai)
-    return np.einsum("i,ijkl,k->jl", np.conj(out_vec), t, in_vec)

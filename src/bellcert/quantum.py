@@ -10,9 +10,9 @@ Validation runs at the boundary.  The public constructors of
 non-finite entries and check what they promise: a state is Hermitian, has
 unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigvalsh``).  A
 state the package derives from valid states by a positivity-preserving map
-(``post_measurement_states``, ``QuantumState.marginal``,
-``pure_state``, ``white_noise_mix``, ``random_density`` and the scrambled
-source of ``scenario.scramble_strategy``) is positive by construction, so
+(``post_measurement_states``, ``pure_state``, ``white_noise_mix``,
+``random_density`` and the scrambled source of
+``scenario.scramble_strategy``) is positive by construction, so
 it goes through the private ``QuantumState._derived``, which checks the
 shape, symmetrizes and freezes but runs no eigensolver (``_wrap`` when the
 map has already taken the Hermitian part in place).
@@ -40,7 +40,6 @@ from .linalg import (
     NonHermitianError,
     dagger,
     max_abs,
-    partial_trace,
 )
 
 __all__ = [
@@ -102,7 +101,7 @@ class QuantumState:
         if max_abs(self.density - dagger(self.density)) > ALGEBRA_TOL:
             raise NonHermitianError("density matrix is not Hermitian")
         if abs(np.trace(self.density) - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"density trace {np.trace(self.density):.12g} != 1")
+            raise ValueError(f"density trace {np.trace(self.density).real:.12g} != 1")
         lo = float(np.min(np.linalg.eigvalsh(self.density)))
         if lo < -ALGEBRA_TOL:
             raise ValueError(f"density has negative eigenvalue {lo:.3e}")
@@ -135,12 +134,6 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
-
-    def marginal(self, keep: int | tuple[int, ...]) -> QuantumState:
-        """Reduced state on the kept subsystems."""
-        keep_t = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
-        red = partial_trace(self.density, self.dims, keep_t)
-        return QuantumState._derived(red, tuple(self.dims[k] for k in sorted(keep_t)))
 
 
 def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:

@@ -34,8 +34,6 @@ __all__ = [
     "HBAR_BASIS",
     "X_BASIS",
     "Z_BASIS",
-    "alice_targets",
-    "other_targets",
     "target_observables",
     "ghz_like_vector",
     "reference_observables",
@@ -43,8 +41,6 @@ __all__ = [
     "entangling_unitary",
     "pre_interaction_matrix",
     "pre_interaction_basis",
-    "pre_interaction_vector",
-    "measured_eigenvector",
     "reference_source_state",
     "reference_strategy",
 ]
@@ -67,20 +63,12 @@ Z_BASIS = (
 )
 
 
-def alice_targets() -> tuple[np.ndarray, np.ndarray]:
-    """Party-1 qubit observables ((X+Z)/sqrt2, (X-Z)/sqrt2)."""
-    s = math.sqrt(2.0)
-    return (PAULI_X + PAULI_Z) / s, (PAULI_X - PAULI_Z) / s
-
-
-def other_targets() -> tuple[np.ndarray, np.ndarray]:
-    """Qubit observables (Z, X) for every party after the first."""
-    return PAULI_Z.copy(), PAULI_X.copy()
-
-
 def target_observables(parties: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-party (setting-0, setting-1) qubit observable pairs."""
-    return [alice_targets()] + [other_targets() for _ in range(parties - 1)]
+    """Per-party (setting-0, setting-1) qubit observable pairs:
+    ((X+Z)/sqrt2, (X-Z)/sqrt2) for party 1, (Z, X) for every other party."""
+    s = math.sqrt(2.0)
+    first = ((PAULI_X + PAULI_Z) / s, (PAULI_X - PAULI_Z) / s)
+    return [first] + [(PAULI_Z.copy(), PAULI_X.copy()) for _ in range(parties - 1)]
 
 
 def ghz_like_vector(outcomes: tuple[int, ...]) -> np.ndarray:
@@ -103,14 +91,6 @@ def _first_round_basis(parties: int) -> list[tuple[np.ndarray, np.ndarray]]:
     bases = [HBAR_BASIS, Z_BASIS]
     bases.extend(X_BASIS for _ in range(parties - 2))
     return bases[:parties]
-
-
-def pre_interaction_vector(outcomes: tuple[int, ...]) -> np.ndarray:
-    """Product state entering the interaction after the Bell-branch
-    first-round measurement with outcomes ``a``."""
-    bits = tuple(int(b) for b in outcomes)
-    bases = _first_round_basis(len(bits))
-    return kron(*[bases[n][bits[n]].reshape(-1, 1) for n in range(len(bits))]).reshape(-1)
 
 
 def pre_interaction_matrix(parties: int) -> np.ndarray:
@@ -142,19 +122,6 @@ def entangling_unitary(parties: int) -> np.ndarray:
     """The reference interaction ``U = sum_a |phi_a><basis_a| = G B^dag`` on
     N qubits (``G = ghz_matrix``, ``B = pre_interaction_matrix``)."""
     return ghz_matrix(parties) @ dagger(pre_interaction_matrix(parties))
-
-
-def measured_eigenvector(party: int, setting: int, outcome: int) -> np.ndarray:
-    """Eigenvector with eigenvalue (-1)^outcome of the target observable of
-    ``party`` (0-based) at ``setting``."""
-    if party == 0:
-        # Setting 0 is diagonal in HBAR_BASIS; setting 1 maps |b0> <-> |b1>,
-        # so its eigenvectors are (|b0> +/- |b1>)/sqrt(2).
-        if setting == 0:
-            return HBAR_BASIS[outcome].copy()
-        v = (HBAR_BASIS[0] + (1.0 if outcome == 0 else -1.0) * HBAR_BASIS[1]) / math.sqrt(2.0)
-        return v
-    return (Z_BASIS if setting == 0 else X_BASIS)[outcome].copy()
 
 
 def reference_observables(parties: int, time_slice: int) -> tuple:

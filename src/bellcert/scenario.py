@@ -37,7 +37,7 @@ from .bell import (
     effect_stacks,
     extra_statistics,
 )
-from .linalg import CERT_TOL, DimensionMismatchError, dagger, kron
+from .linalg import ALGEBRA_TOL, CERT_TOL, DimensionMismatchError, dagger, kron
 from .quantum import (
     ZERO_PROB,
     DichotomicObservable,
@@ -122,7 +122,9 @@ class CorrelationRecord:
     ``p1[x]`` is the outcome distribution at the first round for inputs
     ``x``; ``p2[(x1, a1)][x2]`` the conditional distribution at the second
     round.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
-    value of the matching Bell functional on the conditional state.
+    value of the matching Bell functional on the conditional state.  Every
+    table must sum to 1 within ``ALGEBRA_TOL``, the tolerance the public
+    ``QuantumState`` constructor allows on the trace of a source.
 
     ``conditional_states[(x1, a1)]`` is the post-interaction state behind
     ``p2[(x1, a1)]``, kept so the certification chain reuses it.  It is in
@@ -143,7 +145,7 @@ class CorrelationRecord:
         if not tables:
             return
         sums = np.sum(np.reshape(tables, (len(tables), -1)), axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ALGEBRA_TOL)
         if not bad.size:
             return
         i, s = int(bad[0]), float(sums[bad[0]])

@@ -216,7 +216,7 @@ def _strategy_value(stack, effective) -> np.ndarray:
 
 
 def _random_observables(dims, seed: int) -> list[list[np.ndarray]]:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
 
 

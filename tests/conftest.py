@@ -52,6 +52,15 @@ def fix_global_phase(v, cutoff=1e-12):
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
+def vector_block(m, out_vec, in_vec):
+    """Oracle: the auxiliary block ``(<out| ox I) m (|in> ox I)``, dense, with
+    ``numpy.kron``; the identities' sizes are read off the shapes."""
+    out_vec = np.asarray(out_vec, dtype=complex).reshape(-1, 1)
+    in_vec = np.asarray(in_vec, dtype=complex).reshape(-1, 1)
+    k_out, k_in = m.shape[0] // len(out_vec), m.shape[1] // len(in_vec)
+    return np.kron(dag(out_vec), np.eye(k_out)) @ m @ np.kron(in_vec, np.eye(k_in))
+
+
 def permute_subsystems(m, perm, dims_row, dims_col=None):
     """Oracle: reorder the tensor factors of an operator.
 

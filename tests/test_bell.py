@@ -184,7 +184,6 @@ class TestSOSRelations:
     def test_reference_strategy_is_maximal(self):
         state = pure_state(PHI_PLUS, (2, 2))
         rel = check_sos_relations(state, target_observables(2), BellExpression(2, (0, 0)))
-        assert rel.maximal
         assert rel.p_violation < 1e-12 and max(rel.q_violations) < 1e-12
 
     def test_wrong_setting_is_detected(self):

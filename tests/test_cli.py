@@ -13,7 +13,8 @@ from bellcert.cli import main
 from bellcert.certify import run_full_certification
 from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
 from bellcert.scenario import Strategy
-from bellcert.serialize import save_strategy, strategy_to_dict
+from bellcert.reference import reference_strategy
+from bellcert.serialize import SCHEMA_VERSION, save_strategy, strategy_to_dict
 
 from conftest import diag_phase_deviation, swap_deviation
 
@@ -346,6 +347,23 @@ class TestCertifyExitCodes:
         data = json.loads(capsys.readouterr().out)
         assert data["provenance"]["input_sha256"] == hashlib.sha256(original(path)).hexdigest()
 
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["noise-sweep", "--visibilities", "1,0.5"]], ids=["simulate", "sweep"]
+    )
+    def test_every_command_reads_the_file_once(self, tmp_path, capsys, monkeypatch, argv):
+        path = tmp_path / "ref.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        reads = []
+        original = Path.read_bytes
+
+        def counting(self):
+            reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert reads == [path]
+
     def test_swap_deviation_refuted(self, tmp_path, capsys, ref2):
         path = tmp_path / "swap.json"
         save_strategy(swap_deviation(ref2), path)
@@ -360,6 +378,46 @@ class TestCertifyExitCodes:
         path = tmp_path / "noisy.json"
         main(["make-strategy", str(path), "--parties", "2", "--visibility", "0.99"])
         assert main(["certify", str(path)]) == 3
+
+
+class TestSourceNormalisation:
+    """The loader accepts a source whose trace is within ``ALGEBRA_TOL`` of
+    1, and the record built from it is gated at the same tolerance, so such a
+    file runs through ``simulate`` and ``certify``; past the tolerance the
+    loader refuses it (exit 2)."""
+
+    @staticmethod
+    def scaled(tmp_path, parties, factor):
+        ref = reference_strategy(parties)
+        source = QuantumState(ref.source_state.density * factor, ref.source_state.dims)
+        path = tmp_path / "scaled.json"
+        save_strategy(dataclasses.replace(ref, source_state=source), path)
+        return path
+
+    @pytest.mark.parametrize("parties", [2, 3])
+    @pytest.mark.parametrize("delta", [2e-10, -2e-10])
+    def test_just_inside_certifies(self, tmp_path, capsys, parties, delta):
+        path = self.scaled(tmp_path, parties, 1.0 + delta)
+        assert main(["simulate", str(path)]) == 0
+        assert main(["certify", str(path)]) == 0
+
+    def test_bell_gate_decides_past_its_tolerance(self, tmp_path, capsys):
+        # At N = 4 the t1 Bell value 6 (1 + 2e-10) is 1.2e-9 off the bound.
+        path = self.scaled(tmp_path, 4, 1.0 + 2e-10)
+        assert main(["simulate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["certify", str(path)]) == 3
+        assert "Bell value at t1: 6.000000001 not within 1e-09" in capsys.readouterr().out
+
+    def test_just_outside_is_refused_at_load(self, tmp_path, capsys):
+        path = self.scaled(tmp_path, 2, 1.0)
+        data = json.loads(path.read_text())
+        (source,) = [m for m in data["matrices"] if m["role"] == "source_state"]
+        source["entries"] = [[re * (1.0 + 2e-9), im] for re, im in source["entries"]]
+        path.write_text(json.dumps(data))
+        for command in ("simulate", "certify"):
+            assert main([command, str(path)]) == 2
+            assert "density trace 1.000000002 != 1" in capsys.readouterr().err
 
 
 class TestToleranceIsFinitePositive:
@@ -501,6 +559,7 @@ class TestSeesawCommand:
         assert data["best_value"] >= 2.0 - 1e-6
         saved = json.loads(out.read_text())
         assert saved["kind"] == "bell_strategy"
+        assert saved["schema_version"] == SCHEMA_VERSION
 
     def test_three_party_target(self, capsys):
         assert main(["--format", "machine", "seesaw", "--parties", "3", "--restarts", "5"]) == 0

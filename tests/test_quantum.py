@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bellcert.linalg import DimensionMismatchError, NonHermitianError, dagger, kron, max_abs
+from bellcert.linalg import (
+    DimensionMismatchError,
+    NonHermitianError,
+    dagger,
+    kron,
+    max_abs,
+    partial_trace,
+)
 from bellcert.quantum import (
     DichotomicObservable,
     Interaction,
@@ -73,7 +80,6 @@ class TestQuantumState:
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         derived = [
             pure_state(PHI_PLUS, (2, 2)).density,
-            phi_plus.marginal(0).density,
             *post_measurement_states(phi_plus, [zo.effect(0), None]),
             *post_measurement_states(phi_plus, [None, None], u),
             white_noise_mix(phi_plus, 0.3).density,
@@ -86,7 +92,7 @@ class TestQuantumState:
             pure_state(PHI_PLUS, (2, 3))
 
     def test_marginal(self, phi_plus):
-        assert max_abs(phi_plus.marginal(0).density - I2 / 2) < 1e-12
+        assert max_abs(partial_trace(phi_plus.density, phi_plus.dims, 0) - I2 / 2) < 1e-12
 
     def test_immutable(self, phi_plus):
         with pytest.raises(ValueError):

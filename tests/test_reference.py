@@ -8,12 +8,13 @@ from bellcert.linalg import dagger, max_abs
 from bellcert.quantum import post_measurement_states, pure_state
 from bellcert.reference import (
     HBAR_BASIS,
+    X_BASIS,
+    Z_BASIS,
     entangling_unitary,
     ghz_like_vector,
     ghz_matrix,
     pre_interaction_basis,
     pre_interaction_matrix,
-    pre_interaction_vector,
     reference_strategy,
     target_observables,
 )
@@ -64,9 +65,8 @@ def test_target_observables_are_sharp_and_anticommuting():
 
 def test_pre_interaction_vectors_are_orthonormal():
     for n in (2, 3):
-        vecs = [pre_interaction_vector(bits) for bits in itertools.product((0, 1), repeat=n)]
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        assert max_abs(gram - np.eye(2**n)) < 1e-12
+        b = pre_interaction_matrix(n)
+        assert max_abs(dagger(b) @ b - np.eye(2**n)) < 1e-12
 
 
 def test_reference_source_is_maximally_entangled():
@@ -74,10 +74,22 @@ def test_reference_source_is_maximally_entangled():
     assert max_abs(ref.source_state.density - np.outer(PHI_PLUS, PHI_PLUS.conj())) < 1e-15
 
 
+def _pre_interaction_vector(bits):
+    """Oracle: the product state entering the interaction after the
+    Bell-branch first-round outcomes ``bits``, one ``numpy.kron`` per party
+    (party 1 in the (X+Z)/sqrt2 eigenbasis, party 2 computational, the rest
+    in the X eigenbasis)."""
+    bases = [HBAR_BASIS, Z_BASIS] + [X_BASIS] * (len(bits) - 2)
+    vec = np.ones(1, dtype=complex)
+    for basis, b in zip(bases, bits):
+        vec = np.kron(vec, basis[b])
+    return vec
+
+
 def _entangling_unitary_by_outer_products(n):
     u = np.zeros((2**n, 2**n), dtype=complex)
     for bits in itertools.product((0, 1), repeat=n):
-        u += np.outer(ghz_like_vector(bits), np.conj(pre_interaction_vector(bits)))
+        u += np.outer(ghz_like_vector(bits), np.conj(_pre_interaction_vector(bits)))
     return u
 
 
@@ -95,9 +107,9 @@ class TestClosedForms:
     def test_basis_columns_are_the_per_vector_products(self, n):
         b = pre_interaction_matrix(n)
         for a, bits in enumerate(itertools.product((0, 1), repeat=n)):
-            assert np.array_equal(b[:, a], pre_interaction_vector(bits))
+            assert np.array_equal(b[:, a], _pre_interaction_vector(bits))
         for bits, vec in pre_interaction_basis(n):
-            assert np.array_equal(vec, pre_interaction_vector(bits))
+            assert np.array_equal(vec, _pre_interaction_vector(bits))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_ghz_matrix_columns(self, n):
