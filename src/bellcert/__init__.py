@@ -15,7 +15,6 @@ from .certify import (
     LocalFrame,
     certify_interaction,
     certify_source_state,
-    extract_local_frame,
     run_full_certification,
 )
 from .linalg import (

@@ -5,8 +5,9 @@ violations at both rounds on the designated branches, plus the side
 statistics), check each observable pair once on its certified support
 (``_pair_checks``: both settings sharp, the pair anticommuting), extract
 per-party local frames from the pairs that pass, certify the source state
-as the maximally entangled state times an auxiliary state, and certify the
-interaction as the reference entangling unitary times an auxiliary unitary.
+as the maximally entangled state times an auxiliary state ``xi``, and
+certify the interaction as the reference entangling unitary times an
+auxiliary unitary on the support of ``xi``, the part the statistics fix.
 Only the maximal-violation tolerance is a parameter; the later gates use
 the module's constants.
 
@@ -15,16 +16,18 @@ Verdict semantics:
 * ``inconclusive`` - a statistical premise is not met at tolerance (e.g. a
   Bell value short of the quantum bound, a conditioning event of vanishing
   probability, or an auxiliary state too close to rank-deficient for the
-  block-proportionality argument to be trusted).  No robustness statement is
-  made: anything short of maximal is never called refuted on that basis.
+  block-proportionality argument to be trusted; a rank-deficient ``xi``
+  whose chain passes has ``W = U ox V0`` certified on ``supp(xi)`` only).
+  No robustness statement is made: anything short of maximal is never
+  called refuted on that basis.
 * ``refuted`` - the statistics meet the Bell premises but the claimed
   product structure fails: side statistics off target, non-projective or
   non-anticommuting certified observables, a frame or state residual, a
-  non-unitary recovered auxiliary block, or an interaction residual
-  ``max|W - U ox V0|`` beyond the certification tolerance.  Each premise
-  is checked once and a failing one gives one failure line, in chain order:
-  projectivity, frame construction, anticommutation, frame residuals, the
-  source state, the interaction.
+  recovered auxiliary block that is not unitary on ``supp(xi)``, or an
+  interaction residual ``max|W - U ox V0|`` on ``supp(xi)`` beyond the
+  certification tolerance.  Each premise is checked once and a failing one
+  gives one failure line, in chain order: projectivity, frame construction,
+  anticommutation, frame residuals, the source state, the interaction.
 * ``certified`` - everything passes and the recovered auxiliary state is
   comfortably full-rank.
 """
@@ -66,7 +69,6 @@ __all__ = [
     "InteractionCertificate",
     "CertificationReport",
     "support_isometry",
-    "extract_local_frame",
     "certify_source_state",
     "certify_interaction",
     "run_full_certification",
@@ -74,7 +76,7 @@ __all__ = [
 
 MAX_VIOLATION_TOL = 1e-9  # "maximal violation" means within this of the quantum bound
 XI_EIG_FLOOR = 1e-10  # recovered auxiliary state must be full-rank above this
-SUPPORT_CUTOFF = 1e-10  # reduced-state eigenvalues below this are outside the support
+SUPPORT_CUTOFF = 1e-10  # eigenvalues (of a reduced state or xi) below this are outside the support
 
 
 class FramePremiseError(ValueError):
@@ -105,14 +107,21 @@ class LocalFrame:
 
     ``matrix`` has shape (2k, d): an isometry from the local support onto
     C^2 ox C^k under which the projected observables become the target qubit
-    observables padded with the identity.
+    observables padded with the identity.  Its row count is the support
+    dimension 2k; its column count is the full local dimension d.
     """
 
     party: int
     time_slice: int
     matrix: np.ndarray
-    aux_dim: int
-    support_dim: int
+
+    @property
+    def aux_dim(self) -> int:
+        return self.matrix.shape[0] // 2
+
+    @property
+    def support_dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def support_isometry(density: np.ndarray) -> np.ndarray:
@@ -121,15 +130,16 @@ def support_isometry(density: np.ndarray) -> np.ndarray:
     Full-rank inputs return the identity, so strategies without dark
     subspaces are handled in their native basis.  Otherwise the support is
     spanned by the eigenvectors with eigenvalue above ``SUPPORT_CUTOFF``, in
-    the basis ``_position_basis`` fixes.
+    the basis ``_position_basis`` fixes.  An input with no eigenvalue above
+    the cutoff has no support to restrict to and returns the identity too: a
+    marginal of a unit-trace state always has one, and a vanishing recovered
+    ``xi`` fails the source-state residual.
     """
     density = np.asarray(density, dtype=complex)
     eig = herm_eig(density)
     mask = eig.eigenvalues > SUPPORT_CUTOFF
-    if np.all(mask):
+    if np.all(mask) or not mask.any():
         return np.eye(density.shape[0], dtype=complex)
-    if not mask.any():
-        raise FramePremiseError("state support is empty")
     return _position_basis(eig.eigenvectors[:, mask])
 
 
@@ -164,43 +174,16 @@ def _pair_checks(a0, a1, label: str) -> tuple[CheckResult, CheckResult, CheckRes
     return (*sharp, anti)
 
 
-def extract_local_frame(
-    a0, a1, targets: tuple[np.ndarray, np.ndarray], party: int = 0, time_slice: int = 0
-) -> LocalFrame:
-    """Build the local unitary carrying an anticommuting pair of sharp
-    observables onto ``target ox identity`` form.
-
-    The inputs must already be restricted to their support: Hermitian, on an
-    even-dimensional space, and passing ``_pair_checks`` (sharp and
-    anticommuting within ``CERT_TOL``).  The +1 eigenbasis of ``a0`` is
-    fixed by ``_position_basis`` and its -1 partners are defined as
-    ``a1 v``, so the frame (and every downstream report) depends on the pair
-    alone.
-    """
-    m0, m1 = as_matrix(a0), as_matrix(a1)
-    d = m0.shape[0]
-    if m0.shape != (d, d) or m1.shape != (d, d):
-        raise FramePremiseError("observables must be square matrices of equal dimension")
-    if d % 2:
-        raise FramePremiseError(f"support dimension {d} is odd; no qubit factor exists")
-    *sharp, anti = _pair_checks(m0, m1, f"party {party + 1} t{time_slice}")
-    for j, c in enumerate(sharp):
-        if not c.passed:
-            raise FramePremiseError(
-                f"observable {j} is not sharp on its support (unitarity defect {c.value:.3e})"
-            )
-    if not anti.passed:
-        raise FramePremiseError(f"observables do not anticommute (norm {anti.value:.3e})")
-    u, resid = _paired_frame(m0, m1, targets)
-    if resid > CERT_TOL:
-        raise FramePremiseError(f"frame postcondition residual {resid:.3e} exceeds {CERT_TOL:g}")
-    return LocalFrame(party=party, time_slice=time_slice, matrix=u, aux_dim=d // 2, support_dim=d)
-
-
 def _paired_frame(m0, m1, targets) -> tuple[np.ndarray, float]:
-    """The frame of ``extract_local_frame`` for a pair already known to be
-    sharp and anticommuting, with its postcondition residual
-    ``max_j |u m_j u^dag - target_j ox I|``."""
+    """The local unitary carrying a pair already known to be sharp and
+    anticommuting (``_pair_checks``) onto ``target ox identity`` form, with
+    its postcondition residual ``max_j |u m_j u^dag - target_j ox I|``.
+
+    The +1 eigenbasis of ``m0`` is fixed by ``_position_basis`` and its -1
+    partners are defined as ``m1 v``, so the frame (and every downstream
+    report) depends on the pair alone.  Unequal eigenspaces (which an odd
+    dimension forces) are refused.
+    """
     d = m0.shape[0]
     eig = herm_eig(m0)
     plus = _position_basis(eig.eigenvectors[:, eig.eigenvalues > 0])
@@ -319,16 +302,12 @@ class InteractionCertificate:
     unitarity_defect: float
     failures: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def certify_interaction(
     interaction,
     frames_t1: tuple[LocalFrame, ...],
     frames_t2: tuple[LocalFrame, ...],
-    parties: int,
+    xi_support: np.ndarray,
 ) -> InteractionCertificate:
     """Recover the auxiliary unitary and gate the claim ``W = U ox V0``.
 
@@ -338,23 +317,32 @@ def certify_interaction(
     the Kronecker product ``B`` of the per-party pre-interaction bases,
     whose columns are also the inputs ``|in_a>`` below.
     ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` (``_aux_block`` with ``q = U``) is
-    the least-squares estimate of that block, and the claim holds when the
-    residual ``max|W - U ox V0|`` and the unitarity defect of ``V0`` are
-    both within ``CERT_TOL``.
+    the least-squares estimate of that block.
+
+    The statistics fix ``V0`` only on the support of the auxiliary state, so
+    both gates act there, with ``P = xi_support`` the isometry onto
+    ``supp(xi)`` (``support_isometry`` of the recovered ``xi``): the claim
+    holds when the residual ``max|W (I ox P) - U ox V0 P|`` and the isometry
+    defect ``max|(V0 P)^dag (V0 P) - I|`` are both within ``CERT_TOL``.
+    For a full-rank ``xi``, ``P = I`` and these are ``max|W - U ox V0|`` and
+    the unitarity defect of ``V0``.
     ``proportionality_error`` is the largest block
-    ``(<out| ox I)(W - U ox V0)(|in_a> ox I)`` over computational outputs
-    and pre-interaction inputs; a failing residual names that block.
+    ``(<out| ox I)(W (I ox P) - U ox V0 P)(|in_a> ox I)`` over computational
+    outputs and pre-interaction inputs; a failing residual names that block.
     """
+    parties = len(frames_t1)
     w = _to_canonical(as_matrix(interaction), frames_t2, frames_t1)
     d_q = 2**parties
-    shape = (d_q, w.shape[0] // d_q, d_q, w.shape[1] // d_q)
     basis = pre_interaction_matrix(parties)
     u = ghz_matrix(parties) @ dagger(basis)
     v0 = _aux_block(w, u)
-    deviation = w - kron(u, v0)
+    v0_p = v0 @ xi_support
+    w_p = (w.reshape(-1, xi_support.shape[0]) @ xi_support).reshape(w.shape[0], -1)
+    deviation = w_p - kron(u, v0_p)
     residual = max_abs(deviation)
-    unit_defect = max_abs(dagger(v0) @ v0 - np.eye(shape[3]))
+    unit_defect = max_abs(dagger(v0_p) @ v0_p - np.eye(v0_p.shape[1]))
 
+    shape = (d_q, w.shape[0] // d_q, d_q, v0_p.shape[1])
     blocks = np.einsum("ijkl,ka->iajl", deviation.reshape(shape), basis)
     norms = np.max(np.abs(blocks), axis=(2, 3))
     out, a = np.unravel_index(np.argmax(norms), norms.shape)
@@ -395,22 +383,7 @@ class CertificationReport:
     interaction: InteractionCertificate | None = None
     failures: tuple[str, ...] = ()
     tolerances: dict = field(default_factory=dict)
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
-
-    @property
-    def state_residual(self) -> CheckResult | None:
-        """The source-state residual of ``state``, gated at ``CERT_TOL``."""
-        if self.state is None:
-            return None
-        return CheckResult.below("source-state residual", self.state.residual, CERT_TOL)
-
-    @property
-    def xi_min_eigenvalue(self) -> float | None:
-        """The minimum eigenvalue of the auxiliary state of ``state``."""
-        return None if self.state is None else self.state.min_eigenvalue
+    state_residual: CheckResult | None = None  # the residual of ``state``, gated at ``CERT_TOL``
 
 
 def _compressed_pairs(strategy: Strategy, supports):
@@ -505,11 +478,7 @@ def run_full_certification(
     if premise_failures:
         return report("inconclusive", **stages)
 
-    try:
-        supports = _compute_supports(strategy, record)
-    except ValueError as exc:
-        refutation_failures.append(str(exc))
-        return report("refuted", **stages)
+    supports = _compute_supports(strategy, record)
 
     # One set of premise checks, and one frame residual, per party and round.
     # A pair whose projectivity or anticommutation check failed gets no frame;
@@ -530,9 +499,7 @@ def run_full_certification(
         check = CheckResult.below(f"frame residual {label}", resid, CERT_TOL)
         frame_checks.append(check)
         if check.passed:
-            frames[(party, time_slice)] = LocalFrame(
-                party, time_slice, u @ dagger(s), aux_dim=u.shape[0] // 2, support_dim=s.shape[1]
-            )
+            frames[(party, time_slice)] = LocalFrame(party, time_slice, u @ dagger(s))
     refutation_failures.extend(
         f"{c.name}: defect {c.value:.3e} exceeds {c.tolerance:g}"
         for c in projectivity
@@ -557,17 +524,21 @@ def run_full_certification(
     frames_t1 = tuple(frames[(p, 1)] for p in range(n))
     frames_t2 = tuple(frames[(p, 2)] for p in range(n))
     state_cert = certify_source_state(strategy.source_state, frames_t1)
-    if not state_cert.residual <= CERT_TOL:  # a NaN residual fails too
+    state_check = CheckResult.below("source-state residual", state_cert.residual, CERT_TOL)
+    if not state_check.passed:  # a NaN residual fails too
         refutation_failures.append(
-            f"source-state residual {state_cert.residual:.3e} exceeds {CERT_TOL:g}"
+            f"{state_check.name} {state_check.value:.3e} exceeds {state_check.tolerance:g}"
         )
 
-    inter_cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, n)
+    xi_support = support_isometry(state_cert.aux_state)
+    inter_cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, xi_support)
     refutation_failures.extend(inter_cert.failures)
 
     if refutation_failures:
         verdict = "refuted"
-    elif state_cert.min_eigenvalue <= XI_EIG_FLOOR:
+    elif state_cert.min_eigenvalue <= XI_EIG_FLOOR or xi_support.shape[1] < xi_support.shape[0]:
+        # The second test keeps a certified verdict from resting on a support
+        # that dropped a direction the floor check (a separate eigensolve) kept.
         premise_failures.append(
             f"recovered auxiliary state has minimum eigenvalue "
             f"{state_cert.min_eigenvalue:.3e} <= {XI_EIG_FLOOR:g}; the "
@@ -576,4 +547,6 @@ def run_full_certification(
         verdict = "inconclusive"
     else:
         verdict = "certified"
-    return report(verdict, state=state_cert, interaction=inter_cert, **stages)
+    return report(
+        verdict, state=state_cert, state_residual=state_check, interaction=inter_cert, **stages
+    )

@@ -40,8 +40,6 @@ from .serialize import (
     read_input,
     record_to_dict,
     report_to_dict,
-    save_record,
-    save_report,
     save_strategy,
     write_json,
 )
@@ -203,11 +201,11 @@ def cmd_simulate(args) -> int:
         record = run_scenario(strategy)
     except ValueError as exc:
         return _usage_error(f"simulate: {exc}")
+    data = record_to_dict(record) if args.out or args.format == "machine" else None
     if args.out:
-        out = _out_path(args.out)
-        save_record(record, out)
+        write_json(data, _out_path(args.out))
     if args.format == "machine":
-        _print_json(record_to_dict(record))
+        _print_json(data)
         return EXIT_OK
     beta_q = BellExpression(record.parties, (0,) * record.parties).quantum_bound
     print(f"parties: {record.parties}   quantum bound: {beta_q:g}")
@@ -233,11 +231,11 @@ def cmd_certify(args) -> int:
         "input_sha256": hashlib.sha256(raw).hexdigest(),
         "max_violation_tol": args.tolerance,
     }
+    data = report_to_dict(report, provenance) if args.report or args.format == "machine" else None
     if args.report:
-        out = _out_path(args.report)
-        save_report(report, out, provenance=provenance)
+        write_json(data, _out_path(args.report))
     if args.format == "machine":
-        _print_json(report_to_dict(report, provenance))
+        _print_json(data)
     else:
         print(f"verdict: {report.verdict}")
         for c in report.bell_checks:
@@ -247,8 +245,8 @@ def cmd_certify(args) -> int:
         if report.state_residual is not None:
             c = report.state_residual
             print(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.value:.3e} (tol {c.tolerance:g})")
-        if report.xi_min_eigenvalue is not None:
-            print(f"  auxiliary state min eigenvalue: {report.xi_min_eigenvalue:.3e}")
+        if report.state is not None:
+            print(f"  auxiliary state min eigenvalue: {report.state.min_eigenvalue:.3e}")
         if report.interaction is not None:
             ic = report.interaction
             print(
@@ -295,10 +293,12 @@ def cmd_noise_sweep(args) -> int:
     if args.format == "machine":
         _print_json(rows)
     else:
-        print(f"{'v':>6}  {'t1 value':>12}  {'min t2 value':>12}  verdict")
+        # the shortest repr, so that rows with nearby visibilities stay apart
+        width = max(6, *(len(repr(r["visibility"])) for r in rows))
+        print(f"{'v':>{width}}  {'t1 value':>12}  {'min t2 value':>12}  verdict")
         for r in rows:
             print(
-                f"{r['visibility']:6.3f}  {r['t1_bell_value']:12.9f}  "
+                f"{r['visibility']!r:>{width}}  {r['t1_bell_value']:12.9f}  "
                 f"{r['min_t2_bell_value']:12.9f}  {r['verdict']}"
             )
     return EXIT_OK

@@ -267,7 +267,7 @@ def scramble_strategy(
     D x D transform is formed.  Deterministic for a fixed seed.
     """
     # deferred: certify imports this module
-    from .certify import _from_canonical, extract_local_frame
+    from .certify import LocalFrame, _from_canonical, _paired_frame
 
     n = reference.parties
     aux_dims = tuple(int(k) for k in aux_dims)
@@ -288,12 +288,15 @@ def scramble_strategy(
         a1 = w @ kron(t1, np.eye(k)) @ dagger(w)
         a0 = (a0 + dagger(a0)) / 2.0
         a1 = (a1 + dagger(a1)) / 2.0
-        frame = extract_local_frame(a0, a1, (t0, t1))
+        # the pair is sharp and anticommuting by construction
+        u, resid = _paired_frame(a0, a1, (t0, t1))
+        if resid > CERT_TOL:
+            raise ValueError(f"planted frame residual {resid:.3e} exceeds {CERT_TOL:g}")
         pair = (
             DichotomicObservable(a0, party=party, setting=0, time_slice=time_slice),
             DichotomicObservable(a1, party=party, setting=1, time_slice=time_slice),
         )
-        return pair, frame
+        return pair, LocalFrame(party, time_slice, u)
 
     obs_t1, frames_t1 = zip(*[scrambled_party(p, 1) for p in range(n)])
     obs_t2, frames_t2 = zip(*[scrambled_party(p, 2) for p in range(n)])

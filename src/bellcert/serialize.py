@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .certify import MAX_VIOLATION_TOL, CertificationReport, CheckResult
+from .certify import CertificationReport, CheckResult
 from .quantum import DichotomicObservable, Interaction, QuantumState
 from .scenario import CorrelationRecord, Strategy
 
@@ -37,9 +37,7 @@ __all__ = [
     "read_input",
     "load_strategy",
     "record_to_dict",
-    "save_record",
     "report_to_dict",
-    "save_report",
 ]
 
 SCHEMA_VERSION = "1"
@@ -81,8 +79,8 @@ def matrix_from_payload(obj, path: str) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{path}: missing rows/cols/entries") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SerializationError(f"{path}: missing or invalid rows/cols/entries") from exc
     if len(entries) != rows * cols:
         raise SerializationError(
             f"{path}.entries: expected {rows * cols} [re, im] pairs, got {len(entries)}"
@@ -91,6 +89,8 @@ def matrix_from_payload(obj, path: str) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"{path}.entries: entries must be [re, im] pairs") from exc
+    except OverflowError as exc:  # an integer beyond float range
+        raise SerializationError(f"{path}.entries: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise SerializationError(f"{path}.entries[{bad[0]}]: non-finite entry {flat[bad[0]]}")
@@ -244,14 +244,7 @@ def record_to_dict(record: CorrelationRecord) -> dict:
 
     extra = None
     if record.extra_stats is not None:
-        extra = {
-            # The chain's side-statistics gate at its default tolerance.
-            "passes": all(
-                CheckResult.close_to(label, value, target, MAX_VIOLATION_TOL).passed
-                for label, value, target in record.extra_stats.entries
-            ),
-            "entries": [[label, value, target] for label, value, target in record.extra_stats.entries],
-        }
+        extra = {"entries": [list(entry) for entry in record.extra_stats.entries]}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "correlation_record",
@@ -268,12 +261,6 @@ def record_to_dict(record: CorrelationRecord) -> dict:
             event_key(event): float(p) for event, p in record.event_probabilities.items()
         },
     }
-
-
-def save_record(record: CorrelationRecord, path) -> dict:
-    data = record_to_dict(record)
-    write_json(data, path)
-    return data
 
 
 def _check_dict(c: CheckResult) -> dict:
@@ -316,7 +303,7 @@ def report_to_dict(report: CertificationReport, provenance: dict | None = None) 
         },
         "state": state,
         "state_residual": None if report.state_residual is None else _check_dict(report.state_residual),
-        "xi_min_eigenvalue": report.xi_min_eigenvalue,
+        "xi_min_eigenvalue": None if report.state is None else report.state.min_eigenvalue,
         "interaction": inter,
         "frames": [
             {
@@ -331,9 +318,3 @@ def report_to_dict(report: CertificationReport, provenance: dict | None = None) 
         "failures": list(report.failures),
         "provenance": provenance or {},
     }
-
-
-def save_report(report: CertificationReport, path, provenance: dict | None = None) -> dict:
-    data = report_to_dict(report, provenance)
-    write_json(data, path)
-    return data

@@ -12,7 +12,6 @@ from bellcert.certify import (
     LocalFrame,
     certify_interaction,
     certify_source_state,
-    extract_local_frame,
     run_full_certification,
     support_isometry,
 )
@@ -37,6 +36,7 @@ from bellcert.reference import (
 from bellcert.scenario import (
     Strategy,
     bell_branch_settings,
+    run_scenario,
     scramble_strategy,
 )
 
@@ -59,6 +59,18 @@ FIRST_TARGETS, OTHER_TARGETS = target_observables(2)
 def anticommutator(a0, a1):
     """The anticommutator norm the chain gates, from ``_pair_checks``."""
     return certify._pair_checks(a0, a1, "pair")[2].value
+
+
+def paired_frame(a0, a1, targets):
+    """The chain's frame path for one pair: its premises from
+    ``_pair_checks`` (the names of the failing ones raised), then
+    ``_paired_frame`` with its residual within ``CERT_TOL``."""
+    failed = [c.name for c in certify._pair_checks(a0, a1, "pair") if not c.passed]
+    if failed:
+        raise FramePremiseError(", ".join(failed))
+    u, resid = certify._paired_frame(a0, a1, targets)
+    assert resid <= certify.CERT_TOL
+    return LocalFrame(0, 1, u)
 
 
 class TestAnticommutation:
@@ -115,6 +127,10 @@ class TestSupportIsometry:
         assert max_abs(dagger(s) @ s - np.eye(2)) < 1e-12
         assert max_abs(s @ dagger(s) - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
 
+    def test_no_support_returns_identity(self):
+        # nothing to restrict to: the caller works on the whole space
+        assert np.array_equal(support_isometry(np.zeros((3, 3))), np.eye(3))
+
     def test_basis_depends_on_support_alone(self):
         # Two states with the same support whose eigenbases inside it differ
         # by a rotation: the isometry is the same, and for a coordinate
@@ -130,14 +146,16 @@ class TestSupportIsometry:
 
 
 class TestExtractLocalFrame:
+    """The frame of one pair, built as the chain builds it (``paired_frame``)."""
+
     def test_identity_case(self):
-        frame = extract_local_frame(Z, X, (Z, X))
+        frame = paired_frame(Z, X, (Z, X))
         assert phase_distance(frame.matrix, np.eye(2)) < 1e-12
         assert frame.aux_dim == 1
 
     def test_reference_pair_to_own_targets(self):
         a0, a1 = FIRST_TARGETS
-        frame = extract_local_frame(a0, a1, (a0, a1))
+        frame = paired_frame(a0, a1, (a0, a1))
         u = frame.matrix
         for m, t in ((a0, a0), (a1, a1)):
             assert max_abs(u @ m @ dagger(u) - t) < 1e-10
@@ -148,7 +166,7 @@ class TestExtractLocalFrame:
             w = random_unitary(6, seed)
             a0 = w @ kron(Z, np.eye(3)) @ dagger(w)
             a1 = w @ kron(X, np.eye(3)) @ dagger(w)
-            frame = extract_local_frame(a0, a1, targets)
+            frame = paired_frame(a0, a1, targets)
             assert frame.aux_dim == 3
             u = frame.matrix
             assert max_abs(dagger(u) @ u - np.eye(6)) < 1e-9
@@ -156,17 +174,21 @@ class TestExtractLocalFrame:
                 assert max_abs(u @ m @ dagger(u) - kron(t, np.eye(3))) < 1e-8
 
     def test_odd_dimension_rejected(self):
+        # no sharp pair anticommutes in odd dimension, so the premises fail
+        # first; the frame builder refuses the unequal eigenspaces as well
         o = np.diag([1.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(FramePremiseError, match="odd"):
-            extract_local_frame(o, o, OTHER_TARGETS)
+        with pytest.raises(FramePremiseError, match="^anticommutator pair$"):
+            paired_frame(o, o, OTHER_TARGETS)
+        with pytest.raises(FramePremiseError, match="eigenspace dimensions 2 / 1 are unequal"):
+            certify._paired_frame(o, o, OTHER_TARGETS)
 
     def test_non_sharp_observable_rejected(self):
-        with pytest.raises(FramePremiseError, match="sharp"):
-            extract_local_frame(0.9 * Z, X, (Z, X))
+        with pytest.raises(FramePremiseError, match="^projectivity pair setting 0$"):
+            paired_frame(0.9 * Z, X, (Z, X))
 
     def test_non_anticommuting_rejected(self):
-        with pytest.raises(FramePremiseError, match="anticommute"):
-            extract_local_frame(Z, (X + Z) / math.sqrt(2.0), (Z, X))
+        with pytest.raises(FramePremiseError, match="^anticommutator pair$"):
+            paired_frame(Z, (X + Z) / math.sqrt(2.0), (Z, X))
 
 
 def _frames_of(report):
@@ -273,10 +295,24 @@ class TestFramesActPerParty:
             for in_a in pre_interaction_matrix(n).T
         )
 
-        cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, n)
+        xi_support = support_isometry(report.state.aux_state)
+        assert xi_support.shape == (k_in, k_in)  # xi is full-rank on the supports
+        cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, xi_support)
         assert max_abs(cert.aux_unitary - v0) <= 1e-14
         assert abs(cert.residual - max_abs(deviation)) <= 1e-14
         assert abs(cert.proportionality_error - proportionality) <= 1e-14
+
+    def test_frame_dims_read_from_the_matrix(self, certified):
+        # a frame is 2k x d: the support dimension 2k is its row count, the
+        # full local dimension d its column count
+        strategy, report = certified
+        supports = certify._compute_supports(strategy, run_scenario(strategy))
+        for f in report.frames:
+            support = supports[(f.party, f.time_slice)]
+            assert f.matrix.shape == (support.shape[1], support.shape[0])
+            assert f.support_dim == support.shape[1] == 2 * f.aux_dim
+        proper = [f for f in report.frames if f.support_dim < f.matrix.shape[1]]
+        assert bool(proper) == (strategy.parties == 3)  # the rank-one xi's proper supports
 
 
 class TestPlantingPath:
@@ -362,7 +398,7 @@ class TestFramesIgnoreRoundoff:
         w = random_unitary(2 * k, rng)
         a0, a1 = (w @ kron(t, np.eye(k)) @ dagger(w) for t in (t0, t1))
         a0, a1 = (a0 + dagger(a0)) / 2.0, (a1 + dagger(a1)) / 2.0
-        frame = extract_local_frame(a0, a1, (t0, t1)).matrix
+        frame = paired_frame(a0, a1, (t0, t1)).matrix
 
         # The same pair, with eigh's +1 eigenvectors of a0 turned by a
         # random unitary inside their eigenspace.
@@ -379,7 +415,7 @@ class TestFramesIgnoreRoundoff:
             return dataclasses.replace(eig, eigenvectors=vecs)
 
         monkeypatch.setattr(certify, "herm_eig", rotated)
-        assert max_abs(extract_local_frame(a0, a1, (t0, t1)).matrix - frame) < 1e-12
+        assert max_abs(paired_frame(a0, a1, (t0, t1)).matrix - frame) < 1e-12
 
 
 class TestCertifySourceState:
@@ -412,7 +448,7 @@ class TestCertifyInteraction:
     def test_reference_interaction(self, ref2):
         report = run_full_certification(ref2)
         cert = report.interaction
-        assert cert.passed
+        assert not cert.failures
         assert cert.residual < 1e-12
         assert cert.aux_unitary.shape == (1, 1)
         assert abs(cert.aux_unitary[0, 0] - 1.0) < 1e-12
@@ -502,8 +538,36 @@ class TestFullCertification:
         scrambled = scramble_strategy(ref2, (2, 2), seed=34, xi_rank=1)
         report = run_full_certification(scrambled.strategy)
         assert report.verdict == "inconclusive"
-        assert report.xi_min_eigenvalue <= 1e-10
+        assert report.state.min_eigenvalue <= 1e-10
         assert any("full-rank" in f for f in report.failures)
+
+    def test_support_of_xi_short_of_full_is_not_certified(self, ref2, monkeypatch):
+        # The floor check and the support of xi come from two eigensolves; a
+        # support that drops a direction the floor kept must not certify.
+        scrambled = scramble_strategy(ref2, (2, 2), seed=34)
+        full = certify.support_isometry
+
+        def narrowed(density):
+            p = full(density)
+            return p[:, 1:] if density.shape == scrambled.aux_state.density.shape and (
+                max_abs(density - scrambled.aux_state.density) < 1e-12
+            ) else p
+
+        monkeypatch.setattr(certify, "support_isometry", narrowed)
+        report = run_full_certification(scrambled.strategy)
+        assert report.state.min_eigenvalue > 1e-10
+        assert report.verdict == "inconclusive"
+
+    def test_vanishing_aux_state_is_refuted_not_raised(self, ref2):
+        # |psi-> passes every Bell premise only at a tolerance of 10; its
+        # recovered xi is 0, whose support is empty, and the state residual
+        # is the one failure line
+        strategy = dataclasses.replace(ref2, source_state=pure_state(PSI_MINUS, (2, 2)))
+        report = run_full_certification(strategy, max_violation_tol=10.0)
+        assert abs(report.state.aux_state[0, 0]) < 1e-15
+        assert report.verdict == "refuted"
+        assert report.failures == ("source-state residual 5.000e-01 exceeds 1e-08",)
+        assert not report.interaction.failures
 
     def test_global_phase_on_interaction_is_absorbed(self, ref2):
         phased = Strategy(
@@ -559,17 +623,17 @@ class TestDirectInteractionGate:
     ``W`` as it is."""
 
     FRAMES = tuple(
-        LocalFrame(party=p, time_slice=1, matrix=np.eye(d, dtype=complex), aux_dim=d // 2, support_dim=d)
+        LocalFrame(party=p, time_slice=1, matrix=np.eye(d, dtype=complex))
         for p, d in enumerate((2, 6))
     )
 
-    def certify(self, w):
-        return certify_interaction(w, self.FRAMES, self.FRAMES, 2)
+    def certify(self, w, xi_support=np.eye(3)):
+        return certify_interaction(w, self.FRAMES, self.FRAMES, xi_support)
 
     def test_product_is_certified_and_v0_recovered(self):
         v0 = random_unitary(3, 5)
         cert = self.certify(kron(entangling_unitary(2), v0))
-        assert cert.passed
+        assert not cert.failures
         assert max_abs(cert.aux_unitary - v0) < 1e-12
         assert cert.residual < 1e-12 and cert.unitarity_defect < 1e-12
 
@@ -584,6 +648,36 @@ class TestDirectInteractionGate:
         assert "differs from U ox V0" in cert.failures[1]
         assert "block out=" in cert.failures[1] and "disagrees by" in cert.failures[1]
         assert cert.proportionality_error > 0.1
+
+    def test_gates_act_on_the_support_of_xi(self):
+        # V0 unitary on supp(xi) = span(e0, e1) and not on e2: certified
+        # there, with V0 recovered whole; the same V0 gated on all of C^3
+        # is refused
+        v0 = random_unitary(3, 7) @ np.diag([1.0, 1.0, 0.5])
+        w = kron(entangling_unitary(2), v0)
+        cert = self.certify(w, np.eye(3)[:, :2])
+        assert not cert.failures
+        assert max_abs(cert.aux_unitary - v0) < 1e-12
+        assert cert.residual < 1e-12 and cert.unitarity_defect < 1e-12
+        assert self.certify(w).failures[0].startswith("recovered auxiliary block is not unitary")
+
+    def test_v0_not_unitary_on_support_is_refuted(self):
+        # V0 scales a direction inside supp(xi): refused with the unitarity
+        # line alone (W = U ox V0 holds exactly); a controlled V0 restricted
+        # to a support that meets both branches keeps both lines
+        v0 = random_unitary(3, 8) @ np.diag([1.0, 0.5, 1.0])
+        cert = self.certify(kron(entangling_unitary(2), v0), np.eye(3)[:, :2])
+        assert len(cert.failures) == 1
+        assert cert.failures[0] == (
+            f"recovered auxiliary block is not unitary (defect {cert.unitarity_defect:.3e})"
+        )
+        assert abs(cert.unitarity_defect - 0.75) < 1e-12 and cert.residual < 1e-12
+
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        controlled = kron(np.eye(2) - p1, np.eye(6)) + kron(p1, np.eye(2), random_unitary(3, 6))
+        w = kron(entangling_unitary(2), np.eye(3)) @ controlled
+        cert = self.certify(w, random_unitary(3, 9)[:, :1])
+        assert len(cert.failures) == 2 and "differs from U ox V0" in cert.failures[1]
 
 
 class TestBlockGateRemoved:
@@ -670,18 +764,14 @@ class TestOneLinePerPremise:
             built.append(args)
             return original(*args)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("extract_local_frame re-checks premises the chain holds")
-
         monkeypatch.setattr(certify, "_paired_frame", counting)
-        monkeypatch.setattr(certify, "extract_local_frame", forbidden)
         report = run_full_certification(ref3)
         assert report.verdict == "certified"
         assert len(built) == len(report.frame_checks) == len(report.frames) == 6
 
     def test_pair_premises_checked_once_per_pair(self, ref3, monkeypatch):
-        """The chain and ``extract_local_frame`` both take the pair premises
-        from ``_pair_checks``; the chain calls it once per party and round."""
+        """The chain takes the pair premises from ``_pair_checks``, once per
+        party and round."""
         labels = []
         original = certify._pair_checks
 
@@ -695,10 +785,6 @@ class TestOneLinePerPremise:
         assert sorted(labels) == sorted(f"party {p} t{t}" for p in (1, 2, 3) for t in (1, 2))
         names = [c.name for c in (*report.projectivity_checks, *report.anticommutation_checks)]
         assert len(names) == 3 * len(labels) == 18
-
-        labels.clear()
-        extract_local_frame(Z, X, (Z, X), party=1, time_slice=2)
-        assert labels == ["party 2 t2"]
 
 
 class TestFailureLinesPinned:
@@ -726,11 +812,10 @@ class TestFailureLinesPinned:
         assert report.verdict == "refuted"
         assert report.failures == failures
         if report.state is None:
-            assert report.state_residual is None and report.xi_min_eigenvalue is None
+            assert report.state_residual is None
         else:
             assert report.state_residual.value == report.state.residual
             assert report.state_residual.passed == (report.state.residual <= 1e-8)
-            assert report.xi_min_eigenvalue == report.state.min_eigenvalue
         return report
 
     def test_projectivity_on_support(self, ref2):
@@ -914,9 +999,30 @@ class TestSeededRoundTrip:
     """Property over seeds drawn from ``quantum._rng``: every scramble of the
     reference certifies, or is inconclusive when the planted auxiliary state
     is rank-deficient, and the chain recovers the planted ``xi`` and ``V0``
-    (the latter up to a global phase) within 1e-12."""
+    (the latter up to a global phase) within 1e-12.
+
+    Where a rank-deficient ``xi`` leaves a party a proper support, the
+    chain's frame ``F`` and the planted one ``f`` differ by a gauge,
+    ``F f^dag = I_2 ox g`` with ``g`` a co-isometry onto the support, and
+    the chain recovers ``g xi g^dag`` and ``h V0 g^dag`` (``h`` the
+    second-round gauges); on full supports ``g = I``, and ``gauges`` checks
+    it."""
 
     SEEDS = [int(s) for s in _rng(20261019).integers(0, 2**31, size=12)]
+
+    @staticmethod
+    def gauges(frames, planted):
+        """The aux gauge ``g`` of each party, checked to be ``F f^dag = I ox g``,
+        and ``g = I`` where the party's support is full (a square frame)."""
+        out = []
+        for frame, f in zip(frames, planted):
+            g = frame.matrix @ dagger(f)
+            block = g.reshape(2, frame.aux_dim, 2, -1)[0, :, 0, :]
+            assert max_abs(g - kron(np.eye(2), block)) < 1e-12
+            if block.shape[0] == block.shape[1]:
+                assert max_abs(block - np.eye(frame.aux_dim)) < 1e-12
+            out.append(block)
+        return kron(*out)
 
     @pytest.mark.parametrize(
         "aux, rank",
@@ -928,6 +1034,8 @@ class TestSeededRoundTrip:
             ((6, 5), 2),
             ((2, 2), 1),
             ((2, 1, 2), 3),
+            ((3, 2), 1),
+            ((6, 5), 1),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"rank{v}",
     )
@@ -936,9 +1044,15 @@ class TestSeededRoundTrip:
             scrambled = scramble_strategy(reference_strategy(len(aux)), aux, seed, xi_rank=rank)
             report = run_full_certification(scrambled.strategy)
             assert report.verdict == ("certified" if rank is None else "inconclusive"), seed
-            assert max_abs(report.state.aux_state - scrambled.aux_state.density) < 1e-12, seed
-            distance = phase_distance(report.interaction.aux_unitary, scrambled.aux_unitary)
-            assert distance < 1e-12, seed
+            if rank is not None:  # the rank premise is the one failure
+                assert len(report.failures) == 1 and "full-rank" in report.failures[0]
+            frames_t1, frames_t2 = _frames_of(report)
+            g = self.gauges(frames_t1, scrambled.frames_t1)
+            h = self.gauges(frames_t2, scrambled.frames_t2)
+            xi = g @ scrambled.aux_state.density @ dagger(g)
+            assert max_abs(report.state.aux_state - xi) < 1e-12, seed
+            v0 = h @ scrambled.aux_unitary @ dagger(g)
+            assert phase_distance(report.interaction.aux_unitary, v0) < 1e-12, seed
 
     def test_rank_one_xi_on_one_aux_party_certifies_on_its_support(self):
         # Party 2 alone carries an auxiliary space; a rank-one xi leaves it a

@@ -12,7 +12,7 @@ from bellcert import certify, cli
 from bellcert.cli import main
 from bellcert.certify import run_full_certification
 from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
-from bellcert.scenario import Strategy
+from bellcert.scenario import Strategy, scramble_strategy
 from bellcert.reference import reference_strategy
 from bellcert.serialize import SCHEMA_VERSION, save_strategy, strategy_to_dict
 
@@ -119,6 +119,17 @@ class TestNonFiniteEntries:
         assert main(["--format", "machine", "simulate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "non-finite entry" in out.err
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, ref2):
+        text = json.dumps(strategy_to_dict(ref2))
+        path = tmp_path / "big.json"
+        path.write_text(text.replace("[0.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1))
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: matrices[0].entries: int too large to convert to float"
+        ]
 
 
 class TestHostileInput:
@@ -320,6 +331,33 @@ class TestStrictJson:
         assert [v for v in values if v is not None] == [v for v in expected if not math.isnan(v)]
 
 
+class TestEachDocumentBuiltOnce:
+    """``--out`` / ``--report`` with machine output writes and prints one
+    document, built once."""
+
+    @pytest.mark.parametrize(
+        "command, option, builder",
+        [("simulate", "--out", "record_to_dict"), ("certify", "--report", "report_to_dict")],
+    )
+    def test_written_and_printed_from_one_build(
+        self, tmp_path, capsys, monkeypatch, command, option, builder
+    ):
+        path, out = tmp_path / "ref.json", tmp_path / "out.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        built = []
+        original = getattr(cli, builder)
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, builder, counting)
+        capsys.readouterr()
+        assert main(["--format", "machine", command, str(path), option, str(out)]) == 0
+        assert len(built) == 1
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
+
 class TestCertifyExitCodes:
     def test_reference_certified(self, tmp_path, capsys):
         path = tmp_path / "ref.json"
@@ -378,6 +416,14 @@ class TestCertifyExitCodes:
         path = tmp_path / "noisy.json"
         main(["make-strategy", str(path), "--parties", "2", "--visibility", "0.99"])
         assert main(["certify", str(path)]) == 3
+
+    def test_rank_one_xi_on_unequal_aux_inconclusive(self, tmp_path, capsys):
+        # W = U ox V0 holds on supp(xi); the rank premise decides
+        path = tmp_path / "rank1.json"
+        scrambled = scramble_strategy(reference_strategy(2), (3, 2), 3, xi_rank=1)
+        save_strategy(scrambled.strategy, path)
+        assert main(["certify", str(path)]) == 3
+        assert "full-rank auxiliary state" in capsys.readouterr().out
 
 
 class TestSourceNormalisation:
@@ -520,6 +566,18 @@ class TestNoiseSweep:
         for row, (_, t1, _) in zip(rows, expected):
             assert abs(row["t1_bell_value"] - t1) < 1e-12
             assert abs(row["min_t2_bell_value"] - 2.0) < 1e-12
+
+    def test_human_rows_tell_visibilities_apart(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        capsys.readouterr()
+        assert main(["noise-sweep", str(path), "--visibilities", "0.999999999,1,0.5"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[0] == "v"
+        assert [row.split()[0] for row in rows] == ["0.999999999", "1.0", "0.5"]
+        assert [row.split()[-1] for row in rows] == ["inconclusive", "certified", "inconclusive"]
+        ends = {len(row) - len(row.lstrip()) + len(row.split()[0]) for row in rows}
+        assert len(ends) == 1  # one right-aligned column
 
     def test_non_projective_first_round_is_a_usage_error(self, tmp_path, capsys, ref2):
         pair = ref2.observables_t1[0]

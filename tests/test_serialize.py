@@ -17,10 +17,10 @@ from bellcert.serialize import (
     matrix_payload,
     record_to_dict,
     report_to_dict,
-    save_report,
     save_strategy,
     strategy_from_dict,
     strategy_to_dict,
+    write_json,
 )
 
 
@@ -41,6 +41,11 @@ class TestMatrixPayload:
         entries = [[1.0, 0.0], [0.0, 0.0], [0.0, value], [1.0, 0.0]]
         with pytest.raises(SerializationError, match=r"m\.entries\[2\]: non-finite"):
             matrix_from_payload({"rows": 2, "cols": 2, "entries": entries}, "m")
+
+    @pytest.mark.parametrize("rows", [float("nan"), float("inf"), "two", None])
+    def test_invalid_shape_named(self, rows):
+        with pytest.raises(SerializationError, match=r"^m: missing or invalid rows/cols"):
+            matrix_from_payload({"rows": rows, "cols": 1, "entries": [[1.0, 0.0]]}, "m")
 
 
 class TestStrategyFile:
@@ -111,7 +116,7 @@ class TestRecordAndReport:
     def test_report_serialization_carries_tolerances(self, tmp_path, ref2):
         report = run_full_certification(ref2)
         path = tmp_path / "report.json"
-        save_report(report, path, provenance={"seed": 0})
+        write_json(report_to_dict(report, provenance={"seed": 0}), path)
         data = json.loads(path.read_text())
         assert data["verdict"] == "certified"
         assert data["tolerances"]["max_violation"] == 1e-9
@@ -197,6 +202,14 @@ class TestCodec:
         with pytest.raises(SerializationError) as got:
             load_strategy(path)
         assert str(got.value) == str(expected.value)
+
+    def test_integer_beyond_float_range_is_named(self, tmp_path, ref2):
+        # the stdlib parser reads it as an int, which complex() cannot convert
+        text = json.dumps(strategy_to_dict(ref2))
+        path = tmp_path / "big.json"
+        path.write_text(text.replace("[0.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1))
+        with pytest.raises(SerializationError, match=r"^matrices\[0\]\.entries: int too large"):
+            load_strategy(path)
 
     def test_non_utf8_file_is_a_serialization_error(self, tmp_path):
         path = tmp_path / "bad.json"
