@@ -17,11 +17,12 @@ strategies reach ``2 (N-1)`` and no more.
 Expanding T0 and T1 writes the functional once, as a real coefficient tensor
 ``C`` over each party's ``(I, A_0, A_1)`` (``bell_coefficients``): the Bell
 operator and every contraction of it against a state are sums against ``C``.
-A state's values come from its unclamped table over each party's four
-effects ``E_{x,a}`` (``effect_stacks``), the table the outcome
-probabilities are read from: the fixed map
-``(I, A_0, A_1) = (E_00 + E_01, E_00 - E_01, E_10 - E_11)`` turns it into
-the correlators that ``C`` and the side statistics are summed against.
+A state's values come from its correlators, its table over each party's
+``(I, A_0, A_1)`` (``setting_stacks``), which ``C`` and the side
+statistics are summed against; the fixed map ``E_{x,a} = (I + (-1)^a
+A_x) / 2`` turns the same table into the outcome probabilities over each
+party's four effects (``outcome_table``, in the order of
+``effect_stacks``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "bell_coefficients",
     "setting_stacks",
     "effect_stacks",
-    "correlator_table",
+    "outcome_table",
     "bell_values",
     "bell_operators",
     "build_bell_operator",
@@ -151,26 +152,29 @@ def effect_stacks(observables) -> list[np.ndarray]:
     return stacks
 
 
-# Rows (I, A_0, A_1) in terms of the effects (E_00, E_01, E_10, E_11).
-_SETTINGS_FROM_EFFECTS = np.array(
-    [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+# Rows (E_00, E_01, E_10, E_11) in terms of (I, A_0, A_1): E_{x,a} = (I + (-1)^a A_x) / 2.
+_EFFECTS_FROM_SETTINGS = 0.5 * np.array(
+    [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]
 )
 
 
-def correlator_table(effect_table: np.ndarray, parties: int) -> np.ndarray:
-    """Correlators ``<S^1_{i_1} ox ... ox S^N_{i_N}>`` over each party's
-    ``(I, A_0, A_1)``, shape ``(..., 3, ..., 3)``, from an unclamped table
-    over the ``effect_stacks``, shape ``(..., 4, ..., 4)`` (any leading axes
-    index branches)."""
-    t = np.asarray(effect_table)
+def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
+    """Unclamped outcome probabilities over the ``effect_stacks``, shape
+    ``(..., 4, ..., 4)``, from correlators ``<S^1_{i_1} ox ... ox
+    S^N_{i_N}>`` over each party's ``(I, A_0, A_1)``, shape ``(..., 3, ...,
+    3)`` (any leading axes index branches)."""
+    t = np.asarray(correlators)
+    lead = t.shape[: t.ndim - parties]
     for _ in range(parties):
-        # Consume the leading effect axis and append its (I, A_0, A_1) axis.
-        t = np.tensordot(t, _SETTINGS_FROM_EFFECTS, axes=(t.ndim - parties, 1))
-    return t
+        # Consume the trailing (I, A_0, A_1) axis and put its effect axis first.
+        t = _EFFECTS_FROM_SETTINGS @ t.reshape(-1, 3).T
+    # Branch-major again, so that each branch's table is one block of memory.
+    t = np.ascontiguousarray(t.reshape(4**parties, -1).T)
+    return t.reshape(lead + (4,) * parties)
 
 
 def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int) -> np.ndarray:
-    """``bell_coefficients`` summed against a ``correlator_table`` over the
+    """``bell_coefficients`` summed against a correlator table over the
     last ``parties`` axes; leading axes of either index branches."""
     return np.sum(coefficients * correlators, axis=tuple(range(-parties, 0)))
 
@@ -235,10 +239,10 @@ def quantum_value(state: QuantumState, observables, expr: BellExpression) -> flo
     """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
     against the state's correlators, so no D x D operator is formed."""
     n = expr.parties
-    stacks = effect_stacks(observables)
+    stacks = setting_stacks(observables)
     if len(stacks) != n:
         raise DimensionMismatchError(f"need observables for {n} parties, got {len(stacks)}")
-    table = correlator_table(effect_table(state.density, state.dims, stacks), n)
+    table = effect_table(state.density, state.dims, stacks)
     return float(bell_values(bell_coefficients(expr), table, n))
 
 
@@ -339,7 +343,8 @@ class ExtraStatistics:
 
 
 def extra_statistics(correlators: np.ndarray) -> ExtraStatistics:
-    """The side statistics read off one state's ``correlator_table``."""
+    """The side statistics read off one state's correlator table over each
+    party's ``(I, A_0, A_1)``."""
     parties = correlators.ndim
     origin = (0,) * parties
     # <T0 ox I> with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)

@@ -40,16 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import BellExpression
-from .linalg import (
-    CERT_TOL,
-    dagger,
-    fix_column_phases,
-    herm_eig,
-    kron,
-    max_abs,
-    partial_trace,
-)
-from .quantum import QuantumState, as_matrix
+from .linalg import CERT_TOL, dagger, fix_column_phases, herm_eig, kron, max_abs
+from .quantum import QuantumState, as_matrix, mixture_marginals
 from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
 from .scenario import (
     CorrelationRecord,
@@ -404,16 +396,16 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     the first round, the union of conditional post-interaction marginals
     (realized as the support of their average) at the second.  The average
     of the marginals is the marginal of the average state, so the
-    Bell-branch states that ``run_scenario`` kept in the record are summed
-    once and traced N times."""
-    n = strategy.parties
-    rho = strategy.source_state
-    supports = {(p, 1): support_isometry(partial_trace(rho.density, rho.dims, p)) for p in range(n)}
-    x_bell = bell_branch_settings(n)
-    sigmas = [s.density for (x, _), s in record.conditional_states.items() if x == x_bell]
-    average, dims = sum(sigmas) / len(sigmas), strategy.interaction.dims_out
-    supports.update({(p, 2): support_isometry(partial_trace(average, dims, p)) for p in range(n)})
-    return supports
+    Bell-branch states that ``run_scenario`` kept in the record are mixed
+    once; every marginal is contracted from the states' factors
+    (``quantum.mixture_marginals``)."""
+    x_bell = bell_branch_settings(strategy.parties)
+    sigmas = [s for (x, _), s in record.conditional_states.items() if x == x_bell]
+    return {
+        (p, time_slice): support_isometry(marginal)
+        for time_slice, states in ((1, [strategy.source_state]), (2, sigmas))
+        for p, marginal in enumerate(mixture_marginals(states))
+    }
 
 
 def run_full_certification(

@@ -35,12 +35,13 @@ from .serialize import (
     SerializationError,
     _bits,
     dumps,
-    load_strategy,
     matrix_payload,
+    parse_json,
     read_input,
     record_to_dict,
     report_to_dict,
     save_strategy,
+    strategy_from_dict,
     write_json,
 )
 
@@ -60,10 +61,12 @@ MAX_SEESAW_DIM = 1024
 
 
 # Largest branch stack that ``simulate``, ``certify`` and ``noise-sweep`` will
-# build: ``run_scenario`` holds the 2^N + 1 conditional states as one
-# (2^N + 1) x D x D complex array, plus one scratch array of the same size
-# while it builds them.  N = 5 with auxiliary dimension 2 (D = 1024) needs
-# 0.55 GB; N = 6 with auxiliary dimension 2 would need 17 GB.
+# build, counted as (2^N + 1) D^2 complex entries: ``run_scenario`` holds the
+# factors of the 2^N + 1 conditional states, (2^N + 1) D r entries, which is
+# that many at a source of full rank r = D, and for qubits their (2^N + 1, 4^N)
+# outcome tables hold as many doubles again.  N = 5 with auxiliary dimension
+# 2 (D = 1024) counts 0.55 GB; N = 6 with auxiliary dimension 2 would count
+# 17 GB, and N = 9 qubits 2.15 GB.
 MAX_BRANCH_STACK_BYTES = 1 << 30
 
 
@@ -126,13 +129,21 @@ def _print_json(data) -> None:
 
 def _load(path: str, command: str) -> tuple[Strategy, bytes]:
     """The strategy in ``path`` and the bytes it was parsed from, read once,
-    so a digest describes exactly what was loaded."""
+    so a digest describes exactly what was loaded.  The branch-stack guard
+    reads the file's declared dims before any matrix is converted or
+    validated (the source's ``eigh`` is cubic in D)."""
     try:
         raw = read_input(path)
-        strategy = load_strategy(path, raw)
+        data = parse_json(raw, path)
+        try:
+            dims = [int(d) for d in data["dims"]["t1"]]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            dims = None  # malformed: ``strategy_from_dict`` names the field
+        if dims:
+            _check_branch_stack(command, len(dims), dims)
+        strategy = strategy_from_dict(data)
     except SerializationError as exc:
         raise SystemExit(_usage_error(str(exc)))
-    _check_branch_stack(command, strategy.parties, strategy.source_state.dims)
     return strategy, raw
 
 

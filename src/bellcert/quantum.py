@@ -1,28 +1,33 @@
 """States, measurements, branch states and noise.
 
-States are always stored as density matrices, even when pure, so nothing in
-the certification chain has to assume purity.  Dichotomic (two-outcome)
-measurements are described by their +/-1-valued observable; the measurement
-element for outcome ``a`` is ``(I + (-1)^a O) / 2``.
+A state holds its density matrix, a factor of it, or both: each form is
+built from the other the first time it is read (``QuantumState``), so
+nothing in the certification chain has to assume purity, and a branch
+state that is only contracted never forms its D x D matrix.  Dichotomic
+(two-outcome) measurements are described by their +/-1-valued observable;
+the measurement element for outcome ``a`` is ``(I + (-1)^a O) / 2``.
 
 Validation runs at the boundary.  The public constructors of
 ``QuantumState``, ``DichotomicObservable`` and ``Interaction`` reject
 non-finite entries and check what they promise: a state is Hermitian, has
-unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigvalsh``).  A
-state the package derives from valid states by a positivity-preserving map
+unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigh`` of its
+Hermitian part, whose eigenpairs are also the state's factor).  A state
+the package derives from valid states by a positivity-preserving map
 (``post_measurement_states``, ``pure_state``, ``white_noise_mix``,
 ``random_density`` and the scrambled source of
-``scenario.scramble_strategy``) is positive by construction, so
-it goes through the private ``QuantumState._derived``, which checks the
-shape, symmetrizes and freezes but runs no eigensolver (``_wrap`` when the
-map has already taken the Hermitian part in place).
+``scenario.scramble_strategy``) is positive by construction, so it goes
+through the private ``QuantumState._derived`` (or ``_from_factor``),
+which checks the shape, symmetrizes and freezes but runs no positivity
+check; its factor comes from the same ``eigh`` the first time it is
+needed.
 
-Outcome probabilities come from ``effect_table`` and the branch states
-``Pi rho Pi^dag / p`` (conjugated by the interaction when one is given)
-from ``post_measurement_states``, for one state or a stack, with no
-Kronecker-product operator formed: every conditional state of a run is one
-slice of a ``(B, D, D)`` array, built party by party with one stacked
-``matmul`` per party and side.
+Outcome probabilities come from ``effect_table``, of one density matrix or
+of a sequence of states read from their factors, and the branch
+states ``Pi rho Pi^dag / p`` (conjugated by the interaction when one is
+given) from ``post_measurement_states``, with no Kronecker-product
+operator formed: every branch factor is one slice of a ``(D, B, r)``
+array, built party by party with one stacked ``matmul`` per party, and
+the interaction is one matmul for all of them.
 
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
@@ -30,6 +35,7 @@ Randomness: every seeded helper draws from ``numpy.random.default_rng``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,7 @@ from .linalg import (
 
 __all__ = [
     "ZERO_PROB",
+    "FACTOR_FLOOR",
     "NonUnitaryError",
     "ZeroProbabilityError",
     "QuantumState",
@@ -54,6 +61,7 @@ __all__ = [
     "clamp_probabilities",
     "effect_table",
     "post_measurement_states",
+    "mixture_marginals",
     "white_noise_mix",
     "random_unitary",
     "random_projective_observable",
@@ -63,6 +71,13 @@ __all__ = [
 ]
 
 ZERO_PROB = 1e-12  # probabilities below this are not trusted for conditioning
+# Eigenpairs of a state with |lambda| at or below this are left out of its
+# factor.  Roundoff puts the zero eigenvalues of the states here at 1e-17 to
+# 1e-16, so a pure state keeps rank 1.  What is dropped weighs at most
+# (D - r) * FACTOR_FLOOR in trace norm, which bounds the move of every
+# first-round probability; a conditional probability moves by at most
+# twice that over the probability of its conditioning event.
+FACTOR_FLOOR = 1e-14
 
 
 class NonUnitaryError(ValueError):
@@ -88,52 +103,107 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} entry {idx} is not finite: {a[idx]}")
 
 
-@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Density matrix on a composite system with fixed subsystem dims."""
+    """Density matrix on a composite system with fixed subsystem dims, and
+    a factor of it.
 
-    density: np.ndarray
-    dims: tuple[int, ...]
+    The factor is ``(vectors, signs)``, with ``vectors`` of shape ``(D, r)``
+    and ``signs`` of +/-1, such that ``rho = vectors diag(signs)
+    vectors^dag``: the eigenpairs of ``rho`` whose |lambda| is above
+    ``FACTOR_FLOOR``, each vector scaled by ``sqrt(|lambda|)``.  Signs are
+    kept, so an eigenvalue near ``-ALGEBRA_TOL`` that the constructor
+    accepts is reproduced too.  A state built from one form builds the
+    other the first time it is read, and keeps it: a branch state of
+    ``post_measurement_states`` forms its density only if it is read, and a
+    derived state factors its density only if its factor is needed.  Both
+    are read-only, and the state is immutable.
+    """
 
-    def __post_init__(self):
-        self._set(_freeze(self.density), self.dims)
-        _check_finite(self.density, "density")
-        if max_abs(self.density - dagger(self.density)) > ALGEBRA_TOL:
+    __slots__ = ("dims", "_density", "_factor")
+
+    def __init__(self, density: np.ndarray, dims: tuple[int, ...]):
+        self._set(dims, _freeze(density), None)
+        rho = self._density
+        _check_finite(rho, "density")
+        if max_abs(rho - dagger(rho)) > ALGEBRA_TOL:
             raise NonHermitianError("density matrix is not Hermitian")
-        if abs(np.trace(self.density) - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"density trace {np.trace(self.density).real:.12g} != 1")
-        lo = float(np.min(np.linalg.eigvalsh(self.density)))
-        if lo < -ALGEBRA_TOL:
-            raise ValueError(f"density has negative eigenvalue {lo:.3e}")
+        if abs(np.trace(rho) - 1.0) > ALGEBRA_TOL:
+            raise ValueError(f"density trace {np.trace(rho).real:.12g} != 1")
+        # The Hermitian part, which every contraction of the density reads:
+        # ``eigh`` alone would read only the lower triangle.
+        eigenvalues, eigenvectors = np.linalg.eigh((rho + dagger(rho)) / 2.0)
+        if eigenvalues[0] < -ALGEBRA_TOL:
+            raise ValueError(f"density has negative eigenvalue {eigenvalues[0]:.3e}")
+        object.__setattr__(self, "_factor", _factor(eigenvalues, eigenvectors))
 
-    def _set(self, density: np.ndarray, dims) -> None:
-        object.__setattr__(self, "density", density)
+    def _set(self, dims, density: np.ndarray | None, factor) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        d = int(np.prod(self.dims))
-        if density.shape != (d, d):
-            raise DimensionMismatchError(
-                f"density shape {density.shape} does not match dims {self.dims}"
-            )
+        object.__setattr__(self, "_density", density)
+        object.__setattr__(self, "_factor", factor)
+        d = self.dim
+        shape = density.shape if factor is None else (factor[0].shape[0], d)
+        if shape != (d, d):
+            raise DimensionMismatchError(f"density shape {shape} does not match dims {self.dims}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuantumState is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"QuantumState(dims={self.dims})"
 
     @classmethod
     def _derived(cls, density: np.ndarray, dims) -> QuantumState:
         """State from a positivity-preserving map of valid states: the shape
-        check, symmetrization and read-only freeze, but no ``eigvalsh``."""
+        check, symmetrization and read-only freeze, but no positivity check."""
         rho = np.asarray(density, dtype=complex)
-        return cls._wrap((rho + dagger(rho)) / 2.0, dims)
-
-    @classmethod
-    def _wrap(cls, rho: np.ndarray, dims) -> QuantumState:
-        """``_derived`` for a matrix that is already exactly Hermitian, such as
-        a slice of ``post_measurement_states``: frozen in place, not copied."""
+        rho = (rho + dagger(rho)) / 2.0
         rho.setflags(write=False)
         state = object.__new__(cls)
-        state._set(rho, dims)
+        state._set(dims, rho, None)
+        return state
+
+    @classmethod
+    def _from_factor(cls, vectors: np.ndarray, signs: np.ndarray, dims) -> QuantumState:
+        """State ``vectors diag(signs) vectors^dag`` of a positivity-preserving
+        map, such as a branch of ``post_measurement_states``; the arrays are
+        kept as they are, read-only."""
+        state = object.__new__(cls)
+        state._set(dims, None, (vectors, signs))
         return state
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
+
+    @property
+    def density(self) -> np.ndarray:
+        """The density matrix, exactly Hermitian and read-only."""
+        if self._density is None:
+            vectors, signs = self._factor
+            rho = (vectors * signs) @ dagger(vectors)
+            rho = (rho + dagger(rho)) / 2.0
+            rho.setflags(write=False)
+            object.__setattr__(self, "_density", rho)
+        return self._density
+
+    @property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vectors, signs)`` with ``density = vectors diag(signs)
+        vectors^dag``, read-only (see the class docstring)."""
+        if self._factor is None:
+            object.__setattr__(self, "_factor", _factor(*np.linalg.eigh(self._density)))
+        return self._factor
+
+
+def _factor(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor of ``QuantumState`` from an ``eigh``: the eigenpairs with
+    |lambda| above ``FACTOR_FLOOR``, vectors scaled by ``sqrt(|lambda|)``."""
+    keep = np.abs(eigenvalues) > FACTOR_FLOOR
+    vectors = eigenvectors[:, keep] * np.sqrt(np.abs(eigenvalues[keep]))
+    signs = np.sign(eigenvalues[keep])
+    vectors.setflags(write=False)
+    signs.setflags(write=False)
+    return vectors, signs
 
 
 def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:
@@ -218,16 +288,24 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def local_contraction(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
+def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
     """Table ``T[i_1, ..., i_N] = Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
 
     ``stacks[k]`` holds party ``k``'s operators, shape ``(m_k, d_k, d_k)``; a
     single ``(d_k, d_k)`` matrix counts as ``m_k = 1`` and ``None`` traces the
-    party out.  ``rho.reshape(dims + dims)`` is contracted with one
-    ``tensordot`` per party, the idiom of ``linalg.partial_trace``, so no
-    Kronecker-product operator is ever formed.  The result has shape
-    ``(m_1, ..., m_N)``; a ``(B, D, D)`` stack of matrices gives all B tables
-    from the same N contractions, shape ``(B, m_1, ..., m_N)``.
+    party out.  ``rho`` is a density matrix, reshaped to ``dims + dims``
+    and contracted party by party (``_contract``), so no Kronecker-product
+    operator is ever formed; the result has shape ``(m_1, ..., m_N)``.
+    ``rho`` may instead be a sequence of B states with these dims and one
+    factor rank r, such as the branches of ``post_measurement_states``: all
+    B tables, shape ``(B, m_1, ..., m_N)``, are then read from the factors.
+    Party 1's step costs about ``m_1 r D^2 / d_1`` per state from a factor
+    (``_contract_factors``), against ``r D^2`` to form the density and
+    ``m_1 D^2`` to contract it.  The factors are contracted when that is
+    the cheaper and ``r <= D / 2``; otherwise each chunk of states forms
+    its densities.  Above half rank the factor step's ``m_1 D r`` entries
+    per state made it the slower in every case timed, full rank included
+    (any visibility below 1).
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
@@ -243,22 +321,76 @@ def local_contraction(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndar
                 f"party {k}: operator shape {s.shape[-2:]} does not match local dim {d}"
             )
         ops.append(s)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2:
-        return _contract(rho[np.newaxis], dims, ops)[0]
-    # The first tensordot copies its input, so a large stack goes in chunks.
-    chunks = _chunks(len(rho), rho.shape[-1])
-    return np.concatenate([_contract(rho[c], dims, ops) for c in chunks])
+    if isinstance(rho, np.ndarray):
+        return _contract_densities(np.asarray(rho, dtype=complex)[np.newaxis], dims, ops)[0]
+    states = rho
+    dim, rank = states[0].factor[0].shape
+    m = [len(s) for s in ops]
+    from_factors = 2 * rank <= dim and m[0] * rank < dims[0] * (rank + m[0])
+    # Entries per branch of the density or of party 1's operators applied to
+    # the factor, and of the table after party 1 and after each later party
+    # (last to first): a chunk of branches keeps them all within CHUNK_BYTES.
+    sizes = [m[0] * dim * rank if from_factors else dim * dim] + [
+        m[0] * math.prod(m[k:]) * math.prod(dims[1:k]) ** 2 for k in range(1, n + 1)
+    ]
+    tables = []
+    for chunk in _chunks(len(states), dim, max(sizes) // dim + 1):
+        vectors = np.stack([s.factor[0] for s in states[chunk]])
+        signs = np.stack([s.factor[1] for s in states[chunk]])
+        if from_factors:
+            tables.append(_contract_factors(vectors, signs, dims, ops))
+        else:
+            densities = np.matmul(vectors * signs[:, np.newaxis], np.conj(vectors.transpose(0, 2, 1)))
+            tables.append(_contract_densities(densities, dims, ops))
+    return np.concatenate(tables)
 
 
-def _contract(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
-    n = len(dims)
-    t = rho.reshape((-1,) + dims + dims)
-    for k, s in enumerate(ops):
-        # Behind the batch axis, party k's row and column axes sit at 1 and
-        # 1 + n - k; sum A_ij rho_ji.
-        t = np.tensordot(t, s, axes=([1, 1 + n - k], [2, 1]))
-    return t
+def _interleaved(n: int) -> list[int]:
+    """Axis order from (rows of N parties, then their columns) to each
+    party's row axis followed by its column axis."""
+    return [axis for k in range(n) for axis in (k, n + k)]
+
+
+def _contract_densities(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
+    """``_contract`` of a stack of density matrices, ``(B, D, D)``."""
+    t = rho.reshape((len(rho),) + dims + dims)
+    return _contract(t.transpose([0] + [1 + axis for axis in _interleaved(len(dims))]), dims, ops)
+
+
+def _contract(t: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
+    """``sum_jk A_kj t_jk`` over each party's row and column axes, for every
+    operator of its stack: ``t`` has shape ``(B, d_1, d_1, ..., d_N, d_N)``
+    (see ``_interleaved``), the result ``(B, m_1, ..., m_N)``.
+
+    The parties go last to first, each as one matmul ``(m_k, d_k^2) x
+    (d_k^2, rest)`` that reads the trailing axes in place and puts the
+    operator axis first, so the next party's axes are the trailing ones.
+    """
+    b = len(t)
+    for d, s in zip(reversed(dims), reversed(ops)):
+        t = s.transpose(0, 2, 1).reshape(len(s), d * d) @ t.reshape(-1, d * d).T
+    return np.moveaxis(t.reshape(tuple(len(s) for s in ops) + (b,)), -1, 0)
+
+
+def _contract_factors(vectors: np.ndarray, signs: np.ndarray, dims, ops) -> np.ndarray:
+    """``_contract`` of the states ``g_b diag(s_b) g_b^dag`` from their
+    factors, ``vectors`` ``(B, D, r)`` and ``signs`` ``(B, r)``.
+
+    Party 1's step reads the factors: with ``rest = D / d_1``, its operators
+    act on the ket, ``h = A g``, and the sum over ``(y_1, r)`` of ``h s
+    conj(g)`` leaves the ``(rest, rest)`` block of every operator, one
+    batched matmul of inner size ``d_1 r``.  The remaining parties are
+    contracted as for a stack of density matrices.
+    """
+    b, dim, r = vectors.shape
+    d, m = dims[0], len(ops[0])
+    rest = dim // d
+    h = np.matmul(ops[0], vectors.reshape(b, 1, d, rest * r))
+    left = h.reshape(b, m, d, rest, r).transpose(0, 1, 3, 2, 4).reshape(b, m * rest, d * r)
+    right = np.conj(vectors) * signs[:, np.newaxis]
+    right = right.reshape(b, d, rest, r).transpose(0, 1, 3, 2).reshape(b, d * r, rest)
+    t = np.matmul(left, right).reshape(b * m, rest, rest)
+    return _contract_densities(t, dims[1:], ops[1:]).reshape((b, m) + tuple(len(s) for s in ops[1:]))
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
@@ -267,34 +399,36 @@ def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
 
 
-def effect_table(rho: np.ndarray, dims: tuple[int, ...], stacks) -> np.ndarray:
-    """Unclamped outcome probabilities ``Tr[(E^1_{i_1} ox ... ox E^N_{i_N}) rho]``
-    for every combination of per-party effects, of one state or a ``(B, D, D)``
-    stack (see ``local_contraction``)."""
+def effect_table(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
+    """The real part of ``local_contraction``, of one density matrix or of a
+    sequence of states: for Hermitian operators, such as the effects (the
+    unclamped outcome probabilities) or each party's ``(I, A_0, A_1)`` (the
+    correlators), the table is real up to roundoff."""
     return np.real(local_contraction(rho, dims, stacks))
 
 
 def post_measurement_states(
     state: QuantumState, projectors, interaction: Interaction | None = None
-) -> np.ndarray:
-    """Read-only ``(B, D, D)`` stack of the branch states
-    ``Pi_b rho Pi_b^dag / p_b``, each conjugated by the interaction when one
-    is given, with ``Pi_b = Pi^1_b ox ... ox Pi^N_b`` and ``p_b`` its trace.
+) -> tuple[QuantumState, ...]:
+    """The branch states ``Pi_b rho Pi_b^dag / p_b``, each conjugated by the
+    interaction when one is given, with ``Pi_b = Pi^1_b ox ... ox Pi^N_b``
+    and ``p_b`` its trace.
 
     ``projectors[k]`` is party k's ``(B, d_k, d_k)`` stack, one operator per
     branch, or one ``(d_k, d_k)`` operator (or ``None``, the identity) that
     every branch shares.  Raises ``ZeroProbabilityError`` if a branch has
     probability at most ``ZERO_PROB``.
 
+    Each branch is built from the factor of the source, ``rho = F S F^dag``
+    (``QuantumState.factor``, rank r), as the factor ``G_b = V Pi_b F /
+    sqrt(p_b)`` with the same signs S, and ``p_b = sum_r S_r |Pi_b F e_r|^2``.
     The work is done by party, not by branch: ``Pi^k`` left-multiplies the
-    view ``(B, pre, d_k, post * D)`` of the stack, ``pre`` and ``post`` being
-    the dimensions of the parties before and after k, one stacked ``matmul``
-    per party.  The column side reuses the row steps: ``Pi (Pi rho)^dag =
-    Pi rho^dag Pi^dag`` has the same trace and the same Hermitian part as
-    ``Pi rho Pi^dag``, and the Hermitian part is what is returned.  Each
-    step writes into the other of two buffers, the stack itself and one
-    scratch array of at most ``CHUNK_BYTES``; a larger stack is built in
-    chunks of branches.
+    view ``(B, pre, d_k, post * r)`` of the factors, ``pre`` and ``post``
+    being the dimensions of the parties before and after k, one stacked
+    ``matmul`` per party; then ``V`` multiplies the factors of all branches
+    as one ``(D, B r)`` matrix.  The factors are slices of one read-only
+    ``(D, B, r)`` array, and no branch forms its density unless it is read.
+    A stack of more than ``CHUNK_BYTES`` is built in chunks of branches.
     """
     dims = state.dims
     n, dim = len(dims), state.dim
@@ -304,6 +438,8 @@ def post_measurement_states(
         raise DimensionMismatchError(
             f"state dims {dims} do not match interaction input {interaction.dims_in}"
         )
+    vectors, signs = state.factor
+    r = vectors.shape[1]
     steps = []
     pre = 1
     for k, (d, op) in enumerate(zip(dims, projectors)):
@@ -314,46 +450,53 @@ def post_measurement_states(
                 raise DimensionMismatchError(
                     f"party {k}: projector shape {pi.shape[-2:]} does not match local dim {d}"
                 )
-            steps.append((pi[:, np.newaxis], (pre, d, dim * dim // (pre * d))))
+            steps.append((pi[:, np.newaxis], (pre, d, dim * r // (pre * d))))
         pre *= d
     lengths = {len(pi) for pi, _ in steps} - {1}
     if len(lengths) > 1:
         raise DimensionMismatchError(f"projector stacks of different lengths {sorted(lengths)}")
     b = lengths.pop() if lengths else 1
 
-    stack = np.empty((b, dim, dim), dtype=complex)
-    chunks = _chunks(b, dim)
-    scratch = np.empty((chunks[0].stop, dim, dim), dtype=complex)
-    for chunk in chunks:
-        size = chunk.stop - chunk.start
-        # 2 len(steps) + 1 writes alternate between the two buffers, so the
-        # first and the last land in the stack.
-        buffers = [stack[chunk], scratch[:size]]
-        rho = state.density[np.newaxis]  # every branch starts from the same state
-        for side in ("rows", "columns"):
-            for op, shape in steps:
-                op = op[chunk] if len(op) > 1 else op
-                out = buffers[0].reshape((size,) + shape)
-                np.matmul(op, rho.reshape((len(rho),) + shape), out=out)
-                rho = buffers[0]
-                buffers.reverse()
-            if side == "rows":  # Pi rho -> (Pi rho)^dag
-                np.conjugate(rho.swapaxes(1, 2), out=buffers[0])
-                rho = buffers[0]
-                buffers.reverse()
-
-        p = np.real(np.trace(rho, axis1=1, axis2=2))
+    out = np.empty((dim, b, r), dtype=complex)
+    for chunk in _chunks(b, dim, r):
+        g = vectors[np.newaxis]  # every branch starts from the same factor
+        for op, shape in steps:
+            op = op[chunk] if len(op) > 1 else op
+            g = np.matmul(op, g.reshape((len(g),) + shape))
+        g = g.reshape(-1, dim, r)
+        p = np.sum(np.abs(g) ** 2, axis=1) @ signs
         small = np.flatnonzero(p <= ZERO_PROB)
         if small.size:
             raise ZeroProbabilityError(
                 f"outcome probability {p[small[0]]:.3e} too small to condition on"
             )
-        rho /= p[:, np.newaxis, np.newaxis]
+        g = (g / np.sqrt(p)[:, np.newaxis, np.newaxis]).transpose(1, 0, 2).reshape(dim, -1)
         if interaction is not None:
-            _conjugate(rho, interaction.matrix, buffers[0])
-        _hermitian_part(rho, buffers[0])
-    stack.setflags(write=False)
-    return stack
+            g = interaction.matrix @ g
+        out[:, chunk] = g.reshape(dim, -1, r)
+    out.setflags(write=False)
+    dims_out = dims if interaction is None else interaction.dims_out
+    return tuple(QuantumState._from_factor(out[:, i], signs, dims_out) for i in range(b))
+
+
+def mixture_marginals(states) -> list[np.ndarray]:
+    """The one-party reduced states of the equal mixture of ``states``
+    (which share their dims), contracted from their factors: the factors of
+    all the states are the columns of one ``(D, R)`` matrix, and party k's
+    marginal is the sum, over its columns and the other parties' indices, of
+    ``s_r g g^dag``, one matmul per party.  No density matrix is formed."""
+    dims = states[0].dims
+    vectors = np.concatenate([s.factor[0] for s in states], axis=1)
+    signs = np.concatenate([s.factor[1] for s in states])
+    marginals = []
+    pre = 1
+    for d in dims:
+        v = vectors.reshape(pre, d, -1, len(signs))
+        left = (v * signs).swapaxes(0, 1).reshape(d, -1)
+        right = v.swapaxes(0, 1).reshape(d, -1)
+        marginals.append(left @ dagger(right) / len(states))
+        pre *= d
+    return marginals
 
 
 # Scratch bound of the stacked kernels: a stack larger than this is processed
@@ -362,26 +505,12 @@ def post_measurement_states(
 CHUNK_BYTES = 1 << 26
 
 
-def _chunks(branches: int, dim: int) -> list[slice]:
-    """Consecutive slices of at most ``CHUNK_BYTES`` worth of D x D complex
-    matrices (at least one matrix each) covering ``branches``."""
-    step = max(1, min(branches, CHUNK_BYTES // (16 * dim * dim)))
+def _chunks(branches: int, dim: int, cols: int | None = None) -> list[slice]:
+    """Consecutive slices of at most ``CHUNK_BYTES`` worth of complex
+    ``dim x cols`` matrices (``cols = dim`` by default; at least one matrix
+    each) covering ``branches``."""
+    step = max(1, min(branches, CHUNK_BYTES // (16 * dim * (dim if cols is None else cols))))
     return [slice(i, min(i + step, branches)) for i in range(0, branches, step)]
-
-
-def _conjugate(stack: np.ndarray, v: np.ndarray, spare: np.ndarray) -> None:
-    """``V sigma V^dag`` for every matrix of the stack, in place; ``spare``
-    is a scratch buffer of the stack's shape."""
-    np.matmul(v, stack, out=spare)
-    np.matmul(spare, dagger(v), out=stack)
-
-
-def _hermitian_part(stack: np.ndarray, spare: np.ndarray) -> None:
-    """``(sigma + sigma^dag) / 2`` for every matrix of the stack, in place,
-    so that each one is exactly Hermitian."""
-    np.conjugate(stack.swapaxes(1, 2), out=spare)
-    stack += spare
-    stack *= 0.5
 
 
 def white_noise_mix(state: QuantumState, visibility: float) -> QuantumState:

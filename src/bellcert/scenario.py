@@ -15,10 +15,12 @@ For every stored conditioning event the record keeps the conditional
 distribution for all 2^N second-round setting combinations.
 
 The 2^N Bell-branch states and the side-statistics state all condition on
-fixed first-round settings, so ``run_scenario`` builds them as one
-``(B, D, D)`` stack (``quantum.post_measurement_states``) and reads every
-outcome table, Bell value and side statistic from one contraction of that
-stack against each party's four second-round effects.
+fixed first-round settings, so ``run_scenario`` builds their factors as one
+stack (``quantum.post_measurement_states``) and reads every correlator from
+one contraction of those factors against each party's ``(I, A_0, A_1)``; no
+branch forms its density matrix.  The Bell values and side statistics are
+sums of correlators, and the outcome tables their fixed linear map
+(``bell.outcome_table``).
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .bell import (
     ExtraStatistics,
     bell_coefficients,
     bell_values,
-    correlator_table,
     effect_stacks,
     extra_statistics,
+    outcome_table,
+    setting_stacks,
 )
 from .linalg import ALGEBRA_TOL, CERT_TOL, DimensionMismatchError, dagger, kron
 from .quantum import (
@@ -127,7 +130,8 @@ class CorrelationRecord:
     ``QuantumState`` constructor allows on the trace of a source.
 
     ``conditional_states[(x1, a1)]`` is the post-interaction state behind
-    ``p2[(x1, a1)]``, kept so the certification chain reuses it.  It is in
+    ``p2[(x1, a1)]``, kept so the certification chain reuses it; it holds
+    its factor, and forms its density only if that is read.  It is in
     memory only: it is not serialized, so a loaded record has none.
     """
 
@@ -163,12 +167,14 @@ class CorrelationRecord:
             i -= len(settings)
 
 
-def _outcome_tables(effect_table: np.ndarray, parties: int) -> np.ndarray:
+def _outcome_tables(correlators: np.ndarray, parties: int) -> np.ndarray:
     """Clamped outcome probabilities indexed ``[..., x_1..x_N, a_1..a_N]``
-    from an unclamped table over the ``effect_stacks``, whose per-party axis
-    runs over (setting, outcome); any leading axes index branches."""
-    lead = effect_table.ndim - parties
-    p = clamp_probabilities(effect_table).reshape(effect_table.shape[:lead] + (2, 2) * parties)
+    from a correlator table over each party's ``(I, A_0, A_1)`` (by
+    ``bell.outcome_table``, whose per-party axis runs over (setting,
+    outcome)); any leading axes index branches."""
+    table = outcome_table(correlators, parties)
+    lead = table.ndim - parties
+    p = clamp_probabilities(table).reshape(table.shape[:lead] + (2, 2) * parties)
     settings = tuple(range(lead, lead + 2 * parties, 2))
     return p.transpose(tuple(range(lead)) + settings + tuple(k + 1 for k in settings))
 
@@ -199,23 +205,23 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
     source, dims_out = strategy.source_state, strategy.interaction.dims_out
 
-    effects_t1 = effect_stacks(strategy.observables_t1)
-    table_t1 = effect_table(source.density, source.dims, effects_t1)
-    p1 = _by_setting(_outcome_tables(table_t1, n), n)
+    settings_t1 = setting_stacks(strategy.observables_t1)
+    correlators_t1 = effect_table(source.density, source.dims, settings_t1)
+    p1 = _by_setting(_outcome_tables(correlators_t1, n), n)
     coefficients_t1 = bell_coefficients(BellExpression(n, (0,) * n))
-    t1_value = float(bell_values(coefficients_t1, correlator_table(table_t1, n), n))
+    t1_value = float(bell_values(coefficients_t1, correlators_t1, n))
 
     # The conditioning events with non-vanishing probability: the Bell
     # branch's outcome vectors in order, then the side-statistics event.
     x_bell, x_extra = bell_branch_settings(n), extra_branch_settings(n)
     events = [(x_bell, a) for a in itertools.product((0, 1), repeat=n)]
     events = [(x, a) for x, a in events + [(x_extra, (0,) * n)] if p1[x][a] > ZERO_PROB]
+    effects_t1 = effect_stacks(strategy.observables_t1)
     projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
-    stack = post_measurement_states(source, projectors, strategy.interaction)
+    branches = post_measurement_states(source, projectors, strategy.interaction)
 
-    table_t2 = effect_table(stack, dims_out, effect_stacks(strategy.observables_t2))
-    p2_tables = _outcome_tables(table_t2, n)
-    correlators = correlator_table(table_t2, n)
+    correlators = effect_table(branches, dims_out, setting_stacks(strategy.observables_t2))
+    p2_tables = _outcome_tables(correlators, n)
     bell = [b for b, (x, _) in enumerate(events) if x == x_bell]
     coefficients = np.stack([bell_coefficients(BellExpression(n, events[b][1])) for b in bell])
     t2_values = bell_values(coefficients, correlators[bell], n)
@@ -231,9 +237,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
         t2_bell_values={events[b][1]: float(v) for b, v in zip(bell, t2_values)},
         extra_stats=extra,
         event_probabilities={(x, a): float(p1[x][a]) for x, a in events},
-        conditional_states={
-            event: QuantumState._wrap(stack[b], dims_out) for b, event in enumerate(events)
-        },
+        conditional_states=dict(zip(events, branches)),
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "strategy_from_dict",
     "save_strategy",
     "read_input",
+    "parse_json",
     "load_strategy",
     "record_to_dict",
     "report_to_dict",
@@ -47,23 +48,23 @@ class SerializationError(ValueError):
     """Malformed or inconsistent file content; the message names the field."""
 
 
-def dumps(data, indent: bool = False) -> bytes:
-    """Strict JSON as UTF-8 bytes: one line, or indented by two spaces.
+def dumps(data) -> bytes:
+    """Strict JSON as UTF-8 bytes, on one line.
 
     numpy scalars are written as numbers.  orjson refuses integers beyond 64
     bits and non-string keys (a huge ``--seed`` in ``meta``, a caller's
     ``meta``); those documents go through the stdlib encoder instead.
     """
     try:
-        return orjson.dumps(
-            data, option=orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
-        )
+        return orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
-        return json.dumps(data, indent=2 if indent else None, allow_nan=False).encode()
+        return json.dumps(data, allow_nan=False).encode()
 
 
 def write_json(data, path) -> None:
-    Path(path).write_bytes(dumps(data, indent=True))
+    """Write ``data`` as the line the CLI prints for it in machine mode:
+    ``dumps`` and a newline."""
+    Path(path).write_bytes(dumps(data) + b"\n")
 
 
 def matrix_payload(m: np.ndarray) -> dict:
@@ -75,12 +76,18 @@ def matrix_payload(m: np.ndarray) -> dict:
     }
 
 
+def _count(value) -> bool:
+    """A JSON integer >= 0: not a bool, a float or a string."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def matrix_from_payload(obj, path: str) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise SerializationError(f"{path}: missing or invalid rows/cols/entries") from exc
+    if not (_count(rows) and _count(cols) and isinstance(entries, list)):
+        raise SerializationError(f"{path}: missing or invalid rows/cols/entries")
     if len(entries) != rows * cols:
         raise SerializationError(
             f"{path}.entries: expected {rows * cols} [re, im] pairs, got {len(entries)}"
@@ -142,7 +149,7 @@ def strategy_from_dict(data: dict) -> Strategy:
         parties = int(data["parties"])
         dims_t1 = tuple(int(d) for d in data["dims"]["t1"])
         dims_t2 = tuple(int(d) for d in data["dims"]["t2"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"parties/dims: {exc}") from exc
     if len(dims_t1) != parties or len(dims_t2) != parties:
         raise SerializationError("dims: need one dimension per party and round")
@@ -220,21 +227,26 @@ def read_input(path) -> bytes:
         raise SerializationError(f"{p}: {exc}") from exc
 
 
+def parse_json(raw: bytes, path):
+    """The document in ``raw``, parsed with orjson, or with the stdlib
+    ``json`` module if orjson rejects it; ``path`` names the file in the
+    error."""
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SerializationError(f"{Path(path)}: {exc}") from exc
+
+
 def load_strategy(path, raw: bytes | None = None) -> Strategy:
     """Strategy from a JSON file.  ``raw`` is the file's bytes when the
     caller has read them already, to hash the bytes it parses; ``path`` then
     only names the file in error messages."""
-    p = Path(path)
     if raw is None:
-        raw = read_input(p)
-    try:
-        data = orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(f"{p}: {exc}") from exc
-    return strategy_from_dict(data)
+        raw = read_input(path)
+    return strategy_from_dict(parse_json(raw, path))
 
 
 def record_to_dict(record: CorrelationRecord) -> dict:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bellcert.bell import effect_stacks
+from bellcert.bell import effect_stacks, setting_stacks
 from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
 from bellcert.linalg import CERT_TOL, DimensionMismatchError
 from bellcert.quantum import (
@@ -117,9 +117,10 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
     mismatches = 0
     outcome_list = list(itertools.product((0, 1), repeat=n))
     effects = effect_stacks(strategy.observables_t1)
+    settings_t1 = setting_stacks(strategy.observables_t1)
 
     def tables(state):
-        return _outcome_tables(effect_table(state.density, state.dims, effects), n)
+        return _outcome_tables(effect_table(state.density, state.dims, settings_t1), n)
 
     source_tables = tables(strategy.source_state)
     for _ in range(int(rounds)):
@@ -130,7 +131,7 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
         outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
         projectors = [effects[k][2 * settings[k] + outcomes[k]] for k in range(n)]
         branch = post_measurement_states(strategy.source_state, projectors)[0]
-        rho_prime = QuantumState(branch, strategy.source_state.dims)
+        rho_prime = QuantumState(branch.density, strategy.source_state.dims)
         if tamper is not None:
             rho_prime = tamper(rho_prime)
         probs2 = tables(rho_prime)[settings]

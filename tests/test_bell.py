@@ -9,10 +9,9 @@ from bellcert.bell import (
     build_bell_operator,
     check_sos_relations,
     classical_bound,
-    correlator_table,
-    effect_stacks,
     extra_statistics,
     quantum_value,
+    setting_stacks,
     sos_residual,
     tilde_observables,
 )
@@ -209,9 +208,8 @@ class TestExtraStatistics:
         t1 = strategy.observables_t1
         projectors = [t1[k][settings[k]].effect(outcomes[k]) for k in range(n)]
         (sigma,) = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
-        stacks = effect_stacks(strategy.observables_t2)
-        table = effect_table(sigma, strategy.interaction.dims_out, stacks)
-        return extra_statistics(correlator_table(table, n))
+        stacks = setting_stacks(strategy.observables_t2)
+        return extra_statistics(effect_table([sigma], strategy.interaction.dims_out, stacks)[0])
 
     def test_reference_conditional_state_passes(self, ref2):
         stats = self.stats(ref2, extra_branch_settings(2), (0, 0))

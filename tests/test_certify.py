@@ -903,12 +903,17 @@ class TestBranchStatesBuiltOnce:
             m.setattr(scenario, "post_measurement_states", counting_stack)
             report = run_full_certification(strategy)
         # One stack for the whole chain, and the supports read the record's
-        # own states: read-only views into that stack.
+        # own states, whose factors are read-only views into that stack.
         record = seen["record"]
         assert seen["stacks"] == 1 and seen["read"] is record
-        states = [s.density for s in record.conditional_states.values()]
-        assert len(states) == 2**parties + 1
-        assert all(s.base is states[0].base and not s.flags.writeable for s in states)
+        factors = [s.factor[0] for s in record.conditional_states.values()]
+        assert len(factors) == 2**parties + 1
+        base = factors[0].base
+        assert base is not None and base.shape[1] == len(factors)
+        assert all(f.base is base and not f.flags.writeable for f in factors)
+        # The chain contracts the branch states from their factors: none of
+        # them has formed its D x D density.
+        assert all(s._density is None for s in record.conditional_states.values())
 
         supports = certify._compute_supports(strategy, record)
         dense = self.dense_supports(strategy)

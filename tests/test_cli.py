@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellcert import certify, cli
+from bellcert import certify, cli, serialize
 from bellcert.cli import main
 from bellcert.certify import run_full_certification
 from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
@@ -97,6 +97,18 @@ class TestMakeSimulate:
         assert main(["make-strategy", str(path), "--parties", "2"]) == 0
         assert capsys.readouterr().out == f"wrote {path}\n"
 
+    def test_file_is_its_machine_output(self, tmp_path, capsys):
+        path, record, report = (tmp_path / name for name in ("s.json", "r.json", "c.json"))
+        argv = ["make-strategy", str(path), "--parties", "3", "--scramble", "--aux-dims", "1,2,1"]
+        assert main(argv) == 0
+        assert path.read_bytes().count(b"\n") == 1 and path.read_bytes().endswith(b"\n")
+        capsys.readouterr()
+        assert main(["--format", "machine", "simulate", str(path), "--out", str(record)]) == 0
+        assert record.read_bytes() == capsys.readouterr().out.encode()
+        assert main(["--format", "machine", "certify", str(path), "--report", str(report)]) == 0
+        assert report.read_bytes() == capsys.readouterr().out.encode()
+        assert record.read_bytes().count(b"\n") == report.read_bytes().count(b"\n") == 1
+
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BELLCERT_OUTPUT_DIR", str(tmp_path))
         assert main(["make-strategy", "ref.json", "--parties", "2"]) == 0
@@ -154,6 +166,31 @@ class TestHostileInput:
         assert out.out == ""
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize("value", [-1, 2.7, True, "2"], ids=["negative", "fraction", "bool", "string"])
+    def test_rows_and_cols_must_be_counts(self, tmp_path, capsys, ref2, value):
+        # rows = cols = -1 with one entry used to pass the entry count and
+        # make numpy's reshape raise; 2.7 was read as 2 and true as 1.
+        data = strategy_to_dict(ref2)
+        data["matrices"][3].update(rows=value, cols=value, entries=[[1.0, 0.0]])
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: matrices[3]: missing or invalid rows/cols/entries"]
+
+    def test_infinite_dim_is_named(self, tmp_path, capsys, ref2):
+        # The branch-stack guard cannot size it, so the loader names it.
+        data = strategy_to_dict(ref2)
+        data["dims"]["t1"] = [float("inf"), 2]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))  # the stdlib writes an Infinity literal
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [
+            "error: parties/dims: cannot convert float infinity to integer"
+        ]
 
     def test_unexpected_exception_exits_2(self, capsys, monkeypatch, caplog):
         def crash(args):
@@ -251,6 +288,23 @@ class TestBranchStackGuard:
         assert main(argv) == 2
         assert started == []
         assert "local dims (2, 2)" in self.refusal(capsys, command, f"{1279 / 2**30:g} GiB")
+
+    @pytest.mark.parametrize("command", ["simulate", "certify", "noise-sweep"])
+    def test_declared_dims_checked_before_any_matrix(self, tmp_path, capsys, monkeypatch, command):
+        # The N = 2 reference with dims declared as (2, 20000): the guard reads
+        # them before the loader converts a matrix or runs the source's eigh.
+        path = tmp_path / "ref.json"
+        assert main(["make-strategy", str(path), "--parties", "2"]) == 0
+        data = json.loads(path.read_text())
+        data["dims"] = {"t1": [2, 20000], "t2": [2, 20000]}
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        converted = []
+        monkeypatch.setattr(serialize, "matrix_from_payload", lambda *a: converted.append(a))
+        argv = [command, str(path)] + (["--visibilities", "1"] if command == "noise-sweep" else [])
+        assert main(argv) == 2
+        assert converted == []
+        assert "local dims (2, 20000)" in self.refusal(capsys, command)
 
     def test_loaded_dimension_one_parties_sized_exactly(self, tmp_path, capsys, monkeypatch):
         # Nine parties with dims (2, 1, ..., 1): a 513 x 2 x 2 stack of 32 KiB,
@@ -500,16 +554,26 @@ class TestValidationAtTheBoundary:
         argv = ["make-strategy", str(path), "--parties", "3", "--scramble", "--aux-dims", "1,2,1"]
         assert main(argv + ["--seed", "7"]) == 0
         shapes = []
-        original = np.linalg.eigvalsh
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            def solve(a, *args, **kwargs):
+                shapes.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, solve)
+
+        counting("eigh")
+        counting("eigvalsh")
         assert main(["certify", str(path)]) == 0
-        # The source when the file is loaded, then the recovered auxiliary state xi.
-        assert shapes == [(16, 16), (2, 2)]
+        # The source's eigh when the file is loaded (the one D x D eigensolve:
+        # it checks positivity and gives the factor the branch states are built
+        # from), then the eigvalsh of the recovered auxiliary state xi.  The
+        # other eigh calls are on local spaces (supports and frames).
+        assert [c for c in shapes if c[1] == (16, 16)] == [("eigh", (16, 16))]
+        assert [c for c in shapes if c[0] == "eigvalsh"] == [("eigvalsh", (2, 2))]
+        assert shapes[0] == ("eigh", (16, 16))
 
 
 class TestNoiseSweep:

@@ -1,6 +1,7 @@
 """The local-operator contraction against the dense Kronecker formulas it
 replaced, which are kept here as the oracle: Born probabilities, branch
-states, Bell values, and the seesaw's effective operators."""
+states (``Pi rho Pi^dag / p``, then ``V sigma V^dag``, against the branch
+factors), Bell values, and the seesaw's effective operators."""
 
 import dataclasses
 import itertools
@@ -13,14 +14,17 @@ from bellcert.bell import (
     BellExpression,
     bell_coefficients,
     build_bell_operator,
+    effect_stacks,
     quantum_value,
     setting_stacks,
     tilde_observables,
 )
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
+    FACTOR_FLOOR,
     ZERO_PROB,
     DichotomicObservable,
+    QuantumState,
     as_matrix,
     clamp_probabilities,
     effect_table,
@@ -29,6 +33,8 @@ from bellcert.quantum import (
     pure_state,
     random_density,
     random_projective_observable,
+    random_unitary,
+    white_noise_mix,
 )
 from bellcert.reference import reference_strategy
 from bellcert.scenario import (
@@ -124,17 +130,17 @@ def test_post_measurement_state_matches_dense_formula(dims):
         for a in itertools.product((0, 1), repeat=len(dims)):
             projectors = [observables[k][x[k]].effect(a[k]) for k in range(len(dims))]
             (out,) = post_measurement_states(state, projectors)
-            assert max_abs(out - dense_post_measurement(state.density, projectors)) <= EXACT
+            assert max_abs(out.density - dense_post_measurement(state.density, projectors)) <= EXACT
     # The kernel applies Pi and Pi^dag separately, so it must also hold for
     # operators that are neither Hermitian nor projective.
     for _ in range(4):
         ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
         (out,) = post_measurement_states(state, ops)
-        assert max_abs(out - dense_post_measurement(state.density, ops)) <= EXACT
+        assert max_abs(out.density - dense_post_measurement(state.density, ops)) <= EXACT
         ops[1] = None
         dense_ops = [np.eye(d) if op is None else op for d, op in zip(dims, ops)]
         (out,) = post_measurement_states(state, ops)
-        assert max_abs(out - dense_post_measurement(state.density, dense_ops)) <= EXACT
+        assert max_abs(out.density - dense_post_measurement(state.density, dense_ops)) <= EXACT
 
 
 def test_contraction_rejects_mismatched_operators():
@@ -158,18 +164,55 @@ def product_source_strategy(parties):
     return dataclasses.replace(reference, source_state=pure_state(zero, (2,) * parties))
 
 
+def skewed_source_strategy(parties, aux):
+    """A scramble with white noise at visibility 0.9 and an anti-Hermitian
+    part of about 5e-10 per entry, through the public constructor: its
+    entries differ from their adjoint's by just under ``ALGEBRA_TOL``.  The
+    auxiliary dims make some first-round projectors of rank above 1, whose
+    branch states depend on the source beyond the event probabilities."""
+    strategy = scramble_strategy(reference_strategy(parties), aux, seed=9).strategy
+    source = strategy.source_state
+    rho = white_noise_mix(source, 0.9).density
+    rng = np.random.default_rng(61)
+    g = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+    h = (g + dagger(g)) / 2.0
+    skewed = rho + 1j * 4.5e-10 * h / max_abs(h)
+    return dataclasses.replace(strategy, source_state=QuantumState(skewed, source.dims))
+
+
+# aux None: the product source, whose vanishing events are left out; "noise":
+# the noisy reference, of full rank on qubits, whose branches are contracted
+# from their densities; "skew": a noisy scramble with an anti-Hermitian part,
+# where every result must be the one of its Hermitian part.
 @pytest.mark.parametrize(
-    "parties, aux", [(3, (1, 2, 1)), (4, (1, 1, 1, 1)), (2, (3, 2)), (5, (1,) * 5), (3, None)]
+    "parties, aux",
+    [
+        (3, (1, 2, 1)),
+        (4, (1, 1, 1, 1)),
+        (2, (3, 2)),
+        (5, (1,) * 5),
+        (3, None),
+        (3, "noise"),
+        (3, "skew"),
+        (2, "skew"),
+    ],
 )
 def test_run_scenario_matches_dense_formula(parties, aux):
-    # aux None: the product source, whose vanishing events are left out
     if aux is None:
         strategy = product_source_strategy(parties)
+    elif aux == "noise":
+        strategy = reference_strategy(parties)
+        noisy = white_noise_mix(strategy.source_state, 0.9)
+        strategy = dataclasses.replace(strategy, source_state=noisy)
+    elif aux == "skew":
+        strategy = skewed_source_strategy(parties, (1, 2, 1) if parties == 3 else (3, 2))
+        assert max_abs(strategy.source_state.density - dagger(strategy.source_state.density)) > 8e-10
     else:
         strategy = scramble_strategy(reference_strategy(parties), aux, seed=9).strategy
     parties = strategy.parties
     record = run_scenario(strategy)
     rho = strategy.source_state.density
+    rho = (rho + dagger(rho)) / 2.0
     p1 = dense_distributions(rho, strategy.observables_t1)
     for x, probs in p1.items():
         assert max_abs(record.p1[x] - probs) <= EXACT
@@ -214,10 +257,12 @@ def test_run_scenario_matches_dense_formula(parties, aux):
 
 
 def test_chunked_stack_matches_one_chunk(monkeypatch):
-    # Two branches per chunk: nine branches go in five chunks, the last of one.
+    # One branch per chunk: the nine branches go in nine chunks, both when
+    # their factors are built and when they are contracted.
     strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), seed=9).strategy
     whole = run_scenario(strategy)
-    monkeypatch.setattr(quantum, "CHUNK_BYTES", 2 * 16 * strategy.source_state.dim**2)
+    monkeypatch.setattr(quantum, "CHUNK_BYTES", 1)
+    assert [len(range(9)[c]) for c in quantum._chunks(9, 16, 2)] == [1] * 9
     chunked = run_scenario(strategy)
     assert list(chunked.conditional_states) == list(whole.conditional_states)
     for event, state in whole.conditional_states.items():
@@ -228,6 +273,60 @@ def test_chunked_stack_matches_one_chunk(monkeypatch):
         assert abs(chunked.t2_bell_values[outcomes] - value) <= 1e-13
     extra = np.array(chunked.extra_stats.values) - np.array(whole.extra_stats.values)
     assert max_abs(extra) <= 1e-13
+
+
+def source_with_spectrum(dims, eigenvalues, rng):
+    """A source through the public constructor: ``U diag(eigenvalues) U^dag``
+    for a Haar-random U."""
+    u = random_unitary(int(np.prod(dims)), rng)
+    rho = (u * np.asarray(eigenvalues)) @ dagger(u)
+    return QuantumState((rho + dagger(rho)) / 2.0, dims)
+
+
+# The edges of FACTOR_FLOOR: an eigenvalue of -5e-10, inside the loader's
+# positivity tolerance, is kept with its sign; one at 1.2 times the floor is
+# kept; one at 0.8 times the floor is dropped.
+FLOOR_EDGES = {
+    "negative": (-5e-10, 6),
+    "just-kept": (1.2 * FACTOR_FLOOR, 6),
+    "just-dropped": (0.8 * FACTOR_FLOOR, 5),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(FLOOR_EDGES))
+def test_factor_floor_edges_match_dense_formula(edge):
+    small, rank = FLOOR_EDGES[edge]
+    dims = (2, 3)
+    rng = np.random.default_rng(60)
+    eigenvalues = np.array([small, 0.1, 0.15, 0.2, 0.25, 0.0])
+    eigenvalues[-1] = 1.0 - eigenvalues.sum()
+    state = source_with_spectrum(dims, eigenvalues, rng)
+    vectors, signs = state.factor
+    assert vectors.shape == (6, rank)
+    assert (signs.min() == -1.0) == (edge == "negative")
+    # The README's bound: what the factor leaves out weighs at most
+    # (D - r) * FACTOR_FLOOR in trace norm.
+    spectrum = np.linalg.eigvalsh(state.density)
+    dropped = spectrum[np.abs(spectrum) <= FACTOR_FLOOR]
+    assert len(dropped) == 6 - rank
+    assert np.sum(np.abs(dropped)) <= (6 - rank) * FACTOR_FLOOR
+
+    observables_t1, observables_t2 = random_observables(dims, rng), random_observables(dims, rng)
+    v = random_unitary(6, rng)
+    pairs = list(itertools.product(itertools.product((0, 1), repeat=2), repeat=2))
+    projectors = [
+        np.stack([observables_t1[k][x[k]].effect(a[k]) for x, a in pairs]) for k in (0, 1)
+    ]
+    branches = post_measurement_states(state, projectors, quantum.Interaction(v, dims, dims))
+    tables = effect_table(branches, dims, effect_stacks(observables_t2))
+    effects = dense_effects(observables_t2)
+    for b, (x1, a1) in enumerate(pairs):
+        ops = [observables_t1[k][x1[k]].effect(a1[k]) for k in (0, 1)]
+        sigma = v @ dense_post_measurement(state.density, ops) @ dagger(v)
+        for x2, probs in dense_distributions(sigma, observables_t2, effects).items():
+            for a2 in itertools.product((0, 1), repeat=2):
+                got = tables[(b,) + tuple(2 * x + a for x, a in zip(x2, a2))]
+                assert abs(got - probs[a2]) <= 1e-12
 
 
 def dense_bell_operator(expr, observables):

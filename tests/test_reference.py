@@ -52,7 +52,7 @@ def test_entangling_unitary_action_all_branches():
         for bits, vec in pre_interaction_basis(n):
             (out,) = post_measurement_states(pure_state(vec, (2,) * n), [None] * n, interaction)
             phi = ghz_like_vector(bits)
-            fidelity = float(np.real(np.conj(phi) @ out @ phi))
+            fidelity = float(np.real(np.conj(phi) @ out.density @ phi))
             assert abs(fidelity - 1.0) < 1e-12
 
 
