@@ -40,7 +40,6 @@ __all__ = [
     "BellExpression",
     "SOSWitness",
     "SOSRelationCheck",
-    "ExtraStatistics",
     "tilde_observables",
     "bell_coefficients",
     "setting_stacks",
@@ -159,18 +158,23 @@ _EFFECTS_FROM_SETTINGS = 0.5 * np.array(
 
 
 def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
-    """Unclamped outcome probabilities over the ``effect_stacks``, shape
-    ``(..., 4, ..., 4)``, from correlators ``<S^1_{i_1} ox ... ox
-    S^N_{i_N}>`` over each party's ``(I, A_0, A_1)``, shape ``(..., 3, ...,
-    3)`` (any leading axes index branches)."""
+    """Unclamped outcome probabilities of the ``effect_stacks``, indexed
+    ``[..., x_1, ..., x_N, a_1, ..., a_N]`` (settings first, then outcomes)
+    and C-contiguous, from correlators ``<S^1_{i_1} ox ... ox S^N_{i_N}>``
+    over each party's ``(I, A_0, A_1)``, shape ``(..., 3, ..., 3)`` (any
+    leading axes index branches)."""
     t = np.asarray(correlators)
     lead = t.shape[: t.ndim - parties]
     for _ in range(parties):
         # Consume the trailing (I, A_0, A_1) axis and put its effect axis first.
         t = _EFFECTS_FROM_SETTINGS @ t.reshape(-1, 3).T
-    # Branch-major again, so that each branch's table is one block of memory.
+    # (x_1, a_1, ..., x_N, a_N, branches) to settings first, a copy in runs
+    # as long as the branch count, then branch-major again, so that each
+    # branch's table is one block of memory with its outcomes contiguous.
+    order = [*range(0, 2 * parties, 2), *range(1, 2 * parties, 2), 2 * parties]
+    t = np.ascontiguousarray(t.reshape((2, 2) * parties + (-1,)).transpose(order))
     t = np.ascontiguousarray(t.reshape(4**parties, -1).T)
-    return t.reshape(lead + (4,) * parties)
+    return t.reshape(lead + (2,) * 2 * parties)
 
 
 def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int) -> np.ndarray:
@@ -325,26 +329,12 @@ def check_sos_relations(state: QuantumState, observables, expr: BellExpression) 
     )
 
 
-@dataclass(frozen=True)
-class ExtraStatistics:
-    """Side conditions on the designated conditional post-interaction state.
-
-    ``entries`` holds (label, value, target) triples: for every party
-    n = 2..N the pair ``<T0 ox I> = -1`` (party-1 rotated observable) and
-    ``<I ox A_{n,1}> = +1``.  Whether a value is on target is decided once,
-    by the certification chain at its maximal-violation tolerance.
-    """
-
-    entries: tuple[tuple[str, float, float], ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v, _ in self.entries)
-
-
-def extra_statistics(correlators: np.ndarray) -> ExtraStatistics:
+def extra_statistics(correlators: np.ndarray) -> tuple[tuple[str, float, float], ...]:
     """The side statistics read off one state's correlator table over each
-    party's ``(I, A_0, A_1)``."""
+    party's ``(I, A_0, A_1)``, as (label, value, target) triples: for every
+    party n = 2..N the pair ``<T0 ox I> = -1`` (party-1 rotated observable)
+    and ``<I ox A_{n,1}> = +1``.  Whether a value is on target is decided
+    once, by the certification chain at its maximal-violation tolerance."""
     parties = correlators.ndim
     origin = (0,) * parties
     # <T0 ox I> with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
@@ -355,4 +345,4 @@ def extra_statistics(correlators: np.ndarray) -> ExtraStatistics:
         entries.append((f"tilde0(party 1) with party {n + 1}", tilde_val, -1.0))
         value = float(correlators[origin[:n] + (2,) + origin[n + 1 :]])
         entries.append((f"setting-1 observable, party {n + 1}", value, 1.0))
-    return ExtraStatistics(entries=tuple(entries))
+    return tuple(entries)

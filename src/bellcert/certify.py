@@ -127,11 +127,14 @@ def support_isometry(density: np.ndarray) -> np.ndarray:
     marginal of a unit-trace state always has one, and a vanishing recovered
     ``xi`` fails the source-state residual.
     """
-    density = np.asarray(density, dtype=complex)
-    eig = herm_eig(density)
+    return _support(herm_eig(density))
+
+
+def _support(eig) -> np.ndarray:
+    """``support_isometry`` from the ``herm_eig`` of the matrix."""
     mask = eig.eigenvalues > SUPPORT_CUTOFF
     if np.all(mask) or not mask.any():
-        return np.eye(density.shape[0], dtype=complex)
+        return np.eye(len(mask), dtype=complex)
     return _position_basis(eig.eigenvectors[:, mask])
 
 
@@ -258,11 +261,14 @@ def _aux_block(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateCertificate:
+    """``min_eigenvalue`` and ``support`` come from one ``herm_eig`` of ``aux_state``."""
+
     residual: float
     aux_state: np.ndarray
     aux_dims: tuple[int, ...]
     min_eigenvalue: float
     trace: float
+    support: np.ndarray
 
 
 def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -> StateCertificate:
@@ -277,12 +283,14 @@ def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -
     xi = _aux_block(rho_can, target)
     xi = (xi + dagger(xi)) / 2.0
     residual = max_abs(rho_can - kron(target, xi))
+    eig = herm_eig(xi)
     return StateCertificate(
         residual=float(residual),
         aux_state=xi,
         aux_dims=aux_dims,
-        min_eigenvalue=float(np.min(np.linalg.eigvalsh(xi))),
+        min_eigenvalue=float(eig.eigenvalues[0]),
         trace=float(np.real(np.trace(xi))),
+        support=_support(eig),
     )
 
 
@@ -400,7 +408,7 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     once; every marginal is contracted from the states' factors
     (``quantum.mixture_marginals``)."""
     x_bell = bell_branch_settings(strategy.parties)
-    sigmas = [s for (x, _), s in record.conditional_states.items() if x == x_bell]
+    sigmas = [s for (x, _), s in zip(record.events, record.conditional_states) if x == x_bell]
     return {
         (p, time_slice): support_isometry(marginal)
         for time_slice, states in ((1, [strategy.source_state]), (2, sigmas))
@@ -458,7 +466,7 @@ def run_full_certification(
     if record.extra_stats is None:
         premise_failures.append("side-statistics conditioning event has vanishing probability")
     else:
-        for label, value, target in record.extra_stats.entries:
+        for label, value, target in record.extra_stats:
             extra_checks.append(CheckResult.close_to(label, value, target, max_violation_tol))
         refutation_failures.extend(
             f"side statistic '{c.name}': {c.value:.9f} not within {c.tolerance:g} of target"
@@ -522,15 +530,15 @@ def run_full_certification(
             f"{state_check.name} {state_check.value:.3e} exceeds {state_check.tolerance:g}"
         )
 
-    xi_support = support_isometry(state_cert.aux_state)
-    inter_cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, xi_support)
+    inter_cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, state_cert.support)
     refutation_failures.extend(inter_cert.failures)
 
     if refutation_failures:
         verdict = "refuted"
-    elif state_cert.min_eigenvalue <= XI_EIG_FLOOR or xi_support.shape[1] < xi_support.shape[0]:
-        # The second test keeps a certified verdict from resting on a support
-        # that dropped a direction the floor check (a separate eigensolve) kept.
+    elif state_cert.min_eigenvalue <= XI_EIG_FLOOR:
+        # The support reads the same eigenvalues, and XI_EIG_FLOOR >=
+        # SUPPORT_CUTOFF: so an xi above the floor has full support, and no
+        # certified verdict rests on a support that dropped a direction.
         premise_failures.append(
             f"recovered auxiliary state has minimum eigenvalue "
             f"{state_cert.min_eigenvalue:.3e} <= {XI_EIG_FLOOR:g}; the "

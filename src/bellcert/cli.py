@@ -34,6 +34,7 @@ from .serialize import (
     SCHEMA_VERSION,
     SerializationError,
     _bits,
+    declared_dims,
     dumps,
     matrix_payload,
     parse_json,
@@ -136,8 +137,8 @@ def _load(path: str, command: str) -> tuple[Strategy, bytes]:
         raw = read_input(path)
         data = parse_json(raw, path)
         try:
-            dims = [int(d) for d in data["dims"]["t1"]]
-        except (KeyError, TypeError, ValueError, OverflowError):
+            dims = declared_dims(data)[0]
+        except SerializationError:
             dims = None  # malformed: ``strategy_from_dict`` names the field
         if dims:
             _check_branch_stack(command, len(dims), dims)
@@ -228,7 +229,7 @@ def cmd_simulate(args) -> int:
         print("side statistics: conditioning event has vanishing probability")
     else:
         print("side statistics:")
-        for label, value, target in record.extra_stats.entries:
+        for label, value, target in record.extra_stats:
             print(f"  {label}: {value:+.9f} (target {target:+g})")
     return EXIT_OK
 

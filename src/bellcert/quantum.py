@@ -327,10 +327,12 @@ def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
     dim, rank = states[0].factor[0].shape
     m = [len(s) for s in ops]
     from_factors = 2 * rank <= dim and m[0] * rank < dims[0] * (rank + m[0])
-    # Entries per branch of the density or of party 1's operators applied to
-    # the factor, and of the table after party 1 and after each later party
-    # (last to first): a chunk of branches keeps them all within CHUNK_BYTES.
-    sizes = [m[0] * dim * rank if from_factors else dim * dim] + [
+    # Entries per branch of party 1's operators applied to the factor, or of
+    # the density side's five live arrays (the stacked factors, their signed
+    # copy and conjugate transpose, the densities and ``_contract``'s reshape
+    # copy of them), and of the table after party 1 and after each later
+    # party (last to first): a chunk of branches keeps each within CHUNK_BYTES.
+    sizes = [m[0] * dim * rank if from_factors else 3 * dim * rank + 2 * dim * dim] + [
         m[0] * math.prod(m[k:]) * math.prod(dims[1:k]) ** 2 for k in range(1, n + 1)
     ]
     tables = []

@@ -32,7 +32,6 @@ import numpy as np
 
 from .bell import (
     BellExpression,
-    ExtraStatistics,
     bell_coefficients,
     bell_values,
     effect_stacks,
@@ -120,67 +119,59 @@ class Strategy:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationRecord:
-    """Observed statistics of one scenario run.
+    """Observed statistics of one scenario run, as arrays.
 
     ``p1[x]`` is the outcome distribution at the first round for inputs
-    ``x``; ``p2[(x1, a1)][x2]`` the conditional distribution at the second
-    round.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
-    value of the matching Bell functional on the conditional state.  Every
-    table must sum to 1 within ``ALGEBRA_TOL``, the tolerance the public
-    ``QuantumState`` constructor allows on the trace of a source.
+    ``x`` (settings first, then outcomes); ``p2[e][x2]`` the conditional one
+    at the second round after ``events[e]``, a kept conditioning event ``(x1,
+    a1)``.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
+    value of the matching Bell functional on the conditional state, and
+    ``extra_stats`` the (label, value, target) side statistics, or ``None``.
+    Every table must sum to 1 within ``ALGEBRA_TOL``, the tolerance the
+    public ``QuantumState`` constructor allows on the trace of a source.
 
-    ``conditional_states[(x1, a1)]`` is the post-interaction state behind
-    ``p2[(x1, a1)]``, kept so the certification chain reuses it; it holds
-    its factor, and forms its density only if that is read.  It is in
-    memory only: it is not serialized, so a loaded record has none.
+    ``conditional_states[e]`` is the post-interaction state behind
+    ``p2[e]``, kept so the certification chain reuses it; it holds its
+    factor, and forms its density only if that is read.  It is in memory
+    only: it is not serialized, so a loaded record has none (``()``).
     """
 
     parties: int
-    p1: dict
-    p2: dict
+    p1: np.ndarray
+    events: tuple[tuple[Bits, Bits], ...]
+    p2: np.ndarray
     t1_bell_value: float
     t2_bell_values: dict
-    extra_stats: ExtraStatistics | None
-    event_probabilities: dict = field(default_factory=dict)
-    conditional_states: dict = field(default_factory=dict, repr=False)
+    extra_stats: tuple[tuple[str, float, float], ...] | None
+    conditional_states: tuple[QuantumState, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        tables = [*self.p1.values(), *(p for t in self.p2.values() for p in t.values())]
-        if not tables:
-            return
-        sums = np.sum(np.reshape(tables, (len(tables), -1)), axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ALGEBRA_TOL)
-        if not bad.size:
-            return
-        i, s = int(bad[0]), float(sums[bad[0]])
-        if i < len(self.p1):
-            x = list(self.p1)[i]
-            raise ValueError(f"first-round distribution for inputs {x} sums to {s:.12g}")
-        i -= len(self.p1)
-        for event, settings in self.p2.items():
-            if i < len(settings):
-                x2 = list(settings)[i]
-                raise ValueError(
-                    f"conditional distribution for event {event}, inputs {x2} "
-                    f"sums to {s:.12g}"
-                )
-            i -= len(settings)
+        n, events, states = self.parties, self.events, self.conditional_states
+        table = (2,) * 2 * n
+        for name, shape in (("p1", table), ("p2", (len(events),) + table)):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}")
+        if states and len(states) != len(events):
+            raise ValueError(f"{len(states)} conditional states for {len(events)} events")
+        # Each table is summed over its trailing N (outcome) axes in place.
+        for tables in (self.p1, self.p2):
+            sums = np.sum(tables, axis=tuple(range(-n, 0)))
+            bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
+            if not bad.size:
+                continue
+            index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
+            s = float(sums[index])
+            if tables is self.p1:
+                raise ValueError(f"first-round distribution for inputs {index} sums to {s:.12g}")
+            raise ValueError(
+                f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} "
+                f"sums to {s:.12g}"
+            )
 
-
-def _outcome_tables(correlators: np.ndarray, parties: int) -> np.ndarray:
-    """Clamped outcome probabilities indexed ``[..., x_1..x_N, a_1..a_N]``
-    from a correlator table over each party's ``(I, A_0, A_1)`` (by
-    ``bell.outcome_table``, whose per-party axis runs over (setting,
-    outcome)); any leading axes index branches."""
-    table = outcome_table(correlators, parties)
-    lead = table.ndim - parties
-    p = clamp_probabilities(table).reshape(table.shape[:lead] + (2, 2) * parties)
-    settings = tuple(range(lead, lead + 2 * parties, 2))
-    return p.transpose(tuple(range(lead)) + settings + tuple(k + 1 for k in settings))
-
-
-def _by_setting(tables: np.ndarray, parties: int) -> dict:
-    return {x: tables[x] for x in itertools.product((0, 1), repeat=parties)}
+    @property
+    def event_probabilities(self) -> dict:
+        """The first-round probability of each kept event, read from ``p1``."""
+        return {(x, a): float(self.p1[x + a]) for x, a in self.events}
 
 
 def _check_projective(observables, tol: float, where: str) -> None:
@@ -207,7 +198,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
 
     settings_t1 = setting_stacks(strategy.observables_t1)
     correlators_t1 = effect_table(source.density, source.dims, settings_t1)
-    p1 = _by_setting(_outcome_tables(correlators_t1, n), n)
+    p1 = clamp_probabilities(outcome_table(correlators_t1, n))
     coefficients_t1 = bell_coefficients(BellExpression(n, (0,) * n))
     t1_value = float(bell_values(coefficients_t1, correlators_t1, n))
 
@@ -215,13 +206,12 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     # branch's outcome vectors in order, then the side-statistics event.
     x_bell, x_extra = bell_branch_settings(n), extra_branch_settings(n)
     events = [(x_bell, a) for a in itertools.product((0, 1), repeat=n)]
-    events = [(x, a) for x, a in events + [(x_extra, (0,) * n)] if p1[x][a] > ZERO_PROB]
+    events = [(x, a) for x, a in events + [(x_extra, (0,) * n)] if p1[x + a] > ZERO_PROB]
     effects_t1 = effect_stacks(strategy.observables_t1)
     projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
     branches = post_measurement_states(source, projectors, strategy.interaction)
 
     correlators = effect_table(branches, dims_out, setting_stacks(strategy.observables_t2))
-    p2_tables = _outcome_tables(correlators, n)
     bell = [b for b, (x, _) in enumerate(events) if x == x_bell]
     coefficients = np.stack([bell_coefficients(BellExpression(n, events[b][1])) for b in bell])
     t2_values = bell_values(coefficients, correlators[bell], n)
@@ -232,12 +222,12 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     return CorrelationRecord(
         parties=n,
         p1=p1,
-        p2={event: _by_setting(p2_tables[b], n) for b, event in enumerate(events)},
+        events=tuple(events),
+        p2=clamp_probabilities(outcome_table(correlators, n)),
         t1_bell_value=t1_value,
         t2_bell_values={events[b][1]: float(v) for b, v in zip(bell, t2_values)},
         extra_stats=extra,
-        event_probabilities={(x, a): float(p1[x][a]) for x, a in events},
-        conditional_states=dict(zip(events, branches)),
+        conditional_states=branches,
     )
 
 

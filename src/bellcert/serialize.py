@@ -37,6 +37,7 @@ __all__ = [
     "read_input",
     "parse_json",
     "load_strategy",
+    "declared_dims",
     "record_to_dict",
     "report_to_dict",
 ]
@@ -104,6 +105,20 @@ def matrix_from_payload(obj, path: str) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def declared_dims(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``dims.t1`` and ``dims.t2`` of a strategy document: lists of JSON
+    integers >= 0 (``_count``); the error names the first field that is not."""
+    dims = data.get("dims") if isinstance(data, dict) else None
+    out = [dims.get(t) if isinstance(dims, dict) else None for t in ("t1", "t2")]
+    for t, values in zip(("t1", "t2"), out):
+        if not isinstance(values, list):
+            raise SerializationError(f"dims.{t}: expected a list of integers, got {values!r}")
+        for i, d in enumerate(values):
+            if not _count(d):
+                raise SerializationError(f"dims.{t}[{i}]: expected an integer >= 0, got {d!r}")
+    return tuple(out[0]), tuple(out[1])
+
+
 def _bits(t) -> str:
     return "".join(str(int(b)) for b in t)
 
@@ -145,12 +160,10 @@ def strategy_from_dict(data: dict) -> Strategy:
         )
     if data.get("kind") != "strategy":
         raise SerializationError(f"kind: expected 'strategy', got {data.get('kind')!r}")
-    try:
-        parties = int(data["parties"])
-        dims_t1 = tuple(int(d) for d in data["dims"]["t1"])
-        dims_t2 = tuple(int(d) for d in data["dims"]["t2"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(f"parties/dims: {exc}") from exc
+    parties = data.get("parties")
+    if not _count(parties):
+        raise SerializationError(f"parties: expected an integer >= 0, got {parties!r}")
+    dims_t1, dims_t2 = declared_dims(data)
     if len(dims_t1) != parties or len(dims_t2) != parties:
         raise SerializationError("dims: need one dimension per party and round")
 
@@ -170,10 +183,10 @@ def strategy_from_dict(data: dict) -> Strategy:
         elif role == "interaction":
             interaction = matrix_from_payload(entry, path)
         elif role == "observable":
-            try:
-                key = (int(entry["party"]), int(entry["setting"]), int(entry["time_slice"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(f"{path}: observable needs party/setting/time_slice") from exc
+            key = tuple(entry.get(name) for name in ("party", "setting", "time_slice"))
+            for name, value in zip(("party", "setting", "time_slice"), key):
+                if not _count(value):
+                    raise SerializationError(f"{path}.{name}: expected an integer >= 0, got {value!r}")
             observables[key] = matrix_from_payload(entry, path)
         else:
             raise SerializationError(f"{path}.role: unknown role {role!r}")
@@ -240,13 +253,9 @@ def parse_json(raw: bytes, path):
             raise SerializationError(f"{Path(path)}: {exc}") from exc
 
 
-def load_strategy(path, raw: bytes | None = None) -> Strategy:
-    """Strategy from a JSON file.  ``raw`` is the file's bytes when the
-    caller has read them already, to hash the bytes it parses; ``path`` then
-    only names the file in error messages."""
-    if raw is None:
-        raw = read_input(path)
-    return strategy_from_dict(parse_json(raw, path))
+def load_strategy(path) -> Strategy:
+    """Strategy from a JSON file."""
+    return strategy_from_dict(parse_json(read_input(path), path))
 
 
 def record_to_dict(record: CorrelationRecord) -> dict:
@@ -254,9 +263,12 @@ def record_to_dict(record: CorrelationRecord) -> dict:
         x, a = event
         return f"x={_bits(x)}|a={_bits(a)}"
 
+    def by_setting(tables):
+        return {_bits(x): tables[x].ravel().tolist() for x in np.ndindex((2,) * record.parties)}
+
     extra = None
     if record.extra_stats is not None:
-        extra = {"entries": [list(entry) for entry in record.extra_stats.entries]}
+        extra = {"entries": [list(entry) for entry in record.extra_stats]}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "correlation_record",
@@ -264,14 +276,9 @@ def record_to_dict(record: CorrelationRecord) -> dict:
         "t1_bell_value": record.t1_bell_value,
         "t2_bell_values": {_bits(a): v for a, v in record.t2_bell_values.items()},
         "extra_stats": extra,
-        "p1": {_bits(x): probs.ravel().tolist() for x, probs in record.p1.items()},
-        "p2": {
-            event_key(event): {_bits(x2): probs.ravel().tolist() for x2, probs in settings.items()}
-            for event, settings in record.p2.items()
-        },
-        "event_probabilities": {
-            event_key(event): float(p) for event, p in record.event_probabilities.items()
-        },
+        "p1": by_setting(record.p1),
+        "p2": {event_key(event): by_setting(p) for event, p in zip(record.events, record.p2)},
+        "event_probabilities": {event_key(e): p for e, p in record.event_probabilities.items()},
     }
 
 

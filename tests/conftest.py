@@ -5,17 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bellcert.bell import effect_stacks, setting_stacks
+from bellcert.bell import effect_stacks, outcome_table, setting_stacks
 from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
 from bellcert.linalg import CERT_TOL, DimensionMismatchError
 from bellcert.quantum import (
     Interaction,
     QuantumState,
+    clamp_probabilities,
     effect_table,
     post_measurement_states,
 )
 from bellcert.reference import pre_interaction_basis, reference_strategy
-from bellcert.scenario import Strategy, _check_projective, _outcome_tables
+from bellcert.scenario import Strategy, _check_projective
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -120,7 +121,8 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
     settings_t1 = setting_stacks(strategy.observables_t1)
 
     def tables(state):
-        return _outcome_tables(effect_table(state.density, state.dims, settings_t1), n)
+        correlators = effect_table(state.density, state.dims, settings_t1)
+        return clamp_probabilities(outcome_table(correlators, n))
 
     source_tables = tables(strategy.source_state)
     for _ in range(int(rounds)):
@@ -148,7 +150,7 @@ def on_target(stats):
     (``CheckResult.close_to`` at the default maximal-violation tolerance)."""
     return all(
         CheckResult.close_to(label, value, target, MAX_VIOLATION_TOL).passed
-        for label, value, target in stats.entries
+        for label, value, target in stats
     )
 
 

@@ -214,7 +214,7 @@ class TestExtraStatistics:
     def test_reference_conditional_state_passes(self, ref2):
         stats = self.stats(ref2, extra_branch_settings(2), (0, 0))
         assert on_target(stats)
-        assert len(stats.entries) == 2
+        assert len(stats) == 2
 
     def test_wrong_conditioning_event_fails(self, ref2):
         stats = self.stats(ref2, (0, 0), (0, 0))
@@ -223,6 +223,6 @@ class TestExtraStatistics:
     def test_three_party_reference_passes_all_entries(self, ref3):
         stats = self.stats(ref3, extra_branch_settings(3), (0, 0, 0))
         assert on_target(stats)
-        assert len(stats.entries) == 2 * (3 - 1)
-        for _, value, target in stats.entries:
+        assert len(stats) == 2 * (3 - 1)
+        for _, value, target in stats:
             assert abs(value - target) < 1e-12

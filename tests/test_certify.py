@@ -542,20 +542,19 @@ class TestFullCertification:
         assert any("full-rank" in f for f in report.failures)
 
     def test_support_of_xi_short_of_full_is_not_certified(self, ref2, monkeypatch):
-        # The floor check and the support of xi come from two eigensolves; a
-        # support that drops a direction the floor kept must not certify.
+        # The floor check and the support of xi read the same eigenvalues, so
+        # with XI_EIG_FLOOR >= SUPPORT_CUTOFF a support that drops a direction
+        # comes with a minimum eigenvalue at or below the floor.  Both are
+        # raised to 0.01, the condition's edge: xi's smallest eigenvalue
+        # (0.0047) leaves the support, and the verdict is not certified.
+        assert certify.XI_EIG_FLOOR >= certify.SUPPORT_CUTOFF
         scrambled = scramble_strategy(ref2, (2, 2), seed=34)
-        full = certify.support_isometry
-
-        def narrowed(density):
-            p = full(density)
-            return p[:, 1:] if density.shape == scrambled.aux_state.density.shape and (
-                max_abs(density - scrambled.aux_state.density) < 1e-12
-            ) else p
-
-        monkeypatch.setattr(certify, "support_isometry", narrowed)
+        monkeypatch.setattr(certify, "SUPPORT_CUTOFF", 0.01)
+        monkeypatch.setattr(certify, "XI_EIG_FLOOR", 0.01)
         report = run_full_certification(scrambled.strategy)
-        assert report.state.min_eigenvalue > 1e-10
+        assert 1e-10 < report.state.min_eigenvalue < 0.01
+        assert report.state.support.shape == (4, 3)
+        assert not report.interaction.failures
         assert report.verdict == "inconclusive"
 
     def test_vanishing_aux_state_is_refuted_not_raised(self, ref2):
@@ -906,14 +905,14 @@ class TestBranchStatesBuiltOnce:
         # own states, whose factors are read-only views into that stack.
         record = seen["record"]
         assert seen["stacks"] == 1 and seen["read"] is record
-        factors = [s.factor[0] for s in record.conditional_states.values()]
+        factors = [s.factor[0] for s in record.conditional_states]
         assert len(factors) == 2**parties + 1
         base = factors[0].base
         assert base is not None and base.shape[1] == len(factors)
         assert all(f.base is base and not f.flags.writeable for f in factors)
         # The chain contracts the branch states from their factors: none of
         # them has formed its D x D density.
-        assert all(s._density is None for s in record.conditional_states.values())
+        assert all(s._density is None for s in record.conditional_states)
 
         supports = certify._compute_supports(strategy, record)
         dense = self.dense_supports(strategy)

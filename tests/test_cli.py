@@ -14,7 +14,7 @@ from bellcert.certify import run_full_certification
 from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
 from bellcert.scenario import Strategy, scramble_strategy
 from bellcert.reference import reference_strategy
-from bellcert.serialize import SCHEMA_VERSION, save_strategy, strategy_to_dict
+from bellcert.serialize import SCHEMA_VERSION, matrix_from_payload, save_strategy, strategy_to_dict
 
 from conftest import diag_phase_deviation, swap_deviation
 
@@ -188,9 +188,38 @@ class TestHostileInput:
         path.write_text(json.dumps(data))  # the stdlib writes an Infinity literal
         assert main(["certify", str(path)]) == 2
         out = capsys.readouterr()
-        assert out.err.splitlines() == [
-            "error: parties/dims: cannot convert float infinity to integer"
-        ]
+        assert out.err.splitlines() == ["error: dims.t1[0]: expected an integer >= 0, got inf"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("t1", 2.7, "dims.t1[0]: expected an integer >= 0, got 2.7"),
+            ("t1", "2", "dims.t1[0]: expected an integer >= 0, got '2'"),
+            ("t2", True, "dims.t2[0]: expected an integer >= 0, got True"),
+            ("parties", 2.9, "parties: expected an integer >= 0, got 2.9"),
+            ("party", True, "matrices[1].party: expected an integer >= 0, got True"),
+            ("setting", 0.0, "matrices[1].setting: expected an integer >= 0, got 0.0"),
+            ("time_slice", "1", "matrices[1].time_slice: expected an integer >= 0, got '1'"),
+        ],
+        ids=["t1-fraction", "t1-string", "t2-bool", "parties-fraction", "party-bool",
+             "setting-float", "time_slice-string"],
+    )
+    def test_counts_must_be_json_integers(self, tmp_path, capsys, ref2, field, value, message):
+        # int() used to read 2.7 and 2.9 as 2, "2" as 2 and true as 1, so
+        # such a file certified with exit 0.
+        data = strategy_to_dict(ref2)
+        if field == "parties":
+            data["parties"] = value
+        elif field in ("t1", "t2"):
+            data["dims"][field][0] = value
+        else:
+            data["matrices"][1][field] = value
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {message}"]
 
     def test_unexpected_exception_exits_2(self, capsys, monkeypatch, caplog):
         def crash(args):
@@ -553,27 +582,32 @@ class TestValidationAtTheBoundary:
         path = tmp_path / "s.json"
         argv = ["make-strategy", str(path), "--parties", "3", "--scramble", "--aux-dims", "1,2,1"]
         assert main(argv + ["--seed", "7"]) == 0
-        shapes = []
+        calls = []
 
         def counting(name):
             original = getattr(np.linalg, name)
 
             def solve(a, *args, **kwargs):
-                shapes.append((name, np.shape(a)))
+                calls.append((name, np.array(a)))
                 return original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, solve)
 
         counting("eigh")
         counting("eigvalsh")
-        assert main(["certify", str(path)]) == 0
+        report = tmp_path / "r.json"
+        assert main(["certify", str(path), "--report", str(report)]) == 0
+        xi = matrix_from_payload(json.loads(report.read_text())["state"]["aux_state"], "xi")
+        shapes = [(name, a.shape) for name, a in calls]
         # The source's eigh when the file is loaded (the one D x D eigensolve:
         # it checks positivity and gives the factor the branch states are built
-        # from), then the eigvalsh of the recovered auxiliary state xi.  The
-        # other eigh calls are on local spaces (supports and frames).
+        # from), then one eigh of the recovered auxiliary state xi, which gives
+        # both its minimum eigenvalue and its support.  The other eigh calls
+        # are on local spaces (supports and frames).
         assert [c for c in shapes if c[1] == (16, 16)] == [("eigh", (16, 16))]
-        assert [c for c in shapes if c[0] == "eigvalsh"] == [("eigvalsh", (2, 2))]
-        assert shapes[0] == ("eigh", (16, 16))
+        assert [c for c in shapes if c[0] == "eigvalsh"] == []
+        assert [name for name, a in calls if np.array_equal(a, xi)] == ["eigh"]
+        assert xi.shape == (2, 2) and shapes[0] == ("eigh", (16, 16))
 
 
 class TestNoiseSweep:

@@ -229,15 +229,16 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     events = [(bell_branch_settings(parties), a) for a in itertools.product((0, 1), repeat=parties)]
     events.append((extra_branch_settings(parties), (0,) * parties))
     kept = [(x1, a1) for x1, a1 in events if p1[x1][a1] > ZERO_PROB]
-    assert list(record.p2) == list(record.conditional_states) == kept
+    assert list(record.events) == kept
+    assert len(record.p2) == len(record.conditional_states) == len(kept)
     if aux is None:
         assert len(kept) < len(events)
     else:
         assert len(kept) == 2**parties + 1
-    for (x1, a1), tables in record.p2.items():
+    for (x1, a1), tables, state in zip(record.events, record.p2, record.conditional_states):
         projectors = [strategy.observables_t1[k][x1[k]].effect(a1[k]) for k in range(parties)]
         sigma = v @ dense_post_measurement(rho, projectors) @ dagger(v)
-        assert max_abs(record.conditional_states[(x1, a1)].density - sigma) <= EXACT
+        assert max_abs(state.density - sigma) <= EXACT
         for x2, probs in dense_distributions(sigma, strategy.observables_t2, effects_t2).items():
             assert max_abs(tables[x2] - probs) <= EXACT
         if x1 == bell_branch_settings(parties):
@@ -245,7 +246,7 @@ def test_run_scenario_matches_dense_formula(parties, aux):
             assert abs(record.t2_bell_values[a1] - np.real(np.trace(op @ sigma))) <= 1e-13
         else:
             t0 = tilde_observables(*obs_t2[0])[0]
-            for label, value, target in record.extra_stats.entries:
+            for label, value, target in record.extra_stats:
                 party = int(label.split()[-1]) - 1
                 ops = [np.eye(d) for d in strategy.interaction.dims_out]
                 if label.startswith("tilde0"):
@@ -264,14 +265,13 @@ def test_chunked_stack_matches_one_chunk(monkeypatch):
     monkeypatch.setattr(quantum, "CHUNK_BYTES", 1)
     assert [len(range(9)[c]) for c in quantum._chunks(9, 16, 2)] == [1] * 9
     chunked = run_scenario(strategy)
-    assert list(chunked.conditional_states) == list(whole.conditional_states)
-    for event, state in whole.conditional_states.items():
+    assert chunked.events == whole.events
+    for event, state in enumerate(whole.conditional_states):
         assert max_abs(chunked.conditional_states[event].density - state.density) <= EXACT
-        for x2, probs in whole.p2[event].items():
-            assert max_abs(chunked.p2[event][x2] - probs) <= EXACT
+    assert max_abs(chunked.p2 - whole.p2) <= EXACT
     for outcomes, value in whole.t2_bell_values.items():
         assert abs(chunked.t2_bell_values[outcomes] - value) <= 1e-13
-    extra = np.array(chunked.extra_stats.values) - np.array(whole.extra_stats.values)
+    extra = np.array([v for _, v, _ in chunked.extra_stats]) - [v for _, v, _ in whole.extra_stats]
     assert max_abs(extra) <= 1e-13
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ class TestRunScenario:
 
     def test_conditional_normalization(self, ref2):
         rec = run_scenario(ref2)
-        for settings in rec.p2.values():
-            for probs in settings.values():
-                assert abs(float(np.sum(probs)) - 1.0) < 1e-10
+        for tables in rec.p2:
+            for x2 in itertools.product((0, 1), repeat=2):
+                assert abs(float(np.sum(tables[x2])) - 1.0) < 1e-10
 
     def test_no_signaling_at_t1(self, ref2):
         rec = run_scenario(ref2)
@@ -108,7 +109,8 @@ class TestRunScenario:
         rec = run_scenario(strategy)
         # first-round Z x Z on |00> is deterministic: only one Bell-branch event
         assert list(rec.t2_bell_values) == [(0, 0)]
-        for (x1, a1) in rec.p2:
+        assert list(rec.event_probabilities) == list(rec.events)
+        for x1, a1 in rec.events:
             assert rec.event_probabilities[(x1, a1)] > 1e-12
 
     def test_non_projective_first_round_rejected(self, ref2):
@@ -127,18 +129,17 @@ class TestRunScenario:
 
 
 def _records_match(a, b, tol=1e-9):
-    assert set(a.p1) == set(b.p1)
-    for x in a.p1:
-        assert max_abs(a.p1[x] - b.p1[x]) < tol
-    assert set(a.p2) == set(b.p2)
-    for event in a.p2:
-        assert set(a.p2[event]) == set(b.p2[event])
-        for x2 in a.p2[event]:
-            assert max_abs(a.p2[event][x2] - b.p2[event][x2]) < tol
+    assert a.p1.shape == b.p1.shape
+    assert max_abs(a.p1 - b.p1) < tol
+    assert a.events == b.events
+    assert a.p2.shape == b.p2.shape
+    assert max_abs(a.p2 - b.p2) < tol
     assert abs(a.t1_bell_value - b.t1_bell_value) < tol
     for key in a.t2_bell_values:
         assert abs(a.t2_bell_values[key] - b.t2_bell_values[key]) < tol
-    assert max_abs(np.array(a.extra_stats.values) - np.array(b.extra_stats.values)) < tol
+    assert [label for label, _, _ in a.extra_stats] == [label for label, _, _ in b.extra_stats]
+    values = [np.array([v for _, v, _ in r.extra_stats]) for r in (a, b)]
+    assert max_abs(values[0] - values[1]) < tol
 
 
 class TestScramble:
@@ -213,8 +214,8 @@ class TestRecordNormalization:
 
     @staticmethod
     def shifted(tables, key, delta):
-        out = dict(tables)
-        out[key] = tables[key] + delta / tables[key].size
+        out = tables.copy()
+        out[key] += delta / out[key].size
         return out
 
     def test_within_the_rule_passes(self, ref2):
@@ -231,13 +232,67 @@ class TestRecordNormalization:
 
     def test_conditional_table_named(self, ref2):
         rec = run_scenario(ref2)
-        events = list(rec.p2)
-        p2 = dict(rec.p2)
-        p2[events[1]] = self.shifted(rec.p2[events[1]], (1, 0), -1e-6)
-        p2[events[2]] = self.shifted(rec.p2[events[2]], (0, 0), 1e-3)
-        message = f"conditional distribution for event {events[1]}, inputs (1, 0) sums to 0.999999"
+        p2 = self.shifted(self.shifted(rec.p2, (1, 1, 0), -1e-6), (2, 0, 0), 1e-3)
+        message = f"conditional distribution for event {rec.events[1]}, inputs (1, 0) sums to 0.999999"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             dataclasses.replace(rec, p2=p2)
+
+    def test_first_round_named_before_second(self, ref2):
+        rec = run_scenario(ref2)
+        p1 = self.shifted(rec.p1, (1, 0), 1e-3)
+        p2 = self.shifted(rec.p2, (0, 0, 0), -1e-3)
+        message = "first-round distribution for inputs (1, 0) sums to 1.001"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(rec, p1=p1, p2=p2)
+
+    def test_nan_table_named(self, ref2):
+        rec = run_scenario(ref2)
+        p2 = rec.p2.copy()
+        p2[3, 0, 1, 1, 1] = np.nan
+        message = f"conditional distribution for event {rec.events[3]}, inputs (0, 1) sums to nan"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(rec, p2=p2)
+
+    def test_gate_reads_the_tables_in_place(self):
+        # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB);
+        # the gate allocates their sums, not a copy of them.
+        rec = run_scenario(reference_strategy(6))
+        assert rec.p2.flags.c_contiguous and rec.p2.nbytes > 2e6
+        tracemalloc.start()
+        try:
+            dataclasses.replace(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rec.p2.nbytes / 8
+
+
+class TestRecordShape:
+    """The arrays of a ``CorrelationRecord`` must line up with its events
+    before any table is summed."""
+
+    def test_p1_of_the_wrong_shape(self, ref2):
+        rec = run_scenario(ref2)
+        with pytest.raises(ValueError, match=r"^p1 has shape \(2, 2, 4\)"):
+            dataclasses.replace(rec, p1=rec.p1.reshape(2, 2, 4))
+
+    def test_p2_and_events_disagree(self, ref2):
+        rec = run_scenario(ref2)
+        with pytest.raises(ValueError, match=r"^p2 has shape \(4, 2, 2, 2, 2\)"):
+            dataclasses.replace(rec, p2=rec.p2[:-1])
+        with pytest.raises(ValueError, match=r"^p2 has shape \(5, 2, 2, 2, 2\)"):
+            dataclasses.replace(rec, events=rec.events[:-1])
+
+    def test_conditional_states_and_events_disagree(self, ref2):
+        rec = run_scenario(ref2)
+        assert len(rec.events) == len(rec.conditional_states) == 5
+        with pytest.raises(ValueError, match="^4 conditional states for 5 events$"):
+            dataclasses.replace(rec, conditional_states=rec.conditional_states[1:])
+
+    def test_record_without_states(self, ref2):
+        # A record filled from statistics alone keeps no states.
+        rec = dataclasses.replace(run_scenario(ref2), conditional_states=())
+        assert rec.conditional_states == () and len(rec.events) == 5
 
 
 class TestStrategyValidation:
