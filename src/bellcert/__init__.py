@@ -24,7 +24,6 @@ from .linalg import (
     partial_trace,
 )
 from .quantum import (
-    DichotomicObservable,
     Interaction,
     QuantumState,
     pure_state,

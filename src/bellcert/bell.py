@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, kron, max_abs
-from .quantum import QuantumState, as_matrix, effect, effect_table
+from .quantum import QuantumState, effect_table
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -88,14 +88,10 @@ class BellExpression:
 
 def tilde_observables(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     """Rotated party-1 pair ``((A0 - A1)/sqrt(2), (A0 + A1)/sqrt(2))``."""
-    m0, m1 = as_matrix(a0), as_matrix(a1)
+    m0, m1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     if m0.shape != m1.shape:
         raise DimensionMismatchError("tilde_observables: settings have different shapes")
     return (m0 - m1) / math.sqrt(2.0), (m0 + m1) / math.sqrt(2.0)
-
-
-def _observable_pairs(observables) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(as_matrix(p[0]), as_matrix(p[1])) for p in observables]
 
 
 def _padded(parties: int, dims, factors: dict[int, np.ndarray]) -> np.ndarray:
@@ -129,9 +125,11 @@ def bell_coefficients(expr: BellExpression) -> np.ndarray:
 
 def setting_stacks(observables) -> list[np.ndarray]:
     """Per-party ``(3, d, d)`` stacks ``(I, A_0, A_1)``, the operators that
-    the indices of ``bell_coefficients`` name."""
+    the indices of ``bell_coefficients`` name, from each party's
+    (setting-0, setting-1) pair: a ``(2, d, d)`` array or two matrices."""
     stacks = []
-    for n, (m0, m1) in enumerate(_observable_pairs(observables)):
+    for n, pair in enumerate(observables):
+        m0, m1 = (np.asarray(m, dtype=complex) for m in pair)
         d = m0.shape[0]
         if m0.shape != (d, d) or m1.shape != (d, d):
             raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
@@ -139,22 +137,18 @@ def setting_stacks(observables) -> list[np.ndarray]:
     return stacks
 
 
-def effect_stacks(observables) -> list[np.ndarray]:
-    """Per-party ``(4, d, d)`` stacks of the effects ``E_{x,a}``, ordered
-    ``(x, a) = (0, 0), (0, 1), (1, 0), (1, 1)``: one contraction of a state
-    against them gives every outcome probability of every setting vector."""
-    stacks = []
-    for n, (m0, m1) in enumerate(_observable_pairs(observables)):
-        if m0.shape != m1.shape:
-            raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
-        stacks.append(np.stack([effect(m, a) for m in (m0, m1) for a in (0, 1)]))
-    return stacks
-
-
 # Rows (E_00, E_01, E_10, E_11) in terms of (I, A_0, A_1): E_{x,a} = (I + (-1)^a A_x) / 2.
 _EFFECTS_FROM_SETTINGS = 0.5 * np.array(
     [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]
 )
+
+
+def effect_stacks(observables) -> list[np.ndarray]:
+    """Per-party ``(4, d, d)`` stacks of the effects ``E_{x,a}``, ordered
+    ``(x, a) = (0, 0), (0, 1), (1, 0), (1, 1)``: ``_EFFECTS_FROM_SETTINGS``
+    applied to the ``setting_stacks``.  One contraction of a state against
+    them gives every outcome probability of every setting vector."""
+    return [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in setting_stacks(observables)]
 
 
 def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
@@ -259,8 +253,8 @@ def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.nd
     each padded with identities to the full space.
     """
     n_parties = expr.parties
-    pairs = _observable_pairs(observables)
-    dims = [p[0].shape[0] for p in pairs]
+    pairs = [np.asarray(p, dtype=complex) for p in observables]
+    dims = [p.shape[-1] for p in pairs]
     a = expr.target_outcomes
     t0, t1 = tilde_observables(pairs[0][0], pairs[0][1])
     s1 = -1.0 if a[0] else 1.0

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bell import BellExpression
 from .linalg import CERT_TOL, dagger, fix_column_phases, herm_eig, kron, max_abs
-from .quantum import QuantumState, as_matrix, mixture_marginals
+from .quantum import QuantumState, mixture_marginals
 from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
 from .scenario import (
     CorrelationRecord,
@@ -304,7 +304,7 @@ class InteractionCertificate:
 
 
 def certify_interaction(
-    interaction,
+    interaction: np.ndarray,
     frames_t1: tuple[LocalFrame, ...],
     frames_t2: tuple[LocalFrame, ...],
     xi_support: np.ndarray,
@@ -312,8 +312,8 @@ def certify_interaction(
     """Recover the auxiliary unitary and gate the claim ``W = U ox V0``.
 
     In the certified frames (applied party by party), with all qubit
-    factors first, the interaction ``W`` must be the reference entangling
-    unitary ``U`` times one auxiliary block.  ``U = G B^dag`` is built from
+    factors first, the interaction matrix ``W`` must be the reference
+    entangling unitary ``U`` times one auxiliary block.  ``U = G B^dag`` is built from
     the Kronecker product ``B`` of the per-party pre-interaction bases,
     whose columns are also the inputs ``|in_a>`` below.
     ``V0 = Tr_q[(U^dag ox I) W] / 2^N`` (``_aux_block`` with ``q = U``) is
@@ -331,7 +331,7 @@ def certify_interaction(
     outputs and pre-interaction inputs; a failing residual names that block.
     """
     parties = len(frames_t1)
-    w = _to_canonical(as_matrix(interaction), frames_t2, frames_t1)
+    w = _to_canonical(interaction, frames_t2, frames_t1)
     d_q = 2**parties
     basis = pre_interaction_matrix(parties)
     u = ghz_matrix(parties) @ dagger(basis)
@@ -394,7 +394,7 @@ def _compressed_pairs(strategy: Strategy, supports):
     for time_slice, obs in ((1, strategy.observables_t1), (2, strategy.observables_t2)):
         for party, pair in enumerate(obs):
             s = supports[(party, time_slice)]
-            a0, a1 = (dagger(s) @ o.matrix @ s for o in pair)
+            a0, a1 = (dagger(s) @ o @ s for o in pair)
             label = f"party {party + 1} t{time_slice}"
             yield party, time_slice, s, a0, a1, _pair_checks(a0, a1, label)
 
@@ -530,7 +530,9 @@ def run_full_certification(
             f"{state_check.name} {state_check.value:.3e} exceeds {state_check.tolerance:g}"
         )
 
-    inter_cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, state_cert.support)
+    inter_cert = certify_interaction(
+        strategy.interaction.matrix, frames_t1, frames_t2, state_cert.support
+    )
     refutation_failures.extend(inter_cert.failures)
 
     if refutation_failures:

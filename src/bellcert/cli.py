@@ -366,9 +366,7 @@ def cmd_seesaw(args) -> int:
             "dims": dims,
             "value": best.value,
             "state": matrix_payload(best.state.density),
-            "observables": [
-                [matrix_payload(pair[0]), matrix_payload(pair[1])] for pair in best.observables
-            ],
+            "observables": [[matrix_payload(m) for m in pair] for pair in best.observables],
         }
         write_json(payload, out)
         if args.format != "machine":  # machine output is the one JSON document

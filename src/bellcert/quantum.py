@@ -3,16 +3,17 @@
 A state holds its density matrix, a factor of it, or both: each form is
 built from the other the first time it is read (``QuantumState``), so
 nothing in the certification chain has to assume purity, and a branch
-state that is only contracted never forms its D x D matrix.  Dichotomic
-(two-outcome) measurements are described by their +/-1-valued observable;
-the measurement element for outcome ``a`` is ``(I + (-1)^a O) / 2``.
+state that is only contracted never forms its D x D matrix.  Measurements
+are plain arrays: a party's two +/-1 observables are one ``(2, d, d)``
+array, validated once by ``scenario.Strategy``, and the kernels here take
+stacks of operators (effects, projectors or observables) as they are.
 
 Validation runs at the boundary.  The public constructors of
-``QuantumState``, ``DichotomicObservable`` and ``Interaction`` reject
-non-finite entries and check what they promise: a state is Hermitian, has
-unit trace and no eigenvalue below ``-ALGEBRA_TOL`` (one ``eigh`` of its
-Hermitian part, whose eigenpairs are also the state's factor).  A state
-the package derives from valid states by a positivity-preserving map
+``QuantumState`` and ``Interaction`` reject non-finite entries and check
+what they promise: a state is Hermitian, has unit trace and no eigenvalue
+below ``-ALGEBRA_TOL`` (one ``eigh`` of its Hermitian part, whose
+eigenpairs are also the state's factor).  A state the package derives
+from valid states by a positivity-preserving map
 (``post_measurement_states``, ``pure_state``, ``white_noise_mix``,
 ``random_density`` and the scrambled source of
 ``scenario.scramble_strategy``) is positive by construction, so it goes
@@ -54,7 +55,6 @@ __all__ = [
     "NonUnitaryError",
     "ZeroProbabilityError",
     "QuantumState",
-    "DichotomicObservable",
     "Interaction",
     "pure_state",
     "local_contraction",
@@ -66,8 +66,6 @@ __all__ = [
     "random_unitary",
     "random_projective_observable",
     "random_density",
-    "as_matrix",
-    "effect",
 ]
 
 ZERO_PROB = 1e-12  # probabilities below this are not trusted for conditioning
@@ -217,38 +215,6 @@ def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:
 
 
 @dataclass(frozen=True, eq=False)
-class DichotomicObservable:
-    """Hermitian +/-1-outcome observable, optionally labelled by
-    (party, setting, time_slice)."""
-
-    matrix: np.ndarray
-    party: int | None = None
-    setting: int | None = None
-    time_slice: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        _check_finite(self.matrix, f"observable {self._label()}")
-        if max_abs(self.matrix - dagger(self.matrix)) > ALGEBRA_TOL:
-            raise NonHermitianError(f"observable {self._label()} is not Hermitian")
-
-    def _label(self) -> str:
-        return f"(party={self.party}, setting={self.setting}, t={self.time_slice})"
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def effect(self, outcome: int) -> np.ndarray:
-        """Measurement element ``(I + (-1)^outcome O) / 2``."""
-        return effect(self.matrix, outcome)
-
-    def projectivity_defect(self) -> float:
-        """Max-norm distance of ``O^2`` from the identity."""
-        return max_abs(self.matrix @ self.matrix - np.eye(self.dim))
-
-
-@dataclass(frozen=True, eq=False)
 class Interaction:
     """Unitary coupling the parties between the two measurement rounds.
 
@@ -277,17 +243,6 @@ class Interaction:
             raise NonUnitaryError(f"interaction is not unitary (defect {defect:.3e})")
 
 
-def effect(observable: np.ndarray, outcome: int) -> np.ndarray:
-    """Measurement element ``(I + (-1)^outcome O) / 2`` of a +/-1 observable."""
-    sign = 1.0 if outcome == 0 else -1.0
-    return (np.eye(observable.shape[0]) + sign * observable) / 2.0
-
-
-def as_matrix(op) -> np.ndarray:
-    """Accept a raw matrix or anything exposing ``.matrix``."""
-    return np.asarray(getattr(op, "matrix", op), dtype=complex)
-
-
 def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
     """Table ``T[i_1, ..., i_N] = Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
 
@@ -313,7 +268,7 @@ def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
         raise DimensionMismatchError(f"got {len(stacks)} operator stacks for {n} parties")
     ops = []
     for k, (d, stack) in enumerate(zip(dims, stacks)):
-        s = np.eye(d, dtype=complex) if stack is None else as_matrix(stack)
+        s = np.eye(d, dtype=complex) if stack is None else np.asarray(stack, dtype=complex)
         if s.ndim == 2:
             s = s[np.newaxis]
         if s.ndim != 3 or s.shape[1:] != (d, d):
@@ -446,7 +401,7 @@ def post_measurement_states(
     pre = 1
     for k, (d, op) in enumerate(zip(dims, projectors)):
         if op is not None:
-            pi = as_matrix(op)
+            pi = np.asarray(op, dtype=complex)
             pi = pi[np.newaxis] if pi.ndim == 2 else pi
             if pi.ndim != 3 or pi.shape[1:] != (d, d):
                 raise DimensionMismatchError(

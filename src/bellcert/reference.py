@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .linalg import dagger, kron
-from .quantum import DichotomicObservable, Interaction, QuantumState, pure_state
+from .quantum import Interaction, QuantumState, pure_state
 
 __all__ = [
     "PAULI_X",
@@ -36,7 +36,6 @@ __all__ = [
     "Z_BASIS",
     "target_observables",
     "ghz_like_vector",
-    "reference_observables",
     "ghz_matrix",
     "entangling_unitary",
     "pre_interaction_matrix",
@@ -124,19 +123,6 @@ def entangling_unitary(parties: int) -> np.ndarray:
     return ghz_matrix(parties) @ dagger(pre_interaction_matrix(parties))
 
 
-def reference_observables(parties: int, time_slice: int) -> tuple:
-    """Labelled qubit observables for every party and both settings."""
-    obs = []
-    for n, (m0, m1) in enumerate(target_observables(parties)):
-        obs.append(
-            (
-                DichotomicObservable(m0, party=n, setting=0, time_slice=time_slice),
-                DichotomicObservable(m1, party=n, setting=1, time_slice=time_slice),
-            )
-        )
-    return tuple(obs)
-
-
 def reference_source_state(parties: int) -> QuantumState:
     """The maximally entangled source |phi_{0...0}>."""
     return pure_state(ghz_like_vector((0,) * parties), (2,) * parties)
@@ -153,7 +139,7 @@ def reference_strategy(parties: int):
     interaction = Interaction(entangling_unitary(parties), dims, dims)
     return Strategy(
         source_state=reference_source_state(parties),
-        observables_t1=reference_observables(parties, time_slice=1),
-        observables_t2=reference_observables(parties, time_slice=2),
+        observables_t1=target_observables(parties),
+        observables_t2=target_observables(parties),
         interaction=interaction,
     )

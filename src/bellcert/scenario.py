@@ -39,12 +39,20 @@ from .bell import (
     outcome_table,
     setting_stacks,
 )
-from .linalg import ALGEBRA_TOL, CERT_TOL, DimensionMismatchError, dagger, kron
+from .linalg import (
+    ALGEBRA_TOL,
+    CERT_TOL,
+    DimensionMismatchError,
+    NonHermitianError,
+    dagger,
+    kron,
+    max_abs,
+)
 from .quantum import (
     ZERO_PROB,
-    DichotomicObservable,
     Interaction,
     QuantumState,
+    _check_finite,
     _rng,
     clamp_probabilities,
     effect_table,
@@ -79,17 +87,24 @@ def extra_branch_settings(parties: int) -> Bits:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A complete scenario description: source state, per-party per-setting
-    observables at both rounds, and the interaction unitary."""
+    """A complete scenario description: source state, each party's two +/-1
+    observables at both rounds, and the interaction unitary.
+
+    A round's observables are one read-only complex ``(2, d_k, d_k)`` array
+    per party, setting 0 then setting 1.  The constructor takes any
+    per-party pair (two matrices, or such an array) and checks it once
+    (``_observable_pair``): its shape, finite entries and hermiticity within
+    ``ALGEBRA_TOL``.  It keeps each setting's Hermitian part ``(A + A^dag) /
+    2``, as ``QuantumState`` reads its density's, so an accepted observable
+    stays exactly Hermitian when it is compressed to a support.
+    """
 
     source_state: QuantumState
-    observables_t1: tuple[tuple[DichotomicObservable, DichotomicObservable], ...]
-    observables_t2: tuple[tuple[DichotomicObservable, DichotomicObservable], ...]
+    observables_t1: tuple[np.ndarray, ...]
+    observables_t2: tuple[np.ndarray, ...]
     interaction: Interaction
 
     def __post_init__(self):
-        object.__setattr__(self, "observables_t1", tuple(tuple(p) for p in self.observables_t1))
-        object.__setattr__(self, "observables_t2", tuple(tuple(p) for p in self.observables_t2))
         n = len(self.source_state.dims)
         if len(self.observables_t1) != n or len(self.observables_t2) != n:
             raise DimensionMismatchError("observable lists do not match the party count")
@@ -98,19 +113,10 @@ class Strategy:
                 f"interaction input dims {self.interaction.dims_in} do not match "
                 f"source dims {self.source_state.dims}"
             )
-        for name, obs, dims in (
-            ("t1", self.observables_t1, self.source_state.dims),
-            ("t2", self.observables_t2, self.interaction.dims_out),
-        ):
-            for party, pair in enumerate(obs):
-                if len(pair) != 2:
-                    raise DimensionMismatchError(f"party {party} needs exactly 2 settings")
-                for setting, o in enumerate(pair):
-                    if o.matrix.shape != (dims[party], dims[party]):
-                        raise DimensionMismatchError(
-                            f"{name} observable (party {party}, setting {setting}) has dim "
-                            f"{o.matrix.shape[0]}, expected {dims[party]}"
-                        )
+        for name, dims in (("t1", self.source_state.dims), ("t2", self.interaction.dims_out)):
+            pairs = getattr(self, f"observables_{name}")
+            pairs = tuple(_observable_pair(p, name, k, d) for k, (p, d) in enumerate(zip(pairs, dims)))
+            object.__setattr__(self, f"observables_{name}", pairs)
 
     @property
     def parties(self) -> int:
@@ -174,10 +180,31 @@ class CorrelationRecord:
         return {(x, a): float(self.p1[x + a]) for x, a in self.events}
 
 
+def _observable_pair(pair, name: str, party: int, d: int) -> np.ndarray:
+    """``party``'s pair at round ``name`` as the read-only ``(2, d, d)``
+    array of its Hermitian parts; a ``ValueError`` names the round, party
+    and setting of the first observable whose shape, entries or hermiticity
+    fail."""
+    if len(pair) != 2:
+        raise DimensionMismatchError(f"party {party} needs exactly 2 settings")
+    labels = [f"{name} observable (party {party}, setting {s})" for s in (0, 1)]
+    for label, m in zip(labels, pair):
+        if np.shape(m) != (d, d):
+            raise DimensionMismatchError(f"{label} has dim {np.shape(m)[0]}, expected {d}")
+    pair = np.array(pair, dtype=complex)
+    for label, m in zip(labels, pair):
+        _check_finite(m, label)
+        if max_abs(m - dagger(m)) > ALGEBRA_TOL:
+            raise NonHermitianError(f"{label} is not Hermitian")
+    pair = (pair + np.conj(pair.transpose(0, 2, 1))) / 2.0
+    pair.setflags(write=False)
+    return pair
+
+
 def _check_projective(observables, tol: float, where: str) -> None:
     for party, pair in enumerate(observables):
-        for setting, o in enumerate(pair):
-            defect = o.projectivity_defect()
+        defects = np.max(np.abs(pair @ pair - np.eye(pair.shape[-1])), axis=(1, 2))
+        for setting, defect in enumerate(defects):
             if defect > tol:
                 raise ValueError(
                     f"{where} observable (party {party}, setting {setting}) is not "
@@ -286,11 +313,7 @@ def scramble_strategy(
         u, resid = _paired_frame(a0, a1, (t0, t1))
         if resid > CERT_TOL:
             raise ValueError(f"planted frame residual {resid:.3e} exceeds {CERT_TOL:g}")
-        pair = (
-            DichotomicObservable(a0, party=party, setting=0, time_slice=time_slice),
-            DichotomicObservable(a1, party=party, setting=1, time_slice=time_slice),
-        )
-        return pair, LocalFrame(party, time_slice, u)
+        return (a0, a1), LocalFrame(party, time_slice, u)
 
     obs_t1, frames_t1 = zip(*[scrambled_party(p, 1) for p in range(n)])
     obs_t2, frames_t2 = zip(*[scrambled_party(p, 2) for p in range(n)])

@@ -50,18 +50,19 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
     """One restart's outcome; ``vector`` is the top eigenvector of the last
-    state update."""
+    state update, and ``observables`` holds each party's ``(2, d, d)``
+    pair."""
 
     value: float
     vector: np.ndarray
-    observables: tuple[tuple[np.ndarray, np.ndarray], ...]
+    observables: tuple[np.ndarray, ...]
     iterations: int
     converged: bool
 
     @property
     def state(self) -> QuantumState:
         """The pure state of ``vector``, built each time it is read."""
-        return pure_state(self.vector, tuple(pair[0].shape[0] for pair in self.observables))
+        return pure_state(self.vector, tuple(pair.shape[-1] for pair in self.observables))
 
 
 def optimal_observable_update(effective: np.ndarray) -> np.ndarray:
@@ -242,7 +243,7 @@ def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[Se
             results[active[j]] = SeesawResult(
                 value=float(value[j]),
                 vector=psi[j].copy(),
-                observables=tuple((s[j, 1].copy(), s[j, 2].copy()) for s in stacks),
+                observables=tuple(s[j, 1:].copy() for s in stacks),
                 iterations=iterations,
                 converged=bool(converged[j]),
             )

@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 
 from .certify import CertificationReport, CheckResult
-from .quantum import DichotomicObservable, Interaction, QuantumState
+from .quantum import Interaction, QuantumState
 from .scenario import CorrelationRecord, Strategy
 
 __all__ = [
@@ -134,7 +134,7 @@ def strategy_to_dict(strategy: Strategy, meta: dict | None = None) -> dict:
                         "party": party,
                         "setting": setting,
                         "time_slice": time_slice,
-                        **matrix_payload(o.matrix),
+                        **matrix_payload(o),
                     }
                 )
     matrices.append({"role": "interaction", **matrix_payload(strategy.interaction.matrix)})
@@ -198,21 +198,14 @@ def strategy_from_dict(data: dict) -> Strategy:
     def pairs(time_slice):
         out = []
         for party in range(parties):
-            pair = []
             for setting in (0, 1):
-                key = (party, setting, time_slice)
-                if key not in observables:
+                if (party, setting, time_slice) not in observables:
                     raise SerializationError(
                         f"matrices: missing observable party={party} setting={setting} "
                         f"time_slice={time_slice}"
                     )
-                pair.append(
-                    DichotomicObservable(
-                        observables[key], party=party, setting=setting, time_slice=time_slice
-                    )
-                )
-            out.append(tuple(pair))
-        return tuple(out)
+            out.append(tuple(observables[(party, s, time_slice)] for s in (0, 1)))
+        return out
 
     try:
         return Strategy(

@@ -29,6 +29,12 @@ def dag(m):
     return np.conj(m).T
 
 
+def effect(observable, outcome):
+    """Measurement element ``(I + (-1)^outcome O) / 2`` of a +/-1 observable."""
+    sign = 1.0 if outcome == 0 else -1.0
+    return (np.eye(len(observable)) + sign * np.asarray(observable)) / 2.0
+
+
 def phase_distance(a, b):
     """Max-norm distance between two matrices minimized over a global phase."""
     a, b = np.asarray(a), np.asarray(b)

@@ -32,6 +32,7 @@ from conftest import (
     Z,
     bitmask_classical_bound,
     brute_force_classical_bound,
+    effect,
     on_target,
 )
 
@@ -206,7 +207,7 @@ class TestExtraStatistics:
         kernels."""
         n = strategy.parties
         t1 = strategy.observables_t1
-        projectors = [t1[k][settings[k]].effect(outcomes[k]) for k in range(n)]
+        projectors = [effect(t1[k][settings[k]], outcomes[k]) for k in range(n)]
         (sigma,) = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
         stacks = setting_stacks(strategy.observables_t2)
         return extra_statistics(effect_table([sigma], strategy.interaction.dims_out, stacks)[0])

@@ -17,7 +17,6 @@ from bellcert.certify import (
 )
 from bellcert.linalg import dagger, kron, max_abs, partial_trace
 from bellcert.quantum import (
-    DichotomicObservable,
     Interaction,
     QuantumState,
     _rng,
@@ -46,6 +45,7 @@ from conftest import (
     Z,
     canonical_reordering,
     diag_phase_deviation,
+    effect,
     phase_distance,
     swap_deviation,
     vector_block,
@@ -93,13 +93,7 @@ class TestProjectivityCheck:
             assert check.passed and check.value < 1e-12
 
     def test_scaled_observable_defect(self, ref2):
-        scaled = tuple(
-            (
-                DichotomicObservable(0.95 * pair[0].matrix, party=p, setting=0, time_slice=2),
-                pair[1],
-            )
-            for p, pair in enumerate(ref2.observables_t2)
-        )
+        scaled = tuple((0.95 * pair[0], pair[1]) for pair in ref2.observables_t2)
         strategy = Strategy(
             source_state=ref2.source_state,
             observables_t1=ref2.observables_t1,
@@ -297,7 +291,7 @@ class TestFramesActPerParty:
 
         xi_support = support_isometry(report.state.aux_state)
         assert xi_support.shape == (k_in, k_in)  # xi is full-rank on the supports
-        cert = certify_interaction(strategy.interaction, frames_t1, frames_t2, xi_support)
+        cert = certify_interaction(strategy.interaction.matrix, frames_t1, frames_t2, xi_support)
         assert max_abs(cert.aux_unitary - v0) <= 1e-14
         assert abs(cert.residual - max_abs(deviation)) <= 1e-14
         assert abs(cert.proportionality_error - proportionality) <= 1e-14
@@ -366,14 +360,12 @@ class TestFramesIgnoreRoundoff:
         time_slice, party, setting = which
         field = f"observables_t{time_slice}"
         obs = [list(pair) for pair in getattr(strategy, field)]
-        o = obs[party][setting].matrix
+        o = obs[party][setting]
         h = rng.standard_normal(o.shape) + 1j * rng.standard_normal(o.shape)
         h = (h + dagger(h)) / 2.0
         moved = o + 1e-16 * h / max_abs(h)
         assert not np.array_equal(moved, o)
-        obs[party][setting] = DichotomicObservable(
-            moved, party=party, setting=setting, time_slice=time_slice
-        )
+        obs[party][setting] = moved
         return dataclasses.replace(strategy, **{field: tuple(tuple(p) for p in obs)})
 
     @pytest.mark.parametrize(
@@ -738,9 +730,7 @@ class TestOneLinePerPremise:
         c, s = math.cos(delta), math.sin(delta)
         r = np.array([[c, -s], [s, c]], dtype=complex)
         pairs = [list(pair) for pair in reference.observables_t2]
-        pairs[1][1] = DichotomicObservable(
-            r @ pairs[1][1].matrix @ dagger(r), party=1, setting=1, time_slice=2
-        )
+        pairs[1][1] = r @ pairs[1][1] @ dagger(r)
         return Strategy(
             source_state=reference.source_state,
             observables_t1=reference.observables_t1,
@@ -796,9 +786,7 @@ class TestFailureLinesPinned:
     def with_t2(reference, party, setting, change):
         """Replace one second-round observable ``O`` by ``change(O)``."""
         pairs = [list(pair) for pair in reference.observables_t2]
-        pairs[party][setting] = DichotomicObservable(
-            change(pairs[party][setting].matrix), party=party, setting=setting, time_slice=2
-        )
+        pairs[party][setting] = change(pairs[party][setting])
         return dataclasses.replace(reference, observables_t2=tuple(tuple(p) for p in pairs))
 
     @staticmethod
@@ -861,7 +849,7 @@ class TestBranchStatesBuiltOnce:
         marginals = [[] for _ in range(n)]
         for a in itertools.product((0, 1), repeat=n):
             x = bell_branch_settings(n)
-            pi = kron(*[strategy.observables_t1[k][x[k]].effect(a[k]) for k in range(n)])
+            pi = kron(*[effect(strategy.observables_t1[k][x[k]], a[k]) for k in range(n)])
             projected = pi @ rho @ dagger(pi)
             sigma = v @ (projected / np.real(np.trace(projected))) @ dagger(v)
             for p in range(n):
@@ -958,15 +946,7 @@ class TestIndependentHaarEmbedding:
             for p in range(2):
                 w = random_unitary(4, rng)
                 ws[(p, t)] = w
-                pair = tuple(
-                    DichotomicObservable(
-                        w @ kron(targets[p][j], np.eye(2)) @ dagger(w),
-                        party=p,
-                        setting=j,
-                        time_slice=t,
-                    )
-                    for j in (0, 1)
-                )
+                pair = tuple(w @ kron(targets[p][j], np.eye(2)) @ dagger(w) for j in (0, 1))
                 obs[t].append(pair)
         reorder = canonical_reordering(aux)
         xi = random_density(aux, rng)

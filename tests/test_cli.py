@@ -3,6 +3,9 @@ import hashlib
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +14,12 @@ import pytest
 from bellcert import certify, cli, serialize
 from bellcert.cli import main
 from bellcert.certify import run_full_certification
-from bellcert.quantum import DichotomicObservable, Interaction, QuantumState
-from bellcert.scenario import Strategy, scramble_strategy
+from bellcert.quantum import Interaction, QuantumState
+from bellcert.scenario import Strategy, run_scenario, scramble_strategy
 from bellcert.reference import reference_strategy
 from bellcert.serialize import SCHEMA_VERSION, matrix_from_payload, save_strategy, strategy_to_dict
 
-from conftest import diag_phase_deviation, swap_deviation
+from conftest import diag_phase_deviation, effect, swap_deviation
 
 
 class TestBounds:
@@ -127,7 +130,8 @@ class TestNonFiniteEntries:
         path.write_text(json.dumps(data).replace("1234.5678", literal))
         capsys.readouterr()
         assert main(["certify", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: matrices[")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: matrices[5].entries[1]: non-finite entry")
         assert main(["--format", "machine", "simulate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "non-finite entry" in out.err
@@ -342,20 +346,12 @@ class TestBranchStackGuard:
         z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         ones = (np.eye(1), np.eye(1))
 
-        def pairs(t):
-            return tuple(
-                tuple(
-                    DichotomicObservable(m, party=p, setting=j, time_slice=t)
-                    for j, m in enumerate((z, x) if p == 0 else ones)
-                )
-                for p in range(n)
-            )
-
+        pairs = ((z, x),) + (ones,) * (n - 1)
         dims = (2,) + (1,) * (n - 1)
         strategy = Strategy(
             source_state=QuantumState(np.diag([0.5, 0.5]), dims),
-            observables_t1=pairs(1),
-            observables_t2=pairs(2),
+            observables_t1=pairs,
+            observables_t2=pairs,
             interaction=Interaction(np.eye(2), dims, dims),
         )
         path = tmp_path / "thin.json"
@@ -384,7 +380,7 @@ class TestStrictJson:
     def vanishing(self, tmp_path, ref2):
         # The product eigenstate of both setting-0 observables: three of the
         # four Bell-branch outcomes have probability zero.
-        e = [pair[0].effect(0) for pair in ref2.observables_t1]
+        e = [effect(pair[0], 0) for pair in ref2.observables_t1]
         rho = np.kron(e[0], e[1])
         strategy = dataclasses.replace(ref2, source_state=QuantumState(rho / np.trace(rho), (2, 2)))
         path = tmp_path / "vanishing.json"
@@ -610,6 +606,98 @@ class TestValidationAtTheBoundary:
         assert xi.shape == (2, 2) and shapes[0] == ("eigh", (16, 16))
 
 
+class TestObservableBoundary:
+    """``Strategy`` checks each observable once, at load: finite entries and
+    hermiticity within ``ALGEBRA_TOL`` (1e-9), and keeps its Hermitian part,
+    so an observable it accepts cannot fail a hermiticity check later."""
+
+    @staticmethod
+    def with_observable(tmp_path, strategy, which, delta):
+        """A strategy file whose observable ``which = (party, setting,
+        time_slice)`` is ``A + delta``, written from the payload itself:
+        ``save_strategy`` would write the Hermitian part."""
+        data = strategy_to_dict(strategy)
+        party, setting, time_slice = which
+        keys = [(m.get("party"), m.get("setting"), m.get("time_slice")) for m in data["matrices"]]
+        entry = data["matrices"][keys.index(which)]
+        pairs = strategy.observables_t1 if time_slice == 1 else strategy.observables_t2
+        entry.update(serialize.matrix_payload(pairs[party][setting] + delta))
+        path = tmp_path / "perturbed.json"
+        serialize.write_json(data, path)
+        return path
+
+    @staticmethod
+    def anti_hermitian(d, defect, seed):
+        """A random anti-Hermitian ``delta`` with ``max|delta - delta^dag| = defect``."""
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = m - np.conj(m).T
+        return m * (defect / np.max(np.abs(m - np.conj(m).T)))
+
+    def test_defect_grown_on_the_support_is_not_an_error(self, tmp_path, capsys):
+        # Hermiticity defect 9.7e-10 on the observable, 1.5e-9 once it is
+        # compressed to the party's rank-4 support, where the frame's
+        # eigensolve used to raise NonHermitianError (exit 2).  The Hermitian
+        # part decides, as for the unperturbed rank-one xi: inconclusive.
+        strategy = scramble_strategy(reference_strategy(2), (3, 2), seed=0, xi_rank=1).strategy
+        s = certify._compute_supports(strategy, run_scenario(strategy))[(0, 1)]
+        x, y = s[:, 0], s[:, 1]
+        m = 0.49e-9 * np.exp(1j * (np.angle(x)[:, None] - np.angle(y)[None, :]))
+        delta = (m - np.conj(m).T) / 2.0
+        a = strategy.observables_t1[0][0] + delta
+        assert 9.5e-10 < np.max(np.abs(a - np.conj(a).T)) <= 1e-9
+        compressed = np.conj(s).T @ a @ s
+        assert np.max(np.abs(compressed - np.conj(compressed).T)) > 1.5e-9
+        path = self.with_observable(tmp_path, strategy, (0, 0, 1), delta)
+        assert main(["certify", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.err == "" and "full-rank auxiliary state" in out.out
+
+    def test_defect_just_above_tolerance_exits_2(self, tmp_path, capsys, ref2):
+        delta = self.anti_hermitian(2, 1.01e-9, 0)
+        path = self.with_observable(tmp_path, ref2, (1, 0, 2), delta)
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: strategy validation: t2 observable (party 1, setting 0) is not Hermitian"
+        ]
+
+    @pytest.mark.parametrize("which", [(0, 1, 1), (1, 0, 2)])
+    def test_defect_just_below_tolerance_keeps_the_verdict(self, tmp_path, capsys, which):
+        strategy = scramble_strategy(reference_strategy(2), (2, 2), seed=3).strategy
+        plain = tmp_path / "plain.json"
+        save_strategy(strategy, plain)
+        delta = self.anti_hermitian(4, 0.99e-9, 1)
+        path = self.with_observable(tmp_path, strategy, which, delta)
+        assert main(["--format", "machine", "certify", str(plain)]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert main(["--format", "machine", "certify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict == "certified"
+
+
+class TestSameReportAcrossProcesses:
+    def test_hash_seed_does_not_change_the_report(self, tmp_path):
+        strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), seed=7).strategy
+        save_strategy(strategy, tmp_path / "s.json")
+        src = Path(cli.__file__).resolve().parents[1]
+        runs = []
+        for hash_seed in ("0", "1"):
+            report = tmp_path / f"r{hash_seed}.json"
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+            argv = ["--format", "machine", "certify", "s.json", "--report", report.name]
+            done = subprocess.run(
+                [sys.executable, "-m", "bellcert.cli", *argv],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                check=False,
+            )
+            runs.append((done.returncode, done.stdout, report.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1] == runs[0][2]
+
+
 class TestNoiseSweep:
     def test_rows_and_monotonicity(self, tmp_path, capsys):
         path = tmp_path / "ref.json"
@@ -679,7 +767,7 @@ class TestNoiseSweep:
 
     def test_non_projective_first_round_is_a_usage_error(self, tmp_path, capsys, ref2):
         pair = ref2.observables_t1[0]
-        scaled = DichotomicObservable(0.95 * pair[0].matrix, party=0, setting=0, time_slice=1)
+        scaled = 0.95 * pair[0]
         strategy = dataclasses.replace(
             ref2, observables_t1=((scaled, pair[1]),) + ref2.observables_t1[1:]
         )

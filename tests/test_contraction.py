@@ -23,9 +23,7 @@ from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, parti
 from bellcert.quantum import (
     FACTOR_FLOOR,
     ZERO_PROB,
-    DichotomicObservable,
     QuantumState,
-    as_matrix,
     clamp_probabilities,
     effect_table,
     local_contraction,
@@ -45,6 +43,8 @@ from bellcert.scenario import (
 )
 from bellcert.seesaw import _effective_operators, _strategy_value
 
+from conftest import effect
+
 EXACT = 1e-14
 
 
@@ -59,7 +59,7 @@ def dense_effects(observables):
     """The Kronecker effect of every (settings, outcomes) pair, stacked."""
     n = len(observables)
     pairs = list(itertools.product(itertools.product((0, 1), repeat=n), repeat=2))
-    effects = [kron(*[observables[k][x[k]].effect(a[k]) for k in range(n)]) for x, a in pairs]
+    effects = [kron(*[effect(observables[k][x[k]], a[k]) for k in range(n)]) for x, a in pairs]
     return pairs, np.stack(effects)
 
 
@@ -75,10 +75,7 @@ def dense_distributions(rho, observables, effects=None):
 
 
 def random_observables(dims, rng):
-    return [
-        tuple(DichotomicObservable(random_projective_observable(d, rng)) for _ in (0, 1))
-        for d in dims
-    ]
+    return [tuple(random_projective_observable(d, rng) for _ in (0, 1)) for d in dims]
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
@@ -89,7 +86,7 @@ def test_born_probability_matches_dense_formula(dims):
         observables = random_observables(dims, rng)
         dense = dense_distributions(state.density, observables)
         for x, probs in dense.items():
-            effects = [[observables[k][x[k]].effect(a) for a in (0, 1)] for k in range(len(dims))]
+            effects = [[effect(observables[k][x[k]], a) for a in (0, 1)] for k in range(len(dims))]
             table = clamp_probabilities(effect_table(state.density, dims, effects))
             assert np.max(np.abs(table - probs)) <= EXACT
 
@@ -128,7 +125,7 @@ def test_post_measurement_state_matches_dense_formula(dims):
     observables = random_observables(dims, rng)
     for x in itertools.product((0, 1), repeat=len(dims)):
         for a in itertools.product((0, 1), repeat=len(dims)):
-            projectors = [observables[k][x[k]].effect(a[k]) for k in range(len(dims))]
+            projectors = [effect(observables[k][x[k]], a[k]) for k in range(len(dims))]
             (out,) = post_measurement_states(state, projectors)
             assert max_abs(out.density - dense_post_measurement(state.density, projectors)) <= EXACT
     # The kernel applies Pi and Pi^dag separately, so it must also hold for
@@ -216,10 +213,7 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     p1 = dense_distributions(rho, strategy.observables_t1)
     for x, probs in p1.items():
         assert max_abs(record.p1[x] - probs) <= EXACT
-    obs_t1, obs_t2 = (
-        [[as_matrix(o) for o in pair] for pair in obs]
-        for obs in (strategy.observables_t1, strategy.observables_t2)
-    )
+    obs_t1, obs_t2 = strategy.observables_t1, strategy.observables_t2
     expr = BellExpression(parties, (0,) * parties)
     t1 = np.real(np.trace(dense_bell_operator(expr, obs_t1) @ rho))
     assert abs(record.t1_bell_value - t1) <= 1e-13
@@ -236,7 +230,7 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     else:
         assert len(kept) == 2**parties + 1
     for (x1, a1), tables, state in zip(record.events, record.p2, record.conditional_states):
-        projectors = [strategy.observables_t1[k][x1[k]].effect(a1[k]) for k in range(parties)]
+        projectors = [effect(strategy.observables_t1[k][x1[k]], a1[k]) for k in range(parties)]
         sigma = v @ dense_post_measurement(rho, projectors) @ dagger(v)
         assert max_abs(state.density - sigma) <= EXACT
         for x2, probs in dense_distributions(sigma, strategy.observables_t2, effects_t2).items():
@@ -315,13 +309,13 @@ def test_factor_floor_edges_match_dense_formula(edge):
     v = random_unitary(6, rng)
     pairs = list(itertools.product(itertools.product((0, 1), repeat=2), repeat=2))
     projectors = [
-        np.stack([observables_t1[k][x[k]].effect(a[k]) for x, a in pairs]) for k in (0, 1)
+        np.stack([effect(observables_t1[k][x[k]], a[k]) for x, a in pairs]) for k in (0, 1)
     ]
     branches = post_measurement_states(state, projectors, quantum.Interaction(v, dims, dims))
     tables = effect_table(branches, dims, effect_stacks(observables_t2))
     effects = dense_effects(observables_t2)
     for b, (x1, a1) in enumerate(pairs):
-        ops = [observables_t1[k][x1[k]].effect(a1[k]) for k in (0, 1)]
+        ops = [effect(observables_t1[k][x1[k]], a1[k]) for k in (0, 1)]
         sigma = v @ dense_post_measurement(state.density, ops) @ dagger(v)
         for x2, probs in dense_distributions(sigma, observables_t2, effects).items():
             for a2 in itertools.product((0, 1), repeat=2):

@@ -13,7 +13,6 @@ from bellcert.linalg import (
     partial_trace,
 )
 from bellcert.quantum import (
-    DichotomicObservable,
     Interaction,
     NonUnitaryError,
     QuantumState,
@@ -33,19 +32,17 @@ from bellcert.reference import (
     HBAR_BASIS,
     entangling_unitary,
     ghz_like_vector,
-    reference_observables,
+    reference_strategy,
+    target_observables,
 )
+from bellcert.scenario import Strategy
 
-from conftest import I2, PHI_PLUS, X, Z
+from conftest import I2, PHI_PLUS, X, Z, effect
 
 
 @pytest.fixture
 def phi_plus():
     return pure_state(PHI_PLUS, (2, 2))
-
-
-def _obs(m, **kw):
-    return DichotomicObservable(np.asarray(m, dtype=complex), **kw)
 
 
 class TestQuantumState:
@@ -80,11 +77,10 @@ class TestQuantumState:
         phi_plus.factor
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        zo = _obs(Z)
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         derived = [
             pure_state(PHI_PLUS, (2, 2)).density,
-            *(s.density for s in post_measurement_states(phi_plus, [zo.effect(0), None])),
+            *(s.density for s in post_measurement_states(phi_plus, [effect(Z, 0), None])),
             *(s.density for s in post_measurement_states(phi_plus, [None, None], u)),
             white_noise_mix(phi_plus, 0.3).density,
             random_density((2, 3), 5).density,
@@ -105,8 +101,13 @@ class TestQuantumState:
 
 class TestDichotomicObservable:
     def test_non_finite_matrix_rejected(self):
-        with pytest.raises(ValueError, match=r"observable \(party=1, .*entry \(0, 0\) is not finite"):
-            DichotomicObservable(np.array([[np.nan, 0.0], [0.0, 1.0]]), party=1)
+        ref = reference_strategy(2)
+        pairs = list(ref.observables_t2)
+        pairs[1] = (np.array([[np.nan, 0.0], [0.0, 1.0]]), pairs[1][1])
+        with pytest.raises(
+            ValueError, match=r"t2 observable \(party 1, setting 0\) entry \(0, 0\) is not finite"
+        ):
+            Strategy(ref.source_state, ref.observables_t1, pairs, ref.interaction)
 
 
 class TestBornProbability:
@@ -115,30 +116,30 @@ class TestBornProbability:
 
     @staticmethod
     def _effects(o):
-        return np.stack([o.effect(0), o.effect(1)])
+        return np.stack([effect(o, 0), effect(o, 1)])
 
     def test_perfect_correlation(self, phi_plus):
-        zs = self._effects(_obs(Z))
+        zs = self._effects(Z)
         table = effect_table(phi_plus.density, phi_plus.dims, [zs, zs])
         assert table.shape == (2, 2)
         assert abs(table[0, 0] - 0.5) < 1e-12 and abs(table[1, 1] - 0.5) < 1e-12
 
     def test_forbidden_outcome(self, phi_plus):
-        zs = self._effects(_obs(Z))
+        zs = self._effects(Z)
         table = clamp_probabilities(effect_table(phi_plus.density, phi_plus.dims, [zs, zs]))
         assert table[0, 1] == 0.0 and table[1, 0] == 0.0
 
     def test_clamps_within_zero_prob_onto_unit_interval(self):
         # A valid state up to rounding: eigenvalues 1 + 1e-13 and -1e-13.
         state = QuantumState(np.diag([1.0 + 1e-13, -1e-13]), (2,))
-        table = effect_table(state.density, state.dims, [self._effects(_obs(Z))])
+        table = effect_table(state.density, state.dims, [self._effects(Z)])
         assert table.tolist() == [1.0 + 1e-13, -1e-13]
         assert clamp_probabilities(table).tolist() == [1.0, 0.0]
 
     def test_tilted_setting(self, phi_plus):
-        a0 = _obs((X + Z) / math.sqrt(2.0))
-        b0 = _obs(Z)
-        p = effect_table(phi_plus.density, phi_plus.dims, [a0.effect(0), b0.effect(0)]).item()
+        a0 = (X + Z) / math.sqrt(2.0)
+        b0 = Z
+        p = effect_table(phi_plus.density, phi_plus.dims, [effect(a0, 0), effect(b0, 0)]).item()
         assert abs(p - (1.0 + 1.0 / math.sqrt(2.0)) / 4.0) < 1e-12
 
     def test_dimension_mismatch(self, phi_plus):
@@ -150,9 +151,7 @@ class TestBornProbability:
         for _ in range(20):
             dims = (2, int(rng.integers(2, 5)))
             state = random_density(dims, rng)
-            observables = [
-                DichotomicObservable(random_projective_observable(d, rng)) for d in dims
-            ]
+            observables = [random_projective_observable(d, rng) for d in dims]
             stacks = [self._effects(o) for o in observables]
             table = clamp_probabilities(effect_table(state.density, state.dims, stacks))
             assert np.all(table >= 0.0)
@@ -179,10 +178,8 @@ class TestExpectation:
         for _ in range(20):
             dims = (int(rng.integers(2, 5)), 2)
             state = random_density(dims, rng)
-            obs = [
-                DichotomicObservable(random_projective_observable(d, rng)) for d in dims
-            ]
-            stacks = [[o.effect(0), o.effect(1)] for o in obs]
+            obs = [random_projective_observable(d, rng) for d in dims]
+            stacks = [[effect(o, 0), effect(o, 1)] for o in obs]
             table = clamp_probabilities(effect_table(state.density, dims, stacks))
             signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
             assert abs(local_contraction(state.density, dims, obs).item() - signed) < 1e-12
@@ -192,17 +189,16 @@ class TestPostMeasurement:
     """``post_measurement_states`` on one branch."""
 
     def test_projects_onto_outcome(self, phi_plus):
-        zo = _obs(Z)
-        (out,) = post_measurement_states(phi_plus, [zo.effect(0), zo.effect(0)])
+        (out,) = post_measurement_states(phi_plus, [effect(Z, 0), effect(Z, 0)])
         target = np.zeros((4, 4), dtype=complex)
         target[0, 0] = 1.0
         assert max_abs(out.density - target) < 1e-12
 
     def test_reference_first_round_leaves_product_state(self, phi_plus):
-        obs = reference_observables(2, time_slice=1)
+        obs = target_observables(2)
         for a, b in itertools.product((0, 1), repeat=2):
             (out,) = post_measurement_states(
-                phi_plus, [obs[0][0].effect(a), obs[1][0].effect(b)]
+                phi_plus, [effect(obs[0][0], a), effect(obs[1][0], b)]
             )
             vec = kron(
                 HBAR_BASIS[a].reshape(-1, 1), np.eye(2)[:, b].reshape(-1, 1)
@@ -210,15 +206,13 @@ class TestPostMeasurement:
             assert max_abs(out.density - np.outer(vec, vec.conj())) < 1e-12
 
     def test_impossible_outcome(self):
-        zo = _obs(Z)
         state = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
         with pytest.raises(ZeroProbabilityError):
-            post_measurement_states(state, [zo.effect(1), zo.effect(1)])
+            post_measurement_states(state, [effect(Z, 1), effect(Z, 1)])
 
     def test_repeat_measurement_is_deterministic(self, phi_plus):
-        zo = _obs(Z)
-        (out,) = post_measurement_states(phi_plus, [zo.effect(0), zo.effect(0)])
-        assert abs(effect_table([out], (2, 2), [zo.effect(0), zo.effect(0)]).item() - 1.0) < 1e-10
+        (out,) = post_measurement_states(phi_plus, [effect(Z, 0), effect(Z, 0)])
+        assert abs(effect_table([out], (2, 2), [effect(Z, 0), effect(Z, 0)]).item() - 1.0) < 1e-10
 
 
 class TestEvolve:
@@ -272,7 +266,7 @@ class TestWhiteNoise:
 
     def test_bell_value_scales_linearly(self, phi_plus):
         expr = BellExpression(2, (0, 0))
-        obs = reference_observables(2, time_slice=1)
+        obs = target_observables(2)
         mixed = white_noise_mix(phi_plus, 0.9)
         assert abs(quantum_value(mixed, obs, expr) - 1.8) < 1e-12
 

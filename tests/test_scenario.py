@@ -9,7 +9,6 @@ import pytest
 
 from bellcert.linalg import max_abs
 from bellcert.quantum import (
-    DichotomicObservable,
     Interaction,
     QuantumState,
     pure_state,
@@ -85,25 +84,11 @@ class TestRunScenario:
             assert max_abs(marginals[0] - marginals[1]) < 1e-10
 
     def test_zero_probability_events_are_omitted(self):
-        obs = tuple(
-            (
-                DichotomicObservable(Z, party=p, setting=0, time_slice=t),
-                DichotomicObservable(X, party=p, setting=1, time_slice=t),
-            )
-            for p in range(2)
-            for t in (1,)
-        )
-        obs2 = tuple(
-            (
-                DichotomicObservable(Z, party=p, setting=0, time_slice=2),
-                DichotomicObservable(X, party=p, setting=1, time_slice=2),
-            )
-            for p in range(2)
-        )
+        obs = ((Z, X), (Z, X))
         strategy = Strategy(
             source_state=pure_state(np.array([1.0, 0, 0, 0]), (2, 2)),
             observables_t1=obs,
-            observables_t2=obs2,
+            observables_t2=obs,
             interaction=Interaction(np.eye(4), (2, 2), (2, 2)),
         )
         rec = run_scenario(strategy)
@@ -114,10 +99,7 @@ class TestRunScenario:
             assert rec.event_probabilities[(x1, a1)] > 1e-12
 
     def test_non_projective_first_round_rejected(self, ref2):
-        soft = tuple(
-            (DichotomicObservable(0.9 * pair[0].matrix), pair[1])
-            for pair in ref2.observables_t1
-        )
+        soft = tuple((0.9 * pair[0], pair[1]) for pair in ref2.observables_t1)
         strategy = Strategy(
             source_state=ref2.source_state,
             observables_t1=soft,

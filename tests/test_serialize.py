@@ -67,7 +67,7 @@ class TestStrategyFile:
         ):
             for pair_l, pair_o in zip(t_loaded, t_orig):
                 for o_l, o_o in zip(pair_l, pair_o):
-                    assert np.array_equal(o_l.matrix, o_o.matrix)
+                    assert np.array_equal(o_l, o_o)
 
     def test_loaded_strategy_behaves_identically(self, tmp_path, ref2):
         path = tmp_path / "ref.json"
@@ -134,7 +134,7 @@ class TestRecordAndReport:
 
 def _matrices(strategy):
     """Every matrix of a strategy, in file order."""
-    obs = [o.matrix for t in (strategy.observables_t1, strategy.observables_t2) for p in t for o in p]
+    obs = [o for t in (strategy.observables_t1, strategy.observables_t2) for p in t for o in p]
     return [strategy.source_state.density, *obs, strategy.interaction.matrix]
 
 
