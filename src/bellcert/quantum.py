@@ -483,29 +483,42 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from QR-orthonormalizing complex Gaussian
+    matrices, R's diagonal phases moved into Q: for standard normal
+    ``draws`` of shape ``(..., 2, d, d)`` (real parts, then imaginary parts),
+    one stacked QR gives the ``(..., d, d)`` unitaries."""
+    z = (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
+
+
+def _projective_observables(draws: np.ndarray) -> np.ndarray:
+    """Random +/-1 observables ``U diag(1, ..., -1) U^dag`` with ``d // 2``
+    positive entries, ``U`` the ``_haar_unitaries`` of ``draws``; the same
+    signature for every matrix of the stack."""
+    u = _haar_unitaries(draws)
+    d = u.shape[-1]
+    signs = np.array([1.0] * (d // 2) + [-1.0] * (d - d // 2), dtype=complex)
+    o = (u * signs) @ np.conj(np.swapaxes(u, -1, -2))
+    return (o + np.conj(np.swapaxes(o, -1, -2))) / 2.0
+
+
 def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from QR-orthonormalizing a complex Gaussian
-    matrix; deterministic for a fixed integer seed."""
+    """Haar-distributed unitary (``_haar_unitaries``); deterministic for a
+    fixed integer seed."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    rng = _rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(_rng(seed).standard_normal((2, dim, dim)))
 
 
 def random_projective_observable(dim: int, seed) -> np.ndarray:
     """Random +/-1 observable with ``O^2 = I``: a balanced signature matrix
     (``dim // 2`` positive entries) conjugated by a Haar unitary."""
-    rng = _rng(seed)
-    k = dim // 2
-    if k < 1:
+    if dim // 2 < 1:
         raise ValueError(f"dimension {dim} leaves an eigenspace empty")
-    signs = np.diag(np.array([1.0] * k + [-1.0] * (dim - k), dtype=complex))
-    u = random_unitary(dim, rng)
-    o = u @ signs @ dagger(u)
-    return (o + dagger(o)) / 2.0
+    return _projective_observables(_rng(seed).standard_normal((2, dim, dim)))
 
 
 def random_density(dims: tuple[int, ...], seed, rank: int | None = None) -> QuantumState:

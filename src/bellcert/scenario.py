@@ -190,7 +190,7 @@ def _observable_pair(pair, name: str, party: int, d: int) -> np.ndarray:
     labels = [f"{name} observable (party {party}, setting {s})" for s in (0, 1)]
     for label, m in zip(labels, pair):
         if np.shape(m) != (d, d):
-            raise DimensionMismatchError(f"{label} has dim {np.shape(m)[0]}, expected {d}")
+            raise DimensionMismatchError(f"{label} has shape {np.shape(m)}, expected {(d, d)}")
     pair = np.array(pair, dtype=complex)
     for label, m in zip(labels, pair):
         _check_finite(m, label)

@@ -9,19 +9,23 @@ restricted problem exactly, the state update to within
 decreases by more than that, and for this Bell family it can never pass
 ``2 (N - 1)`` at any local dimension.
 
-The restarts of a run advance in lockstep.  Each iteration builds the
-``(R, D, D)`` Bell operators of the R active restarts in one
-``bell.bell_operators`` pass; the state stays a vector, a row of ``psi``
-of shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
+The restarts of a run advance in lockstep, from starting observables
+drawn together: each restart's seeded generator draws one Gaussian block
+per party, the stream of two ``quantum.random_projective_observable``
+calls, and one stacked QR per party makes every restart's pair.  Each
+iteration builds the ``(R, D, D)`` Bell operators of the R active restarts
+in one ``bell.bell_operators`` pass; the state stays a vector, a row of
+``psi`` of shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
 diagonalizes the operators.  From there on ``optimal_state_update`` finds
 each operator's top eigenvector by Rayleigh-quotient iteration from the
 previous iteration's row of ``psi``; a Cholesky factorization checks the
 value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
 restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
-parties' ``(I, A_0, A_1)`` stacks, term by term over the nonzero entries of
-``bell.bell_coefficients``, so no D x D density is formed, and one stacked
-``eigh`` gives the new settings of every restart.  The last party's
+parties' ``(I, A_0, A_1)`` stacks, one group of nonzero entries of
+``bell.bell_coefficients`` (one term of the functional) at a time with
+party 0's two settings merged, so no D x D density is formed, and one
+stacked ``eigh`` gives the new settings of every restart.  The last party's
 effective operators, summed against its updated settings, are the
 iteration value.  A restart that meets the convergence rule leaves the
 batch, and the restarts go in chunks so that the Bell operators stay within
@@ -35,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, bell_coefficients, bell_operators, setting_stacks
+from .bell import BellExpression, bell_coefficients, bell_operators
 from .linalg import EigenDecomposition
-from .quantum import QuantumState, _chunks, _rng, pure_state, random_projective_observable
+from .quantum import QuantumState, _chunks, _projective_observables, _rng, pure_state
 
 __all__ = [
     "SeesawResult",
@@ -189,24 +193,51 @@ def _effective_operators(psi, dims, stacks, coefficients, party):
     for any stack ``S`` of ``party``, so ``K[:, 1 + s]`` is the effective
     operator of setting ``s``.
 
-    Each nonzero entry ``C[j]`` of ``bell_coefficients`` adds
-    ``C[j] O_j psi`` to ``phi[:, j_party]``, ``O_j`` being the other
-    parties' ``S_{j_q}``: ``(R, D)`` of scratch per entry.  Then
-    ``K_i = phi_i psi^dag`` with ``party``'s axis as the row index of both,
-    since ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b . conj(psi_a)``.
-    ``party``'s own stack does not enter, so its updated settings leave
-    ``K`` valid.
+    The nonzero entries of ``coefficients`` come in the groups of
+    ``_term_groups``, which share every index but party 0's.  Group ``g``
+    gives ``v_g = O_g psi``, ``O_g`` applying the other parties' factors one
+    ``_apply`` each: ``S_{j_q}`` for every party ``q > 0``, and for
+    ``party > 0`` party 0's settings merged into the one ``(R, d, d)``
+    operator ``sum_i w[g, i] S_i``.  Then ``phi_i = sum_g M[g, i] v_g``, for
+    ``(R, G, D)`` of scratch: ``M`` is the weights ``w`` for ``party = 0``,
+    so each ``v_g`` serves both of its settings, and otherwise picks
+    ``party``'s index in each group.  Finally ``K_i = phi_i psi^dag`` with
+    ``party``'s axis as the row index of both, since
+    ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b . conj(psi_a)``.  ``party``'s
+    own stack does not enter, so its updated settings leave ``K`` valid.
     """
-    phi = np.zeros((len(psi), 3, psi.shape[1]), dtype=complex)
-    for j in zip(*np.nonzero(coefficients)):
-        v = psi
-        for q, i in enumerate(j):
+    rest, weights = _term_groups(coefficients)
+    if party:
+        s0 = stacks[0]
+        merged = weights @ s0.reshape(len(s0), 3, -1)
+        merged = merged.reshape(merged.shape[:2] + s0.shape[2:])
+        slots = np.eye(3)[rest[:, party - 1]]
+    else:
+        slots = weights
+    v = np.empty((len(psi), len(rest), psi.shape[1]), dtype=complex)
+    for g, j in enumerate(rest):
+        x = _apply(merged[:, g], psi, dims, 0) if party else psi
+        for q, i in enumerate(j, start=1):
             if i and q != party:
-                v = _apply(stacks[q][:, i], v, dims, q)
-        phi[:, j[party]] += coefficients[j] * v
+                x = _apply(stacks[q][:, i], x, dims, q)
+        v[:, g] = x
+    phi = slots.T @ v
     bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
     k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
     return (k + np.conj(np.swapaxes(k, -1, -2))) / 2.0
+
+
+def _term_groups(coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of ``coefficients`` grouped by their indices of
+    parties 1..N-1, read off the nonzero pattern: ``rest`` (shape
+    ``(G, N - 1)``) holds each group's indices, and ``weights`` (shape
+    ``(G, 3)``) party 0's coefficients in it.  For ``bell_coefficients``
+    each group is one term of the functional, its T0 or T1 expanded into
+    party 0's two settings."""
+    flat = coefficients.reshape(3, -1)
+    columns = np.flatnonzero(np.any(flat, axis=0))
+    rest = np.stack(np.unravel_index(columns, coefficients.shape[1:]), axis=-1)
+    return rest, flat[:, columns].T
 
 
 def _strategy_value(stack, effective) -> np.ndarray:
@@ -216,9 +247,20 @@ def _strategy_value(stack, effective) -> np.ndarray:
     return np.real(np.einsum("...iab,...iba->...", stack, effective))
 
 
-def _random_observables(dims, seed: int) -> list[list[np.ndarray]]:
-    rng = _rng(seed)
-    return [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
+def _starting_stacks(dims, seeds) -> list[np.ndarray]:
+    """Per-party ``(R, 3, d, d)`` setting stacks of the restarts ``seeds``:
+    each seed's generator draws party by party one ``(2, 2, d, d)`` block,
+    the stream of two ``random_projective_observable`` calls, and one
+    stacked QR per party makes every restart's observables."""
+    rngs = [_rng(s) for s in seeds]
+    stacks = []
+    for d in dims:
+        draws = np.stack([rng.standard_normal((2, 2, d, d)) for rng in rngs])
+        stack = np.empty((len(rngs), 3, d, d), dtype=complex)
+        stack[:, 0] = np.eye(d)
+        stack[:, 1:] = _projective_observables(draws)
+        stacks.append(stack)
+    return stacks
 
 
 def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[SeesawResult]:
@@ -278,7 +320,6 @@ def seesaw_restarts(
     coefficients = bell_coefficients(expr)
     results = []
     for chunk in _chunks(len(seeds), math.prod(dims)):
-        starts = [setting_stacks(_random_observables(dims, s)) for s in seeds[chunk]]
-        stacks = [np.stack(p) for p in zip(*starts)]
+        stacks = _starting_stacks(dims, seeds[chunk])
         results += _lockstep(coefficients, dims, stacks, max_iters, convergence_tol)
     return results

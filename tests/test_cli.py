@@ -675,6 +675,22 @@ class TestObservableBoundary:
         assert main(["--format", "machine", "certify", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == verdict == "certified"
 
+    def test_non_square_observable_names_both_shapes(self, tmp_path, capsys, ref2):
+        # Two rows, as the party's dimension asks, but three columns.
+        data = strategy_to_dict(ref2)
+        keys = [(m.get("party"), m.get("setting"), m.get("time_slice")) for m in data["matrices"]]
+        entry = data["matrices"][keys.index((0, 0, 1))]
+        entry.update(serialize.matrix_payload(np.zeros((2, 3))))
+        path = tmp_path / "wide.json"
+        serialize.write_json(data, path)
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: strategy validation: t1 observable (party 0, setting 0) "
+            "has shape (2, 3), expected (2, 2)"
+        ]
+
 
 class TestSameReportAcrossProcesses:
     def test_hash_seed_does_not_change_the_report(self, tmp_path):

@@ -353,6 +353,34 @@ def test_chunked_restarts_match_one_chunk(dims, target, monkeypatch):
     assert_same_runs(seesaw_restarts(expr, dims, range(7)), whole)
 
 
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4), (2, 2)])
+def test_stacked_starts_are_each_seeds_observables(dims):
+    # The starts that reference_seesaw draws, one restart at a time.
+    seeds = [0, 1, 7, 1000]
+    stacks = seesaw._starting_stacks(dims, seeds)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        one = setting_stacks([[random_projective_observable(d, rng) for _ in range(2)] for d in dims])
+        assert all(np.array_equal(s[r], o) for s, o in zip(stacks, one))
+
+
+@pytest.mark.parametrize("target", [(0, 0, 0, 0), (1, 0, 1, 1)])
+def test_one_iteration_applies_thirty_factors(target, monkeypatch):
+    # Per iteration at N = 4: 6 factors for party 0, whose two settings
+    # share each term's product, and 8 for each other party, which applies
+    # party 0's two settings as one merged operator.
+    calls = []
+    apply = seesaw._apply
+
+    def counting(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(seesaw, "_apply", counting)
+    seesaw_restarts(BellExpression(4, target), (2, 2, 2, 2), range(3), max_iters=1)
+    assert len(calls) == 30
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
