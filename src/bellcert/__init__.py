@@ -5,7 +5,6 @@ from .bell import (
     BellExpression,
     build_bell_operator,
     classical_bound,
-    check_sos_relations,
     quantum_value,
     sos_residual,
     tilde_observables,

@@ -14,9 +14,12 @@ with identity padding on the parties absent from each second-group term.
 Local deterministic models satisfy ``B_a <= sqrt(2) (N-1)``; quantum
 strategies reach ``2 (N-1)`` and no more.
 
-Expanding T0 and T1 writes the functional once, as a real coefficient tensor
-``C`` over each party's ``(I, A_0, A_1)`` (``bell_coefficients``): the Bell
-operator and every contraction of it against a state are sums against ``C``.
+``bell_terms`` writes the functional once, as its N terms
+``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}``.  Scattered, they give
+the real coefficient tensor ``C`` over each party's ``(I, A_0, A_1)``
+(``bell_coefficients``): the Bell operator and every contraction of it
+against a state are sums against ``C``.  One at a time, they give the SOS
+witnesses ``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).
 A state's values come from its correlators, its table over each party's
 ``(I, A_0, A_1)`` (``setting_stacks``), which ``C`` and the side
 statistics are summed against; the fixed map ``E_{x,a} = (I + (-1)^a
@@ -32,15 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, kron, max_abs
+from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, max_abs
 from .quantum import QuantumState, effect_table
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
     "BellExpression",
     "SOSWitness",
-    "SOSRelationCheck",
     "tilde_observables",
+    "bell_terms",
     "bell_coefficients",
     "setting_stacks",
     "effect_stacks",
@@ -52,7 +55,6 @@ __all__ = [
     "quantum_value",
     "sos_terms",
     "sos_residual",
-    "check_sos_relations",
     "extra_statistics",
 ]
 
@@ -94,9 +96,28 @@ def tilde_observables(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     return (m0 - m1) / math.sqrt(2.0), (m0 + m1) / math.sqrt(2.0)
 
 
-def _padded(parties: int, dims, factors: dict[int, np.ndarray]) -> np.ndarray:
-    mats = [factors.get(n, np.eye(dims[n], dtype=complex)) for n in range(parties)]
-    return kron(*mats)
+def bell_terms(expr: BellExpression) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N terms ``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}`` of
+    the functional, where party n's ``S^n = (I, A_{n,0}, A_{n,1})``:
+    ``rest`` (shape ``(N, N - 1)``) holds each term's indices ``j`` of
+    parties 2..N, ``rows`` (shape ``(N, 3)``) party 1's ``u_g``, its signed
+    T0 or T1 expanded into its two settings, and ``weights`` the ``c_g``.
+    The terms come in the order of ``rest`` read as base-3 numbers:
+    ``Q_N, ..., Q_2``, then ``P``.
+    """
+    n, a = expr.parties, expr.target_outcomes
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    rest, rows = [], []
+    for m in range(n - 1, 0, -1):
+        # Q_m: (-1)^{a_1 + a_m} T0 ox A_{m,0}, with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
+        sign = -1.0 if (a[0] + a[m]) % 2 else 1.0
+        rest.append([1 if k == m else 0 for k in range(1, n)])
+        rows.append([0.0, sign * inv_sqrt2, -sign * inv_sqrt2])
+    # P: (N-1) (-1)^{a_1} T1 ox A_{2,1} ox ... ox A_{N,1}, with T1 = (A_{1,0} + A_{1,1}) / sqrt(2)
+    sign = -1.0 if a[0] else 1.0
+    rest.append([2] * (n - 1))
+    rows.append([0.0, sign * inv_sqrt2, sign * inv_sqrt2])
+    return np.array(rest), np.array(rows), np.array([1.0] * (n - 1) + [n - 1.0])
 
 
 def bell_coefficients(expr: BellExpression) -> np.ndarray:
@@ -104,22 +125,12 @@ def bell_coefficients(expr: BellExpression) -> np.ndarray:
 
         B_a = sum_i C[i_1, ..., i_N] S^1_{i_1} ox ... ox S^N_{i_N},
 
-    where party n's ``S^n = (I, A_{n,0}, A_{n,1})`` (``setting_stacks``) and
-    party 1's T0 and T1 are expanded into its two settings.
+    where party n's ``S^n = (I, A_{n,0}, A_{n,1})`` (``setting_stacks``):
+    the ``bell_terms`` scattered, each term's weighted row at its indices.
     """
-    n = expr.parties
-    a = expr.target_outcomes
-    s1 = -1.0 if a[0] else 1.0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    c = np.zeros((3,) * n)
-    # (N-1) T1 ox A_{2,1} ox ... ox A_{N,1}, with T1 = (A_{1,0} + A_{1,1}) / sqrt(2)
-    c[(1,) + (2,) * (n - 1)] = c[(2,) + (2,) * (n - 1)] = s1 * (n - 1) * inv_sqrt2
-    for m in range(1, n):
-        # (-1)^{a_n} T0 ox A_{n,0}, with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
-        sm = -1.0 if (a[0] + a[m]) % 2 else 1.0
-        rest = tuple(1 if k == m else 0 for k in range(1, n))
-        c[(1,) + rest] = sm * inv_sqrt2
-        c[(2,) + rest] = -sm * inv_sqrt2
+    rest, rows, weights = bell_terms(expr)
+    c = np.zeros((3,) * expr.parties)
+    c[(slice(None), *rest.T)] = (weights[:, np.newaxis] * rows).T
     return c
 
 
@@ -244,37 +255,34 @@ def quantum_value(state: QuantumState, observables, expr: BellExpression) -> flo
     return float(bell_values(bell_coefficients(expr), table, n))
 
 
-def sos_terms(expr: BellExpression, observables) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The squared-operator witnesses whose combination bounds the operator:
+def sos_terms(expr: BellExpression, observables) -> np.ndarray:
+    """The witnesses ``X_g = u_g . S^1 - S^2_{j_2} ox ... ox S^N_{j_N}`` of
+    the ``bell_terms``, shape ``(N, D, D)`` in their order:
 
+        Q_n = (-1)^{a_1 + a_n} T0 - A_{n,0}          (n = N, ..., 2)
         P   = (-1)^{a_1} T1 - A_{2,1} ox ... ox A_{N,1}
-        Q_n = (-1)^{a_1 + a_n} T0 - A_{n,0}          (n = 2..N)
 
     each padded with identities to the full space.
     """
-    n_parties = expr.parties
-    pairs = [np.asarray(p, dtype=complex) for p in observables]
-    dims = [p.shape[-1] for p in pairs]
-    a = expr.target_outcomes
-    t0, t1 = tilde_observables(pairs[0][0], pairs[0][1])
-    s1 = -1.0 if a[0] else 1.0
-
-    rest = {n: pairs[n][1] for n in range(1, n_parties)}
-    p_term = s1 * _padded(n_parties, dims, {0: t1}) - _padded(n_parties, dims, rest)
-    q_terms = []
-    for n in range(1, n_parties):
-        sn = -1.0 if (a[0] + a[n]) % 2 else 1.0
-        q_terms.append(
-            sn * _padded(n_parties, dims, {0: t0}) - _padded(n_parties, dims, {n: pairs[n][0]})
-        )
-    return p_term, q_terms
+    rest, rows, _ = bell_terms(expr)
+    stacks = setting_stacks(observables)
+    witnesses = []
+    for j, row in zip(rest, rows):
+        c = np.zeros((3,) * expr.parties)
+        c[(slice(None),) + (0,) * len(j)] = row
+        c[(0, *j)] = -1.0
+        witnesses.append(bell_operators(c, stacks))
+    return np.stack(witnesses)
 
 
 @dataclass(frozen=True, eq=False)
 class SOSWitness:
     """Residual of the sum-of-squares identity
 
-        R = 2 [beta_Q I - B] - [(N-1) P^2 + sum_n Q_n^2].
+        R = 2 [beta_Q I - B] - sum_g c_g X_g^2
+
+    over the ``bell_terms`` weights ``c_g`` and ``sos_terms`` witnesses
+    ``X_g``, that is ``(N-1) P^2 + sum_n Q_n^2``.
 
     ``residual_norm`` is the max-norm of R (zero exactly when every
     observable squares to the identity); ``min_eigenvalue`` certifies that R
@@ -290,36 +298,13 @@ def sos_residual(expr: BellExpression, observables) -> SOSWitness:
     """Evaluate the SOS identity residual for the given observables; the
     identity counts as exact when the residual is below ``ALGEBRA_TOL``."""
     op = build_bell_operator(expr, observables)
-    p_term, q_terms = sos_terms(expr, observables)
-    d = op.shape[0]
-    rhs = (expr.parties - 1) * (p_term @ p_term)
-    for q in q_terms:
-        rhs = rhs + q @ q
-    r = 2.0 * (expr.quantum_bound * np.eye(d) - op) - rhs
+    witnesses = sos_terms(expr, observables)
+    squares = np.tensordot(bell_terms(expr)[2], witnesses @ witnesses, 1)
+    r = 2.0 * (expr.quantum_bound * np.eye(op.shape[0]) - op) - squares
     norm = max_abs(r)
     min_eig = float(np.min(np.linalg.eigvalsh((r + dagger(r)) / 2.0)))
     return SOSWitness(
         residual_norm=norm, min_eigenvalue=min_eig, is_exact_identity=bool(norm < ALGEBRA_TOL)
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SOSRelationCheck:
-    """Mean squared norms ``Tr(P^dag P rho)`` and ``Tr(Q_n^dag Q_n rho)``;
-    all vanish exactly when the strategy attains the quantum bound."""
-
-    p_violation: float
-    q_violations: tuple[float, ...]
-
-
-def check_sos_relations(state: QuantumState, observables, expr: BellExpression) -> SOSRelationCheck:
-    p_term, q_terms = sos_terms(expr, observables)
-
-    def msq(t):
-        return float(np.real(np.trace(dagger(t) @ t @ state.density)))
-
-    return SOSRelationCheck(
-        p_violation=msq(p_term), q_violations=tuple(msq(q) for q in q_terms)
     )
 
 

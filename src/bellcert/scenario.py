@@ -134,7 +134,9 @@ class CorrelationRecord:
     value of the matching Bell functional on the conditional state, and
     ``extra_stats`` the (label, value, target) side statistics, or ``None``.
     Every table must sum to 1 within ``ALGEBRA_TOL``, the tolerance the
-    public ``QuantumState`` constructor allows on the trace of a source.
+    public ``QuantumState`` constructor allows on the trace of a source, and
+    every entry lie in [0, 1] within ``ZERO_PROB``, the margin that
+    ``clamp_probabilities`` moves onto the boundary.
 
     ``conditional_states[e]`` is the post-interaction state behind
     ``p2[e]``, kept so the certification chain reuses it; it holds its
@@ -159,19 +161,25 @@ class CorrelationRecord:
                 raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}")
         if states and len(states) != len(events):
             raise ValueError(f"{len(states)} conditional states for {len(events)} events")
-        # Each table is summed over its trailing N (outcome) axes in place.
+        # Each table is summed over its trailing N (outcome) axes, and its
+        # entries bounded by one min and one max, in place.
         for tables in (self.p1, self.p2):
             sums = np.sum(tables, axis=tuple(range(-n, 0)))
             bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
-            if not bad.size:
+            if bad.size:
+                index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
+                problem = f"sums to {float(sums[index]):.12g}"
+            elif -ZERO_PROB <= np.min(tables) and np.max(tables) <= 1.0 + ZERO_PROB:
                 continue
-            index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
-            s = float(sums[index])
+            else:
+                bad = np.flatnonzero(~((-ZERO_PROB <= tables) & (tables <= 1.0 + ZERO_PROB)))
+                index = tuple(int(i) for i in np.unravel_index(bad[0], tables.shape))
+                problem = f"has entry {float(tables[index])!r} at outcomes {index[-n:]}, outside [0, 1]"
+                index = index[:-n]
             if tables is self.p1:
-                raise ValueError(f"first-round distribution for inputs {index} sums to {s:.12g}")
+                raise ValueError(f"first-round distribution for inputs {index} {problem}")
             raise ValueError(
-                f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} "
-                f"sums to {s:.12g}"
+                f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} {problem}"
             )
 
     @property

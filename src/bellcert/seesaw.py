@@ -22,14 +22,13 @@ previous iteration's row of ``psi``; a Cholesky factorization checks the
 value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
 restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
-parties' ``(I, A_0, A_1)`` stacks, one group of nonzero entries of
-``bell.bell_coefficients`` (one term of the functional) at a time with
-party 0's two settings merged, so no D x D density is formed, and one
-stacked ``eigh`` gives the new settings of every restart.  The last party's
-effective operators, summed against its updated settings, are the
-iteration value.  A restart that meets the convergence rule leaves the
-batch, and the restarts go in chunks so that the Bell operators stay within
-``quantum.CHUNK_BYTES``.
+parties' ``(I, A_0, A_1)`` stacks, one term of the functional
+(``bell.bell_terms``) at a time with party 0's two settings merged, so no
+D x D density is formed, and one stacked ``eigh`` gives the new settings
+of every restart.  The last party's effective operators, summed against
+its updated settings, are the iteration value.  A restart that meets the
+convergence rule leaves the batch, and the restarts go in chunks so that
+the Bell operators stay within ``quantum.CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, bell_coefficients, bell_operators
+from .bell import BellExpression, bell_coefficients, bell_operators, bell_terms
 from .linalg import EigenDecomposition
 from .quantum import QuantumState, _chunks, _projective_observables, _rng, pure_state
 
@@ -186,27 +185,29 @@ def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
     return t.reshape(x.shape[:-1] + (dims[party], -1))
 
 
-def _effective_operators(psi, dims, stacks, coefficients, party):
+def _effective_operators(psi, dims, stacks, terms, party):
     """Effective operators ``K[r, i]`` of ``party``'s ``(I, A_0, A_1)`` in
     restart ``r``: with the other parties' ``stacks`` (``(R, 3, d, d)``
     each) fixed, the Bell value of ``psi[r]`` is ``sum_i Tr(S_i K[r, i])``
     for any stack ``S`` of ``party``, so ``K[:, 1 + s]`` is the effective
     operator of setting ``s``.
 
-    The nonzero entries of ``coefficients`` come in the groups of
-    ``_term_groups``, which share every index but party 0's.  Group ``g``
-    gives ``v_g = O_g psi``, ``O_g`` applying the other parties' factors one
-    ``_apply`` each: ``S_{j_q}`` for every party ``q > 0``, and for
-    ``party > 0`` party 0's settings merged into the one ``(R, d, d)``
-    operator ``sum_i w[g, i] S_i``.  Then ``phi_i = sum_g M[g, i] v_g``, for
-    ``(R, G, D)`` of scratch: ``M`` is the weights ``w`` for ``party = 0``,
-    so each ``v_g`` serves both of its settings, and otherwise picks
-    ``party``'s index in each group.  Finally ``K_i = phi_i psi^dag`` with
+    ``terms`` are the ``bell.bell_terms`` ``(rest, rows, weights)``; term
+    ``g`` has party 0's coefficients ``w[g] = weights[g] * rows[g]`` and the
+    other parties' indices ``j = rest[g]``.  It gives ``v_g = O_g psi``,
+    ``O_g`` applying the other parties' factors one ``_apply`` each:
+    ``S_{j_q}`` for every party ``q > 0``, and for ``party > 0`` party 0's
+    settings merged into the one ``(R, d, d)`` operator
+    ``sum_i w[g, i] S_i``.  Then ``phi_i = sum_g M[g, i] v_g``, for
+    ``(R, G, D)`` of scratch: ``M`` is ``w`` for ``party = 0``, so each
+    ``v_g`` serves both of its settings, and otherwise picks ``party``'s
+    index in each term.  Finally ``K_i = phi_i psi^dag`` with
     ``party``'s axis as the row index of both, since
     ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b . conj(psi_a)``.  ``party``'s
     own stack does not enter, so its updated settings leave ``K`` valid.
     """
-    rest, weights = _term_groups(coefficients)
+    rest, rows, weights = terms
+    weights = weights[:, np.newaxis] * rows
     if party:
         s0 = stacks[0]
         merged = weights @ s0.reshape(len(s0), 3, -1)
@@ -225,19 +226,6 @@ def _effective_operators(psi, dims, stacks, coefficients, party):
     bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
     k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
     return (k + np.conj(np.swapaxes(k, -1, -2))) / 2.0
-
-
-def _term_groups(coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries of ``coefficients`` grouped by their indices of
-    parties 1..N-1, read off the nonzero pattern: ``rest`` (shape
-    ``(G, N - 1)``) holds each group's indices, and ``weights`` (shape
-    ``(G, 3)``) party 0's coefficients in it.  For ``bell_coefficients``
-    each group is one term of the functional, its T0 or T1 expanded into
-    party 0's two settings."""
-    flat = coefficients.reshape(3, -1)
-    columns = np.flatnonzero(np.any(flat, axis=0))
-    rest = np.stack(np.unravel_index(columns, coefficients.shape[1:]), axis=-1)
-    return rest, flat[:, columns].T
 
 
 def _strategy_value(stack, effective) -> np.ndarray:
@@ -263,7 +251,7 @@ def _starting_stacks(dims, seeds) -> list[np.ndarray]:
     return stacks
 
 
-def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[SeesawResult]:
+def _lockstep(coefficients, terms, dims, stacks, max_iters, convergence_tol) -> list[SeesawResult]:
     """Seesaw runs from the starting ``(R, 3, d, d)`` setting stacks, all
     advanced together until each converges or runs out of iterations."""
     results: list[SeesawResult | None] = [None] * len(stacks[0])
@@ -273,7 +261,7 @@ def _lockstep(coefficients, dims, stacks, max_iters, convergence_tol) -> list[Se
     for iterations in range(1, max_iters + 1):
         psi, _ = optimal_state_update(bell_operators(coefficients, stacks), psi)
         for party in range(len(dims)):
-            effective = _effective_operators(psi, dims, stacks, coefficients, party)
+            effective = _effective_operators(psi, dims, stacks, terms, party)
             stacks[party][:, 1:] = optimal_observable_update(effective[:, 1:])
         # The last party's operators were taken after every other party's
         # update, so against its new stack they give the updated value.
@@ -317,9 +305,9 @@ def seesaw_restarts(
     if len(dims) != expr.parties:
         raise ValueError(f"need {expr.parties} local dimensions, got {len(dims)}")
     seeds = [int(s) for s in seeds]
-    coefficients = bell_coefficients(expr)
+    coefficients, terms = bell_coefficients(expr), bell_terms(expr)
     results = []
     for chunk in _chunks(len(seeds), math.prod(dims)):
         stacks = _starting_stacks(dims, seeds[chunk])
-        results += _lockstep(coefficients, dims, stacks, max_iters, convergence_tol)
+        results += _lockstep(coefficients, terms, dims, stacks, max_iters, convergence_tol)
     return results

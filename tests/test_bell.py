@@ -6,16 +6,18 @@ import pytest
 
 from bellcert.bell import (
     BellExpression,
+    bell_coefficients,
+    bell_terms,
     build_bell_operator,
-    check_sos_relations,
     classical_bound,
     extra_statistics,
     quantum_value,
     setting_stacks,
     sos_residual,
+    sos_terms,
     tilde_observables,
 )
-from bellcert.linalg import kron, max_abs
+from bellcert.linalg import dagger, kron, max_abs
 from bellcert.quantum import (
     effect_table,
     post_measurement_states,
@@ -180,23 +182,102 @@ class TestSOS:
         assert wit.min_eigenvalue > -1e-9
 
 
+def mean_squares(state, observables, expr):
+    """``Tr(X^dag X rho)`` of each ``sos_terms`` witness, in their order
+    ``Q_N, ..., Q_2, P``; all vanish exactly when the strategy attains the
+    quantum bound."""
+    witnesses = sos_terms(expr, observables)
+    return [float(np.real(np.trace(dagger(x) @ x @ state.density))) for x in witnesses]
+
+
 class TestSOSRelations:
     def test_reference_strategy_is_maximal(self):
         state = pure_state(PHI_PLUS, (2, 2))
-        rel = check_sos_relations(state, target_observables(2), BellExpression(2, (0, 0)))
-        assert rel.p_violation < 1e-12 and max(rel.q_violations) < 1e-12
+        *q, p = mean_squares(state, target_observables(2), BellExpression(2, (0, 0)))
+        assert p < 1e-12 and max(q) < 1e-12
 
     def test_wrong_setting_is_detected(self):
         state = pure_state(PHI_PLUS, (2, 2))
         obs = [target_observables(2)[0], (X, X)]  # party 2 setting 0 should be Z
-        rel = check_sos_relations(state, obs, BellExpression(2, (0, 0)))
-        assert max(rel.q_violations) > 0.1
-        assert abs(max(rel.q_violations) - 2.0) < 1e-9
+        *q, _ = mean_squares(state, obs, BellExpression(2, (0, 0)))
+        assert max(q) > 0.1
+        assert abs(max(q) - 2.0) < 1e-9
 
     def test_noisy_state_is_not_maximal(self):
         state = white_noise_mix(pure_state(PHI_PLUS, (2, 2)), 0.5)
-        rel = check_sos_relations(state, target_observables(2), BellExpression(2, (0, 0)))
-        assert rel.p_violation > 0.01 and min(rel.q_violations) > 0.01
+        *q, p = mean_squares(state, target_observables(2), BellExpression(2, (0, 0)))
+        assert p > 0.01 and min(q) > 0.01
+
+
+def every_expression(parties):
+    for n in parties:
+        for bits in itertools.product((0, 1), repeat=n):
+            yield BellExpression(n, bits)
+
+
+def loop_coefficients(expr):
+    """Oracle: the coefficient tensor written out term by term, T0 and T1
+    expanded into party 1's two settings."""
+    n, a = expr.parties, expr.target_outcomes
+    s1 = -1.0 if a[0] else 1.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    c = np.zeros((3,) * n)
+    c[(1,) + (2,) * (n - 1)] = c[(2,) + (2,) * (n - 1)] = s1 * (n - 1) * inv_sqrt2
+    for m in range(1, n):
+        sm = -1.0 if (a[0] + a[m]) % 2 else 1.0
+        rest = tuple(1 if k == m else 0 for k in range(1, n))
+        c[(1,) + rest] = sm * inv_sqrt2
+        c[(2,) + rest] = -sm * inv_sqrt2
+    return c
+
+
+def padded_sos_terms(expr, observables):
+    """Oracle: the witnesses ``Q_N, ..., Q_2, P`` as padded Kronecker products."""
+    n, a = expr.parties, expr.target_outcomes
+    dims = [o[0].shape[0] for o in observables]
+    t0, t1 = tilde_observables(*observables[0])
+
+    def padded(factors):
+        return kron(*[factors.get(k, np.eye(dims[k])) for k in range(n)])
+
+    q = [
+        (-1.0) ** (a[0] + a[m]) * padded({0: t0}) - padded({m: observables[m][0]})
+        for m in range(n - 1, 0, -1)
+    ]
+    p = (-1.0) ** a[0] * padded({0: t1}) - padded({m: observables[m][1] for m in range(1, n)})
+    return np.stack(q + [p])
+
+
+class TestFunctionalDefinedOnce:
+    """``bell_terms`` is the one definition of the functional: the
+    coefficient tensor, its term groups and the SOS witnesses all agree
+    with it."""
+
+    def test_coefficients_equal_the_loop(self):
+        for expr in every_expression(range(2, 7)):
+            assert np.array_equal(bell_coefficients(expr), loop_coefficients(expr))
+
+    def test_nonzero_pattern_gives_back_the_terms(self):
+        for expr in every_expression(range(2, 7)):
+            c = bell_coefficients(expr)
+            flat = c.reshape(3, -1)
+            columns = np.flatnonzero(np.any(flat, axis=0))
+            rest, rows, weights = bell_terms(expr)
+            assert np.array_equal(np.stack(np.unravel_index(columns, c.shape[1:]), axis=-1), rest)
+            assert np.array_equal(flat[:, columns].T, weights[:, np.newaxis] * rows)
+
+    def test_sos_terms_match_the_padded_oracle(self):
+        rng = np.random.default_rng(21)
+        for expr in every_expression(range(2, 7)):
+            dims = (2, 3, 2, 2, 2, 2)[: expr.parties]
+            obs = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+            assert max_abs(sos_terms(expr, obs) - padded_sos_terms(expr, obs)) <= 1e-15
+
+    def test_sos_identity_exact_at_unequal_dims(self):
+        rng = np.random.default_rng(22)
+        for expr in every_expression([3]):
+            obs = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in (2, 3, 4)]
+            assert sos_residual(expr, obs).is_exact_identity
 
 
 class TestExtraStatistics:

@@ -12,7 +12,7 @@ import pytest
 from bellcert import quantum
 from bellcert.bell import (
     BellExpression,
-    bell_coefficients,
+    bell_terms,
     build_bell_operator,
     effect_stacks,
     quantum_value,
@@ -394,9 +394,9 @@ def seesaw_batch(dims, seed, restarts=3):
 def test_effective_operator_matches_dense_formula(dims, target):
     expr = BellExpression(len(dims), target)
     observables, psi, stacks = seesaw_batch(dims, 44)
-    coefficients = bell_coefficients(expr)
+    terms = bell_terms(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(psi, dims, stacks, coefficients, party)
+        effective = _effective_operators(psi, dims, stacks, terms, party)
         for r, v in enumerate(psi):
             rho = np.outer(v, v.conj())
             for setting in (0, 1):
@@ -411,9 +411,9 @@ def test_table_value_matches_quantum_value(dims, target):
     expr = BellExpression(len(dims), target)
     observables, psi, stacks = seesaw_batch(dims, 47)
     replacements, _, _ = seesaw_batch(dims, 48)
-    coefficients = bell_coefficients(expr)
+    terms = bell_terms(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(psi, dims, stacks, coefficients, party)
+        effective = _effective_operators(psi, dims, stacks, terms, party)
         for pairs in (observables, replacements):
             updated = [o[:party] + [p[party]] + o[party + 1 :] for o, p in zip(observables, pairs)]
             stack = np.stack([setting_stacks(u)[party] for u in updated])

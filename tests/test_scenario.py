@@ -9,6 +9,7 @@ import pytest
 
 from bellcert.linalg import max_abs
 from bellcert.quantum import (
+    ZERO_PROB,
     Interaction,
     QuantumState,
     pure_state,
@@ -191,7 +192,8 @@ class TestRepeatabilitySpotcheck:
 
 class TestRecordNormalization:
     """``CorrelationRecord`` rejects a table whose sum is off 1 by more than
-    ``ALGEBRA_TOL`` (1e-9), the source-trace tolerance of the loader, and
+    ``ALGEBRA_TOL`` (1e-9), the source-trace tolerance of the loader, or
+    with an entry outside [0, 1] by more than ``ZERO_PROB`` (1e-12), and
     names the first one, in p1-then-p2 order."""
 
     @staticmethod
@@ -234,6 +236,42 @@ class TestRecordNormalization:
         message = f"conditional distribution for event {rec.events[3]}, inputs (0, 1) sums to nan"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(rec, p2=p2)
+
+    def test_out_of_range_first_round_entry_named(self, ref2):
+        rec = run_scenario(ref2)
+        p1 = rec.p1.copy()
+        p1[0, 0] = [[1.5, -0.5], [0, 0]]
+        message = (
+            "first-round distribution for inputs (0, 0) has entry 1.5 at outcomes (0, 0), "
+            "outside [0, 1]"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(rec, p1=p1)
+
+    def test_out_of_range_conditional_entry_named(self, ref2):
+        rec = run_scenario(ref2)
+        p2 = rec.p2.copy()
+        p2[2, 1, 0] = [[0.5, 0.5], [0.25, -0.25]]
+        message = (
+            f"conditional distribution for event {rec.events[2]}, inputs (1, 0) "
+            "has entry -0.25 at outcomes (1, 1), outside [0, 1]"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(rec, p2=p2)
+
+    @pytest.mark.parametrize("table", ["p1", "p2"])
+    def test_entry_margin_is_zero_prob(self, ref2, table):
+        rec = run_scenario(ref2)
+        for beyond, passes in ((ZERO_PROB / 2, True), (2 * ZERO_PROB, False)):
+            for low_first in (True, False):
+                tables = getattr(rec, table).copy()
+                entries = [-beyond, 1 + beyond] if low_first else [1 + beyond, -beyond]
+                tables[..., 0, 0, :, :] = [entries, [0, 0]]
+                if passes:
+                    dataclasses.replace(rec, **{table: tables})
+                    continue
+                with pytest.raises(ValueError, match=f"has entry {re.escape(repr(entries[0]))} at outcomes"):
+                    dataclasses.replace(rec, **{table: tables})
 
     def test_gate_reads_the_tables_in_place(self):
         # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB);

@@ -3,7 +3,7 @@ import pytest
 
 from bellcert.bell import (
     BellExpression,
-    bell_coefficients,
+    bell_terms,
     build_bell_operator,
     quantum_value,
     setting_stacks,
@@ -223,7 +223,7 @@ class TestSeesaw:
         observables = [
             [random_projective_observable(2, rng) for _ in range(2)] for _ in range(2)
         ]
-        coefficients = bell_coefficients(expr)
+        terms = bell_terms(expr)
         last = -np.inf
         for _ in range(10):
             op = build_bell_operator(expr, observables)
@@ -233,7 +233,7 @@ class TestSeesaw:
             for party in range(2):
                 stacks = [s[np.newaxis] for s in setting_stacks(observables)]
                 (effective,) = _effective_operators(
-                    vector[np.newaxis], (2, 2), stacks, coefficients, party
+                    vector[np.newaxis], (2, 2), stacks, terms, party
                 )
                 for setting in (0, 1):
                     observables[party][setting] = optimal_observable_update(effective[1 + setting])
