@@ -15,17 +15,18 @@ Local deterministic models satisfy ``B_a <= sqrt(2) (N-1)``; quantum
 strategies reach ``2 (N-1)`` and no more.
 
 ``bell_terms`` writes the functional once, as its N terms
-``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}``.  Scattered, they give
-the real coefficient tensor ``C`` over each party's ``(I, A_0, A_1)``
-(``bell_coefficients``): the Bell operator and every contraction of it
-against a state are sums against ``C``.  One at a time, they give the SOS
-witnesses ``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).
-A state's values come from its correlators, its table over each party's
-``(I, A_0, A_1)`` (``setting_stacks``), which ``C`` and the side
-statistics are summed against; the fixed map ``E_{x,a} = (I + (-1)^a
-A_x) / 2`` turns the same table into the outcome probabilities over each
-party's four effects (``outcome_table``, in the order of
-``effect_stacks``).
+``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}``, party n's ``S^n =
+(I, A_{n,0}, A_{n,1})`` (``setting_stacks``).  A state's Bell value comes
+from the terms alone, through one kernel (``term_vectors``, read off by
+``functional_values``) that ``quantum_value``, ``scenario.run_scenario``
+and the seesaw call; its side statistics are one-party values
+(``extra_statistics``).  Scattered, the terms give the coefficient tensor
+``C`` (``bell_coefficients``) of the seesaw's Bell operators and of
+``classical_bound``; one at a time, the SOS witnesses ``X_g`` of ``2 (2
+(N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).  The fixed map
+``E_{x,a} = (I + (-1)^a A_x) / 2`` turns a correlator table over each
+party's ``(I, A_0, A_1)`` into outcome probabilities (``outcome_table``,
+in the order of ``effect_stacks``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, max_abs
-from .quantum import QuantumState, effect_table
+from .quantum import QuantumState, mixture_marginals
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -48,7 +49,8 @@ __all__ = [
     "setting_stacks",
     "effect_stacks",
     "outcome_table",
-    "bell_values",
+    "term_vectors",
+    "functional_values",
     "bell_operators",
     "build_bell_operator",
     "classical_bound",
@@ -134,6 +136,56 @@ def bell_coefficients(expr: BellExpression) -> np.ndarray:
     return c
 
 
+def _apply(op: np.ndarray, x: np.ndarray, dims, party: int) -> np.ndarray:
+    """``op`` acting on ``party``'s factor of each row of ``x``, shape ``(C,
+    D k)``: one ``(d, d)`` operator for every row, or ``(C, d, d)``, one
+    per row."""
+    pre = math.prod(dims[:party])
+    op = op if op.ndim == 2 else op[:, np.newaxis]
+    return np.matmul(op, x.reshape(len(x), pre, dims[party], -1)).reshape(x.shape)
+
+
+def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
+    """``(..., D k)`` rows as ``(..., d, D k / d)`` matrices whose row index
+    is ``party``'s."""
+    pre = math.prod(dims[:party])
+    t = np.swapaxes(x.reshape(x.shape[:-1] + (pre, dims[party], -1)), -3, -2)
+    return t.reshape(x.shape[:-1] + (dims[party], -1))
+
+
+def term_vectors(x, dims, rest, stacks, party: int = 0, first=None):
+    """The Bell-term kernel: for each term ``g`` of ``bell_terms`` (``rest``
+    its indices of parties 2..N), it yields ``v_g = O_g x`` with every
+    factor applied except that of party index ``party``.  A row of ``x``,
+    ``(C, D k)``, is a vector or a row-major ``(D, k)`` block of k of them.
+    Index ``q > 0`` applies ``S_{j_q}`` of ``stacks[q]``, ``(3, d, d)`` or
+    ``(C, 3, d, d)``, unless ``j_q = 0``; for ``party > 0``, index 0
+    applies ``first[..., g, :, :]``, its settings merged by term ``g``'s
+    coefficients."""
+    for g, j in enumerate(rest):
+        y = _apply(first[..., g, :, :], x, dims, 0) if party else x
+        for q, i in enumerate(j, start=1):
+            if i and q != party:
+                y = _apply(stacks[q][..., i, :, :], y, dims, q)
+        yield y
+
+
+def functional_values(kets, bras, dims, stacks, targets) -> np.ndarray:
+    """Value of ``B_{targets[c]}`` on each state ``X_c Y_c^dag``, given as
+    rows of ``kets`` and ``bras`` (a factor and its signed copy, or a
+    density and the identity), for each party's ``(3, d, d)`` stack.  Per
+    term ``g``, ``term_vectors`` with party 1 left out gives ``K_g = v_g
+    Y^dag`` over party 1's rows, and the value is ``sum_{g, i} c_g u_g[i]
+    Tr(S^1_i K_g)`` with the target's ``bell_terms`` (whose ``rest`` is the
+    same for every target)."""
+    terms = [bell_terms(BellExpression(len(dims), a)) for a in targets]
+    bra = np.conj(np.swapaxes(_party_rows(bras, dims, 0), -1, -2))
+    vectors = term_vectors(kets, dims, terms[0][0], stacks)
+    k = np.stack([_party_rows(v, dims, 0) @ bra for v in vectors], axis=1)
+    weighted = np.stack([weights[:, np.newaxis] * rows for _, rows, weights in terms])
+    return np.real(np.einsum("cgi,iab,cgba->c", weighted, stacks[0], k))
+
+
 def setting_stacks(observables) -> list[np.ndarray]:
     """Per-party ``(3, d, d)`` stacks ``(I, A_0, A_1)``, the operators that
     the indices of ``bell_coefficients`` name, from each party's
@@ -180,12 +232,6 @@ def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
     t = np.ascontiguousarray(t.reshape((2, 2) * parties + (-1,)).transpose(order))
     t = np.ascontiguousarray(t.reshape(4**parties, -1).T)
     return t.reshape(lead + (2,) * 2 * parties)
-
-
-def bell_values(coefficients: np.ndarray, correlators: np.ndarray, parties: int) -> np.ndarray:
-    """``bell_coefficients`` summed against a correlator table over the
-    last ``parties`` axes; leading axes of either index branches."""
-    return np.sum(coefficients * correlators, axis=tuple(range(-parties, 0)))
 
 
 def bell_operators(coefficients: np.ndarray, stacks) -> np.ndarray:
@@ -245,14 +291,14 @@ def classical_bound(expr: BellExpression) -> float:
 
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
-    """Value ``Tr(B rho)`` of the Bell operator on a state: ``C`` summed
-    against the state's correlators, so no D x D operator is formed."""
-    n = expr.parties
+    """Value ``Tr(B rho)`` of the Bell operator on a state: the
+    ``functional_values`` of ``rho = rho I^dag``, so no D x D operator is
+    formed and the density is not factored."""
     stacks = setting_stacks(observables)
-    if len(stacks) != n:
-        raise DimensionMismatchError(f"need observables for {n} parties, got {len(stacks)}")
-    table = effect_table(state.density, state.dims, stacks)
-    return float(bell_values(bell_coefficients(expr), table, n))
+    if tuple(len(s[0]) for s in stacks) != state.dims or len(stacks) != expr.parties:
+        raise DimensionMismatchError(f"observables do not match dims {state.dims}, N = {expr.parties}")
+    rho, identity = state.density.reshape(1, -1), np.eye(state.dim).reshape(1, -1)
+    return float(functional_values(rho, identity, state.dims, stacks, [expr.target_outcomes])[0])
 
 
 def sos_terms(expr: BellExpression, observables) -> np.ndarray:
@@ -262,17 +308,16 @@ def sos_terms(expr: BellExpression, observables) -> np.ndarray:
         Q_n = (-1)^{a_1 + a_n} T0 - A_{n,0}          (n = N, ..., 2)
         P   = (-1)^{a_1} T1 - A_{2,1} ox ... ox A_{N,1}
 
-    each padded with identities to the full space.
+    each padded with identities to the full space: the Bell-term kernel
+    applied to the rows of the identity gives the transpose of each.
     """
     rest, rows, _ = bell_terms(expr)
     stacks = setting_stacks(observables)
-    witnesses = []
-    for j, row in zip(rest, rows):
-        c = np.zeros((3,) * expr.parties)
-        c[(slice(None),) + (0,) * len(j)] = row
-        c[(0, *j)] = -1.0
-        witnesses.append(bell_operators(c, stacks))
-    return np.stack(witnesses)
+    dims = tuple(len(s[0]) for s in stacks)
+    eye = np.eye(math.prod(dims), dtype=complex)
+    first = np.tensordot(rows, stacks[0], 1)
+    terms = zip(first, term_vectors(eye, dims, rest, stacks))
+    return np.stack([(_apply(u, eye, dims, 0) - v).T for u, v in terms])
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,20 +353,17 @@ def sos_residual(expr: BellExpression, observables) -> SOSWitness:
     )
 
 
-def extra_statistics(correlators: np.ndarray) -> tuple[tuple[str, float, float], ...]:
-    """The side statistics read off one state's correlator table over each
-    party's ``(I, A_0, A_1)``, as (label, value, target) triples: for every
-    party n = 2..N the pair ``<T0 ox I> = -1`` (party-1 rotated observable)
-    and ``<I ox A_{n,1}> = +1``.  Whether a value is on target is decided
-    once, by the certification chain at its maximal-violation tolerance."""
-    parties = correlators.ndim
-    origin = (0,) * parties
-    # <T0 ox I> with T0 = (A_{1,0} - A_{1,1}) / sqrt(2)
-    difference = correlators[(1,) + origin[1:]] - correlators[(2,) + origin[1:]]
-    tilde_val = float(difference) / math.sqrt(2.0)
+def extra_statistics(state: QuantumState, observables) -> tuple[tuple[str, float, float], ...]:
+    """The side statistics of one state, as (label, value, target) triples:
+    for every party n = 2..N the pair ``<T0 ox I> = -1`` (party-1 rotated
+    observable) and ``<I ox A_{n,1}> = +1``, one-party values read off the
+    state's marginals.  Whether a value is on target is decided once, by the
+    certification chain at its maximal-violation tolerance."""
+    marginals = mixture_marginals([state])
+    values = [np.real(np.einsum("sab,ba->s", pair, m)) for pair, m in zip(observables, marginals)]
+    tilde_val = float(values[0][0] - values[0][1]) / math.sqrt(2.0)
     entries = []
-    for n in range(1, parties):
+    for n in range(1, len(values)):
         entries.append((f"tilde0(party 1) with party {n + 1}", tilde_val, -1.0))
-        value = float(correlators[origin[:n] + (2,) + origin[n + 1 :]])
-        entries.append((f"setting-1 observable, party {n + 1}", value, 1.0))
+        entries.append((f"setting-1 observable, party {n + 1}", float(values[n][1]), 1.0))
     return tuple(entries)

@@ -62,12 +62,13 @@ MAX_SEESAW_DIM = 1024
 
 
 # Largest branch stack that ``simulate``, ``certify`` and ``noise-sweep`` will
-# build, counted as (2^N + 1) D^2 complex entries: ``run_scenario`` holds the
-# factors of the 2^N + 1 conditional states, (2^N + 1) D r entries, which is
-# that many at a source of full rank r = D, and for qubits their (2^N + 1, 4^N)
-# outcome tables hold as many doubles again.  N = 5 with auxiliary dimension
-# 2 (D = 1024) counts 0.55 GB; N = 6 with auxiliary dimension 2 would count
-# 17 GB, and N = 9 qubits 2.15 GB.
+# build, counted as (2^N + 1) D^2 complex entries: each holds the factors of
+# the 2^N + 1 conditional states, (2^N + 1) D r entries, as many at a source
+# of full rank r = D.  ``simulate`` writing a record also holds the (2^N + 1,
+# 4^N) outcome tables for qubits, as many doubles again; ``certify`` and
+# ``noise-sweep`` build none.  N = 5 with auxiliary dimension 2 (D = 1024)
+# counts 0.55 GB; N = 6 with auxiliary dimension 2 would count 17 GB, and
+# N = 9 qubits 2.15 GB.
 MAX_BRANCH_STACK_BYTES = 1 << 30
 
 
@@ -211,9 +212,10 @@ def cmd_simulate(args) -> int:
     strategy, _ = _load(args.strategy, "simulate")
     try:
         record = run_scenario(strategy)
+        # The record's second-round tables are built, and gated, here.
+        data = record_to_dict(record) if args.out or args.format == "machine" else None
     except ValueError as exc:
         return _usage_error(f"simulate: {exc}")
-    data = record_to_dict(record) if args.out or args.format == "machine" else None
     if args.out:
         write_json(data, _out_path(args.out))
     if args.format == "machine":

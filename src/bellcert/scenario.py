@@ -11,16 +11,16 @@ Conditioning events follow the two designated first-round input branches:
 * side-statistics branch: settings ``(1, 1, 0, ..., 0)`` with the all-zero
   outcome, on which the extra expectation values are evaluated.
 
-For every stored conditioning event the record keeps the conditional
-distribution for all 2^N second-round setting combinations.
-
 The 2^N Bell-branch states and the side-statistics state all condition on
 fixed first-round settings, so ``run_scenario`` builds their factors as one
-stack (``quantum.post_measurement_states``) and reads every correlator from
-one contraction of those factors against each party's ``(I, A_0, A_1)``; no
-branch forms its density matrix.  The Bell values and side statistics are
-sums of correlators, and the outcome tables their fixed linear map
-(``bell.outcome_table``).
+stack (``quantum.post_measurement_states``); no branch forms its density
+matrix.  It computes what the chain reads: the first-round table ``p1``
+(one contraction of the source, gated) and the event probabilities read
+off it, the Bell values from the N terms of ``bell.bell_terms`` (the t1
+value of the source's density, each branch's from its factor at its own
+target), and the side statistics, one-party values.  The second-
+round tables ``p2`` are built only when read, which ``simulate`` does and
+``certify`` never does (``CorrelationRecord``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import numpy as np
 
 from .bell import (
     BellExpression,
-    bell_coefficients,
-    bell_values,
     effect_stacks,
     extra_statistics,
+    functional_values,
     outcome_table,
+    quantum_value,
     setting_stacks,
 )
 from .linalg import (
@@ -53,6 +53,7 @@ from .quantum import (
     Interaction,
     QuantumState,
     _check_finite,
+    _chunks,
     _rng,
     clamp_probabilities,
     effect_table,
@@ -87,8 +88,9 @@ def extra_branch_settings(parties: int) -> Bits:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A complete scenario description: source state, each party's two +/-1
-    observables at both rounds, and the interaction unitary.
+    """A complete scenario description for at least 2 parties: source
+    state, each party's two +/-1 observables at both rounds, and the
+    interaction unitary.
 
     A round's observables are one read-only complex ``(2, d_k, d_k)`` array
     per party, setting 0 then setting 1.  The constructor takes any
@@ -106,6 +108,8 @@ class Strategy:
 
     def __post_init__(self):
         n = len(self.source_state.dims)
+        if n < 2:
+            raise ValueError(f"the Bell family needs at least 2 parties, got {n}")
         if len(self.observables_t1) != n or len(self.observables_t2) != n:
             raise DimensionMismatchError("observable lists do not match the party count")
         if self.interaction.dims_in != self.source_state.dims:
@@ -133,54 +137,80 @@ class CorrelationRecord:
     a1)``.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
     value of the matching Bell functional on the conditional state, and
     ``extra_stats`` the (label, value, target) side statistics, or ``None``.
-    Every table must sum to 1 within ``ALGEBRA_TOL``, the tolerance the
-    public ``QuantumState`` constructor allows on the trace of a source, and
-    every entry lie in [0, 1] within ``ZERO_PROB``, the margin that
-    ``clamp_probabilities`` moves onto the boundary.
 
     ``conditional_states[e]`` is the post-interaction state behind
     ``p2[e]``, kept so the certification chain reuses it; it holds its
     factor, and forms its density only if that is read.  It is in memory
-    only: it is not serialized, so a loaded record has none (``()``).
+    only: it is not serialized, so a loaded record has none (``()``).  The
+    chain reads the values, the event probabilities and the states, never
+    ``p2``: ``run_scenario`` gives ``p2=None``, and the record builds it
+    from its states and ``observables_t2`` on its first read, as
+    ``simulate`` does to write the record out.  Every table, given or
+    built, must sum to 1 within ``ALGEBRA_TOL``, the tolerance the public
+    ``QuantumState`` constructor allows on the trace of a source, and every
+    entry lie in [0, 1] within ``ZERO_PROB``, the margin that
+    ``clamp_probabilities`` moves onto the boundary.
     """
 
     parties: int
     p1: np.ndarray
     events: tuple[tuple[Bits, Bits], ...]
-    p2: np.ndarray
+    p2: np.ndarray | None = field(repr=False)
     t1_bell_value: float
     t2_bell_values: dict
     extra_stats: tuple[tuple[str, float, float], ...] | None
     conditional_states: tuple[QuantumState, ...] = field(default=(), repr=False)
+    observables_t2: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         n, events, states = self.parties, self.events, self.conditional_states
         table = (2,) * 2 * n
-        for name, shape in (("p1", table), ("p2", (len(events),) + table)):
+        shapes = {"p1": table, "p2": (len(events),) + table}
+        if self.p2 is None:  # built by ``__getattr__`` when read
+            if not (states and self.observables_t2):
+                raise ValueError("a record without p2 needs the states and observables_t2")
+            object.__delattr__(self, "p2")
+            del shapes["p2"]
+        for name, shape in shapes.items():
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}")
         if states and len(states) != len(events):
             raise ValueError(f"{len(states)} conditional states for {len(events)} events")
-        # Each table is summed over its trailing N (outcome) axes, and its
+        for name in shapes:
+            self._gate(getattr(self, name))
+
+    def __getattr__(self, name):
+        # Reached only for the ``p2`` of a record given ``p2=None``.
+        if name != "p2":
+            raise AttributeError(name)
+        states, stacks = self.conditional_states, setting_stacks(self.observables_t2)
+        correlators = effect_table(states, states[0].dims, stacks)
+        p2 = clamp_probabilities(outcome_table(correlators, self.parties))
+        self._gate(p2)
+        object.__setattr__(self, "p2", p2)
+        return p2
+
+    def _gate(self, tables: np.ndarray) -> None:
+        # ``p1`` or ``p2`` summed over its trailing N (outcome) axes, and its
         # entries bounded by one min and one max, in place.
-        for tables in (self.p1, self.p2):
-            sums = np.sum(tables, axis=tuple(range(-n, 0)))
-            bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
-            if bad.size:
-                index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
-                problem = f"sums to {float(sums[index]):.12g}"
-            elif -ZERO_PROB <= np.min(tables) and np.max(tables) <= 1.0 + ZERO_PROB:
-                continue
-            else:
-                bad = np.flatnonzero(~((-ZERO_PROB <= tables) & (tables <= 1.0 + ZERO_PROB)))
-                index = tuple(int(i) for i in np.unravel_index(bad[0], tables.shape))
-                problem = f"has entry {float(tables[index])!r} at outcomes {index[-n:]}, outside [0, 1]"
-                index = index[:-n]
-            if tables is self.p1:
-                raise ValueError(f"first-round distribution for inputs {index} {problem}")
-            raise ValueError(
-                f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} {problem}"
-            )
+        n = self.parties
+        sums = np.sum(tables, axis=tuple(range(-n, 0)))
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
+        if bad.size:
+            index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
+            problem = f"sums to {float(sums[index]):.12g}"
+        elif -ZERO_PROB <= np.min(tables) and np.max(tables) <= 1.0 + ZERO_PROB:
+            return
+        else:
+            bad = np.flatnonzero(~((-ZERO_PROB <= tables) & (tables <= 1.0 + ZERO_PROB)))
+            index = tuple(int(i) for i in np.unravel_index(bad[0], tables.shape))
+            problem = f"has entry {float(tables[index])!r} at outcomes {index[-n:]}, outside [0, 1]"
+            index = index[:-n]
+        if tables.ndim == 2 * n:
+            raise ValueError(f"first-round distribution for inputs {index} {problem}")
+        raise ValueError(
+            f"conditional distribution for event {self.events[index[0]]}, inputs {index[1:]} {problem}"
+        )
 
     @property
     def event_probabilities(self) -> dict:
@@ -234,8 +264,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     settings_t1 = setting_stacks(strategy.observables_t1)
     correlators_t1 = effect_table(source.density, source.dims, settings_t1)
     p1 = clamp_probabilities(outcome_table(correlators_t1, n))
-    coefficients_t1 = bell_coefficients(BellExpression(n, (0,) * n))
-    t1_value = float(bell_values(coefficients_t1, correlators_t1, n))
+    t1_value = quantum_value(source, strategy.observables_t1, BellExpression(n, (0,) * n))
 
     # The conditioning events with non-vanishing probability: the Bell
     # branch's outcome vectors in order, then the side-statistics event.
@@ -246,23 +275,30 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
     branches = post_measurement_states(source, projectors, strategy.interaction)
 
-    correlators = effect_table(branches, dims_out, setting_stacks(strategy.observables_t2))
-    bell = [b for b, (x, _) in enumerate(events) if x == x_bell]
-    coefficients = np.stack([bell_coefficients(BellExpression(n, events[b][1])) for b in bell])
-    t2_values = bell_values(coefficients, correlators[bell], n)
+    # Each Bell branch's value from its factor, at its own target, a chunk
+    # of branches at a time.
+    targets = [a for x, a in events if x == x_bell]
+    stacks_t2, signs = setting_stacks(strategy.observables_t2), source.factor[1]
+    t2_values = np.empty(len(targets))
+    for chunk in _chunks(len(targets), source.dim, len(signs)):
+        kets = np.stack([b.factor[0] for b in branches[chunk]])
+        bras = (kets * signs).reshape(len(kets), -1)
+        flat = kets.reshape(len(kets), -1)
+        t2_values[chunk] = functional_values(flat, bras, dims_out, stacks_t2, targets[chunk])
 
     extra = None
     if events[-1][0] == x_extra:
-        extra = extra_statistics(correlators[-1])
+        extra = extra_statistics(branches[-1], strategy.observables_t2)
     return CorrelationRecord(
         parties=n,
         p1=p1,
         events=tuple(events),
-        p2=clamp_probabilities(outcome_table(correlators, n)),
+        p2=None,
         t1_bell_value=t1_value,
-        t2_bell_values={events[b][1]: float(v) for b, v in zip(bell, t2_values)},
+        t2_bell_values={a: float(v) for a, v in zip(targets, t2_values)},
         extra_stats=extra,
         conditional_states=branches,
+        observables_t2=strategy.observables_t2,
     )
 
 

@@ -22,11 +22,11 @@ previous iteration's row of ``psi``; a Cholesky factorization checks the
 value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
 restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
-parties' ``(I, A_0, A_1)`` stacks, one term of the functional
-(``bell.bell_terms``) at a time with party 0's two settings merged, so no
-D x D density is formed, and one stacked ``eigh`` gives the new settings
-of every restart.  The last party's effective operators, summed against
-its updated settings, are the iteration value.  A restart that meets the
+parties' ``(I, A_0, A_1)`` stacks by the Bell-term kernel
+(``bell.term_vectors``), with party 0's two settings merged, so no D x D
+density is formed, and one stacked ``eigh`` gives the new settings of
+every restart.  The last party's effective operators, summed against its
+updated settings, are the iteration value.  A restart that meets the
 convergence rule leaves the batch, and the restarts go in chunks so that
 the Bell operators stay within ``quantum.CHUNK_BYTES``.
 """
@@ -38,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, bell_coefficients, bell_operators, bell_terms
+from .bell import (
+    BellExpression,
+    _party_rows,
+    bell_coefficients,
+    bell_operators,
+    bell_terms,
+    term_vectors,
+)
 from .linalg import EigenDecomposition
 from .quantum import QuantumState, _chunks, _projective_observables, _rng, pure_state
 
@@ -169,22 +176,6 @@ def _rayleigh_top(b, x, shift, scratch):
         x = y / np.linalg.norm(y)
 
 
-def _apply(op: np.ndarray, psi: np.ndarray, dims, party: int) -> np.ndarray:
-    """``op_r`` acting on ``party``'s factor of ``psi[r]``, for ``(R, d, d)``
-    operators and ``(R, D)`` vectors."""
-    pre = math.prod(dims[:party])
-    out = np.matmul(op[:, np.newaxis], psi.reshape(len(psi), pre, dims[party], -1))
-    return out.reshape(psi.shape)
-
-
-def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
-    """``(..., D)`` vectors as ``(..., d, D / d)`` matrices whose row index
-    is ``party``'s."""
-    pre = math.prod(dims[:party])
-    t = np.swapaxes(x.reshape(x.shape[:-1] + (pre, dims[party], -1)), -3, -2)
-    return t.reshape(x.shape[:-1] + (dims[party], -1))
-
-
 def _effective_operators(psi, dims, stacks, terms, party):
     """Effective operators ``K[r, i]`` of ``party``'s ``(I, A_0, A_1)`` in
     restart ``r``: with the other parties' ``stacks`` (``(R, 3, d, d)``
@@ -192,19 +183,15 @@ def _effective_operators(psi, dims, stacks, terms, party):
     for any stack ``S`` of ``party``, so ``K[:, 1 + s]`` is the effective
     operator of setting ``s``.
 
-    ``terms`` are the ``bell.bell_terms`` ``(rest, rows, weights)``; term
-    ``g`` has party 0's coefficients ``w[g] = weights[g] * rows[g]`` and the
-    other parties' indices ``j = rest[g]``.  It gives ``v_g = O_g psi``,
-    ``O_g`` applying the other parties' factors one ``_apply`` each:
-    ``S_{j_q}`` for every party ``q > 0``, and for ``party > 0`` party 0's
-    settings merged into the one ``(R, d, d)`` operator
-    ``sum_i w[g, i] S_i``.  Then ``phi_i = sum_g M[g, i] v_g``, for
-    ``(R, G, D)`` of scratch: ``M`` is ``w`` for ``party = 0``, so each
-    ``v_g`` serves both of its settings, and otherwise picks ``party``'s
-    index in each term.  Finally ``K_i = phi_i psi^dag`` with
-    ``party``'s axis as the row index of both, since
-    ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b . conj(psi_a)``.  ``party``'s
-    own stack does not enter, so its updated settings leave ``K`` valid.
+    ``terms`` are the ``bell.bell_terms`` ``(rest, rows, weights)``, and
+    term ``g`` has party 0's coefficients ``w[g] = weights[g] * rows[g]``.
+    ``bell.term_vectors`` gives ``v_g = O_g psi`` without ``party``'s
+    factor (party 0's merged into ``sum_i w[g, i] S_i``).  Then ``phi_i =
+    sum_g M[g, i] v_g``: ``M`` is ``w`` for ``party = 0``, and otherwise
+    picks ``party``'s index in each term.  Finally ``K_i = phi_i psi^dag``
+    over ``party``'s rows, since ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b
+    . conj(psi_a)``.  ``party``'s own stack does not enter, so its updated
+    settings leave ``K`` valid.
     """
     rest, rows, weights = terms
     weights = weights[:, np.newaxis] * rows
@@ -214,15 +201,8 @@ def _effective_operators(psi, dims, stacks, terms, party):
         merged = merged.reshape(merged.shape[:2] + s0.shape[2:])
         slots = np.eye(3)[rest[:, party - 1]]
     else:
-        slots = weights
-    v = np.empty((len(psi), len(rest), psi.shape[1]), dtype=complex)
-    for g, j in enumerate(rest):
-        x = _apply(merged[:, g], psi, dims, 0) if party else psi
-        for q, i in enumerate(j, start=1):
-            if i and q != party:
-                x = _apply(stacks[q][:, i], x, dims, q)
-        v[:, g] = x
-    phi = slots.T @ v
+        merged, slots = None, weights
+    phi = slots.T @ np.stack(list(term_vectors(psi, dims, rest, stacks, party, merged)), axis=1)
     bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
     k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
     return (k + np.conj(np.swapaxes(k, -1, -2))) / 2.0

@@ -167,9 +167,14 @@ def strategy_from_dict(data: dict) -> Strategy:
     if len(dims_t1) != parties or len(dims_t2) != parties:
         raise SerializationError("dims: need one dimension per party and round")
 
-    source = None
-    interaction = None
-    observables: dict[tuple[int, int, int], np.ndarray] = {}
+    # Each matrix by its key: the role, and for an observable its (party,
+    # setting, time_slice), each in its range; a key may occur once.
+    ranges = (
+        ("party", range(parties), f"below parties = {parties}"),
+        ("setting", range(2), "below 2"),
+        ("time_slice", range(1, 3), "1 or 2"),
+    )
+    found: dict[tuple, tuple[int, np.ndarray]] = {}
     matrices = data.get("matrices", [])
     if not isinstance(matrices, list):
         raise SerializationError("matrices: expected a list")
@@ -178,41 +183,44 @@ def strategy_from_dict(data: dict) -> Strategy:
         if not isinstance(entry, dict):
             raise SerializationError(f"{path}: expected an object, got {type(entry).__name__}")
         role = entry.get("role")
-        if role == "source_state":
-            source = matrix_from_payload(entry, path)
-        elif role == "interaction":
-            interaction = matrix_from_payload(entry, path)
-        elif role == "observable":
-            key = tuple(entry.get(name) for name in ("party", "setting", "time_slice"))
-            for name, value in zip(("party", "setting", "time_slice"), key):
+        if role == "observable":
+            index = tuple(entry.get(name) for name, _, _ in ranges)
+            for (name, allowed, rule), value in zip(ranges, index):
                 if not _count(value):
                     raise SerializationError(f"{path}.{name}: expected an integer >= 0, got {value!r}")
-            observables[key] = matrix_from_payload(entry, path)
+                if value not in allowed:
+                    raise SerializationError(f"{path}.{name}: {value} is not {rule}")
+            label = "observable party={} setting={} time_slice={}".format(*index)
+        elif role in ("source_state", "interaction"):
+            index, label = (), role
         else:
             raise SerializationError(f"{path}.role: unknown role {role!r}")
-    if source is None:
-        raise SerializationError("matrices: no source_state entry")
-    if interaction is None:
-        raise SerializationError("matrices: no interaction entry")
+        key = (role, *index)
+        if key in found:
+            raise SerializationError(f"{path}: duplicate {label}, first at matrices[{found[key][0]}]")
+        found[key] = (i, matrix_from_payload(entry, path))
+    for role in ("source_state", "interaction"):
+        if (role,) not in found:
+            raise SerializationError(f"matrices: no {role} entry")
 
     def pairs(time_slice):
         out = []
         for party in range(parties):
             for setting in (0, 1):
-                if (party, setting, time_slice) not in observables:
+                if ("observable", party, setting, time_slice) not in found:
                     raise SerializationError(
                         f"matrices: missing observable party={party} setting={setting} "
                         f"time_slice={time_slice}"
                     )
-            out.append(tuple(observables[(party, s, time_slice)] for s in (0, 1)))
+            out.append(tuple(found[("observable", party, s, time_slice)][1] for s in (0, 1)))
         return out
 
     try:
         return Strategy(
-            source_state=QuantumState(source, dims_t1),
+            source_state=QuantumState(found[("source_state",)][1], dims_t1),
             observables_t1=pairs(1),
             observables_t2=pairs(2),
-            interaction=Interaction(interaction, dims_t1, dims_t2),
+            interaction=Interaction(found[("interaction",)][1], dims_t1, dims_t2),
         )
     except ValueError as exc:
         raise SerializationError(f"strategy validation: {exc}") from exc

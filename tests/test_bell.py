@@ -12,14 +12,12 @@ from bellcert.bell import (
     classical_bound,
     extra_statistics,
     quantum_value,
-    setting_stacks,
     sos_residual,
     sos_terms,
     tilde_observables,
 )
 from bellcert.linalg import dagger, kron, max_abs
 from bellcert.quantum import (
-    effect_table,
     post_measurement_states,
     pure_state,
     random_projective_observable,
@@ -77,6 +75,13 @@ class TestBellOperator:
         expr = BellExpression(3, (0, 0, 0))
         state = pure_state(ghz_like_vector((0, 0, 0)), (2, 2, 2))
         assert abs(quantum_value(state, target_observables(3), expr) - 4.0) < 1e-12
+
+    def test_value_leaves_the_density_unfactored(self):
+        # ``bounds 10`` reads the D = 1024 reference density: an ``eigh``
+        # there would be work the value does not need.
+        state = pure_state(ghz_like_vector((0, 1, 1)), (2, 2, 2))
+        quantum_value(state, target_observables(3), BellExpression(3, (0, 1, 1)))
+        assert state._factor is None
 
     def test_every_branch_reaches_the_bound(self):
         for n in (2, 3):
@@ -284,14 +289,12 @@ class TestExtraStatistics:
     @staticmethod
     def stats(strategy, settings, outcomes):
         """The side statistics on the post-interaction state of one
-        first-round event, read off the branch-state and contraction
-        kernels."""
+        first-round event, read off the branch state's marginals."""
         n = strategy.parties
         t1 = strategy.observables_t1
         projectors = [effect(t1[k][settings[k]], outcomes[k]) for k in range(n)]
         (sigma,) = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
-        stacks = setting_stacks(strategy.observables_t2)
-        return extra_statistics(effect_table([sigma], strategy.interaction.dims_out, stacks)[0])
+        return extra_statistics(sigma, strategy.observables_t2)
 
     def test_reference_conditional_state_passes(self, ref2):
         stats = self.stats(ref2, extra_branch_settings(2), (0, 0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellcert.bell import BellExpression, quantum_value
-from bellcert import certify, scenario
+from bellcert import bell, certify, scenario
 from bellcert.certify import (
     FramePremiseError,
     LocalFrame,
@@ -929,6 +929,82 @@ class TestBranchStatesBuiltOnce:
         assert all(s.shape[0] == s.shape[1] for s in supports.values())
         assert report.verdict == rebuilt.verdict == "certified"
         assert max_abs(report.interaction.aux_unitary - rebuilt.interaction.aux_unitary) <= 1e-12
+
+
+def _pin_cases():
+    """The inputs of ``TestNoSecondRoundTables``, with their verdicts."""
+    cases = [pytest.param(reference_strategy(n), "certified", id=f"reference-{n}") for n in range(2, 6)]
+    for rank, verdict in ((None, "certified"), (1, "inconclusive")):
+        scrambled = scramble_strategy(reference_strategy(2), (3, 2), seed=3, xi_rank=rank)
+        cases.append(pytest.param(scrambled.strategy, verdict, id=f"aux-3-2-rank-{rank or 'full'}"))
+    noisy = reference_strategy(4)
+    noisy = dataclasses.replace(noisy, source_state=white_noise_mix(noisy.source_state, 0.9))
+    return cases + [pytest.param(noisy, "inconclusive", id="reference-4-visibility-0.9")]
+
+
+class TestNoSecondRoundTables:
+    """The chain reads the Bell values, the side statistics and the branch
+    states, never ``p2``: certifying builds the first-round table and no
+    other, and no coefficient tensor."""
+
+    @pytest.mark.parametrize("strategy, verdict", _pin_cases())
+    def test_certify_builds_only_the_first_round_table(self, strategy, verdict, monkeypatch):
+        def once(fn):
+            calls = []
+
+            def first_call_only(*args):
+                calls.append(args)
+                if len(calls) > 1:
+                    raise AssertionError(f"{fn.__name__} called again: a second-round table")
+                return fn(*args)
+
+            return first_call_only
+
+        def refused(*args):
+            raise AssertionError("bell_coefficients called")
+
+        for fn in (scenario.effect_table, scenario.outcome_table, scenario.clamp_probabilities):
+            monkeypatch.setattr(scenario, fn.__name__, once(fn))
+        monkeypatch.setattr(bell, "bell_coefficients", refused)
+        report = run_full_certification(strategy)
+        assert report.verdict == verdict, report.failures
+
+
+def _edge_source(parties: int, seed: int) -> QuantumState:
+    """The reference source minus ``eps |phi><phi|``: ``phi`` a seeded unit
+    vector orthogonal to the GHZ vector, ``eps`` log-uniform in [1e-12,
+    9e-10], so the trace and the one negative eigenvalue stay inside the
+    loader's 1e-9."""
+    rng = np.random.default_rng([parties, seed])
+    ghz = ghz_like_vector((0,) * parties)
+    phi = rng.standard_normal(2**parties) + 1j * rng.standard_normal(2**parties)
+    phi -= ghz * np.vdot(ghz, phi)
+    phi /= np.linalg.norm(phi)
+    eps = 10.0 ** rng.uniform(-12.0, math.log10(9e-10))
+    return QuantumState(np.outer(ghz, ghz.conj()) - eps * np.outer(phi, phi.conj()), (2,) * parties)
+
+
+class TestPositivityEdge:
+    """Sources that the loader accepts with an eigenvalue down to -9e-10:
+    a first-round probability can fall below ``-ZERO_PROB``, and the range
+    gate of ``p1`` then makes certify inconclusive.  No second-round table
+    is built, so that gate is the only one that can fire."""
+
+    def test_verdicts_pinned(self):
+        verdicts = {}
+        for parties in (3, 4):
+            reference = reference_strategy(parties)
+            for seed in range(20):
+                source = _edge_source(parties, seed)
+                report = run_full_certification(dataclasses.replace(reference, source_state=source))
+                verdicts[(parties, seed)] = report.verdict
+                if report.verdict != "certified":
+                    assert report.verdict == "inconclusive"
+                    assert len(report.failures) == 1
+                    assert report.failures[0].startswith("first-round distribution for inputs ")
+        # 34 of the 40 are inconclusive by the first-round gate; six certify.
+        certified = {key for key, verdict in verdicts.items() if verdict == "certified"}
+        assert certified == {(3, 10), (3, 17), (4, 7), (4, 12), (4, 13), (4, 18)}
 
 
 class TestIndependentHaarEmbedding:

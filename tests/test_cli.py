@@ -225,6 +225,55 @@ class TestHostileInput:
         assert out.out == ""
         assert out.err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (1, {}, "matrices[10]: duplicate observable party=0 setting=0 time_slice=1, first at matrices[1]"),
+            (0, {}, "matrices[10]: duplicate source_state, first at matrices[0]"),
+            (9, {}, "matrices[10]: duplicate interaction, first at matrices[9]"),
+            (1, {"party": 5}, "matrices[10].party: 5 is not below parties = 2"),
+            (1, {"setting": 7}, "matrices[10].setting: 7 is not below 2"),
+            (1, {"time_slice": 3}, "matrices[10].time_slice: 3 is not 1 or 2"),
+        ],
+        ids=["observable-twice", "source-twice", "interaction-twice", "party-5", "setting-7",
+             "time_slice-3"],
+    )
+    def test_extra_matrix_entries_exit_2(self, tmp_path, capsys, ref2, index, change, message):
+        # The loader used to keep the last of two entries for one key and
+        # skip an observable out of range, so each of these files certified.
+        data = strategy_to_dict(ref2)
+        data["matrices"].append({**data["matrices"][index], **change})
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "argv", [["certify"], ["simulate"], ["noise-sweep", "--visibilities", "1"]], ids=lambda a: a[0]
+    )
+    def test_one_party_file_exits_2(self, tmp_path, capsys, argv):
+        # A consistent one-party file: certify used to call it inconclusive
+        # (exit 3), while simulate and noise-sweep exited 2.
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        matrices = [{"role": "source_state", **serialize.matrix_payload(np.diag([1.0, 0.0]))}]
+        for time_slice in (1, 2):
+            for setting, o in enumerate((z, x)):
+                matrices.append({"role": "observable", "party": 0, "setting": setting,
+                                 "time_slice": time_slice, **serialize.matrix_payload(o)})
+        matrices.append({"role": "interaction", **serialize.matrix_payload(np.eye(2))})
+        data = {"schema_version": SCHEMA_VERSION, "kind": "strategy", "parties": 1,
+                "dims": {"t1": [2], "t2": [2]}, "matrices": matrices}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: strategy validation: the Bell family needs at least 2 parties, got 1"
+        ]
+
     def test_unexpected_exception_exits_2(self, capsys, monkeypatch, caplog):
         def crash(args):
             raise RuntimeError("boom\nsecond line")

@@ -194,7 +194,10 @@ class TestRecordNormalization:
     """``CorrelationRecord`` rejects a table whose sum is off 1 by more than
     ``ALGEBRA_TOL`` (1e-9), the source-trace tolerance of the loader, or
     with an entry outside [0, 1] by more than ``ZERO_PROB`` (1e-12), and
-    names the first one, in p1-then-p2 order."""
+    names the first one, in p1-then-p2 order.  ``run_scenario`` leaves
+    ``p2`` out; ``dataclasses.replace`` reads it, which builds it from the
+    conditional states, and gives it to the new record, which gates it as
+    given."""
 
     @staticmethod
     def shifted(tables, key, delta):
@@ -273,9 +276,22 @@ class TestRecordNormalization:
                 with pytest.raises(ValueError, match=f"has entry {re.escape(repr(entries[0]))} at outcomes"):
                     dataclasses.replace(rec, **{table: tables})
 
+    def test_built_table_gated_on_first_read(self, ref2):
+        # A record without p2 builds it from its states when it is read, and
+        # gates it then: here one state's factor has its sign flipped.
+        rec = run_scenario(ref2)
+        states = list(rec.conditional_states)
+        vectors, signs = states[2].factor
+        states[2] = QuantumState._from_factor(vectors, -signs, states[2].dims)
+        bad = dataclasses.replace(rec, p2=None, conditional_states=tuple(states))
+        message = f"conditional distribution for event {rec.events[2]}, inputs (0, 0) sums to -1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bad.p2
+
     def test_gate_reads_the_tables_in_place(self):
-        # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB);
-        # the gate allocates their sums, not a copy of them.
+        # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB),
+        # built on this first read of p2; the gate of the record they are
+        # given to allocates their sums, not a copy of them.
         rec = run_scenario(reference_strategy(6))
         assert rec.p2.flags.c_contiguous and rec.p2.nbytes > 2e6
         tracemalloc.start()

@@ -8,7 +8,7 @@ from bellcert.bell import (
     quantum_value,
     setting_stacks,
 )
-from bellcert import quantum, seesaw
+from bellcert import bell, quantum, seesaw
 from bellcert.linalg import herm_eig, max_abs
 from bellcert.quantum import pure_state, random_projective_observable
 from bellcert.reference import ghz_like_vector, target_observables
@@ -368,15 +368,16 @@ def test_stacked_starts_are_each_seeds_observables(dims):
 def test_one_iteration_applies_thirty_factors(target, monkeypatch):
     # Per iteration at N = 4: 6 factors for party 0, whose two settings
     # share each term's product, and 8 for each other party, which applies
-    # party 0's two settings as one merged operator.
+    # party 0's two settings as one merged operator.  The seesaw reaches
+    # the factors through the Bell-term kernel in ``bell``.
     calls = []
-    apply = seesaw._apply
+    apply = bell._apply
 
     def counting(*args):
         calls.append(args)
         return apply(*args)
 
-    monkeypatch.setattr(seesaw, "_apply", counting)
+    monkeypatch.setattr(bell, "_apply", counting)
     seesaw_restarts(BellExpression(4, target), (2, 2, 2, 2), range(3), max_iters=1)
     assert len(calls) == 30
 
