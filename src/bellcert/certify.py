@@ -343,8 +343,8 @@ def certify_interaction(
     unit_defect = max_abs(dagger(v0_p) @ v0_p - np.eye(v0_p.shape[1]))
 
     shape = (d_q, w.shape[0] // d_q, d_q, v0_p.shape[1])
-    blocks = np.einsum("ijkl,ka->iajl", deviation.reshape(shape), basis)
-    norms = np.max(np.abs(blocks), axis=(2, 3))
+    blocks = np.tensordot(deviation.reshape(shape), basis, axes=(2, 0))  # (out, j, l, a)
+    norms = np.max(np.abs(blocks), axis=(1, 2))
     out, a = np.unravel_index(np.argmax(norms), norms.shape)
     worst = float(norms[out, a])
 

@@ -28,7 +28,7 @@ from .bell import BellExpression, classical_bound, quantum_value
 from .certify import MAX_VIOLATION_TOL, run_full_certification
 from .quantum import white_noise_mix
 from .reference import reference_strategy
-from .scenario import Strategy, run_scenario, scramble_strategy
+from .scenario import Strategy, run_scenario, scramble_strategy, second_round_tables
 from .seesaw import seesaw_restarts
 from .serialize import (
     SCHEMA_VERSION,
@@ -179,6 +179,8 @@ def cmd_bounds(args) -> int:
 def cmd_make_strategy(args) -> int:
     if args.parties < 2:
         return _usage_error("make-strategy: need at least 2 parties")
+    if args.seed < 0:
+        return _usage_error(f"make-strategy: --seed must be >= 0, got {args.seed}")
     _check_branch_stack("make-strategy", args.parties)
     aux = [1] * args.parties
     if args.scramble and args.aux_dims is not None:
@@ -212,8 +214,9 @@ def cmd_simulate(args) -> int:
     strategy, _ = _load(args.strategy, "simulate")
     try:
         record = run_scenario(strategy)
-        # The record's second-round tables are built, and gated, here.
-        data = record_to_dict(record) if args.out or args.format == "machine" else None
+        data = None
+        if args.out or args.format == "machine":  # the only place p2 is built
+            data = record_to_dict(record, second_round_tables(record, strategy.observables_t2))
     except ValueError as exc:
         return _usage_error(f"simulate: {exc}")
     if args.out:
@@ -323,6 +326,8 @@ def cmd_seesaw(args) -> int:
         return _usage_error("seesaw: need at least 2 parties")
     if args.restarts < 1:
         return _usage_error("seesaw: --restarts must be at least 1")
+    if args.seed < 0:
+        return _usage_error(f"seesaw: --seed must be >= 0, got {args.seed}")
     # Every local dimension is at least 2, so D >= 2^N: refuse a party count
     # over the bound before a per-party list is built.
     if args.parties > math.log2(MAX_SEESAW_DIM):

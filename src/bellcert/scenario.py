@@ -18,9 +18,10 @@ matrix.  It computes what the chain reads: the first-round table ``p1``
 (one contraction of the source, gated) and the event probabilities read
 off it, the Bell values from the N terms of ``bell.bell_terms`` (the t1
 value of the source's density, each branch's from its factor at its own
-target), and the side statistics, one-party values.  The second-
-round tables ``p2`` are built only when read, which ``simulate`` does and
-``certify`` never does (``CorrelationRecord``).
+target), and the side statistics, one-party values.  The record holds no
+second-round tables: ``second_round_tables`` builds and gates ``p2`` from
+its branch states, which ``simulate`` does to write the record and
+``certify`` never does.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
     "extra_branch_settings",
     "run_scenario",
     "scramble_strategy",
+    "second_round_tables",
 ]
 
 Bits = tuple[int, ...]
@@ -132,90 +134,85 @@ class CorrelationRecord:
     """Observed statistics of one scenario run, as arrays.
 
     ``p1[x]`` is the outcome distribution at the first round for inputs
-    ``x`` (settings first, then outcomes); ``p2[e][x2]`` the conditional one
-    at the second round after ``events[e]``, a kept conditioning event ``(x1,
-    a1)``.  ``t2_bell_values`` holds, per Bell-branch outcome vector, the
-    value of the matching Bell functional on the conditional state, and
-    ``extra_stats`` the (label, value, target) side statistics, or ``None``.
+    ``x`` (settings first, then outcomes), and ``events`` the kept
+    conditioning events ``(x1, a1)``.  ``t2_bell_values`` holds, per
+    Bell-branch outcome vector, the value of the matching Bell functional
+    on the conditional state, and ``extra_stats`` the (label, value,
+    target) side statistics, or ``None``.
 
-    ``conditional_states[e]`` is the post-interaction state behind
-    ``p2[e]``, kept so the certification chain reuses it; it holds its
+    ``conditional_states[e]`` is the post-interaction state after
+    ``events[e]``, kept so the certification chain reuses it; it holds its
     factor, and forms its density only if that is read.  It is in memory
     only: it is not serialized, so a loaded record has none (``()``).  The
-    chain reads the values, the event probabilities and the states, never
-    ``p2``: ``run_scenario`` gives ``p2=None``, and the record builds it
-    from its states and ``observables_t2`` on its first read, as
-    ``simulate`` does to write the record out.  Every table, given or
-    built, must sum to 1 within ``ALGEBRA_TOL``, the tolerance the public
-    ``QuantumState`` constructor allows on the trace of a source, and every
-    entry lie in [0, 1] within ``ZERO_PROB``, the margin that
+    record holds no second-round tables: ``second_round_tables`` builds
+    them from the states, as ``simulate`` does to write the record out.
+    ``p1`` must sum to 1 per setting within ``ALGEBRA_TOL``, the tolerance
+    the public ``QuantumState`` constructor allows on the trace of a source,
+    and every entry lie in [0, 1] within ``ZERO_PROB``, the margin that
     ``clamp_probabilities`` moves onto the boundary.
     """
 
     parties: int
     p1: np.ndarray
     events: tuple[tuple[Bits, Bits], ...]
-    p2: np.ndarray | None = field(repr=False)
     t1_bell_value: float
     t2_bell_values: dict
     extra_stats: tuple[tuple[str, float, float], ...] | None
     conditional_states: tuple[QuantumState, ...] = field(default=(), repr=False)
-    observables_t2: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         n, events, states = self.parties, self.events, self.conditional_states
-        table = (2,) * 2 * n
-        shapes = {"p1": table, "p2": (len(events),) + table}
-        if self.p2 is None:  # built by ``__getattr__`` when read
-            if not (states and self.observables_t2):
-                raise ValueError("a record without p2 needs the states and observables_t2")
-            object.__delattr__(self, "p2")
-            del shapes["p2"]
-        for name, shape in shapes.items():
-            if np.shape(getattr(self, name)) != shape:
-                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}")
+        if np.shape(self.p1) != (2,) * 2 * n:
+            raise ValueError(f"p1 has shape {np.shape(self.p1)}, expected {(2,) * 2 * n}")
         if states and len(states) != len(events):
             raise ValueError(f"{len(states)} conditional states for {len(events)} events")
-        for name in shapes:
-            self._gate(getattr(self, name))
-
-    def __getattr__(self, name):
-        # Reached only for the ``p2`` of a record given ``p2=None``.
-        if name != "p2":
-            raise AttributeError(name)
-        states, stacks = self.conditional_states, setting_stacks(self.observables_t2)
-        correlators = effect_table(states, states[0].dims, stacks)
-        p2 = clamp_probabilities(outcome_table(correlators, self.parties))
-        self._gate(p2)
-        object.__setattr__(self, "p2", p2)
-        return p2
-
-    def _gate(self, tables: np.ndarray) -> None:
-        # ``p1`` or ``p2`` summed over its trailing N (outcome) axes, and its
-        # entries bounded by one min and one max, in place.
-        n = self.parties
-        sums = np.sum(tables, axis=tuple(range(-n, 0)))
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
-        if bad.size:
-            index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
-            problem = f"sums to {float(sums[index]):.12g}"
-        elif -ZERO_PROB <= np.min(tables) and np.max(tables) <= 1.0 + ZERO_PROB:
-            return
-        else:
-            bad = np.flatnonzero(~((-ZERO_PROB <= tables) & (tables <= 1.0 + ZERO_PROB)))
-            index = tuple(int(i) for i in np.unravel_index(bad[0], tables.shape))
-            problem = f"has entry {float(tables[index])!r} at outcomes {index[-n:]}, outside [0, 1]"
-            index = index[:-n]
-        if tables.ndim == 2 * n:
-            raise ValueError(f"first-round distribution for inputs {index} {problem}")
-        raise ValueError(
-            f"conditional distribution for event {self.events[index[0]]}, inputs {index[1:]} {problem}"
-        )
+        _gate(self.p1, n, events)
 
     @property
     def event_probabilities(self) -> dict:
         """The first-round probability of each kept event, read from ``p1``."""
         return {(x, a): float(self.p1[x + a]) for x, a in self.events}
+
+
+def _gate(tables: np.ndarray, n: int, events) -> None:
+    # ``p1`` or ``p2`` summed over its trailing N (outcome) axes, and its
+    # entries bounded by one min and one max, in place.
+    sums = np.sum(tables, axis=tuple(range(-n, 0)))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ALGEBRA_TOL))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], sums.shape))
+        problem = f"sums to {float(sums[index]):.12g}"
+    elif -ZERO_PROB <= np.min(tables) and np.max(tables) <= 1.0 + ZERO_PROB:
+        return
+    else:
+        bad = np.flatnonzero(~((-ZERO_PROB <= tables) & (tables <= 1.0 + ZERO_PROB)))
+        index = tuple(int(i) for i in np.unravel_index(bad[0], tables.shape))
+        problem = f"has entry {float(tables[index])!r} at outcomes {index[-n:]}, outside [0, 1]"
+        index = index[:-n]
+    if tables.ndim == 2 * n:
+        raise ValueError(f"first-round distribution for inputs {index} {problem}")
+    raise ValueError(f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} {problem}")
+
+
+def _outcome_tables(rho, dims: tuple[int, ...], observables) -> np.ndarray:
+    """Clamped outcome tables of a density matrix or a stack of states."""
+    correlators = effect_table(rho, dims, setting_stacks(observables))
+    return clamp_probabilities(outcome_table(correlators, len(dims)))
+
+
+def second_round_tables(record: CorrelationRecord, observables_t2) -> np.ndarray:
+    """The second-round tables ``p2`` of ``record``: ``p2[e][x2]`` is the
+    outcome distribution for inputs ``x2`` after ``record.events[e]``,
+    under the strategy's second-round observables, gated as ``p1`` is.
+
+    Raises ``ValueError`` if the record holds no conditional states, or if a
+    table fails the gate."""
+    states = record.conditional_states
+    if not states:
+        raise ValueError("a record without conditional states has no second-round tables")
+    p2 = _outcome_tables(states, states[0].dims, observables_t2)
+    _gate(p2, record.parties, record.events)
+    return p2
 
 
 def _observable_pair(pair, name: str, party: int, d: int) -> np.ndarray:
@@ -261,9 +258,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
     source, dims_out = strategy.source_state, strategy.interaction.dims_out
 
-    settings_t1 = setting_stacks(strategy.observables_t1)
-    correlators_t1 = effect_table(source.density, source.dims, settings_t1)
-    p1 = clamp_probabilities(outcome_table(correlators_t1, n))
+    p1 = _outcome_tables(source.density, source.dims, strategy.observables_t1)
     t1_value = quantum_value(source, strategy.observables_t1, BellExpression(n, (0,) * n))
 
     # The conditioning events with non-vanishing probability: the Bell
@@ -293,12 +288,10 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
         parties=n,
         p1=p1,
         events=tuple(events),
-        p2=None,
         t1_bell_value=t1_value,
         t2_bell_values={a: float(v) for a, v in zip(targets, t2_values)},
         extra_stats=extra,
         conditional_states=branches,
-        observables_t2=strategy.observables_t2,
     )
 
 

@@ -100,6 +100,9 @@ TOP_MARGIN = 1e-12
 MAX_STEPS = 8
 ITERATIVE_MIN_DIM = 32
 
+# A restart has converged once an iteration raises its value by less than this.
+CONVERGENCE_TOL = 1e-12
+
 
 def optimal_state_update(
     operators: np.ndarray, start: np.ndarray | None = None
@@ -231,7 +234,7 @@ def _starting_stacks(dims, seeds) -> list[np.ndarray]:
     return stacks
 
 
-def _lockstep(coefficients, terms, dims, stacks, max_iters, convergence_tol) -> list[SeesawResult]:
+def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult]:
     """Seesaw runs from the starting ``(R, 3, d, d)`` setting stacks, all
     advanced together until each converges or runs out of iterations."""
     results: list[SeesawResult | None] = [None] * len(stacks[0])
@@ -246,7 +249,7 @@ def _lockstep(coefficients, terms, dims, stacks, max_iters, convergence_tol) -> 
         # The last party's operators were taken after every other party's
         # update, so against its new stack they give the updated value.
         new_value = _strategy_value(stacks[-1], effective)
-        converged = (new_value - value < convergence_tol) & (iterations > 1)
+        converged = (new_value - value < CONVERGENCE_TOL) & (iterations > 1)
         value = np.where(converged, np.maximum(value, new_value), new_value)
         done = converged | (iterations == max_iters)
         for j in np.flatnonzero(done):
@@ -270,7 +273,6 @@ def seesaw_restarts(
     local_dims: tuple[int, ...],
     seeds,
     max_iters: int = 200,
-    convergence_tol: float = 1e-12,
 ) -> list[SeesawResult]:
     """Independent seeded restarts (the landscape has local optima), each
     from random projective observables drawn from its seed, advanced in
@@ -278,8 +280,6 @@ def seesaw_restarts(
     dims = tuple(int(d) for d in local_dims)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not 0 < convergence_tol < math.inf:
-        raise ValueError("convergence_tol must be positive and finite")
     if any(d < 2 for d in dims):
         raise ValueError("local dimensions must be at least 2")
     if len(dims) != expr.parties:
@@ -289,5 +289,5 @@ def seesaw_restarts(
     results = []
     for chunk in _chunks(len(seeds), math.prod(dims)):
         stacks = _starting_stacks(dims, seeds[chunk])
-        results += _lockstep(coefficients, terms, dims, stacks, max_iters, convergence_tol)
+        results += _lockstep(coefficients, terms, dims, stacks, max_iters)
     return results

@@ -259,7 +259,8 @@ def load_strategy(path) -> Strategy:
     return strategy_from_dict(parse_json(read_input(path), path))
 
 
-def record_to_dict(record: CorrelationRecord) -> dict:
+def record_to_dict(record: CorrelationRecord, p2: np.ndarray) -> dict:
+    """``record`` and its tables ``p2`` (``scenario.second_round_tables``)."""
     def event_key(event):
         x, a = event
         return f"x={_bits(x)}|a={_bits(a)}"
@@ -278,7 +279,7 @@ def record_to_dict(record: CorrelationRecord) -> dict:
         "t2_bell_values": {_bits(a): v for a, v in record.t2_bell_values.items()},
         "extra_stats": extra,
         "p1": by_setting(record.p1),
-        "p2": {event_key(event): by_setting(p) for event, p in zip(record.events, record.p2)},
+        "p2": {event_key(event): by_setting(p) for event, p in zip(record.events, p2)},
         "event_probabilities": {event_key(e): p for e, p in record.event_probabilities.items()},
     }
 

@@ -465,7 +465,11 @@ class TestEachDocumentBuiltOnce:
 
     @pytest.mark.parametrize(
         "command, option, builder",
-        [("simulate", "--out", "record_to_dict"), ("certify", "--report", "report_to_dict")],
+        [
+            ("simulate", "--out", "record_to_dict"),
+            ("simulate", "--out", "second_round_tables"),
+            ("certify", "--report", "report_to_dict"),
+        ],
     )
     def test_written_and_printed_from_one_build(
         self, tmp_path, capsys, monkeypatch, command, option, builder
@@ -620,6 +624,19 @@ class TestToleranceIsFinitePositive:
         assert out.err.splitlines() == [
             f"error: {command[0]}: --tolerance must be finite and positive, got {float(tolerance):g}"
         ]
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["make-strategy", "s.json", "--scramble"], "-1"), (["seesaw", "--parties", "2"], "-3")],
+)
+def test_negative_seed_is_named(tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", seed]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: {argv[0]}: --seed must be >= 0, got {seed}"]
+    assert not (tmp_path / "s.json").exists()
 
 
 class TestValidationAtTheBoundary:

@@ -40,6 +40,7 @@ from bellcert.scenario import (
     extra_branch_settings,
     run_scenario,
     scramble_strategy,
+    second_round_tables,
 )
 from bellcert.seesaw import _effective_operators, _strategy_value
 
@@ -224,12 +225,13 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     events.append((extra_branch_settings(parties), (0,) * parties))
     kept = [(x1, a1) for x1, a1 in events if p1[x1][a1] > ZERO_PROB]
     assert list(record.events) == kept
-    assert len(record.p2) == len(record.conditional_states) == len(kept)
+    p2 = second_round_tables(record, strategy.observables_t2)
+    assert len(p2) == len(record.conditional_states) == len(kept)
     if aux is None:
         assert len(kept) < len(events)
     else:
         assert len(kept) == 2**parties + 1
-    for (x1, a1), tables, state in zip(record.events, record.p2, record.conditional_states):
+    for (x1, a1), tables, state in zip(record.events, p2, record.conditional_states):
         projectors = [effect(strategy.observables_t1[k][x1[k]], a1[k]) for k in range(parties)]
         sigma = v @ dense_post_measurement(rho, projectors) @ dagger(v)
         assert max_abs(state.density - sigma) <= EXACT
@@ -262,7 +264,8 @@ def test_chunked_stack_matches_one_chunk(monkeypatch):
     assert chunked.events == whole.events
     for event, state in enumerate(whole.conditional_states):
         assert max_abs(chunked.conditional_states[event].density - state.density) <= EXACT
-    assert max_abs(chunked.p2 - whole.p2) <= EXACT
+    tables = [second_round_tables(r, strategy.observables_t2) for r in (chunked, whole)]
+    assert max_abs(tables[0] - tables[1]) <= EXACT
     for outcomes, value in whole.t2_bell_values.items():
         assert abs(chunked.t2_bell_values[outcomes] - value) <= 1e-13
     extra = np.array([v for _, v, _ in chunked.extra_stats]) - [v for _, v, _ in whole.extra_stats]

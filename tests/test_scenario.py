@@ -16,12 +16,14 @@ from bellcert.quantum import (
     white_noise_mix,
 )
 from bellcert.reference import reference_strategy
+from bellcert import scenario
 from bellcert.scenario import (
     Strategy,
     bell_branch_settings,
     extra_branch_settings,
     run_scenario,
     scramble_strategy,
+    second_round_tables,
 )
 
 from conftest import X, Z, on_target, repeatability_spotcheck
@@ -71,7 +73,7 @@ class TestRunScenario:
 
     def test_conditional_normalization(self, ref2):
         rec = run_scenario(ref2)
-        for tables in rec.p2:
+        for tables in second_round_tables(rec, ref2.observables_t2):
             for x2 in itertools.product((0, 1), repeat=2):
                 assert abs(float(np.sum(tables[x2])) - 1.0) < 1e-10
 
@@ -99,6 +101,21 @@ class TestRunScenario:
         for x1, a1 in rec.events:
             assert rec.event_probabilities[(x1, a1)] > 1e-12
 
+    def test_copy_builds_no_table(self, monkeypatch):
+        # The record holds no second-round tables, so a field-by-field copy
+        # contracts nothing.
+        rec = run_scenario(reference_strategy(6))
+        calls = []
+        original = scenario.effect_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scenario, "effect_table", counting)
+        dataclasses.replace(rec)
+        assert calls == []
+
     def test_non_projective_first_round_rejected(self, ref2):
         soft = tuple((0.9 * pair[0], pair[1]) for pair in ref2.observables_t1)
         strategy = Strategy(
@@ -111,12 +128,14 @@ class TestRunScenario:
             run_scenario(strategy)
 
 
-def _records_match(a, b, tol=1e-9):
+def _records_match(strategy_a, strategy_b, tol=1e-9):
+    a, b = run_scenario(strategy_a), run_scenario(strategy_b)
     assert a.p1.shape == b.p1.shape
     assert max_abs(a.p1 - b.p1) < tol
     assert a.events == b.events
-    assert a.p2.shape == b.p2.shape
-    assert max_abs(a.p2 - b.p2) < tol
+    p2_a, p2_b = (second_round_tables(r, s.observables_t2) for r, s in ((a, strategy_a), (b, strategy_b)))
+    assert p2_a.shape == p2_b.shape
+    assert max_abs(p2_a - p2_b) < tol
     assert abs(a.t1_bell_value - b.t1_bell_value) < tol
     for key in a.t2_bell_values:
         assert abs(a.t2_bell_values[key] - b.t2_bell_values[key]) < tol
@@ -128,18 +147,16 @@ def _records_match(a, b, tol=1e-9):
 class TestScramble:
     def test_trivial_aux_reproduces_statistics(self, ref2):
         scrambled = scramble_strategy(ref2, (1, 1), seed=0)
-        _records_match(run_scenario(ref2), run_scenario(scrambled.strategy))
+        _records_match(ref2, scrambled.strategy)
 
     def test_statistics_invariance_across_seeds_and_aux(self, ref2):
-        base = run_scenario(ref2)
         for seed, aux in ((1, (2, 1)), (2, (1, 3)), (3, (2, 2)), (4, (3, 3))):
             scrambled = scramble_strategy(ref2, aux, seed=seed)
-            _records_match(base, run_scenario(scrambled.strategy))
+            _records_match(ref2, scrambled.strategy)
 
     def test_three_party_invariance(self, ref3):
-        base = run_scenario(ref3)
         scrambled = scramble_strategy(ref3, (2, 1, 2), seed=5)
-        _records_match(base, run_scenario(scrambled.strategy))
+        _records_match(ref3, scrambled.strategy)
 
     def test_planted_objects_are_consistent(self, ref2):
         scrambled = scramble_strategy(ref2, (2, 2), seed=6)
@@ -191,19 +208,31 @@ class TestRepeatabilitySpotcheck:
 
 
 class TestRecordNormalization:
-    """``CorrelationRecord`` rejects a table whose sum is off 1 by more than
-    ``ALGEBRA_TOL`` (1e-9), the source-trace tolerance of the loader, or
-    with an entry outside [0, 1] by more than ``ZERO_PROB`` (1e-12), and
-    names the first one, in p1-then-p2 order.  ``run_scenario`` leaves
-    ``p2`` out; ``dataclasses.replace`` reads it, which builds it from the
-    conditional states, and gives it to the new record, which gates it as
-    given."""
+    """A table whose sum is off 1 by more than ``ALGEBRA_TOL`` (1e-9), the
+    source-trace tolerance of the loader, or with an entry outside [0, 1]
+    by more than ``ZERO_PROB`` (1e-12), is rejected with the first one
+    named, in p1-then-p2 order: ``CorrelationRecord`` gates ``p1`` when it
+    is built, and ``second_round_tables`` gates the ``p2`` it builds from
+    the record's states.  A tampered ``p2`` goes through the same
+    ``scenario._gate``."""
 
     @staticmethod
     def shifted(tables, key, delta):
         out = tables.copy()
         out[key] += delta / out[key].size
         return out
+
+    @staticmethod
+    def gate(rec, p2):
+        scenario._gate(p2, rec.parties, rec.events)
+
+    @staticmethod
+    def sign_flipped(rec, event):
+        # The record's states with one state's factor negated: its tables sum to -1.
+        states = list(rec.conditional_states)
+        vectors, signs = states[event].factor
+        states[event] = QuantumState._from_factor(vectors, -signs, states[event].dims)
+        return tuple(states)
 
     def test_within_the_rule_passes(self, ref2):
         rec = run_scenario(ref2)
@@ -219,26 +248,28 @@ class TestRecordNormalization:
 
     def test_conditional_table_named(self, ref2):
         rec = run_scenario(ref2)
-        p2 = self.shifted(self.shifted(rec.p2, (1, 1, 0), -1e-6), (2, 0, 0), 1e-3)
+        p2 = second_round_tables(rec, ref2.observables_t2)
+        p2 = self.shifted(self.shifted(p2, (1, 1, 0), -1e-6), (2, 0, 0), 1e-3)
         message = f"conditional distribution for event {rec.events[1]}, inputs (1, 0) sums to 0.999999"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            dataclasses.replace(rec, p2=p2)
+            self.gate(rec, p2)
 
     def test_first_round_named_before_second(self, ref2):
+        # Both tables off: the record is refused before its p2 is built.
         rec = run_scenario(ref2)
         p1 = self.shifted(rec.p1, (1, 0), 1e-3)
-        p2 = self.shifted(rec.p2, (0, 0, 0), -1e-3)
         message = "first-round distribution for inputs (1, 0) sums to 1.001"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(rec, p1=p1, p2=p2)
+            bad = dataclasses.replace(rec, p1=p1, conditional_states=self.sign_flipped(rec, 0))
+            second_round_tables(bad, ref2.observables_t2)
 
     def test_nan_table_named(self, ref2):
         rec = run_scenario(ref2)
-        p2 = rec.p2.copy()
+        p2 = second_round_tables(rec, ref2.observables_t2)
         p2[3, 0, 1, 1, 1] = np.nan
         message = f"conditional distribution for event {rec.events[3]}, inputs (0, 1) sums to nan"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(rec, p2=p2)
+            self.gate(rec, p2)
 
     def test_out_of_range_first_round_entry_named(self, ref2):
         rec = run_scenario(ref2)
@@ -253,54 +284,60 @@ class TestRecordNormalization:
 
     def test_out_of_range_conditional_entry_named(self, ref2):
         rec = run_scenario(ref2)
-        p2 = rec.p2.copy()
+        p2 = second_round_tables(rec, ref2.observables_t2)
         p2[2, 1, 0] = [[0.5, 0.5], [0.25, -0.25]]
         message = (
             f"conditional distribution for event {rec.events[2]}, inputs (1, 0) "
             "has entry -0.25 at outcomes (1, 1), outside [0, 1]"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(rec, p2=p2)
+            self.gate(rec, p2)
 
     @pytest.mark.parametrize("table", ["p1", "p2"])
     def test_entry_margin_is_zero_prob(self, ref2, table):
         rec = run_scenario(ref2)
+        built = {"p1": rec.p1, "p2": second_round_tables(rec, ref2.observables_t2)}[table]
+
+        def gate(tables):
+            if table == "p1":
+                dataclasses.replace(rec, p1=tables)
+            else:
+                self.gate(rec, tables)
+
         for beyond, passes in ((ZERO_PROB / 2, True), (2 * ZERO_PROB, False)):
             for low_first in (True, False):
-                tables = getattr(rec, table).copy()
+                tables = built.copy()
                 entries = [-beyond, 1 + beyond] if low_first else [1 + beyond, -beyond]
                 tables[..., 0, 0, :, :] = [entries, [0, 0]]
                 if passes:
-                    dataclasses.replace(rec, **{table: tables})
+                    gate(tables)
                     continue
                 with pytest.raises(ValueError, match=f"has entry {re.escape(repr(entries[0]))} at outcomes"):
-                    dataclasses.replace(rec, **{table: tables})
+                    gate(tables)
 
     def test_built_table_gated_on_first_read(self, ref2):
-        # A record without p2 builds it from its states when it is read, and
-        # gates it then: here one state's factor has its sign flipped.
+        # The tables built from the states are gated as they are built:
+        # here one state's factor has its sign flipped.
         rec = run_scenario(ref2)
-        states = list(rec.conditional_states)
-        vectors, signs = states[2].factor
-        states[2] = QuantumState._from_factor(vectors, -signs, states[2].dims)
-        bad = dataclasses.replace(rec, p2=None, conditional_states=tuple(states))
+        bad = dataclasses.replace(rec, conditional_states=self.sign_flipped(rec, 2))
         message = f"conditional distribution for event {rec.events[2]}, inputs (0, 0) sums to -1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            bad.p2
+            second_round_tables(bad, ref2.observables_t2)
 
     def test_gate_reads_the_tables_in_place(self):
-        # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB),
-        # built on this first read of p2; the gate of the record they are
-        # given to allocates their sums, not a copy of them.
-        rec = run_scenario(reference_strategy(6))
-        assert rec.p2.flags.c_contiguous and rec.p2.nbytes > 2e6
+        # At N = 6 the second-round tables are 65 x 4096 doubles (2.1 MB);
+        # the gate allocates their sums, not a copy of them.
+        ref = reference_strategy(6)
+        rec = run_scenario(ref)
+        p2 = second_round_tables(rec, ref.observables_t2)
+        assert p2.flags.c_contiguous and p2.nbytes > 2e6
         tracemalloc.start()
         try:
-            dataclasses.replace(rec)
+            self.gate(rec, p2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < rec.p2.nbytes / 8
+        assert peak < p2.nbytes / 8
 
 
 class TestRecordShape:
@@ -314,9 +351,7 @@ class TestRecordShape:
 
     def test_p2_and_events_disagree(self, ref2):
         rec = run_scenario(ref2)
-        with pytest.raises(ValueError, match=r"^p2 has shape \(4, 2, 2, 2, 2\)"):
-            dataclasses.replace(rec, p2=rec.p2[:-1])
-        with pytest.raises(ValueError, match=r"^p2 has shape \(5, 2, 2, 2, 2\)"):
+        with pytest.raises(ValueError, match="^5 conditional states for 4 events$"):
             dataclasses.replace(rec, events=rec.events[:-1])
 
     def test_conditional_states_and_events_disagree(self, ref2):
@@ -329,6 +364,8 @@ class TestRecordShape:
         # A record filled from statistics alone keeps no states.
         rec = dataclasses.replace(run_scenario(ref2), conditional_states=())
         assert rec.conditional_states == () and len(rec.events) == 5
+        with pytest.raises(ValueError, match="^a record without conditional states"):
+            second_round_tables(rec, ref2.observables_t2)
 
 
 class TestStrategyValidation:

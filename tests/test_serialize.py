@@ -9,7 +9,7 @@ import pytest
 
 from bellcert.certify import run_full_certification
 from bellcert.quantum import QuantumState
-from bellcert.scenario import run_scenario, scramble_strategy
+from bellcert.scenario import run_scenario, scramble_strategy, second_round_tables
 from bellcert.serialize import (
     SerializationError,
     dumps,
@@ -107,7 +107,7 @@ class TestStrategyFile:
 class TestRecordAndReport:
     def test_record_serialization(self, ref2):
         rec = run_scenario(ref2)
-        data = json.loads(json.dumps(record_to_dict(rec)))
+        data = json.loads(json.dumps(record_to_dict(rec, second_round_tables(rec, ref2.observables_t2))))
         assert data["kind"] == "correlation_record"
         assert abs(data["t1_bell_value"] - 2.0) < 1e-12
         assert set(data["t2_bell_values"]) == {"00", "01", "10", "11"}
