@@ -11,6 +11,9 @@ auxiliary unitary on the support of ``xi``, the part the statistics fix.
 Only the maximal-violation tolerance is a parameter; the later gates use
 the module's constants.
 
+The 2N pairs run as stacks (``_stacked``), one per support or compressed
+dimension, each pair with the bits it gets alone, in chain order.
+
 Verdict semantics:
 
 * ``inconclusive`` - a statistical premise is not met at tolerance (e.g. a
@@ -127,79 +130,108 @@ def support_isometry(density: np.ndarray) -> np.ndarray:
     marginal of a unit-trace state always has one, and a vanishing recovered
     ``xi`` fails the source-state residual.
     """
-    return _support(herm_eig(density))
+    return _supports(herm_eig(density))[0]
 
 
-def _support(eig) -> np.ndarray:
-    """``support_isometry`` from the ``herm_eig`` of the matrix."""
-    mask = eig.eigenvalues > SUPPORT_CUTOFF
-    if np.all(mask) or not mask.any():
-        return np.eye(len(mask), dtype=complex)
-    return _position_basis(eig.eigenvectors[:, mask])
+def _supports(eig) -> list[np.ndarray]:
+    """``support_isometry`` of each matrix of a stack (or of one matrix),
+    from its ``herm_eig`` (ascending, so a support is the last columns)."""
+    d = eig.eigenvalues.shape[-1]
+    vectors = eig.eigenvectors.reshape(-1, d, d)
+    ranks = np.count_nonzero(eig.eigenvalues.reshape(-1, d) > SUPPORT_CUTOFF, axis=-1)
+    partial = [i for i, r in enumerate(ranks) if 0 < r < d]
+    bases = _stacked(_position_basis, [vectors[i, :, d - ranks[i] :] for i in partial])
+    bases, eye = dict(zip(partial, bases)), np.eye(d, dtype=complex)
+    return [bases.get(i, eye) for i in range(len(ranks))]
+
+
+def _stacked(fn, *columns) -> list:
+    """``fn`` of the stacked entries of ``columns`` (equal-length lists), one
+    call per shape in the first column, with its results in column order."""
+    out: dict = {}
+    for shape in dict.fromkeys(a.shape for a in columns[0]):
+        idx = [i for i, a in enumerate(columns[0]) if a.shape == shape]
+        out.update(zip(idx, fn(*(np.array([col[i] for i in idx]) for col in columns))))
+    return [out[i] for i in range(len(columns[0]))]
 
 
 def _position_basis(span: np.ndarray) -> np.ndarray:
-    """The basis of the column space of ``span`` (orthonormal columns) that
-    depends on the subspace alone, not on the basis ``eigh`` picks by
-    roundoff inside a degenerate eigenvalue: the eigenvectors of the
-    position operator ``diag(0, 1, ..., d-1)`` compressed to the subspace
-    (ascending, with the phase convention of ``herm_eig``).  They are unique
-    when that compression has a simple spectrum; where it is degenerate (on
-    the span of ``(e_0 + e_2) / sqrt(2)`` and ``e_1`` it is the identity),
-    roundoff picks again.  One column (or none) is returned as it is,
-    already unique up to the phase ``herm_eig`` fixed.
-    """
-    if span.shape[1] <= 1:
+    """The basis of the column space of each ``span`` (orthonormal columns)
+    of a stack that depends on the subspace alone, not on the basis ``eigh``
+    picks by roundoff inside a degenerate eigenvalue: the eigenvectors of
+    the position operator ``diag(0, 1, ..., d-1)`` compressed to the
+    subspace (ascending, with the phase convention of ``herm_eig``).  They
+    are unique when that compression has a simple spectrum; where it is
+    degenerate (on the span of ``(e_0 + e_2) / sqrt(2)`` and ``e_1`` it is
+    the identity), roundoff picks again.  One column (or none) is returned
+    as it is, already unique up to the phase ``herm_eig`` fixed."""
+    if span.shape[-1] <= 1:
         return span
-    position = np.arange(span.shape[0], dtype=float)
+    position = np.arange(span.shape[-2], dtype=float)
     compressed = dagger(span) @ (position[:, None] * span)
     return fix_column_phases(span @ herm_eig(compressed).eigenvectors)
 
 
-def _pair_checks(a0, a1, label: str) -> tuple[CheckResult, CheckResult, CheckResult]:
-    """The premises of a pair of observables compressed to its support, each
-    at ``CERT_TOL``: the sharpness defect ``max|A_s^2 - I|`` of setting 0
-    and of setting 1, then the anticommutator norm."""
-    eye = np.eye(a0.shape[0])
-    sharp = (
-        CheckResult.below(f"projectivity {label} setting {s}", max_abs(m @ m - eye), CERT_TOL)
-        for s, m in enumerate((a0, a1))
-    )
-    anti = CheckResult.below(f"anticommutator {label}", max_abs(a0 @ a1 + a1 @ a0), CERT_TOL)
-    return (*sharp, anti)
+def _pair_checks(pairs: np.ndarray, labels) -> list[tuple[CheckResult, ...]]:
+    """The premises of each pair ``labels`` names in a ``(g, 2, k, k)`` stack
+    compressed to their supports, each at ``CERT_TOL``: the sharpness defect
+    ``max|A_s^2 - I|`` of setting 0 and 1, then the anticommutator norm."""
+    a0, a1 = pairs[:, 0], pairs[:, 1]
+    sharp = np.max(np.abs(pairs @ pairs - np.eye(pairs.shape[-1])), axis=(-2, -1))
+    anti = np.max(np.abs(a0 @ a1 + a1 @ a0), axis=(-2, -1))
+    names = ("projectivity {} setting 0", "projectivity {} setting 1", "anticommutator {}")
+    return [
+        tuple(CheckResult.below(name.format(label), v, CERT_TOL) for name, v in zip(names, row))
+        for label, row in zip(labels, np.column_stack([sharp, anti]))
+    ]
 
 
-def _paired_frame(m0, m1, targets) -> tuple[np.ndarray, float]:
-    """The local unitary carrying a pair already known to be sharp and
-    anticommuting (``_pair_checks``) onto ``target ox identity`` form, with
-    its postcondition residual ``max_j |u m_j u^dag - target_j ox I|``.
+def _frames(pairs: list, parties: list, n: int) -> list:
+    """``_paired_frame`` of each compressed pair, one stack per shape, with
+    the targets of its party.  The ``n`` target rotations come from one
+    ``herm_eig``: ``[v, t1 v]`` with ``v`` the +1 (last) eigenvector of ``t0``."""
+    targets = np.array(target_observables(n), dtype=complex)
+    v = herm_eig(targets[:, 0]).eigenvectors[:, :, 1:]
+    rotations = np.concatenate([v, targets[:, 1] @ v], axis=-1)
+    return _stacked(_paired_frame, pairs, targets[parties], rotations[parties])
+
+
+def _paired_frame(pairs: np.ndarray, targets: np.ndarray, rotations: np.ndarray) -> list:
+    """For each pair ``(m0, m1)`` of a ``(g, 2, d, d)`` stack already known
+    to be sharp and anticommuting (``_pair_checks``), the local unitary
+    carrying it onto ``target ox identity`` form (``targets`` and
+    ``rotations`` per pair, see ``_frames``), with its postcondition
+    residual ``max_j |u m_j u^dag - target_j ox I|``: ``(u, residual)``, or
+    the ``FramePremiseError`` that refuses the pair.
 
     The +1 eigenbasis of ``m0`` is fixed by ``_position_basis`` and its -1
     partners are defined as ``m1 v``, so the frame (and every downstream
-    report) depends on the pair alone.  Unequal eigenspaces (which an odd
-    dimension forces) are refused.
+    report) depends on the pair alone, with the bits it gets on its own.
+    Unequal eigenspaces (which an odd dimension forces) are refused.
     """
-    d = m0.shape[0]
-    eig = herm_eig(m0)
-    plus = _position_basis(eig.eigenvectors[:, eig.eigenvalues > 0])
-    if 2 * plus.shape[1] != d:
-        raise FramePremiseError(
-            f"eigenspace dimensions {plus.shape[1]} / {d - plus.shape[1]} are unequal"
-        )
-    minus = m1 @ plus  # anticommutation maps the +1 eigenspace onto the -1 one
-    u0 = np.vstack([dagger(plus), dagger(minus)])
-    unit_defect = max_abs(u0 @ dagger(u0) - np.eye(d))
-    if unit_defect > CERT_TOL:
-        raise FramePremiseError(f"paired eigenbasis is not orthonormal (defect {unit_defect:.3e})")
-
-    k = d // 2
-    t0, t1 = np.asarray(targets[0], dtype=complex), np.asarray(targets[1], dtype=complex)
-    t_eig = herm_eig(t0)
-    t_plus = t_eig.eigenvectors[:, t_eig.eigenvalues > 0][:, 0]
-    rot = np.column_stack([t_plus, t1 @ t_plus])
-    u = kron(rot, np.eye(k)) @ u0
-    resid = max(max_abs(u @ m @ dagger(u) - kron(t, np.eye(k))) for m, t in ((m0, t0), (m1, t1)))
-    return u, resid
+    d = pairs.shape[-1]
+    eig = herm_eig(pairs[:, 0])
+    plus_dims = np.count_nonzero(eig.eigenvalues > 0, axis=-1).tolist()
+    out: list = [
+        FramePremiseError(f"eigenspace dimensions {p} / {d - p} are unequal") for p in plus_dims
+    ]
+    even = [i for i, p in enumerate(plus_dims) if 2 * p == d]
+    if not even:
+        return out
+    plus = _position_basis(eig.eigenvectors[even, :, d // 2 :])
+    pairs = pairs[even]
+    minus = pairs[:, 1] @ plus  # anticommutation maps the +1 eigenspace onto the -1 one
+    u0 = np.concatenate([dagger(plus), dagger(minus)], axis=-2)
+    unit_defects = np.max(np.abs(u0 @ dagger(u0) - np.eye(d)), axis=(-2, -1))
+    eye = np.eye(d // 2, dtype=complex)[:, None, :]  # t ox I_k is kron's product, per entry
+    u = (rotations[even][..., None, :, None] * eye).reshape(-1, d, d) @ u0
+    padded = (targets[even][..., None, :, None] * eye).reshape(-1, 2, d, d)
+    resid = np.max(np.abs(u[:, None] @ pairs @ dagger(u)[:, None] - padded), axis=(1, 2, 3))
+    for i, ui, r, defect in zip(even, u, resid, unit_defects):
+        out[i] = (ui, float(r))
+        if defect > CERT_TOL:
+            out[i] = FramePremiseError(f"paired eigenbasis is not orthonormal (defect {defect:.3e})")
+    return out
 
 
 def _to_canonical(
@@ -290,7 +322,7 @@ def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -
         aux_dims=aux_dims,
         min_eigenvalue=float(eig.eigenvalues[0]),
         trace=float(np.real(np.trace(xi))),
-        support=_support(eig),
+        support=_supports(eig)[0],
     )
 
 
@@ -386,17 +418,17 @@ class CertificationReport:
     state_residual: CheckResult | None = None  # the residual of ``state``, gated at ``CERT_TOL``
 
 
-def _compressed_pairs(strategy: Strategy, supports):
+def _compressed_pairs(strategy: Strategy, supports) -> list[tuple]:
     """Each round's observable pairs compressed to their certified supports,
-    ``A_bar = S^dag A S``, once each, in chain order (first round, then
-    second, parties in order): ``(party, time_slice, S, A_bar_0, A_bar_1,
-    _pair_checks)``."""
-    for time_slice, obs in ((1, strategy.observables_t1), (2, strategy.observables_t2)):
-        for party, pair in enumerate(obs):
-            s = supports[(party, time_slice)]
-            a0, a1 = (dagger(s) @ o @ s for o in pair)
-            label = f"party {party + 1} t{time_slice}"
-            yield party, time_slice, s, a0, a1, _pair_checks(a0, a1, label)
+    ``A_bar = S^dag A S`` (a ``(2, k, k)`` array), with their
+    ``_pair_checks``, once each, in chain order (first round, then second,
+    parties in order): ``(party, time_slice, S, A_bar, checks)``."""
+    keys = [(p, t) for t in (1, 2) for p in range(strategy.parties)]
+    s = [supports[key] for key in keys]
+    obs = [*strategy.observables_t1, *strategy.observables_t2]
+    bars = _stacked(lambda s, pairs: dagger(s)[:, None] @ pairs @ s[:, None], s, obs)
+    checks = _stacked(_pair_checks, bars, [f"party {p + 1} t{t}" for p, t in keys])
+    return [(*key, *rest) for key, *rest in zip(keys, s, bars, checks)]
 
 
 def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
@@ -406,14 +438,13 @@ def _compute_supports(strategy: Strategy, record: CorrelationRecord) -> dict:
     of the marginals is the marginal of the average state, so the
     Bell-branch states that ``run_scenario`` kept in the record are mixed
     once; every marginal is contracted from the states' factors
-    (``quantum.mixture_marginals``)."""
+    (``quantum.mixture_marginals``), and the marginals of one dimension get
+    one stacked ``herm_eig``."""
     x_bell = bell_branch_settings(strategy.parties)
     sigmas = [s for (x, _), s in zip(record.events, record.conditional_states) if x == x_bell]
-    return {
-        (p, time_slice): support_isometry(marginal)
-        for time_slice, states in ((1, [strategy.source_state]), (2, sigmas))
-        for p, marginal in enumerate(mixture_marginals(states))
-    }
+    marginals = [*mixture_marginals([strategy.source_state]), *mixture_marginals(sigmas)]
+    keys = [(p, t) for t in (1, 2) for p in range(strategy.parties)]
+    return dict(zip(keys, _stacked(lambda m: _supports(herm_eig(m)), marginals)))
 
 
 def run_full_certification(
@@ -478,24 +509,21 @@ def run_full_certification(
     if premise_failures:
         return report("inconclusive", **stages)
 
-    supports = _compute_supports(strategy, record)
-
     # One set of premise checks, and one frame residual, per party and round.
     # A pair whose projectivity or anticommutation check failed gets no frame;
     # its failing check is the one line that reports it.
-    targets = target_observables(n)
-    projectivity, anticomm_checks, frame_checks, frame_errors, frames = [], [], [], [], {}
-    for party, time_slice, s, a0, a1, (*sharp, anti) in _compressed_pairs(strategy, supports):
-        projectivity += sharp
-        anticomm_checks.append(anti)
-        if not all(c.passed for c in (*sharp, anti)):
-            continue
+    pairs = _compressed_pairs(strategy, _compute_supports(strategy, record))
+    good = [pair for pair in pairs if all(c.passed for c in pair[4])]
+    projectivity = [c for *_, checks in pairs for c in checks[:2]]
+    anticomm_checks = [checks[2] for *_, checks in pairs]
+    frame_checks, frame_errors, frames = [], [], {}
+    built = _frames([pair[3] for pair in good], [pair[0] for pair in good], n)
+    for (party, time_slice, s, *_), result in zip(good, built):
         label = f"party {party + 1} t{time_slice}"
-        try:
-            u, resid = _paired_frame(a0, a1, targets[party])
-        except FramePremiseError as exc:
-            frame_errors.append(f"{label}: {exc}")
+        if isinstance(result, FramePremiseError):
+            frame_errors.append(f"{label}: {result}")
             continue
+        u, resid = result
         check = CheckResult.below(f"frame residual {label}", resid, CERT_TOL)
         frame_checks.append(check)
         if check.passed:

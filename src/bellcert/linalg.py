@@ -46,8 +46,8 @@ class NonHermitianError(ValueError):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose, of a matrix or of each matrix in a stack."""
+    return np.swapaxes(np.conj(np.asarray(m)), -1, -2)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -101,30 +101,30 @@ class EigenDecomposition:
 
 
 def herm_eig(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with a deterministic
-    phase convention.
-
-    Raises ``NonHermitianError`` if ``h`` is not a square matrix or deviates
-    from its adjoint by more than ``ALGEBRA_TOL`` in max-norm (a NaN defect
-    included).
+    """Eigendecomposition of a Hermitian matrix, or of a ``(..., d, d)``
+    stack in one ``eigh`` with each matrix's own bits, with a deterministic
+    phase convention.  Raises ``NonHermitianError`` if ``h`` is not square
+    or a matrix of it deviates from its adjoint by more than ``ALGEBRA_TOL``
+    in max-norm (a NaN defect included), giving the first such defect.
     """
     h = np.asarray(h, dtype=complex)
-    defect = max_abs(h - dagger(h))
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or not defect <= ALGEBRA_TOL:
-        raise NonHermitianError(
-            f"matrix is not Hermitian within {ALGEBRA_TOL:g} (defect {defect:.3e})"
-        )
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise NonHermitianError(f"matrix of shape {h.shape} is not square")
+    defects = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0).reshape(-1)
+    bad = defects[~(defects <= ALGEBRA_TOL)]
+    if bad.size:
+        raise NonHermitianError(f"matrix is not Hermitian within {ALGEBRA_TOL:g} (defect {bad[0]:.3e})")
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
     return EigenDecomposition(eigenvalues=vals, eigenvectors=fix_column_phases(vecs))
 
 
 def fix_column_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rescale every column by a unit-modulus phase so that its first entry
-    of magnitude above ``SINGULAR_FLOOR`` is real and positive; a
-    numerically zero column is left as it is."""
+    """Rescale every column (of each matrix of a stack) by a unit-modulus
+    phase so that its first entry of magnitude above ``SINGULAR_FLOOR`` is
+    real and positive; a numerically zero column is left as it is."""
     big = np.abs(vecs) > SINGULAR_FLOOR
-    pivot = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
-    pivot = np.where(big.any(axis=0), pivot, 1.0)
+    pivot = np.take_along_axis(vecs, np.argmax(big, axis=-2)[..., np.newaxis, :], axis=-2)
+    pivot = np.where(big.any(axis=-2, keepdims=True), pivot, 1.0)
     return np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
 
 

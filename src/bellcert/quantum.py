@@ -20,7 +20,7 @@ from valid states by a positivity-preserving map
 through the private ``QuantumState._derived`` (or ``_from_factor``),
 which checks the shape, symmetrizes and freezes but runs no positivity
 check; its factor comes from the same ``eigh`` the first time it is
-needed.
+needed (``pure_state`` keeps its vector as the factor).
 
 Outcome probabilities come from ``effect_table``, of one density matrix or
 of a sequence of states read from their factors, and the branch
@@ -205,13 +205,16 @@ def _factor(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> tuple[np.ndarr
 
 
 def pure_state(vector: np.ndarray, dims: tuple[int, ...]) -> QuantumState:
-    """Density matrix of a (normalized) state vector."""
+    """State of a (normalized) state vector, which is also its factor, so
+    neither form needs an eigensolver."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
     n = np.linalg.norm(v)
     if n < ZERO_PROB:
         raise ValueError("cannot normalize a zero vector")
     v = v / n
-    return QuantumState._derived(np.outer(v, np.conj(v)), dims)
+    state = QuantumState._derived(np.outer(v, np.conj(v)), dims)
+    object.__setattr__(state, "_factor", _factor(np.ones(1), v[:, np.newaxis]))
+    return state
 
 
 @dataclass(frozen=True, eq=False)

@@ -325,7 +325,7 @@ def scramble_strategy(
     D x D transform is formed.  Deterministic for a fixed seed.
     """
     # deferred: certify imports this module
-    from .certify import LocalFrame, _from_canonical, _paired_frame
+    from .certify import LocalFrame, _frames, _from_canonical
 
     n = reference.parties
     aux_dims = tuple(int(k) for k in aux_dims)
@@ -338,22 +338,21 @@ def scramble_strategy(
     targets = target_observables(n)
     local_dims = tuple(2 * k for k in aux_dims)
 
-    def scrambled_party(party: int, time_slice: int):
-        t0, t1 = targets[party]
+    def scrambled_pair(party: int) -> np.ndarray:
         k = aux_dims[party]
         w = random_unitary(2 * k, rng)
-        a0 = w @ kron(t0, np.eye(k)) @ dagger(w)
-        a1 = w @ kron(t1, np.eye(k)) @ dagger(w)
-        a0 = (a0 + dagger(a0)) / 2.0
-        a1 = (a1 + dagger(a1)) / 2.0
-        # the pair is sharp and anticommuting by construction
-        u, resid = _paired_frame(a0, a1, (t0, t1))
+        pair = np.stack([w @ kron(t, np.eye(k)) @ dagger(w) for t in targets[party]])
+        return (pair + dagger(pair)) / 2.0
+
+    # Sharp and anticommuting by construction; framed as stacks, in chain order.
+    parties = [*range(n), *range(n)]
+    pairs = [scrambled_pair(p) for p in parties]
+    built = _frames(pairs, parties, n)
+    for _, resid in built:
         if resid > CERT_TOL:
             raise ValueError(f"planted frame residual {resid:.3e} exceeds {CERT_TOL:g}")
-        return (a0, a1), LocalFrame(party, time_slice, u)
-
-    obs_t1, frames_t1 = zip(*[scrambled_party(p, 1) for p in range(n)])
-    obs_t2, frames_t2 = zip(*[scrambled_party(p, 2) for p in range(n)])
+    frames = [LocalFrame(p, 1 + i // n, u) for i, (p, (u, _)) in enumerate(zip(parties, built))]
+    frames_t1, frames_t2 = tuple(frames[:n]), tuple(frames[n:])
 
     xi = random_density(aux_dims, rng, rank=xi_rank)
     v0 = random_unitary(int(np.prod(aux_dims)), rng)
@@ -367,8 +366,8 @@ def scramble_strategy(
 
     strategy = Strategy(
         source_state=source,
-        observables_t1=tuple(obs_t1),
-        observables_t2=tuple(obs_t2),
+        observables_t1=tuple(pairs[:n]),
+        observables_t2=tuple(pairs[n:]),
         interaction=interaction,
     )
     return ScrambledStrategy(

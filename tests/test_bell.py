@@ -18,6 +18,7 @@ from bellcert.bell import (
 )
 from bellcert.linalg import dagger, kron, max_abs
 from bellcert.quantum import (
+    QuantumState,
     post_measurement_states,
     pure_state,
     random_projective_observable,
@@ -77,9 +78,11 @@ class TestBellOperator:
         assert abs(quantum_value(state, target_observables(3), expr) - 4.0) < 1e-12
 
     def test_value_leaves_the_density_unfactored(self):
-        # ``bounds 10`` reads the D = 1024 reference density: an ``eigh``
-        # there would be work the value does not need.
-        state = pure_state(ghz_like_vector((0, 1, 1)), (2, 2, 2))
+        # A state held as a density alone (``pure_state`` holds its vector as
+        # the factor too): an ``eigh`` of it would be work the value does not
+        # need.
+        density = pure_state(ghz_like_vector((0, 1, 1)), (2, 2, 2)).density
+        state = QuantumState._derived(density, (2, 2, 2))
         quantum_value(state, target_observables(3), BellExpression(3, (0, 1, 1)))
         assert state._factor is None
 

@@ -15,7 +15,7 @@ from bellcert.certify import (
     run_full_certification,
     support_isometry,
 )
-from bellcert.linalg import dagger, kron, max_abs, partial_trace
+from bellcert.linalg import dagger, herm_eig, kron, max_abs, partial_trace
 from bellcert.quantum import (
     Interaction,
     QuantumState,
@@ -56,19 +56,45 @@ from conftest import (
 FIRST_TARGETS, OTHER_TARGETS = target_observables(2)
 
 
+def pair_checks(a0, a1):
+    """The chain's premise checks of one pair, from ``_pair_checks`` on a
+    one-pair stack."""
+    (checks,) = certify._pair_checks(np.stack([a0, a1])[np.newaxis], ["pair"])
+    return checks
+
+
 def anticommutator(a0, a1):
     """The anticommutator norm the chain gates, from ``_pair_checks``."""
-    return certify._pair_checks(a0, a1, "pair")[2].value
+    return pair_checks(a0, a1)[2].value
+
+
+def target_rotation(targets):
+    """Oracle of the frame's target rotation ``[v, t1 v]``, with ``v`` the +1
+    eigenvector of ``t0`` in the phase of ``herm_eig``, one pair at a time."""
+    t0, t1 = (np.asarray(t, dtype=complex) for t in targets)
+    eig = herm_eig(t0)
+    v = eig.eigenvectors[:, eig.eigenvalues > 0][:, 0]
+    return np.column_stack([v, t1 @ v])
+
+
+def single_frame(a0, a1, targets):
+    """``_paired_frame`` on a one-pair stack: ``(u, residual)``, or the
+    ``FramePremiseError`` it gives, raised."""
+    t, rot = np.array([targets], dtype=complex), target_rotation(targets)[np.newaxis]
+    (result,) = certify._paired_frame(np.stack([a0, a1])[np.newaxis], t, rot)
+    if isinstance(result, FramePremiseError):
+        raise result
+    return result
 
 
 def paired_frame(a0, a1, targets):
     """The chain's frame path for one pair: its premises from
     ``_pair_checks`` (the names of the failing ones raised), then
     ``_paired_frame`` with its residual within ``CERT_TOL``."""
-    failed = [c.name for c in certify._pair_checks(a0, a1, "pair") if not c.passed]
+    failed = [c.name for c in pair_checks(a0, a1) if not c.passed]
     if failed:
         raise FramePremiseError(", ".join(failed))
-    u, resid = certify._paired_frame(a0, a1, targets)
+    u, resid = single_frame(a0, a1, targets)
     assert resid <= certify.CERT_TOL
     return LocalFrame(0, 1, u)
 
@@ -174,7 +200,7 @@ class TestExtractLocalFrame:
         with pytest.raises(FramePremiseError, match="^anticommutator pair$"):
             paired_frame(o, o, OTHER_TARGETS)
         with pytest.raises(FramePremiseError, match="eigenspace dimensions 2 / 1 are unequal"):
-            certify._paired_frame(o, o, OTHER_TARGETS)
+            single_frame(o, o, OTHER_TARGETS)
 
     def test_non_sharp_observable_rejected(self):
         with pytest.raises(FramePremiseError, match="^projectivity pair setting 0$"):
@@ -397,17 +423,60 @@ class TestFramesIgnoreRoundoff:
         r = random_unitary(k, rng)
         herm_eig = certify.herm_eig
 
+        turned = []
+
         def rotated(h, *args, **kwargs):
             eig = herm_eig(h, *args, **kwargs)
-            if h is not a0:
-                return eig
             vecs = eig.eigenvectors.copy()
-            plus = eig.eigenvalues > 0
-            vecs[:, plus] = vecs[:, plus] @ r
+            for i, entry in enumerate(h):  # the stack entry that is a0
+                if entry.shape == a0.shape and np.array_equal(entry, a0):
+                    plus = eig.eigenvalues[i] > 0
+                    vecs[i][:, plus] = vecs[i][:, plus] @ r
+                    turned.append(i)
             return dataclasses.replace(eig, eigenvectors=vecs)
 
         monkeypatch.setattr(certify, "herm_eig", rotated)
         assert max_abs(paired_frame(a0, a1, (t0, t1)).matrix - frame) < 1e-12
+        assert turned == [0]
+
+
+class TestStackedStage:
+    """The supports, pair premises and frames of a run come from stacks,
+    one per compressed dimension, with the bits each pair gets alone."""
+
+    def test_stack_keeps_each_pairs_frame(self):
+        t0, t1 = FIRST_TARGETS
+        w = random_unitary(4, np.random.default_rng(2))
+        good = np.stack([w @ kron(t, np.eye(2)) @ dagger(w) for t in (t0, t1)])
+        good = (good + dagger(good)) / 2.0
+        bad = np.stack([np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), good[1]])
+        # Party 1 of two takes FIRST_TARGETS; the rotations come from one
+        # stacked eigh, the oracle's from one eigh per pair.
+        frame, error = certify._frames([good, bad], [0, 0], 2)
+        u, resid = single_frame(good[0], good[1], FIRST_TARGETS)
+        assert np.array_equal(frame[0], u) and frame[1] == resid
+        assert isinstance(error, FramePremiseError)
+        assert str(error) == "eigenspace dimensions 3 / 1 are unequal"
+
+    @pytest.mark.parametrize(
+        "parties, aux, most", [(4, (1, 1, 1, 1), 5), (2, (6, 6), 6), (3, (1, 2, 1), 8)]
+    )
+    def test_eigensolves_per_run(self, parties, aux, most, monkeypatch):
+        # The source's factor, one stacked eigh per marginal dimension, per
+        # compressed dimension (setting-0 observables, and position bases
+        # where the +1 eigenspace has two or more dimensions), the targets
+        # once, and xi.
+        strategy = scramble_strategy(reference_strategy(parties), aux, seed=7).strategy
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert run_full_certification(strategy).verdict == "certified"
+        assert len(calls) <= most, calls
 
 
 class TestCertifySourceState:
@@ -749,14 +818,14 @@ class TestOneLinePerPremise:
         built = []
         original = certify._paired_frame
 
-        def counting(*args):
-            built.append(args)
-            return original(*args)
+        def counting(pairs, *args):
+            built.append(len(pairs))
+            return original(pairs, *args)
 
         monkeypatch.setattr(certify, "_paired_frame", counting)
         report = run_full_certification(ref3)
         assert report.verdict == "certified"
-        assert len(built) == len(report.frame_checks) == len(report.frames) == 6
+        assert sum(built) == len(report.frame_checks) == len(report.frames) == 6
 
     def test_pair_premises_checked_once_per_pair(self, ref3, monkeypatch):
         """The chain takes the pair premises from ``_pair_checks``, once per
@@ -764,9 +833,9 @@ class TestOneLinePerPremise:
         labels = []
         original = certify._pair_checks
 
-        def counting(a0, a1, label):
-            labels.append(label)
-            return original(a0, a1, label)
+        def counting(pairs, stack_labels):
+            labels.extend(stack_labels)
+            return original(pairs, stack_labels)
 
         monkeypatch.setattr(certify, "_pair_checks", counting)
         report = run_full_certification(ref3)

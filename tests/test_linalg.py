@@ -180,6 +180,34 @@ class TestHermEig:
             assert np.array_equal(herm_eig(h).eigenvectors, loop)
 
 
+class TestStackedHermEig:
+    """``herm_eig`` of a ``(g, d, d)`` stack: one ``eigh``, each matrix with
+    the bits it gets on its own, and the hermiticity gate per matrix."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 81])
+    def test_stack_matches_each_matrix(self, d):
+        rng = np.random.default_rng(d)
+        h = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        stack = np.concatenate([h + dagger(h), np.diag([1.0, 0.0, 0.0, 2.0] * d)[None, :d, :d]])
+        eig = herm_eig(stack)
+        for i, m in enumerate(stack):
+            alone = herm_eig(m)
+            assert np.array_equal(eig.eigenvalues[i], alone.eigenvalues)
+            assert np.array_equal(eig.eigenvectors[i], alone.eigenvectors)
+
+    def test_non_hermitian_entry_gives_the_same_error(self):
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = h + dagger(h)
+        stack[1, 0, 2] += 3e-6
+        with pytest.raises(NonHermitianError) as alone:
+            herm_eig(stack[1])
+        with pytest.raises(NonHermitianError) as stacked:
+            herm_eig(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert "(defect 3.000e-06)" in str(alone.value)
+
+
 class TestSignOperator:
     """``EigenDecomposition.sign``, the package's one matrix sign."""
 

@@ -91,6 +91,19 @@ class TestQuantumState:
         with pytest.raises(DimensionMismatchError):
             pure_state(PHI_PLUS, (2, 3))
 
+    def test_pure_state_keeps_its_vector_as_the_factor(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolver called on a pure state")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        state = reference_strategy(6).source_state
+        vectors, signs = state.factor
+        v = ghz_like_vector((0,) * 6)
+        assert np.array_equal(vectors[:, 0], v / np.linalg.norm(v))
+        assert np.array_equal(state.density, np.outer(vectors[:, 0], np.conj(vectors[:, 0])))
+        assert vectors.shape == (64, 1) and np.array_equal(signs, np.ones(1))
+        assert not (vectors.flags.writeable or signs.flags.writeable)
+
     def test_marginal(self, phi_plus):
         assert max_abs(partial_trace(phi_plus.density, phi_plus.dims, 0) - I2 / 2) < 1e-12
 
