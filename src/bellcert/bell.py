@@ -19,11 +19,12 @@ strategies reach ``2 (N-1)`` and no more.
 (I, A_{n,0}, A_{n,1})`` (``setting_stacks``).  A state's Bell value comes
 from the terms alone, through one kernel (``term_vectors``, read off by
 ``functional_values``) that ``quantum_value``, ``scenario.run_scenario``
-and the seesaw call; its side statistics are one-party values
-(``extra_statistics``).  Scattered, the terms give the coefficient tensor
-``C`` (``bell_coefficients``) of the seesaw's Bell operators and of
-``classical_bound``; one at a time, the SOS witnesses ``X_g`` of ``2 (2
-(N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).  The fixed map
+and the seesaw call: it applies each factor with ``quantum._apply`` and
+reads party 1's rows with ``quantum._party_rows``.  Its side statistics
+are one-party values (``extra_statistics``).  Scattered, the terms give
+the coefficient tensor ``C`` (``bell_coefficients``) of the seesaw's Bell
+operators and of ``classical_bound``; one at a time, the SOS witnesses
+``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).  The fixed map
 ``E_{x,a} = (I + (-1)^a A_x) / 2`` turns a correlator table over each
 party's ``(I, A_0, A_1)`` into outcome probabilities (``outcome_table``,
 in the order of ``effect_stacks``).
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, max_abs
-from .quantum import QuantumState, mixture_marginals
+from .linalg import ALGEBRA_TOL, DimensionMismatchError, herm_part, max_abs
+from .quantum import QuantumState, _apply, _party_rows, mixture_marginals
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -134,23 +135,6 @@ def bell_coefficients(expr: BellExpression) -> np.ndarray:
     c = np.zeros((3,) * expr.parties)
     c[(slice(None), *rest.T)] = (weights[:, np.newaxis] * rows).T
     return c
-
-
-def _apply(op: np.ndarray, x: np.ndarray, dims, party: int) -> np.ndarray:
-    """``op`` acting on ``party``'s factor of each row of ``x``, shape ``(C,
-    D k)``: one ``(d, d)`` operator for every row, or ``(C, d, d)``, one
-    per row."""
-    pre = math.prod(dims[:party])
-    op = op if op.ndim == 2 else op[:, np.newaxis]
-    return np.matmul(op, x.reshape(len(x), pre, dims[party], -1)).reshape(x.shape)
-
-
-def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
-    """``(..., D k)`` rows as ``(..., d, D k / d)`` matrices whose row index
-    is ``party``'s."""
-    pre = math.prod(dims[:party])
-    t = np.swapaxes(x.reshape(x.shape[:-1] + (pre, dims[party], -1)), -3, -2)
-    return t.reshape(x.shape[:-1] + (dims[party], -1))
 
 
 def term_vectors(x, dims, rest, stacks, party: int = 0, first=None):
@@ -267,7 +251,7 @@ def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
     """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
     observable pairs."""
     op = bell_operators(bell_coefficients(expr), setting_stacks(observables))
-    return (op + dagger(op)) / 2.0
+    return herm_part(op)
 
 
 def classical_bound(expr: BellExpression) -> float:
@@ -347,7 +331,7 @@ def sos_residual(expr: BellExpression, observables) -> SOSWitness:
     squares = np.tensordot(bell_terms(expr)[2], witnesses @ witnesses, 1)
     r = 2.0 * (expr.quantum_bound * np.eye(op.shape[0]) - op) - squares
     norm = max_abs(r)
-    min_eig = float(np.min(np.linalg.eigvalsh((r + dagger(r)) / 2.0)))
+    min_eig = float(np.min(np.linalg.eigvalsh(herm_part(r))))
     return SOSWitness(
         residual_norm=norm, min_eigenvalue=min_eig, is_exact_identity=bool(norm < ALGEBRA_TOL)
     )

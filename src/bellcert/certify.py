@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import BellExpression
-from .linalg import CERT_TOL, dagger, fix_column_phases, herm_eig, kron, max_abs
+from .linalg import CERT_TOL, dagger, fix_column_phases, herm_eig, herm_part, kron, max_abs
 from .quantum import QuantumState, mixture_marginals
 from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
 from .scenario import (
@@ -313,7 +313,7 @@ def certify_source_state(rho: QuantumState, frames_t1: tuple[LocalFrame, ...]) -
     phi = ghz_like_vector((0,) * n)
     target = np.outer(phi, np.conj(phi))
     xi = _aux_block(rho_can, target)
-    xi = (xi + dagger(xi)) / 2.0
+    xi = herm_part(xi)
     residual = max_abs(rho_can - kron(target, xi))
     eig = herm_eig(xi)
     return StateCertificate(

@@ -8,6 +8,9 @@ Exit codes are a stable contract:
   one ``error:`` line on stderr
 * 3 - ``certify`` was inconclusive
 
+stderr holds nothing else: numpy's floating-point warnings are silenced
+while a command runs.
+
 Relative output paths are resolved against ``$BELLCERT_OUTPUT_DIR`` when that
 variable is set.
 """
@@ -23,6 +26,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bell import BellExpression, classical_bound, quantum_value
 from .certify import MAX_VIOLATION_TOL, run_full_certification
@@ -440,7 +445,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        # numpy's floating-point warnings stay off stderr: the overflow or
+        # NaN that they flag (a huge input entry) fails a gate further on.
+        with np.errstate(all="ignore"):
+            return handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     except Exception as exc:  # exit 1 means "refuted", so a crash must not fall through to it

@@ -23,6 +23,7 @@ __all__ = [
     "NonHermitianError",
     "EigenDecomposition",
     "dagger",
+    "herm_part",
     "kron",
     "max_abs",
     "fix_column_phases",
@@ -48,6 +49,14 @@ class NonHermitianError(ValueError):
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, of a matrix or of each matrix in a stack."""
     return np.swapaxes(np.conj(np.asarray(m)), -1, -2)
+
+
+def herm_part(a: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(a + a^dag) / 2``, of a matrix or of each matrix in a
+    stack, summed as ``a / 2 + a^dag / 2`` so that no finite entry
+    overflows."""
+    half = np.asarray(a) / 2.0
+    return half + dagger(half)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -97,7 +106,7 @@ class EigenDecomposition:
         v = self.eigenvectors
         signs = np.where(self.eigenvalues >= 0.0, 1.0, -1.0)[..., np.newaxis, :]
         out = (v * signs) @ np.conj(np.swapaxes(v, -1, -2))
-        return (out + np.conj(np.swapaxes(out, -1, -2))) / 2.0
+        return herm_part(out)
 
 
 def herm_eig(h: np.ndarray) -> EigenDecomposition:
@@ -114,7 +123,7 @@ def herm_eig(h: np.ndarray) -> EigenDecomposition:
     bad = defects[~(defects <= ALGEBRA_TOL)]
     if bad.size:
         raise NonHermitianError(f"matrix is not Hermitian within {ALGEBRA_TOL:g} (defect {bad[0]:.3e})")
-    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
+    vals, vecs = np.linalg.eigh(herm_part(h))
     return EigenDecomposition(eigenvalues=vals, eigenvectors=fix_column_phases(vecs))
 
 

@@ -5,8 +5,9 @@ built from the other the first time it is read (``QuantumState``), so
 nothing in the certification chain has to assume purity, and a branch
 state that is only contracted never forms its D x D matrix.  Measurements
 are plain arrays: a party's two +/-1 observables are one ``(2, d, d)``
-array, validated once by ``scenario.Strategy``, and the kernels here take
-stacks of operators (effects, projectors or observables) as they are.
+array, validated once by ``scenario.Strategy``, and each kernel here takes
+one operand form, per-party stacks of operators (effects, projectors or
+observables), as they are.
 
 Validation runs at the boundary.  The public constructors of
 ``QuantumState`` and ``Interaction`` reject non-finite entries and check
@@ -22,13 +23,15 @@ which checks the shape, symmetrizes and freezes but runs no positivity
 check; its factor comes from the same ``eigh`` the first time it is
 needed (``pure_state`` keeps its vector as the factor).
 
-Outcome probabilities come from ``effect_table``, of one density matrix or
-of a sequence of states read from their factors, and the branch
-states ``Pi rho Pi^dag / p`` (conjugated by the interaction when one is
-given) from ``post_measurement_states``, with no Kronecker-product
-operator formed: every branch factor is one slice of a ``(D, B, r)``
-array, built party by party with one stacked ``matmul`` per party, and
-the interaction is one matmul for all of them.
+Outcome probabilities and correlators come from ``effect_table``, per-party
+``(m, d, d)`` stacks against one density matrix or a sequence of states
+read from their factors, and the branch states ``V Pi rho Pi^dag V^dag /
+p`` from ``post_measurement_states``, per-party ``(B, d, d)`` projector
+stacks and the interaction V, with no Kronecker-product operator formed:
+every branch factor is one slice of a ``(D, B, r)`` array, built party by
+party with one stacked ``matmul`` per party, and V is one matmul for all
+of them.  Every step that acts on one party's axis of a batch of rows is
+``_apply`` or ``_party_rows``, which ``bell`` and ``seesaw`` use too.
 
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
@@ -46,6 +49,7 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     dagger,
+    herm_part,
     max_abs,
 )
 
@@ -57,7 +61,6 @@ __all__ = [
     "QuantumState",
     "Interaction",
     "pure_state",
-    "local_contraction",
     "clamp_probabilities",
     "effect_table",
     "post_measurement_states",
@@ -129,7 +132,7 @@ class QuantumState:
             raise ValueError(f"density trace {np.trace(rho).real:.12g} != 1")
         # The Hermitian part, which every contraction of the density reads:
         # ``eigh`` alone would read only the lower triangle.
-        eigenvalues, eigenvectors = np.linalg.eigh((rho + dagger(rho)) / 2.0)
+        eigenvalues, eigenvectors = np.linalg.eigh(herm_part(rho))
         if eigenvalues[0] < -ALGEBRA_TOL:
             raise ValueError(f"density has negative eigenvalue {eigenvalues[0]:.3e}")
         object.__setattr__(self, "_factor", _factor(eigenvalues, eigenvectors))
@@ -154,7 +157,7 @@ class QuantumState:
         """State from a positivity-preserving map of valid states: the shape
         check, symmetrization and read-only freeze, but no positivity check."""
         rho = np.asarray(density, dtype=complex)
-        rho = (rho + dagger(rho)) / 2.0
+        rho = herm_part(rho)
         rho.setflags(write=False)
         state = object.__new__(cls)
         state._set(dims, rho, None)
@@ -179,7 +182,7 @@ class QuantumState:
         if self._density is None:
             vectors, signs = self._factor
             rho = (vectors * signs) @ dagger(vectors)
-            rho = (rho + dagger(rho)) / 2.0
+            rho = herm_part(rho)
             rho.setflags(write=False)
             object.__setattr__(self, "_density", rho)
         return self._density
@@ -246,41 +249,36 @@ class Interaction:
             raise NonUnitaryError(f"interaction is not unitary (defect {defect:.3e})")
 
 
-def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
-    """Table ``T[i_1, ..., i_N] = Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
+def effect_table(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
+    """Table ``T[i_1, ..., i_N] = Re Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
 
-    ``stacks[k]`` holds party ``k``'s operators, shape ``(m_k, d_k, d_k)``; a
-    single ``(d_k, d_k)`` matrix counts as ``m_k = 1`` and ``None`` traces the
-    party out.  ``rho`` is a density matrix, reshaped to ``dims + dims``
-    and contracted party by party (``_contract``), so no Kronecker-product
-    operator is ever formed; the result has shape ``(m_1, ..., m_N)``.
-    ``rho`` may instead be a sequence of B states with these dims and one
-    factor rank r, such as the branches of ``post_measurement_states``: all
-    B tables, shape ``(B, m_1, ..., m_N)``, are then read from the factors.
-    Party 1's step costs about ``m_1 r D^2 / d_1`` per state from a factor
-    (``_contract_factors``), against ``r D^2`` to form the density and
-    ``m_1 D^2`` to contract it.  The factors are contracted when that is
-    the cheaper and ``r <= D / 2``; otherwise each chunk of states forms
-    its densities.  Above half rank the factor step's ``m_1 D r`` entries
-    per state made it the slower in every case timed, full rank included
-    (any visibility below 1).
+    ``stacks[k]`` holds party ``k``'s operators, shape ``(m_k, d_k, d_k)``.
+    For Hermitian operators, such as the effects (the unclamped outcome
+    probabilities) or each party's ``(I, A_0, A_1)`` (the correlators), the
+    table is real up to roundoff, which the real part drops.  ``rho`` is a
+    density matrix, reshaped to ``dims + dims`` and contracted party by
+    party (``_contract``), so no Kronecker-product operator is ever formed;
+    the result has shape ``(m_1, ..., m_N)``.  ``rho`` may instead be a
+    sequence of B states with these dims and one factor rank r, such as the
+    branches of ``post_measurement_states``: all B tables, shape ``(B, m_1,
+    ..., m_N)``, are then read from the factors.  Party 1's step costs about
+    ``m_1 r D^2 / d_1`` per state from a factor (``_contract_factors``),
+    against ``r D^2`` to form the density and ``m_1 D^2`` to contract it.
+    The factors are contracted when that is the cheaper and ``r <= D / 2``;
+    otherwise each chunk of states forms its densities.  Above half rank the
+    factor step's ``m_1 D r`` entries per state made it the slower in every
+    case timed, full rank included (any visibility below 1).
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if len(stacks) != n:
-        raise DimensionMismatchError(f"got {len(stacks)} operator stacks for {n} parties")
-    ops = []
-    for k, (d, stack) in enumerate(zip(dims, stacks)):
-        s = np.eye(d, dtype=complex) if stack is None else np.asarray(stack, dtype=complex)
-        if s.ndim == 2:
-            s = s[np.newaxis]
-        if s.ndim != 3 or s.shape[1:] != (d, d):
-            raise DimensionMismatchError(
-                f"party {k}: operator shape {s.shape[-2:]} does not match local dim {d}"
-            )
-        ops.append(s)
+    ops = [np.asarray(s, dtype=complex) for s in stacks]
+    if len(ops) != n or any(s.ndim != 3 or s.shape[1:] != (d, d) for s, d in zip(ops, dims)):
+        raise DimensionMismatchError(
+            f"operator stacks of shapes {[s.shape for s in ops]} do not match dims {dims}"
+        )
     if isinstance(rho, np.ndarray):
-        return _contract_densities(np.asarray(rho, dtype=complex)[np.newaxis], dims, ops)[0]
+        rho = np.asarray(rho, dtype=complex)[np.newaxis]
+        return np.real(_contract_densities(rho, dims, ops)[0])
     states = rho
     dim, rank = states[0].factor[0].shape
     m = [len(s) for s in ops]
@@ -302,7 +300,7 @@ def local_contraction(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
         else:
             densities = np.matmul(vectors * signs[:, np.newaxis], np.conj(vectors.transpose(0, 2, 1)))
             tables.append(_contract_densities(densities, dims, ops))
-    return np.concatenate(tables)
+    return np.real(np.concatenate(tables))
 
 
 def _interleaved(n: int) -> list[int]:
@@ -359,70 +357,46 @@ def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.where((1.0 < p) & (p <= 1.0 + ZERO_PROB), 1.0, p)
 
 
-def effect_table(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
-    """The real part of ``local_contraction``, of one density matrix or of a
-    sequence of states: for Hermitian operators, such as the effects (the
-    unclamped outcome probabilities) or each party's ``(I, A_0, A_1)`` (the
-    correlators), the table is real up to roundoff."""
-    return np.real(local_contraction(rho, dims, stacks))
-
-
 def post_measurement_states(
-    state: QuantumState, projectors, interaction: Interaction | None = None
+    state: QuantumState, projectors, interaction: Interaction
 ) -> tuple[QuantumState, ...]:
-    """The branch states ``Pi_b rho Pi_b^dag / p_b``, each conjugated by the
-    interaction when one is given, with ``Pi_b = Pi^1_b ox ... ox Pi^N_b``
-    and ``p_b`` its trace.
+    """The branch states ``V Pi_b rho Pi_b^dag V^dag / p_b``, with ``Pi_b =
+    Pi^1_b ox ... ox Pi^N_b``, ``V`` the interaction and ``p_b`` the trace
+    of ``Pi_b rho Pi_b^dag``.
 
     ``projectors[k]`` is party k's ``(B, d_k, d_k)`` stack, one operator per
-    branch, or one ``(d_k, d_k)`` operator (or ``None``, the identity) that
-    every branch shares.  Raises ``ZeroProbabilityError`` if a branch has
-    probability at most ``ZERO_PROB``.
+    branch.  Raises ``ZeroProbabilityError`` if a branch has probability at
+    most ``ZERO_PROB``.
 
     Each branch is built from the factor of the source, ``rho = F S F^dag``
     (``QuantumState.factor``, rank r), as the factor ``G_b = V Pi_b F /
     sqrt(p_b)`` with the same signs S, and ``p_b = sum_r S_r |Pi_b F e_r|^2``.
-    The work is done by party, not by branch: ``Pi^k`` left-multiplies the
-    view ``(B, pre, d_k, post * r)`` of the factors, ``pre`` and ``post``
-    being the dimensions of the parties before and after k, one stacked
-    ``matmul`` per party; then ``V`` multiplies the factors of all branches
-    as one ``(D, B r)`` matrix.  The factors are slices of one read-only
-    ``(D, B, r)`` array, and no branch forms its density unless it is read.
-    A stack of more than ``CHUNK_BYTES`` is built in chunks of branches.
+    The work is done by party, not by branch: the factor is one row-major
+    ``(D, r)`` row, and ``_apply`` left-multiplies party k's axis of every
+    branch's row by ``Pi^k``, one stacked ``matmul`` per party; then ``V``
+    multiplies the factors of all branches as one ``(D, B r)`` matrix.  The
+    factors are slices of one read-only ``(D, B, r)`` array, and no branch
+    forms its density unless it is read.  A stack of more than
+    ``CHUNK_BYTES`` is built in chunks of branches.
     """
     dims = state.dims
-    n, dim = len(dims), state.dim
-    if len(projectors) != n:
-        raise DimensionMismatchError(f"got {len(projectors)} projectors for {n} parties")
-    if interaction is not None and dims != interaction.dims_in:
+    pis = [np.asarray(pi) for pi in projectors]
+    b = len(pis[0]) if pis and pis[0].ndim else 0
+    if [pi.shape for pi in pis] != [(b, d, d) for d in dims]:
+        raise DimensionMismatchError(
+            f"projector stacks of shapes {[pi.shape for pi in pis]} do not match dims {dims}"
+        )
+    if dims != interaction.dims_in:
         raise DimensionMismatchError(
             f"state dims {dims} do not match interaction input {interaction.dims_in}"
         )
     vectors, signs = state.factor
-    r = vectors.shape[1]
-    steps = []
-    pre = 1
-    for k, (d, op) in enumerate(zip(dims, projectors)):
-        if op is not None:
-            pi = np.asarray(op, dtype=complex)
-            pi = pi[np.newaxis] if pi.ndim == 2 else pi
-            if pi.ndim != 3 or pi.shape[1:] != (d, d):
-                raise DimensionMismatchError(
-                    f"party {k}: projector shape {pi.shape[-2:]} does not match local dim {d}"
-                )
-            steps.append((pi[:, np.newaxis], (pre, d, dim * r // (pre * d))))
-        pre *= d
-    lengths = {len(pi) for pi, _ in steps} - {1}
-    if len(lengths) > 1:
-        raise DimensionMismatchError(f"projector stacks of different lengths {sorted(lengths)}")
-    b = lengths.pop() if lengths else 1
-
+    dim, r = vectors.shape
     out = np.empty((dim, b, r), dtype=complex)
     for chunk in _chunks(b, dim, r):
-        g = vectors[np.newaxis]  # every branch starts from the same factor
-        for op, shape in steps:
-            op = op[chunk] if len(op) > 1 else op
-            g = np.matmul(op, g.reshape((len(g),) + shape))
+        g = vectors.reshape(1, -1)  # every branch starts from the same factor
+        for k, pi in enumerate(pis):
+            g = _apply(pi[chunk], g, dims, k)
         g = g.reshape(-1, dim, r)
         p = np.sum(np.abs(g) ** 2, axis=1) @ signs
         small = np.flatnonzero(p <= ZERO_PROB)
@@ -431,12 +405,9 @@ def post_measurement_states(
                 f"outcome probability {p[small[0]]:.3e} too small to condition on"
             )
         g = (g / np.sqrt(p)[:, np.newaxis, np.newaxis]).transpose(1, 0, 2).reshape(dim, -1)
-        if interaction is not None:
-            g = interaction.matrix @ g
-        out[:, chunk] = g.reshape(dim, -1, r)
+        out[:, chunk] = (interaction.matrix @ g).reshape(dim, -1, r)
     out.setflags(write=False)
-    dims_out = dims if interaction is None else interaction.dims_out
-    return tuple(QuantumState._from_factor(out[:, i], signs, dims_out) for i in range(b))
+    return tuple(QuantumState._from_factor(out[:, i], signs, interaction.dims_out) for i in range(b))
 
 
 def mixture_marginals(states) -> list[np.ndarray]:
@@ -444,19 +415,34 @@ def mixture_marginals(states) -> list[np.ndarray]:
     (which share their dims), contracted from their factors: the factors of
     all the states are the columns of one ``(D, R)`` matrix, and party k's
     marginal is the sum, over its columns and the other parties' indices, of
-    ``s_r g g^dag``, one matmul per party.  No density matrix is formed."""
+    ``s_r g g^dag``, one matmul of ``_party_rows`` per party.  No density
+    matrix is formed."""
     dims = states[0].dims
     vectors = np.concatenate([s.factor[0] for s in states], axis=1)
     signs = np.concatenate([s.factor[1] for s in states])
-    marginals = []
-    pre = 1
-    for d in dims:
-        v = vectors.reshape(pre, d, -1, len(signs))
-        left = (v * signs).swapaxes(0, 1).reshape(d, -1)
-        right = v.swapaxes(0, 1).reshape(d, -1)
-        marginals.append(left @ dagger(right) / len(states))
-        pre *= d
-    return marginals
+    rows, signed = vectors.reshape(-1), (vectors * signs).reshape(-1)
+    return [
+        _party_rows(signed, dims, k) @ dagger(_party_rows(rows, dims, k)) / len(states)
+        for k in range(len(dims))
+    ]
+
+
+def _apply(op: np.ndarray, x: np.ndarray, dims, party: int) -> np.ndarray:
+    """``op`` acting on ``party``'s factor of each row of ``x``, shape ``(C,
+    D k)``: one ``(d, d)`` operator for every row, or ``(C, d, d)``, one
+    per row.  A single shared row takes a whole ``(B, d, d)`` stack, and
+    the result has B rows."""
+    pre = math.prod(dims[:party])
+    op = op if op.ndim == 2 else op[:, np.newaxis]
+    return np.matmul(op, x.reshape(len(x), pre, dims[party], -1)).reshape(-1, x.shape[-1])
+
+
+def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
+    """``(..., D k)`` rows as ``(..., d, D k / d)`` matrices whose row index
+    is ``party``'s."""
+    pre = math.prod(dims[:party])
+    t = np.swapaxes(x.reshape(x.shape[:-1] + (pre, dims[party], -1)), -3, -2)
+    return t.reshape(x.shape[:-1] + (dims[party], -1))
 
 
 # Scratch bound of the stacked kernels: a stack larger than this is processed
@@ -505,7 +491,7 @@ def _projective_observables(draws: np.ndarray) -> np.ndarray:
     d = u.shape[-1]
     signs = np.array([1.0] * (d // 2) + [-1.0] * (d - d // 2), dtype=complex)
     o = (u * signs) @ np.conj(np.swapaxes(u, -1, -2))
-    return (o + np.conj(np.swapaxes(o, -1, -2))) / 2.0
+    return herm_part(o)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -46,6 +46,7 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     dagger,
+    herm_part,
     kron,
     max_abs,
 )
@@ -231,7 +232,7 @@ def _observable_pair(pair, name: str, party: int, d: int) -> np.ndarray:
         _check_finite(m, label)
         if max_abs(m - dagger(m)) > ALGEBRA_TOL:
             raise NonHermitianError(f"{label} is not Hermitian")
-    pair = (pair + np.conj(pair.transpose(0, 2, 1))) / 2.0
+    pair = herm_part(pair)
     pair.setflags(write=False)
     return pair
 
@@ -240,7 +241,7 @@ def _check_projective(observables, tol: float, where: str) -> None:
     for party, pair in enumerate(observables):
         defects = np.max(np.abs(pair @ pair - np.eye(pair.shape[-1])), axis=(1, 2))
         for setting, defect in enumerate(defects):
-            if defect > tol:
+            if not defect <= tol:  # a NaN defect fails too
                 raise ValueError(
                     f"{where} observable (party {party}, setting {setting}) is not "
                     f"projective (defect {defect:.3e}); the post-measurement update "
@@ -342,7 +343,7 @@ def scramble_strategy(
         k = aux_dims[party]
         w = random_unitary(2 * k, rng)
         pair = np.stack([w @ kron(t, np.eye(k)) @ dagger(w) for t in targets[party]])
-        return (pair + dagger(pair)) / 2.0
+        return herm_part(pair)
 
     # Sharp and anticommuting by construction; framed as stacks, in chain order.
     parties = [*range(n), *range(n)]

@@ -40,14 +40,13 @@ import numpy as np
 
 from .bell import (
     BellExpression,
-    _party_rows,
     bell_coefficients,
     bell_operators,
     bell_terms,
     term_vectors,
 )
-from .linalg import EigenDecomposition
-from .quantum import QuantumState, _chunks, _projective_observables, _rng, pure_state
+from .linalg import EigenDecomposition, herm_part
+from .quantum import QuantumState, _chunks, _party_rows, _projective_observables, _rng, pure_state
 
 __all__ = [
     "SeesawResult",
@@ -208,7 +207,7 @@ def _effective_operators(psi, dims, stacks, terms, party):
     phi = slots.T @ np.stack(list(term_vectors(psi, dims, rest, stacks, party, merged)), axis=1)
     bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
     k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
-    return (k + np.conj(np.swapaxes(k, -1, -2))) / 2.0
+    return herm_part(k)
 
 
 def _strategy_value(stack, effective) -> np.ndarray:

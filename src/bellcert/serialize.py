@@ -52,14 +52,15 @@ class SerializationError(ValueError):
 def dumps(data) -> bytes:
     """Strict JSON as UTF-8 bytes, on one line.
 
-    numpy scalars are written as numbers.  orjson refuses integers beyond 64
-    bits and non-string keys (a huge ``--seed`` in ``meta``, a caller's
-    ``meta``); those documents go through the stdlib encoder instead.
+    numpy scalars are written as numbers and numpy arrays as lists.  orjson
+    refuses integers beyond 64 bits and non-string keys (a huge ``--seed`` in
+    ``meta``, a caller's ``meta``); those documents go through the stdlib
+    encoder instead, which turns each array into a list first.
     """
     try:
         return orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
-        return json.dumps(data, allow_nan=False).encode()
+        return json.dumps(data, allow_nan=False, default=np.ndarray.tolist).encode()
 
 
 def write_json(data, path) -> None:
@@ -260,13 +261,15 @@ def load_strategy(path) -> Strategy:
 
 
 def record_to_dict(record: CorrelationRecord, p2: np.ndarray) -> dict:
-    """``record`` and its tables ``p2`` (``scenario.second_round_tables``)."""
+    """``record`` and its tables ``p2`` (``scenario.second_round_tables``).
+    Each table is a flat view of the record's arrays, which ``dumps``
+    encodes as it is, with no Python float per entry."""
     def event_key(event):
         x, a = event
         return f"x={_bits(x)}|a={_bits(a)}"
 
     def by_setting(tables):
-        return {_bits(x): tables[x].ravel().tolist() for x in np.ndindex((2,) * record.parties)}
+        return {_bits(x): tables[x].ravel() for x in np.ndindex((2,) * record.parties)}
 
     extra = None
     if record.extra_stats is not None:

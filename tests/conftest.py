@@ -35,6 +35,12 @@ def effect(observable, outcome):
     return (np.eye(len(observable)) + sign * np.asarray(observable)) / 2.0
 
 
+def identity_interaction(dims):
+    """The identity ``Interaction`` on ``dims``: the branch states of
+    ``post_measurement_states`` before any interaction."""
+    return Interaction(np.eye(math.prod(dims)), dims, dims)
+
+
 def phase_distance(a, b):
     """Max-norm distance between two matrices minimized over a global phase."""
     a, b = np.asarray(a), np.asarray(b)
@@ -137,8 +143,9 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
         flat = np.clip(probs.reshape(-1), 0.0, None)
         flat = flat / flat.sum()
         outcomes = outcome_list[rng.choice(len(outcome_list), p=flat)]
-        projectors = [effects[k][2 * settings[k] + outcomes[k]] for k in range(n)]
-        branch = post_measurement_states(strategy.source_state, projectors)[0]
+        projectors = [effects[k][[2 * settings[k] + outcomes[k]]] for k in range(n)]
+        source = strategy.source_state
+        (branch,) = post_measurement_states(source, projectors, identity_interaction(source.dims))
         rho_prime = QuantumState(branch.density, strategy.source_state.dims)
         if tamper is not None:
             rho_prime = tamper(rho_prime)

@@ -102,9 +102,9 @@ def test_criterion_3_sos_identity():
 def test_criterion_4_reference_interaction_action():
     worst = 1.0
     for n in (2, 3):
-        interaction = reference_strategy(n).interaction
+        interaction, identities = reference_strategy(n).interaction, [np.eye(2)[None]] * n
         for bits, vec in pre_interaction_basis(n):
-            (out,) = post_measurement_states(pure_state(vec, (2,) * n), [None] * n, interaction)
+            (out,) = post_measurement_states(pure_state(vec, (2,) * n), identities, interaction)
             phi = ghz_like_vector(bits)
             fidelity = float(np.real(np.conj(phi) @ out.density @ phi))
             worst = min(worst, fidelity)

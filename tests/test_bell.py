@@ -295,7 +295,7 @@ class TestExtraStatistics:
         first-round event, read off the branch state's marginals."""
         n = strategy.parties
         t1 = strategy.observables_t1
-        projectors = [effect(t1[k][settings[k]], outcomes[k]) for k in range(n)]
+        projectors = [effect(t1[k][settings[k]], outcomes[k])[None] for k in range(n)]
         (sigma,) = post_measurement_states(strategy.source_state, projectors, strategy.interaction)
         return extra_statistics(sigma, strategy.observables_t2)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,44 @@ class TestNonFiniteEntries:
         assert main(["--format", "machine", "simulate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "non-finite entry" in out.err
+
+    # A finite entry of 1e308 overflows any sum or product it enters: in the
+    # source (on the real or the imaginary axis), in a first-round or a
+    # second-round observable and in the interaction.
+    @pytest.mark.parametrize(
+        "role, time_slice, value",
+        [
+            ("source_state", None, [1e308, 0.0]),
+            ("source_state", None, [0.0, 1e308]),
+            ("observable", 1, [1e308, 0.0]),
+            ("observable", 2, [1e308, 0.0]),
+            ("interaction", None, [1e308, 0.0]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["certify"], ["simulate"], ["noise-sweep", "--visibilities", "1,0.5"]]
+    )
+    def test_largest_finite_entry_keeps_the_contract(
+        self, tmp_path, capsys, ref2, role, time_slice, value, argv
+    ):
+        data = strategy_to_dict(ref2)
+        matching = [m for m in data["matrices"] if m["role"] == role]
+        matching = [m for m in matching if m.get("time_slice") == time_slice]
+        matching[-1]["entries"][0] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert caught == []
+        assert code in ((1, 2, 3) if argv == ["certify"] else (0, 2))
+        assert "IndexError" not in "\n".join(err)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: ")
+        else:
+            assert err == []
 
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, ref2):
         text = json.dumps(strategy_to_dict(ref2))

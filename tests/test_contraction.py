@@ -26,7 +26,6 @@ from bellcert.quantum import (
     QuantumState,
     clamp_probabilities,
     effect_table,
-    local_contraction,
     post_measurement_states,
     pure_state,
     random_density,
@@ -44,7 +43,7 @@ from bellcert.scenario import (
 )
 from bellcert.seesaw import _effective_operators, _strategy_value
 
-from conftest import effect
+from conftest import effect, identity_interaction
 
 EXACT = 1e-14
 
@@ -100,7 +99,7 @@ def test_contraction_table_matches_dense_formula(dims):
         np.stack([random_projective_observable(d, rng) for _ in range(m)])
         for m, d in zip((3, 1, 2), dims)
     ]
-    table = local_contraction(rho, dims, stacks)
+    table = effect_table(rho, dims, stacks)
     assert table.shape == tuple(s.shape[0] for s in stacks)
     for idx in itertools.product(*[range(s.shape[0]) for s in stacks]):
         ops = [s[i] for s, i in zip(stacks, idx)]
@@ -111,12 +110,12 @@ def test_contraction_table_matches_dense_formula(dims):
 def test_expectation_matches_dense_formula(dims):
     rng = np.random.default_rng(42)
     state = random_density(dims, rng)
-    ops = [random_projective_observable(d, rng) for d in dims]
-    dense = np.trace(kron(*ops) @ state.density)
-    assert abs(local_contraction(state.density, dims, ops).item() - dense) <= EXACT
-    ops[1] = None
-    dense = np.trace(kron(ops[0], np.eye(dims[1]), *ops[2:]) @ state.density)
-    assert abs(local_contraction(state.density, dims, ops).item() - dense) <= EXACT
+    ops = [random_projective_observable(d, rng)[None] for d in dims]
+    dense = np.trace(kron(*(op[0] for op in ops)) @ state.density)
+    assert abs(effect_table(state.density, dims, ops).item() - dense) <= EXACT
+    ops[1] = np.broadcast_to(np.eye(dims[1]), (1, dims[1], dims[1]))
+    dense = np.trace(kron(*(op[0] for op in ops)) @ state.density)
+    assert abs(effect_table(state.density, dims, ops).item() - dense) <= EXACT
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
@@ -124,34 +123,53 @@ def test_post_measurement_state_matches_dense_formula(dims):
     rng = np.random.default_rng(43)
     state = random_density(dims, rng)
     observables = random_observables(dims, rng)
+    identity = identity_interaction(dims)
     for x in itertools.product((0, 1), repeat=len(dims)):
         for a in itertools.product((0, 1), repeat=len(dims)):
             projectors = [effect(observables[k][x[k]], a[k]) for k in range(len(dims))]
-            (out,) = post_measurement_states(state, projectors)
+            (out,) = post_measurement_states(state, [p[None] for p in projectors], identity)
             assert max_abs(out.density - dense_post_measurement(state.density, projectors)) <= EXACT
     # The kernel applies Pi and Pi^dag separately, so it must also hold for
     # operators that are neither Hermitian nor projective.
     for _ in range(4):
         ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
-        (out,) = post_measurement_states(state, ops)
+        (out,) = post_measurement_states(state, [op[None] for op in ops], identity)
         assert max_abs(out.density - dense_post_measurement(state.density, ops)) <= EXACT
-        ops[1] = None
-        dense_ops = [np.eye(d) if op is None else op for d, op in zip(dims, ops)]
-        (out,) = post_measurement_states(state, ops)
-        assert max_abs(out.density - dense_post_measurement(state.density, dense_ops)) <= EXACT
+        ops[1] = np.eye(dims[1])
+        (out,) = post_measurement_states(state, [op[None] for op in ops], identity)
+        assert max_abs(out.density - dense_post_measurement(state.density, ops)) <= EXACT
+
+
+@pytest.mark.parametrize("party", [0, 1, 2])
+def test_shared_row_takes_a_whole_stack(party):
+    # One (B, d, d) stack applied to one row of k = 3 vectors gives B rows,
+    # each the row with that one operator applied, to the bit.
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(44)
+    d = dims[party]
+    stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    row = rng.standard_normal((1, 12 * 3)) + 1j * rng.standard_normal((1, 12 * 3))
+    rows = quantum._apply(stack, row, dims, party)
+    assert rows.shape == (5, 36)
+    for op, out in zip(stack, rows):
+        assert np.array_equal(out, quantum._apply(op, row, dims, party)[0])
 
 
 def test_contraction_rejects_mismatched_operators():
     rho = np.eye(6) / 6
     with pytest.raises(DimensionMismatchError):
-        local_contraction(rho, (2, 3), [np.eye(2)])
+        effect_table(rho, (2, 3), [np.eye(2)[None]])
     with pytest.raises(DimensionMismatchError):
-        local_contraction(rho, (2, 3), [np.eye(2), np.eye(2)[None]])
+        effect_table(rho, (2, 3), [np.eye(2)[None], np.eye(2)[None]])
     state = random_density((2, 3), 0)
+    identity = identity_interaction((2, 3))
     with pytest.raises(DimensionMismatchError):
-        post_measurement_states(state, [np.eye(2), np.eye(3), np.eye(1)])
+        three = [np.eye(2)[None], np.eye(3)[None], np.eye(1)[None]]
+        post_measurement_states(state, three, identity)
     with pytest.raises(DimensionMismatchError):
-        post_measurement_states(state, [np.eye(3), np.eye(2)])
+        post_measurement_states(state, [np.eye(3)[None], np.eye(2)[None]], identity)
+    with pytest.raises(DimensionMismatchError):
+        post_measurement_states(state, [np.stack([np.eye(2)] * 2), np.eye(3)[None]], identity)
 
 
 def product_source_strategy(parties):

@@ -8,6 +8,7 @@ from bellcert.linalg import (
     NonHermitianError,
     dagger,
     herm_eig,
+    herm_part,
     kron,
     max_abs,
     partial_trace,
@@ -121,6 +122,20 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(4), (2, 3), 0)
+
+
+class TestHermPart:
+    def test_the_mean_with_the_adjoint_to_the_bit(self):
+        rng = np.random.default_rng(13)
+        for scale in (1e-300, 1.0, 1e300):
+            a = scale * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+            assert np.array_equal(herm_part(a), (a + dagger(a)) / 2.0)
+
+    def test_largest_finite_entries_stay_finite(self):
+        a = np.array([[1e308, 1e308], [-1e308, 1e308j]])
+        h = herm_part(a)
+        assert np.all(np.isfinite(h)) and np.array_equal(h, dagger(h))
+        assert h[0, 0] == 1e308 and h[0, 1] == 0.0 and h[1, 1] == 0.0
 
 
 class TestHermEig:

@@ -19,7 +19,6 @@ from bellcert.quantum import (
     ZeroProbabilityError,
     clamp_probabilities,
     effect_table,
-    local_contraction,
     post_measurement_states,
     pure_state,
     random_density,
@@ -37,7 +36,10 @@ from bellcert.reference import (
 )
 from bellcert.scenario import Strategy
 
-from conftest import I2, PHI_PLUS, X, Z, effect
+from conftest import I2, PHI_PLUS, X, Z, effect, identity_interaction
+
+
+NO_INTERACTION = identity_interaction((2, 2))
 
 
 @pytest.fixture
@@ -78,10 +80,11 @@ class TestQuantumState:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
+        z0, eye = effect(Z, 0)[None], np.eye(2)[None]
         derived = [
             pure_state(PHI_PLUS, (2, 2)).density,
-            *(s.density for s in post_measurement_states(phi_plus, [effect(Z, 0), None])),
-            *(s.density for s in post_measurement_states(phi_plus, [None, None], u)),
+            *(s.density for s in post_measurement_states(phi_plus, [z0, eye], u)),
+            *(s.density for s in post_measurement_states(phi_plus, [eye, eye], u)),
             white_noise_mix(phi_plus, 0.3).density,
             random_density((2, 3), 5).density,
         ]
@@ -152,12 +155,13 @@ class TestBornProbability:
     def test_tilted_setting(self, phi_plus):
         a0 = (X + Z) / math.sqrt(2.0)
         b0 = Z
-        p = effect_table(phi_plus.density, phi_plus.dims, [effect(a0, 0), effect(b0, 0)]).item()
+        stacks = [effect(a0, 0)[None], effect(b0, 0)[None]]
+        p = effect_table(phi_plus.density, phi_plus.dims, stacks).item()
         assert abs(p - (1.0 + 1.0 / math.sqrt(2.0)) / 4.0) < 1e-12
 
     def test_dimension_mismatch(self, phi_plus):
         with pytest.raises(DimensionMismatchError):
-            effect_table(phi_plus.density, phi_plus.dims, [np.eye(3), np.eye(2)])
+            effect_table(phi_plus.density, phi_plus.dims, [np.eye(3)[None], np.eye(2)[None]])
 
     def test_normalization_property(self):
         rng = np.random.default_rng(10)
@@ -172,18 +176,18 @@ class TestBornProbability:
 
 
 class TestExpectation:
-    """``local_contraction`` with one operator per party: the expectation
-    value of their product."""
+    """``effect_table`` with one operator per party, ``(1, d, d)`` stacks:
+    the expectation value of their product."""
 
     def test_xx_on_phi_plus(self, phi_plus):
-        assert abs(local_contraction(phi_plus.density, (2, 2), [X, X]).item() - 1.0) < 1e-12
+        assert abs(effect_table(phi_plus.density, (2, 2), [X[None], X[None]]).item() - 1.0) < 1e-12
 
     def test_zx_on_phi_plus(self, phi_plus):
-        assert abs(local_contraction(phi_plus.density, (2, 2), [Z, X]).item()) < 1e-12
+        assert abs(effect_table(phi_plus.density, (2, 2), [Z[None], X[None]]).item()) < 1e-12
 
     def test_reference_pair(self, phi_plus):
         a0 = (X + Z) / math.sqrt(2.0)
-        value = local_contraction(phi_plus.density, (2, 2), [a0, Z]).item()
+        value = effect_table(phi_plus.density, (2, 2), [a0[None], Z[None]]).item()
         assert abs(value - 1.0 / math.sqrt(2.0)) < 1e-12
 
     def test_consistency_with_probabilities(self):
@@ -195,14 +199,16 @@ class TestExpectation:
             stacks = [[effect(o, 0), effect(o, 1)] for o in obs]
             table = clamp_probabilities(effect_table(state.density, dims, stacks))
             signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
-            assert abs(local_contraction(state.density, dims, obs).item() - signed) < 1e-12
+            expectation = effect_table(state.density, dims, [o[None] for o in obs]).item()
+            assert abs(expectation - signed) < 1e-12
 
 
 class TestPostMeasurement:
-    """``post_measurement_states`` on one branch."""
+    """``post_measurement_states`` on one branch, ``(1, d, d)`` stacks,
+    with the identity interaction."""
 
     def test_projects_onto_outcome(self, phi_plus):
-        (out,) = post_measurement_states(phi_plus, [effect(Z, 0), effect(Z, 0)])
+        (out,) = post_measurement_states(phi_plus, [effect(Z, 0)[None]] * 2, NO_INTERACTION)
         target = np.zeros((4, 4), dtype=complex)
         target[0, 0] = 1.0
         assert max_abs(out.density - target) < 1e-12
@@ -211,7 +217,9 @@ class TestPostMeasurement:
         obs = target_observables(2)
         for a, b in itertools.product((0, 1), repeat=2):
             (out,) = post_measurement_states(
-                phi_plus, [effect(obs[0][0], a), effect(obs[1][0], b)]
+                phi_plus,
+                [effect(obs[0][0], a)[None], effect(obs[1][0], b)[None]],
+                NO_INTERACTION,
             )
             vec = kron(
                 HBAR_BASIS[a].reshape(-1, 1), np.eye(2)[:, b].reshape(-1, 1)
@@ -221,34 +229,34 @@ class TestPostMeasurement:
     def test_impossible_outcome(self):
         state = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
         with pytest.raises(ZeroProbabilityError):
-            post_measurement_states(state, [effect(Z, 1), effect(Z, 1)])
+            post_measurement_states(state, [effect(Z, 1)[None]] * 2, NO_INTERACTION)
 
     def test_repeat_measurement_is_deterministic(self, phi_plus):
-        (out,) = post_measurement_states(phi_plus, [effect(Z, 0), effect(Z, 0)])
-        assert abs(effect_table([out], (2, 2), [effect(Z, 0), effect(Z, 0)]).item() - 1.0) < 1e-10
+        (out,) = post_measurement_states(phi_plus, [effect(Z, 0)[None]] * 2, NO_INTERACTION)
+        assert abs(effect_table([out], (2, 2), [effect(Z, 0)[None]] * 2).item() - 1.0) < 1e-10
 
 
 class TestEvolve:
-    """``post_measurement_states`` with no projector and an interaction:
-    the one branch ``V rho V^dag``."""
+    """``post_measurement_states`` with identity projectors and an
+    interaction: the one branch ``V rho V^dag``."""
 
     def test_identity(self, phi_plus):
         (out,) = post_measurement_states(
-            phi_plus, [None, None], Interaction(np.eye(4), (2, 2), (2, 2))
+            phi_plus, [np.eye(2)[None]] * 2, Interaction(np.eye(4), (2, 2), (2, 2))
         )
         assert max_abs(out.density - phi_plus.density) < 1e-12
 
     def test_reference_interaction_creates_entanglement(self):
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         vec = kron(HBAR_BASIS[0].reshape(-1, 1), np.array([[1.0], [0.0]])).reshape(-1)
-        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [None, None], u)
+        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [np.eye(2)[None]] * 2, u)
         phi = ghz_like_vector((0, 0))
         assert max_abs(out.density - np.outer(phi, phi.conj())) < 1e-12
 
     def test_branch_11_gives_phi_minus(self):
         u = Interaction(entangling_unitary(2), (2, 2), (2, 2))
         vec = kron(HBAR_BASIS[1].reshape(-1, 1), np.array([[0.0], [1.0]])).reshape(-1)
-        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [None, None], u)
+        (out,) = post_measurement_states(pure_state(vec, (2, 2)), [np.eye(2)[None]] * 2, u)
         phi_minus = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0)
         assert max_abs(out.density - np.outer(phi_minus, phi_minus.conj())) < 1e-12
 
@@ -257,7 +265,7 @@ class TestEvolve:
         state = random_density((2, 3), rng)
         u = Interaction(random_unitary(6, rng), (2, 3), (2, 3))
         before = np.sort(np.linalg.eigvalsh(state.density))
-        (out,) = post_measurement_states(state, [None, None], u)
+        (out,) = post_measurement_states(state, [np.eye(2)[None], np.eye(3)[None]], u)
         after = np.sort(np.linalg.eigvalsh(out.density))
         assert max_abs(before - after) < 1e-9
 

@@ -48,9 +48,9 @@ def test_entangling_unitary_is_unitary():
 
 def test_entangling_unitary_action_all_branches():
     for n in (2, 3):
-        interaction = reference_strategy(n).interaction
+        interaction, identities = reference_strategy(n).interaction, [np.eye(2)[None]] * n
         for bits, vec in pre_interaction_basis(n):
-            (out,) = post_measurement_states(pure_state(vec, (2,) * n), [None] * n, interaction)
+            (out,) = post_measurement_states(pure_state(vec, (2,) * n), identities, interaction)
             phi = ghz_like_vector(bits)
             fidelity = float(np.real(np.conj(phi) @ out.density @ phi))
             assert abs(fidelity - 1.0) < 1e-12

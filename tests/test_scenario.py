@@ -19,6 +19,7 @@ from bellcert.reference import reference_strategy
 from bellcert import scenario
 from bellcert.scenario import (
     Strategy,
+    _check_projective,
     bell_branch_settings,
     extra_branch_settings,
     run_scenario,
@@ -377,3 +378,8 @@ class TestStrategyValidation:
                 observables_t2=ref2.observables_t2,
                 interaction=Interaction(np.eye(8), (2, 4), (2, 4)),
             )
+
+    def test_nan_projectivity_defect_fails(self):
+        pair = np.stack([np.array([[np.nan, 0.0], [0.0, 1.0]]), Z])
+        with pytest.raises(ValueError, match=r"\(party 0, setting 0\) is not projective \(defect nan\)"):
+            _check_projective([pair], 1e-8, "first-round")

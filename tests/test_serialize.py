@@ -8,7 +8,8 @@ import orjson
 import pytest
 
 from bellcert.certify import run_full_certification
-from bellcert.quantum import QuantumState
+from bellcert.quantum import QuantumState, white_noise_mix
+from bellcert.reference import reference_strategy
 from bellcert.scenario import run_scenario, scramble_strategy, second_round_tables
 from bellcert.serialize import (
     SerializationError,
@@ -107,12 +108,38 @@ class TestStrategyFile:
 class TestRecordAndReport:
     def test_record_serialization(self, ref2):
         rec = run_scenario(ref2)
-        data = json.loads(json.dumps(record_to_dict(rec, second_round_tables(rec, ref2.observables_t2))))
+        data = json.loads(dumps(record_to_dict(rec, second_round_tables(rec, ref2.observables_t2))))
         assert data["kind"] == "correlation_record"
         assert abs(data["t1_bell_value"] - 2.0) < 1e-12
         assert set(data["t2_bell_values"]) == {"00", "01", "10", "11"}
         key = "x=00|a=00"
         assert abs(sum(data["p2"][key]["11"]) - 1.0) < 1e-10
+
+    @staticmethod
+    def listed(data):
+        """Oracle: the document with every array as its ``tolist()``."""
+        if isinstance(data, dict):
+            return {k: TestRecordAndReport.listed(v) for k, v in data.items()}
+        return data.tolist() if isinstance(data, np.ndarray) else data
+
+    @pytest.mark.parametrize("case", ["ref2", "ref3", "ref4", "ref5", "scrambled", "noisy"])
+    def test_record_bytes_match_the_list_oracle(self, case):
+        if case == "scrambled":
+            strategy = scramble_strategy(reference_strategy(2), (2, 1), 4).strategy
+        else:
+            strategy = reference_strategy(3 if case == "noisy" else int(case[-1]))
+        if case == "noisy":
+            source = white_noise_mix(strategy.source_state, 0.9)
+            strategy = dataclasses.replace(strategy, source_state=source)
+        rec = run_scenario(strategy)
+        data = record_to_dict(rec, second_round_tables(rec, strategy.observables_t2))
+        oracle = self.listed(data)
+        assert dumps(data) == dumps(oracle) == orjson.dumps(oracle)
+
+    def test_stdlib_fallback_encodes_arrays(self):
+        # orjson refuses an integer beyond 64 bits, so the stdlib encodes.
+        data = {"seed": 2**70, "table": np.array([0.25, 0.75])}
+        assert dumps(data) == b'{"seed": 1180591620717411303424, "table": [0.25, 0.75]}'
 
     def test_report_serialization_carries_tolerances(self, tmp_path, ref2):
         report = run_full_certification(ref2)
