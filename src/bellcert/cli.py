@@ -445,8 +445,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        # numpy's floating-point warnings stay off stderr: the overflow or
-        # NaN that they flag (a huge input entry) fails a gate further on.
+        # stderr holds at most the one ``error:`` line, so numpy's
+        # floating-point warnings (an overflow on a huge input entry) stay off it.
         with np.errstate(all="ignore"):
             return handler(args)
     except SystemExit as exc:
