@@ -218,11 +218,12 @@ def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
     return t.reshape(lead + (2,) * 2 * parties)
 
 
-def bell_operators(coefficients: np.ndarray, stacks) -> np.ndarray:
+def bell_operators(coefficients: np.ndarray, stacks, out: np.ndarray | None = None) -> np.ndarray:
     """Operators ``sum_i C[i_1, ..., i_N] S^1_{i_1} ox ... ox S^N_{i_N}`` of a
     coefficient tensor ``C`` and per-party stacks ``S^n`` of shape
     ``(..., 3, d_n, d_n)``.  Leading axes of the stacks index strategies, so
-    the result has shape ``(..., D, D)``.
+    the result has shape ``(..., D, D)``; ``out``, a C-contiguous array of
+    that shape, receives it in place of a new array.
 
     One matmul per party consumes the leading operator-choice axis of ``C``
     and appends that party's (row, column) pair, so no Kronecker product is
@@ -233,18 +234,29 @@ def bell_operators(coefficients: np.ndarray, stacks) -> np.ndarray:
         raise DimensionMismatchError(
             f"need observables for {n_parties} parties, got {len(stacks)}"
         )
-    t = coefficients.reshape(3, -1)
-    for stack in stacks:
-        d = stack.shape[-1]
-        t = t.reshape(t.shape[:-2] + (3, -1))
-        t = np.swapaxes(t, -1, -2) @ stack.reshape(stack.shape[:-2] + (d * d,))
     dims = [s.shape[-1] for s in stacks]
-    batch = t.shape[:-2]
-    t = t.reshape(batch + tuple(d for d in dims for _ in (0, 1)))
-    k = len(batch)
-    rows_then_cols = [*range(k), *range(k, t.ndim, 2), *range(k + 1, t.ndim, 2)]
+    batch = np.broadcast_shapes(*(s.shape[:-3] for s in stacks))
     d = math.prod(dims)
-    return t.transpose(rows_then_cols).reshape(batch + (d, d))
+    if out is not None and (out.shape != batch + (d, d) or not out.flags.c_contiguous):
+        raise DimensionMismatchError(f"out must be a C-contiguous {batch + (d, d)} array")
+    t = coefficients.reshape(3, -1)
+    for n, stack in enumerate(stacks):
+        t = np.swapaxes(t.reshape(t.shape[:-2] + (3, -1)), -1, -2)
+        s = stack.reshape(stack.shape[:-3] + (3, -1))
+        into = None
+        if out is not None and n == n_parties - 2:
+            # The last step's input, at most D^2 entries per strategy, goes
+            # into out, which the last step reads before it is written.
+            shape = np.broadcast_shapes(t.shape[:-2], s.shape[:-2]) + (t.shape[-2], s.shape[-1])
+            into = out.reshape(-1)[: math.prod(shape)].reshape(shape)
+        t = np.matmul(t, s, out=into)
+    k = len(batch)
+    t = t.reshape(batch + tuple(d for d in dims for _ in (0, 1)))
+    rows_then_cols = t.transpose([*range(k), *range(k, t.ndim, 2), *range(k + 1, t.ndim, 2)])
+    if out is None:
+        return rows_then_cols.reshape(batch + (d, d))
+    np.copyto(out.reshape(rows_then_cols.shape), rows_then_cols)
+    return out
 
 
 def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:

@@ -101,7 +101,9 @@ class Strategy:
     (``_observable_pair``): its shape, finite entries and hermiticity within
     ``ALGEBRA_TOL``.  It keeps each setting's Hermitian part ``(A + A^dag) /
     2``, as ``QuantumState`` reads its density's, so an accepted observable
-    stays exactly Hermitian when it is compressed to a support.
+    stays exactly Hermitian when it is compressed to a support.  Then each
+    round's spectra are checked (``_check_spectra``): an eigenvalue outside
+    ``[-1 - ALGEBRA_TOL, 1 + ALGEBRA_TOL]`` is refused.
     """
 
     source_state: QuantumState
@@ -123,6 +125,7 @@ class Strategy:
         for name, dims in (("t1", self.source_state.dims), ("t2", self.interaction.dims_out)):
             pairs = getattr(self, f"observables_{name}")
             pairs = tuple(_observable_pair(p, name, k, d) for k, (p, d) in enumerate(zip(pairs, dims)))
+            _check_spectra(pairs, name)
             object.__setattr__(self, f"observables_{name}", pairs)
 
     @property
@@ -235,6 +238,27 @@ def _observable_pair(pair, name: str, party: int, d: int) -> np.ndarray:
     pair = herm_part(pair)
     pair.setflags(write=False)
     return pair
+
+
+def _check_spectra(pairs, name: str) -> None:
+    """Refuse an observable of round ``name`` with an eigenvalue outside
+    ``[-1 - ALGEBRA_TOL, 1 + ALGEBRA_TOL]``, whose effects ``(I +/- A) / 2``
+    are then not positive: one stacked ``eigvalsh`` per local dimension.
+    The ``ValueError`` names the round, party and setting of the first."""
+    bad = []
+    for d in {p.shape[-1] for p in pairs}:
+        parties = [k for k, p in enumerate(pairs) if p.shape[-1] == d]
+        spectra = np.linalg.eigvalsh(np.stack([pairs[k] for k in parties]))
+        inside = np.abs(spectra) <= 1.0 + ALGEBRA_TOL  # a NaN eigenvalue fails too
+        if not inside.all():
+            i, setting, j = np.argwhere(~inside)[0]
+            bad.append((parties[i], setting, spectra[i, setting, j]))
+    if bad:
+        party, setting, value = min(bad)
+        raise ValueError(
+            f"{name} observable (party {party}, setting {setting}) has eigenvalue "
+            f"{value:.6g}, outside [-1, 1]; its effects (I +/- A) / 2 are not positive"
+        )
 
 
 def _check_projective(observables, tol: float, where: str) -> None:

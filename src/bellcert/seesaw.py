@@ -13,14 +13,16 @@ The restarts of a run advance in lockstep, from starting observables
 drawn together: each restart's seeded generator draws one Gaussian block
 per party, the stream of two ``quantum.random_projective_observable``
 calls, and one stacked QR per party makes every restart's pair.  Each
-iteration builds the ``(R, D, D)`` Bell operators of the R active restarts
-in one ``bell.bell_operators`` pass; the state stays a vector, a row of
-``psi`` of shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
+iteration writes the ``(R, D, D)`` Bell operators of the R active restarts
+in one ``bell.bell_operators`` pass into the leading rows of one operator
+stack that the chunk keeps; the state stays a vector, a row of ``psi`` of
+shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
 diagonalizes the operators.  From there on ``optimal_state_update`` finds
-each operator's top eigenvector by Rayleigh-quotient iteration from the
-previous iteration's row of ``psi``; a Cholesky factorization checks the
-value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
-restart that fails the check gets a dense ``eigh``.
+each operator's top eigenvector by Rayleigh-quotient iteration, from the
+previous iteration's row of ``psi`` or, in the first iteration, from a top
+Ritz vector of ``LANCZOS_STEPS`` lockstep Lanczos steps; a Cholesky
+factorization checks the value to within ``TOP_MARGIN * max(1, |value|)``
+up to roundoff, and a restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
 parties' ``(I, A_0, A_1)`` stacks by the Bell-term kernel
 (``bell.term_vectors``), with party 0's two settings merged, so no D x D
@@ -99,6 +101,20 @@ TOP_MARGIN = 1e-12
 MAX_STEPS = 8
 ITERATIVE_MIN_DIM = 32
 
+# Without a start vector, LANCZOS_STEPS lockstep Lanczos steps from the
+# seed-0 vector give each operator the top Ritz vector that its
+# Rayleigh-quotient iteration starts from; too few steps leave a Ritz vector
+# from which the iteration ends at a lower eigenvalue, and the dense
+# fallback runs.  On the benchmark's shape (four qutrits, D = 81), the 80
+# first-iteration restarts of the round at seed 1 sent 7 to the fallback at
+# 10 steps, 2 at 14 and none at 20; over the rounds of seeds 0-149 (12,000
+# restarts) 20 steps still sent 27, 24 sent 6 and 28 none.  A new direction
+# shorter than LANCZOS_BREAKDOWN times ``|B q|`` is a breakdown: the Krylov
+# space is (nearly) invariant, and the basis goes on from a seeded vector
+# orthogonal to it.
+LANCZOS_STEPS = 28
+LANCZOS_BREAKDOWN = 1e-8
+
 # A restart has converged once an iteration raises its value by less than this.
 CONVERGENCE_TOL = 1e-12
 
@@ -116,32 +132,26 @@ def optimal_state_update(
     iteration, ``x <- solve(B - rho I, x) / |.|`` with ``rho`` the Rayleigh
     quotient of ``x``, until ``|B x - rho x| <= RESIDUAL_TOL``.  It starts
     from the matching unit row of ``start`` (shape ``(..., D)``), such as
-    the previous seesaw iteration's vectors.  Without one, the first vector
-    is drawn from seed 0 and the first shift is the top value of one
-    stacked ``eigvalsh``, half the cost of ``eigh``.  A result counts only
-    if ``(rho + delta) I - B`` has a Cholesky factor,
-    ``delta = TOP_MARGIN * max(1, |rho|)``, which checks that ``rho`` is
-    within ``delta`` of the top eigenvalue up to roundoff.  An operator
-    whose iteration fails that check, meets a singular solve or runs out of
-    steps gets a dense ``eigh`` of its own.
+    the previous seesaw iteration's vectors.  Without one, it starts from
+    the top Ritz vector of ``LANCZOS_STEPS`` Lanczos steps from the seed-0
+    vector (``_ritz_starts``), run on all operators at once; no D x D
+    eigensolve is made.  A result counts only if ``(rho + delta) I - B``
+    has a Cholesky factor, ``delta = TOP_MARGIN * max(1, |rho|)``, which
+    checks that ``rho`` is within ``delta`` of the top eigenvalue up to
+    roundoff.  An operator whose iteration fails that check, meets a
+    singular solve or runs out of steps gets a dense ``eigh`` of its own.
     """
     dim = operators.shape[-1]
     if dim < ITERATIVE_MIN_DIM:
         values, vectors = np.linalg.eigh(operators)
         return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
     stack = operators.reshape(-1, dim, dim)
-    if start is None:
-        shifts = np.linalg.eigvalsh(stack)[:, -1]
-        seeded = _rng(0).standard_normal(dim) / math.sqrt(dim)
-        starts = np.broadcast_to(seeded, (len(stack), dim))
-    else:
-        shifts = [None] * len(stack)
-        starts = start.reshape(-1, dim)
+    starts = _ritz_starts(stack) if start is None else start.reshape(-1, dim)
     vectors = np.empty((len(stack), dim), dtype=complex)
     values = np.empty(len(stack))
     scratch = np.empty((dim, dim), dtype=complex)
     for r, b in enumerate(stack):
-        top = _rayleigh_top(b, starts[r], shifts[r], scratch)
+        top = _rayleigh_top(b, starts[r], scratch)
         if top is None:
             eigenvalues, eigenvectors = np.linalg.eigh(b)
             top = eigenvectors[:, -1], eigenvalues[-1]
@@ -149,11 +159,59 @@ def optimal_state_update(
     return vectors.reshape(operators.shape[:-1]), values.reshape(operators.shape[:-2])[()]
 
 
-def _rayleigh_top(b, x, shift, scratch):
+def _seed_vector(dim: int, seed: int = 0) -> np.ndarray:
+    """The unit vector of ``dim`` standard normals drawn from ``seed``."""
+    x = _rng(seed).standard_normal(dim)
+    return x / np.linalg.norm(x)
+
+
+def _ritz_starts(stack):
+    """Top Ritz vectors, shape ``(R, D)``, of the ``(R, D, D)`` Hermitian
+    ``stack`` after ``LANCZOS_STEPS`` Lanczos steps from the seed-0 vector,
+    taken on every operator at once and with full reorthogonalisation (two
+    Gram-Schmidt passes against the basis, one ``(R, steps, D)`` array).  A
+    breakdown gives its operator a zero off-diagonal entry and a fresh
+    seeded direction, orthogonal to the basis, so the tridiagonal matrix
+    stays a compression of the operator."""
+    count, dim, steps = len(stack), stack.shape[-1], LANCZOS_STEPS
+    basis = np.empty((count, steps, dim), dtype=complex)
+    basis[:, 0] = _seed_vector(dim)
+    alpha = np.empty((count, steps))
+    beta = np.zeros((count, steps - 1))
+    for j in range(steps):
+        q = basis[:, : j + 1]
+        w = np.matmul(stack, basis[:, j, :, np.newaxis])
+        projections = np.conj(q) @ w
+        alpha[:, j] = projections[:, j, 0].real
+        if j == steps - 1:
+            break
+        scale = np.linalg.norm(w[..., 0], axis=-1)
+        w -= np.swapaxes(q, 1, 2) @ projections
+        w -= np.swapaxes(q, 1, 2) @ (np.conj(q) @ w)
+        w = w[..., 0]
+        norms = np.linalg.norm(w, axis=-1)
+        broken = ~(norms > LANCZOS_BREAKDOWN * scale)
+        beta[:, j] = np.where(broken, 0.0, norms)
+        for r in np.flatnonzero(broken):
+            fresh = _seed_vector(dim, j + 1).astype(complex)
+            for _ in range(2):
+                fresh -= (np.conj(q[r]) @ fresh) @ q[r]
+            w[r], norms[r] = fresh, np.linalg.norm(fresh)
+        basis[:, j + 1] = w / norms[:, np.newaxis]
+    tridiagonal = np.zeros((count, steps, steps))
+    diagonal = np.arange(steps)
+    tridiagonal[:, diagonal, diagonal] = alpha
+    tridiagonal[:, diagonal[1:], diagonal[:-1]] = beta
+    tridiagonal[:, diagonal[:-1], diagonal[1:]] = beta
+    ritz = np.linalg.eigh(tridiagonal)[1][:, :, -1:]
+    x = (np.swapaxes(basis, 1, 2) @ ritz)[..., 0]
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _rayleigh_top(b, x, scratch):
     """Top eigenpair of the Hermitian ``b`` by Rayleigh-quotient iteration
     from the unit vector ``x``, checked by a Cholesky factorization, or
-    None.  ``shift``, when given, replaces the first solve's Rayleigh
-    quotient; ``scratch`` is a spare array shaped like ``b``."""
+    None.  ``scratch`` is a spare array shaped like ``b``."""
     diagonal = scratch.reshape(-1)[:: len(b) + 1]
     for step in range(MAX_STEPS + 1):
         bx = b @ x
@@ -169,8 +227,7 @@ def _rayleigh_top(b, x, shift, scratch):
         if step == MAX_STEPS:
             return None
         np.copyto(scratch, b)
-        diagonal -= value if shift is None else shift
-        shift = None
+        diagonal -= value
         try:
             y = np.linalg.solve(scratch, x)
         except np.linalg.LinAlgError:
@@ -240,8 +297,11 @@ def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult
     active = np.arange(len(results))
     value = np.full(len(results), -np.inf)
     psi = None
+    dim = math.prod(dims)
+    operators = np.empty((len(results), dim, dim), dtype=complex)
     for iterations in range(1, max_iters + 1):
-        psi, _ = optimal_state_update(bell_operators(coefficients, stacks), psi)
+        running = bell_operators(coefficients, stacks, out=operators[: len(active)])
+        psi, _ = optimal_state_update(running, psi)
         for party in range(len(dims)):
             effective = _effective_operators(psi, dims, stacks, terms, party)
             stacks[party][:, 1:] = optimal_observable_update(effective[:, 1:])

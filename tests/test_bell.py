@@ -7,6 +7,7 @@ import pytest
 from bellcert.bell import (
     BellExpression,
     bell_coefficients,
+    bell_operators,
     bell_terms,
     build_bell_operator,
     classical_bound,
@@ -16,7 +17,7 @@ from bellcert.bell import (
     sos_terms,
     tilde_observables,
 )
-from bellcert.linalg import dagger, kron, max_abs
+from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
 from bellcert.quantum import (
     QuantumState,
     post_measurement_states,
@@ -93,6 +94,49 @@ class TestBellOperator:
                 expr = BellExpression(n, bits)
                 state = pure_state(ghz_like_vector(bits), (2,) * n)
                 assert abs(quantum_value(state, obs, expr) - expr.quantum_bound) < 1e-10
+
+
+class TestOperatorsIntoABuffer:
+    """``bell_operators(..., out=buffer)`` writes the operators that the
+    allocating call returns, bit for bit."""
+
+    @staticmethod
+    def stacks(dims, count=None, seed=60):
+        rng = np.random.default_rng(seed)
+        lead = () if count is None else (count,)
+        stacks = []
+        for d in dims:
+            s = rng.standard_normal(lead + (3, d, d)) + 1j * rng.standard_normal(lead + (3, d, d))
+            stacks.append(s + dagger(s))
+        return stacks
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("count", [None, 5])
+    def test_buffer_matches_the_allocating_call(self, dims, count):
+        c = bell_coefficients(BellExpression(len(dims), (0, 1) * (len(dims) // 2) + (1,) * (len(dims) % 2)))
+        stacks = self.stacks(dims, count)
+        expected = bell_operators(c, stacks)
+        buffer = np.full(expected.shape, np.nan, dtype=complex)
+        assert bell_operators(c, stacks, out=buffer) is buffer
+        assert np.array_equal(buffer, expected)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 3, 3, 3)])
+    def test_leading_rows_of_a_larger_buffer(self, dims):
+        c = bell_coefficients(BellExpression(len(dims), (0,) * len(dims)))
+        stacks = self.stacks(dims, 3)
+        expected = bell_operators(c, stacks)
+        buffer = np.full((7,) + expected.shape[1:], np.nan, dtype=complex)
+        bell_operators(c, stacks, out=buffer[:3])
+        assert np.array_equal(buffer[:3], expected)
+        assert np.isnan(buffer[3:]).all()
+
+    def test_buffer_of_the_wrong_shape_is_refused(self):
+        c = bell_coefficients(BellExpression(2, (0, 0)))
+        stacks = self.stacks((2, 3), 2)
+        with pytest.raises(DimensionMismatchError, match="C-contiguous"):
+            bell_operators(c, stacks, out=np.empty((2, 6, 6), dtype=complex)[:, ::2, ::2])
+        with pytest.raises(DimensionMismatchError, match="C-contiguous"):
+            bell_operators(c, stacks, out=np.empty((3, 6, 6), dtype=complex))
 
 
 class TestClassicalBound:

@@ -175,6 +175,38 @@ class TestNonFiniteEntries:
         else:
             assert err == []
 
+    # An observable with an eigenvalue outside [-1, 1] has effects that are
+    # not positive: every command that loads it exits 2 with one line.
+    @pytest.mark.parametrize(
+        "time_slice, change, shown",
+        [
+            (2, {0: [1e308, 0.0]}, "1e+308"),
+            (1, {0: [1e308, 0.0]}, "1e+308"),
+            (2, {0: [1.5, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0], 3: [-1.5, 0.0]}, "-1.5"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["certify"], ["simulate"], ["noise-sweep", "--visibilities", "1,0.5"]]
+    )
+    def test_observable_outside_the_unit_interval_exits_2(
+        self, tmp_path, capsys, ref2, time_slice, change, shown, argv
+    ):
+        data = strategy_to_dict(ref2)
+        matching = [m for m in data["matrices"] if m.get("time_slice") == time_slice]
+        assert (matching[-1]["party"], matching[-1]["setting"]) == (1, 1)
+        for i, entry in change.items():
+            matching[-1]["entries"][i] = entry
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"error: strategy validation: t{time_slice} observable (party 1, setting 1) has "
+            f"eigenvalue {shown}, outside [-1, 1]; its effects (I +/- A) / 2 are not positive"
+        ]
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, ref2):
         text = json.dumps(strategy_to_dict(ref2))
         path = tmp_path / "big.json"
@@ -704,9 +736,12 @@ class TestValidationAtTheBoundary:
         # it checks positivity and gives the factor the branch states are built
         # from), then one eigh of the recovered auxiliary state xi, which gives
         # both its minimum eigenvalue and its support.  The other eigh calls
-        # are on local spaces (supports and frames).
+        # are on local spaces (supports and frames); the eigvalsh calls are
+        # the load's spectrum gate, one stack of pairs per round and local
+        # dimension: dims (2, 4, 2) in both rounds.
         assert [c for c in shapes if c[1] == (16, 16)] == [("eigh", (16, 16))]
-        assert [c for c in shapes if c[0] == "eigvalsh"] == []
+        gate = [("eigvalsh", (2, 2, 2, 2)), ("eigvalsh", (1, 2, 4, 4))]
+        assert sorted(c for c in shapes if c[0] == "eigvalsh") == sorted(gate * 2)
         assert [name for name, a in calls if np.array_equal(a, xi)] == ["eigh"]
         assert xi.shape == (2, 2) and shapes[0] == ("eigh", (16, 16))
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellcert.linalg import max_abs
+from bellcert.linalg import ALGEBRA_TOL, max_abs
 from bellcert.quantum import (
     ZERO_PROB,
     Interaction,
@@ -383,3 +383,55 @@ class TestStrategyValidation:
         pair = np.stack([np.array([[np.nan, 0.0], [0.0, 1.0]]), Z])
         with pytest.raises(ValueError, match=r"\(party 0, setting 0\) is not projective \(defect nan\)"):
             _check_projective([pair], 1e-8, "first-round")
+
+
+class TestObservableSpectrum:
+    """Each observable's eigenvalues lie in [-1, 1] within ``ALGEBRA_TOL``,
+    so that its effects ``(I +/- A) / 2`` are positive."""
+
+    @staticmethod
+    def with_t2(strategy, party, setting, matrix):
+        pairs = [np.array(p) for p in strategy.observables_t2]
+        pairs[party][setting] = matrix
+        return dataclasses.replace(strategy, observables_t2=tuple(pairs))
+
+    @pytest.mark.parametrize("excess, accepted", [(0.5, True), (2.0, False)])
+    def test_edge_of_the_tolerance(self, ref2, excess, accepted):
+        top = 1.0 + excess * ALGEBRA_TOL
+        matrix = np.diag([top, -1.0])
+        if accepted:
+            self.with_t2(ref2, 1, 0, matrix)
+        else:
+            with pytest.raises(ValueError, match=r"t2 observable \(party 1, setting 0\) has eigenvalue 1,"):
+                self.with_t2(ref2, 1, 0, matrix)
+
+    def test_error_names_the_first_observable_of_any_dimension(self):
+        # Party 1's pair is the only 4 x 4 one, so it is in a stack of its
+        # own; the gate still names the lowest party.
+        strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), 7).strategy
+        bad = np.diag([1.5, 1.0, -1.0, -1.0])
+        pairs = [np.array(p) for p in strategy.observables_t1]
+        pairs[1][1], pairs[2][0] = bad, np.diag([2.0, -1.0])
+        with pytest.raises(ValueError, match=r"t1 observable \(party 1, setting 1\) has eigenvalue 1.5,"):
+            dataclasses.replace(strategy, observables_t1=tuple(pairs))
+
+    def test_contraction_passes_the_gate_and_fails_projectivity(self, ref2):
+        # 0.95 Z has positive effects; run_scenario's projectivity check
+        # decides it.
+        pairs = [np.array(p) for p in ref2.observables_t1]
+        pairs[0][0] = 0.95 * Z
+        strategy = dataclasses.replace(ref2, observables_t1=tuple(pairs))
+        with pytest.raises(ValueError, match=r"first-round observable \(party 0, setting 0\) is not projective"):
+            run_scenario(strategy)
+
+    def test_one_stacked_eigvalsh_per_round_and_dimension(self, monkeypatch):
+        strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), 7).strategy
+        calls, original = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        dataclasses.replace(strategy)
+        assert sorted(calls) == sorted([(2, 2, 2, 2), (1, 2, 4, 4)] * 2)

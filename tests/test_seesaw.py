@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ class TestStateUpdateFallback:
     def test_start_orthogonal_to_top_falls_back(self):
         b, u = random_hermitian([3.0, 1.0, 0.5, -1.0, -2.0], 43)
         start = u[:, 1]  # the second eigenvector: converged, but not the top
-        assert seesaw._rayleigh_top(b, start, None, np.empty_like(b)) is None
+        assert seesaw._rayleigh_top(b, start, np.empty_like(b)) is None
         vector, value = optimal_state_update(b, start)
         top, top_value = dense_top(b)
         assert abs(value - top_value) <= 1e-12
@@ -133,7 +135,7 @@ class TestStateUpdateFallback:
         start[:2] = 0.5
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(singular - np.eye(dim), start)
-        assert seesaw._rayleigh_top(singular, start, None, np.empty_like(singular)) is None
+        assert seesaw._rayleigh_top(singular, start, np.empty_like(singular)) is None
         neighbour, u = random_hermitian([2.0, 1.5, 0.0, -1.0], 46)
         near = u[:, 0] + 0.1 * u[:, 1]
         near /= np.linalg.norm(near)
@@ -170,8 +172,8 @@ class TestStateUpdateFallback:
 
     def test_lockstep_run_needs_no_dense_eigh(self, monkeypatch):
         # On the benchmark's shape every state update is checked and
-        # accepted: one eigvalsh of the first iteration's stack, and no
-        # D x D eigh.
+        # accepted: the first iteration starts from Lanczos Ritz vectors, so
+        # no D x D eigvalsh or eigh is made.
         calls = []
 
         def spy(name):
@@ -186,7 +188,85 @@ class TestStateUpdateFallback:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, spy(name))
         seesaw_restarts(BellExpression(4, (0, 0, 0, 0)), (3, 3, 3, 3), range(10))
-        assert [c for c in calls if c[1][-1] == 81] == [("eigvalsh", (10, 81, 81))]
+        assert [c for c in calls if c[1][-1] == 81] == []
+        assert all(c[0] == "eigh" for c in calls)
+
+
+def dense_eigh_calls(monkeypatch, dim):
+    """A list that records each ``np.linalg.eigh`` call on a dim x dim matrix."""
+    calls, original = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (dim, dim):
+            calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def hermitian_with_eigenpair(vector, value, others, seed):
+    """A Hermitian matrix with the eigenpair ``(vector, value)`` for a unit
+    ``vector``; seeded eigenvectors spanning its complement take the values
+    ``others``."""
+    u = quantum.random_unitary(len(vector), seed)
+    basis = np.linalg.qr(np.column_stack([vector, u[:, 1:]]))[0]
+    return (basis * np.array([value, *others])) @ basis.conj().T
+
+
+class TestRitzStart:
+    """The first state update, without a start vector, begins each operator's
+    iteration at a top Ritz vector of Lanczos steps from the seed-0 vector."""
+
+    def test_top_orthogonal_to_the_seed_vector_falls_back(self, monkeypatch):
+        # The Krylov space of the seed vector misses the top eigenvector, and
+        # the next eigenvalue, 1e-3 below, is where the iteration ends: the
+        # Cholesky check refuses it, and a dense eigh gives the top pair.
+        dim = 32
+        seed_vector = seesaw._seed_vector(dim)
+        top = random_unit(dim, 50)
+        top -= np.vdot(seed_vector, top) * seed_vector
+        top /= np.linalg.norm(top)
+        assert abs(np.vdot(seed_vector, top)) <= 1e-15
+        b = hermitian_with_eigenpair(top, 3.0, np.linspace(2.999, 0.0, dim - 1), 51)
+        other, _ = random_hermitian([2.0, 1.0, 0.5], 52)
+        calls = dense_eigh_calls(monkeypatch, dim)
+        vectors, values = optimal_state_update(np.stack([b, other]))
+        assert calls == [(dim, dim)]
+        expected, expected_value = dense_top(b)
+        assert abs(values[0] - expected_value) <= 1e-12
+        assert abs(abs(np.vdot(expected, vectors[0])) - 1.0) <= 1e-12
+        assert abs(values[1] - 2.0) <= 1e-12
+
+    def test_degenerate_top_in_a_stack(self, monkeypatch):
+        b, u = random_hermitian([3.0, 3.0, 1.0, 0.0, -2.0], 53)
+        other, _ = random_hermitian([-1.0, -1.5], 54)
+        calls = dense_eigh_calls(monkeypatch, len(b))
+        vectors, values = optimal_state_update(np.stack([b, other, b]))
+        assert calls == []
+        for r in (0, 2):
+            assert abs(values[r] - 3.0) <= seesaw.TOP_MARGIN
+            assert abs(np.linalg.norm(u[:, :2].conj().T @ vectors[r]) - 1.0) <= 1e-12
+        assert abs(values[1] + 1.0) <= seesaw.TOP_MARGIN
+
+    def test_seed_vector_in_an_invariant_subspace(self, monkeypatch):
+        # The seed vector is an eigenvector, so the first Lanczos step breaks
+        # down; the basis goes on from a fresh vector orthogonal to it, in
+        # which the top eigenvector lies.  The zero operator breaks down at
+        # every step.
+        dim = 40
+        seed_vector = seesaw._seed_vector(dim)
+        b = hermitian_with_eigenpair(seed_vector, 1.5, [2.0, 1.0] + [-1.0] * (dim - 3), 55)
+        assert np.linalg.norm(b @ seed_vector - 1.5 * seed_vector) <= 1e-12
+        calls = dense_eigh_calls(monkeypatch, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vectors, values = optimal_state_update(np.stack([b, np.zeros_like(b)]))
+        assert calls == []
+        expected, expected_value = dense_top(b)
+        assert abs(values[0] - 2.0) <= 1e-12 and abs(expected_value - 2.0) <= 1e-12
+        assert abs(abs(np.vdot(expected, vectors[0])) - 1.0) <= 1e-12
+        assert values[1] == 0.0 and abs(np.linalg.norm(vectors[1]) - 1.0) <= 1e-12
 
 
 class TestSeesaw:
@@ -340,6 +420,33 @@ def test_restarts_leave_the_batch_at_their_own_iteration(dims, target, exits):
         assert {(r.iterations, r.converged) for r in batch} == pinned
         singles = [seesaw_restarts(expr, dims, [s], max_iters=max_iters)[0] for s in seeds]
         assert_same_runs(batch, singles)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 2)])
+def test_results_share_no_memory_with_the_chunk(dims, monkeypatch):
+    # The chunk's operator stack, setting stacks and state rows are written
+    # again after a restart leaves the batch; its result keeps copies.
+    buffers = []
+
+    def keeping(coefficients, stacks, out=None):
+        buffers.extend([out, *stacks])
+        return bell.bell_operators(coefficients, stacks, out=out)
+
+    def keeping_states(operators, start=None):
+        top = optimal_state_update(operators, start)
+        buffers.append(top[0])
+        return top
+
+    monkeypatch.setattr(seesaw, "bell_operators", keeping)
+    monkeypatch.setattr(seesaw, "optimal_state_update", keeping_states)
+    expr = BellExpression(len(dims), (0,) * len(dims))
+    results = seesaw_restarts(expr, dims, [7, 0, 5, 2, 9, 4])
+    assert len({r.iterations for r in results}) > 1
+    for r in results:
+        for a in (r.vector, *r.observables):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+        value = quantum_value(r.state, r.observables, expr)
+        assert abs(value - r.value) <= 1e-12
 
 
 @pytest.mark.parametrize("dims, target", LOCKSTEP_CASES)
