@@ -223,7 +223,9 @@ def bell_operators(coefficients: np.ndarray, stacks, out: np.ndarray | None = No
     coefficient tensor ``C`` and per-party stacks ``S^n`` of shape
     ``(..., 3, d_n, d_n)``.  Leading axes of the stacks index strategies, so
     the result has shape ``(..., D, D)``; ``out``, a C-contiguous array of
-    that shape, receives it in place of a new array.
+    that shape, receives it in place of a new array.  The last step's input
+    lives in the result's memory, so the peak is one result stack plus the
+    last step's output.
 
     One matmul per party consumes the leading operator-choice axis of ``C``
     and appends that party's (row, column) pair, so no Kronecker product is
@@ -237,24 +239,26 @@ def bell_operators(coefficients: np.ndarray, stacks, out: np.ndarray | None = No
     dims = [s.shape[-1] for s in stacks]
     batch = np.broadcast_shapes(*(s.shape[:-3] for s in stacks))
     d = math.prod(dims)
-    if out is not None and (out.shape != batch + (d, d) or not out.flags.c_contiguous):
+    if out is None:
+        out = np.empty(batch + (d, d), np.result_type(coefficients, *stacks))
+    elif out.shape != batch + (d, d) or not out.flags.c_contiguous:
         raise DimensionMismatchError(f"out must be a C-contiguous {batch + (d, d)} array")
     t = coefficients.reshape(3, -1)
     for n, stack in enumerate(stacks):
         t = np.swapaxes(t.reshape(t.shape[:-2] + (3, -1)), -1, -2)
         s = stack.reshape(stack.shape[:-3] + (3, -1))
         into = None
-        if out is not None and n == n_parties - 2:
-            # The last step's input, at most D^2 entries per strategy, goes
-            # into out, which the last step reads before it is written.
+        if n == n_parties - 2:
+            # The last step's input, 3 (D / d_N)^2 entries per strategy,
+            # goes into out when it fits (d_N >= 2); the last step reads it
+            # before out is written.
             shape = np.broadcast_shapes(t.shape[:-2], s.shape[:-2]) + (t.shape[-2], s.shape[-1])
-            into = out.reshape(-1)[: math.prod(shape)].reshape(shape)
+            if math.prod(shape) <= out.size:
+                into = out.reshape(-1)[: math.prod(shape)].reshape(shape)
         t = np.matmul(t, s, out=into)
     k = len(batch)
     t = t.reshape(batch + tuple(d for d in dims for _ in (0, 1)))
     rows_then_cols = t.transpose([*range(k), *range(k, t.ndim, 2), *range(k + 1, t.ndim, 2)])
-    if out is None:
-        return rows_then_cols.reshape(batch + (d, d))
     np.copyto(out.reshape(rows_then_cols.shape), rows_then_cols)
     return out
 

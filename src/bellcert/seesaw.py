@@ -169,10 +169,11 @@ def _ritz_starts(stack):
     """Top Ritz vectors, shape ``(R, D)``, of the ``(R, D, D)`` Hermitian
     ``stack`` after ``LANCZOS_STEPS`` Lanczos steps from the seed-0 vector,
     taken on every operator at once and with full reorthogonalisation (two
-    Gram-Schmidt passes against the basis, one ``(R, steps, D)`` array).  A
-    breakdown gives its operator a zero off-diagonal entry and a fresh
-    seeded direction, orthogonal to the basis, so the tridiagonal matrix
-    stays a compression of the operator."""
+    Gram-Schmidt passes against the basis, one ``(R, steps, D)`` array; the
+    projections conjugate the new direction, not the basis, so no copy of
+    the basis is made).  A breakdown gives its operator a zero off-diagonal
+    entry and a fresh seeded direction, orthogonal to the basis, so the
+    tridiagonal matrix stays a compression of the operator."""
     count, dim, steps = len(stack), stack.shape[-1], LANCZOS_STEPS
     basis = np.empty((count, steps, dim), dtype=complex)
     basis[:, 0] = _seed_vector(dim)
@@ -181,13 +182,13 @@ def _ritz_starts(stack):
     for j in range(steps):
         q = basis[:, : j + 1]
         w = np.matmul(stack, basis[:, j, :, np.newaxis])
-        projections = np.conj(q) @ w
+        projections = np.conj(q @ np.conj(w))
         alpha[:, j] = projections[:, j, 0].real
         if j == steps - 1:
             break
         scale = np.linalg.norm(w[..., 0], axis=-1)
         w -= np.swapaxes(q, 1, 2) @ projections
-        w -= np.swapaxes(q, 1, 2) @ (np.conj(q) @ w)
+        w -= np.swapaxes(q, 1, 2) @ np.conj(q @ np.conj(w))
         w = w[..., 0]
         norms = np.linalg.norm(w, axis=-1)
         broken = ~(norms > LANCZOS_BREAKDOWN * scale)
@@ -195,7 +196,7 @@ def _ritz_starts(stack):
         for r in np.flatnonzero(broken):
             fresh = _seed_vector(dim, j + 1).astype(complex)
             for _ in range(2):
-                fresh -= (np.conj(q[r]) @ fresh) @ q[r]
+                fresh -= np.conj(q[r] @ np.conj(fresh)) @ q[r]
             w[r], norms[r] = fresh, np.linalg.norm(fresh)
         basis[:, j + 1] = w / norms[:, np.newaxis]
     tridiagonal = np.zeros((count, steps, steps))

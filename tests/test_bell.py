@@ -98,7 +98,8 @@ class TestBellOperator:
 
 class TestOperatorsIntoABuffer:
     """``bell_operators(..., out=buffer)`` writes the operators that the
-    allocating call returns, bit for bit."""
+    allocating call returns, bit for bit, and both are the Kronecker sum of
+    the coefficients."""
 
     @staticmethod
     def stacks(dims, count=None, seed=60):
@@ -119,6 +120,21 @@ class TestOperatorsIntoABuffer:
         buffer = np.full(expected.shape, np.nan, dtype=complex)
         assert bell_operators(c, stacks, out=buffer) is buffer
         assert np.array_equal(buffer, expected)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 1), (1, 3), (2, 1, 1)])
+    @pytest.mark.parametrize("count", [None, 2])
+    def test_kronecker_sum(self, dims, count):
+        # (3, 1) and (2, 1, 1): the last step's input (3 (D / d_N)^2
+        # entries) does not fit in the result and stays a separate array.
+        c = bell_coefficients(BellExpression(len(dims), (1, 0) * (len(dims) // 2) + (0,) * (len(dims) % 2)))
+        stacks = self.stacks(dims, count, seed=61)
+        ops = bell_operators(c, stacks, out=None)
+        for r in [()] if count is None else [(r,) for r in range(count)]:
+            expected = sum(
+                c[i] * kron(*(s[r + (k,)] for s, k in zip(stacks, i)))
+                for i in itertools.product(range(3), repeat=len(dims))
+            )
+            assert max_abs(ops[r] - expected) < 1e-12 * max(1.0, max_abs(expected))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 3, 3, 3)])
     def test_leading_rows_of_a_larger_buffer(self, dims):
