@@ -60,10 +60,10 @@ EXIT_INCONCLUSIVE = 3
 
 # Largest total dimension D = prod(dims) that ``seesaw`` accepts: every
 # iteration forms each running restart's D x D Bell operator and factors it
-# (O(D^3) time per restart; one restart takes 1.1-1.5 s on one core at
-# D = 1024, over 4 iterations), the restarts of a chunk holding up to
-# ``quantum.CHUNK_BYTES`` of them at once, and the coefficient tensor holds
-# 3^N floats.
+# for the Cholesky check (O(D^3) time per restart; one restart takes
+# 0.7-1.0 s on one core at D = 1024, over 4 iterations), the restarts of a
+# chunk holding up to ``quantum.CHUNK_BYTES`` of them at once, and the
+# coefficient tensor holds 3^N floats.
 MAX_SEESAW_DIM = 1024
 
 

@@ -17,12 +17,15 @@ iteration writes the ``(R, D, D)`` Bell operators of the R active restarts
 in one ``bell.bell_operators`` pass into the leading rows of one operator
 stack that the chunk keeps; the state stays a vector, a row of ``psi`` of
 shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
-diagonalizes the operators.  From there on ``optimal_state_update`` finds
-each operator's top eigenvector by Rayleigh-quotient iteration, from the
-previous iteration's row of ``psi`` or, in the first iteration, from a top
-Ritz vector of ``LANCZOS_STEPS`` lockstep Lanczos steps; a Cholesky
-factorization checks the value to within ``TOP_MARGIN * max(1, |value|)``
-up to roundoff, and a restart that fails the check gets a dense ``eigh``.
+diagonalizes the operators.  From there on ``optimal_state_update`` runs
+lockstep Lanczos steps on all of them: in the first iteration
+``LANCZOS_STEPS`` steps from the seed-0 vector, whose top Ritz vectors a
+Rayleigh-quotient iteration then refines; in every later one at most
+``WARM_STEPS`` from the previous iteration's rows of ``psi``, each restart
+stopping once its top Ritz residual estimate meets ``RESIDUAL_TOL``, so
+that no linear solve is left to do.  A Cholesky factorization checks each
+value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
+restart that fails the check gets a dense ``eigh``.
 Each party's effective operators are contracted from ``psi`` and the other
 parties' ``(I, A_0, A_1)`` stacks by the Bell-term kernel
 (``bell.term_vectors``), with party 0's two settings merged, so no D x D
@@ -86,7 +89,7 @@ def optimal_observable_update(effective: np.ndarray) -> np.ndarray:
     return EigenDecomposition(*np.linalg.eigh(effective)).sign()
 
 
-# From ITERATIVE_MIN_DIM rows on, a state update runs Rayleigh-quotient
+# From ITERATIVE_MIN_DIM rows on, a state update ends with Rayleigh-quotient
 # iteration per operator, which stops once ``|B x - rho x| <= RESIDUAL_TOL``
 # and accepts ``rho`` once the Cholesky check puts it within
 # ``TOP_MARGIN * max(1, |rho|)`` of the top eigenvalue (to within the
@@ -108,12 +111,36 @@ ITERATIVE_MIN_DIM = 32
 # fallback runs.  On the benchmark's shape (four qutrits, D = 81), the 80
 # first-iteration restarts of the round at seed 1 sent 7 to the fallback at
 # 10 steps, 2 at 14 and none at 20; over the rounds of seeds 0-149 (12,000
-# restarts) 20 steps still sent 27, 24 sent 6 and 28 none.  A new direction
-# shorter than LANCZOS_BREAKDOWN times ``|B q|`` is a breakdown: the Krylov
-# space is (nearly) invariant, and the basis goes on from a seeded vector
-# orthogonal to it.
+# restarts) 20 steps still sent 27, 24 sent 6 and 28 none.  Going on to the
+# residual tolerance instead would take 38-54 steps there (median 48 over
+# the first-iteration restarts of seeds 0-319), so the cold start keeps its
+# fixed steps and leaves the rest to the iteration.
+#
+# With a start vector (every seesaw iteration after the first), an operator
+# stops as soon as its top Ritz residual estimate meets RESIDUAL_TOL, and
+# after WARM_STEPS at the latest; one that has not met it by then is
+# finished by the Rayleigh-quotient iteration.  WARM_STEPS is at most
+# ITERATIVE_MIN_DIM, since a basis holds no more than D vectors.  Steps to
+# the tolerance from the previous iteration's vectors (target all zeros,
+# seeds from 0; "1 step" is a start that already meets it), one BLAS
+# thread: 670 of 2,841 updates took 1 step at D = 32 (1,024 restarts), the
+# rest at most 16; 165 of 718 at D = 64 (256 restarts), at most 23; 154 of
+# 656 at D = 81 (four qutrits, 240 restarts), at most 8; 11 of 55 at
+# D = 256 (20 restarts), at most 30; and 1 of 9 at D = 1024 (3 restarts),
+# at most 27.  A cap of 16 sent 31 of the D = 64 updates and 3 of the
+# D = 1024 ones to a solve; at D = 1024 one solve (90 ms) costs as much as
+# 60 matvecs (1.4 ms each), and one restart took 0.67 s with the cap at 16
+# and 0.59 s at 32 (best of 3).
+#
+# A new direction shorter than LANCZOS_BREAKDOWN times ``|B q|`` is a
+# breakdown: the Krylov space is invariant up to roundoff, and the basis
+# goes on from a seeded vector orthogonal to it.  A longer one, however
+# short, is a true direction and is kept: with |B| <= 18 (N <= 10) a warm
+# start whose residual is above RESIDUAL_TOL never breaks down, since a
+# breakdown would hide that residual from the estimate.
 LANCZOS_STEPS = 28
-LANCZOS_BREAKDOWN = 1e-8
+WARM_STEPS = 32
+LANCZOS_BREAKDOWN = 1e-14
 
 # A restart has converged once an iteration raises its value by less than this.
 CONVERGENCE_TOL = 1e-12
@@ -128,25 +155,32 @@ def optimal_state_update(
 
     Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh`` gives them; it reads
     one triangle, so an operator Hermitian only up to roundoff needs no
-    symmetrizing.  From there on each operator ``B`` gets a Rayleigh-quotient
-    iteration, ``x <- solve(B - rho I, x) / |.|`` with ``rho`` the Rayleigh
-    quotient of ``x``, until ``|B x - rho x| <= RESIDUAL_TOL``.  It starts
-    from the matching unit row of ``start`` (shape ``(..., D)``), such as
-    the previous seesaw iteration's vectors.  Without one, it starts from
-    the top Ritz vector of ``LANCZOS_STEPS`` Lanczos steps from the seed-0
-    vector (``_ritz_starts``), run on all operators at once; no D x D
-    eigensolve is made.  A result counts only if ``(rho + delta) I - B``
-    has a Cholesky factor, ``delta = TOP_MARGIN * max(1, |rho|)``, which
-    checks that ``rho`` is within ``delta`` of the top eigenvalue up to
-    roundoff.  An operator whose iteration fails that check, meets a
-    singular solve or runs out of steps gets a dense ``eigh`` of its own.
+    symmetrizing.  From there on Lanczos steps run on all operators at once
+    (``_ritz_starts``), and each operator ``B`` then gets a Rayleigh-quotient
+    iteration from its top Ritz vector, ``x <- solve(B - rho I, x) / |.|``
+    with ``rho`` the Rayleigh quotient of ``x``, until ``|B x - rho x| <=
+    RESIDUAL_TOL``.  With ``start`` (shape ``(..., D)``, unit rows such as
+    the previous seesaw iteration's vectors), each operator's Lanczos steps
+    start from its row and stop once the top Ritz residual estimate meets
+    ``RESIDUAL_TOL``, after ``WARM_STEPS`` at the latest, so the iteration
+    has nothing left to solve unless the steps ran out; a row that already
+    meets it is kept as it is.  Without one, they take ``LANCZOS_STEPS``
+    steps from the seed-0 vector.  No D x D eigensolve is made.  A result
+    counts only if ``(rho + delta) I - B`` has a Cholesky factor, ``delta =
+    TOP_MARGIN * max(1, |rho|)``, which checks that ``rho`` is within
+    ``delta`` of the top eigenvalue up to roundoff.  An operator whose
+    iteration fails that check, meets a singular solve or runs out of steps
+    gets a dense ``eigh`` of its own.
     """
     dim = operators.shape[-1]
     if dim < ITERATIVE_MIN_DIM:
         values, vectors = np.linalg.eigh(operators)
         return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
     stack = operators.reshape(-1, dim, dim)
-    starts = _ritz_starts(stack) if start is None else start.reshape(-1, dim)
+    if start is None:
+        starts = _ritz_starts(stack)
+    else:
+        starts = _ritz_starts(stack, start.reshape(-1, dim), WARM_STEPS)
     vectors = np.empty((len(stack), dim), dtype=complex)
     values = np.empty(len(stack))
     scratch = np.empty((dim, dim), dtype=complex)
@@ -165,25 +199,42 @@ def _seed_vector(dim: int, seed: int = 0) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _ritz_starts(stack):
+def _ritz_starts(stack, start=None, steps=LANCZOS_STEPS):
     """Top Ritz vectors, shape ``(R, D)``, of the ``(R, D, D)`` Hermitian
-    ``stack`` after ``LANCZOS_STEPS`` Lanczos steps from the seed-0 vector,
-    taken on every operator at once and with full reorthogonalisation (two
-    Gram-Schmidt passes against the basis, one ``(R, steps, D)`` array; the
-    projections conjugate the new direction, not the basis, so no copy of
-    the basis is made).  A breakdown gives its operator a zero off-diagonal
-    entry and a fresh seeded direction, orthogonal to the basis, so the
-    tridiagonal matrix stays a compression of the operator."""
-    count, dim, steps = len(stack), stack.shape[-1], LANCZOS_STEPS
+    ``stack`` after at most ``steps`` Lanczos steps, taken on every operator
+    at once and with full reorthogonalisation (two Gram-Schmidt passes
+    against the basis, one ``(R, steps, D)`` array; the projections
+    conjugate the new direction, not the basis, so no copy of the basis is
+    made).  A breakdown gives its operator a zero off-diagonal entry and a
+    fresh seeded direction, orthogonal to the basis, so the tridiagonal
+    matrix stays a compression of the operator.
+
+    Without ``start`` every operator takes all ``steps`` from the seed-0
+    vector.  From the unit rows of ``start``, an operator stops at the first
+    step ``k < steps`` at which its top Ritz pair has the residual estimate
+    ``beta_k |s_k| <= RESIDUAL_TOL``: ``beta_k`` is the length of the new
+    direction and ``s_k`` the last entry of the top eigenvector of the ``k x
+    k`` tridiagonal matrix.  One that meets it at the first step gets its
+    start row back unchanged; one that never meets it gets its top Ritz
+    vector after ``steps`` steps.  A stopped operator's basis rows are
+    dropped, and from then on the others' products are taken one operator
+    at a time, so no operator row is copied."""
+    count, dim = len(stack), stack.shape[-1]
     basis = np.empty((count, steps, dim), dtype=complex)
-    basis[:, 0] = _seed_vector(dim)
+    basis[:, 0] = _seed_vector(dim) if start is None else start
     alpha = np.empty((count, steps))
     beta = np.zeros((count, steps - 1))
+    x = np.empty((count, dim), dtype=complex)
+    rows = np.arange(count)  # the operators still running, in basis order
     for j in range(steps):
-        q = basis[:, : j + 1]
-        w = np.matmul(stack, basis[:, j, :, np.newaxis])
+        n = len(rows)
+        q = basis[:n, : j + 1]
+        if n == count:
+            w = np.matmul(stack, q[:, j, :, np.newaxis])
+        else:
+            w = np.stack([stack[r] @ v for r, v in zip(rows, q[:, j])])[..., np.newaxis]
         projections = np.conj(q @ np.conj(w))
-        alpha[:, j] = projections[:, j, 0].real
+        alpha[:n, j] = projections[:, j, 0].real
         if j == steps - 1:
             break
         scale = np.linalg.norm(w[..., 0], axis=-1)
@@ -191,21 +242,47 @@ def _ritz_starts(stack):
         w -= np.swapaxes(q, 1, 2) @ np.conj(q @ np.conj(w))
         w = w[..., 0]
         norms = np.linalg.norm(w, axis=-1)
+        if start is not None:
+            top = _top_ritz(alpha[:n, : j + 1], beta[:n, :j])
+            met = norms * np.abs(top[:, -1]) <= RESIDUAL_TOL
+            if met.any():
+                x[rows[met]] = _combine(q[met], top[met]) if j else start[rows[met]]
+                kept = np.flatnonzero(~met)
+                rows, w, norms, scale = rows[kept], w[kept], norms[kept], scale[kept]
+                n = len(rows)
+                if not n:
+                    return x
+                basis[:n, : j + 1] = q[kept]
+                alpha[:n], beta[:n] = alpha[kept], beta[kept]
+                q = basis[:n, : j + 1]
         broken = ~(norms > LANCZOS_BREAKDOWN * scale)
-        beta[:, j] = np.where(broken, 0.0, norms)
+        beta[:n, j] = np.where(broken, 0.0, norms)
         for r in np.flatnonzero(broken):
             fresh = _seed_vector(dim, j + 1).astype(complex)
             for _ in range(2):
                 fresh -= np.conj(q[r] @ np.conj(fresh)) @ q[r]
             w[r], norms[r] = fresh, np.linalg.norm(fresh)
-        basis[:, j + 1] = w / norms[:, np.newaxis]
+        basis[:n, j + 1] = w / norms[:, np.newaxis]
+    x[rows] = _combine(basis[:n], _top_ritz(alpha[:n], beta[:n]))
+    return x
+
+
+def _top_ritz(alpha, beta):
+    """Top eigenvectors, shape ``(R, k)``, of the real symmetric tridiagonal
+    matrices with diagonals ``alpha`` ``(R, k)`` and off-diagonals ``beta``
+    ``(R, k - 1)``."""
+    count, steps = alpha.shape
     tridiagonal = np.zeros((count, steps, steps))
     diagonal = np.arange(steps)
     tridiagonal[:, diagonal, diagonal] = alpha
     tridiagonal[:, diagonal[1:], diagonal[:-1]] = beta
     tridiagonal[:, diagonal[:-1], diagonal[1:]] = beta
-    ritz = np.linalg.eigh(tridiagonal)[1][:, :, -1:]
-    x = (np.swapaxes(basis, 1, 2) @ ritz)[..., 0]
+    return np.linalg.eigh(tridiagonal)[1][:, :, -1]
+
+
+def _combine(basis, coefficients):
+    """The unit vectors ``sum_k coefficients[r, k] basis[r, k]``."""
+    x = (np.swapaxes(basis, 1, 2) @ coefficients[..., np.newaxis])[..., 0]
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 

@@ -269,6 +269,102 @@ class TestRitzStart:
         assert values[1] == 0.0 and abs(np.linalg.norm(vectors[1]) - 1.0) <= 1e-12
 
 
+def spy_calls(monkeypatch, owner, name):
+    """A list that records the argument shapes of each ``owner.name`` call."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(np.shape(a) for a in args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestWarmLanczos:
+    """A state update with a start runs Lanczos from it, each operator until
+    its top Ritz residual estimate meets ``RESIDUAL_TOL`` or the steps run
+    out, and the Rayleigh-quotient iteration only checks or polishes."""
+
+    def test_top_eigenvector_start_is_kept_without_a_solve(self, monkeypatch):
+        b, u = random_hermitian([3.0, 1.0, 0.5, -1.0], 60)
+        start = u[:, 0]
+        solves = spy_calls(monkeypatch, np.linalg, "solve")
+        checks = spy_calls(monkeypatch, seesaw, "_top_ritz")
+        warm = seesaw._ritz_starts(b[np.newaxis], start[np.newaxis], seesaw.WARM_STEPS)
+        assert np.array_equal(warm[0], start)
+        # One Lanczos step: the only residual estimate is that of a 1 x 1
+        # tridiagonal matrix.
+        assert checks == [((1, 1), (1, 0))]
+        vector, value = optimal_state_update(b, start)
+        assert solves == []
+        assert np.array_equal(vector, start) and abs(value - 3.0) <= 1e-12
+
+    def test_start_orthogonal_to_the_top_gets_one_dense_eigh(self, monkeypatch):
+        # The start spans an invariant subspace without the top eigenvector,
+        # so Lanczos ends at the top pair there; the Cholesky check refuses
+        # it, and one dense eigh gives the top pair.
+        b, u = random_hermitian([3.0, 1.0, 0.5, -1.0], 61)
+        start = (u[:, 1] + u[:, 2]) / np.sqrt(2.0)
+        assert abs(np.vdot(u[:, 0], start)) <= 1e-15
+        calls = dense_eigh_calls(monkeypatch, len(b))
+        solves = spy_calls(monkeypatch, np.linalg, "solve")
+        vector, value = optimal_state_update(b, start)
+        assert calls == [(len(b), len(b))] and solves == []
+        top, top_value = dense_top(b)
+        assert value == top_value and abs(value - 3.0) <= 1e-12
+        assert abs(abs(np.vdot(top, vector)) - 1.0) <= 1e-12
+
+    def test_row_that_misses_the_step_cap_is_polished(self, monkeypatch):
+        # Forty eigenvalues evenly spaced from 3 down to 0 at D = 64: a
+        # Krylov space of WARM_STEPS vectors leaves the top Ritz residual
+        # near 1e-3, so Rayleigh-quotient iteration finishes the row, while
+        # its neighbour in the stack converges within the cap.  (A small
+        # gap alone is not enough: with the rest of the spectrum far below,
+        # Lanczos separates a top pair 1e-7 apart within the cap.)
+        dim = 2 * seesaw.WARM_STEPS
+        b, u = random_hermitian(list(np.linspace(3.0, 0.0, 40)), 62, dim)
+        start = random_unit(dim, 63)
+        other, v = random_hermitian([2.0, 1.0, 0.5], 64, dim)
+        near = v[:, 0] + 0.1 * v[:, 1]
+        near /= np.linalg.norm(near)
+        starts = seesaw._ritz_starts(np.stack([b, other]), np.stack([start, near]), seesaw.WARM_STEPS)
+        assert np.linalg.norm(b @ starts[0] - np.vdot(starts[0], b @ starts[0]) * starts[0]) > 1e-6
+        calls = dense_eigh_calls(monkeypatch, len(b))
+        solves = spy_calls(monkeypatch, np.linalg, "solve")
+        vectors, values = optimal_state_update(np.stack([b, other]), np.stack([start, near]))
+        assert calls == [] and len(solves) >= 1
+        assert abs(values[0] - 3.0) <= 1e-12 and abs(values[1] - 2.0) <= 1e-12
+        assert abs(abs(np.vdot(u[:, 0], vectors[0])) - 1.0) <= 1e-12
+        # The neighbour's row is the one it gets alone.
+        alone_vector, alone_value = optimal_state_update(other, near)
+        assert np.array_equal(vectors[1], alone_vector) and values[1] == alone_value
+
+    def test_benchmark_shape_solves_only_in_the_first_update(self, monkeypatch):
+        # Ten restarts on four qutrits (D = 81): every update after the
+        # first starts from the previous vectors, and its Lanczos steps
+        # meet the tolerance without a solve.
+        solves = []
+        updates = []
+        solve = np.linalg.solve
+        update = seesaw.optimal_state_update
+
+        def counting_solve(*args, **kwargs):
+            solves.append(len(updates))
+            return solve(*args, **kwargs)
+
+        def counting_update(operators, start=None):
+            updates.append(start is None)
+            return update(operators, start)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(seesaw, "optimal_state_update", counting_update)
+        seesaw_restarts(BellExpression(4, (0,) * 4), (3,) * 4, range(10))
+        assert updates[0] and not any(updates[1:])
+        assert set(solves) == {1}
+        assert len(solves) == 11
+
+
 class TestSeesaw:
     def test_monotone_convergence(self):
         expr = BellExpression(2, (0, 0))
