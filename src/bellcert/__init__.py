@@ -7,7 +7,6 @@ from .bell import (
     classical_bound,
     quantum_value,
     sos_residual,
-    tilde_observables,
 )
 from .certify import (
     CertificationReport,
@@ -20,7 +19,6 @@ from .linalg import (
     EigenDecomposition,
     herm_eig,
     kron,
-    partial_trace,
 )
 from .quantum import (
     Interaction,

@@ -44,7 +44,6 @@ __all__ = [
     "MAX_ENUMERATION_PARTIES",
     "BellExpression",
     "SOSWitness",
-    "tilde_observables",
     "bell_terms",
     "bell_coefficients",
     "setting_stacks",
@@ -89,14 +88,6 @@ class BellExpression:
     @property
     def classical_bound_analytic(self) -> float:
         return math.sqrt(2.0) * (self.parties - 1)
-
-
-def tilde_observables(a0, a1) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated party-1 pair ``((A0 - A1)/sqrt(2), (A0 + A1)/sqrt(2))``."""
-    m0, m1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
-    if m0.shape != m1.shape:
-        raise DimensionMismatchError("tilde_observables: settings have different shapes")
-    return (m0 - m1) / math.sqrt(2.0), (m0 + m1) / math.sqrt(2.0)
 
 
 def bell_terms(expr: BellExpression) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

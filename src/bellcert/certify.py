@@ -63,7 +63,6 @@ __all__ = [
     "StateCertificate",
     "InteractionCertificate",
     "CertificationReport",
-    "support_isometry",
     "certify_source_state",
     "certify_interaction",
     "run_full_certification",
@@ -119,23 +118,14 @@ class LocalFrame:
         return self.matrix.shape[0]
 
 
-def support_isometry(density: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the support of a positive matrix.
-
-    Full-rank inputs return the identity, so strategies without dark
-    subspaces are handled in their native basis.  Otherwise the support is
-    spanned by the eigenvectors with eigenvalue above ``SUPPORT_CUTOFF``, in
-    the basis ``_position_basis`` fixes.  An input with no eigenvalue above
-    the cutoff has no support to restrict to and returns the identity too: a
-    marginal of a unit-trace state always has one, and a vanishing recovered
-    ``xi`` fails the source-state residual.
-    """
-    return _supports(herm_eig(density))[0]
-
-
 def _supports(eig) -> list[np.ndarray]:
-    """``support_isometry`` of each matrix of a stack (or of one matrix),
-    from its ``herm_eig`` (ascending, so a support is the last columns)."""
+    """Orthonormal columns spanning the support of each positive matrix of
+    a stack (or of one matrix), from its ``herm_eig`` (ascending, so a
+    support is the last columns): the eigenvectors with eigenvalue above
+    ``SUPPORT_CUTOFF``, in the basis ``_position_basis`` fixes.  A full-rank
+    matrix gives the identity, so strategies without dark subspaces keep
+    their native basis; so does one with no eigenvalue above the cutoff (a
+    vanishing recovered ``xi`` fails the source-state residual)."""
     d = eig.eigenvalues.shape[-1]
     vectors = eig.eigenvectors.reshape(-1, d, d)
     ranks = np.count_nonzero(eig.eigenvalues.reshape(-1, d) > SUPPORT_CUTOFF, axis=-1)
@@ -353,7 +343,7 @@ def certify_interaction(
 
     The statistics fix ``V0`` only on the support of the auxiliary state, so
     both gates act there, with ``P = xi_support`` the isometry onto
-    ``supp(xi)`` (``support_isometry`` of the recovered ``xi``): the claim
+    ``supp(xi)`` (``_supports`` of the recovered ``xi``): the claim
     holds when the residual ``max|W (I ox P) - U ox V0 P|`` and the isometry
     defect ``max|(V0 P)^dag (V0 P) - I|`` are both within ``CERT_TOL``.
     For a full-rank ``xi``, ``P = I`` and these are ``max|W - U ox V0|`` and

@@ -28,7 +28,6 @@ __all__ = [
     "max_abs",
     "fix_column_phases",
     "herm_eig",
-    "partial_trace",
 ]
 
 # Tolerance regime for double precision at the dimensions handled here
@@ -135,39 +134,3 @@ def fix_column_phases(vecs: np.ndarray) -> np.ndarray:
     pivot = np.take_along_axis(vecs, np.argmax(big, axis=-2)[..., np.newaxis, :], axis=-2)
     pivot = np.where(big.any(axis=-2, keepdims=True), pivot, 1.0)
     return np.multiply(vecs, np.conj(pivot) / np.abs(pivot), order="C")
-
-
-def _check_dims(m: np.ndarray, dims: tuple[int, ...], what: str) -> None:
-    total = int(np.prod(dims))
-    if m.ndim != 2 or m.shape != (total, total):
-        raise DimensionMismatchError(
-            f"{what}: matrix shape {m.shape} does not match subsystem dims {dims}"
-        )
-
-
-def partial_trace(
-    m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int | list[int] | tuple[int, ...]
-) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in big-endian order; ``keep`` is
-    a subsystem index or an iterable of indices (output order follows
-    ascending index).
-    """
-    m = np.asarray(m, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    _check_dims(m, dims, "partial_trace")
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(sorted(int(k) for k in keep))
-    n = len(dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionMismatchError(f"partial_trace: keep={keep} out of range for {n} subsystems")
-
-    t = m.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + i).upper() if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return reduced.reshape(d_keep, d_keep)

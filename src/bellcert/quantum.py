@@ -67,7 +67,6 @@ __all__ = [
     "mixture_marginals",
     "white_noise_mix",
     "random_unitary",
-    "random_projective_observable",
     "random_density",
 ]
 
@@ -500,14 +499,6 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     return _haar_unitaries(_rng(seed).standard_normal((2, dim, dim)))
-
-
-def random_projective_observable(dim: int, seed) -> np.ndarray:
-    """Random +/-1 observable with ``O^2 = I``: a balanced signature matrix
-    (``dim // 2`` positive entries) conjugated by a Haar unitary."""
-    if dim // 2 < 1:
-        raise ValueError(f"dimension {dim} leaves an eigenspace empty")
-    return _projective_observables(_rng(seed).standard_normal((2, dim, dim)))
 
 
 def random_density(dims: tuple[int, ...], seed, rank: int | None = None) -> QuantumState:

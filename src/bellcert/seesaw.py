@@ -10,9 +10,9 @@ decreases by more than that, and for this Bell family it can never pass
 ``2 (N - 1)`` at any local dimension.
 
 The restarts of a run advance in lockstep, from starting observables
-drawn together: each restart's seeded generator draws one Gaussian block
-per party, the stream of two ``quantum.random_projective_observable``
-calls, and one stacked QR per party makes every restart's pair.  Each
+drawn together: each restart's seeded generator draws one Gaussian
+block of shape ``(2, 2, d, d)`` per party, and one stacked QR per party
+(``quantum._projective_observables``) makes every restart's pair.  Each
 iteration writes the ``(R, D, D)`` Bell operators of the R active restarts
 in one ``bell.bell_operators`` pass into the leading rows of one operator
 stack that the chunk keeps; the state stays a vector, a row of ``psi`` of
@@ -355,8 +355,7 @@ def _strategy_value(stack, effective) -> np.ndarray:
 def _starting_stacks(dims, seeds) -> list[np.ndarray]:
     """Per-party ``(R, 3, d, d)`` setting stacks of the restarts ``seeds``:
     each seed's generator draws party by party one ``(2, 2, d, d)`` block,
-    the stream of two ``random_projective_observable`` calls, and one
-    stacked QR per party makes every restart's observables."""
+    and one stacked QR per party makes every restart's observables."""
     rngs = [_rng(s) for s in seeds]
     stacks = []
     for d in dims:

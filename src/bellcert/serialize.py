@@ -6,7 +6,7 @@ shortest round-trip repr and parsed correctly rounded, so numeric payloads
 survive serialize/deserialize bit-exactly.
 
 orjson is the one JSON codec: ``dumps`` writes strict JSON (NaN and the
-infinities become ``null``) and ``load_strategy`` parses with it.  A file
+infinities become ``null``) and ``parse_json`` parses with it.  A file
 that orjson rejects is parsed again with the stdlib ``json`` module, which
 accepts the ``NaN``/``Infinity`` literals and integers beyond 64 bits, so the
 set of accepted files and the error messages stay those of the stdlib parser.
@@ -36,7 +36,6 @@ __all__ = [
     "save_strategy",
     "read_input",
     "parse_json",
-    "load_strategy",
     "declared_dims",
     "record_to_dict",
     "report_to_dict",
@@ -253,11 +252,6 @@ def parse_json(raw: bytes, path):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SerializationError(f"{Path(path)}: {exc}") from exc
-
-
-def load_strategy(path) -> Strategy:
-    """Strategy from a JSON file."""
-    return strategy_from_dict(parse_json(read_input(path), path))
 
 
 def record_to_dict(record: CorrelationRecord, p2: np.ndarray) -> dict:

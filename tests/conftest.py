@@ -11,6 +11,8 @@ from bellcert.linalg import CERT_TOL, DimensionMismatchError
 from bellcert.quantum import (
     Interaction,
     QuantumState,
+    _projective_observables,
+    _rng,
     clamp_probabilities,
     effect_table,
     post_measurement_states,
@@ -63,6 +65,27 @@ def fix_global_phase(v, cutoff=1e-12):
         return v.copy()
     pivot = flat[idx[0]]
     return v * (np.conj(pivot) / np.abs(pivot))
+
+
+def projective_observable(dim, seed):
+    """A random +/-1 observable with ``dim // 2`` positive eigenvalues: one
+    ``(2, dim, dim)`` Gaussian draw from ``seed`` (a seed or a generator)
+    turned by ``quantum._projective_observables``, as the seesaw turns the
+    draws of its starting observables."""
+    return _projective_observables(_rng(seed).standard_normal((2, dim, dim)))
+
+
+def partial_trace(m, dims, keep):
+    """Dense oracle of ``quantum.mixture_marginals``: the reduced matrix of
+    ``m`` on subsystem ``keep``, every other subsystem traced out."""
+    n = len(dims)
+    cols = [n if k == keep else k for k in range(n)]
+    return np.einsum(np.reshape(m, tuple(dims) * 2), [*range(n), *cols], [keep, n])
+
+
+def tilde_observables(a0, a1):
+    """Party 1's rotated pair ``((A0 - A1) / sqrt(2), (A0 + A1) / sqrt(2))``."""
+    return (a0 - a1) / math.sqrt(2.0), (a0 + a1) / math.sqrt(2.0)
 
 
 def vector_block(m, out_vec, in_vec):

@@ -16,7 +16,6 @@ from bellcert.quantum import (
     Interaction,
     post_measurement_states,
     pure_state,
-    random_projective_observable,
     white_noise_mix,
 )
 from bellcert.reference import (
@@ -29,7 +28,7 @@ from bellcert.scenario import Strategy, run_scenario, scramble_strategy
 from bellcert.seesaw import seesaw_restarts
 from bellcert.serialize import matrix_from_payload, save_strategy
 
-from conftest import diag_phase_deviation, phase_distance, swap_deviation
+from conftest import diag_phase_deviation, phase_distance, projective_observable, swap_deviation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,7 +80,7 @@ def test_criterion_3_sos_identity():
         for _ in range(100):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
             obs = [
-                (random_projective_observable(2, rng), random_projective_observable(2, rng))
+                (projective_observable(2, rng), projective_observable(2, rng))
                 for _ in range(n)
             ]
             wit = sos_residual(BellExpression(n, bits), obs)

@@ -15,14 +15,12 @@ from bellcert.bell import (
     quantum_value,
     sos_residual,
     sos_terms,
-    tilde_observables,
 )
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
 from bellcert.quantum import (
     QuantumState,
     post_measurement_states,
     pure_state,
-    random_projective_observable,
     white_noise_mix,
 )
 from bellcert.reference import ghz_like_vector, target_observables
@@ -36,29 +34,42 @@ from conftest import (
     brute_force_classical_bound,
     effect,
     on_target,
+    projective_observable,
+    tilde_observables,
 )
 
 SQRT2 = math.sqrt(2.0)
 
 
 class TestTildeObservables:
+    """Party 1's ``T0`` and ``T1`` as ``bell_terms`` writes them: the rows of
+    ``Q_2`` and ``P`` at the all-zero target, over ``(I, A0, A1)``."""
+
+    @staticmethod
+    def rotated_pair(a0, a1):
+        _, rows, _ = bell_terms(BellExpression(2, (0, 0)))
+        stack = np.stack([np.eye(len(a0)), a0, a1])
+        t0, t1 = (np.tensordot(row, stack, axes=1) for row in rows)
+        assert max_abs(np.array([t0, t1]) - np.array(tilde_observables(a0, a1))) < 1e-15
+        return t0, t1
+
     def test_reference_pair_rotates_to_paulis(self):
         a0, a1 = target_observables(2)[0]
-        t0, t1 = tilde_observables(a0, a1)
+        t0, t1 = self.rotated_pair(a0, a1)
         assert max_abs(t0 - Z) < 1e-12
         assert max_abs(t1 - X) < 1e-12
 
     def test_degenerate_settings(self):
-        t0, t1 = tilde_observables(Z, Z)
+        t0, t1 = self.rotated_pair(Z, Z)
         assert max_abs(t0) < 1e-15
         assert max_abs(t1 - SQRT2 * Z) < 1e-15
 
     def test_square_sum_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            a0 = random_projective_observable(4, rng)
-            a1 = random_projective_observable(4, rng)
-            t0, t1 = tilde_observables(a0, a1)
+            a0 = projective_observable(4, rng)
+            a1 = projective_observable(4, rng)
+            t0, t1 = self.rotated_pair(a0, a1)
             assert max_abs(t0 @ t0 + t1 @ t1 - (a0 @ a0 + a1 @ a1)) < 1e-9
 
 
@@ -217,7 +228,7 @@ class TestQuantumValue:
             op_samples = 1000
             for _ in range(op_samples):
                 obs = [
-                    (random_projective_observable(2, rng), random_projective_observable(2, rng))
+                    (projective_observable(2, rng), projective_observable(2, rng))
                     for _ in range(n)
                 ]
                 top = float(np.max(np.linalg.eigvalsh(build_bell_operator(expr, obs))))
@@ -235,7 +246,7 @@ class TestSOS:
         rng = np.random.default_rng(15)
         for _ in range(30):
             obs = [
-                (random_projective_observable(2, rng), random_projective_observable(2, rng))
+                (projective_observable(2, rng), projective_observable(2, rng))
                 for _ in range(2)
             ]
             wit = sos_residual(BellExpression(2, (0, 1)), obs)
@@ -338,13 +349,13 @@ class TestFunctionalDefinedOnce:
         rng = np.random.default_rng(21)
         for expr in every_expression(range(2, 7)):
             dims = (2, 3, 2, 2, 2, 2)[: expr.parties]
-            obs = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+            obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
             assert max_abs(sos_terms(expr, obs) - padded_sos_terms(expr, obs)) <= 1e-15
 
     def test_sos_identity_exact_at_unequal_dims(self):
         rng = np.random.default_rng(22)
         for expr in every_expression([3]):
-            obs = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in (2, 3, 4)]
+            obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in (2, 3, 4)]
             assert sos_residual(expr, obs).is_exact_identity
 
 

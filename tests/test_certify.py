@@ -13,9 +13,8 @@ from bellcert.certify import (
     certify_interaction,
     certify_source_state,
     run_full_certification,
-    support_isometry,
 )
-from bellcert.linalg import dagger, herm_eig, kron, max_abs, partial_trace
+from bellcert.linalg import dagger, herm_eig, kron, max_abs
 from bellcert.quantum import (
     Interaction,
     QuantumState,
@@ -46,10 +45,17 @@ from conftest import (
     canonical_reordering,
     diag_phase_deviation,
     effect,
+    partial_trace,
     phase_distance,
     swap_deviation,
     vector_block,
 )
+
+
+def support_of(m):
+    """The support isometry of one positive matrix, from the chain's kernel."""
+    return certify._supports(herm_eig(m))[0]
+
 
 # The reference qubit pairs: ((X+Z)/sqrt2, (X-Z)/sqrt2) for party 1, (Z, X)
 # for every other party.
@@ -138,18 +144,18 @@ class TestProjectivityCheck:
 class TestSupportIsometry:
     def test_full_rank_returns_identity(self):
         rho = random_density((4,), 0).density
-        assert np.array_equal(support_isometry(rho), np.eye(4))
+        assert np.array_equal(support_of(rho), np.eye(4))
 
     def test_rank_deficient_support(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        s = support_isometry(rho)
+        s = support_of(rho)
         assert s.shape == (4, 2)
         assert max_abs(dagger(s) @ s - np.eye(2)) < 1e-12
         assert max_abs(s @ dagger(s) - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
 
     def test_no_support_returns_identity(self):
         # nothing to restrict to: the caller works on the whole space
-        assert np.array_equal(support_isometry(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(support_of(np.zeros((3, 3))), np.eye(3))
 
     def test_basis_depends_on_support_alone(self):
         # Two states with the same support whose eigenbases inside it differ
@@ -160,9 +166,9 @@ class TestSupportIsometry:
         r = random_unitary(2, np.random.default_rng(4))
         rho = q @ np.diag([0.5 + 1e-13, 0.5 - 1e-13]) @ dagger(q)
         rotated = (q @ r) @ np.diag([0.7, 0.3]) @ dagger(q @ r)
-        assert max_abs(support_isometry(rho) - support_isometry(rotated)) < 1e-12
+        assert max_abs(support_of(rho) - support_of(rotated)) < 1e-12
         coordinate = np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)
-        assert max_abs(support_isometry(coordinate) - np.eye(4)[:, [1, 3]]) < 1e-15
+        assert max_abs(support_of(coordinate) - np.eye(4)[:, [1, 3]]) < 1e-15
 
 
 class TestExtractLocalFrame:
@@ -315,7 +321,7 @@ class TestFramesActPerParty:
             for in_a in pre_interaction_matrix(n).T
         )
 
-        xi_support = support_isometry(report.state.aux_state)
+        xi_support = support_of(report.state.aux_state)
         assert xi_support.shape == (k_in, k_in)  # xi is full-rank on the supports
         cert = certify_interaction(strategy.interaction.matrix, frames_t1, frames_t2, xi_support)
         assert max_abs(cert.aux_unitary - v0) <= 1e-14
@@ -912,7 +918,7 @@ class TestBranchStatesBuiltOnce:
         rho, v = strategy.source_state.density, strategy.interaction.matrix
         dims = strategy.interaction.dims_out
         supports = {
-            (p, 1): support_isometry(partial_trace(rho, strategy.source_state.dims, p))
+            (p, 1): support_of(partial_trace(rho, strategy.source_state.dims, p))
             for p in range(n)
         }
         marginals = [[] for _ in range(n)]
@@ -925,7 +931,7 @@ class TestBranchStatesBuiltOnce:
                 marginals[p].append(partial_trace(sigma, dims, p))
         for p in range(n):
             average = sum(marginals[p]) / len(marginals[p])
-            supports[(p, 2)] = support_isometry((average + dagger(average)) / 2.0)
+            supports[(p, 2)] = support_of((average + dagger(average)) / 2.0)
         return supports
 
     def certify_and_compare(self, strategy, monkeypatch):

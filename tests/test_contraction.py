@@ -17,9 +17,8 @@ from bellcert.bell import (
     effect_stacks,
     quantum_value,
     setting_stacks,
-    tilde_observables,
 )
-from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs, partial_trace
+from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
 from bellcert.quantum import (
     FACTOR_FLOOR,
     ZERO_PROB,
@@ -29,7 +28,6 @@ from bellcert.quantum import (
     post_measurement_states,
     pure_state,
     random_density,
-    random_projective_observable,
     random_unitary,
     white_noise_mix,
 )
@@ -43,7 +41,13 @@ from bellcert.scenario import (
 )
 from bellcert.seesaw import _effective_operators, _strategy_value
 
-from conftest import effect, identity_interaction
+from conftest import (
+    effect,
+    identity_interaction,
+    partial_trace,
+    projective_observable,
+    tilde_observables,
+)
 
 EXACT = 1e-14
 
@@ -75,7 +79,7 @@ def dense_distributions(rho, observables, effects=None):
 
 
 def random_observables(dims, rng):
-    return [tuple(random_projective_observable(d, rng) for _ in (0, 1)) for d in dims]
+    return [tuple(projective_observable(d, rng) for _ in (0, 1)) for d in dims]
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
@@ -96,7 +100,7 @@ def test_contraction_table_matches_dense_formula(dims):
     rng = np.random.default_rng(41)
     rho = random_density(dims, rng).density
     stacks = [
-        np.stack([random_projective_observable(d, rng) for _ in range(m)])
+        np.stack([projective_observable(d, rng) for _ in range(m)])
         for m, d in zip((3, 1, 2), dims)
     ]
     table = effect_table(rho, dims, stacks)
@@ -110,7 +114,7 @@ def test_contraction_table_matches_dense_formula(dims):
 def test_expectation_matches_dense_formula(dims):
     rng = np.random.default_rng(42)
     state = random_density(dims, rng)
-    ops = [random_projective_observable(d, rng)[None] for d in dims]
+    ops = [projective_observable(d, rng)[None] for d in dims]
     dense = np.trace(kron(*(op[0] for op in ops)) @ state.density)
     assert abs(effect_table(state.density, dims, ops).item() - dense) <= EXACT
     ops[1] = np.broadcast_to(np.eye(dims[1]), (1, dims[1], dims[1]))
@@ -392,7 +396,7 @@ SEESAW_CASES = [
 
 def seesaw_inputs(dims, seed):
     rng = np.random.default_rng(seed)
-    observables = [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+    observables = [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
     return observables, random_density(dims, rng)
 
 
@@ -401,7 +405,7 @@ def seesaw_batch(dims, seed, restarts=3):
     the kernel's ``(R, 3, d, d)`` setting stacks and ``(R, D)`` vectors."""
     rng = np.random.default_rng(seed)
     observables = [
-        [[random_projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+        [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
         for _ in range(restarts)
     ]
     size = (restarts, int(np.prod(dims)))

@@ -11,13 +11,12 @@ from bellcert.linalg import (
     herm_part,
     kron,
     max_abs,
-    partial_trace,
 )
 from bellcert.certify import _aux_block
-from bellcert.quantum import random_unitary
+from bellcert.quantum import QuantumState, mixture_marginals, random_density, random_unitary
 from bellcert.reference import HBAR_BASIS, entangling_unitary, ghz_like_vector
 
-from conftest import I2, PHI_PLUS, X, Z, fix_global_phase, permute_subsystems
+from conftest import I2, PHI_PLUS, X, Z, fix_global_phase, partial_trace, permute_subsystems
 
 
 def sign(h):
@@ -94,34 +93,34 @@ class TestKron:
 
 
 class TestPartialTrace:
+    """One-party reduced states, from the factors (``mixture_marginals``),
+    against the dense ``einsum`` oracle."""
+
     def test_maximally_entangled_reduction(self):
-        rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        assert max_abs(partial_trace(rho, (2, 2), 0) - I2 / 2) < 1e-12
+        phi_plus = QuantumState(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
+        assert max_abs(mixture_marginals([phi_plus])[0] - I2 / 2) < 1e-12
 
     def test_product_factorization(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert max_abs(partial_trace(kron(a, b), (3, 4), 0) - np.trace(b) * a) < 1e-12
+        a, b = random_density((3,), 1), random_density((4,), 2)
+        product = QuantumState(kron(a.density, b.density), (3, 4))
+        first, second = mixture_marginals([product])
+        assert max_abs(first - a.density) < 1e-12
+        assert max_abs(second - b.density) < 1e-12
 
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        out = partial_trace(rho, (2, 2), 1)
+        out = mixture_marginals([QuantumState(rho, (2, 2))])[1]
         assert max_abs(out - np.diag([1.0, 0.0])) < 1e-15
 
     def test_trace_preserved_up_to_dim_32(self):
         rng = np.random.default_rng(2)
         for dims in ((2, 2), (2, 3, 4), (2, 4, 4), (2, 2, 2, 2, 2)):
-            d = int(np.prod(dims))
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = h + dagger(h)
-            for keep in (0, (0, 1), tuple(range(len(dims) - 1))):
-                assert abs(np.trace(partial_trace(h, dims, keep)) - np.trace(h)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(np.eye(4), (2, 3), 0)
+            states = [random_density(dims, rng), random_density(dims, rng, rank=2)]
+            mixture = (states[0].density + states[1].density) / 2
+            for keep, marginal in enumerate(mixture_marginals(states)):
+                assert abs(np.trace(marginal) - 1.0) < 1e-12
+                assert max_abs(marginal - partial_trace(mixture, dims, keep)) < 1e-12
 
 
 class TestHermPart:

@@ -10,7 +10,6 @@ from bellcert.linalg import (
     dagger,
     kron,
     max_abs,
-    partial_trace,
 )
 from bellcert.quantum import (
     Interaction,
@@ -19,10 +18,10 @@ from bellcert.quantum import (
     ZeroProbabilityError,
     clamp_probabilities,
     effect_table,
+    mixture_marginals,
     post_measurement_states,
     pure_state,
     random_density,
-    random_projective_observable,
     random_unitary,
     white_noise_mix,
 )
@@ -36,7 +35,7 @@ from bellcert.reference import (
 )
 from bellcert.scenario import Strategy
 
-from conftest import I2, PHI_PLUS, X, Z, effect, identity_interaction
+from conftest import I2, PHI_PLUS, X, Z, effect, identity_interaction, projective_observable
 
 
 NO_INTERACTION = identity_interaction((2, 2))
@@ -108,7 +107,7 @@ class TestQuantumState:
         assert not (vectors.flags.writeable or signs.flags.writeable)
 
     def test_marginal(self, phi_plus):
-        assert max_abs(partial_trace(phi_plus.density, phi_plus.dims, 0) - I2 / 2) < 1e-12
+        assert max_abs(mixture_marginals([phi_plus])[0] - I2 / 2) < 1e-12
 
     def test_immutable(self, phi_plus):
         with pytest.raises(ValueError):
@@ -168,7 +167,7 @@ class TestBornProbability:
         for _ in range(20):
             dims = (2, int(rng.integers(2, 5)))
             state = random_density(dims, rng)
-            observables = [random_projective_observable(d, rng) for d in dims]
+            observables = [projective_observable(d, rng) for d in dims]
             stacks = [self._effects(o) for o in observables]
             table = clamp_probabilities(effect_table(state.density, state.dims, stacks))
             assert np.all(table >= 0.0)
@@ -195,7 +194,7 @@ class TestExpectation:
         for _ in range(20):
             dims = (int(rng.integers(2, 5)), 2)
             state = random_density(dims, rng)
-            obs = [random_projective_observable(d, rng) for d in dims]
+            obs = [projective_observable(d, rng) for d in dims]
             stacks = [[effect(o, 0), effect(o, 1)] for o in obs]
             table = clamp_probabilities(effect_table(state.density, dims, stacks))
             signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]

@@ -12,7 +12,7 @@ from bellcert.bell import (
 )
 from bellcert import bell, quantum, seesaw
 from bellcert.linalg import herm_eig, max_abs
-from bellcert.quantum import pure_state, random_projective_observable
+from bellcert.quantum import pure_state
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.seesaw import (
     _effective_operators,
@@ -21,7 +21,7 @@ from bellcert.seesaw import (
     seesaw_restarts,
 )
 
-from conftest import X, Z, phase_distance
+from conftest import X, Z, phase_distance, projective_observable
 from test_contraction import dense_effective_operator
 
 
@@ -41,7 +41,7 @@ class TestObservableUpdate:
         for _ in range(20):
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h = (h + np.conj(h).T) / 2
-            o_old = random_projective_observable(4, rng)
+            o_old = projective_observable(4, rng)
             o_new = optimal_observable_update(h)
             assert np.real(np.trace(o_new @ h)) >= np.real(np.trace(o_old @ h)) - 1e-10
 
@@ -397,7 +397,7 @@ class TestSeesaw:
         expr = BellExpression(2, (0, 1))
         rng = np.random.default_rng(7)
         observables = [
-            [random_projective_observable(2, rng) for _ in range(2)] for _ in range(2)
+            [projective_observable(2, rng) for _ in range(2)] for _ in range(2)
         ]
         terms = bell_terms(expr)
         last = -np.inf
@@ -424,7 +424,7 @@ def reference_seesaw(expr, dims, seed):
     ``quantum_value`` for every iteration value, with the default rule of
     ``seesaw_restarts`` (at most 200 iterations, a gain below 1e-12 ends)."""
     rng = np.random.default_rng(seed)
-    observables = [[random_projective_observable(d, rng) for _ in range(2)] for d in dims]
+    observables = [[projective_observable(d, rng) for _ in range(2)] for d in dims]
     value = -np.inf
     for iterations in range(1, 201):
         top = herm_eig(build_bell_operator(expr, observables)).eigenvectors[:, -1]
@@ -563,7 +563,7 @@ def test_stacked_starts_are_each_seeds_observables(dims):
     stacks = seesaw._starting_stacks(dims, seeds)
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        one = setting_stacks([[random_projective_observable(d, rng) for _ in range(2)] for d in dims])
+        one = setting_stacks([[projective_observable(d, rng) for _ in range(2)] for d in dims])
         assert all(np.array_equal(s[r], o) for s, o in zip(stacks, one))
 
 

@@ -1,12 +1,15 @@
+import ast
 import dataclasses
 import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
 
+import bellcert
 from bellcert.certify import run_full_certification
 from bellcert.quantum import QuantumState, white_noise_mix
 from bellcert.reference import reference_strategy
@@ -14,9 +17,10 @@ from bellcert.scenario import run_scenario, scramble_strategy, second_round_tabl
 from bellcert.serialize import (
     SerializationError,
     dumps,
-    load_strategy,
     matrix_from_payload,
     matrix_payload,
+    parse_json,
+    read_input,
     record_to_dict,
     report_to_dict,
     save_strategy,
@@ -55,7 +59,7 @@ class TestStrategyFile:
         scrambled = scramble_strategy(ref2, (2, 1), seed=51)
         path = tmp_path / "strategy.json"
         save_strategy(scrambled.strategy, path, meta={"seed": 51})
-        loaded = load_strategy(path)
+        loaded = _load(path)
         assert np.array_equal(
             loaded.source_state.density, scrambled.strategy.source_state.density
         )
@@ -73,7 +77,7 @@ class TestStrategyFile:
     def test_loaded_strategy_behaves_identically(self, tmp_path, ref2):
         path = tmp_path / "ref.json"
         save_strategy(ref2, path)
-        rec = run_scenario(load_strategy(path))
+        rec = run_scenario(_load(path))
         assert abs(rec.t1_bell_value - 2.0) < 1e-12
 
     def test_wrong_kind_rejected(self, ref2):
@@ -96,7 +100,7 @@ class TestStrategyFile:
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": "1", "kind": "strategy"')
         with pytest.raises(SerializationError):
-            load_strategy(path)
+            _load(path)
 
     def test_unknown_schema_rejected(self, ref2):
         data = strategy_to_dict(ref2)
@@ -173,6 +177,11 @@ def _same_bits(a, b):
     )
 
 
+def _load(path):
+    """A strategy file read as the CLI reads it."""
+    return strategy_from_dict(parse_json(read_input(path), path))
+
+
 def _stdlib_load(path):
     """The stdlib-only loader the orjson path must agree with."""
     try:
@@ -194,7 +203,7 @@ class TestCodec:
     def test_save_then_load_is_bit_exact(self, tmp_path, edgy):
         path = tmp_path / "edgy.json"
         save_strategy(edgy, path)
-        loaded = load_strategy(path)
+        loaded = _load(path)
         assert _same_bits(loaded, edgy)
         assert np.signbit(loaded.source_state.density[1, 1].real)
         assert loaded.source_state.density[0, 1] == complex(1e-300, 5e-324)
@@ -202,11 +211,11 @@ class TestCodec:
     def test_indent_one_file_loads_bit_identically(self, tmp_path, edgy):
         path = tmp_path / "old.json"
         path.write_text(json.dumps(strategy_to_dict(edgy), indent=1))
-        assert _same_bits(load_strategy(path), edgy)
-        assert _same_bits(load_strategy(path), _stdlib_load(path))
+        assert _same_bits(_load(path), edgy)
+        assert _same_bits(_load(path), _stdlib_load(path))
         # Files are one line now; the two-space files of earlier versions load too.
         path.write_bytes(orjson.dumps(strategy_to_dict(edgy), option=orjson.OPT_INDENT_2))
-        assert _same_bits(load_strategy(path), edgy)
+        assert _same_bits(_load(path), edgy)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_literal_message_matches_stdlib(self, tmp_path, ref2, literal):
@@ -216,7 +225,7 @@ class TestCodec:
         with pytest.raises(SerializationError) as expected:
             _stdlib_load(path)
         with pytest.raises(SerializationError) as got:
-            load_strategy(path)
+            _load(path)
         assert str(got.value) == str(expected.value)
         assert "non-finite entry" in str(got.value)
 
@@ -231,7 +240,7 @@ class TestCodec:
         with pytest.raises(SerializationError) as expected:
             _stdlib_load(path)
         with pytest.raises(SerializationError) as got:
-            load_strategy(path)
+            _load(path)
         assert str(got.value) == str(expected.value)
 
     def test_integer_beyond_float_range_is_named(self, tmp_path, ref2):
@@ -240,26 +249,26 @@ class TestCodec:
         path = tmp_path / "big.json"
         path.write_text(text.replace("[0.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1))
         with pytest.raises(SerializationError, match=r"^matrices\[0\]\.entries: int too large"):
-            load_strategy(path)
+            _load(path)
 
     def test_non_utf8_file_is_a_serialization_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(SerializationError, match="utf-8"):
-            load_strategy(path)
+            _load(path)
 
     def test_meta_duplicate_keys_and_huge_integer_load_as_stdlib(self, tmp_path, ref2):
         text = json.dumps(strategy_to_dict(ref2, meta={"seed": 1}))
         path = tmp_path / "meta.json"
         path.write_text(text.replace('"seed": 1', '"seed": 1, "seed": 2, "big": 18446744073709551617'))
         assert json.loads(path.read_text())["meta"] == {"seed": 2, "big": 2**64 + 1}
-        assert _same_bits(load_strategy(path), _stdlib_load(path))
+        assert _same_bits(_load(path), _stdlib_load(path))
 
     def test_meta_beyond_orjson_is_written_by_the_stdlib_encoder(self, tmp_path, ref2):
         path = tmp_path / "s.json"
         save_strategy(ref2, path, meta={"seed": 2**70, 3: "int key"})
         assert json.loads(path.read_text())["meta"] == {"seed": 2**70, "3": "int key"}
-        assert _same_bits(load_strategy(path), ref2)
+        assert _same_bits(_load(path), ref2)
 
     def test_dumps_is_strict_json(self):
         data = {"nan": float("nan"), "inf": np.float64("inf"), "x": np.float64(0.1), "ok": np.bool_(True)}
@@ -272,9 +281,35 @@ class TestCodec:
         assert b"\n" not in dumps(data)
 
 
-@pytest.mark.parametrize(
-    "module", ["bell", "certify", "linalg", "quantum", "reference", "scenario", "seesaw", "serialize"]
-)
+MODULES = ["bell", "certify", "cli", "linalg", "quantum", "reference", "scenario", "seesaw", "serialize"]
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_is_defined(module):
     mod = importlib.import_module(f"bellcert.{module}")
-    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    exported = getattr(mod, "__all__", [])
+    assert [name for name in exported if not hasattr(mod, name)] == []
+    namespace = {}
+    exec(f"from bellcert.{module} import *", namespace)
+    assert set(exported) <= namespace.keys()
+
+
+def test_export_check_covers_every_module():
+    assert sorted(m.name for m in pkgutil.iter_modules(bellcert.__path__)) == MODULES
+
+
+def test_every_package_import_is_defined():
+    tree = ast.parse(Path(bellcert.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imported) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not (hasattr(importlib.import_module(f"bellcert.{module}"), name) and hasattr(bellcert, name))
+    ]
+    assert missing == []
