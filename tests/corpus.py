@@ -1,9 +1,9 @@
 """Seeded regression corpus: what the CLI says about a fixed set of strategies.
 
 Each strategy case is built in process (a reference, or a seeded scramble of
-one, optionally under white noise), written to a file, and run through
-``bellcert --format machine certify`` and ``bellcert --format machine
-simulate``.  Each seesaw case is a ``bellcert --format machine seesaw`` run.
+one, optionally under white noise, or a reference whose interaction is
+perturbed), written to a file, and run through ``bellcert --format machine
+certify`` (with its options) and ``bellcert --format machine simulate``.  Each seesaw case is a ``bellcert --format machine seesaw`` run.
 Per run the corpus keeps the exit code, stderr and failure lines with their
 decimal numbers masked, and every scalar field of the printed JSON.  Matrix
 payloads and probability tables are left out (the unit tests pin those), and
@@ -35,9 +35,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from bellcert.cli import main
-from bellcert.quantum import white_noise_mix
-from bellcert.reference import reference_strategy
+from bellcert.linalg import dagger, herm_part
+from bellcert.quantum import Interaction, white_noise_mix
+from bellcert.reference import pre_interaction_matrix, reference_strategy
 from bellcert.scenario import scramble_strategy
 from bellcert.serialize import save_strategy
 
@@ -59,6 +62,22 @@ STRATEGIES = {
     "scramble-3,2-xi-rank-1": (2, (3, 2), 1, 1.0),
     "reference-2-v0.9": (2, None, None, 0.9),
     "scramble-2,2-v0.9": (2, (2, 2), None, 0.9),
+}
+# name: (parties, factor F of the interaction W = U F, certify options), U
+# the reference interaction.  "diag-phase" is F = B diag(e^{i phi}) B^dag,
+# B = pre_interaction_matrix and phi = linspace(0.5, 2.5, 2^N) with phi_0 = 0:
+# every Bell value stays maximal and the side statistics refute.  A number
+# eps is F = exp(i eps H), H the Hermitian part of a seed-1 complex Gaussian
+# at spectral norm 1: certified at 1e-8, refuted at 1e-6 (residual 6.0e-7),
+# inconclusive at 1e-4 (Bell gaps up to 1.4e-8), and refuted there at
+# tolerance 1e-2.
+PERTURBED = {
+    "diag-phase-2": (2, "diag-phase", ()),
+    "diag-phase-3": (3, "diag-phase", ()),
+    "exp-1e-8": (2, 1e-8, ()),
+    "exp-1e-6": (2, 1e-6, ()),
+    "exp-1e-4": (2, 1e-4, ()),
+    "exp-1e-4-tolerance-1e-2": (2, 1e-4, ("--tolerance", "1e-2")),
 }
 # name: (local dims, restarts)
 SEESAWS = {
@@ -115,12 +134,33 @@ def build_strategy(parties, aux, xi_rank, visibility):
     return strategy
 
 
+def perturbed_strategy(parties, factor):
+    """The reference with interaction ``U F`` (see ``PERTURBED``)."""
+    strategy = reference_strategy(parties)
+    d = 2**parties
+    if factor == "diag-phase":
+        b = pre_interaction_matrix(parties)
+        phi = np.linspace(0.5, 2.5, d)
+        phi[0] = 0.0
+        f = (b * np.exp(1j * phi)) @ dagger(b)
+    else:
+        rng = np.random.default_rng(1)
+        h = herm_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        values, vectors = np.linalg.eigh(h / np.linalg.norm(h, 2))
+        f = (vectors * np.exp(1j * factor * values)) @ dagger(vectors)
+    w = strategy.interaction.matrix @ f
+    return dataclasses.replace(strategy, interaction=Interaction(w, (2,) * parties, (2,) * parties))
+
+
 def build_corpus(workdir) -> dict:
     corpus = {}
-    for name, case in STRATEGIES.items():
+    cases = {name: (build_strategy(*case), ()) for name, case in STRATEGIES.items()}
+    for name, (parties, factor, options) in PERTURBED.items():
+        cases[name] = (perturbed_strategy(parties, factor), options)
+    for name, (strategy, options) in cases.items():
         path = str(Path(workdir) / f"{name}.json")
-        save_strategy(build_strategy(*case), path)
-        certify = run_cli(["certify", path])
+        save_strategy(strategy, path)
+        certify = run_cli(["certify", path, *options])
         report = certify.pop("json")
         report.pop("provenance")
         simulate = run_cli(["simulate", path])
