@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, DimensionMismatchError, herm_part, max_abs
-from .quantum import QuantumState, _apply, _party_rows, mixture_marginals
+from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, herm_part, max_abs
+from .quantum import QuantumState, _apply, _grouped, _party_rows, mixture_marginals
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -154,7 +154,7 @@ def functional_values(kets, bras, dims, stacks, targets) -> np.ndarray:
     Tr(S^1_i K_g)`` with the target's ``bell_terms`` (whose ``rest`` is the
     same for every target)."""
     terms = [bell_terms(BellExpression(len(dims), a)) for a in targets]
-    bra = np.conj(np.swapaxes(_party_rows(bras, dims, 0), -1, -2))
+    bra = dagger(_party_rows(bras, dims, 0))
     vectors = term_vectors(kets, dims, terms[0][0], stacks)
     k = np.stack([_party_rows(v, dims, 0) @ bra for v in vectors], axis=1)
     weighted = np.stack([weights[:, np.newaxis] * rows for _, rows, weights in terms])
@@ -203,7 +203,7 @@ def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
     # (x_1, a_1, ..., x_N, a_N, branches) to settings first, a copy in runs
     # as long as the branch count, then branch-major again, so that each
     # branch's table is one block of memory with its outcomes contiguous.
-    order = [*range(0, 2 * parties, 2), *range(1, 2 * parties, 2), 2 * parties]
+    order = [*_grouped(parties), 2 * parties]
     t = np.ascontiguousarray(t.reshape((2, 2) * parties + (-1,)).transpose(order))
     t = np.ascontiguousarray(t.reshape(4**parties, -1).T)
     return t.reshape(lead + (2,) * 2 * parties)
@@ -249,7 +249,7 @@ def bell_operators(coefficients: np.ndarray, stacks, out: np.ndarray | None = No
         t = np.matmul(t, s, out=into)
     k = len(batch)
     t = t.reshape(batch + tuple(d for d in dims for _ in (0, 1)))
-    rows_then_cols = t.transpose([*range(k), *range(k, t.ndim, 2), *range(k + 1, t.ndim, 2)])
+    rows_then_cols = t.transpose([*range(k), *(k + a for a in _grouped(n_parties))])
     np.copyto(out.reshape(rows_then_cols.shape), rows_then_cols)
     return out
 

@@ -11,8 +11,8 @@ auxiliary unitary on the support of ``xi``, the part the statistics fix.
 Only the maximal-violation tolerance is a parameter; the later gates use
 the module's constants.
 
-The 2N pairs run as stacks (``_stacked``), one per support or compressed
-dimension, each pair with the bits it gets alone, in chain order.
+The 2N pairs run as stacks (``quantum._stacked``), one per support or
+compressed dimension, each pair with the bits it gets alone, in chain order.
 
 Verdict semantics:
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .bell import BellExpression
 from .linalg import CERT_TOL, dagger, fix_column_phases, herm_eig, herm_part, kron, max_abs
-from .quantum import QuantumState, mixture_marginals
+from .quantum import QuantumState, _grouped, _stacked, mixture_marginals
 from .reference import ghz_like_vector, ghz_matrix, pre_interaction_matrix, target_observables
 from .scenario import (
     CorrelationRecord,
@@ -135,16 +135,6 @@ def _supports(eig) -> list[np.ndarray]:
     return [bases.get(i, eye) for i in range(len(ranks))]
 
 
-def _stacked(fn, *columns) -> list:
-    """``fn`` of the stacked entries of ``columns`` (equal-length lists), one
-    call per shape in the first column, with its results in column order."""
-    out: dict = {}
-    for shape in dict.fromkeys(a.shape for a in columns[0]):
-        idx = [i for i, a in enumerate(columns[0]) if a.shape == shape]
-        out.update(zip(idx, fn(*(np.array([col[i] for i in idx]) for col in columns))))
-    return [out[i] for i in range(len(columns[0]))]
-
-
 def _position_basis(span: np.ndarray) -> np.ndarray:
     """The basis of the column space of each ``span`` (orthonormal columns)
     of a stack that depends on the subspace alone, not on the basis ``eigh``
@@ -197,30 +187,22 @@ def _paired_frame(pairs: np.ndarray, targets: np.ndarray, rotations: np.ndarray)
     The +1 eigenbasis of ``m0`` is fixed by ``_position_basis`` and its -1
     partners are defined as ``m1 v``, so the frame (and every downstream
     report) depends on the pair alone, with the bits it gets on its own.
-    Unequal eigenspaces (which an odd dimension forces) are refused.
+    Precondition: each pair is sharp and anticommuting to ``CERT_TOL``, so
+    its +1 and -1 eigenspaces have equal dimensions, since ``m1`` maps one
+    onto the other.
     """
     d = pairs.shape[-1]
-    eig = herm_eig(pairs[:, 0])
-    plus_dims = np.count_nonzero(eig.eigenvalues > 0, axis=-1).tolist()
-    out: list = [
-        FramePremiseError(f"eigenspace dimensions {p} / {d - p} are unequal") for p in plus_dims
-    ]
-    even = [i for i, p in enumerate(plus_dims) if 2 * p == d]
-    if not even:
-        return out
-    plus = _position_basis(eig.eigenvectors[even, :, d // 2 :])
-    pairs = pairs[even]
+    plus = _position_basis(herm_eig(pairs[:, 0]).eigenvectors[..., d // 2 :])
     minus = pairs[:, 1] @ plus  # anticommutation maps the +1 eigenspace onto the -1 one
     u0 = np.concatenate([dagger(plus), dagger(minus)], axis=-2)
     unit_defects = np.max(np.abs(u0 @ dagger(u0) - np.eye(d)), axis=(-2, -1))
     eye = np.eye(d // 2, dtype=complex)[:, None, :]  # t ox I_k is kron's product, per entry
-    u = (rotations[even][..., None, :, None] * eye).reshape(-1, d, d) @ u0
-    padded = (targets[even][..., None, :, None] * eye).reshape(-1, 2, d, d)
+    u = (rotations[..., None, :, None] * eye).reshape(-1, d, d) @ u0
+    padded = (targets[..., None, :, None] * eye).reshape(-1, 2, d, d)
     resid = np.max(np.abs(u[:, None] @ pairs @ dagger(u)[:, None] - padded), axis=(1, 2, 3))
-    for i, ui, r, defect in zip(even, u, resid, unit_defects):
-        out[i] = (ui, float(r))
-        if defect > CERT_TOL:
-            out[i] = FramePremiseError(f"paired eigenbasis is not orthonormal (defect {defect:.3e})")
+    out: list = [(ui, float(r)) for ui, r in zip(u, resid)]
+    for i in np.flatnonzero(unit_defects > CERT_TOL):
+        out[i] = FramePremiseError(f"paired eigenbasis is not orthonormal (defect {unit_defects[i]:.3e})")
     return out
 
 
@@ -267,8 +249,7 @@ def _from_canonical(
 def _qubits_first(n: int) -> list[int]:
     """Axis order from party order (qubit_1, aux_1, qubit_2, aux_2, ...) to
     all qubits, then all aux, on the row and the column side."""
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    return order + [2 * n + k for k in order]
+    return [*_grouped(n), *(2 * n + k for k in _grouped(n))]
 
 
 def _aux_block(m: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -104,7 +104,7 @@ class EigenDecomposition:
         with zero eigenvalues counted as +1."""
         v = self.eigenvectors
         signs = np.where(self.eigenvalues >= 0.0, 1.0, -1.0)[..., np.newaxis, :]
-        out = (v * signs) @ np.conj(np.swapaxes(v, -1, -2))
+        out = (v * signs) @ dagger(v)
         return herm_part(out)
 
 

@@ -31,7 +31,8 @@ stacks and the interaction V, with no Kronecker-product operator formed:
 every branch factor is one slice of a ``(D, B, r)`` array, built party by
 party with one stacked ``matmul`` per party, and V is one matmul for all
 of them.  Every step that acts on one party's axis of a batch of rows is
-``_apply`` or ``_party_rows``, which ``bell`` and ``seesaw`` use too.
+``_apply`` or ``_party_rows``, which ``bell`` and ``seesaw`` use too; each
+reorder of paired axes is ``_grouped``, and ``_stacked`` runs a kernel per shape.
 
 Randomness: every seeded helper draws from ``numpy.random.default_rng``
 (PCG64), so a fixed integer seed reproduces results bit for bit.
@@ -47,6 +48,7 @@ import numpy as np
 from .linalg import (
     ALGEBRA_TOL,
     DimensionMismatchError,
+    EigenDecomposition,
     NonHermitianError,
     dagger,
     herm_part,
@@ -297,27 +299,28 @@ def effect_table(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
         if from_factors:
             tables.append(_contract_factors(vectors, signs, dims, ops))
         else:
-            densities = np.matmul(vectors * signs[:, np.newaxis], np.conj(vectors.transpose(0, 2, 1)))
+            densities = np.matmul(vectors * signs[:, np.newaxis], dagger(vectors))
             tables.append(_contract_densities(densities, dims, ops))
     return np.real(np.concatenate(tables))
 
 
-def _interleaved(n: int) -> list[int]:
-    """Axis order from (rows of N parties, then their columns) to each
-    party's row axis followed by its column axis."""
-    return [axis for k in range(n) for axis in (k, n + k)]
+def _grouped(n: int) -> list[int]:
+    """Axis order from N adjacent pairs of axes (a party's row and column, or
+    qubit and aux) to the first of every pair, then the second; ``argsort`` undoes it."""
+    return [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
 
 
 def _contract_densities(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
     """``_contract`` of a stack of density matrices, ``(B, D, D)``."""
     t = rho.reshape((len(rho),) + dims + dims)
-    return _contract(t.transpose([0] + [1 + axis for axis in _interleaved(len(dims))]), dims, ops)
+    return _contract(t.transpose([0, *(1 + np.argsort(_grouped(len(dims))))]), dims, ops)
 
 
 def _contract(t: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
     """``sum_jk A_kj t_jk`` over each party's row and column axes, for every
-    operator of its stack: ``t`` has shape ``(B, d_1, d_1, ..., d_N, d_N)``
-    (see ``_interleaved``), the result ``(B, m_1, ..., m_N)``.
+    operator of its stack: ``t`` has shape ``(B, d_1, d_1, ..., d_N, d_N)``,
+    each party's row axis followed by its column axis (the ``argsort`` of
+    ``_grouped``), the result ``(B, m_1, ..., m_N)``.
 
     The parties go last to first, each as one matmul ``(m_k, d_k^2) x
     (d_k^2, rest)`` that reads the trailing axes in place and puts the
@@ -444,6 +447,16 @@ def _party_rows(x: np.ndarray, dims, party: int) -> np.ndarray:
     return t.reshape(x.shape[:-1] + (dims[party], -1))
 
 
+def _stacked(fn, *columns) -> list:
+    """``fn`` of the stacked entries of ``columns`` (equal-length lists), one
+    call per shape in the first column, with its results in column order."""
+    out: dict = {}
+    for shape in dict.fromkeys(a.shape for a in columns[0]):
+        idx = [i for i, a in enumerate(columns[0]) if a.shape == shape]
+        out.update(zip(idx, fn(*(np.array([col[i] for i in idx]) for col in columns))))
+    return [out[i] for i in range(len(columns[0]))]
+
+
 # Scratch bound of the stacked kernels: a stack larger than this is processed
 # in chunks of branches (or of seesaw restarts), so its temporaries stay
 # within this size.
@@ -488,9 +501,7 @@ def _projective_observables(draws: np.ndarray) -> np.ndarray:
     signature for every matrix of the stack."""
     u = _haar_unitaries(draws)
     d = u.shape[-1]
-    signs = np.array([1.0] * (d // 2) + [-1.0] * (d - d // 2), dtype=complex)
-    o = (u * signs) @ np.conj(np.swapaxes(u, -1, -2))
-    return herm_part(o)
+    return EigenDecomposition(np.array([1.0] * (d // 2) + [-1.0] * (d - d // 2)), u).sign()
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -57,6 +57,7 @@ from .quantum import (
     _check_finite,
     _chunks,
     _rng,
+    _stacked,
     clamp_probabilities,
     effect_table,
     post_measurement_states,
@@ -245,20 +246,14 @@ def _check_spectra(pairs, name: str) -> None:
     ``[-1 - ALGEBRA_TOL, 1 + ALGEBRA_TOL]``, whose effects ``(I +/- A) / 2``
     are then not positive: one stacked ``eigvalsh`` per local dimension.
     The ``ValueError`` names the round, party and setting of the first."""
-    bad = []
-    for d in {p.shape[-1] for p in pairs}:
-        parties = [k for k, p in enumerate(pairs) if p.shape[-1] == d]
-        spectra = np.linalg.eigvalsh(np.stack([pairs[k] for k in parties]))
+    for party, spectra in enumerate(_stacked(np.linalg.eigvalsh, pairs)):
         inside = np.abs(spectra) <= 1.0 + ALGEBRA_TOL  # a NaN eigenvalue fails too
         if not inside.all():
-            i, setting, j = np.argwhere(~inside)[0]
-            bad.append((parties[i], setting, spectra[i, setting, j]))
-    if bad:
-        party, setting, value = min(bad)
-        raise ValueError(
-            f"{name} observable (party {party}, setting {setting}) has eigenvalue "
-            f"{value:.6g}, outside [-1, 1]; its effects (I +/- A) / 2 are not positive"
-        )
+            setting, j = np.argwhere(~inside)[0]
+            raise ValueError(
+                f"{name} observable (party {party}, setting {setting}) has eigenvalue "
+                f"{spectra[setting, j]:.6g}, outside [-1, 1]; its effects (I +/- A) / 2 are not positive"
+            )
 
 
 def _check_projective(observables, tol: float, where: str) -> None:

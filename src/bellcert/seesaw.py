@@ -50,7 +50,7 @@ from .bell import (
     bell_terms,
     term_vectors,
 )
-from .linalg import EigenDecomposition, herm_part
+from .linalg import EigenDecomposition, dagger, herm_part
 from .quantum import QuantumState, _chunks, _party_rows, _projective_observables, _rng, pure_state
 
 __all__ = [
@@ -340,7 +340,7 @@ def _effective_operators(psi, dims, stacks, terms, party):
     else:
         merged, slots = None, weights
     phi = slots.T @ np.stack(list(term_vectors(psi, dims, rest, stacks, party, merged)), axis=1)
-    bra = np.conj(np.swapaxes(_party_rows(psi, dims, party), -1, -2))
+    bra = dagger(_party_rows(psi, dims, party))
     k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
     return herm_part(k)
 
