@@ -142,8 +142,10 @@ LANCZOS_STEPS = 28
 WARM_STEPS = 32
 LANCZOS_BREAKDOWN = 1e-14
 
-# A restart has converged once an iteration raises its value by less than this.
+# A restart has converged once an iteration raises its value by less than
+# CONVERGENCE_TOL; one that has not stops after MAX_ITERS iterations.
 CONVERGENCE_TOL = 1e-12
+MAX_ITERS = 200
 
 
 def optimal_state_update(
@@ -177,10 +179,7 @@ def optimal_state_update(
         values, vectors = np.linalg.eigh(operators)
         return np.ascontiguousarray(vectors[..., -1]), values[..., -1]
     stack = operators.reshape(-1, dim, dim)
-    if start is None:
-        starts = _ritz_starts(stack)
-    else:
-        starts = _ritz_starts(stack, start.reshape(-1, dim), WARM_STEPS)
+    starts = _ritz_starts(stack, None if start is None else start.reshape(-1, dim))
     vectors = np.empty((len(stack), dim), dtype=complex)
     values = np.empty(len(stack))
     scratch = np.empty((dim, dim), dtype=complex)
@@ -199,9 +198,10 @@ def _seed_vector(dim: int, seed: int = 0) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _ritz_starts(stack, start=None, steps=LANCZOS_STEPS):
+def _ritz_starts(stack, start=None):
     """Top Ritz vectors, shape ``(R, D)``, of the ``(R, D, D)`` Hermitian
-    ``stack`` after at most ``steps`` Lanczos steps, taken on every operator
+    ``stack`` after at most ``steps`` Lanczos steps (``LANCZOS_STEPS``
+    without ``start``, ``WARM_STEPS`` with it), taken on every operator
     at once and with full reorthogonalisation (two Gram-Schmidt passes
     against the basis, one ``(R, steps, D)`` array; the projections
     conjugate the new direction, not the basis, so no copy of the basis is
@@ -220,6 +220,7 @@ def _ritz_starts(stack, start=None, steps=LANCZOS_STEPS):
     dropped, and from then on the others' products are taken one operator
     at a time, so no operator row is copied."""
     count, dim = len(stack), stack.shape[-1]
+    steps = LANCZOS_STEPS if start is None else WARM_STEPS
     basis = np.empty((count, steps, dim), dtype=complex)
     basis[:, 0] = _seed_vector(dim) if start is None else start
     alpha = np.empty((count, steps))
@@ -367,7 +368,7 @@ def _starting_stacks(dims, seeds) -> list[np.ndarray]:
     return stacks
 
 
-def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult]:
+def _lockstep(coefficients, terms, dims, stacks) -> list[SeesawResult]:
     """Seesaw runs from the starting ``(R, 3, d, d)`` setting stacks, all
     advanced together until each converges or runs out of iterations."""
     results: list[SeesawResult | None] = [None] * len(stacks[0])
@@ -376,7 +377,7 @@ def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult
     psi = None
     dim = math.prod(dims)
     operators = np.empty((len(results), dim, dim), dtype=complex)
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         running = bell_operators(coefficients, stacks, out=operators[: len(active)])
         psi, _ = optimal_state_update(running, psi)
         for party in range(len(dims)):
@@ -387,7 +388,7 @@ def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult
         new_value = _strategy_value(stacks[-1], effective)
         converged = (new_value - value < CONVERGENCE_TOL) & (iterations > 1)
         value = np.where(converged, np.maximum(value, new_value), new_value)
-        done = converged | (iterations == max_iters)
+        done = converged | (iterations == MAX_ITERS)
         for j in np.flatnonzero(done):
             results[active[j]] = SeesawResult(
                 value=float(value[j]),
@@ -404,18 +405,11 @@ def _lockstep(coefficients, terms, dims, stacks, max_iters) -> list[SeesawResult
     return results
 
 
-def seesaw_restarts(
-    expr: BellExpression,
-    local_dims: tuple[int, ...],
-    seeds,
-    max_iters: int = 200,
-) -> list[SeesawResult]:
+def seesaw_restarts(expr: BellExpression, local_dims: tuple[int, ...], seeds) -> list[SeesawResult]:
     """Independent seeded restarts (the landscape has local optima), each
     from random projective observables drawn from its seed, advanced in
-    lockstep."""
+    lockstep for at most ``MAX_ITERS`` iterations."""
     dims = tuple(int(d) for d in local_dims)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if any(d < 2 for d in dims):
         raise ValueError("local dimensions must be at least 2")
     if len(dims) != expr.parties:
@@ -425,5 +419,5 @@ def seesaw_restarts(
     results = []
     for chunk in _chunks(len(seeds), math.prod(dims)):
         stacks = _starting_stacks(dims, seeds[chunk])
-        results += _lockstep(coefficients, terms, dims, stacks, max_iters)
+        results += _lockstep(coefficients, terms, dims, stacks)
     return results

@@ -291,7 +291,7 @@ class TestWarmLanczos:
         start = u[:, 0]
         solves = spy_calls(monkeypatch, np.linalg, "solve")
         checks = spy_calls(monkeypatch, seesaw, "_top_ritz")
-        warm = seesaw._ritz_starts(b[np.newaxis], start[np.newaxis], seesaw.WARM_STEPS)
+        warm = seesaw._ritz_starts(b[np.newaxis], start[np.newaxis])
         assert np.array_equal(warm[0], start)
         # One Lanczos step: the only residual estimate is that of a 1 x 1
         # tridiagonal matrix.
@@ -328,7 +328,7 @@ class TestWarmLanczos:
         other, v = random_hermitian([2.0, 1.0, 0.5], 64, dim)
         near = v[:, 0] + 0.1 * v[:, 1]
         near /= np.linalg.norm(near)
-        starts = seesaw._ritz_starts(np.stack([b, other]), np.stack([start, near]), seesaw.WARM_STEPS)
+        starts = seesaw._ritz_starts(np.stack([b, other]), np.stack([start, near]))
         assert np.linalg.norm(b @ starts[0] - np.vdot(starts[0], b @ starts[0]) * starts[0]) > 1e-6
         calls = dense_eigh_calls(monkeypatch, len(b))
         solves = spy_calls(monkeypatch, np.linalg, "solve")
@@ -366,11 +366,12 @@ class TestWarmLanczos:
 
 
 class TestSeesaw:
-    def test_monotone_convergence(self):
+    def test_monotone_convergence(self, monkeypatch):
+        monkeypatch.setattr(seesaw, "MAX_ITERS", 50)
         expr = BellExpression(2, (0, 0))
         values = []
         for seed in range(5):
-            (result,) = seesaw_restarts(expr, (2, 2), [seed], max_iters=50)
+            (result,) = seesaw_restarts(expr, (2, 2), [seed])
             values.append(result.value)
             assert result.value <= expr.quantum_bound + 1e-9
         assert max(values) >= expr.quantum_bound - 1e-6
@@ -506,15 +507,16 @@ def test_lockstep_matches_single_restarts(dims, target):
         ((3, 3, 3, 3), (0, 0, 0, 0), {200: {(3, True), (4, True)}, 3: {(3, True), (3, False)}}),
     ],
 )
-def test_restarts_leave_the_batch_at_their_own_iteration(dims, target, exits):
+def test_restarts_leave_the_batch_at_their_own_iteration(dims, target, exits, monkeypatch):
     # Restarts that converge at different iterations, or run out of them
     # beside restarts that converge, keep their seeds' results.
     expr = BellExpression(len(dims), target)
     seeds = [7, 0, 5, 2, 9, 4]
     for max_iters, pinned in exits.items():
-        batch = seesaw_restarts(expr, dims, seeds, max_iters=max_iters)
+        monkeypatch.setattr(seesaw, "MAX_ITERS", max_iters)
+        batch = seesaw_restarts(expr, dims, seeds)
         assert {(r.iterations, r.converged) for r in batch} == pinned
-        singles = [seesaw_restarts(expr, dims, [s], max_iters=max_iters)[0] for s in seeds]
+        singles = [seesaw_restarts(expr, dims, [s])[0] for s in seeds]
         assert_same_runs(batch, singles)
 
 
@@ -581,14 +583,14 @@ def test_one_iteration_applies_thirty_factors(target, monkeypatch):
         return apply(*args)
 
     monkeypatch.setattr(bell, "_apply", counting)
-    seesaw_restarts(BellExpression(4, target), (2, 2, 2, 2), range(3), max_iters=1)
+    monkeypatch.setattr(seesaw, "MAX_ITERS", 1)
+    seesaw_restarts(BellExpression(4, target), (2, 2, 2, 2), range(3))
     assert len(calls) == 30
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"max_iters": 0}, "max_iters must be at least 1"),
         ({"local_dims": (2, 2, 2)}, "need 2 local dimensions, got 3"),
         ({"local_dims": (2, 1)}, "local dimensions must be at least 2"),
     ],
