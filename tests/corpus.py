@@ -2,7 +2,7 @@
 
 Each strategy case is built in process (a reference, or a seeded scramble of
 one, optionally under white noise, or a reference whose interaction is
-perturbed), written to a file, and run through ``bellcert --format machine
+perturbed or whose source is replaced), written to a file, and run through ``bellcert --format machine
 certify`` (with its options) and ``bellcert --format machine simulate``.  Each seesaw case is a ``bellcert --format machine seesaw`` run.
 Per run the corpus keeps the exit code, stderr and failure lines with their
 decimal numbers masked, and every scalar field of the printed JSON.  Matrix
@@ -39,7 +39,7 @@ import numpy as np
 
 from bellcert.cli import main
 from bellcert.linalg import dagger, herm_part
-from bellcert.quantum import Interaction, white_noise_mix
+from bellcert.quantum import Interaction, pure_state, white_noise_mix
 from bellcert.reference import pre_interaction_matrix, reference_strategy
 from bellcert.scenario import scramble_strategy
 from bellcert.serialize import save_strategy
@@ -59,6 +59,8 @@ STRATEGIES = {
     "scramble-3,2": (2, (3, 2), None, 1.0),
     "scramble-6,5": (2, (6, 5), None, 1.0),
     "scramble-1,2,1": (3, (1, 2, 1), None, 1.0),
+    "scramble-6,6": (2, (6, 6), None, 1.0),
+    "scramble-2,2-xi-rank-1": (2, (2, 2), 1, 1.0),
     "scramble-3,2-xi-rank-1": (2, (3, 2), 1, 1.0),
     "reference-2-v0.9": (2, None, None, 0.9),
     "scramble-2,2-v0.9": (2, (2, 2), None, 0.9),
@@ -78,6 +80,13 @@ PERTURBED = {
     "exp-1e-6": (2, 1e-6, ()),
     "exp-1e-4": (2, 1e-4, ()),
     "exp-1e-4-tolerance-1e-2": (2, 1e-4, ("--tolerance", "1e-2")),
+}
+# name: (parties, source vector), the reference with that pure source.
+# (cos 0.3 |0> + sin 0.3 |1>) ox |->: the side-statistics event has
+# vanishing probability, so certify is inconclusive and simulate keeps no
+# side statistics.
+SOURCES = {
+    "side-event-vanishes": (2, np.kron([math.cos(0.3), math.sin(0.3)], [1.0, -1.0]) / math.sqrt(2.0)),
 }
 # name: (local dims, restarts)
 SEESAWS = {
@@ -157,6 +166,9 @@ def build_corpus(workdir) -> dict:
     cases = {name: (build_strategy(*case), ()) for name, case in STRATEGIES.items()}
     for name, (parties, factor, options) in PERTURBED.items():
         cases[name] = (perturbed_strategy(parties, factor), options)
+    for name, (parties, vector) in SOURCES.items():
+        source = pure_state(vector, (2,) * parties)
+        cases[name] = (dataclasses.replace(reference_strategy(parties), source_state=source), ())
     for name, (strategy, options) in cases.items():
         path = str(Path(workdir) / f"{name}.json")
         save_strategy(strategy, path)
