@@ -17,17 +17,17 @@ strategies reach ``2 (N-1)`` and no more.
 ``bell_terms`` writes the functional once, as its N terms
 ``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}``, party n's ``S^n =
 (I, A_{n,0}, A_{n,1})`` (``setting_stacks``).  A state's Bell value comes
-from the terms alone, through one kernel (``term_vectors``, read off by
-``functional_values``) that ``quantum_value``, ``scenario.run_scenario``
-and the seesaw call: it applies each factor with ``quantum._apply`` and
-reads party 1's rows with ``quantum._party_rows``.  Its side statistics
-are one-party values (``extra_statistics``).  Scattered, the terms give
-the coefficient tensor ``C`` (``bell_coefficients``) of the seesaw's Bell
-operators and of ``classical_bound``; one at a time, the SOS witnesses
-``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).  The fixed map
-``E_{x,a} = (I + (-1)^a A_x) / 2`` turns a correlator table over each
-party's ``(I, A_0, A_1)`` into outcome probabilities (``outcome_table``,
-in the order of ``effect_stacks``).
+from the terms alone.  A density's is its correlator table over the
+``S^n`` (``quantum.effect_table``) gathered at the terms (``_table_value``,
+for ``quantum_value`` and ``scenario.run_scenario``).  A branch factor's,
+and the seesaw's, come from the Bell-term kernel (``term_vectors``, read
+off by ``functional_values``), which applies factors with ``_apply``.
+Side statistics are one-party values (``extra_statistics``).  Scattered,
+the terms give the coefficient tensor ``C`` (``bell_coefficients``) of the
+seesaw's Bell operators and of ``classical_bound``; one at a time, the SOS
+witnesses ``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).
+``_EFFECTS_FROM_SETTINGS``, ``E_{x,a} = (I + (-1)^a A_x) / 2``, turns the
+correlators into outcome probabilities (``outcome_table``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, herm_part, max_abs
-from .quantum import QuantumState, _apply, _grouped, _party_rows, mixture_marginals
+from .quantum import QuantumState, _apply, _grouped, _party_rows, effect_table, mixture_marginals
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
@@ -47,7 +47,6 @@ __all__ = [
     "bell_terms",
     "bell_coefficients",
     "setting_stacks",
-    "effect_stacks",
     "outcome_table",
     "term_vectors",
     "functional_values",
@@ -145,10 +144,18 @@ def term_vectors(x, dims, rest, stacks, party: int = 0, first=None):
         yield y
 
 
+def _table_value(expr: BellExpression, correlators: np.ndarray) -> float:
+    """Value of ``B_expr`` from the ``(3,) * N`` correlators over each party's
+    ``(I, A_0, A_1)``: each weighted ``bell_terms`` row against the table at
+    its term's indices, ``bell_coefficients``' scatter read back."""
+    rest, rows, weights = bell_terms(expr)
+    return float(np.einsum("g,gi,ig->", weights, rows, correlators[(slice(None), *rest.T)]))
+
+
 def functional_values(kets, bras, dims, stacks, targets) -> np.ndarray:
     """Value of ``B_{targets[c]}`` on each state ``X_c Y_c^dag``, given as
-    rows of ``kets`` and ``bras`` (a factor and its signed copy, or a
-    density and the identity), for each party's ``(3, d, d)`` stack.  Per
+    rows of ``kets`` and ``bras`` (a branch factor and its signed copy),
+    for each party's ``(3, d, d)`` stack.  Per
     term ``g``, ``term_vectors`` with party 1 left out gives ``K_g = v_g
     Y^dag`` over party 1's rows, and the value is ``sum_{g, i} c_g u_g[i]
     Tr(S^1_i K_g)`` with the target's ``bell_terms`` (whose ``rest`` is the
@@ -181,16 +188,8 @@ _EFFECTS_FROM_SETTINGS = 0.5 * np.array(
 )
 
 
-def effect_stacks(observables) -> list[np.ndarray]:
-    """Per-party ``(4, d, d)`` stacks of the effects ``E_{x,a}``, ordered
-    ``(x, a) = (0, 0), (0, 1), (1, 0), (1, 1)``: ``_EFFECTS_FROM_SETTINGS``
-    applied to the ``setting_stacks``.  One contraction of a state against
-    them gives every outcome probability of every setting vector."""
-    return [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in setting_stacks(observables)]
-
-
 def outcome_table(correlators: np.ndarray, parties: int) -> np.ndarray:
-    """Unclamped outcome probabilities of the ``effect_stacks``, indexed
+    """Unclamped outcome probabilities of the effects ``E_{x,a}``, indexed
     ``[..., x_1, ..., x_N, a_1, ..., a_N]`` (settings first, then outcomes)
     and C-contiguous, from correlators ``<S^1_{i_1} ox ... ox S^N_{i_N}>``
     over each party's ``(I, A_0, A_1)``, shape ``(..., 3, ..., 3)`` (any
@@ -283,13 +282,12 @@ def classical_bound(expr: BellExpression) -> float:
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
     """Value ``Tr(B rho)`` of the Bell operator on a state: the
-    ``functional_values`` of ``rho = rho I^dag``, so no D x D operator is
-    formed and the density is not factored."""
+    ``_table_value`` of its density's correlator table, so no D x D
+    operator is formed and the density is not factored."""
     stacks = setting_stacks(observables)
     if tuple(len(s[0]) for s in stacks) != state.dims or len(stacks) != expr.parties:
         raise DimensionMismatchError(f"observables do not match dims {state.dims}, N = {expr.parties}")
-    rho, identity = state.density.reshape(1, -1), np.eye(state.dim).reshape(1, -1)
-    return float(functional_values(rho, identity, state.dims, stacks, [expr.target_outcomes])[0])
+    return _table_value(expr, effect_table(state.density, state.dims, stacks))
 
 
 def sos_terms(expr: BellExpression, observables) -> np.ndarray:

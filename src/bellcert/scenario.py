@@ -14,11 +14,11 @@ Conditioning events follow the two designated first-round input branches:
 The 2^N Bell-branch states and the side-statistics state all condition on
 fixed first-round settings, so ``run_scenario`` builds their factors as one
 stack (``quantum.post_measurement_states``); no branch forms its density
-matrix.  It computes what the chain reads: the first-round table ``p1``
-(one contraction of the source, gated) and the event probabilities read
-off it, the Bell values from the N terms of ``bell.bell_terms`` (the t1
-value of the source's density, each branch's from its factor at its own
-target), and the side statistics, one-party values.  The record holds no
+matrix.  From one set of setting stacks per round it computes what the
+chain reads.  One contraction of the source gives its correlator table:
+the first-round table ``p1`` (gated), the event probabilities and the t1
+Bell value.  Each branch's Bell value comes from its factor at its own
+target, and the side statistics are one-party values.  The record holds no
 second-round tables: ``second_round_tables`` builds and gates ``p2`` from
 its branch states, which ``simulate`` does to write the record and
 ``certify`` never does.
@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import (
+    _EFFECTS_FROM_SETTINGS,
     BellExpression,
-    effect_stacks,
+    _table_value,
     extra_statistics,
     functional_values,
     outcome_table,
-    quantum_value,
     setting_stacks,
 )
 from .linalg import (
@@ -199,12 +199,6 @@ def _gate(tables: np.ndarray, n: int, events) -> None:
     raise ValueError(f"conditional distribution for event {events[index[0]]}, inputs {index[1:]} {problem}")
 
 
-def _outcome_tables(rho, dims: tuple[int, ...], observables) -> np.ndarray:
-    """Clamped outcome tables of a density matrix or a stack of states."""
-    correlators = effect_table(rho, dims, setting_stacks(observables))
-    return clamp_probabilities(outcome_table(correlators, len(dims)))
-
-
 def second_round_tables(record: CorrelationRecord, observables_t2) -> np.ndarray:
     """The second-round tables ``p2`` of ``record``: ``p2[e][x2]`` is the
     outcome distribution for inputs ``x2`` after ``record.events[e]``,
@@ -215,7 +209,8 @@ def second_round_tables(record: CorrelationRecord, observables_t2) -> np.ndarray
     states = record.conditional_states
     if not states:
         raise ValueError("a record without conditional states has no second-round tables")
-    p2 = _outcome_tables(states, states[0].dims, observables_t2)
+    correlators = effect_table(states, states[0].dims, setting_stacks(observables_t2))
+    p2 = clamp_probabilities(outcome_table(correlators, record.parties))
     _gate(p2, record.parties, record.events)
     return p2
 
@@ -278,16 +273,19 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     _check_projective(strategy.observables_t1, CERT_TOL, "first-round")
     source, dims_out = strategy.source_state, strategy.interaction.dims_out
 
-    p1 = _outcome_tables(source.density, source.dims, strategy.observables_t1)
-    t1_value = quantum_value(source, strategy.observables_t1, BellExpression(n, (0,) * n))
+    # One correlator table of the source gives p1 and the t1 Bell value.
+    stacks_t1 = setting_stacks(strategy.observables_t1)
+    correlators = effect_table(source.density, source.dims, stacks_t1)
+    p1 = clamp_probabilities(outcome_table(correlators, n))
+    t1_value = _table_value(BellExpression(n, (0,) * n), correlators)
 
     # The conditioning events with non-vanishing probability: the Bell
     # branch's outcome vectors in order, then the side-statistics event.
     x_bell, x_extra = bell_branch_settings(n), extra_branch_settings(n)
     events = [(x_bell, a) for a in itertools.product((0, 1), repeat=n)]
     events = [(x, a) for x, a in events + [(x_extra, (0,) * n)] if p1[x + a] > ZERO_PROB]
-    effects_t1 = effect_stacks(strategy.observables_t1)
-    projectors = [effects_t1[k][[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
+    rows = [_EFFECTS_FROM_SETTINGS[[2 * x[k] + a[k] for x, a in events]] for k in range(n)]
+    projectors = [np.tensordot(r, s, 1) for r, s in zip(rows, stacks_t1)]
     branches = post_measurement_states(source, projectors, strategy.interaction)
 
     # Each Bell branch's value from its factor, at its own target, a chunk

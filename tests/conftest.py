@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bellcert.bell import effect_stacks, outcome_table, setting_stacks
+from bellcert.bell import _EFFECTS_FROM_SETTINGS, outcome_table, setting_stacks
 from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
 from bellcert.linalg import CERT_TOL, DimensionMismatchError
 from bellcert.quantum import (
@@ -152,8 +152,8 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
     rng = np.random.default_rng(seed)
     mismatches = 0
     outcome_list = list(itertools.product((0, 1), repeat=n))
-    effects = effect_stacks(strategy.observables_t1)
     settings_t1 = setting_stacks(strategy.observables_t1)
+    effects = [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in settings_t1]
 
     def tables(state):
         correlators = effect_table(state.density, state.dims, settings_t1)

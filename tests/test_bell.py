@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from bellcert import bell
 from bellcert.bell import (
     BellExpression,
+    _table_value,
     bell_coefficients,
     bell_operators,
     bell_terms,
@@ -13,14 +15,17 @@ from bellcert.bell import (
     classical_bound,
     extra_statistics,
     quantum_value,
+    setting_stacks,
     sos_residual,
     sos_terms,
 )
 from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
 from bellcert.quantum import (
     QuantumState,
+    effect_table,
     post_measurement_states,
     pure_state,
+    random_density,
     white_noise_mix,
 )
 from bellcert.reference import ghz_like_vector, target_observables
@@ -221,6 +226,20 @@ class TestQuantumValue:
         state = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
         assert abs(quantum_value(state, target_observables(2), expr) - 1.0) < 1e-12
 
+    def test_value_is_the_gathered_correlator_table(self, monkeypatch):
+        # A density's value is read off its correlator table; the term
+        # kernel, which reads factors, is not involved.
+        rng = np.random.default_rng(15)
+        dims = (2, 3, 2)
+        obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
+        state = random_density(dims, rng)
+        monkeypatch.setattr(bell, "functional_values", None)
+        expr = BellExpression(3, (1, 0, 1))
+        table = effect_table(state.density, dims, setting_stacks(obs))
+        assert quantum_value(state, obs, expr) == _table_value(expr, table)
+        dense = np.real(np.trace(build_bell_operator(expr, obs) @ state.density))
+        assert abs(quantum_value(state, obs, expr) - dense) <= 1e-13
+
     def test_never_exceeds_quantum_bound(self):
         rng = np.random.default_rng(14)
         for n in (2, 3):
@@ -344,6 +363,15 @@ class TestFunctionalDefinedOnce:
             rest, rows, weights = bell_terms(expr)
             assert np.array_equal(np.stack(np.unravel_index(columns, c.shape[1:]), axis=-1), rest)
             assert np.array_equal(flat[:, columns].T, weights[:, np.newaxis] * rows)
+
+    def test_table_value_reads_the_scattered_coefficients(self):
+        # The gather at the terms' indices is the full contraction of the
+        # coefficient tensor with the table, without forming the tensor.
+        rng = np.random.default_rng(23)
+        for expr in every_expression(range(2, 7)):
+            table = rng.standard_normal((3,) * expr.parties)
+            full = float(np.sum(bell_coefficients(expr) * table))
+            assert abs(_table_value(expr, table) - full) <= 1e-13
 
     def test_sos_terms_match_the_padded_oracle(self):
         rng = np.random.default_rng(21)

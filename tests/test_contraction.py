@@ -11,10 +11,10 @@ import pytest
 
 from bellcert import quantum
 from bellcert.bell import (
+    _EFFECTS_FROM_SETTINGS,
     BellExpression,
     bell_terms,
     build_bell_operator,
-    effect_stacks,
     quantum_value,
     setting_stacks,
 )
@@ -337,7 +337,8 @@ def test_factor_floor_edges_match_dense_formula(edge):
         np.stack([effect(observables_t1[k][x[k]], a[k]) for x, a in pairs]) for k in (0, 1)
     ]
     branches = post_measurement_states(state, projectors, quantum.Interaction(v, dims, dims))
-    tables = effect_table(branches, dims, effect_stacks(observables_t2))
+    effects_t2 = [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in setting_stacks(observables_t2)]
+    tables = effect_table(branches, dims, effects_t2)
     effects = dense_effects(observables_t2)
     for b, (x1, a1) in enumerate(pairs):
         ops = [effect(observables_t1[k][x1[k]], a1[k]) for k in (0, 1)]

@@ -16,7 +16,7 @@ from bellcert.quantum import (
     white_noise_mix,
 )
 from bellcert.reference import reference_strategy
-from bellcert import scenario
+from bellcert import bell, scenario
 from bellcert.scenario import (
     Strategy,
     _check_projective,
@@ -116,6 +116,28 @@ class TestRunScenario:
         monkeypatch.setattr(scenario, "effect_table", counting)
         dataclasses.replace(rec)
         assert calls == []
+
+    def test_one_source_table_and_one_stack_per_round(self, monkeypatch):
+        # p1, the t1 Bell value and the branch projectors all come from one
+        # contraction of the source against one set of t1 setting stacks.
+        strategy = scramble_strategy(reference_strategy(3), (1, 2, 1), seed=7).strategy
+        tables, stacks = [], []
+        effect_table, setting_stacks = scenario.effect_table, bell.setting_stacks
+
+        def counting_table(rho, *args):
+            tables.append(rho)
+            return effect_table(rho, *args)
+
+        def counting_stacks(observables):
+            stacks.append(observables)
+            return setting_stacks(observables)
+
+        for module in (scenario, bell):
+            monkeypatch.setattr(module, "effect_table", counting_table)
+            monkeypatch.setattr(module, "setting_stacks", counting_stacks)
+        run_scenario(strategy)
+        assert len(tables) == 1 and tables[0] is strategy.source_state.density
+        assert [id(o) for o in stacks] == [id(strategy.observables_t1), id(strategy.observables_t2)]
 
     def test_non_projective_first_round_rejected(self, ref2):
         soft = tuple((0.9 * pair[0], pair[1]) for pair in ref2.observables_t1)
