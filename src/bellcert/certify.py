@@ -38,6 +38,7 @@ Verdict semantics:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +224,7 @@ def _to_canonical(
     for f in frames_in:
         t = np.tensordot(t, np.conj(f.matrix), axes=(0, 1))
     t = t.reshape(tuple(d for f in (*frames_out, *frames_in) for d in (2, f.aux_dim)))
-    rows = 2**n * int(np.prod([f.aux_dim for f in frames_out]))
+    rows = 2**n * math.prod(f.aux_dim for f in frames_out)
     return t.transpose(_qubits_first(n)).reshape(rows, -1)
 
 
@@ -242,7 +243,7 @@ def _from_canonical(
         t = np.tensordot(t, np.conj(f.matrix), axes=(0, 0))
     for f in frames_in:
         t = np.tensordot(t, f.matrix, axes=(0, 0))
-    rows = int(np.prod([f.matrix.shape[1] for f in frames_out]))
+    rows = math.prod(f.matrix.shape[1] for f in frames_out)
     return t.reshape(rows, -1)
 
 

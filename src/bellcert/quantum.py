@@ -175,7 +175,7 @@ class QuantumState:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def density(self) -> np.ndarray:
@@ -237,8 +237,8 @@ class Interaction:
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         object.__setattr__(self, "dims_in", tuple(int(d) for d in self.dims_in))
         object.__setattr__(self, "dims_out", tuple(int(d) for d in self.dims_out))
-        d_in = int(np.prod(self.dims_in))
-        d_out = int(np.prod(self.dims_out))
+        d_in = math.prod(self.dims_in)
+        d_out = math.prod(self.dims_out)
         if self.matrix.shape != (d_out, d_in) or d_in != d_out:
             raise DimensionMismatchError(
                 f"interaction shape {self.matrix.shape} does not match dims "
@@ -516,7 +516,7 @@ def random_density(dims: tuple[int, ...], seed, rank: int | None = None) -> Quan
     """Random density matrix of the given rank (full rank by default),
     ``G G^dag / Tr`` for a complex Gaussian ``G``."""
     rng = _rng(seed)
-    d = int(np.prod(tuple(dims)))
+    d = math.prod(dims)
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:
         raise ValueError(f"rank {r} outside [1, {d}]")

@@ -27,6 +27,7 @@ its branch states, which ``simulate`` does to write the record and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,7 +374,7 @@ def scramble_strategy(
     frames_t1, frames_t2 = tuple(frames[:n]), tuple(frames[n:])
 
     xi = random_density(aux_dims, rng, rank=xi_rank)
-    v0 = random_unitary(int(np.prod(aux_dims)), rng)
+    v0 = random_unitary(math.prod(aux_dims), rng)
 
     canonical_state = kron(reference.source_state.density, xi.density)
     source = QuantumState._derived(
