@@ -311,8 +311,8 @@ def cmd_noise_sweep(args) -> int:
             }
         )
     if args.out:
-        out = _out_path(args.out)
-        write_json({"kind": "noise_sweep", "rows": rows}, out)
+        sweep = {"schema_version": SCHEMA_VERSION, "kind": "noise_sweep", "rows": rows}
+        write_json(sweep, _out_path(args.out))
     if args.format == "machine":
         _print_json(rows)
     else:
