@@ -215,6 +215,60 @@ class TestExtractLocalFrame:
             paired_frame(Z, (X + Z) / math.sqrt(2.0), (Z, X))
 
 
+def nearly_anticommuting(seed=364, k=6):
+    """``W``, ``W (Z ox I_k) W^dag`` and ``W (X ox I_k + delta Z ox K)
+    W^dag``, W Haar and K the Hermitian part of a complex Gaussian, with
+    delta putting the anticommutator ``2 delta W (I ox K) W^dag`` at 0.99
+    CERT_TOL.  A seeded search over such pairs found this one: it meets
+    every premise, but the -1 partners ``A_1 v`` of its +1 eigenvectors
+    overlap them by more than CERT_TOL."""
+    rng = np.random.default_rng(seed)
+    w = random_unitary(2 * k, rng)
+    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    kk = (g + dagger(g)) / 2
+    delta = 0.99 * certify.CERT_TOL / np.max(np.abs(2 * w @ kron(np.eye(2), kk) @ dagger(w)))
+    a0 = w @ kron(Z, np.eye(k)) @ dagger(w)
+    a1 = w @ (kron(X, np.eye(k)) + delta * kron(Z, kk)) @ dagger(w)
+    return w, (a0 + dagger(a0)) / 2, (a1 + dagger(a1)) / 2
+
+
+class TestFrameOrthonormality:
+    """The frame's one refusal of a pair that met its premises."""
+
+    LINE = "paired eigenbasis is not orthonormal (defect 1.192e-08)"
+
+    def test_premises_met_and_frame_refused(self):
+        _, a0, a1 = nearly_anticommuting()
+        checks = pair_checks(a0, a1)
+        assert all(c.passed for c in checks)
+        assert abs(checks[2].value - 0.99 * certify.CERT_TOL) <= 1e-15
+        with pytest.raises(FramePremiseError) as refused:
+            single_frame(a0, a1, OTHER_TARGETS)
+        assert str(refused.value) == self.LINE
+
+    def test_chain_refutes_with_the_frame_line(self):
+        # The pair is party 2's at t1 of the N = 2 reference, its auxiliary
+        # space in the maximally mixed state, so every Bell value and side
+        # statistic stays on target and the frame stage decides.
+        ref, (w, a0, a1) = reference_strategy(2), nearly_anticommuting()
+        k = len(w) // 2
+        lift = kron(np.eye(2), w)
+        source = lift @ kron(ref.source_state.density, np.eye(k) / k) @ dagger(lift)
+        t2 = (ref.observables_t2[0], [kron(m, np.eye(k)) for m in ref.observables_t2[1]])
+        v = kron(ref.interaction.matrix, np.eye(k)) @ dagger(lift)
+        strategy = Strategy(
+            source_state=QuantumState(source, (2, 2 * k)),
+            observables_t1=(ref.observables_t1[0], (a0, a1)),
+            observables_t2=t2,
+            interaction=Interaction(v, (2, 2 * k), (2, 2 * k)),
+        )
+        report = run_full_certification(strategy)
+        assert report.verdict == "refuted"
+        assert report.failures == (f"party 2 t1: {self.LINE}",)
+        names = [c.name for c in report.frame_checks]
+        assert names == [f"frame residual party {p}" for p in ("1 t1", "1 t2", "2 t2")]
+
+
 def _frames_of(report):
     t1 = tuple(f for f in report.frames if f.time_slice == 1)
     t2 = tuple(f for f in report.frames if f.time_slice == 2)

@@ -530,6 +530,18 @@ class TestStrictJson:
         assert [v for v in values if v is not None] == [v for v in expected if not math.isnan(v)]
 
 
+def test_simulate_names_a_vanishing_side_event(tmp_path, capsys, ref2):
+    # (cos 0.3 |0> + sin 0.3 |1>) ox |->: the side-statistics event
+    # (settings (1, 1), outcomes (0, 0)) has probability zero.
+    vector = np.kron([math.cos(0.3), math.sin(0.3)], [1.0, -1.0]) / math.sqrt(2.0)
+    rho = np.outer(vector, vector)
+    path = tmp_path / "s.json"
+    save_strategy(dataclasses.replace(ref2, source_state=QuantumState(rho, (2, 2))), path)
+    assert main(["simulate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "side statistics: conditioning event has vanishing probability"
+
+
 class TestEachDocumentBuiltOnce:
     """``--out`` / ``--report`` with machine output writes and prints one
     document, built once."""
@@ -921,6 +933,21 @@ class TestNoiseSweep:
         ends = {len(row) - len(row.lstrip()) + len(row.split()[0]) for row in rows}
         assert len(ends) == 1  # one right-aligned column
 
+    @pytest.mark.parametrize("fmt", ["machine", "human"])
+    def test_sweep_file_has_a_schema_version(self, tmp_path, capsys, fmt):
+        path, out = tmp_path / "ref.json", tmp_path / "sweep.json"
+        main(["make-strategy", str(path), "--parties", "2"])
+        argv = ["noise-sweep", str(path), "--visibilities", "1,0.9", "--out", str(out)]
+        capsys.readouterr()
+        assert main(["--format", fmt, *argv]) == 0
+        printed = capsys.readouterr().out
+        sweep = json.loads(out.read_text())
+        assert list(sweep) == ["schema_version", "kind", "rows"]
+        assert sweep["schema_version"] == SCHEMA_VERSION and sweep["kind"] == "noise_sweep"
+        assert [r["verdict"] for r in sweep["rows"]] == ["certified", "inconclusive"]
+        if fmt == "machine":  # stdout stays the rows alone
+            assert json.loads(printed) == sweep["rows"]
+
     def test_non_projective_first_round_is_a_usage_error(self, tmp_path, capsys, ref2):
         pair = ref2.observables_t1[0]
         scaled = 0.95 * pair[0]
@@ -960,6 +987,17 @@ class TestSeesawCommand:
         saved = json.loads(out.read_text())
         assert saved["kind"] == "bell_strategy"
         assert saved["schema_version"] == SCHEMA_VERSION
+
+    def test_human_output_and_written_file(self, tmp_path, capsys):
+        out = tmp_path / "best.json"
+        assert main(["seesaw", "--parties", "2", "--restarts", "2", "--seed", "3", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "quantum bound: 2"
+        assert [line.split(":")[0] for line in lines[1:3]] == ["  seed 3", "  seed 4"]
+        assert all(line.endswith(" iterations)") for line in lines[1:3])
+        saved = json.loads(out.read_text())
+        assert lines[3] == f"best value: {saved['value']:.12f}"
+        assert lines[4:] == [f"wrote {out}"]
 
     def test_three_party_target(self, capsys):
         assert main(["--format", "machine", "seesaw", "--parties", "3", "--restarts", "5"]) == 0
