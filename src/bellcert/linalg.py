@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # Tolerance regime for double precision at the dimensions handled here
-# (total dimension at most a few hundred):
+# (total dimension up to 1024: N = 5 with auxiliary dimension 2, the seesaw's cap):
 ALGEBRA_TOL = 1e-9  # algebraic identities (hermiticity, unitarity, eigen residuals)
 CERT_TOL = 1e-8  # certification acceptance
 SINGULAR_FLOOR = 1e-12  # entries below this in magnitude count as zero (phase pivot)
