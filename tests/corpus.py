@@ -2,8 +2,9 @@
 
 Each strategy case is built in process (a reference, or a seeded scramble of
 one, optionally under white noise, or a reference whose interaction is
-perturbed or whose source is replaced), written to a file, and run through ``bellcert --format machine
-certify`` (with its options) and ``bellcert --format machine simulate``.  Each seesaw case is a ``bellcert --format machine seesaw`` run.
+perturbed or whose source is replaced), written to a file, and run through
+``bellcert --format machine certify`` (with its options) and ``bellcert
+--format machine simulate``.  Each seesaw case is a ``bellcert --format machine seesaw`` run.
 Per run the corpus keeps the exit code, stderr and failure lines with their
 decimal numbers masked, and every scalar field of the printed JSON.  Matrix
 payloads and probability tables are left out (the unit tests pin those), and
