@@ -954,6 +954,23 @@ class TestFailureLinesPinned:
         report = self.certify(strategy, ("source-state residual 2.500e-07 exceeds 1e-08",))
         assert not report.state_residual.passed
 
+    def test_vanishing_events_before_bell_values(self, ref2):
+        # The product eigenstate of both setting-0 observables: three of the
+        # four Bell-branch events have probability zero.  Their premise lines
+        # come first, then the Bell value the one kept event leaves short.
+        e = [effect(pair[0], 0) for pair in ref2.observables_t1]
+        rho = np.kron(e[0], e[1])
+        source = QuantumState(rho / np.trace(rho), (2, 2))
+        report = run_full_certification(dataclasses.replace(ref2, source_state=source))
+        assert report.verdict == "inconclusive"
+        assert report.failures == (
+            "conditioning event (0, 1) has vanishing probability",
+            "conditioning event (1, 0) has vanishing probability",
+            "conditioning event (1, 1) has vanishing probability",
+            "Bell value at t1: 0.707106781 not within 1e-09 of 2.0",
+        )
+        assert report.state is None and report.frames == ()
+
 
 class TestBranchStatesBuiltOnce:
     """``run_scenario`` builds every conditional state once, as one stack,
