@@ -14,7 +14,9 @@ the module's constants.
 The 2N pairs run as stacks (``quantum._stacked``), one per support or
 compressed dimension, each pair with the bits it gets alone, in chain order.
 
-Verdict semantics:
+Verdict semantics, one rule over the chain's ordered list of failed gates:
+``inconclusive`` if any is a statistical premise, else ``refuted`` if there
+is any, else ``certified``.  The failure lines are that list's, in order.
 
 * ``inconclusive`` - a statistical premise is not met at tolerance (e.g. a
   Bell value short of the quantum bound, a conditioning event of vanishing
@@ -28,8 +30,8 @@ Verdict semantics:
   non-anticommuting certified observables, a frame or state residual, a
   recovered auxiliary block that is not unitary on ``supp(xi)``, or an
   interaction residual ``max|W - U ox V0|`` on ``supp(xi)`` beyond the
-  certification tolerance.  Each premise is checked once and a failing one
-  gives one failure line, in chain order: projectivity, frame construction,
+  certification tolerance.  Each check runs once, and a failing one gives
+  one failure line, in chain order: projectivity, frame construction,
   anticommutation, frame residuals, the source state, the interaction.
 * ``certified`` - everything passes and the recovered auxiliary state is
   comfortably full-rank.
@@ -431,18 +433,23 @@ def run_full_certification(
         "certification": CERT_TOL,
         "xi_eigenvalue_floor": XI_EIG_FLOOR,
     }
-    premise_failures: list[str] = []
-    refutation_failures: list[str] = []
+    failed: list[tuple[bool, str]] = []  # (is a premise, failure line), in chain order
 
-    def report(verdict, **stages):
-        failures = tuple(premise_failures + refutation_failures)
+    def fail(checks, line, premise=False, **fields):
+        """One line from the template ``line`` per failing check."""
+        failed.extend((premise, line.format(c=c, **fields)) for c in checks if not c.passed)
+
+    def report(**stages):
+        premise = any(p for p, _ in failed)
+        verdict = "inconclusive" if premise else "refuted" if failed else "certified"
+        failures = tuple(line for _, line in failed)
         return CertificationReport(verdict, n, failures=failures, tolerances=tolerances, **stages)
 
     try:
         record = run_scenario(strategy)
     except ValueError as exc:
-        premise_failures.append(str(exc))
-        return report("inconclusive")
+        failed.append((True, str(exc)))
+        return report()
 
     beta_q = BellExpression(n, (0,) * n).quantum_bound
     bell_checks = [
@@ -450,67 +457,48 @@ def run_full_certification(
     ]
     for outcomes in itertools.product((0, 1), repeat=n):
         label = f"conditional Bell value, outcomes {''.join(map(str, outcomes))}"
-        if outcomes in record.t2_bell_values:
-            bell_checks.append(
-                CheckResult.close_to(
-                    label, record.t2_bell_values[outcomes], beta_q, max_violation_tol
-                )
-            )
-        else:
-            bell_checks.append(CheckResult(label, float("nan"), max_violation_tol, False))
-            premise_failures.append(f"conditioning event {outcomes} has vanishing probability")
-    premise_failures.extend(
-        f"{c.name}: {c.value:.9f} not within {c.tolerance:g} of {beta_q}"
-        for c in bell_checks
-        if not c.passed and not np.isnan(c.value)
-    )
+        value = record.t2_bell_values.get(outcomes, float("nan"))
+        bell_checks.append(CheckResult.close_to(label, value, beta_q, max_violation_tol))
+        if outcomes not in record.t2_bell_values:
+            failed.append((True, f"conditioning event {outcomes} has vanishing probability"))
+    bell_line = "{c.name}: {c.value:.9f} not within {c.tolerance:g} of {beta_q}"
+    fail([c for c in bell_checks if not np.isnan(c.value)], bell_line, True, beta_q=beta_q)
 
-    extra_checks: list[CheckResult] = []
+    extra_checks = [
+        CheckResult.close_to(label, value, target, max_violation_tol)
+        for label, value, target in record.extra_stats or ()
+    ]
     if record.extra_stats is None:
-        premise_failures.append("side-statistics conditioning event has vanishing probability")
-    else:
-        for label, value, target in record.extra_stats:
-            extra_checks.append(CheckResult.close_to(label, value, target, max_violation_tol))
-        refutation_failures.extend(
-            f"side statistic '{c.name}': {c.value:.9f} not within {c.tolerance:g} of target"
-            for c in extra_checks
-            if not c.passed
-        )
+        failed.append((True, "side-statistics conditioning event has vanishing probability"))
+    side_line = "side statistic '{c.name}': {c.value:.9f} not within {c.tolerance:g} of target"
+    fail(extra_checks, side_line)
     stages = {"bell_checks": tuple(bell_checks), "extra_stat_checks": tuple(extra_checks)}
 
-    if premise_failures:
-        return report("inconclusive", **stages)
+    if any(p for p, _ in failed):  # a premise failed: the statistics say nothing
+        return report(**stages)
 
     # One set of premise checks, and one frame residual, per party and round.
     # A pair whose projectivity or anticommutation check failed gets no frame;
-    # its failing check is the one line that reports it.
+    # its failing check is the one line that reports it, as a refused frame's
+    # error is: so every missing frame leaves a refutation line.
     pairs = _compressed_pairs(strategy, _compute_supports(strategy, record))
     good = [pair for pair in pairs if all(c.passed for c in pair[4])]
     projectivity = [c for *_, checks in pairs for c in checks[:2]]
     anticomm_checks = [checks[2] for *_, checks in pairs]
-    frame_checks, frame_errors, frames = [], [], {}
+    fail(projectivity, "{c.name}: defect {c.value:.3e} exceeds {c.tolerance:g}")
+    frame_checks, frames = [], {}
     built = _frames([pair[3] for pair in good], [pair[0] for pair in good], n)
     for (party, time_slice, s, *_), result in zip(good, built):
         label = f"party {party + 1} t{time_slice}"
         if isinstance(result, FramePremiseError):
-            frame_errors.append(f"{label}: {result}")
+            failed.append((False, f"{label}: {result}"))
             continue
         u, resid = result
         check = CheckResult.below(f"frame residual {label}", resid, CERT_TOL)
         frame_checks.append(check)
         if check.passed:
             frames[(party, time_slice)] = LocalFrame(party, time_slice, u @ dagger(s))
-    refutation_failures.extend(
-        f"{c.name}: defect {c.value:.3e} exceeds {c.tolerance:g}"
-        for c in projectivity
-        if not c.passed
-    )
-    refutation_failures.extend(frame_errors)
-    refutation_failures.extend(
-        f"{c.name}: {c.value:.3e} exceeds {c.tolerance:g}"
-        for c in (*anticomm_checks, *frame_checks)
-        if not c.passed
-    )
+    fail((*anticomm_checks, *frame_checks), "{c.name}: {c.value:.3e} exceeds {c.tolerance:g}")
     stages.update(
         projectivity_checks=tuple(projectivity),
         anticommutation_checks=tuple(anticomm_checks),
@@ -519,36 +507,27 @@ def run_full_certification(
     )
 
     if len(frames) != 2 * n:
-        return report("refuted", **stages)
+        return report(**stages)
 
     frames_t1 = tuple(frames[(p, 1)] for p in range(n))
     frames_t2 = tuple(frames[(p, 2)] for p in range(n))
     state_cert = certify_source_state(strategy.source_state, frames_t1)
     state_check = CheckResult.below("source-state residual", state_cert.residual, CERT_TOL)
-    if not state_check.passed:  # a NaN residual fails too
-        refutation_failures.append(
-            f"{state_check.name} {state_check.value:.3e} exceeds {state_check.tolerance:g}"
-        )
+    fail([state_check], "{c.name} {c.value:.3e} exceeds {c.tolerance:g}")  # NaN fails too
 
     inter_cert = certify_interaction(
         strategy.interaction.matrix, frames_t1, frames_t2, state_cert.support
     )
-    refutation_failures.extend(inter_cert.failures)
+    failed.extend((False, line) for line in inter_cert.failures)
 
-    if refutation_failures:
-        verdict = "refuted"
-    elif state_cert.min_eigenvalue <= XI_EIG_FLOOR:
+    if not failed and state_cert.min_eigenvalue <= XI_EIG_FLOOR:
         # The support reads the same eigenvalues, and XI_EIG_FLOOR >=
         # SUPPORT_CUTOFF: so an xi above the floor has full support, and no
         # certified verdict rests on a support that dropped a direction.
-        premise_failures.append(
+        line = (
             f"recovered auxiliary state has minimum eigenvalue "
             f"{state_cert.min_eigenvalue:.3e} <= {XI_EIG_FLOOR:g}; the "
             f"block-proportionality argument assumes a full-rank auxiliary state"
         )
-        verdict = "inconclusive"
-    else:
-        verdict = "certified"
-    return report(
-        verdict, state=state_cert, state_residual=state_check, interaction=inter_cert, **stages
-    )
+        failed.append((True, line))
+    return report(state=state_cert, state_residual=state_check, interaction=inter_cert, **stages)
