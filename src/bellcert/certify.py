@@ -435,9 +435,9 @@ def run_full_certification(
     }
     failed: list[tuple[bool, str]] = []  # (is a premise, failure line), in chain order
 
-    def fail(checks, line, premise=False, **fields):
-        """One line from the template ``line`` per failing check."""
-        failed.extend((premise, line.format(c=c, **fields)) for c in checks if not c.passed)
+    def fail(checks, line, premise=False):
+        """One line from the template ``line`` per failing check ``c``."""
+        failed.extend((premise, line.format(c=c)) for c in checks if not c.passed)
 
     def report(**stages):
         premise = any(p for p, _ in failed)
@@ -461,8 +461,8 @@ def run_full_certification(
         bell_checks.append(CheckResult.close_to(label, value, beta_q, max_violation_tol))
         if outcomes not in record.t2_bell_values:
             failed.append((True, f"conditioning event {outcomes} has vanishing probability"))
-    bell_line = "{c.name}: {c.value:.9f} not within {c.tolerance:g} of {beta_q}"
-    fail([c for c in bell_checks if not np.isnan(c.value)], bell_line, True, beta_q=beta_q)
+    bell_line = "{c.name}: {c.value:.9f} not within {c.tolerance:g} of " + f"{beta_q}"
+    fail([c for c in bell_checks if not np.isnan(c.value)], bell_line, premise=True)
 
     extra_checks = [
         CheckResult.close_to(label, value, target, max_violation_tol)
@@ -479,8 +479,9 @@ def run_full_certification(
 
     # One set of premise checks, and one frame residual, per party and round.
     # A pair whose projectivity or anticommutation check failed gets no frame;
-    # its failing check is the one line that reports it, as a refused frame's
-    # error is: so every missing frame leaves a refutation line.
+    # its failing check is the one line that reports it.  A refused frame and
+    # a frame residual past tolerance give a line too, so every missing frame
+    # leaves a refutation line.
     pairs = _compressed_pairs(strategy, _compute_supports(strategy, record))
     good = [pair for pair in pairs if all(c.passed for c in pair[4])]
     projectivity = [c for *_, checks in pairs for c in checks[:2]]
