@@ -3,10 +3,8 @@ entangling interaction between the rounds from its statistics."""
 
 from .bell import (
     BellExpression,
-    build_bell_operator,
     classical_bound,
     quantum_value,
-    sos_residual,
 )
 from .certify import (
     CertificationReport,

@@ -1,4 +1,4 @@
-"""Bell functionals for the two-time scenario: operators, bounds, SOS data.
+"""Bell functionals for the two-time scenario: terms, values, operators, bounds.
 
 The family treated here is indexed by a target outcome vector ``a`` of N
 bits.  Party 1 enters through the rotated combinations
@@ -23,9 +23,12 @@ for ``quantum_value`` and ``scenario.run_scenario``).  A branch factor's,
 and the seesaw's, come from the Bell-term kernel (``term_vectors``, read
 off by ``functional_values``), which applies factors with ``_apply``.
 Side statistics are one-party values (``extra_statistics``).  Scattered,
-the terms give the coefficient tensor ``C`` (``bell_coefficients``) of the
-seesaw's Bell operators and of ``classical_bound``; one at a time, the SOS
-witnesses ``X_g`` of ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2`` (``sos_terms``).
+the terms give the coefficient tensor ``C`` (``bell_coefficients``) of
+``classical_bound`` and of the seesaw's Bell operators (``bell_operators``,
+the one D x D Bell operator the package builds).  Each term also names a
+sum-of-squares witness ``X_g = u_g . S^1 - S^2_{j_2} ox ... ox S^N_{j_N}``:
+for +/-1 observables ``2 (2 (N-1) I - B_a) = sum_g c_g X_g^2``, whence the
+quantum bound.
 ``_EFFECTS_FROM_SETTINGS``, ``E_{x,a} = (I + (-1)^a A_x) / 2``, turns the
 correlators into outcome probabilities (``outcome_table``).
 """
@@ -37,13 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, herm_part, max_abs
+from .linalg import DimensionMismatchError, dagger
 from .quantum import QuantumState, _apply, _grouped, _party_rows, effect_table, mixture_marginals
 
 __all__ = [
     "MAX_ENUMERATION_PARTIES",
     "BellExpression",
-    "SOSWitness",
     "bell_terms",
     "bell_coefficients",
     "setting_stacks",
@@ -51,11 +53,8 @@ __all__ = [
     "term_vectors",
     "functional_values",
     "bell_operators",
-    "build_bell_operator",
     "classical_bound",
     "quantum_value",
-    "sos_terms",
-    "sos_residual",
     "extra_statistics",
 ]
 
@@ -253,13 +252,6 @@ def bell_operators(coefficients: np.ndarray, stacks, out: np.ndarray | None = No
     return out
 
 
-def build_bell_operator(expr: BellExpression, observables) -> np.ndarray:
-    """Bell operator for ``expr`` built from per-party (setting-0, setting-1)
-    observable pairs."""
-    op = bell_operators(bell_coefficients(expr), setting_stacks(observables))
-    return herm_part(op)
-
-
 def classical_bound(expr: BellExpression) -> float:
     """Maximum of the functional over all deterministic +/-1 assignments to
     every observable symbol (exhaustive, exact up to floating arithmetic):
@@ -288,58 +280,6 @@ def quantum_value(state: QuantumState, observables, expr: BellExpression) -> flo
     if tuple(len(s[0]) for s in stacks) != state.dims or len(stacks) != expr.parties:
         raise DimensionMismatchError(f"observables do not match dims {state.dims}, N = {expr.parties}")
     return _table_value(expr, effect_table(state.density, state.dims, stacks))
-
-
-def sos_terms(expr: BellExpression, observables) -> np.ndarray:
-    """The witnesses ``X_g = u_g . S^1 - S^2_{j_2} ox ... ox S^N_{j_N}`` of
-    the ``bell_terms``, shape ``(N, D, D)`` in their order:
-
-        Q_n = (-1)^{a_1 + a_n} T0 - A_{n,0}          (n = N, ..., 2)
-        P   = (-1)^{a_1} T1 - A_{2,1} ox ... ox A_{N,1}
-
-    each padded with identities to the full space: the Bell-term kernel
-    applied to the rows of the identity gives the transpose of each.
-    """
-    rest, rows, _ = bell_terms(expr)
-    stacks = setting_stacks(observables)
-    dims = tuple(len(s[0]) for s in stacks)
-    eye = np.eye(math.prod(dims), dtype=complex)
-    first = np.tensordot(rows, stacks[0], 1)
-    terms = zip(first, term_vectors(eye, dims, rest, stacks))
-    return np.stack([(_apply(u, eye, dims, 0) - v).T for u, v in terms])
-
-
-@dataclass(frozen=True, eq=False)
-class SOSWitness:
-    """Residual of the sum-of-squares identity
-
-        R = 2 [beta_Q I - B] - sum_g c_g X_g^2
-
-    over the ``bell_terms`` weights ``c_g`` and ``sos_terms`` witnesses
-    ``X_g``, that is ``(N-1) P^2 + sum_n Q_n^2``.
-
-    ``residual_norm`` is the max-norm of R (zero exactly when every
-    observable squares to the identity); ``min_eigenvalue`` certifies that R
-    stays positive semidefinite for contractive observables.
-    """
-
-    residual_norm: float
-    min_eigenvalue: float
-    is_exact_identity: bool
-
-
-def sos_residual(expr: BellExpression, observables) -> SOSWitness:
-    """Evaluate the SOS identity residual for the given observables; the
-    identity counts as exact when the residual is below ``ALGEBRA_TOL``."""
-    op = build_bell_operator(expr, observables)
-    witnesses = sos_terms(expr, observables)
-    squares = np.tensordot(bell_terms(expr)[2], witnesses @ witnesses, 1)
-    r = 2.0 * (expr.quantum_bound * np.eye(op.shape[0]) - op) - squares
-    norm = max_abs(r)
-    min_eig = float(np.min(np.linalg.eigvalsh(herm_part(r))))
-    return SOSWitness(
-        residual_norm=norm, min_eigenvalue=min_eig, is_exact_identity=bool(norm < ALGEBRA_TOL)
-    )
 
 
 def extra_statistics(state: QuantumState, observables) -> tuple[tuple[str, float, float], ...]:

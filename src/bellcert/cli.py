@@ -113,7 +113,7 @@ def _out_path(name: str | os.PathLike) -> Path:
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise SystemExit(_usage_error(f"{what}: expected comma-separated integers, got {text!r}"))
 
@@ -289,10 +289,10 @@ def cmd_noise_sweep(args) -> int:
     _check_tolerance(args.tolerance, "noise-sweep")
     strategy, _ = _load(args.strategy, "noise-sweep")
     try:
-        visibilities = [float(v) for v in args.visibilities.split(",") if v.strip() != ""]
+        visibilities = [float(v) for v in args.visibilities.split(",")]
     except ValueError:
         return _usage_error(f"--visibilities: expected comma-separated floats, got {args.visibilities!r}")
-    if not visibilities or any(not 0.0 <= v <= 1.0 for v in visibilities):
+    if any(not 0.0 <= v <= 1.0 for v in visibilities):
         return _usage_error("--visibilities: every value must lie in [0, 1]")
     rows = []
     for v in visibilities:

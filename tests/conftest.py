@@ -7,7 +7,7 @@ import pytest
 
 from bellcert.bell import _EFFECTS_FROM_SETTINGS, outcome_table, setting_stacks
 from bellcert.certify import MAX_VIOLATION_TOL, CheckResult
-from bellcert.linalg import CERT_TOL, DimensionMismatchError
+from bellcert.linalg import CERT_TOL, DimensionMismatchError, kron
 from bellcert.quantum import (
     Interaction,
     QuantumState,
@@ -86,6 +86,75 @@ def partial_trace(m, dims, keep):
 def tilde_observables(a0, a1):
     """Party 1's rotated pair ``((A0 - A1) / sqrt(2), (A0 + A1) / sqrt(2))``."""
     return (a0 - a1) / math.sqrt(2.0), (a0 + a1) / math.sqrt(2.0)
+
+
+def padded_kron(observables, factors):
+    """``ox_k factors[k]`` over the parties of ``observables``, with the
+    identity for every party that ``factors`` leaves out."""
+    return kron(*[factors.get(k, np.eye(len(o[0]))) for k, o in enumerate(observables)])
+
+
+def dense_bell_operator(expr, observables):
+    """Oracle: the functional as padded Kronecker products of T0 and T1."""
+    n, a = expr.parties, expr.target_outcomes
+    t0, t1 = tilde_observables(*observables[0])
+    settings_1 = {k: observables[k][1] for k in range(1, n)}
+    op = (n - 1) * padded_kron(observables, {0: t1, **settings_1})
+    for k in range(1, n):
+        op = op + (-1.0) ** a[k] * padded_kron(observables, {0: t0, k: observables[k][0]})
+    return (-1.0) ** a[0] * op
+
+
+def dense_effective_operator(expr, observables, rho, party, setting):
+    """Oracle: ``Tr_{not party}[(B's terms holding A_{party,setting}, with that
+    factor replaced by I) rho]``, one Kronecker product and partial trace per term."""
+    n = expr.parties
+    dims = [o[0].shape[0] for o in observables]
+    a = expr.target_outcomes
+    s1 = (-1.0) ** a[0]
+    terms = [(s1 * (n - 1) / np.sqrt(2.0), {0: j, **{m: 1 for m in range(1, n)}}) for j in (0, 1)]
+    for m in range(1, n):
+        sm = s1 * (-1.0) ** a[m] / np.sqrt(2.0)
+        terms += [(sm, {0: 0, m: 0}), (-sm, {0: 1, m: 0})]
+    eff = np.zeros((dims[party],) * 2, dtype=complex)
+    for coeff, slots in terms:
+        if slots.get(party) != setting:
+            continue
+        factors = {p: observables[p][k] for p, k in slots.items() if p != party}
+        eff += coeff * partial_trace(padded_kron(observables, factors) @ rho, dims, party)
+    return (eff + dag(eff)) / 2.0
+
+
+def padded_sos_terms(expr, observables):
+    """Oracle: the witnesses ``Q_N, ..., Q_2, P`` as padded Kronecker products:
+
+        Q_n = (-1)^{a_1 + a_n} T0 - A_{n,0}          (n = N, ..., 2)
+        P   = (-1)^{a_1} T1 - A_{2,1} ox ... ox A_{N,1}
+    """
+    n, a = expr.parties, expr.target_outcomes
+    t0, t1 = tilde_observables(*observables[0])
+    q = [
+        (-1.0) ** (a[0] + a[m]) * padded_kron(observables, {0: t0})
+        - padded_kron(observables, {m: observables[m][0]})
+        for m in range(n - 1, 0, -1)
+    ]
+    settings_1 = padded_kron(observables, {m: observables[m][1] for m in range(1, n)})
+    return np.stack(q + [(-1.0) ** a[0] * padded_kron(observables, {0: t1}) - settings_1])
+
+
+def sos_residual(expr, observables, operator=None, weights=None):
+    """Residual ``R = 2 (beta_Q I - B) - sum_g c_g X_g^2`` of the sum-of-squares
+    identity over the ``padded_sos_terms`` witnesses ``X_g``.  ``B`` is
+    ``operator``, by default ``dense_bell_operator``; the weights ``c_g`` are
+    1 for each ``Q_n`` and N - 1 for ``P`` unless given.  ``R`` vanishes when
+    every observable squares to the identity and stays positive semidefinite
+    for contractive observables."""
+    n = expr.parties
+    op = dense_bell_operator(expr, observables) if operator is None else operator
+    c = np.array([1.0] * (n - 1) + [n - 1.0]) if weights is None else weights
+    witnesses = padded_sos_terms(expr, observables)
+    squares = np.tensordot(c, witnesses @ witnesses, 1)
+    return 2.0 * (expr.quantum_bound * np.eye(len(op)) - op) - squares
 
 
 def vector_block(m, out_vec, in_vec):

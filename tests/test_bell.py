@@ -11,15 +11,14 @@ from bellcert.bell import (
     bell_coefficients,
     bell_operators,
     bell_terms,
-    build_bell_operator,
     classical_bound,
     extra_statistics,
     quantum_value,
     setting_stacks,
-    sos_residual,
-    sos_terms,
+    term_vectors,
 )
-from bellcert.linalg import DimensionMismatchError, dagger, kron, max_abs
+from bellcert.linalg import ALGEBRA_TOL, DimensionMismatchError, dagger, kron, max_abs
+from bellcert.quantum import _apply
 from bellcert.quantum import (
     QuantumState,
     effect_table,
@@ -37,9 +36,12 @@ from conftest import (
     Z,
     bitmask_classical_bound,
     brute_force_classical_bound,
+    dense_bell_operator,
     effect,
     on_target,
+    padded_sos_terms,
     projective_observable,
+    sos_residual,
     tilde_observables,
 )
 
@@ -81,7 +83,7 @@ class TestTildeObservables:
 class TestBellOperator:
     def test_reference_two_party_form(self):
         expr = BellExpression(2, (0, 0))
-        op = build_bell_operator(expr, target_observables(2))
+        op = bell_operators(bell_coefficients(expr), setting_stacks(target_observables(2)))
         assert max_abs(op - (kron(X, X) + kron(Z, Z))) < 1e-12
 
     def test_reference_value_two_parties(self):
@@ -237,7 +239,7 @@ class TestQuantumValue:
         expr = BellExpression(3, (1, 0, 1))
         table = effect_table(state.density, dims, setting_stacks(obs))
         assert quantum_value(state, obs, expr) == _table_value(expr, table)
-        dense = np.real(np.trace(build_bell_operator(expr, obs) @ state.density))
+        dense = np.real(np.trace(dense_bell_operator(expr, obs) @ state.density))
         assert abs(quantum_value(state, obs, expr) - dense) <= 1e-13
 
     def test_never_exceeds_quantum_bound(self):
@@ -250,16 +252,15 @@ class TestQuantumValue:
                     (projective_observable(2, rng), projective_observable(2, rng))
                     for _ in range(n)
                 ]
-                top = float(np.max(np.linalg.eigvalsh(build_bell_operator(expr, obs))))
+                top = float(np.max(np.linalg.eigvalsh(dense_bell_operator(expr, obs))))
                 assert top <= expr.quantum_bound + 1e-9
 
 
 class TestSOS:
     def test_reference_identity_is_exact(self):
         for n in (2, 3):
-            wit = sos_residual(BellExpression(n, (0,) * n), target_observables(n))
-            assert wit.is_exact_identity
-            assert wit.residual_norm < 1e-12
+            residual = sos_residual(BellExpression(n, (0,) * n), target_observables(n))
+            assert max_abs(residual) < 1e-12
 
     def test_exact_for_random_projective_strategies(self):
         rng = np.random.default_rng(15)
@@ -268,23 +269,22 @@ class TestSOS:
                 (projective_observable(2, rng), projective_observable(2, rng))
                 for _ in range(2)
             ]
-            wit = sos_residual(BellExpression(2, (0, 1)), obs)
-            assert wit.is_exact_identity, wit.residual_norm
+            residual = sos_residual(BellExpression(2, (0, 1)), obs)
+            assert max_abs(residual) < ALGEBRA_TOL, max_abs(residual)
 
     def test_contracted_observable_breaks_identity_but_stays_psd(self):
         obs = target_observables(2)
         shrunk = [(0.9 * obs[0][0], obs[0][1]), obs[1]]
-        wit = sos_residual(BellExpression(2, (0, 0)), shrunk)
-        assert not wit.is_exact_identity
-        assert wit.residual_norm > 1e-3
-        assert wit.min_eigenvalue > -1e-9
+        residual = sos_residual(BellExpression(2, (0, 0)), shrunk)
+        assert max_abs(residual) > 1e-3
+        assert np.min(np.linalg.eigvalsh(residual)) > -1e-9
 
 
 def mean_squares(state, observables, expr):
-    """``Tr(X^dag X rho)`` of each ``sos_terms`` witness, in their order
-    ``Q_N, ..., Q_2, P``; all vanish exactly when the strategy attains the
-    quantum bound."""
-    witnesses = sos_terms(expr, observables)
+    """``Tr(X^dag X rho)`` of each ``padded_sos_terms`` witness, in their
+    order ``Q_N, ..., Q_2, P``; all vanish exactly when the strategy attains
+    the quantum bound."""
+    witnesses = padded_sos_terms(expr, observables)
     return [float(np.real(np.trace(dagger(x) @ x @ state.density))) for x in witnesses]
 
 
@@ -329,23 +329,6 @@ def loop_coefficients(expr):
     return c
 
 
-def padded_sos_terms(expr, observables):
-    """Oracle: the witnesses ``Q_N, ..., Q_2, P`` as padded Kronecker products."""
-    n, a = expr.parties, expr.target_outcomes
-    dims = [o[0].shape[0] for o in observables]
-    t0, t1 = tilde_observables(*observables[0])
-
-    def padded(factors):
-        return kron(*[factors.get(k, np.eye(dims[k])) for k in range(n)])
-
-    q = [
-        (-1.0) ** (a[0] + a[m]) * padded({0: t0}) - padded({m: observables[m][0]})
-        for m in range(n - 1, 0, -1)
-    ]
-    p = (-1.0) ** a[0] * padded({0: t1}) - padded({m: observables[m][1] for m in range(1, n)})
-    return np.stack(q + [p])
-
-
 class TestFunctionalDefinedOnce:
     """``bell_terms`` is the one definition of the functional: the
     coefficient tensor, its term groups and the SOS witnesses all agree
@@ -374,17 +357,27 @@ class TestFunctionalDefinedOnce:
             assert abs(_table_value(expr, table) - full) <= 1e-13
 
     def test_sos_terms_match_the_padded_oracle(self):
+        # The Bell-term kernel applied to the rows of the identity gives the
+        # transpose of each term's product; party 1's row is applied alone.
         rng = np.random.default_rng(21)
         for expr in every_expression(range(2, 7)):
             dims = (2, 3, 2, 2, 2, 2)[: expr.parties]
             obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
-            assert max_abs(sos_terms(expr, obs) - padded_sos_terms(expr, obs)) <= 1e-15
+            rest, rows, _ = bell_terms(expr)
+            stacks = setting_stacks(obs)
+            eye = np.eye(math.prod(dims), dtype=complex)
+            terms = zip(np.tensordot(rows, stacks[0], 1), term_vectors(eye, dims, rest, stacks))
+            witnesses = np.stack([(_apply(u, eye, dims, 0) - v).T for u, v in terms])
+            assert max_abs(witnesses - padded_sos_terms(expr, obs)) <= 1e-15
 
     def test_sos_identity_exact_at_unequal_dims(self):
+        # On the operator the seesaw builds, with the ``bell_terms`` weights.
         rng = np.random.default_rng(22)
         for expr in every_expression([3]):
             obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in (2, 3, 4)]
-            assert sos_residual(expr, obs).is_exact_identity
+            operator = bell_operators(bell_coefficients(expr), setting_stacks(obs))
+            residual = sos_residual(expr, obs, operator, bell_terms(expr)[2])
+            assert max_abs(residual) < ALGEBRA_TOL
 
 
 class TestExtraStatistics:

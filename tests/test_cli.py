@@ -722,6 +722,27 @@ def test_negative_seed_is_named(tmp_path, capsys, monkeypatch, argv, seed):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["make-strategy", "s.json", "--parties", "2", "--scramble"], "--aux-dims", "1,,1"),
+        (["seesaw", "--parties", "2"], "--dims", "2,,2"),
+        (["noise-sweep", "ref.json"], "--visibilities", "1,,0.9,"),
+    ],
+    ids=["aux-dims", "dims", "visibilities"],
+)
+def test_empty_list_field_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, option, text):
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-strategy", "ref.json", "--parties", "2"]) == 0
+    capsys.readouterr()
+    assert main([*argv, option, text]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith(f"error: {option}: expected comma-separated") and line.endswith(f"got {text!r}")
+    assert not (tmp_path / "s.json").exists()
+
+
 class TestValidationAtTheBoundary:
     def test_certify_runs_two_eigensolves(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s.json"

@@ -1,7 +1,8 @@
 """The local-operator contraction against the dense Kronecker formulas it
-replaced, which are kept here as the oracle: Born probabilities, branch
-states (``Pi rho Pi^dag / p``, then ``V sigma V^dag``, against the branch
-factors), Bell values, and the seesaw's effective operators."""
+replaced, which are kept as the oracle (here, and in ``conftest`` for the
+Bell and effective operators): Born probabilities, branch states (``Pi rho
+Pi^dag / p``, then ``V sigma V^dag``, against the branch factors), Bell
+values, and the seesaw's effective operators."""
 
 import dataclasses
 import itertools
@@ -13,8 +14,9 @@ from bellcert import quantum
 from bellcert.bell import (
     _EFFECTS_FROM_SETTINGS,
     BellExpression,
+    bell_coefficients,
+    bell_operators,
     bell_terms,
-    build_bell_operator,
     quantum_value,
     setting_stacks,
 )
@@ -42,9 +44,10 @@ from bellcert.scenario import (
 from bellcert.seesaw import _effective_operators, _strategy_value
 
 from conftest import (
+    dense_bell_operator,
+    dense_effective_operator,
     effect,
     identity_interaction,
-    partial_trace,
     projective_observable,
     tilde_observables,
 )
@@ -349,45 +352,6 @@ def test_factor_floor_edges_match_dense_formula(edge):
                 assert abs(got - probs[a2]) <= 1e-12
 
 
-def dense_bell_operator(expr, observables):
-    """Oracle: the functional as padded Kronecker products of T0 and T1."""
-    n = expr.parties
-    dims = [o[0].shape[0] for o in observables]
-    a = expr.target_outcomes
-    t0, t1 = tilde_observables(*observables[0])
-
-    def padded(factors):
-        return kron(*[factors.get(k, np.eye(dims[k])) for k in range(n)])
-
-    op = (n - 1) * padded({0: t1, **{k: observables[k][1] for k in range(1, n)}})
-    for k in range(1, n):
-        op = op + (-1.0) ** a[k] * padded({0: t0, k: observables[k][0]})
-    return (-1.0) ** a[0] * op
-
-
-def dense_effective_operator(expr, observables, rho, party, setting):
-    """Oracle: ``Tr_{not party}[(B's terms holding A_{party,setting}, with that
-    factor replaced by I) rho]``, one Kronecker product and partial trace per term."""
-    n = expr.parties
-    dims = [o[0].shape[0] for o in observables]
-    a = expr.target_outcomes
-    s1 = (-1.0) ** a[0]
-    terms = [(s1 * (n - 1) / np.sqrt(2.0), {0: j, **{m: 1 for m in range(1, n)}}) for j in (0, 1)]
-    for m in range(1, n):
-        sm = s1 * (-1.0) ** a[m] / np.sqrt(2.0)
-        terms += [(sm, {0: 0, m: 0}), (-sm, {0: 1, m: 0})]
-    eff = np.zeros((dims[party],) * 2, dtype=complex)
-    for coeff, slots in terms:
-        if slots.get(party) != setting:
-            continue
-        mats = [
-            observables[p][slots[p]] if p in slots and p != party else np.eye(dims[p])
-            for p in range(n)
-        ]
-        eff += coeff * partial_trace(kron(*mats) @ rho, dims, party)
-    return (eff + dagger(eff)) / 2.0
-
-
 SEESAW_CASES = [
     (dims, target)
     for dims in [(2, 3, 2), (3, 3, 3, 3)]
@@ -452,7 +416,8 @@ def test_table_value_matches_quantum_value(dims, target):
 def test_contracted_value_matches_dense_trace(dims, target):
     expr = BellExpression(len(dims), target)
     observables, state = seesaw_inputs(dims, 45)
-    for op in (build_bell_operator(expr, observables), dense_bell_operator(expr, observables)):
+    seesaw_operator = bell_operators(bell_coefficients(expr), setting_stacks(observables))
+    for op in (seesaw_operator, dense_bell_operator(expr, observables)):
         dense = np.real(np.trace(op @ state.density))
         assert abs(quantum_value(state, observables, expr) - dense) <= 1e-13
 
@@ -462,4 +427,5 @@ def test_bell_operator_matches_padded_sum(dims, target):
     expr = BellExpression(len(dims), target)
     observables, _ = seesaw_inputs(dims, 46)
     dense = dense_bell_operator(expr, observables)
-    assert max_abs(build_bell_operator(expr, observables) - dense) <= EXACT
+    operator = bell_operators(bell_coefficients(expr), setting_stacks(observables))
+    assert max_abs(operator - dense) <= EXACT

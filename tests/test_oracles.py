@@ -5,18 +5,22 @@ meet that the program neither computes nor snapshots.
   under local unitaries (Makhlin, "Nonlocal properties of two-qubit gates
   and mixed states", 2002; Zhang, Vala, Sastry and Whaley, "Geometric
   theory of nonlocal two-qubit operations", 2003).  They need no frame.
-* Metamorphic relation: a scramble of the reference (local isometries and an
-  auxiliary state) changes no statistic the verdict reads.
+* Metamorphic relations: a scramble of the reference (local isometries and
+  an auxiliary state), or local unitaries applied consistently to a
+  strategy, change no statistic the verdict reads.
 """
 
 import numpy as np
 import pytest
 
 from bellcert.certify import run_full_certification
+from bellcert.linalg import dagger, kron
+from bellcert.quantum import Interaction, QuantumState, random_unitary
 from bellcert.reference import reference_strategy
-from bellcert.scenario import scramble_strategy
+from bellcert.scenario import Strategy, scramble_strategy
 
-from corpus import PERTURBED, perturbed_strategy
+from conftest import diag_phase_deviation
+from corpus import PERTURBED, STRATEGIES, build_strategy, perturbed_strategy
 
 # The magic basis, as columns.
 MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2.0)
@@ -78,3 +82,55 @@ def test_scrambles_keep_the_verdict_and_statistics(aux):
         names = [c.name for c in report.extra_stat_checks]
         assert names == [c.name for c in reference.extra_stat_checks]
         assert np.max(np.abs(_statistics(report) - _statistics(reference))) <= 1e-13
+
+
+def local_unitary_image(strategy, seed):
+    """``strategy`` under seeded per-party local unitaries, applied
+    consistently: ``V1 = ox_n V1_n`` to the source and the first-round
+    observables, ``V2 = ox_n V2_n`` to the second-round observables, and
+    ``W -> V2 W V1^dag``.  Every statistic of the scenario is unchanged."""
+    rng = np.random.default_rng(seed)
+    w = strategy.interaction
+    v1 = [random_unitary(d, rng) for d in w.dims_in]
+    v2 = [random_unitary(d, rng) for d in w.dims_out]
+    big1, big2 = kron(*v1), kron(*v2)
+    rho = big1 @ strategy.source_state.density @ dagger(big1)
+    return Strategy(
+        source_state=QuantumState(rho, strategy.source_state.dims),
+        observables_t1=[v @ pair @ dagger(v) for v, pair in zip(v1, strategy.observables_t1)],
+        observables_t2=[v @ pair @ dagger(v) for v, pair in zip(v2, strategy.observables_t2)],
+        interaction=Interaction(big2 @ w.matrix @ dagger(big1), w.dims_in, w.dims_out),
+    )
+
+
+# Corpus strategies, and the refuted interaction of the CLI's end-to-end
+# check (every Bell value stays maximal, the side statistics fail).
+LOCAL_UNITARY_CASES = [
+    "reference-2",
+    "reference-3",
+    "scramble-1,2,1",
+    "reference-2-v0.9",
+    "scramble-2,2-xi-rank-1",
+    "diag-phase-ci",
+]
+
+
+@pytest.mark.parametrize("case", LOCAL_UNITARY_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_local_unitaries_keep_the_verdict_and_statistics(case, seed):
+    if case == "diag-phase-ci":
+        strategy = diag_phase_deviation(reference_strategy(2), (0.0, 0.5, -1.0, 1.5))
+    else:
+        strategy = build_strategy(*STRATEGIES[case])
+    before = run_full_certification(strategy)
+    after = run_full_certification(local_unitary_image(strategy, seed))
+    assert after.verdict == before.verdict
+    assert len(after.failures) == len(before.failures)
+    assert [c.name for c in after.bell_checks] == [c.name for c in before.bell_checks]
+    assert [c.name for c in after.extra_stat_checks] == [c.name for c in before.extra_stat_checks]
+    assert np.max(np.abs(_statistics(after) - _statistics(before))) <= 1e-13
+    # The chain's frames absorb the unitaries, so the interaction residual,
+    # at roundoff when certified, does not move either.
+    assert (after.interaction is None) == (before.interaction is None)
+    if before.interaction is not None:
+        assert abs(after.interaction.residual - before.interaction.residual) <= 1e-13
