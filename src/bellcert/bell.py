@@ -17,7 +17,7 @@ strategies reach ``2 (N-1)`` and no more.
 ``bell_terms`` writes the functional once, as its N terms
 ``c_g (u_g . S^1) ox S^2_{j_2} ox ... ox S^N_{j_N}``, party n's ``S^n =
 (I, A_{n,0}, A_{n,1})`` (``setting_stacks``).  A state's Bell value comes
-from the terms alone.  A density's is its correlator table over the
+from the terms alone.  One state's is its correlator table over the
 ``S^n`` (``quantum.effect_table``) gathered at the terms (``_table_value``,
 for ``quantum_value`` and ``scenario.run_scenario``).  A branch factor's,
 and the seesaw's, come from the Bell-term kernel (``term_vectors``, read
@@ -274,12 +274,12 @@ def classical_bound(expr: BellExpression) -> float:
 
 def quantum_value(state: QuantumState, observables, expr: BellExpression) -> float:
     """Value ``Tr(B rho)`` of the Bell operator on a state: the
-    ``_table_value`` of its density's correlator table, so no D x D
-    operator is formed and the density is not factored."""
+    ``_table_value`` of its correlator table (``quantum.effect_table``), so
+    no D x D operator is formed and the state keeps no form it lacked."""
     stacks = setting_stacks(observables)
     if tuple(len(s[0]) for s in stacks) != state.dims or len(stacks) != expr.parties:
         raise DimensionMismatchError(f"observables do not match dims {state.dims}, N = {expr.parties}")
-    return _table_value(expr, effect_table(state.density, state.dims, stacks))
+    return _table_value(expr, effect_table(state, stacks))
 
 
 def extra_statistics(state: QuantumState, observables) -> tuple[tuple[str, float, float], ...]:

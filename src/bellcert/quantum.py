@@ -3,7 +3,7 @@
 A state holds its density matrix, a factor of it, or both: each form is
 built from the other the first time it is read (``QuantumState``), so
 nothing in the certification chain has to assume purity, and a branch
-state that is only contracted never forms its D x D matrix.  Measurements
+state that is only contracted never keeps its D x D matrix.  Measurements
 are plain arrays: a party's two +/-1 observables are one ``(2, d, d)``
 array, validated once by ``scenario.Strategy``, and each kernel here takes
 one operand form, per-party stacks of operators (effects, projectors or
@@ -24,8 +24,8 @@ check; its factor comes from the same ``eigh`` the first time it is
 needed (``pure_state`` keeps its vector as the factor).
 
 Outcome probabilities and correlators come from ``effect_table``, per-party
-``(m, d, d)`` stacks against one density matrix or a sequence of states
-read from their factors, and the branch states ``V Pi rho Pi^dag V^dag /
+``(m, d, d)`` stacks against one state, read from its density or, if it
+holds none, from its factor, and the branch states ``V Pi rho Pi^dag V^dag /
 p`` from ``post_measurement_states``, per-party ``(B, d, d)`` projector
 stacks and the interaction V, with no Kronecker-product operator formed:
 every branch factor is one slice of a ``(D, B, r)`` array, built party by
@@ -181,9 +181,7 @@ class QuantumState:
     def density(self) -> np.ndarray:
         """The density matrix, exactly Hermitian and read-only."""
         if self._density is None:
-            vectors, signs = self._factor
-            rho = (vectors * signs) @ dagger(vectors)
-            rho = herm_part(rho)
+            rho = _density(*self._factor)
             rho.setflags(write=False)
             object.__setattr__(self, "_density", rho)
         return self._density
@@ -195,6 +193,12 @@ class QuantumState:
         if self._factor is None:
             object.__setattr__(self, "_factor", _factor(*np.linalg.eigh(self._density)))
         return self._factor
+
+
+def _density(vectors: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The density of a factor of ``QuantumState``, ``vectors diag(signs)
+    vectors^dag``, exactly Hermitian."""
+    return herm_part((vectors * signs) @ dagger(vectors))
 
 
 def _factor(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,58 +254,40 @@ class Interaction:
             raise NonUnitaryError(f"interaction is not unitary (defect {defect:.3e})")
 
 
-def effect_table(rho, dims: tuple[int, ...], stacks) -> np.ndarray:
-    """Table ``T[i_1, ..., i_N] = Re Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``.
+def effect_table(state: QuantumState, stacks) -> np.ndarray:
+    """Table ``T[i_1, ..., i_N] = Re Tr[(A^1_{i_1} ox ... ox A^N_{i_N}) rho]``
+    of one state, shape ``(m_1, ..., m_N)``.
 
     ``stacks[k]`` holds party ``k``'s operators, shape ``(m_k, d_k, d_k)``.
     For Hermitian operators, such as the effects (the unclamped outcome
     probabilities) or each party's ``(I, A_0, A_1)`` (the correlators), the
-    table is real up to roundoff, which the real part drops.  ``rho`` is a
-    density matrix, reshaped to ``dims + dims`` and contracted party by
-    party (``_contract``), so no Kronecker-product operator is ever formed;
-    the result has shape ``(m_1, ..., m_N)``.  ``rho`` may instead be a
-    sequence of B states with these dims and one factor rank r, such as the
-    branches of ``post_measurement_states``: all B tables, shape ``(B, m_1,
-    ..., m_N)``, are then read from the factors.  Party 1's step costs about
-    ``m_1 r D^2 / d_1`` per state from a factor (``_contract_factors``),
-    against ``r D^2`` to form the density and ``m_1 D^2`` to contract it.
-    The factors are contracted when that is the cheaper and ``r <= D / 2``;
-    otherwise each chunk of states forms its densities.  Above half rank the
-    factor step's ``m_1 D r`` entries per state made it the slower in every
-    case timed, full rank included (any visibility below 1).
+    table is real up to roundoff, which the real part drops.  The state is
+    contracted party by party (``_contract``), so no Kronecker-product
+    operator is ever formed.  A state that holds its density is contracted
+    from it.  One that holds only a factor of rank r, such as a branch of
+    ``post_measurement_states``, is contracted from the factor
+    (``_contract_factor``) when ``r <= D / 2`` and party 1's step, about
+    ``m_1 r D^2 / d_1``, is below the ``r D^2`` that forms the density plus
+    the ``m_1 D^2`` that contracts it; otherwise its density is formed for
+    this call and not kept.  Above half rank the factor step's ``m_1 D r``
+    entries made it the slower in every case timed, full rank included
+    (any visibility below 1).
     """
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
+    dims = state.dims
     ops = [np.asarray(s, dtype=complex) for s in stacks]
-    if len(ops) != n or any(s.ndim != 3 or s.shape[1:] != (d, d) for s, d in zip(ops, dims)):
+    if len(ops) != len(dims) or any(s.ndim != 3 or s.shape[1:] != (d, d) for s, d in zip(ops, dims)):
         raise DimensionMismatchError(
             f"operator stacks of shapes {[s.shape for s in ops]} do not match dims {dims}"
         )
-    if isinstance(rho, np.ndarray):
-        rho = np.asarray(rho, dtype=complex)[np.newaxis]
-        return np.real(_contract_densities(rho, dims, ops)[0])
-    states = rho
-    dim, rank = states[0].factor[0].shape
-    m = [len(s) for s in ops]
-    from_factors = 2 * rank <= dim and m[0] * rank < dims[0] * (rank + m[0])
-    # Entries per branch of party 1's operators applied to the factor, or of
-    # the density side's five live arrays (the stacked factors, their signed
-    # copy and conjugate transpose, the densities and ``_contract``'s reshape
-    # copy of them), and of the table after party 1 and after each later
-    # party (last to first): a chunk of branches keeps each within CHUNK_BYTES.
-    sizes = [m[0] * dim * rank if from_factors else 3 * dim * rank + 2 * dim * dim] + [
-        m[0] * math.prod(m[k:]) * math.prod(dims[1:k]) ** 2 for k in range(1, n + 1)
-    ]
-    tables = []
-    for chunk in _chunks(len(states), dim, max(sizes) // dim + 1):
-        vectors = np.stack([s.factor[0] for s in states[chunk]])
-        signs = np.stack([s.factor[1] for s in states[chunk]])
-        if from_factors:
-            tables.append(_contract_factors(vectors, signs, dims, ops))
-        else:
-            densities = np.matmul(vectors * signs[:, np.newaxis], dagger(vectors))
-            tables.append(_contract_densities(densities, dims, ops))
-    return np.real(np.concatenate(tables))
+    rho = state._density
+    if rho is None:
+        vectors, signs = state._factor
+        dim, rank = vectors.shape
+        m = len(ops[0])
+        if 2 * rank <= dim and m * rank < dims[0] * (rank + m):
+            return np.real(_contract_factor(vectors, signs, dims, ops))
+        rho = _density(vectors, signs)
+    return np.real(_contract(rho[np.newaxis], dims, ops)[0])
 
 
 def _grouped(n: int) -> list[int]:
@@ -310,47 +296,41 @@ def _grouped(n: int) -> list[int]:
     return [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
 
 
-def _contract_densities(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
-    """``_contract`` of a stack of density matrices, ``(B, D, D)``."""
-    t = rho.reshape((len(rho),) + dims + dims)
-    return _contract(t.transpose([0, *(1 + np.argsort(_grouped(len(dims))))]), dims, ops)
+def _contract(rho: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
+    """``sum_jk A_kj rho_jk`` over each party's row and column axes, for
+    every operator of its stack: ``rho`` is a stack of matrices, ``(B, D,
+    D)``, the result ``(B, m_1, ..., m_N)``.
 
-
-def _contract(t: np.ndarray, dims: tuple[int, ...], ops) -> np.ndarray:
-    """``sum_jk A_kj t_jk`` over each party's row and column axes, for every
-    operator of its stack: ``t`` has shape ``(B, d_1, d_1, ..., d_N, d_N)``,
-    each party's row axis followed by its column axis (the ``argsort`` of
-    ``_grouped``), the result ``(B, m_1, ..., m_N)``.
-
-    The parties go last to first, each as one matmul ``(m_k, d_k^2) x
-    (d_k^2, rest)`` that reads the trailing axes in place and puts the
-    operator axis first, so the next party's axes are the trailing ones.
+    Each matrix is viewed with each party's row axis followed by its column
+    axis (the ``argsort`` of ``_grouped``).  The parties go last to first,
+    each as one matmul ``(m_k, d_k^2) x (d_k^2, rest)`` that reads the
+    trailing axes in place and puts the operator axis first, so the next
+    party's axes are the trailing ones.
     """
-    b = len(t)
+    b = len(rho)
+    t = rho.reshape((b,) + dims + dims).transpose([0, *(1 + np.argsort(_grouped(len(dims))))])
     for d, s in zip(reversed(dims), reversed(ops)):
         t = s.transpose(0, 2, 1).reshape(len(s), d * d) @ t.reshape(-1, d * d).T
     return np.moveaxis(t.reshape(tuple(len(s) for s in ops) + (b,)), -1, 0)
 
 
-def _contract_factors(vectors: np.ndarray, signs: np.ndarray, dims, ops) -> np.ndarray:
-    """``_contract`` of the states ``g_b diag(s_b) g_b^dag`` from their
-    factors, ``vectors`` ``(B, D, r)`` and ``signs`` ``(B, r)``.
+def _contract_factor(vectors: np.ndarray, signs: np.ndarray, dims, ops) -> np.ndarray:
+    """The table of ``_contract`` for the state ``g diag(s) g^dag`` from its
+    factor, ``vectors`` ``(D, r)`` and ``signs`` ``(r,)``.
 
-    Party 1's step reads the factors: with ``rest = D / d_1``, its operators
+    Party 1's step reads the factor: with ``rest = D / d_1``, its operators
     act on the ket, ``h = A g``, and the sum over ``(y_1, r)`` of ``h s
     conj(g)`` leaves the ``(rest, rest)`` block of every operator, one
-    batched matmul of inner size ``d_1 r``.  The remaining parties are
-    contracted as for a stack of density matrices.
+    matmul of inner size ``d_1 r``.  The remaining parties are contracted
+    as for a stack of density matrices.
     """
-    b, dim, r = vectors.shape
+    dim, r = vectors.shape
     d, m = dims[0], len(ops[0])
     rest = dim // d
-    h = np.matmul(ops[0], vectors.reshape(b, 1, d, rest * r))
-    left = h.reshape(b, m, d, rest, r).transpose(0, 1, 3, 2, 4).reshape(b, m * rest, d * r)
-    right = np.conj(vectors) * signs[:, np.newaxis]
-    right = right.reshape(b, d, rest, r).transpose(0, 1, 3, 2).reshape(b, d * r, rest)
-    t = np.matmul(left, right).reshape(b * m, rest, rest)
-    return _contract_densities(t, dims[1:], ops[1:]).reshape((b, m) + tuple(len(s) for s in ops[1:]))
+    h = np.matmul(ops[0], vectors.reshape(d, rest * r))
+    left = h.reshape(m, d, rest, r).transpose(0, 2, 1, 3).reshape(m * rest, d * r)
+    right = (np.conj(vectors) * signs).reshape(d, rest, r).transpose(0, 2, 1).reshape(d * r, rest)
+    return _contract((left @ right).reshape(m, rest, rest), dims[1:], ops[1:])
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:

@@ -204,13 +204,15 @@ def second_round_tables(record: CorrelationRecord, observables_t2) -> np.ndarray
     """The second-round tables ``p2`` of ``record``: ``p2[e][x2]`` is the
     outcome distribution for inputs ``x2`` after ``record.events[e]``,
     under the strategy's second-round observables, gated as ``p1`` is.
+    Each branch state is contracted on its own (``effect_table``), so none
+    keeps a density.
 
     Raises ``ValueError`` if the record holds no conditional states, or if a
     table fails the gate."""
-    states = record.conditional_states
-    if not states:
+    if not record.conditional_states:
         raise ValueError("a record without conditional states has no second-round tables")
-    correlators = effect_table(states, states[0].dims, setting_stacks(observables_t2))
+    stacks = setting_stacks(observables_t2)
+    correlators = np.array([effect_table(s, stacks) for s in record.conditional_states])
     p2 = clamp_probabilities(outcome_table(correlators, record.parties))
     _gate(p2, record.parties, record.events)
     return p2
@@ -276,7 +278,7 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
 
     # One correlator table of the source gives p1 and the t1 Bell value.
     stacks_t1 = setting_stacks(strategy.observables_t1)
-    correlators = effect_table(source.density, source.dims, stacks_t1)
+    correlators = effect_table(source, stacks_t1)
     p1 = clamp_probabilities(outcome_table(correlators, n))
     t1_value = _table_value(BellExpression(n, (0,) * n), correlators)
 

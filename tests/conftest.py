@@ -225,7 +225,7 @@ def repeatability_spotcheck(strategy, rounds, seed, tamper=None):
     effects = [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in settings_t1]
 
     def tables(state):
-        correlators = effect_table(state.density, state.dims, settings_t1)
+        correlators = effect_table(state, settings_t1)
         return clamp_probabilities(outcome_table(correlators, n))
 
     source_tables = tables(strategy.source_state)

@@ -237,7 +237,7 @@ class TestQuantumValue:
         state = random_density(dims, rng)
         monkeypatch.setattr(bell, "functional_values", None)
         expr = BellExpression(3, (1, 0, 1))
-        table = effect_table(state.density, dims, setting_stacks(obs))
+        table = effect_table(state, setting_stacks(obs))
         assert quantum_value(state, obs, expr) == _table_value(expr, table)
         dense = np.real(np.trace(dense_bell_operator(expr, obs) @ state.density))
         assert abs(quantum_value(state, obs, expr) - dense) <= 1e-13

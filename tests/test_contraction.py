@@ -94,23 +94,23 @@ def test_born_probability_matches_dense_formula(dims):
         dense = dense_distributions(state.density, observables)
         for x, probs in dense.items():
             effects = [[effect(observables[k][x[k]], a) for a in (0, 1)] for k in range(len(dims))]
-            table = clamp_probabilities(effect_table(state.density, dims, effects))
+            table = clamp_probabilities(effect_table(state, effects))
             assert np.max(np.abs(table - probs)) <= EXACT
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
 def test_contraction_table_matches_dense_formula(dims):
     rng = np.random.default_rng(41)
-    rho = random_density(dims, rng).density
+    state = random_density(dims, rng)
     stacks = [
         np.stack([projective_observable(d, rng) for _ in range(m)])
         for m, d in zip((3, 1, 2), dims)
     ]
-    table = effect_table(rho, dims, stacks)
+    table = effect_table(state, stacks)
     assert table.shape == tuple(s.shape[0] for s in stacks)
     for idx in itertools.product(*[range(s.shape[0]) for s in stacks]):
         ops = [s[i] for s, i in zip(stacks, idx)]
-        assert abs(table[idx] - np.trace(kron(*ops) @ rho)) <= EXACT
+        assert abs(table[idx] - np.trace(kron(*ops) @ state.density)) <= EXACT
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
@@ -119,10 +119,44 @@ def test_expectation_matches_dense_formula(dims):
     state = random_density(dims, rng)
     ops = [projective_observable(d, rng)[None] for d in dims]
     dense = np.trace(kron(*(op[0] for op in ops)) @ state.density)
-    assert abs(effect_table(state.density, dims, ops).item() - dense) <= EXACT
+    assert abs(effect_table(state, ops).item() - dense) <= EXACT
     ops[1] = np.broadcast_to(np.eye(dims[1]), (1, dims[1], dims[1]))
     dense = np.trace(kron(*(op[0] for op in ops)) @ state.density)
-    assert abs(effect_table(state.density, dims, ops).item() - dense) <= EXACT
+    assert abs(effect_table(state, ops).item() - dense) <= EXACT
+
+
+@pytest.mark.parametrize("rank, route", [(5, "_contract_factor"), (6, "_density")])
+def test_effect_table_route_boundary(monkeypatch, rank, route):
+    # D = 16, a qubit first party and (I, A_0, A_1) stacks: party 1's step
+    # from a factor, 3 r, undercuts forming and contracting the density,
+    # 2 (r + 3), below rank 6.  Either route gives the dense trace, and
+    # neither leaves the factor-only state holding a density.
+    dims = (2, 2, 4)
+    rng = np.random.default_rng(62)
+    g = rng.standard_normal((16, rank)) + 1j * rng.standard_normal((16, rank))
+    g /= np.linalg.norm(g)
+    state = QuantumState._from_factor(g, np.ones(rank), dims)
+    stacks = setting_stacks(random_observables(dims, rng))
+    calls = []
+
+    def counting(name):
+        original = getattr(quantum, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapped
+
+    for name in ("_contract_factor", "_density"):
+        monkeypatch.setattr(quantum, name, counting(name))
+    table = effect_table(state, stacks)
+    assert calls == [route]
+    assert state._density is None
+    rho = g @ dagger(g)
+    for idx in itertools.product(range(3), repeat=3):
+        ops = [s[i] for s, i in zip(stacks, idx)]
+        assert abs(table[idx] - np.trace(kron(*ops) @ rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (4, 2)])
@@ -163,12 +197,11 @@ def test_shared_row_takes_a_whole_stack(party):
 
 
 def test_contraction_rejects_mismatched_operators():
-    rho = np.eye(6) / 6
-    with pytest.raises(DimensionMismatchError):
-        effect_table(rho, (2, 3), [np.eye(2)[None]])
-    with pytest.raises(DimensionMismatchError):
-        effect_table(rho, (2, 3), [np.eye(2)[None], np.eye(2)[None]])
     state = random_density((2, 3), 0)
+    with pytest.raises(DimensionMismatchError):
+        effect_table(state, [np.eye(2)[None]])
+    with pytest.raises(DimensionMismatchError):
+        effect_table(state, [np.eye(2)[None], np.eye(2)[None]])
     identity = identity_interaction((2, 3))
     with pytest.raises(DimensionMismatchError):
         three = [np.eye(2)[None], np.eye(3)[None], np.eye(1)[None]]
@@ -205,7 +238,7 @@ def skewed_source_strategy(parties, aux):
 
 # aux None: the product source, whose vanishing events are left out; "noise":
 # the noisy reference, of full rank on qubits, whose branches are contracted
-# from their densities; "skew": a noisy scramble with an anti-Hermitian part,
+# from densities formed for the call; "skew": a noisy scramble with an anti-Hermitian part,
 # where every result must be the one of its Hermitian part.
 @pytest.mark.parametrize(
     "parties, aux",
@@ -251,6 +284,9 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     kept = [(x1, a1) for x1, a1 in events if p1[x1][a1] > ZERO_PROB]
     assert list(record.events) == kept
     p2 = second_round_tables(record, strategy.observables_t2)
+    # Each branch is contracted on its own and keeps no density, whether
+    # from its factor or, at full rank as in "noise", from a formed density.
+    assert all(state._density is None for state in record.conditional_states)
     assert len(p2) == len(record.conditional_states) == len(kept)
     if aux is None:
         assert len(kept) < len(events)
@@ -341,7 +377,7 @@ def test_factor_floor_edges_match_dense_formula(edge):
     ]
     branches = post_measurement_states(state, projectors, quantum.Interaction(v, dims, dims))
     effects_t2 = [np.tensordot(_EFFECTS_FROM_SETTINGS, s, 1) for s in setting_stacks(observables_t2)]
-    tables = effect_table(branches, dims, effects_t2)
+    tables = np.array([effect_table(branch, effects_t2) for branch in branches])
     effects = dense_effects(observables_t2)
     for b, (x1, a1) in enumerate(pairs):
         ops = [effect(observables_t1[k][x1[k]], a1[k]) for k in (0, 1)]

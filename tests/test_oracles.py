@@ -6,8 +6,9 @@ meet that the program neither computes nor snapshots.
   and mixed states", 2002; Zhang, Vala, Sastry and Whaley, "Geometric
   theory of nonlocal two-qubit operations", 2003).  They need no frame.
 * Metamorphic relations: a scramble of the reference (local isometries and
-  an auxiliary state), or local unitaries applied consistently to a
-  strategy, change no statistic the verdict reads.
+  an auxiliary state), local unitaries applied consistently to a strategy,
+  or local dimensions added that carry no weight, change no statistic the
+  verdict reads.
 """
 
 import numpy as np
@@ -115,22 +116,72 @@ LOCAL_UNITARY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", LOCAL_UNITARY_CASES)
-@pytest.mark.parametrize("seed", range(3))
-def test_local_unitaries_keep_the_verdict_and_statistics(case, seed):
+def case_strategy(case):
     if case == "diag-phase-ci":
-        strategy = diag_phase_deviation(reference_strategy(2), (0.0, 0.5, -1.0, 1.5))
-    else:
-        strategy = build_strategy(*STRATEGIES[case])
-    before = run_full_certification(strategy)
-    after = run_full_certification(local_unitary_image(strategy, seed))
+        return diag_phase_deviation(reference_strategy(2), (0.0, 0.5, -1.0, 1.5))
+    return build_strategy(*STRATEGIES[case])
+
+
+def assert_same_report(after, before):
+    """Same verdict, failure count and check names; Bell values, side
+    statistics, and where the chain reaches them ``xi``'s minimum
+    eigenvalue and the interaction residual, within 1e-13."""
     assert after.verdict == before.verdict
     assert len(after.failures) == len(before.failures)
     assert [c.name for c in after.bell_checks] == [c.name for c in before.bell_checks]
     assert [c.name for c in after.extra_stat_checks] == [c.name for c in before.extra_stat_checks]
     assert np.max(np.abs(_statistics(after) - _statistics(before))) <= 1e-13
-    # The chain's frames absorb the unitaries, so the interaction residual,
-    # at roundoff when certified, does not move either.
+    assert (after.state is None) == (before.state is None)
+    if before.state is not None:
+        assert abs(after.state.min_eigenvalue - before.state.min_eigenvalue) <= 1e-13
     assert (after.interaction is None) == (before.interaction is None)
     if before.interaction is not None:
         assert abs(after.interaction.residual - before.interaction.residual) <= 1e-13
+
+
+@pytest.mark.parametrize("case", LOCAL_UNITARY_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_local_unitaries_keep_the_verdict_and_statistics(case, seed):
+    # The chain's frames absorb the unitaries, so the residuals, at
+    # roundoff when certified, do not move either.
+    strategy = case_strategy(case)
+    before = run_full_certification(strategy)
+    assert_same_report(run_full_certification(local_unitary_image(strategy, seed)), before)
+
+
+def padded_image(strategy, party):
+    """``strategy`` with ``party``'s local space padded by two dimensions
+    that carry no weight, E the embedding: the source ``E rho E^dag``, zero
+    on them; each observable of both rounds with the block Z (setting 0) or
+    X (setting 1) there; and the interaction ``E W E^dag + (I - E E^dag)``."""
+    dims = strategy.source_state.dims
+    d = dims[party]
+    local = np.eye(d + 2)[:, :d]
+    e = kron(np.eye(int(np.prod(dims[:party]))), local, np.eye(int(np.prod(dims[party + 1 :]))))
+    padded = tuple(d + 2 if k == party else dk for k, dk in enumerate(dims))
+
+    def pad(pairs):
+        pairs = list(pairs)
+        block = np.zeros((2, d + 2, d + 2), dtype=complex)
+        block[:, :d, :d] = pairs[party]
+        block[0, d:, d:], block[1, d:, d:] = np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]
+        pairs[party] = block
+        return pairs
+
+    w = e @ strategy.interaction.matrix @ dagger(e) + np.eye(len(e)) - e @ dagger(e)
+    return Strategy(
+        source_state=QuantumState(e @ strategy.source_state.density @ dagger(e), padded),
+        observables_t1=pad(strategy.observables_t1),
+        observables_t2=pad(strategy.observables_t2),
+        interaction=Interaction(w, padded, padded),
+    )
+
+
+@pytest.mark.parametrize("case", LOCAL_UNITARY_CASES)
+def test_padding_without_weight_keeps_the_verdict_and_statistics(case):
+    # The chain works on supports, and no branch state reaches the padded
+    # dimensions, so they never reach xi either: nothing the verdict reads moves.
+    strategy = case_strategy(case)
+    before = run_full_certification(strategy)
+    for party in range(strategy.parties):
+        assert_same_report(run_full_certification(padded_image(strategy, party)), before)

@@ -135,19 +135,19 @@ class TestBornProbability:
 
     def test_perfect_correlation(self, phi_plus):
         zs = self._effects(Z)
-        table = effect_table(phi_plus.density, phi_plus.dims, [zs, zs])
+        table = effect_table(phi_plus, [zs, zs])
         assert table.shape == (2, 2)
         assert abs(table[0, 0] - 0.5) < 1e-12 and abs(table[1, 1] - 0.5) < 1e-12
 
     def test_forbidden_outcome(self, phi_plus):
         zs = self._effects(Z)
-        table = clamp_probabilities(effect_table(phi_plus.density, phi_plus.dims, [zs, zs]))
+        table = clamp_probabilities(effect_table(phi_plus, [zs, zs]))
         assert table[0, 1] == 0.0 and table[1, 0] == 0.0
 
     def test_clamps_within_zero_prob_onto_unit_interval(self):
         # A valid state up to rounding: eigenvalues 1 + 1e-13 and -1e-13.
         state = QuantumState(np.diag([1.0 + 1e-13, -1e-13]), (2,))
-        table = effect_table(state.density, state.dims, [self._effects(Z)])
+        table = effect_table(state, [self._effects(Z)])
         assert table.tolist() == [1.0 + 1e-13, -1e-13]
         assert clamp_probabilities(table).tolist() == [1.0, 0.0]
 
@@ -155,12 +155,12 @@ class TestBornProbability:
         a0 = (X + Z) / math.sqrt(2.0)
         b0 = Z
         stacks = [effect(a0, 0)[None], effect(b0, 0)[None]]
-        p = effect_table(phi_plus.density, phi_plus.dims, stacks).item()
+        p = effect_table(phi_plus, stacks).item()
         assert abs(p - (1.0 + 1.0 / math.sqrt(2.0)) / 4.0) < 1e-12
 
     def test_dimension_mismatch(self, phi_plus):
         with pytest.raises(DimensionMismatchError):
-            effect_table(phi_plus.density, phi_plus.dims, [np.eye(3)[None], np.eye(2)[None]])
+            effect_table(phi_plus, [np.eye(3)[None], np.eye(2)[None]])
 
     def test_normalization_property(self):
         rng = np.random.default_rng(10)
@@ -169,7 +169,7 @@ class TestBornProbability:
             state = random_density(dims, rng)
             observables = [projective_observable(d, rng) for d in dims]
             stacks = [self._effects(o) for o in observables]
-            table = clamp_probabilities(effect_table(state.density, state.dims, stacks))
+            table = clamp_probabilities(effect_table(state, stacks))
             assert np.all(table >= 0.0)
             assert abs(table.sum() - 1.0) < 1e-10
 
@@ -179,14 +179,14 @@ class TestExpectation:
     the expectation value of their product."""
 
     def test_xx_on_phi_plus(self, phi_plus):
-        assert abs(effect_table(phi_plus.density, (2, 2), [X[None], X[None]]).item() - 1.0) < 1e-12
+        assert abs(effect_table(phi_plus, [X[None], X[None]]).item() - 1.0) < 1e-12
 
     def test_zx_on_phi_plus(self, phi_plus):
-        assert abs(effect_table(phi_plus.density, (2, 2), [Z[None], X[None]]).item()) < 1e-12
+        assert abs(effect_table(phi_plus, [Z[None], X[None]]).item()) < 1e-12
 
     def test_reference_pair(self, phi_plus):
         a0 = (X + Z) / math.sqrt(2.0)
-        value = effect_table(phi_plus.density, (2, 2), [a0[None], Z[None]]).item()
+        value = effect_table(phi_plus, [a0[None], Z[None]]).item()
         assert abs(value - 1.0 / math.sqrt(2.0)) < 1e-12
 
     def test_consistency_with_probabilities(self):
@@ -196,9 +196,9 @@ class TestExpectation:
             state = random_density(dims, rng)
             obs = [projective_observable(d, rng) for d in dims]
             stacks = [[effect(o, 0), effect(o, 1)] for o in obs]
-            table = clamp_probabilities(effect_table(state.density, dims, stacks))
+            table = clamp_probabilities(effect_table(state, stacks))
             signed = table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
-            expectation = effect_table(state.density, dims, [o[None] for o in obs]).item()
+            expectation = effect_table(state, [o[None] for o in obs]).item()
             assert abs(expectation - signed) < 1e-12
 
 
@@ -232,7 +232,7 @@ class TestPostMeasurement:
 
     def test_repeat_measurement_is_deterministic(self, phi_plus):
         (out,) = post_measurement_states(phi_plus, [effect(Z, 0)[None]] * 2, NO_INTERACTION)
-        assert abs(effect_table([out], (2, 2), [effect(Z, 0)[None]] * 2).item() - 1.0) < 1e-10
+        assert abs(effect_table(out, [effect(Z, 0)[None]] * 2).item() - 1.0) < 1e-10
 
 
 class TestEvolve:

@@ -124,9 +124,9 @@ class TestRunScenario:
         tables, stacks = [], []
         effect_table, setting_stacks = scenario.effect_table, bell.setting_stacks
 
-        def counting_table(rho, *args):
-            tables.append(rho)
-            return effect_table(rho, *args)
+        def counting_table(state, stacks):
+            tables.append(state)
+            return effect_table(state, stacks)
 
         def counting_stacks(observables):
             stacks.append(observables)
@@ -136,7 +136,7 @@ class TestRunScenario:
             monkeypatch.setattr(module, "effect_table", counting_table)
             monkeypatch.setattr(module, "setting_stacks", counting_stacks)
         run_scenario(strategy)
-        assert len(tables) == 1 and tables[0] is strategy.source_state.density
+        assert len(tables) == 1 and tables[0] is strategy.source_state
         assert [id(o) for o in stacks] == [id(strategy.observables_t1), id(strategy.observables_t2)]
 
     def test_non_projective_first_round_rejected(self, ref2):
