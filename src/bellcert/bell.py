@@ -20,8 +20,10 @@ strategies reach ``2 (N-1)`` and no more.
 from the terms alone.  One state's is its correlator table over the
 ``S^n`` (``quantum.effect_table``) gathered at the terms (``_table_value``,
 for ``quantum_value`` and ``scenario.run_scenario``).  A branch factor's,
-and the seesaw's, come from the Bell-term kernel (``term_vectors``, read
-off by ``functional_values``), which applies factors with ``_apply``.
+and the seesaw's, come from the Bell-term kernel (``term_vectors``, which
+applies factors with ``_apply``) through its one read-off, a party's
+effective operators (``_effective_operators``) traced against that
+party's stack (``_strategy_value``).
 Side statistics are one-party values (``extra_statistics``).  Scattered,
 the terms give the coefficient tensor ``C`` (``bell_coefficients``) of
 ``classical_bound`` and of the seesaw's Bell operators (``bell_operators``,
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, dagger
+from .linalg import DimensionMismatchError, dagger, herm_part
 from .quantum import QuantumState, _apply, _grouped, _party_rows, effect_table, mixture_marginals
 
 __all__ = [
@@ -51,7 +53,6 @@ __all__ = [
     "setting_stacks",
     "outcome_table",
     "term_vectors",
-    "functional_values",
     "bell_operators",
     "classical_bound",
     "quantum_value",
@@ -151,33 +152,55 @@ def _table_value(expr: BellExpression, correlators: np.ndarray) -> float:
     return float(np.einsum("g,gi,ig->", weights, rows, correlators[(slice(None), *rest.T)]))
 
 
-def functional_values(kets, bras, dims, stacks, targets) -> np.ndarray:
-    """Value of ``B_{targets[c]}`` on each state ``X_c Y_c^dag``, given as
-    rows of ``kets`` and ``bras`` (a branch factor and its signed copy),
-    for each party's ``(3, d, d)`` stack.  Per
-    term ``g``, ``term_vectors`` with party 1 left out gives ``K_g = v_g
-    Y^dag`` over party 1's rows, and the value is ``sum_{g, i} c_g u_g[i]
-    Tr(S^1_i K_g)`` with the target's ``bell_terms`` (whose ``rest`` is the
-    same for every target)."""
-    terms = [bell_terms(BellExpression(len(dims), a)) for a in targets]
-    bra = dagger(_party_rows(bras, dims, 0))
-    vectors = term_vectors(kets, dims, terms[0][0], stacks)
-    k = np.stack([_party_rows(v, dims, 0) @ bra for v in vectors], axis=1)
-    weighted = np.stack([weights[:, np.newaxis] * rows for _, rows, weights in terms])
-    return np.real(np.einsum("cgi,iab,cgba->c", weighted, stacks[0], k))
+def _effective_operators(kets, bras, dims, stacks, terms, party: int = 0) -> np.ndarray:
+    """The one read-off of ``term_vectors``: effective operators ``K[c, i]``
+    of ``party``'s ``(I, A_0, A_1)`` on the states ``X_c Y_c^dag`` (rows of
+    ``kets`` and ``bras``): the other parties' stacks fixed, a state's Bell
+    value is ``sum_i Tr(S_i K[c, i])`` for any stack ``S`` of ``party``
+    (``_strategy_value``).  ``terms`` are the ``bell_terms`` ``(rest, rows,
+    weights)``, ``rows`` shared, ``(N, 3)``, or one set per state.
+
+    With ``w[g] = weights[g] * rows[g]``, ``term_vectors`` gives ``v_g =
+    O_g X`` without ``party``'s factor (party 0's merged into ``sum_i w[g,
+    i] S_i``), and ``phi_i = sum_g M[g, i] v_g``, ``M`` being ``w`` for
+    party 0 and otherwise ``party``'s index in each term.  ``K_i`` is the
+    Hermitian part of ``phi_i Y^dag`` over ``party``'s rows, since
+    ``Tr[(|a><b| ox O) X Y^dag] = (O X)_b . conj(Y_a)``; ``party``'s own
+    stack does not enter, so its updated settings leave ``K`` valid.
+    """
+    rest, rows, weights = terms
+    merged, slots = None, weights[:, np.newaxis] * rows
+    if party:
+        s0 = stacks[0]
+        merged = slots @ s0.reshape(s0.shape[:-2] + (-1,))
+        merged = merged.reshape(merged.shape[:-1] + s0.shape[-2:])
+        slots = np.eye(3)[rest[:, party - 1]]
+    vectors = np.stack(list(term_vectors(kets, dims, rest, stacks, party, merged)), axis=1)
+    phi = np.swapaxes(slots, -1, -2) @ vectors
+    bra = dagger(_party_rows(bras, dims, party))
+    return herm_part(_party_rows(phi, dims, party) @ bra[:, np.newaxis])
+
+
+def _strategy_value(stack, effective) -> np.ndarray:
+    """Bell values ``sum_i Tr(S_i K[c, i])`` of ``_effective_operators``
+    ``K`` against a stack ``S`` of their party, shared or one per state."""
+    return np.real(np.einsum("...iab,...iba->...", stack, effective))
 
 
 def setting_stacks(observables) -> list[np.ndarray]:
-    """Per-party ``(3, d, d)`` stacks ``(I, A_0, A_1)``, the operators that
-    the indices of ``bell_coefficients`` name, from each party's
-    (setting-0, setting-1) pair: a ``(2, d, d)`` array or two matrices."""
+    """Per-party stacks ``(I, A_0, A_1)``, the operators that the indices
+    of ``bell_coefficients`` name, from each party's (setting-0, setting-1)
+    pairs: two matrices, or a ``(..., 2, d, d)`` array whose leading axes
+    index strategies, which gives a ``(..., 3, d, d)`` stack."""
     stacks = []
     for n, pair in enumerate(observables):
-        m0, m1 = (np.asarray(m, dtype=complex) for m in pair)
-        d = m0.shape[0]
-        if m0.shape != (d, d) or m1.shape != (d, d):
+        shapes = {np.shape(m) for m in pair}
+        pair = np.asarray(pair, dtype=complex) if len(shapes) == 1 else np.empty(0)
+        d = pair.shape[-1]
+        if pair.shape[-3:] != (2, d, d):
             raise DimensionMismatchError(f"party {n}: inconsistent observable shapes")
-        stacks.append(np.stack([np.eye(d, dtype=complex), m0, m1]))
+        eye = np.broadcast_to(np.eye(d, dtype=complex), pair.shape[:-3] + (1, d, d))
+        stacks.append(np.concatenate([eye, pair], axis=-3))
     return stacks
 
 

@@ -266,12 +266,13 @@ def effect_table(state: QuantumState, stacks) -> np.ndarray:
     operator is ever formed.  A state that holds its density is contracted
     from it.  One that holds only a factor of rank r, such as a branch of
     ``post_measurement_states``, is contracted from the factor
-    (``_contract_factor``) when ``r <= D / 2`` and party 1's step, about
-    ``m_1 r D^2 / d_1``, is below the ``r D^2`` that forms the density plus
-    the ``m_1 D^2`` that contracts it; otherwise its density is formed for
-    this call and not kept.  Above half rank the factor step's ``m_1 D r``
-    entries made it the slower in every case timed, full rank included
-    (any visibility below 1).
+    (``_contract_factor``) when party 1's step, about ``m_1 r D^2 / d_1``,
+    is below the ``r D^2`` that forms the density plus the ``m_1 D^2`` that
+    contracts it, ``m_1 r < d_1 (r + m_1)``; otherwise its density is
+    formed for this call and not kept.  With ``(I, A_0, A_1)`` stacks a
+    qubit first party takes the density from rank 6 on, and a first party
+    of dimension 3 or more takes the factor at every rank, full rank
+    included, where it was also the faster in every case timed.
     """
     dims = state.dims
     ops = [np.asarray(s, dtype=complex) for s in stacks]
@@ -282,9 +283,8 @@ def effect_table(state: QuantumState, stacks) -> np.ndarray:
     rho = state._density
     if rho is None:
         vectors, signs = state._factor
-        dim, rank = vectors.shape
-        m = len(ops[0])
-        if 2 * rank <= dim and m * rank < dims[0] * (rank + m):
+        rank, m = vectors.shape[1], len(ops[0])
+        if m * rank < dims[0] * (rank + m):
             return np.real(_contract_factor(vectors, signs, dims, ops))
         rho = _density(vectors, signs)
     return np.real(_contract(rho[np.newaxis], dims, ops)[0])

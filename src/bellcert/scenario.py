@@ -17,11 +17,13 @@ stack (``quantum.post_measurement_states``); no branch forms its density
 matrix.  From one set of setting stacks per round it computes what the
 chain reads.  One contraction of the source gives its correlator table:
 the first-round table ``p1`` (gated), the event probabilities and the t1
-Bell value.  Each branch's Bell value comes from its factor at its own
-target, and the side statistics are one-party values.  The record holds no
-second-round tables: ``second_round_tables`` builds and gates ``p2`` from
-its branch states, which ``simulate`` does to write the record and
-``certify`` never does.
+Bell value.  Each branch's Bell value, at its own target, is party 0's
+effective operators on its factor (``bell._effective_operators``, which
+the seesaw reads too) traced against party 0's stack, and the side
+statistics are one-party values.  The record holds no second-round
+tables: ``second_round_tables`` builds and gates ``p2`` from its branch
+states, which ``simulate`` does to write the record and ``certify``
+never does.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ import numpy as np
 from .bell import (
     _EFFECTS_FROM_SETTINGS,
     BellExpression,
+    _effective_operators,
+    _strategy_value,
     _table_value,
+    bell_terms,
     extra_statistics,
-    functional_values,
     outcome_table,
     setting_stacks,
 )
@@ -291,16 +295,18 @@ def run_scenario(strategy: Strategy) -> CorrelationRecord:
     projectors = [np.tensordot(r, s, 1) for r, s in zip(rows, stacks_t1)]
     branches = post_measurement_states(source, projectors, strategy.interaction)
 
-    # Each Bell branch's value from its factor, at its own target, a chunk
-    # of branches at a time.
+    # Each Bell branch's value at its own target: party 0's effective operators
+    # on its factor traced against party 0's stack, N term vectors a factor.
     targets = [a for x, a in events if x == x_bell]
+    terms = [bell_terms(BellExpression(n, a)) for a in targets]
+    (rest, _, weights), rows = terms[0], np.stack([t[1] for t in terms])
     stacks_t2, signs = setting_stacks(strategy.observables_t2), source.factor[1]
     t2_values = np.empty(len(targets))
-    for chunk in _chunks(len(targets), source.dim, len(signs)):
+    for chunk in _chunks(len(targets), source.dim, n * len(signs)):
         kets = np.stack([b.factor[0] for b in branches[chunk]])
-        bras = (kets * signs).reshape(len(kets), -1)
-        flat = kets.reshape(len(kets), -1)
-        t2_values[chunk] = functional_values(flat, bras, dims_out, stacks_t2, targets[chunk])
+        flat, bras = kets.reshape(len(kets), -1), (kets * signs).reshape(len(kets), -1)
+        k = _effective_operators(flat, bras, dims_out, stacks_t2, (rest, rows[chunk], weights))
+        t2_values[chunk] = _strategy_value(stacks_t2[0], k)
 
     extra = None
     if events[-1][0] == x_extra:

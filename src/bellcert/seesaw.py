@@ -11,11 +11,12 @@ decreases by more than that, and for this Bell family it can never pass
 
 The restarts of a run advance in lockstep, from starting observables
 drawn together: each restart's seeded generator draws one Gaussian
-block of shape ``(2, 2, d, d)`` per party, and one stacked QR per party
-(``quantum._projective_observables``) makes every restart's pair.  Each
-iteration writes the ``(R, D, D)`` Bell operators of the R active restarts
-in one ``bell.bell_operators`` pass into the leading rows of one operator
-stack that the chunk keeps; the state stays a vector, a row of ``psi`` of
+block of shape ``(2, 2, d, d)`` per party, one stacked QR per party
+(``quantum._projective_observables``) makes every restart's pair, and
+``bell.setting_stacks`` their ``(R, 3, d, d)`` stacks.  Each iteration
+writes the ``(R, D, D)`` Bell operators of the R active restarts in one
+``bell.bell_operators`` pass into the leading rows of one operator stack
+that the chunk keeps; the state stays a vector, a row of ``psi`` of
 shape ``(R, D)``.  Below ``ITERATIVE_MIN_DIM`` one stacked ``eigh``
 diagonalizes the operators.  From there on ``optimal_state_update`` runs
 lockstep Lanczos steps on all of them: in the first iteration
@@ -26,14 +27,15 @@ stopping once its top Ritz residual estimate meets ``RESIDUAL_TOL``, so
 that no linear solve is left to do.  A Cholesky factorization checks each
 value to within ``TOP_MARGIN * max(1, |value|)`` up to roundoff, and a
 restart that fails the check gets a dense ``eigh``.
-Each party's effective operators are contracted from ``psi`` and the other
-parties' ``(I, A_0, A_1)`` stacks by the Bell-term kernel
-(``bell.term_vectors``), with party 0's two settings merged, so no D x D
-density is formed, and one stacked ``eigh`` gives the new settings of
-every restart.  The last party's effective operators, summed against its
-updated settings, are the iteration value.  A restart that meets the
-convergence rule leaves the batch, and the restarts go in chunks so that
-the Bell operators stay within ``quantum.CHUNK_BYTES``.
+Each party's effective operators are read off the Bell-term kernel
+(``bell._effective_operators``, ``psi`` as both kets and bras) with the
+other parties' ``(I, A_0, A_1)`` stacks, party 0's two settings merged,
+so no D x D density is formed, and one stacked ``eigh`` gives the new
+settings of every restart.  The last party's effective operators, traced
+against its updated settings (``bell._strategy_value``), are the
+iteration value.  A restart that meets the convergence rule leaves the
+batch, and the restarts go in chunks so that the Bell operators stay
+within ``quantum.CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ import numpy as np
 
 from .bell import (
     BellExpression,
+    _effective_operators,
+    _strategy_value,
     bell_coefficients,
     bell_operators,
     bell_terms,
-    term_vectors,
+    setting_stacks,
 )
-from .linalg import EigenDecomposition, dagger, herm_part
-from .quantum import QuantumState, _chunks, _party_rows, _projective_observables, _rng, pure_state
+from .linalg import EigenDecomposition
+from .quantum import QuantumState, _chunks, _projective_observables, _rng, pure_state
 
 __all__ = [
     "SeesawResult",
@@ -314,58 +318,13 @@ def _rayleigh_top(b, x, scratch):
         x = y / np.linalg.norm(y)
 
 
-def _effective_operators(psi, dims, stacks, terms, party):
-    """Effective operators ``K[r, i]`` of ``party``'s ``(I, A_0, A_1)`` in
-    restart ``r``: with the other parties' ``stacks`` (``(R, 3, d, d)``
-    each) fixed, the Bell value of ``psi[r]`` is ``sum_i Tr(S_i K[r, i])``
-    for any stack ``S`` of ``party``, so ``K[:, 1 + s]`` is the effective
-    operator of setting ``s``.
-
-    ``terms`` are the ``bell.bell_terms`` ``(rest, rows, weights)``, and
-    term ``g`` has party 0's coefficients ``w[g] = weights[g] * rows[g]``.
-    ``bell.term_vectors`` gives ``v_g = O_g psi`` without ``party``'s
-    factor (party 0's merged into ``sum_i w[g, i] S_i``).  Then ``phi_i =
-    sum_g M[g, i] v_g``: ``M`` is ``w`` for ``party = 0``, and otherwise
-    picks ``party``'s index in each term.  Finally ``K_i = phi_i psi^dag``
-    over ``party``'s rows, since ``Tr[(|a><b| ox O) |psi><psi|] = (O psi)_b
-    . conj(psi_a)``.  ``party``'s own stack does not enter, so its updated
-    settings leave ``K`` valid.
-    """
-    rest, rows, weights = terms
-    weights = weights[:, np.newaxis] * rows
-    if party:
-        s0 = stacks[0]
-        merged = weights @ s0.reshape(len(s0), 3, -1)
-        merged = merged.reshape(merged.shape[:2] + s0.shape[2:])
-        slots = np.eye(3)[rest[:, party - 1]]
-    else:
-        merged, slots = None, weights
-    phi = slots.T @ np.stack(list(term_vectors(psi, dims, rest, stacks, party, merged)), axis=1)
-    bra = dagger(_party_rows(psi, dims, party))
-    k = _party_rows(phi, dims, party) @ bra[:, np.newaxis]
-    return herm_part(k)
-
-
-def _strategy_value(stack, effective) -> np.ndarray:
-    """Bell values ``sum_i Tr(S_i K[r, i])`` of the strategies in which the
-    party whose ``_effective_operators`` are ``effective`` holds the stacks
-    ``S``."""
-    return np.real(np.einsum("...iab,...iba->...", stack, effective))
-
-
 def _starting_stacks(dims, seeds) -> list[np.ndarray]:
     """Per-party ``(R, 3, d, d)`` setting stacks of the restarts ``seeds``:
     each seed's generator draws party by party one ``(2, 2, d, d)`` block,
     and one stacked QR per party makes every restart's observables."""
     rngs = [_rng(s) for s in seeds]
-    stacks = []
-    for d in dims:
-        draws = np.stack([rng.standard_normal((2, 2, d, d)) for rng in rngs])
-        stack = np.empty((len(rngs), 3, d, d), dtype=complex)
-        stack[:, 0] = np.eye(d)
-        stack[:, 1:] = _projective_observables(draws)
-        stacks.append(stack)
-    return stacks
+    draws = [np.stack([rng.standard_normal((2, 2, d, d)) for rng in rngs]) for d in dims]
+    return setting_stacks([_projective_observables(x) for x in draws])
 
 
 def _lockstep(coefficients, terms, dims, stacks) -> list[SeesawResult]:
@@ -381,7 +340,7 @@ def _lockstep(coefficients, terms, dims, stacks) -> list[SeesawResult]:
         running = bell_operators(coefficients, stacks, out=operators[: len(active)])
         psi, _ = optimal_state_update(running, psi)
         for party in range(len(dims)):
-            effective = _effective_operators(psi, dims, stacks, terms, party)
+            effective = _effective_operators(psi, psi, dims, stacks, terms, party)
             stacks[party][:, 1:] = optimal_observable_update(effective[:, 1:])
         # The last party's operators were taken after every other party's
         # update, so against its new stack they give the updated value.

@@ -235,7 +235,7 @@ class TestQuantumValue:
         dims = (2, 3, 2)
         obs = [[projective_observable(d, rng) for _ in (0, 1)] for d in dims]
         state = random_density(dims, rng)
-        monkeypatch.setattr(bell, "functional_values", None)
+        monkeypatch.setattr(bell, "_effective_operators", None)
         expr = BellExpression(3, (1, 0, 1))
         table = effect_table(state, setting_stacks(obs))
         assert quantum_value(state, obs, expr) == _table_value(expr, table)
@@ -254,6 +254,18 @@ class TestQuantumValue:
                 ]
                 top = float(np.max(np.linalg.eigvalsh(dense_bell_operator(expr, obs))))
                 assert top <= expr.quantum_bound + 1e-9
+
+    def test_setting_stacks_take_stacked_pairs(self):
+        # A (R, 2, d, d) pair gives the (R, 3, d, d) stack of each pair's
+        # own, to the bit; a pair of two shapes is refused.
+        rng = np.random.default_rng(16)
+        pairs = np.array([[projective_observable(3, rng) for _ in (0, 1)] for _ in range(4)])
+        (stacked,) = setting_stacks([pairs])
+        assert stacked.shape == (4, 3, 3, 3)
+        for stack, pair in zip(stacked, pairs):
+            assert np.array_equal(stack, setting_stacks([pair])[0])
+        with pytest.raises(DimensionMismatchError, match="party 1"):
+            setting_stacks([pairs[0], [np.eye(2), np.eye(3)]])
 
 
 class TestSOS:

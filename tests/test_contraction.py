@@ -14,6 +14,8 @@ from bellcert import quantum
 from bellcert.bell import (
     _EFFECTS_FROM_SETTINGS,
     BellExpression,
+    _effective_operators,
+    _strategy_value,
     bell_coefficients,
     bell_operators,
     bell_terms,
@@ -41,7 +43,6 @@ from bellcert.scenario import (
     scramble_strategy,
     second_round_tables,
 )
-from bellcert.seesaw import _effective_operators, _strategy_value
 
 from conftest import (
     dense_bell_operator,
@@ -125,15 +126,23 @@ def test_expectation_matches_dense_formula(dims):
     assert abs(effect_table(state, ops).item() - dense) <= EXACT
 
 
-@pytest.mark.parametrize("rank, route", [(5, "_contract_factor"), (6, "_density")])
-def test_effect_table_route_boundary(monkeypatch, rank, route):
-    # D = 16, a qubit first party and (I, A_0, A_1) stacks: party 1's step
-    # from a factor, 3 r, undercuts forming and contracting the density,
-    # 2 (r + 3), below rank 6.  Either route gives the dense trace, and
+@pytest.mark.parametrize(
+    "dims, rank, route",
+    [
+        pytest.param((2, 2, 4), 5, "_contract_factor", id="5-_contract_factor"),
+        pytest.param((2, 2, 4), 6, "_density", id="6-_density"),
+        pytest.param((3, 2, 2), 12, "_contract_factor", id="full-rank-qutrit-first"),
+    ],
+)
+def test_effect_table_route_boundary(monkeypatch, dims, rank, route):
+    # (I, A_0, A_1) stacks: party 1's step from a factor, 3 r, undercuts
+    # forming and contracting the density, d_1 (r + 3), below rank 6 for a
+    # qubit first party (D = 16 here) and at every rank, full rank
+    # included, for a qutrit.  Either route gives the dense trace, and
     # neither leaves the factor-only state holding a density.
-    dims = (2, 2, 4)
+    dim = int(np.prod(dims))
     rng = np.random.default_rng(62)
-    g = rng.standard_normal((16, rank)) + 1j * rng.standard_normal((16, rank))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     g /= np.linalg.norm(g)
     state = QuantumState._from_factor(g, np.ones(rank), dims)
     stacks = setting_stacks(random_observables(dims, rng))
@@ -236,10 +245,26 @@ def skewed_source_strategy(parties, aux):
     return dataclasses.replace(strategy, source_state=QuantumState(skewed, source.dims))
 
 
+def signed_source_strategy(parties):
+    """The noisy reference with its least eigenvalue moved to -5e-10, which
+    the public constructor accepts and the factor keeps with sign -1: the
+    bra rows of the Bell-term read-off differ from its kets in sign."""
+    strategy = reference_strategy(parties)
+    noisy = white_noise_mix(strategy.source_state, 0.9).density
+    eigenvalues, vectors = np.linalg.eigh(noisy)
+    eigenvalues[0] = -5e-10
+    eigenvalues[-1] += 1.0 - eigenvalues.sum()
+    rho = (vectors * eigenvalues) @ dagger(vectors)
+    source = QuantumState((rho + dagger(rho)) / 2.0, strategy.source_state.dims)
+    assert source.factor[1].min() == -1.0
+    return dataclasses.replace(strategy, source_state=source)
+
+
 # aux None: the product source, whose vanishing events are left out; "noise":
 # the noisy reference, of full rank on qubits, whose branches are contracted
 # from densities formed for the call; "skew": a noisy scramble with an anti-Hermitian part,
-# where every result must be the one of its Hermitian part.
+# where every result must be the one of its Hermitian part; "signed": a source
+# with a negative eigenvalue, whose branch factors carry a sign of -1.
 @pytest.mark.parametrize(
     "parties, aux",
     [
@@ -251,6 +276,7 @@ def skewed_source_strategy(parties, aux):
         (3, "noise"),
         (3, "skew"),
         (2, "skew"),
+        (4, "signed"),
     ],
 )
 def test_run_scenario_matches_dense_formula(parties, aux):
@@ -263,6 +289,8 @@ def test_run_scenario_matches_dense_formula(parties, aux):
     elif aux == "skew":
         strategy = skewed_source_strategy(parties, (1, 2, 1) if parties == 3 else (3, 2))
         assert max_abs(strategy.source_state.density - dagger(strategy.source_state.density)) > 8e-10
+    elif aux == "signed":
+        strategy = signed_source_strategy(parties)
     else:
         strategy = scramble_strategy(reference_strategy(parties), aux, seed=9).strategy
     parties = strategy.parties
@@ -422,7 +450,7 @@ def test_effective_operator_matches_dense_formula(dims, target):
     observables, psi, stacks = seesaw_batch(dims, 44)
     terms = bell_terms(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(psi, dims, stacks, terms, party)
+        effective = _effective_operators(psi, psi, dims, stacks, terms, party)
         for r, v in enumerate(psi):
             rho = np.outer(v, v.conj())
             for setting in (0, 1):
@@ -439,7 +467,7 @@ def test_table_value_matches_quantum_value(dims, target):
     replacements, _, _ = seesaw_batch(dims, 48)
     terms = bell_terms(expr)
     for party in range(len(dims)):
-        effective = _effective_operators(psi, dims, stacks, terms, party)
+        effective = _effective_operators(psi, psi, dims, stacks, terms, party)
         for pairs in (observables, replacements):
             updated = [o[:party] + [p[party]] + o[party + 1 :] for o, p in zip(observables, pairs)]
             stack = np.stack([setting_stacks(u)[party] for u in updated])

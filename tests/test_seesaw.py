@@ -5,6 +5,7 @@ import pytest
 
 from bellcert.bell import (
     BellExpression,
+    _effective_operators,
     bell_coefficients,
     bell_operators,
     bell_terms,
@@ -16,7 +17,6 @@ from bellcert.linalg import herm_eig, herm_part, max_abs
 from bellcert.quantum import pure_state
 from bellcert.reference import ghz_like_vector, target_observables
 from bellcert.seesaw import (
-    _effective_operators,
     optimal_observable_update,
     optimal_state_update,
     seesaw_restarts,
@@ -416,9 +416,8 @@ class TestSeesaw:
             last = value
             for party in range(2):
                 stacks = [s[np.newaxis] for s in setting_stacks(observables)]
-                (effective,) = _effective_operators(
-                    vector[np.newaxis], (2, 2), stacks, terms, party
-                )
+                row = vector[np.newaxis]
+                (effective,) = _effective_operators(row, row, (2, 2), stacks, terms, party)
                 for setting in (0, 1):
                     observables[party][setting] = optimal_observable_update(effective[1 + setting])
                     op = hermitian_bell_operator(expr, observables)
